@@ -3,28 +3,34 @@
 Subcommands: verify, params, scan-pd, oracle, radial, all.  Exit code 0
 means every mandatory check passed, 1 means a mathematical check failed
 (nonzero residual, sign flip, survival > 0), 2 means a usage or
-configuration error.  Reports are written atomically (JSON is
-byte-deterministic for a fixed seed and configuration).
+configuration error, 3 means an engine fault (an EngineError such as an
+exact certificate contradicted by a numeric check), reported on stderr as
+``engine error: <ClassName>: <message>``.  Reports are written atomically
+(JSON is byte-deterministic for a fixed seed and configuration).
 
 A flat key=value config file may supply defaults (path via --config or the
 BHVERIFY_CONFIG environment variable); command-line flags take precedence.
+Config values are validated like the flags they stand for, and a key
+outside CONFIG_KEYS is a configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
-from . import registry
+from . import paramcheck, registry
 from .calculus import SubstitutionMode
-from .paramcheck import (all_certificates, check_minor_formulas, est1_grid_check,
-                         exponent_grid_check, linear_reduction_certificate,
-                         numeric_pd_scan)
+from .errors import EngineError
 from .report import build_report, render_json, render_markdown, write_atomic
 
 CONFIG_ENV_VAR = "BHVERIFY_CONFIG"
+# every key run() reads from a config file
+CONFIG_KEYS = ("format", "out", "n_max", "n_range", "grid", "seed", "samples",
+               "dims", "tol", "n", "alpha", "radial_grid", "rmax")
 
 
 def load_config(path: str | None) -> dict:
@@ -46,6 +52,10 @@ def load_config(path: str | None) -> dict:
                 raise ValueError(f"malformed config line: {line!r}")
             key, value = (s.strip() for s in line.split("=", 1))
             out[key] = value
+    unknown = sorted(set(out) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(unknown)} in {path}; "
+                         f"accepted keys: {', '.join(CONFIG_KEYS)}")
     return out
 
 
@@ -55,6 +65,30 @@ def _pick(args_value, config: dict, key: str, cast, default):
     if key in config:
         return cast(config[key])
     return default
+
+
+def _require(ok: bool, flag: str, message: str):
+    if not ok:
+        raise ValueError(f"{flag} {message}")
+
+
+def _parse_n_range(spec: str) -> tuple[int, int]:
+    """'LO..HI' with 5 <= LO <= HI."""
+    m = re.fullmatch(r"(-?[0-9]+)\.\.(-?[0-9]+)", spec.strip())
+    _require(m is not None, "--n", f"expects LO..HI, got {spec!r}")
+    lo, hi = int(m.group(1)), int(m.group(2))
+    _require(5 <= lo <= hi, "--n", f"needs 5 <= LO <= HI, got {spec!r}")
+    return lo, hi
+
+
+def _parse_square_grid(spec: str) -> int:
+    """'UxV' with U == V >= 1; returns the side U."""
+    m = re.fullmatch(r"([0-9]+)x([0-9]+)", spec.strip().lower())
+    _require(m is not None, "--grid", f"expects UxV, e.g. 10x10, got {spec!r}")
+    u, v = int(m.group(1)), int(m.group(2))
+    _require(u == v, "--grid", f"must be square (U == V), got {spec!r}")
+    _require(u >= 1, "--grid", f"needs at least one cell per side, got {spec!r}")
+    return u
 
 
 # -- section runners -------------------------------------------------------------
@@ -85,14 +119,14 @@ def run_combination():
 
 
 def run_params(n_max: int = 100):
-    formulas = check_minor_formulas()
+    formulas = paramcheck.check_minor_formulas()
     certs = []
     for n in range(5, n_max + 1):
-        certs.extend(c.to_dict() for c in all_certificates(n))
+        certs.extend(c.to_dict() for c in paramcheck.all_certificates(n))
     all_positive = all(c["verdict"] == "positive" for c in certs)
-    est1 = [est1_grid_check(n) for n in range(5, min(n_max, 24) + 1)]
-    exponents = exponent_grid_check()
-    linear = [linear_reduction_certificate(n) for n in range(5, 25)]
+    est1 = [paramcheck.est1_grid_check(n) for n in range(5, min(n_max, 24) + 1)]
+    exponents = paramcheck.exponent_grid_check()
+    linear = [paramcheck.linear_reduction_certificate(n) for n in range(5, 25)]
     section = {
         "minor_formulas": formulas.to_dict(),
         "certificates": certs,
@@ -114,7 +148,7 @@ def run_params(n_max: int = 100):
 
 
 def run_scan_pd(n_lo: int = 5, n_hi: int = 100, grid: int = 1000):
-    rep = numeric_pd_scan(range(n_lo, n_hi + 1), grid=grid)
+    rep = paramcheck.numeric_pd_scan(range(n_lo, n_hi + 1), grid=grid)
     return rep.to_dict(), rep.all_positive and rep.agrees_with_certificates
 
 
@@ -215,12 +249,14 @@ def run(argv) -> int:
             sections["registry"] = registry.list_registry()
         elif args.command == "params":
             n_max = _pick(args.n_max, config, "n_max", int, 100)
+            _require(n_max >= 5, "--n-max", f"must be at least 5, got {n_max}")
             echo.update(n_max=n_max)
             sections["params"], statuses["params"] = run_params(n_max)
         elif args.command == "scan-pd":
             spec = _pick(args.n, config, "n_range", str, "5..100")
-            lo, hi = (int(s) for s in spec.split(".."))
+            lo, hi = _parse_n_range(spec)
             grid = _pick(args.grid, config, "grid", int, 1000)
+            _require(grid >= 1, "--grid", f"must be at least 1, got {grid}")
             echo.update(n_range=[lo, hi], grid=grid)
             sections["pd_scan"], statuses["pd_scan"] = run_scan_pd(lo, hi, grid)
         elif args.command == "oracle":
@@ -235,7 +271,7 @@ def run(argv) -> int:
             n = _pick(args.n, config, "n", int, 6)
             alpha = _pick(args.alpha, config, "alpha", float, 2.0)
             grid_s = _pick(args.grid, config, "radial_grid", str, "10x10")
-            size = int(str(grid_s).lower().split("x")[0])
+            size = _parse_square_grid(grid_s)
             rmax = _pick(args.rmax, config, "rmax", float, 50.0)
             echo.update(n=n, alpha=alpha, grid=f"{size}x{size}", rmax=rmax)
             sections["radial"], statuses["radial"] = run_radial(
@@ -252,6 +288,9 @@ def run(argv) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EngineError as exc:
+        print(f"engine error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
     report = build_report(echo, sections, statuses)
     text = render_json(report) if fmt == "json" else render_markdown(report)

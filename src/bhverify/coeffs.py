@@ -7,8 +7,10 @@ denominator leading coefficient, so equal rational functions always have
 byte-identical representations.
 
 The polynomial arithmetic (multiplication, multivariate gcd) is delegated to
-sympy's sparse polynomial rings over QQ; everything else here is thin,
-deterministic bookkeeping on top of it.
+sympy's sparse polynomial rings over QQ.  On top of it sit the canonical
+normalization, exact evaluation, and parameter substitution, which composes
+on raw ring elements and normalizes only once per result, since each
+normalization is a full multivariate gcd.
 """
 
 from __future__ import annotations
@@ -188,23 +190,44 @@ class ParamScalar:
             raise PoleError(f"parameters hit denominator root of {self}")
         return ev(self.num) / den_val
 
-    def subs_param(self, name: str, value: "ParamScalar") -> "ParamScalar":
-        """Substitute a formal parameter by another rational function."""
-        gen_index = VAR_NAMES.index(name)
+    def subs_param(self, name: str, value: Rationalish) -> "ParamScalar":
+        """Substitute a formal parameter by a rational function p/q.
 
-        def sub_poly(poly):
-            out = ParamScalar.from_int(0)
-            for monom, coeff in poly.terms():
-                term = ParamScalar(_RING.ground_new(coeff))
-                for i, e in enumerate(monom):
-                    if e == 0:
-                        continue
-                    base = value if i == gen_index else ParamScalar(_RING.gens[i])
-                    term = term * base**e
-                out = out + term
-            return out
+        Composes first, then normalizes once.  A polynomial of degree d in
+        the parameter, sum C_e x^e, becomes the homogeneous
+        H = sum C_e p^e q^(d-e) (Horner's rule on the raw polynomials), so
+        num/den turns into H_num q^(d_den-d_num) / H_den.  Hitting a root of
+        the denominator raises MalformedCoefficientError.
+        """
+        value = ParamScalar.coerce(value)
+        i = VAR_NAMES.index(name)
+        p, q = value.num, value.den
 
-        return sub_poly(self.num) / sub_poly(self.den)
+        def compose(poly):
+            if not poly:
+                return poly, 0
+            groups: dict[int, dict] = {}
+            for monom, coeff in poly.items():
+                groups.setdefault(monom[i], {})[monom[:i] + (0,) + monom[i + 1:]] = coeff
+            d = max(groups)
+            acc = _RING.from_dict(groups[d])
+            q_pow = _RING.one
+            for e in range(d - 1, -1, -1):
+                q_pow = q_pow * q
+                acc = acc * p
+                if e in groups:
+                    acc += _RING.from_dict(groups[e]) * q_pow
+            return acc, d
+
+        h_num, d_num = compose(self.num)
+        h_den, d_den = compose(self.den)
+        if not h_den:
+            raise MalformedCoefficientError("division by zero coefficient")
+        if d_den >= d_num:
+            h_num = h_num * q ** (d_den - d_num)
+        else:
+            h_den = h_den * q ** (d_num - d_den)
+        return ParamScalar(h_num, h_den)
 
     def degree(self, name: str) -> int:
         """Max degree of a variable across numerator and denominator."""

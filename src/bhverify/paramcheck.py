@@ -124,7 +124,7 @@ def sturm_root_count(coeffs: list[Fraction], a: Fraction, b: Fraction) -> int:
     return va - vb
 
 
-@dataclass
+@dataclass(frozen=True)
 class SignCertificate:
     poly: str
     n: int
@@ -327,14 +327,18 @@ def positivity_certificate(poly_id: str, n: int,
     return certify_sign(poly_id, cs, n, iv)
 
 
-def sylvester_certificates(n: int) -> list[SignCertificate]:
-    """The leading-principal-minor triple of A on the subcritical range."""
-    return [positivity_certificate(p, n) for p in ("A11", "minor2", "detA")]
+@lru_cache(maxsize=None)
+def sylvester_certificates(n: int) -> tuple[SignCertificate, ...]:
+    """The leading-principal-minor triple of A on the subcritical range.
+
+    Cached: params and the eigenvalue scan of one run share the triples.
+    """
+    return tuple(positivity_certificate(p, n) for p in ("A11", "minor2", "detA"))
 
 
 def all_certificates(n: int) -> list[SignCertificate]:
     return [positivity_certificate("f1", n), positivity_certificate("f3", n)] + \
-        sylvester_certificates(n)
+        list(sylvester_certificates(n))
 
 
 # -- numeric minimal-eigenvalue scan ---------------------------------------------

@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from bhverify import registry
+from bhverify import paramcheck, registry
 from bhverify.cli import run
+from bhverify.errors import EngineInconsistencyError
 from bhverify.report import render_json, render_markdown
 
 
@@ -152,3 +153,69 @@ def test_empty_sections_render_minimal_document():
     parsed = json.loads(text)
     assert parsed["overall_status"] == "pass"  # vacuously: no sections ran
     assert render_markdown(doc).startswith("# Verification report")
+
+
+# -- input validation and exit codes ---------------------------------------------
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ("2x8", "square"),
+    ("0x0", "at least one cell"),
+    ("3", "expects UxV"),
+    ("3x", "expects UxV"),
+    ("3x3x3", "expects UxV"),
+    ("-2x-2", "expects UxV"),
+])
+def test_radial_grid_rejected(spec, reason, capsys):
+    assert run(["radial", f"--grid={spec}"]) == 2
+    err = capsys.readouterr().err
+    assert "--grid" in err and reason in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["params", "--n-max", "4"], "--n-max"),
+    (["scan-pd", "--n", "7..6"], "--n"),
+    (["scan-pd", "--n", "4..6"], "--n"),
+    (["scan-pd", "--n", "5-8"], "--n"),
+    (["scan-pd", "--n", "5..8", "--grid", "0"], "--grid"),
+])
+def test_out_of_range_params_and_scan_pd_rejected(argv, flag, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line, flag", [
+    ("n_max = 4", "--n-max"),
+    ("n_range = 4..6", "--n"),
+    ("grid = 0", "--grid"),
+    ("radial_grid = 2x8", "--grid"),
+])
+def test_out_of_range_config_values_rejected(tmp_path, line, flag, capsys):
+    cfg = tmp_path / "bh.cfg"
+    cfg.write_text(line + "\n")
+    command = {"n_max": "params", "n_range": "scan-pd", "grid": "scan-pd",
+               "radial_grid": "radial"}[line.split(" ")[0]]
+    assert run(["--config", str(cfg), command]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} ")
+
+
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "bh.cfg"
+    cfg.write_text("n = 6\nrmx = 20\n")
+    assert run(["--config", str(cfg), "radial"]) == 2
+    err = capsys.readouterr().err
+    assert "rmx" in err
+    for key in ("n", "alpha", "radial_grid", "rmax", "n_range"):
+        assert key in err.split("accepted keys:")[1]
+
+
+def test_engine_fault_exits_3(monkeypatch, tmp_path, capsys):
+    def broken(*args, **kwargs):
+        raise EngineInconsistencyError("planted disagreement")
+    monkeypatch.setattr(paramcheck, "numeric_pd_scan", broken)
+    out = tmp_path / "r.json"
+    assert run(["--out", str(out), "scan-pd", "--n", "5..6", "--grid", "10"]) == 3
+    assert capsys.readouterr().err == (
+        "engine error: EngineInconsistencyError: planted disagreement\n")
+    assert not out.exists()

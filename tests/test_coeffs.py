@@ -1,12 +1,16 @@
 """Exact coefficient field: normalization, equality, evaluation."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bhverify.coeffs import (ALPHA, A, B, N, ONE, ParamScalar, ZERO, frac,
-                             normalize_param, ps)
+from bhverify.calculus import bstar
+from bhverify.coeffs import (_RING, ALPHA, A, B, N, ONE, VAR_NAMES, ParamScalar,
+                             ZERO, frac, normalize_param, ps)
 from bhverify.errors import MalformedCoefficientError, PoleError
 
 
@@ -99,3 +103,83 @@ def test_pow_including_negative():
     x = (N - 1) / (N + 4)
     assert x**3 * x**-3 == ONE
     assert x**0 == ONE
+
+
+# -- differential test: subs_param against the term-by-term composition -------
+
+
+def _reference_subs_param(x, name, value):
+    """The previous subs_param: rebuild each term with ParamScalar
+    arithmetic, normalizing after every +, * and **."""
+    gen_index = VAR_NAMES.index(name)
+
+    def sub_poly(poly):
+        out = ParamScalar.from_int(0)
+        for monom, coeff in poly.terms():
+            term = ParamScalar(_RING.ground_new(coeff))
+            for i, e in enumerate(monom):
+                if e == 0:
+                    continue
+                base = value if i == gen_index else ParamScalar(_RING.gens[i])
+                term = term * base**e
+            out = out + term
+        return out
+
+    return sub_poly(x.num) / sub_poly(x.den)
+
+
+_small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), _small_fractions,
+                         max_size=4)
+
+
+@st.composite
+def _rational_functions(draw):
+    den = draw(_polys.filter(lambda m: any(m.values())))
+    return normalize_param(draw(_polys), den)
+
+
+_values = st.one_of(
+    st.integers(-6, 6),
+    _small_fractions,
+    st.sampled_from([bstar(), (N + 4) / (N - 4), ONE / (N - 4), ALPHA * A - B]),
+    _rational_functions(),
+)
+
+
+def _assert_same_substitution(x, name, value):
+    try:
+        want = _reference_subs_param(x, name, value)
+    except MalformedCoefficientError as exc:
+        with pytest.raises(MalformedCoefficientError, match=f"^{re.escape(str(exc))}$"):
+            x.subs_param(name, value)
+        return
+    got = x.subs_param(name, value)
+    assert str(got) == str(want)
+    assert got == want
+    assert hash(got) == hash(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_functions(), st.sampled_from(VAR_NAMES), _values)
+def test_subs_param_matches_term_by_term_reference(x, name, value):
+    _assert_same_substitution(x, name, value)
+
+
+def test_subs_param_denominator_root_raises_like_reference():
+    x = (ALPHA + 1) / (N - 4)
+    for value in (4, Fraction(4), ps(4)):
+        _assert_same_substitution(x, "n", value)
+    _assert_same_substitution(N / (B * (B + 1)), "b", frac(-1, 1))
+    with pytest.raises(MalformedCoefficientError):
+        x.subs_param("n", 4)
+
+
+def test_subs_param_alpha_polys_match_reference():
+    """The 288 Sylvester polynomials at n = 5..100, as the certificates use them."""
+    from bhverify.paramcheck import _alpha_poly, _formal_bodies
+    bodies = _formal_bodies()
+    for poly_id in ("A11", "minor2", "detA"):
+        for n in range(5, 101):
+            want = _reference_subs_param(bodies[poly_id], "n", ps(n))
+            assert _alpha_poly(poly_id, n) == tuple(want.univariate("alpha"))
