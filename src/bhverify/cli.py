@@ -81,6 +81,16 @@ def _parse_n_range(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _parse_dims(spec: str) -> tuple[int, ...]:
+    """'5,6,8': comma-separated integer dimensions, each at least 5."""
+    parts = [p.strip() for p in spec.split(",")]
+    _require(all(re.fullmatch(r"-?[0-9]+", p) for p in parts), "--dims",
+             f"expects comma-separated integers, e.g. 5,6,8, got {spec!r}")
+    dims = tuple(int(p) for p in parts)
+    _require(min(dims) >= 5, "--dims", f"needs every dimension at least 5, got {spec!r}")
+    return dims
+
+
 def _parse_square_grid(spec: str) -> int:
     """'UxV' with U == V >= 1; returns the side U."""
     m = re.fullmatch(r"([0-9]+)x([0-9]+)", spec.strip().lower())
@@ -243,6 +253,11 @@ def run(argv) -> int:
     try:
         if args.command == "verify":
             ids = args.ids.split(",") if args.ids else None
+            if ids:
+                known = [i.id for i in registry.all_identities()]
+                unknown = [i for i in ids if i not in known]
+                _require(not unknown, "--ids", f"unknown identity {', '.join(unknown)}; "
+                                               f"known: {', '.join(known)}")
             mode = SubstitutionMode(args.mode) if args.mode else None
             echo.update(ids=ids, mode=args.mode)
             sections["identities"], statuses["identities"] = run_verify(ids, mode)
@@ -262,17 +277,21 @@ def run(argv) -> int:
         elif args.command == "oracle":
             seed = _pick(args.seed, config, "seed", int, 0)
             samples = _pick(args.samples, config, "samples", int, 1000)
-            dims_s = _pick(args.dims, config, "dims", str, "5,6,8")
-            dims = tuple(int(d) for d in str(dims_s).split(","))
+            _require(samples >= 1, "--samples", f"must be at least 1, got {samples}")
+            dims = _parse_dims(_pick(args.dims, config, "dims", str, "5,6,8"))
             tol = _pick(args.tol, config, "tol", float, 1e-9)
             echo.update(seed=seed, samples=samples, dims=list(dims), tol=tol)
             sections["oracle"], statuses["oracle"] = run_oracle(seed, samples, dims, tol)
         elif args.command == "radial":
+            from .radial import DEFAULT_R0
             n = _pick(args.n, config, "n", int, 6)
+            _require(n >= 5, "--n", f"must be at least 5, got {n}")
             alpha = _pick(args.alpha, config, "alpha", float, 2.0)
             grid_s = _pick(args.grid, config, "radial_grid", str, "10x10")
             size = _parse_square_grid(grid_s)
             rmax = _pick(args.rmax, config, "rmax", float, 50.0)
+            _require(rmax > DEFAULT_R0, "--rmax",
+                     f"must exceed the series start r0 = {DEFAULT_R0}, got {rmax}")
             echo.update(n=n, alpha=alpha, grid=f"{size}x{size}", rmax=rmax)
             sections["radial"], statuses["radial"] = run_radial(
                 [(n, alpha)], size, rmax, args.dump_trajectories)

@@ -15,10 +15,16 @@ route that shares as little as possible with the exact engine:
 An exact identity then shows only floating-point rounding, with the relative
 residual normalized by 1 + |LHS| + |RHS|.
 
-The module also brute-forces the sharp constant of the trace-free inequality
-|E|^2 |v|^2 >= c |Ev|^2 (random starts plus local optimization); the measured
-minimum is n/(n-1), which is *below* the constant 4/3 that the positivity
-argument cites, and the report flags that discrepancy.
+Jets are drawn a batch at a time: each (dimension, mode) batch is drawn
+once, its composite tensors are realized once, and every identity of that
+mode is evaluated on it before the next batch is drawn.
+
+The module also certifies the sharp constant of the trace-free inequality
+|E|^2 |v|^2 >= c |Ev|^2 exactly: a Cauchy-Schwarz bound on trace-free
+spectra, attained at an explicit extremizer, gives c = n/(n-1) in rational
+arithmetic, and a small random probe cross-checks it numerically.  The
+constant is *below* the 4/3 that the positivity argument cites, and the
+report flags that discrepancy.
 """
 
 from __future__ import annotations
@@ -26,14 +32,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-import scipy.optimize
 
 from .calculus import SubstitutionMode, substitute_defs
 from .coeffs import ALPHA as _ALPHA_PS
 from .coeffs import ParamScalar
-from .errors import CompositeDerivativeError, OrderOverflowError
+from .errors import (CompositeDerivativeError, EngineInconsistencyError,
+                     OrderOverflowError)
 from .registry import Identity, all_identities
 from .tensor import FACTORS, TExpr, TensorMonomial, from_labeled, to_labeled
 
@@ -70,27 +77,55 @@ class JetSample:
                    np.array(d["g2"]), np.array(d["g3"]), d["w4"])
 
 
-def sample_jet(seed: int, n: int, mode: str = "free",
-               alpha: Fraction | float | None = None) -> JetSample:
-    """Deterministic jet from a seed; g2/g3 exactly symmetric, u >= 1e-3."""
+@lru_cache(maxsize=None)
+def _symmetric_index(n: int) -> np.ndarray:
+    """Flat index, into an n x n x n array, of the sorted representative of
+    every slot triple: reading through it makes the array totally symmetric."""
+    idx = np.sort(np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij")), axis=0)
+    flat = np.ravel_multi_index(tuple(idx), (n, n, n)).ravel()
+    flat.flags.writeable = False
+    return flat
+
+
+def jet_batch(seed0: int, n: int, samples: int, mode: str = "free",
+              alpha: Fraction | float | None = None) -> dict:
+    """Jets for the seeds seed0, ..., seed0 + samples - 1, stacked by row.
+
+    Row k is the jet of ``default_rng(seed0 + k)``, drawn in the order u,
+    gradient, Hessian, third derivative and, in free mode, w4; in onshell
+    mode w4 = u^alpha.  g2/g3 are exactly symmetric, u >= 1e-3, and every
+    array is C-contiguous (einsum's summation order follows the layout).
+    The keys are those of ``stack_jets``.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
-    rng = np.random.default_rng(seed)
-    u = float(rng.uniform(1e-3, 1.0))
-    g1 = rng.uniform(-1.0, 1.0, n)
-    m = rng.uniform(-1.0, 1.0, (n, n))
-    g2 = (m + m.T) / 2.0
-    t = rng.uniform(-1.0, 1.0, (n, n, n))
-    # exact total symmetry: every slot triple reads the sorted representative
-    idx = np.sort(np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij")), axis=0)
-    g3 = t[idx[0], idx[1], idx[2]]
-    if mode == "onshell":
-        if alpha is None:
-            raise ValueError("onshell jets need alpha")
-        w4 = u ** float(alpha)
-    else:
-        w4 = float(rng.uniform(-1.0, 1.0))
-    return JetSample(n, mode, seed, u, g1, g2, g3, w4)
+    onshell = mode == "onshell"
+    if onshell and alpha is None:
+        raise ValueError("onshell jets need alpha")
+    u = np.empty(samples)
+    w4 = np.empty(samples)
+    g1 = np.empty((samples, n))
+    m = np.empty((samples, n, n))
+    t = np.empty((samples, n ** 3))
+    for k in range(samples):
+        rng = np.random.default_rng(seed0 + k)
+        uk = float(rng.uniform(1e-3, 1.0))
+        u[k] = uk
+        g1[k] = rng.uniform(-1.0, 1.0, n)
+        m[k] = rng.uniform(-1.0, 1.0, (n, n))
+        t[k] = rng.uniform(-1.0, 1.0, n ** 3)
+        w4[k] = uk ** float(alpha) if onshell else float(rng.uniform(-1.0, 1.0))
+    g2 = (m + m.transpose(0, 2, 1)) / 2.0
+    g3 = np.take(t, _symmetric_index(n), axis=1).reshape(samples, n, n, n)
+    return {"u": u, "g1": g1, "g2": g2, "g3": g3, "w4": w4, "n": n}
+
+
+def sample_jet(seed: int, n: int, mode: str = "free",
+               alpha: Fraction | float | None = None) -> JetSample:
+    """Deterministic jet from a seed: row 0 of ``jet_batch(seed, n, 1, ...)``."""
+    b = jet_batch(seed, n, 1, mode, alpha)
+    return JetSample(n, mode, seed, float(b["u"][0]), b["g1"][0], b["g2"][0],
+                     b["g3"][0], float(b["w4"][0]))
 
 
 def stack_jets(jets: list[JetSample]) -> dict:
@@ -128,18 +163,18 @@ def _composite_arrays(batch: dict, params: dict):
     return {"Etf": etf, "Fvec": fvec, "Gscal": gscal, "Lap": tr, "DLap": dlap}
 
 
-def eval_monomial_batch(m: TensorMonomial, batch: dict, params: dict) -> np.ndarray:
+def eval_monomial_batch(m: TensorMonomial, batch: dict, comp: dict) -> np.ndarray:
     """Einstein-summation value of one monomial over a batch of jets.
 
-    Returns shape (B,) for scalars, (B, n) for vectors, (B, n, n) for
-    2-tensors.  Ricci factors evaluate to zero (flat oracle).
+    ``comp`` is ``_composite_arrays(batch, params)``.  Returns shape (B,) for
+    scalars, (B, n) for vectors, (B, n, n) for 2-tensors.  Ricci factors
+    evaluate to zero (flat oracle).
     """
     if any(s == "Ric" for s in m.symbols):
         b = len(batch["u"])
         n = batch["n"]
         shape = (b,) + (n,) * len(m.free)
         return np.zeros(shape)
-    comp = _composite_arrays(batch, params)
     letters = {}
     for k, (x, y) in enumerate(m.pairs):
         letters[x] = letters[y] = _LETTERS[k]
@@ -186,17 +221,21 @@ def eval_monomial_batch(m: TensorMonomial, batch: dict, params: dict) -> np.ndar
     return np.einsum(spec, *operands)
 
 
-def eval_terms_batch(terms, batch: dict, params: dict) -> np.ndarray:
-    """Sum of coeff * monomial over a batch; coefficients evaluated exactly
-    at the rational parameters, then floated."""
+def _sum_terms(terms, batch: dict, params: dict, comp: dict) -> np.ndarray:
     total = None
     for coeff, m in terms:
         c = float(coeff.evaluate(**params))
-        v = c * eval_monomial_batch(m, batch, params)
+        v = c * eval_monomial_batch(m, batch, comp)
         total = v if total is None else total + v
     if total is None:
         return np.zeros(len(batch["u"]))
     return total
+
+
+def eval_terms_batch(terms, batch: dict, params: dict) -> np.ndarray:
+    """Sum of coeff * monomial over a batch; coefficients evaluated exactly
+    at the rational parameters, then floated."""
+    return _sum_terms(terms, batch, params, _composite_arrays(batch, params))
 
 
 def eval_expr(e: TExpr, jet: JetSample, params: dict):
@@ -209,16 +248,29 @@ def eval_expr(e: TExpr, jet: JetSample, params: dict):
 # -- naive flat differentiator ---------------------------------------------------
 
 
-def flat_grad_terms(terms, mode: SubstitutionMode):
-    """Flat-space gradient of (coeff, monomial) scalar terms by the plain
-    Leibniz rule; third derivatives stay totally symmetric.  Output is raw
-    (not canonicalized) with the new slot as a trailing free slot."""
+def flat_leibniz_terms(terms, mode: SubstitutionMode,
+                       weight: ParamScalar | None = None):
+    """Flat-space derivative of raw (coeff, monomial) terms by the plain
+    Leibniz rule; third derivatives stay totally symmetric and Ricci terms
+    vanish (flat oracle).  Output is raw (not canonicalized).
+
+    Without a weight the derivative slot is new: the gradient of scalar
+    terms, with the new slot as a trailing free slot.  With a weight w the
+    derivative slot is contracted against the free slot of vector terms,
+    giving u^-w div(u^w V).  DLap differentiated off its own slot is an
+    order overflow, exactly as in the covariant engine.
+    """
     out = []
     for c, m in terms:
         u, facs, frees = to_labeled(m)
-        d = "d"
+        if weight is None:
+            d, kept = "d", frees + ["d"]
+        else:
+            d, kept = frees[0], []
         if m.u_power:
-            out.append((c * m.u_power, from_labeled(u - 1, facs + [("Du", d)], frees + [d])))
+            out.append((c * m.u_power, from_labeled(u - 1, facs + [("Du", d)], kept)))
+        if weight is not None and not weight.is_zero:
+            out.append((c * weight, from_labeled(u - 1, facs + [("Du", d)], kept)))
         for i, fac in enumerate(facs):
             rest = facs[:i] + facs[i + 1:]
             sym = fac[0]
@@ -229,55 +281,13 @@ def flat_grad_terms(terms, mode: SubstitutionMode):
             elif sym == "Lap":
                 nf = [("DLap", d)]
             elif sym == "DLap":
-                raise OrderOverflowError("flat jets stop at third derivatives")
-            elif sym == "Bilap":
-                if mode is not SubstitutionMode.ON_SHELL:
-                    raise OrderOverflowError("gradient of Bilap needs the equation")
-                out.append((c * _ALPHA_PS, from_labeled(u - 1, facs + [("Du", d)], frees + [d])))
-                continue
-            elif sym == "g":
-                continue
-            elif sym == "Ric":
-                continue  # flat oracle: Ricci terms are identically zero
-            else:
-                raise CompositeDerivativeError(f"expand {sym} before flat differentiation")
-            out.append((c, from_labeled(u, rest + nf, frees + [d])))
-    return out
-
-
-def flat_div_terms(weight: ParamScalar, terms, mode: SubstitutionMode):
-    """Flat expansion of u^-w div(u^w V) for raw vector terms.
-
-    DLap differentiated off its own slot is an order overflow, exactly as in
-    the covariant engine; everything else is plain Leibniz with the
-    derivative slot contracted against the free slot.
-    """
-    out = []
-    for c, m in terms:
-        u, facs, frees = to_labeled(m)
-        f = frees[0]
-        if m.u_power:
-            out.append((c * m.u_power, from_labeled(u - 1, facs + [("Du", f)], [])))
-        if not weight.is_zero:
-            out.append((c * weight, from_labeled(u - 1, facs + [("Du", f)], [])))
-        for i, fac in enumerate(facs):
-            rest = facs[:i] + facs[i + 1:]
-            sym = fac[0]
-            if sym == "Du":
-                nf = [("D2u", fac[1], f)]
-            elif sym == "D2u":
-                nf = [("D3u", f, fac[1], fac[2])]
-            elif sym == "Lap":
-                nf = [("DLap", f)]
-            elif sym == "DLap":
-                if fac[1] == f:
-                    nf = [("Bilap",)]
-                else:
+                if fac[1] != d:    # always so when d is a new slot
                     raise OrderOverflowError("flat jets stop at third derivatives")
+                nf = [("Bilap",)]
             elif sym == "Bilap":
                 if mode is not SubstitutionMode.ON_SHELL:
                     raise OrderOverflowError("gradient of Bilap needs the equation")
-                out.append((c * _ALPHA_PS, from_labeled(u - 1, facs + [("Du", f)], [])))
+                out.append((c * _ALPHA_PS, from_labeled(u - 1, facs + [("Du", d)], kept)))
                 continue
             elif sym == "g":
                 continue
@@ -285,7 +295,7 @@ def flat_div_terms(weight: ParamScalar, terms, mode: SubstitutionMode):
                 continue  # flat oracle: Ricci terms are identically zero
             else:
                 raise CompositeDerivativeError(f"expand {sym} before flat differentiation")
-            out.append((c, from_labeled(u, rest + nf, [])))
+            out.append((c, from_labeled(u, rest + nf, kept)))
     return out
 
 
@@ -324,8 +334,54 @@ def identity_lhs_flat_terms(ident: Identity, mode: SubstitutionMode | None = Non
     lhs_jets = substitute_defs(ident.lhs, "backward", b=ident.b)
     terms = [(c, m) for m, c in lhs_jets.terms.items()]
     if ident.kind == "wdiv":
-        return flat_div_terms(ident.weight, terms, mode), 0
-    return flat_grad_terms(terms, mode), 1
+        return flat_leibniz_terms(terms, mode, ident.weight), 0
+    return flat_leibniz_terms(terms, mode), 1
+
+
+def _check_identities(idents, samples: int, dims, tol: float, seed: int,
+                      alpha, a) -> list[OracleIdentityReport]:
+    """Max relative residual of LHS - RHS per identity over random flat jets.
+
+    The residual is normalized by 1 + |LHS| + |RHS|.  Dimensions are the
+    outer loop: each (n, mode) batch is drawn once, its composites realized
+    once, every identity of that mode evaluated on it, and the batch dropped
+    before the next one is drawn.  Jets violating the tolerance are replayed
+    through ``sample_jet`` and serialized.
+    """
+    alpha, a = Fraction(alpha), Fraction(a)
+    checks = []
+    for ident in idents:
+        lhs_terms, out_valence = identity_lhs_flat_terms(ident)
+        rhs_terms = [(c, m) for m, c in ident.rhs.terms.items()]
+        mode = "onshell" if ident.mode is SubstitutionMode.ON_SHELL else "free"
+        checks.append((mode, lhs_terms, rhs_terms, out_valence))
+    worst = [0.0] * len(checks)
+    failing: list[list[str]] = [[] for _ in checks]
+    for n in dims:
+        params = _params_for(n, alpha, a)
+        seed0 = seed + 1_000_000 * n
+        for mode in dict.fromkeys(c[0] for c in checks):
+            batch = jet_batch(seed0, n, samples, mode, alpha)
+            comp = _composite_arrays(batch, params)
+            for i, (check_mode, lhs_terms, rhs_terms, out_valence) in enumerate(checks):
+                if check_mode != mode:
+                    continue
+                lhs = _sum_terms(lhs_terms, batch, params, comp)
+                rhs = _sum_terms(rhs_terms, batch, params, comp)
+                if out_valence == 0:
+                    rel = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
+                else:
+                    num = np.max(np.abs(lhs - rhs), axis=1)
+                    rel = num / (1.0 + np.linalg.norm(lhs, axis=1)
+                                 + np.linalg.norm(rhs, axis=1))
+                worst[i] = max(worst[i], float(np.max(rel)))
+                for k in np.nonzero(rel > tol)[0][:3]:
+                    failing[i].append(
+                        sample_jet(seed0 + int(k), n, mode, alpha).to_json())
+            del batch, comp
+    return [OracleIdentityReport(ident.id, list(dims), samples, str(alpha), str(a),
+                                 tol, w, w <= tol, f)
+            for ident, w, f in zip(idents, worst, failing)]
 
 
 def numeric_check_identity(ident: Identity, samples: int = 1000,
@@ -337,35 +393,12 @@ def numeric_check_identity(ident: Identity, samples: int = 1000,
     The residual is normalized by 1 + |LHS| + |RHS|; jets violating the
     tolerance are serialized for replay.
     """
-    alpha, a = Fraction(alpha), Fraction(a)
-    lhs_terms, out_valence = identity_lhs_flat_terms(ident)
-    rhs_terms = [(c, m) for m, c in ident.rhs.terms.items()]
-    worst = 0.0
-    failing: list[str] = []
-    mode = "onshell" if ident.mode is SubstitutionMode.ON_SHELL else "free"
-    for n in dims:
-        params = _params_for(n, alpha, a)
-        jets = [sample_jet(seed + 1_000_000 * n + k, n, mode, alpha)
-                for k in range(samples)]
-        batch = stack_jets(jets)
-        lhs = eval_terms_batch(lhs_terms, batch, params)
-        rhs = eval_terms_batch(rhs_terms, batch, params)
-        if out_valence == 0:
-            rel = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
-        else:
-            num = np.max(np.abs(lhs - rhs), axis=1)
-            rel = num / (1.0 + np.linalg.norm(lhs, axis=1) + np.linalg.norm(rhs, axis=1))
-        worst = max(worst, float(np.max(rel)))
-        for k in np.nonzero(rel > tol)[0][:3]:
-            failing.append(jets[int(k)].to_json())
-    return OracleIdentityReport(ident.id, list(dims), samples, str(alpha), str(a),
-                                tol, worst, worst <= tol, failing)
+    return _check_identities([ident], samples, dims, tol, seed, alpha, a)[0]
 
 
 def check_all_identities(samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9,
                          seed: int = 0, alpha=Fraction(2), a=Fraction(1)):
-    return [numeric_check_identity(i, samples, dims, tol, seed, alpha, a)
-            for i in all_identities()]
+    return _check_identities(all_identities(), samples, dims, tol, seed, alpha, a)
 
 
 def identity_homogeneity(ident: Identity) -> int:
@@ -404,52 +437,74 @@ class SharpConstantResult:
         }
 
 
-def _tracefree_ratio(params: np.ndarray, n: int) -> float:
-    """|E|^2 |v|^2 / |Ev|^2 for packed (upper-triangle E, v)."""
-    k = n * (n + 1) // 2
-    tri = params[:k]
-    v = params[k:]
-    e = np.zeros((n, n))
-    idx = np.triu_indices(n)
-    e[idx] = tri
-    e = e + e.T - np.diag(np.diag(e))
-    e = e - np.trace(e) / n * np.eye(n)
-    ev = e @ v
-    denom = float(ev @ ev)
-    if denom < 1e-300:
-        return np.inf
-    return float((e * e).sum() * (v @ v) / denom)
+CITED_CONSTANT = Fraction(4, 3)
+PROBE_ROWS = 256        # (E, v) pairs per probe chunk: 128 KiB per E array at n = 8
+# A probe ratio counts as below the exact bound only beyond this relative
+# margin: at n = 2 every pair attains the bound, and the float ratio of a
+# pair lands an ulp or a few on either side of it.
+PROBE_RTOL = 1e-9
+
+
+def sharp_constant_certificate(n: int) -> Fraction:
+    """Exact minimum of |E|^2 |v|^2 / |Ev|^2 over trace-free symmetric E and
+    v with Ev != 0.
+
+    Lower bound: for a fixed E the largest |Ev|^2 / |v|^2 is lam^2, lam the
+    eigenvalue of largest modulus.  The other n-1 eigenvalues sum to -lam
+    (trace-free), so by Cauchy-Schwarz their squares sum to at least
+    lam^2/(n-1), and |E|^2 >= (1 + 1/(n-1)) lam^2.  Attained: the ratio at
+    E = diag(1, -1/(n-1), ..., -1/(n-1)), v = e1, in exact arithmetic.  The
+    bound and the attained ratio must agree.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    lower = 1 + Fraction(1, n - 1)
+    spectrum = [Fraction(1)] + [Fraction(-1, n - 1)] * (n - 1)
+    if sum(spectrum) != 0:
+        raise EngineInconsistencyError(f"extremizer is not trace-free at n = {n}")
+    # v = e1: |v|^2 = 1 and Ev = spectrum[0] e1
+    attained = sum(lam * lam for lam in spectrum) / spectrum[0] ** 2
+    if attained != lower:
+        raise EngineInconsistencyError(
+            f"sharp constant at n = {n}: bound {lower} but extremizer ratio {attained}")
+    return attained
+
+
+def _probe_min_ratio(n: int, chunks: int, seed: int) -> float:
+    """Smallest |E|^2 |v|^2 / |Ev|^2 over chunks x PROBE_ROWS random
+    trace-free symmetric E and vectors v."""
+    rng = np.random.default_rng(seed)
+    eye = np.eye(n)
+    best = np.inf
+    for _ in range(chunks):
+        m = rng.normal(size=(PROBE_ROWS, n, n))
+        e = m + m.transpose(0, 2, 1)
+        e -= (np.einsum("zii->z", e) / n)[:, None, None] * eye
+        v = rng.normal(size=(PROBE_ROWS, n))
+        ev = np.einsum("zab,zb->za", e, v)
+        ratio = (np.einsum("zab,zab->z", e, e) * np.einsum("za,za->z", v, v)
+                 / np.einsum("za,za->z", ev, ev))
+        best = min(best, float(ratio.min()))
+    return best
 
 
 def sharp_constant_search(n: int, iterations: int = 20,
                           seed: int = 0) -> SharpConstantResult:
-    """Minimize |E|^2 |v|^2 / |Ev|^2 over trace-free symmetric E and v != 0.
+    """Minimum of |E|^2 |v|^2 / |Ev|^2 over trace-free symmetric E and v != 0.
 
-    Random starts refined by local optimization, plus the analytic candidate
-    diag(1, -1/(n-1), ..., -1/(n-1)) with v = e1, whose ratio n/(n-1) upper
-    bounds the reported minimum by construction.
+    The minimum is certified exactly (``sharp_constant_certificate``) and
+    cross-checked by a random probe of ``iterations`` chunks of PROBE_ROWS
+    pairs.  The recorded minimum is the exact value, floated, unless the
+    probe finds a ratio below it by more than PROBE_RTOL, which is then
+    recorded instead.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    rng = np.random.default_rng(seed)
-    k = n * (n + 1) // 2
-    analytic = n / (n - 1)
-
-    # analytic candidate as a packed start
-    e0 = np.diag([1.0] + [-1.0 / (n - 1)] * (n - 1))
-    start0 = np.concatenate([e0[np.triu_indices(n)], np.eye(n)[0]])
-
-    best = np.inf
-    starts = [start0] + [rng.normal(size=k + n) for _ in range(iterations)]
-    for x0 in starts:
-        if _tracefree_ratio(x0, n) == np.inf:
-            continue
-        res = scipy.optimize.minimize(_tracefree_ratio, x0, args=(n,),
-                                      method="L-BFGS-B",
-                                      options={"maxiter": 2000, "ftol": 1e-15,
-                                               "gtol": 1e-12})
-        best = min(best, float(res.fun), _tracefree_ratio(x0, n))
+    exact = sharp_constant_certificate(n)
+    minimum = float(exact)
+    probe = _probe_min_ratio(n, iterations, seed)
+    if probe < minimum * (1 - PROBE_RTOL):
+        minimum = probe
     return SharpConstantResult(
-        n=n, minimum=best, analytic=analytic, cited_constant=4.0 / 3.0,
-        below_cited=(best < 4.0 / 3.0 - 1e-9),
+        n=n, minimum=minimum,
+        analytic=n / (n - 1), cited_constant=float(CITED_CONSTANT),
+        below_cited=exact < CITED_CONSTANT,
         extremizer="diag(1, -1/(n-1), ..., -1/(n-1)) with v = e1 (up to rotation)")

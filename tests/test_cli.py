@@ -185,17 +185,50 @@ def test_out_of_range_params_and_scan_pd_rejected(argv, flag, capsys):
     assert err.startswith(f"error: {flag} ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["radial", "--n", "4", "--grid", "1x1"], "--n"),
+    (["radial", "--rmax", "-1", "--grid", "1x1"], "--rmax"),
+    (["radial", "--rmax", "1e-6", "--grid", "1x1"], "--rmax"),
+    (["radial", "--rmax", "nan", "--grid", "1x1"], "--rmax"),
+    (["oracle", "--samples", "0", "--dims", "5"], "--samples"),
+    (["oracle", "--samples", "-3", "--dims", "5"], "--samples"),
+    (["oracle", "--samples", "2", "--dims", "1"], "--dims"),
+    (["oracle", "--samples", "2", "--dims", "5,4"], "--dims"),
+    (["oracle", "--samples", "2", "--dims", "5,x"], "--dims"),
+    (["oracle", "--samples", "2", "--dims", "5,,6"], "--dims"),
+    (["oracle", "--samples", "2", "--dims", ""], "--dims"),
+])
+def test_out_of_range_radial_and_oracle_rejected(argv, flag, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and "Traceback" not in err
+
+
+def test_unknown_identity_id_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(["--out", str(out), "verify", "--ids", "I1,I99"]) == 2
+    err = capsys.readouterr().err
+    known = ", ".join(f"I{k}" for k in range(1, 16))
+    assert err == f"error: --ids unknown identity I99; known: {known}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, flag", [
     ("n_max = 4", "--n-max"),
     ("n_range = 4..6", "--n"),
     ("grid = 0", "--grid"),
     ("radial_grid = 2x8", "--grid"),
+    ("n = 4", "--n"),
+    ("rmax = -1", "--rmax"),
+    ("samples = 0", "--samples"),
+    ("dims = 1", "--dims"),
 ])
 def test_out_of_range_config_values_rejected(tmp_path, line, flag, capsys):
     cfg = tmp_path / "bh.cfg"
     cfg.write_text(line + "\n")
     command = {"n_max": "params", "n_range": "scan-pd", "grid": "scan-pd",
-               "radial_grid": "radial"}[line.split(" ")[0]]
+               "radial_grid": "radial", "n": "radial", "rmax": "radial",
+               "samples": "oracle", "dims": "oracle"}[line.split(" ")[0]]
     assert run(["--config", str(cfg), command]) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag} ")
 

@@ -5,15 +5,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bhverify import jetoracle
 from bhverify.calculus import SubstitutionMode, bstar, substitute_defs
+from bhverify.cli import run_oracle
+from bhverify.coeffs import ALPHA as _ALPHA_PS
+from bhverify.coeffs import ParamScalar
+from bhverify.errors import CompositeDerivativeError, OrderOverflowError
 from bhverify.jetoracle import (JetSample, OracleIdentityReport, _params_for,
-                                check_all_identities, eval_expr,
-                                eval_monomial_batch, eval_terms_batch,
-                                identity_homogeneity, identity_lhs_flat_terms,
+                                _probe_min_ratio, check_all_identities,
+                                eval_expr, eval_terms_batch,
+                                flat_leibniz_terms, identity_homogeneity,
+                                identity_lhs_flat_terms, jet_batch,
                                 numeric_check_identity, sample_jet, scale_jet,
+                                sharp_constant_certificate,
                                 sharp_constant_search, stack_jets)
 from bhverify.registry import all_identities, get_identity, perturb_identity
-from bhverify.tensor import expr, frob, mono
+from bhverify.tensor import expr, frob, from_labeled, mono, to_labeled
 
 
 def unit_jet(n=5, g1=None, g2=None):
@@ -205,3 +212,268 @@ class TestSharpConstant:
     def test_analytic_candidate_bounds_search(self):
         r = sharp_constant_search(7, iterations=6, seed=5)
         assert r.minimum <= r.analytic + 1e-12
+
+
+class TestSharpCertificate:
+    def test_exact_ratio_and_below_cited_for_n_2_to_60(self):
+        for n in range(2, 61):
+            assert sharp_constant_certificate(n) == Fraction(n, n - 1)
+            r = sharp_constant_search(n, iterations=1, seed=n)
+            assert r.below_cited is (n >= 5)
+            assert r.minimum == float(Fraction(n, n - 1))
+
+    def test_recorded_minimum_is_the_floated_exact_value(self):
+        minima = [sharp_constant_search(n).minimum for n in (6, 7, 8)]
+        assert minima == [1.2, 1.1666666666666667, 1.1428571428571428]
+        assert sharp_constant_search(6).to_dict().keys() == {
+            "n", "minimum", "analytic", "cited_constant", "below_cited", "extremizer"}
+
+    def test_probe_never_below_the_bound(self):
+        """Beyond rounding: at n = 2 every pair attains the bound exactly, so
+        its float ratios scatter by a few ulps around n/(n-1)."""
+        for n in (2, 3, 5, 8, 20, 60):
+            for seed in (0, 1, 7):
+                assert _probe_min_ratio(n, 4, seed) >= n / (n - 1) * (1 - 1e-12)
+
+    def test_probe_below_the_bound_fails_the_section(self, monkeypatch):
+        monkeypatch.setattr(jetoracle, "_probe_min_ratio", lambda n, chunks, seed: 1.0)
+        assert sharp_constant_search(5).minimum == 1.0
+        section, ok = run_oracle(samples=2, dims=(5,))
+        assert not ok
+        assert all(s["minimum"] == 1.0 for s in section["sharp_constant"])
+
+    def test_n_below_two_rejected(self):
+        with pytest.raises(ValueError):
+            sharp_constant_certificate(1)
+
+
+# -- differential tests against the per-jet, per-identity code they replaced -----
+
+
+def _ref_sample_jet(seed, n, mode="free", alpha=None):
+    """Deterministic jet from a seed; g2/g3 exactly symmetric, u >= 1e-3."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    rng = np.random.default_rng(seed)
+    u = float(rng.uniform(1e-3, 1.0))
+    g1 = rng.uniform(-1.0, 1.0, n)
+    m = rng.uniform(-1.0, 1.0, (n, n))
+    g2 = (m + m.T) / 2.0
+    t = rng.uniform(-1.0, 1.0, (n, n, n))
+    # exact total symmetry: every slot triple reads the sorted representative
+    idx = np.sort(np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij")), axis=0)
+    g3 = t[idx[0], idx[1], idx[2]]
+    if mode == "onshell":
+        if alpha is None:
+            raise ValueError("onshell jets need alpha")
+        w4 = u ** float(alpha)
+    else:
+        w4 = float(rng.uniform(-1.0, 1.0))
+    return JetSample(n, mode, seed, u, g1, g2, g3, w4)
+
+
+def _ref_stack_jets(jets):
+    return {
+        "u": np.array([j.u for j in jets]),
+        "g1": np.stack([j.g1 for j in jets]),
+        "g2": np.stack([j.g2 for j in jets]),
+        "g3": np.stack([j.g3 for j in jets]),
+        "w4": np.array([j.w4 for j in jets]),
+        "n": jets[0].n,
+    }
+
+
+def _ref_numeric_check_identity(ident, samples=1000, dims=(5, 6, 8), tol=1e-9,
+                                seed=0, alpha=Fraction(2), a=Fraction(1)):
+    alpha, a = Fraction(alpha), Fraction(a)
+    lhs_terms, out_valence = identity_lhs_flat_terms(ident)
+    rhs_terms = [(c, m) for m, c in ident.rhs.terms.items()]
+    worst = 0.0
+    failing = []
+    mode = "onshell" if ident.mode is SubstitutionMode.ON_SHELL else "free"
+    for n in dims:
+        params = _params_for(n, alpha, a)
+        jets = [_ref_sample_jet(seed + 1_000_000 * n + k, n, mode, alpha)
+                for k in range(samples)]
+        batch = _ref_stack_jets(jets)
+        lhs = eval_terms_batch(lhs_terms, batch, params)
+        rhs = eval_terms_batch(rhs_terms, batch, params)
+        if out_valence == 0:
+            rel = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
+        else:
+            num = np.max(np.abs(lhs - rhs), axis=1)
+            rel = num / (1.0 + np.linalg.norm(lhs, axis=1) + np.linalg.norm(rhs, axis=1))
+        worst = max(worst, float(np.max(rel)))
+        for k in np.nonzero(rel > tol)[0][:3]:
+            failing.append(jets[int(k)].to_json())
+    return OracleIdentityReport(ident.id, list(dims), samples, str(alpha), str(a),
+                                tol, worst, worst <= tol, failing)
+
+
+def _ref_flat_grad_terms(terms, mode):
+    out = []
+    for c, m in terms:
+        u, facs, frees = to_labeled(m)
+        d = "d"
+        if m.u_power:
+            out.append((c * m.u_power, from_labeled(u - 1, facs + [("Du", d)], frees + [d])))
+        for i, fac in enumerate(facs):
+            rest = facs[:i] + facs[i + 1:]
+            sym = fac[0]
+            if sym == "Du":
+                nf = [("D2u", fac[1], d)]
+            elif sym == "D2u":
+                nf = [("D3u", d, fac[1], fac[2])]
+            elif sym == "Lap":
+                nf = [("DLap", d)]
+            elif sym == "DLap":
+                raise OrderOverflowError("flat jets stop at third derivatives")
+            elif sym == "Bilap":
+                if mode is not SubstitutionMode.ON_SHELL:
+                    raise OrderOverflowError("gradient of Bilap needs the equation")
+                out.append((c * _ALPHA_PS, from_labeled(u - 1, facs + [("Du", d)], frees + [d])))
+                continue
+            elif sym == "g":
+                continue
+            elif sym == "Ric":
+                continue  # flat oracle: Ricci terms are identically zero
+            else:
+                raise CompositeDerivativeError(f"expand {sym} before flat differentiation")
+            out.append((c, from_labeled(u, rest + nf, frees + [d])))
+    return out
+
+
+def _ref_flat_div_terms(weight, terms, mode):
+    out = []
+    for c, m in terms:
+        u, facs, frees = to_labeled(m)
+        f = frees[0]
+        if m.u_power:
+            out.append((c * m.u_power, from_labeled(u - 1, facs + [("Du", f)], [])))
+        if not weight.is_zero:
+            out.append((c * weight, from_labeled(u - 1, facs + [("Du", f)], [])))
+        for i, fac in enumerate(facs):
+            rest = facs[:i] + facs[i + 1:]
+            sym = fac[0]
+            if sym == "Du":
+                nf = [("D2u", fac[1], f)]
+            elif sym == "D2u":
+                nf = [("D3u", f, fac[1], fac[2])]
+            elif sym == "Lap":
+                nf = [("DLap", f)]
+            elif sym == "DLap":
+                if fac[1] == f:
+                    nf = [("Bilap",)]
+                else:
+                    raise OrderOverflowError("flat jets stop at third derivatives")
+            elif sym == "Bilap":
+                if mode is not SubstitutionMode.ON_SHELL:
+                    raise OrderOverflowError("gradient of Bilap needs the equation")
+                out.append((c * _ALPHA_PS, from_labeled(u - 1, facs + [("Du", f)], [])))
+                continue
+            elif sym == "g":
+                continue
+            elif sym == "Ric":
+                continue  # flat oracle: Ricci terms are identically zero
+            else:
+                raise CompositeDerivativeError(f"expand {sym} before flat differentiation")
+            out.append((c, from_labeled(u, rest + nf, [])))
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:    # the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
+class TestAgainstReplacedCode:
+    @pytest.mark.parametrize("alpha", [Fraction(2), Fraction(7, 3)])
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    @pytest.mark.parametrize("mode", ["free", "onshell"])
+    def test_jet_batch_equals_stacked_reference_bitwise(self, mode, n, alpha):
+        seed0 = 1_000_000 * n + 11
+        batch = jet_batch(seed0, n, 30, mode, alpha)
+        ref = _ref_stack_jets([_ref_sample_jet(seed0 + k, n, mode, alpha)
+                               for k in range(30)])
+        assert batch.keys() == ref.keys() and batch["n"] == n
+        for key in ("u", "g1", "g2", "g3", "w4"):
+            assert batch[key].dtype == ref[key].dtype
+            assert np.array_equal(batch[key], ref[key]), key
+            assert batch[key].flags.c_contiguous, key
+        one = sample_jet(seed0 + 3, n, mode, alpha)
+        want = _ref_sample_jet(seed0 + 3, n, mode, alpha)
+        assert one.to_json() == want.to_json()
+        assert one.g3.flags.c_contiguous
+
+    def test_jet_batch_rejects_like_reference(self):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            jet_batch(0, 1, 3)
+        with pytest.raises(ValueError, match="onshell jets need alpha"):
+            jet_batch(0, 5, 3, "onshell")
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_check_all_identities_equals_reference(self, seed):
+        got = [r.to_dict() for r in check_all_identities(samples=40, dims=(5, 6),
+                                                         seed=seed)]
+        want = [_ref_numeric_check_identity(i, samples=40, dims=(5, 6), seed=seed).to_dict()
+                for i in all_identities()]
+        assert got == want
+
+    def test_failing_jet_replay_equals_reference(self, monkeypatch):
+        """A mutated identity among the registered ones: its failing jets,
+        replayed one seed at a time, serialize exactly as the reference's."""
+        ident = get_identity("I12")
+        items = ident.rhs.sorted_terms()
+        idx = next(i for i, (m, _) in enumerate(items)
+                   if "Etf" in m.symbols and m.symbols.count("Du") == 4)
+        mutated = perturb_identity(ident, idx, Fraction(1, 1000))
+        want = _ref_numeric_check_identity(mutated, samples=40, dims=(5, 6), seed=4)
+        assert want.failing_jets and not want.passed
+        assert numeric_check_identity(mutated, samples=40, dims=(5, 6),
+                                      seed=4).to_dict() == want.to_dict()
+        idents = [mutated if i.id == "I12" else i for i in all_identities()]
+        monkeypatch.setattr(jetoracle, "all_identities", lambda: tuple(idents))
+        got = {r.id: r.to_dict() for r in check_all_identities(samples=40, dims=(5, 6),
+                                                               seed=4)}
+        assert got[mutated.id] == want.to_dict()
+        assert got["I3"] == _ref_numeric_check_identity(
+            get_identity("I3"), samples=40, dims=(5, 6), seed=4).to_dict()
+
+    def test_merged_leibniz_equals_grad_and_div_for_every_identity(self):
+        for ident in all_identities():
+            jets = substitute_defs(ident.lhs, "backward", b=ident.b)
+            terms = [(c, m) for m, c in jets.terms.items()]
+            if ident.kind == "wdiv":
+                want = _ref_flat_div_terms(ident.weight, terms, ident.mode)
+            else:
+                want = _ref_flat_grad_terms(terms, ident.mode)
+            got, _ = identity_lhs_flat_terms(ident)
+            assert len(got) == len(want), ident.id
+            for (gc, gm), (wc, wm) in zip(got, want):
+                assert gc == wc and gm == wm, ident.id
+
+    def test_merged_leibniz_errors_equal_reference(self):
+        one = ParamScalar.from_int(1)
+        w = ParamScalar.from_fraction(Fraction(3, 2))
+        scalars = [
+            [(one, mono(0, ("DLap", "k"), ("Du", "k")))],
+            [(one, mono(1, ("Bilap",)))],
+            [(one, mono(0, ("Etf", "i", "j"), ("D2u", "i", "j")))],
+            [(one, mono(-1, ("Lap",), ("Ric", "i", "j"), ("Du", "i"), ("Du", "j")))],
+        ]
+        vectors = [
+            [(one, mono(0, ("DLap", "f"), free=("f",)))],
+            [(one, mono(0, ("DLap", "k"), ("D2u", "k", "f"), free=("f",)))],
+            [(one, mono(2, ("Bilap",), ("Du", "f"), free=("f",)))],
+            [(one, mono(0, ("Fvec", "f"), free=("f",)))],
+        ]
+        for mode in SubstitutionMode:
+            for terms in scalars:
+                assert (_outcome(flat_leibniz_terms, terms, mode)
+                        == _outcome(_ref_flat_grad_terms, terms, mode))
+            for terms in vectors:
+                for weight in (w, ParamScalar.from_int(0)):
+                    assert (_outcome(flat_leibniz_terms, terms, mode, weight)
+                            == _outcome(_ref_flat_div_terms, weight, terms, mode))
