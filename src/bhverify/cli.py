@@ -256,8 +256,8 @@ def run(argv) -> int:
             if ids:
                 known = [i.id for i in registry.all_identities()]
                 unknown = [i for i in ids if i not in known]
-                _require(not unknown, "--ids", f"unknown identity {', '.join(unknown)}; "
-                                               f"known: {', '.join(known)}")
+                _require(not unknown, "--ids",
+                         f"unknown identity {', '.join(unknown)}; known: {', '.join(known)}")
             mode = SubstitutionMode(args.mode) if args.mode else None
             echo.update(ids=ids, mode=args.mode)
             sections["identities"], statuses["identities"] = run_verify(ids, mode)

@@ -178,14 +178,6 @@ def test_radial_grid_rejected(spec, reason, capsys):
     (["scan-pd", "--n", "4..6"], "--n"),
     (["scan-pd", "--n", "5-8"], "--n"),
     (["scan-pd", "--n", "5..8", "--grid", "0"], "--grid"),
-])
-def test_out_of_range_params_and_scan_pd_rejected(argv, flag, capsys):
-    assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {flag} ") and "Traceback" not in err
-
-
-@pytest.mark.parametrize("argv, flag", [
     (["radial", "--n", "4", "--grid", "1x1"], "--n"),
     (["radial", "--rmax", "-1", "--grid", "1x1"], "--rmax"),
     (["radial", "--rmax", "1e-6", "--grid", "1x1"], "--rmax"),
@@ -198,7 +190,7 @@ def test_out_of_range_params_and_scan_pd_rejected(argv, flag, capsys):
     (["oracle", "--samples", "2", "--dims", "5,,6"], "--dims"),
     (["oracle", "--samples", "2", "--dims", ""], "--dims"),
 ])
-def test_out_of_range_radial_and_oracle_rejected(argv, flag, capsys):
+def test_out_of_range_params_and_scan_pd_rejected(argv, flag, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} ") and "Traceback" not in err
