@@ -17,6 +17,7 @@ outside CONFIG_KEYS is a configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -280,6 +281,8 @@ def run(argv) -> int:
             _require(samples >= 1, "--samples", f"must be at least 1, got {samples}")
             dims = _parse_dims(_pick(args.dims, config, "dims", str, "5,6,8"))
             tol = _pick(args.tol, config, "tol", float, 1e-9)
+            _require(math.isfinite(tol) and tol > 0, "--tol",
+                     f"must be a finite value above 0, got {tol}")
             echo.update(seed=seed, samples=samples, dims=list(dims), tol=tol)
             sections["oracle"], statuses["oracle"] = run_oracle(seed, samples, dims, tol)
         elif args.command == "radial":
@@ -287,6 +290,8 @@ def run(argv) -> int:
             n = _pick(args.n, config, "n", int, 6)
             _require(n >= 5, "--n", f"must be at least 5, got {n}")
             alpha = _pick(args.alpha, config, "alpha", float, 2.0)
+            _require(math.isfinite(alpha) and alpha > 1, "--alpha",
+                     f"must be a finite value above 1, got {alpha}")
             grid_s = _pick(args.grid, config, "radial_grid", str, "10x10")
             size = _parse_square_grid(grid_s)
             rmax = _pick(args.rmax, config, "rmax", float, 50.0)

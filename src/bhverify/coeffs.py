@@ -25,6 +25,8 @@ from .errors import MalformedCoefficientError, PoleError
 
 _RING, _N, _ALPHA, _A, _B = ring("n,alpha,a,b", QQ)
 _GENS = {"n": _N, "alpha": _ALPHA, "a": _A, "b": _B}
+# Q(n, alpha, a, b) as a sympy field, for exact linear algebra over it.
+COEFF_FIELD = _RING.to_field()
 VAR_NAMES = ("n", "alpha", "a", "b")
 
 Rationalish = Union[int, Fraction, "ParamScalar"]

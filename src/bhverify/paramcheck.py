@@ -5,9 +5,12 @@ form is positive definite for 0 < alpha < (n+4)/(n-4); this module certifies
 that with exact arithmetic: the minor/determinant factorizations through the
 auxiliary polynomials f1, f2, f3 are checked as polynomial identities in
 formal (n, alpha), and positivity on the stated open intervals is certified
-per integer n by Sturm chains over exact rationals (root counting plus an
-interior sample).  A floating-point minimal-eigenvalue scan cross-checks the
-certificates and reports the positivity margin.
+per integer n by Sturm sequences over exact rationals (root counting plus an
+interior sample).  The entries of A are specialized to Q[alpha] once per n,
+and the Sylvester minors are formed there.  A floating-point
+minimal-eigenvalue scan reads the same specialized entries, cross-checks the
+certificates and reports the positivity margin.  The univariate polynomial
+arithmetic and the Sturm root count are sympy's.
 
 The module also carries the small exact checks used by the blow-down
 argument: the cubic coefficient of the Bernstein estimate, the exponent
@@ -23,105 +26,41 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from sympy import QQ
+from sympy.polys.rings import PolyElement, ring
+from sympy.polys.rootisolation import dup_count_real_roots
 
 from .coeffs import ALPHA, A, N, ParamScalar, ps
 from .errors import DegenerateCertificateError, EngineInconsistencyError
 from .registry import F1_COEFFS, F2_COEFFS, F3_COEFFS, build_named, poly_apply
 
-# -- univariate exact polynomials (dense, constant term first) -----------------
+# -- univariate exact polynomials in Q[alpha] -----------------------------------
+
+QALPHA, _ = ring("alpha", QQ)
 
 
-def poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def upoly(coeffs) -> PolyElement:
+    """The polynomial in QALPHA with these rational coefficients, constant first."""
+    return QALPHA.from_list(list(reversed(coeffs)))
 
 
-def poly_trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    return coeffs
+def _value(poly: PolyElement, x: Fraction) -> Fraction:
+    """Exact value of a QALPHA polynomial at a rational point."""
+    v = poly(x)
+    return Fraction(int(v.numerator), int(v.denominator))
 
 
-def poly_deriv(coeffs: list[Fraction]) -> list[Fraction]:
-    return [k * c for k, c in enumerate(coeffs)][1:] or [Fraction(0)]
-
-
-def poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num, den = poly_trim(list(num)), poly_trim(list(den))
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
-    rem = list(num)
-    while len(rem) >= len(den) and poly_trim(rem):
-        rem = poly_trim(rem)
-        if len(rem) < len(den):
-            break
-        k = len(rem) - len(den)
-        q = rem[-1] / den[-1]
-        quot[k] = q
-        for i, d in enumerate(den):
-            rem[i + k] -= q * d
-        rem = rem[:-1]
-    return poly_trim(quot), poly_trim(rem)
-
-
-def _primitive(coeffs: list[Fraction]) -> list[Fraction]:
-    """Scale by a positive rational so coefficients stay small; sign-safe."""
-    nz = [c for c in coeffs if c]
-    if not nz:
-        return coeffs
-    den_lcm = 1
-    for c in nz:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [c * den_lcm for c in nz]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c.numerator))
-    scale = Fraction(den_lcm, g)
-    return [c * scale for c in coeffs]
-
-
-def sturm_chain(coeffs: list[Fraction]) -> list[list[Fraction]]:
-    p0 = _primitive(poly_trim(list(coeffs)))
-    if not p0:
-        raise DegenerateCertificateError("Sturm chain of the zero polynomial")
-    chain = [p0, _primitive(poly_deriv(p0))]
-    while True:
-        _, rem = poly_divmod(chain[-2], chain[-1])
-        if not poly_trim(rem):
-            break
-        chain.append(_primitive([-c for c in rem]))
-    return chain
-
-
-def _variations(values: list[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-def sturm_root_count(coeffs: list[Fraction], a: Fraction, b: Fraction) -> int:
+def sturm_root_count(poly: PolyElement, a: Fraction, b: Fraction) -> int:
     """Distinct real roots in the open interval (a, b).
 
-    Roots sitting exactly at the endpoints are deflated away first, so the
-    count refers to the interior only.
+    sympy's Sturm-sequence count covers the closed interval [a, b]; roots
+    sitting exactly at the endpoints are taken off, so the count refers to
+    the interior only.
     """
-    p = poly_trim(list(coeffs))
-    if not p:
+    if not poly:
         raise DegenerateCertificateError("root count of the zero polynomial")
-    for end in (a, b):
-        while poly_eval(p, end) == 0:
-            p, rem = poly_divmod(p, [-end, Fraction(1)])
-            assert not rem
-            if not p:
-                raise DegenerateCertificateError("polynomial vanishes identically")
-    if len(p) == 1:
-        return 0
-    chain = sturm_chain(p)
-    va = _variations([poly_eval(q, a) for q in chain])
-    vb = _variations([poly_eval(q, b) for q in chain])
-    return va - vb
+    closed = dup_count_real_roots(poly.to_dense(), QQ, inf=QQ.convert(a), sup=QQ.convert(b))
+    return closed - sum(1 for end in (a, b) if not poly(end))
 
 
 @dataclass(frozen=True)
@@ -147,15 +86,15 @@ class SignCertificate:
         }
 
 
-def certify_sign(name: str, coeffs: list[Fraction], n: int,
+def certify_sign(name: str, poly: PolyElement, n: int,
                  interval: tuple[Fraction, Fraction]) -> SignCertificate:
     """Exact one-signedness verdict on an open interval via Sturm counting."""
     a, b = Fraction(interval[0]), Fraction(interval[1])
-    if not poly_trim(list(coeffs)):
+    if not poly:
         raise DegenerateCertificateError(f"{name}: zero polynomial on [{a}, {b}]")
-    roots = sturm_root_count(coeffs, a, b)
+    roots = sturm_root_count(poly, a, b)
     mid = (a + b) / 2
-    sample = poly_eval(coeffs, mid)
+    sample = _value(poly, mid)
     if roots == 0 and sample > 0:
         verdict = "positive"
     elif roots == 0 and sample < 0:
@@ -163,17 +102,24 @@ def certify_sign(name: str, coeffs: list[Fraction], n: int,
     else:
         verdict = "not-one-signed"
     return SignCertificate(name, n, (a, b), roots,
-                           (poly_eval(coeffs, a), poly_eval(coeffs, b)),
+                           (_value(poly, a), _value(poly, b)),
                            (mid, sample), verdict)
 
 
 # -- the coefficient matrix ----------------------------------------------------
 
 
+_ENTRIES = ("A11", "A12", "A13", "A22", "A23", "A33")
+
+
 @dataclass(frozen=True)
 class MatrixA:
-    """Symmetric 3x3 coefficient matrix of the master quadratic form, with
-    exact rational-function entries in (n, alpha)."""
+    """Symmetric 3x3 coefficient matrix of the master quadratic form.
+
+    The entries may come from any commutative ring: exact rational functions
+    in (n, alpha) for the formal matrix, polynomials in QALPHA once n is
+    fixed (see matrix_at).
+    """
     A11: ParamScalar
     A12: ParamScalar
     A13: ParamScalar
@@ -181,43 +127,39 @@ class MatrixA:
     A23: ParamScalar
     A33: ParamScalar
 
-    def minor2(self) -> ParamScalar:
+    def minor2(self):
         return self.A11 * self.A22 - self.A12 * self.A12
 
-    def det(self) -> ParamScalar:
+    def det(self):
         return (self.A11 * (self.A22 * self.A33 - self.A23 * self.A23)
                 - self.A12 * (self.A12 * self.A33 - self.A23 * self.A13)
                 + self.A13 * (self.A12 * self.A23 - self.A22 * self.A13))
 
     def entry_polys_in_alpha(self, n: int) -> dict[str, list[Fraction]]:
-        out = {}
-        for name in ("A11", "A12", "A13", "A22", "A23", "A33"):
-            out[name] = getattr(self, name).subs_param("n", ps(n)).univariate("alpha")
-        return out
+        return {name: getattr(self, name).subs_param("n", ps(n)).univariate("alpha")
+                for name in _ENTRIES}
 
 
 @lru_cache(maxsize=None)
-def build_matrix_A(n: int | None = None) -> MatrixA:
+def build_matrix_A() -> MatrixA:
     """Entries from the catalog; the quartic display route for A11 is checked
     against the c1/c2 construction and any mismatch is fatal."""
     a11 = build_named("A11")
     if not (a11 == build_named("A11_display")):
         raise EngineInconsistencyError("the two constructions of A11 disagree")
-    entries = {k: build_named(k) for k in ("A11", "A12", "A13", "A22", "A23", "A33")}
-    if n is not None:
-        entries = {k: v.subs_param("n", ps(n)) for k, v in entries.items()}
-    return MatrixA(**entries)
+    return MatrixA(**{k: build_named(k) for k in _ENTRIES})
 
 
 @lru_cache(maxsize=None)
-def _formal_bodies() -> dict[str, ParamScalar]:
-    mat = build_matrix_A()
-    return {"A11": mat.A11, "minor2": mat.minor2(), "detA": mat.det()}
+def matrix_at(n: int) -> MatrixA:
+    """A at integer n with entries in QALPHA.
 
-
-@lru_cache(maxsize=None)
-def _alpha_poly(poly_id: str, n: int) -> tuple[Fraction, ...]:
-    return tuple(_formal_bodies()[poly_id].subs_param("n", ps(n)).univariate("alpha"))
+    Substituting an integer n >= 5 is a ring homomorphism on the entries
+    (their denominators are products of n - 1, n - 4 and n + 4), so the
+    minors of this matrix are the specialized minors of the formal one.
+    Cached: the certificates and the eigenvalue scan share it.
+    """
+    return MatrixA(**{k: upoly(v) for k, v in build_matrix_A().entry_polys_in_alpha(n).items()})
 
 
 # -- factorization identities ---------------------------------------------------
@@ -292,8 +234,7 @@ def check_minor_formulas() -> MinorFormulaReport:
 # -- per-n positivity certificates ----------------------------------------------
 
 
-def _f_poly_at_n(coeffs_ps, n: int) -> list[Fraction]:
-    return [c.evaluate(n=n) for c in coeffs_ps]
+_SYLVESTER = {"A11": lambda m: m.A11, "minor2": MatrixA.minor2, "detA": MatrixA.det}
 
 
 def positivity_certificate(poly_id: str, n: int,
@@ -307,24 +248,23 @@ def positivity_certificate(poly_id: str, n: int,
     """
     if n < 5:
         raise ValueError("certificates require integer n >= 5")
-    upper_alpha = Fraction(n + 4, n - 4)
     if poly_id == "f1":
-        cs = _f_poly_at_n(F1_COEFFS, n)
+        poly = upoly([c.evaluate(n=n) for c in F1_COEFFS])
         iv = interval or (Fraction(0), Fraction(1, n - 2))
     elif poly_id == "f3":
-        cs = _f_poly_at_n(F3_COEFFS, n)
+        poly = upoly([c.evaluate(n=n) for c in F3_COEFFS])
         iv = interval or (Fraction(0), Fraction(1, n - 4))
-    elif poly_id in ("A11", "minor2", "detA"):
-        cs = list(_alpha_poly(poly_id, n))
-        iv = interval or (Fraction(0), upper_alpha)
+    elif poly_id in _SYLVESTER:
+        poly = _SYLVESTER[poly_id](matrix_at(n))
+        iv = interval or (Fraction(0), Fraction(n + 4, n - 4))
     elif poly_id == "custom":
         if coeffs is None:
             raise ValueError("custom certificate needs coefficients")
-        cs = [Fraction(c) for c in coeffs]
+        poly = upoly(coeffs)
         iv = interval or (Fraction(0), Fraction(1))
     else:
         raise KeyError(f"unknown certificate polynomial {poly_id!r}")
-    return certify_sign(poly_id, cs, n, iv)
+    return certify_sign(poly_id, poly, n, iv)
 
 
 @lru_cache(maxsize=None)
@@ -333,7 +273,7 @@ def sylvester_certificates(n: int) -> tuple[SignCertificate, ...]:
 
     Cached: params and the eigenvalue scan of one run share the triples.
     """
-    return tuple(positivity_certificate(p, n) for p in ("A11", "minor2", "detA"))
+    return tuple(positivity_certificate(p, n) for p in _SYLVESTER)
 
 
 def all_certificates(n: int) -> list[SignCertificate]:
@@ -390,20 +330,16 @@ def numeric_pd_scan(n_values, grid: int = 1000,
     (which assert positivity on the whole open interval); disagreement is an
     engine inconsistency and is fatal.
     """
-    mat = build_matrix_A()
     per_n_min: dict[int, float] = {}
     best = (None, None)
     min_lambda = math.inf
     for n in n_values:
-        polys = mat.entry_polys_in_alpha(int(n))
+        mat = matrix_at(int(n))
         upper = (n + 4) / (n - 4)
         alphas = np.linspace(0.0, upper, grid + 2)[1:-1]
-        vals = {}
-        for name, cs in polys.items():
-            c = np.array([float(x) for x in cs])
-            vals[name] = np.polynomial.polynomial.polyval(alphas, c)
-        lam = _eigmin_sym3(vals["A11"], vals["A12"], vals["A13"],
-                           vals["A22"], vals["A23"], vals["A33"])
+        vals = [np.polyval([float(c) for c in getattr(mat, name).to_dense()], alphas)
+                for name in _ENTRIES]
+        lam = _eigmin_sym3(*vals)
         i = int(np.argmin(lam))
         per_n_min[int(n)] = float(lam[i])
         if lam[i] < min_lambda:
@@ -412,9 +348,8 @@ def numeric_pd_scan(n_values, grid: int = 1000,
     all_positive = min_lambda > 0.0
     agrees = True
     if check_certificates:
-        certs = {n: sylvester_certificates(int(n)) for n in n_values}
-        cert_positive = all(c.verdict == "positive"
-                            for cs in certs.values() for c in cs)
+        cert_positive = all(c.verdict == "positive" for n in n_values
+                            for c in sylvester_certificates(int(n)))
         agrees = cert_positive == all_positive
         if not agrees:
             raise EngineInconsistencyError(

@@ -8,8 +8,9 @@ weighted divergence (or gradient), expands the right side the same way, and
 reduces the difference to canonical form: the identity holds iff the
 difference is the empty expression.
 
-A small exact linear solver recovers the combination weights that assemble
-the master identity from the six auxiliary flux identities.
+An exact row reduction over the coefficient field (sympy's DomainMatrix)
+recovers the combination weights that assemble the master identity from the
+six auxiliary flux identities.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from sympy.polys.matrices import DomainMatrix
+
 from . import __version__
 from .calculus import (SubstitutionMode, WeightedVectorField, bstar,
                        divergence, grad, substitute_defs)
-from .coeffs import ALPHA, A, B, N, ONE, ParamScalar, frac, ps
+from .coeffs import ALPHA, A, B, COEFF_FIELD, N, ONE, ZERO, ParamScalar, frac, ps
 from .errors import NoCombinationError, SingularSystemError
 from .tensor import (TExpr, dot, econtract, emul, expr, frob, mono,
                      tensor_vec, upow)
@@ -137,9 +140,12 @@ F3_COEFFS = ((N - 2) * (N - 4) * (7 * N + 32),
              -16 * N**2 * (N - 12) * (N**2 - 3 * N + 4))
 
 
-def poly_apply(coeffs, x: ParamScalar) -> ParamScalar:
-    """Evaluate a coefficient list (constant first) at a ParamScalar argument."""
-    acc = ps(0)
+def poly_apply(coeffs, x):
+    """Evaluate a coefficient list (constant first) at x by Horner's rule.
+
+    Serves Fraction and ParamScalar coefficients and arguments alike.
+    """
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -557,46 +563,33 @@ def solve_combination(target: Identity, basis: list[Identity]) -> list[ParamScal
     """Exact weights writing the target bracket as a combination of basis
     brackets, certified by re-deriving the target's right side.
 
-    Solves the monomial-matching linear system over the coefficient field.
-    Duplicate basis brackets give SingularSystemError; an unmatched monomial
-    or a failed right-side certification gives NoCombinationError.
+    Row-reduces the monomial-matching system [basis | target] over the
+    coefficient field.  A basis bracket that is not a pivot column gives
+    SingularSystemError; a pivot in the target column (naming a target
+    monomial no basis bracket contains, if there is one) or a failed
+    right-side certification gives NoCombinationError.
     """
-    rows: list = sorted({m for b in basis for m in b.lhs.terms}
-                        | set(target.lhs.terms), key=lambda m: m.key())
-    ncols = len(basis)
-    mat = [[b.lhs.terms.get(m, ps(0)) for b in basis] for m in rows]
-    vec = [target.lhs.terms.get(m, ps(0)) for m in rows]
-
-    # Gaussian elimination with exact field arithmetic.
-    pivot_rows: list[int] = []
-    col_of_pivot: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if not mat[i][col].is_zero), None)
-        if pivot is None:
+    rows = sorted({m for b in basis for m in b.lhs.terms} | set(target.lhs.terms),
+                  key=lambda m: m.key())
+    brackets = [b.lhs for b in basis] + [target.lhs]
+    entries = [[br.terms.get(m, ZERO) for br in brackets] for m in rows]
+    system = DomainMatrix([[COEFF_FIELD.new(c.num, c.den) for c in row] for row in entries],
+                          (len(rows), len(brackets)), COEFF_FIELD.to_domain())
+    reduced, pivots = system.rref()
+    for col, b in enumerate(basis):
+        if col not in pivots:
             raise SingularSystemError(
-                f"basis bracket {basis[col].id} is linearly dependent on the others")
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        vec[r], vec[pivot] = vec[pivot], vec[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        vec[r] = vec[r] * inv
-        for i in range(len(rows)):
-            if i != r and not mat[i][col].is_zero:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-                vec[i] = vec[i] - f * vec[r]
-        pivot_rows.append(r)
-        col_of_pivot.append(col)
-        r += 1
-
-    weights = [ps(0)] * ncols
-    for rr, col in zip(pivot_rows, col_of_pivot):
-        weights[col] = vec[rr]
-    for i in range(len(rows)):
-        if i not in pivot_rows and not vec[i].is_zero:
+                f"basis bracket {b.id} is linearly dependent on the others")
+    if len(basis) in pivots:
+        uncovered = [m for m in rows
+                     if m in target.lhs.terms and not any(m in b.lhs.terms for b in basis)]
+        if uncovered:
             raise NoCombinationError(
-                f"monomial {rows[i].render()} cannot be matched by the basis")
+                f"monomial {uncovered[0].render()} cannot be matched by the basis")
+        raise NoCombinationError(f"bracket of {target.id} is not in the span of the basis")
+    # every basis column is a pivot, so row i holds the weight of basis[i]
+    weights = [ParamScalar(row[-1].numer, row[-1].denom)
+               for row in reduced.to_list()[:len(basis)]]
 
     # Certify the induced right side against the target's.
     combo_rhs = TExpr(target.rhs.valence)

@@ -19,11 +19,11 @@ import pytest
 from bhverify.coeffs import ALPHA, N, ps
 from bhverify.paramcheck import (all_certificates, check_minor_formulas,
                                  est1_grid_check, exponent_grid_check,
-                                 linear_reduction_certificate, numeric_pd_scan,
-                                 poly_eval)
+                                 linear_reduction_certificate, numeric_pd_scan)
 from bhverify.registry import (F2_COEFFS, F3_COEFFS, all_identities,
                                build_named, get_identity, perturb_identity,
-                               solve_combination, verify_all, verify_identity)
+                               poly_apply, solve_combination, verify_all,
+                               verify_identity)
 
 
 def _line(criterion: str, ok: bool, detail: str = ""):
@@ -90,8 +90,8 @@ def test_criterion_3_f3_upper_endpoint_printed_display():
     rows = {}
     for n in range(5, 25):
         x = Fraction(1, n - 4)
-        f3_end = poly_eval([c.evaluate(n=n) for c in F3_COEFFS], x)
-        f2_end = poly_eval([c.evaluate(n=n) for c in F2_COEFFS], x)
+        f3_end = poly_apply([c.evaluate(n=n) for c in F3_COEFFS], x)
+        f2_end = poly_apply([c.evaluate(n=n) for c in F2_COEFFS], x)
         quartic = 4 * n**3 - 13 * n**2 + 24 * n - 16
         corrected = Fraction(64 * (n - 2) * quartic, (n - 4) ** 2)
         printed = Fraction(64 * (n - 2) ** 2 * quartic, (n - 4) ** 2)

@@ -189,6 +189,15 @@ def test_radial_grid_rejected(spec, reason, capsys):
     (["oracle", "--samples", "2", "--dims", "5,x"], "--dims"),
     (["oracle", "--samples", "2", "--dims", "5,,6"], "--dims"),
     (["oracle", "--samples", "2", "--dims", ""], "--dims"),
+    (["oracle", "--samples", "2", "--dims", "5", "--tol", "-1"], "--tol"),
+    (["oracle", "--samples", "2", "--dims", "5", "--tol", "0"], "--tol"),
+    (["oracle", "--samples", "2", "--dims", "5", "--tol", "nan"], "--tol"),
+    (["oracle", "--samples", "2", "--dims", "5", "--tol", "inf"], "--tol"),
+    (["radial", "--alpha", "-1", "--grid", "1x1"], "--alpha"),
+    (["radial", "--alpha", "0.5", "--grid", "1x1"], "--alpha"),
+    (["radial", "--alpha", "1", "--grid", "1x1"], "--alpha"),
+    (["radial", "--alpha", "nan", "--grid", "1x1"], "--alpha"),
+    (["radial", "--alpha", "inf", "--grid", "1x1"], "--alpha"),
 ])
 def test_out_of_range_params_and_scan_pd_rejected(argv, flag, capsys):
     assert run(argv) == 2
@@ -214,13 +223,20 @@ def test_unknown_identity_id_is_usage_error(tmp_path, capsys):
     ("rmax = -1", "--rmax"),
     ("samples = 0", "--samples"),
     ("dims = 1", "--dims"),
+    ("alpha = 0.5", "--alpha"),
+    ("alpha = nan", "--alpha"),
+    ("alpha = inf", "--alpha"),
+    ("tol = -1", "--tol"),
+    ("tol = nan", "--tol"),
+    ("tol = inf", "--tol"),
 ])
 def test_out_of_range_config_values_rejected(tmp_path, line, flag, capsys):
     cfg = tmp_path / "bh.cfg"
     cfg.write_text(line + "\n")
     command = {"n_max": "params", "n_range": "scan-pd", "grid": "scan-pd",
                "radial_grid": "radial", "n": "radial", "rmax": "radial",
-               "samples": "oracle", "dims": "oracle"}[line.split(" ")[0]]
+               "samples": "oracle", "dims": "oracle", "alpha": "radial",
+               "tol": "oracle"}[line.split(" ")[0]]
     assert run(["--config", str(cfg), command]) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag} ")
 

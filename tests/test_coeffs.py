@@ -176,10 +176,19 @@ def test_subs_param_denominator_root_raises_like_reference():
 
 
 def test_subs_param_alpha_polys_match_reference():
-    """The 288 Sylvester polynomials at n = 5..100, as the certificates use them."""
-    from bhverify.paramcheck import _alpha_poly, _formal_bodies
-    bodies = _formal_bodies()
-    for poly_id in ("A11", "minor2", "detA"):
-        for n in range(5, 101):
-            want = _reference_subs_param(bodies[poly_id], "n", ps(n))
-            assert _alpha_poly(poly_id, n) == tuple(want.univariate("alpha"))
+    """The 288 Sylvester polynomials at n = 5..100, as the certificates use
+    them: formed from the six entries specialized by subs_param, they equal
+    the formal minors specialized by the reference."""
+    from bhverify.paramcheck import build_matrix_A, matrix_at, upoly
+    mat = build_matrix_A()
+    bodies = {"A11": mat.A11, "minor2": mat.minor2(), "detA": mat.det()}
+    for n in range(5, 101):
+        for name in ("A11", "A12", "A13", "A22", "A23", "A33"):
+            entry = getattr(mat, name)
+            assert (str(entry.subs_param("n", ps(n)))
+                    == str(_reference_subs_param(entry, "n", ps(n))))
+        at_n = matrix_at(n)
+        got = {"A11": at_n.A11, "minor2": at_n.minor2(), "detA": at_n.det()}
+        for poly_id, body in bodies.items():
+            want = _reference_subs_param(body, "n", ps(n))
+            assert got[poly_id] == upoly(want.univariate("alpha")), (poly_id, n)

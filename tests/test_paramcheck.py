@@ -1,18 +1,23 @@
 """Matrix positivity certificates, factorization identities, exponent checks."""
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhverify.coeffs import N, ps
 from bhverify.errors import DegenerateCertificateError, EngineInconsistencyError
-from bhverify.paramcheck import (ExponentCheck, build_matrix_A, certify_sign,
-                                 check_minor_formulas, est1_coefficient,
-                                 est1_grid_check, exponent_check,
-                                 exponent_grid_check, linear_reduction_certificate,
-                                 numeric_pd_scan, poly_eval, positivity_certificate,
-                                 sturm_root_count, sylvester_certificates)
-from bhverify.registry import F1_COEFFS, F3_COEFFS
+from bhverify.paramcheck import (ExponentCheck, QALPHA, SignCertificate,
+                                 build_matrix_A, certify_sign, check_minor_formulas,
+                                 est1_coefficient, est1_grid_check,
+                                 exponent_check, exponent_grid_check,
+                                 linear_reduction_certificate,
+                                 numeric_pd_scan, positivity_certificate,
+                                 sturm_root_count, sylvester_certificates, upoly)
+from bhverify.registry import F1_COEFFS, F3_COEFFS, poly_apply
 
 
 class TestMatrix:
@@ -42,13 +47,13 @@ class TestFactorizations:
         rep = check_minor_formulas()
         assert rep.f1_at_zero and rep.f1_at_upper
         f1_5 = [c.evaluate(n=5) for c in F1_COEFFS]
-        assert poly_eval(f1_5, Fraction(0)) == 28
-        assert poly_eval(f1_5, Fraction(1, 3)) == 62  # = 558/9
+        assert poly_apply(f1_5, Fraction(0)) == 28
+        assert poly_apply(f1_5, Fraction(1, 3)) == 62  # = 558/9
 
     def test_det_factorization_at_rational_point(self):
         """Beyond the formal identity: both sides numerically equal at
         (n, alpha) = (7, 1)."""
-        from bhverify.registry import F2_COEFFS, poly_apply
+        from bhverify.registry import F2_COEFFS
         from bhverify.coeffs import ALPHA
         lhs = build_matrix_A().det().evaluate(n=7, alpha=1)
         claim = (N * ALPHA**2 / (64 * (N - 1) ** 2 * (N + 4) ** 2)
@@ -64,10 +69,9 @@ class TestFactorizations:
         assert not rep.f3_upper_matches_printed
         assert rep.f3_upper_matches_corrected
         f3_5 = [c.evaluate(n=5) for c in F3_COEFFS]
-        assert poly_eval(f3_5, Fraction(1, 1)) == 53568  # 64*(n-2)*279 at n=5
+        assert poly_apply(f3_5, Fraction(1, 1)) == 53568  # 64*(n-2)*279 at n=5
 
     def test_mutated_f1_breaks_minor_identity(self):
-        from bhverify.registry import poly_apply
         from bhverify.coeffs import ALPHA
         mat = build_matrix_A()
         bad = (F1_COEFFS[0], F1_COEFFS[1] + 1, F1_COEFFS[2])
@@ -80,7 +84,7 @@ class TestFactorizations:
 class TestSturm:
     def test_root_counts(self):
         # (x-1)(x-2)(x-3)
-        p = [Fraction(-6), Fraction(11), Fraction(-6), Fraction(1)]
+        p = upoly([Fraction(-6), Fraction(11), Fraction(-6), Fraction(1)])
         assert sturm_root_count(p, Fraction(0), Fraction(4)) == 3
         assert sturm_root_count(p, Fraction(0), Fraction(5, 2)) == 2
         # endpoint roots are deflated away
@@ -99,7 +103,7 @@ class TestSturm:
 
     def test_degenerate_certificate(self):
         with pytest.raises(DegenerateCertificateError):
-            certify_sign("zero", [Fraction(0)], 5, (Fraction(0), Fraction(1)))
+            certify_sign("zero", QALPHA.zero, 5, (Fraction(0), Fraction(1)))
 
     def test_f1_certificate_n5(self):
         c = positivity_certificate("f1", 5)
@@ -195,3 +199,186 @@ class TestExponents:
         assert rep["exponent_negative_everywhere"]
         assert not rep["chain_holds_everywhere"]
         assert all(n == 5 for n, _ in rep["chain_failures"])
+
+
+# -- differential tests against the hand-rolled Sturm toolkit they replaced -----
+
+
+def _ref_poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_poly_trim(coeffs: list[Fraction]) -> list[Fraction]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return coeffs
+
+
+def _ref_poly_deriv(coeffs: list[Fraction]) -> list[Fraction]:
+    return [k * c for k, c in enumerate(coeffs)][1:] or [Fraction(0)]
+
+
+def _ref_poly_divmod(num: list[Fraction], den: list[Fraction]):
+    num, den = _ref_poly_trim(list(num)), _ref_poly_trim(list(den))
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
+    rem = list(num)
+    while len(rem) >= len(den) and _ref_poly_trim(rem):
+        rem = _ref_poly_trim(rem)
+        if len(rem) < len(den):
+            break
+        k = len(rem) - len(den)
+        q = rem[-1] / den[-1]
+        quot[k] = q
+        for i, d in enumerate(den):
+            rem[i + k] -= q * d
+        rem = rem[:-1]
+    return _ref_poly_trim(quot), _ref_poly_trim(rem)
+
+
+def _ref_primitive(coeffs: list[Fraction]) -> list[Fraction]:
+    """Scale by a positive rational so coefficients stay small; sign-safe."""
+    nz = [c for c in coeffs if c]
+    if not nz:
+        return coeffs
+    den_lcm = 1
+    for c in nz:
+        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    ints = [c * den_lcm for c in nz]
+    g = 0
+    for c in ints:
+        g = math.gcd(g, abs(c.numerator))
+    scale = Fraction(den_lcm, g)
+    return [c * scale for c in coeffs]
+
+
+def _ref_sturm_chain(coeffs: list[Fraction]) -> list[list[Fraction]]:
+    p0 = _ref_primitive(_ref_poly_trim(list(coeffs)))
+    if not p0:
+        raise DegenerateCertificateError("Sturm chain of the zero polynomial")
+    chain = [p0, _ref_primitive(_ref_poly_deriv(p0))]
+    while True:
+        _, rem = _ref_poly_divmod(chain[-2], chain[-1])
+        if not _ref_poly_trim(rem):
+            break
+        chain.append(_ref_primitive([-c for c in rem]))
+    return chain
+
+
+def _ref_variations(values: list[Fraction]) -> int:
+    signs = [1 if v > 0 else -1 for v in values if v != 0]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def _ref_sturm_root_count(coeffs: list[Fraction], a: Fraction, b: Fraction) -> int:
+    p = _ref_poly_trim(list(coeffs))
+    if not p:
+        raise DegenerateCertificateError("root count of the zero polynomial")
+    for end in (a, b):
+        while _ref_poly_eval(p, end) == 0:
+            p, rem = _ref_poly_divmod(p, [-end, Fraction(1)])
+            assert not rem
+            if not p:
+                raise DegenerateCertificateError("polynomial vanishes identically")
+    if len(p) == 1:
+        return 0
+    chain = _ref_sturm_chain(p)
+    va = _ref_variations([_ref_poly_eval(q, a) for q in chain])
+    vb = _ref_variations([_ref_poly_eval(q, b) for q in chain])
+    return va - vb
+
+
+def _ref_certify_sign(name: str, coeffs: list[Fraction], n: int,
+                      interval: tuple[Fraction, Fraction]) -> SignCertificate:
+    a, b = Fraction(interval[0]), Fraction(interval[1])
+    if not _ref_poly_trim(list(coeffs)):
+        raise DegenerateCertificateError(f"{name}: zero polynomial on [{a}, {b}]")
+    roots = _ref_sturm_root_count(coeffs, a, b)
+    mid = (a + b) / 2
+    sample = _ref_poly_eval(coeffs, mid)
+    if roots == 0 and sample > 0:
+        verdict = "positive"
+    elif roots == 0 and sample < 0:
+        verdict = "negative"
+    else:
+        verdict = "not-one-signed"
+    return SignCertificate(name, n, (a, b), roots,
+                           (_ref_poly_eval(coeffs, a), _ref_poly_eval(coeffs, b)),
+                           (mid, sample), verdict)
+
+
+@lru_cache(maxsize=None)
+def _ref_formal_bodies():
+    mat = build_matrix_A()
+    return {"A11": mat.A11, "minor2": mat.minor2(), "detA": mat.det()}
+
+
+def _ref_certificate(poly_id: str, n: int) -> SignCertificate:
+    """The replaced route: the Sylvester minors are formed in formal
+    (n, alpha) and then specialized, one subs_param per minor."""
+    if poly_id in ("f1", "f3"):
+        coeffs = F1_COEFFS if poly_id == "f1" else F3_COEFFS
+        upper = Fraction(1, n - 2) if poly_id == "f1" else Fraction(1, n - 4)
+        return _ref_certify_sign(poly_id, [c.evaluate(n=n) for c in coeffs], n,
+                                 (Fraction(0), upper))
+    cs = _ref_formal_bodies()[poly_id].subs_param("n", ps(n)).univariate("alpha")
+    return _ref_certify_sign(poly_id, cs, n, (Fraction(0), Fraction(n + 4, n - 4)))
+
+
+def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 5))
+
+
+@st.composite
+def _planted_polys(draw):
+    """(coeffs, a, b, interior roots): a product of rational linear factors
+    and irreducible quadratics, with roots of any multiplicity planted at a,
+    at b, inside (a, b) and elsewhere."""
+    a = draw(_rationals)
+    b = a + draw(st.builds(Fraction, st.integers(1, 12), st.integers(1, 5)))
+    inside = draw(st.lists(st.builds(lambda k: a + (b - a) * Fraction(k, 7),
+                                     st.integers(1, 6)), max_size=3))
+    outside = draw(st.lists(_rationals.filter(lambda r: not a <= r <= b), max_size=2))
+    roots = [(r, draw(st.integers(1, 3))) for r in inside + outside]
+    for end in (a, b):
+        m = draw(st.integers(0, 3))
+        if m:
+            roots.append((end, m))
+    p = [draw(_rationals.filter(bool))]
+    for r, m in roots:
+        for _ in range(m):
+            p = _poly_mul(p, [-r, Fraction(1)])
+    for _ in range(draw(st.integers(0, 2))):
+        # (x - c)^2 + s with s > 0 has no real root
+        c = draw(_rationals)
+        s = draw(st.builds(Fraction, st.integers(1, 9), st.integers(1, 5)))
+        p = _poly_mul(p, [c * c + s, -2 * c, Fraction(1)])
+    return p, a, b, set(inside)
+
+
+class TestAgainstReplacedCode:
+    @settings(max_examples=300, deadline=None)
+    @given(_planted_polys())
+    def test_root_count_matches_reference(self, case):
+        coeffs, a, b, inside = case
+        got = sturm_root_count(upoly(coeffs), a, b)
+        assert got == _ref_sturm_root_count(coeffs, a, b) == len(inside)
+        cert = positivity_certificate("custom", 5, interval=(a, b), coeffs=coeffs)
+        assert cert == _ref_certify_sign("custom", coeffs, 5, (a, b))
+
+    def test_all_480_certificates_match_reference(self):
+        for n in range(5, 101):
+            for poly_id in ("f1", "f3", "A11", "minor2", "detA"):
+                assert (positivity_certificate(poly_id, n).to_dict()
+                        == _ref_certificate(poly_id, n).to_dict()), (poly_id, n)

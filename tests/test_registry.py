@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bhverify.calculus import SubstitutionMode, bstar
-from bhverify.coeffs import ALPHA, N, frac, ps
+from bhverify.coeffs import ALPHA, N, ParamScalar, frac, ps
 from bhverify.errors import NoCombinationError, SingularSystemError
 from bhverify.registry import (ERRATA, Identity, all_identities, build_named,
                                build_z, get_identity, list_registry,
@@ -146,11 +146,118 @@ class TestCombination:
     def test_unmatchable_target_reports_monomial(self):
         from bhverify.tensor import expr, mono
         tgt = get_identity("I12")
-        odd = Identity("X", "unmatchable", "wdiv", tgt.weight,
-                       expr(1, mono(5, ("DLap", "x"), free=("x",))),
-                       TExpr(0), tgt.mode, tgt.b)
-        with pytest.raises(NoCombinationError):
-            solve_combination(odd, [get_identity(f"I{k}") for k in range(6, 12)])
+        for power, named in ((5, "u^5 DLap(x)"), (0, "DLap(x)"), (-9, "u^-9 DLap(x)")):
+            odd = Identity("X", "unmatchable", "wdiv", tgt.weight,
+                           expr(1, mono(power, ("DLap", "x"), free=("x",))),
+                           TExpr(0), tgt.mode, tgt.b)
+            with pytest.raises(NoCombinationError) as err:
+                solve_combination(odd, [get_identity(f"I{k}") for k in range(6, 12)])
+            assert str(err.value) == f"monomial {named} cannot be matched by the basis"
+
+    def test_covered_target_outside_span_says_so(self):
+        tgt = get_identity("I12")
+        (m1, _), (m2, _) = [get_identity(k).lhs.sorted_terms()[0] for k in ("I6", "I7")]
+        pair = TExpr.from_terms(1, [(ps(1), m1), (ps(1), m2)])
+        basis = [Identity("P", "pair", "wdiv", tgt.weight, pair, TExpr(0), tgt.mode, tgt.b)]
+        single = Identity("S", "single", "wdiv", tgt.weight,
+                          TExpr.from_terms(1, [(ps(1), m1)]), TExpr(0), tgt.mode, tgt.b)
+        with pytest.raises(NoCombinationError,
+                           match="^bracket of S is not in the span of the basis$"):
+            solve_combination(single, basis)
+
+
+# -- differential tests against the Gaussian elimination it replaced ------------
+
+
+def _ref_bracket_weights(target: Identity, basis: list[Identity]) -> list[ParamScalar]:
+    """The replaced elimination loop, up to the right-side certification."""
+    rows: list = sorted({m for b in basis for m in b.lhs.terms}
+                        | set(target.lhs.terms), key=lambda m: m.key())
+    ncols = len(basis)
+    mat = [[b.lhs.terms.get(m, ps(0)) for b in basis] for m in rows]
+    vec = [target.lhs.terms.get(m, ps(0)) for m in rows]
+
+    # Gaussian elimination with exact field arithmetic.
+    pivot_rows: list[int] = []
+    col_of_pivot: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if not mat[i][col].is_zero), None)
+        if pivot is None:
+            raise SingularSystemError(
+                f"basis bracket {basis[col].id} is linearly dependent on the others")
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        vec[r], vec[pivot] = vec[pivot], vec[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        vec[r] = vec[r] * inv
+        for i in range(len(rows)):
+            if i != r and not mat[i][col].is_zero:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                vec[i] = vec[i] - f * vec[r]
+        pivot_rows.append(r)
+        col_of_pivot.append(col)
+        r += 1
+
+    weights = [ps(0)] * ncols
+    for rr, col in zip(pivot_rows, col_of_pivot):
+        weights[col] = vec[rr]
+    for i in range(len(rows)):
+        if i not in pivot_rows and not vec[i].is_zero:
+            raise NoCombinationError(
+                f"monomial {rows[i].render()} cannot be matched by the basis")
+    return weights
+
+
+_WEIGHT_POOL = (ps(0), ps(1), frac(-3, 2), N, ALPHA - 1, (N + 4) / (N - 4),
+                N * ALPHA / (N + 4), (ALPHA**2 - N) / (N - 1), bstar())
+
+
+def _combined(basis: list[Identity], weights) -> Identity:
+    """A target whose bracket and right side are the weighted sums of the
+    basis, so the right-side certification passes."""
+    tgt = get_identity("I12")
+    lhs, rhs = TExpr(1), TExpr(0)
+    for w, b in zip(weights, basis):
+        lhs, rhs = lhs + b.lhs.scale(w), rhs + b.rhs.scale(w)
+    return Identity("C", "combined", "wdiv", tgt.weight, lhs, rhs, tgt.mode, tgt.b)
+
+
+class TestCombinationAgainstReplacedCode:
+    def test_master_identity_weights_equal_reference(self):
+        basis = [get_identity(f"I{k}") for k in range(6, 12)]
+        target = get_identity("I12")
+        got = solve_combination(target, basis)
+        want = _ref_bracket_weights(target, basis)
+        assert [str(w) for w in got] == [str(w) for w in want]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_planted_weights_recovered_like_reference(self, seed):
+        rng = random.Random(seed)
+        ids = [f"I{k}" for k in range(6, 12)]
+        rng.shuffle(ids)
+        basis = [get_identity(i) for i in ids[:rng.randint(1, 6)]]
+        weights = [rng.choice(_WEIGHT_POOL) for _ in basis]
+        target = _combined(basis, weights)
+        got = solve_combination(target, basis)
+        assert got == _ref_bracket_weights(target, basis) == weights
+        assert [str(w) for w in got] == [str(w) for w in weights]
+
+    @pytest.mark.parametrize("order", [(6, 6, 8, 9, 10, 11), (6, 7, "6+7", 9),
+                                       ("6+7", 6, 7), (8, 9, 10, "8+10")])
+    def test_dependent_basis_names_same_bracket_as_reference(self, order):
+        def ident(k):
+            if isinstance(k, int):
+                return get_identity(f"I{k}")
+            a, b = (get_identity(f"I{j}") for j in k.split("+"))
+            return _combined([a, b], [ps(1), ps(1)])
+        basis = [ident(k) for k in order]
+        target = get_identity("I12")
+        with pytest.raises(SingularSystemError) as want:
+            _ref_bracket_weights(target, basis)
+        with pytest.raises(SingularSystemError, match=f"^{want.value}$"):
+            solve_combination(target, basis)
 
 
 def test_identity_suite_runtime_budget():
