@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .coeffs import ALPHA, B, ONE, ParamScalar, frac, ps, N
+from .coeffs import ALPHA, B, ONE, ParamScalar, frac, N
 from .errors import (CompositeDerivativeError, OrderOverflowError,
                      UnsupportedCurvatureError, ValenceError)
-from .tensor import (TExpr, TensorMonomial, expr, from_labeled, mono,
+from .tensor import (TExpr, TensorMonomial, expr, mono,
                      substitute_factors, to_labeled)
 
 
@@ -84,14 +84,14 @@ def grad(e: TExpr, mode: SubstitutionMode = SubstitutionMode.FREE) -> TExpr:
         u, facs, frees = to_labeled(m)
         if m.u_power:
             raw.append((c * m.u_power,
-                        from_labeled(u - 1, facs + [("Du", "d")], frees + ["d"])))
+                        mono(u - 1, *facs, ("Du", "d"), free=frees + ["d"])))
         for idx, fac in enumerate(facs):
             der = _derived_factor(fac, "d", mode)
             if der is None:
                 continue
             mult, du, newfacs = der
             nf = facs[:idx] + list(newfacs) + facs[idx + 1:]
-            raw.append((c * mult, from_labeled(u + du, nf, frees + ["d"])))
+            raw.append((c * mult, mono(u + du, *nf, free=frees + ["d"])))
     return TExpr.from_terms(1, raw)
 
 
@@ -102,19 +102,19 @@ def _div_terms(m: TensorMonomial, c: ParamScalar, mode: SubstitutionMode):
     f = frees[0]
     out = []
     if m.u_power:
-        out.append((c * m.u_power, from_labeled(u - 1, facs + [("Du", f)], [])))
+        out.append((c * m.u_power, mono(u - 1, *facs, ("Du", f))))
     for idx, fac in enumerate(facs):
         sym = fac[0]
         rest = facs[:idx] + facs[idx + 1:]
         if sym == "D2u" and f in fac[1:]:
             # divergence of the Hessian: DLap + Ricci correction
             other = fac[2] if fac[1] == f else fac[1]
-            out.append((c, from_labeled(u, rest + [("DLap", other)], [])))
-            out.append((c, from_labeled(u, rest + [("Ric", other, "t"), ("Du", "t")], [])))
+            out.append((c, mono(u, *rest, ("DLap", other))))
+            out.append((c, mono(u, *rest, ("Ric", other, "t"), ("Du", "t"))))
             continue
         if sym == "DLap":
             if fac[1] == f:
-                out.append((c, from_labeled(u, rest + [("Bilap",)], [])))
+                out.append((c, mono(u, *rest, ("Bilap",))))
                 continue
             raise OrderOverflowError(
                 "derivative of DLap contracted off its own slot exceeds the jet order")
@@ -123,7 +123,7 @@ def _div_terms(m: TensorMonomial, c: ParamScalar, mode: SubstitutionMode):
             continue
         mult, du, newfacs = der
         nf = facs[:idx] + list(newfacs) + facs[idx + 1:]
-        out.append((c * mult, from_labeled(u + du, nf, [])))
+        out.append((c * mult, mono(u + du, *nf)))
     return out
 
 
@@ -140,7 +140,7 @@ def divergence(field: WeightedVectorField,
         if not field.weight.is_zero:
             u, facs, frees = to_labeled(m)
             raw.append((c * field.weight,
-                        from_labeled(u - 1, facs + [("Du", frees[0])], [])))
+                        mono(u - 1, *facs, ("Du", frees[0]))))
     return TExpr.from_terms(0, raw)
 
 

@@ -3,7 +3,8 @@
 Subcommands: verify, params, scan-pd, oracle, radial, all.  Exit code 0
 means every mandatory check passed, 1 means a mathematical check failed
 (nonzero residual, sign flip, survival > 0), 2 means a usage or
-configuration error, 3 means an engine fault (an EngineError such as an
+configuration error (an unwritable --out or --dump-trajectories path
+included), 3 means an engine fault (an EngineError such as an
 exact certificate contradicted by a numeric check), reported on stderr as
 ``engine error: <ClassName>: <message>``.  Reports are written atomically
 (JSON is byte-deterministic for a fixed seed and configuration).
@@ -21,7 +22,6 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import paramcheck, registry
 from .calculus import SubstitutionMode
@@ -174,7 +174,7 @@ def run_oracle(seed: int = 0, samples: int = 1000, dims=(5, 6, 8), tol: float = 
 
 def run_radial(configs, grid_size: int = 10, rmax: float = 50.0,
                dump_dir: str | None = None):
-    from .radial import default_grids, dump_trajectory_csv, scan_shooting, shoot
+    from .radial import default_grids, dump_trajectory_csv, scan_shooting
     u0s, v0s = default_grids(grid_size)
     summaries = []
     ok = True
@@ -183,7 +183,6 @@ def run_radial(configs, grid_size: int = 10, rmax: float = 50.0,
         summaries.append(summary.to_dict())
         ok = ok and summary.survival_fraction == 0.0 and not summary.errors
         if dump_dir:
-            os.makedirs(dump_dir, exist_ok=True)
             mid = results[len(results) // 2]
             dump_trajectory_csv(
                 mid, os.path.join(dump_dir, f"trajectory_n{n}_a{alpha}.csv"))
@@ -298,8 +297,15 @@ def run(argv) -> int:
             _require(rmax > DEFAULT_R0, "--rmax",
                      f"must exceed the series start r0 = {DEFAULT_R0}, got {rmax}")
             echo.update(n=n, alpha=alpha, grid=f"{size}x{size}", rmax=rmax)
+            dump_dir = args.dump_trajectories
+            if dump_dir:
+                try:  # before the scan, so a bad path costs no shooting
+                    os.makedirs(dump_dir, exist_ok=True)
+                except OSError as exc:
+                    raise ValueError(f"--dump-trajectories cannot create {dump_dir}: "
+                                     f"{exc.strerror}") from None
             sections["radial"], statuses["radial"] = run_radial(
-                [(n, alpha)], size, rmax, args.dump_trajectories)
+                [(n, alpha)], size, rmax, dump_dir)
         elif args.command == "all":
             echo.update(profile="acceptance-defaults")
             sections["identities"], statuses["identities"] = run_verify()
@@ -319,7 +325,11 @@ def run(argv) -> int:
     report = build_report(echo, sections, statuses)
     text = render_json(report) if fmt == "json" else render_markdown(report)
     if out_path:
-        write_atomic(out_path, text)
+        try:
+            write_atomic(out_path, text)
+        except OSError as exc:
+            print(f"error: --out cannot write {out_path}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report["overall_status"] == "pass" else 1

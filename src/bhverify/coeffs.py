@@ -16,7 +16,7 @@ normalization is a full multivariate gcd.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 from sympy import QQ
 from sympy.polys.rings import ring
@@ -30,12 +30,6 @@ COEFF_FIELD = _RING.to_field()
 VAR_NAMES = ("n", "alpha", "a", "b")
 
 Rationalish = Union[int, Fraction, "ParamScalar"]
-
-
-def _to_qq(x) -> "QQ":
-    if isinstance(x, Fraction):
-        return QQ(x.numerator, x.denominator)
-    return QQ(int(x))
 
 
 def _qq_to_fraction(q) -> Fraction:
@@ -87,7 +81,7 @@ class ParamScalar:
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "ParamScalar":
-        return cls(_RING.ground_new(_to_qq(f)))
+        return cls(_RING.ground_new(QQ(f.numerator, f.denominator)))
 
     @classmethod
     def var(cls, name: str) -> "ParamScalar":
@@ -146,10 +140,6 @@ class ParamScalar:
     @property
     def is_zero(self) -> bool:
         return not self.num
-
-    @property
-    def is_one(self) -> bool:
-        return self.num == _RING.one and self.den == _RING.one
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -283,24 +273,3 @@ def ps(x: Rationalish) -> ParamScalar:
 
 def frac(p: int, q: int) -> ParamScalar:
     return ParamScalar.from_fraction(Fraction(p, q))
-
-
-def normalize_param(num, den=1) -> ParamScalar:
-    """Build a normalized coefficient from a raw rational-function description.
-
-    Accepts ParamScalar/int/Fraction numerator and denominator, or mappings
-    from exponent tuples (e_n, e_alpha, e_a, e_b) to rational coefficients.
-    Idempotent; a zero denominator raises MalformedCoefficientError.
-    """
-
-    def build(x):
-        if isinstance(x, ParamScalar):
-            return x
-        if isinstance(x, Mapping):
-            poly = _RING.zero
-            for monom, coeff in x.items():
-                poly += _RING.term_new(tuple(monom), _to_qq(coeff))
-            return ParamScalar(poly)
-        return ParamScalar.coerce(x)
-
-    return build(num) / build(den)

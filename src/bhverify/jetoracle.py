@@ -36,13 +36,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .calculus import SubstitutionMode, substitute_defs
+from .calculus import SubstitutionMode, bstar, substitute_defs
 from .coeffs import ALPHA as _ALPHA_PS
 from .coeffs import ParamScalar
 from .errors import (CompositeDerivativeError, EngineInconsistencyError,
                      OrderOverflowError)
 from .registry import Identity, all_identities
-from .tensor import FACTORS, TExpr, TensorMonomial, from_labeled, to_labeled
+from .tensor import FACTORS, TExpr, TensorMonomial, mono, to_labeled
 
 _LETTERS = "abcdefghijklmnopqrstuvwxy"
 
@@ -268,9 +268,9 @@ def flat_leibniz_terms(terms, mode: SubstitutionMode,
         else:
             d, kept = frees[0], []
         if m.u_power:
-            out.append((c * m.u_power, from_labeled(u - 1, facs + [("Du", d)], kept)))
+            out.append((c * m.u_power, mono(u - 1, *facs, ("Du", d), free=kept)))
         if weight is not None and not weight.is_zero:
-            out.append((c * weight, from_labeled(u - 1, facs + [("Du", d)], kept)))
+            out.append((c * weight, mono(u - 1, *facs, ("Du", d), free=kept)))
         for i, fac in enumerate(facs):
             rest = facs[:i] + facs[i + 1:]
             sym = fac[0]
@@ -287,7 +287,7 @@ def flat_leibniz_terms(terms, mode: SubstitutionMode,
             elif sym == "Bilap":
                 if mode is not SubstitutionMode.ON_SHELL:
                     raise OrderOverflowError("gradient of Bilap needs the equation")
-                out.append((c * _ALPHA_PS, from_labeled(u - 1, facs + [("Du", d)], kept)))
+                out.append((c * _ALPHA_PS, mono(u - 1, *facs, ("Du", d), free=kept)))
                 continue
             elif sym == "g":
                 continue
@@ -295,7 +295,7 @@ def flat_leibniz_terms(terms, mode: SubstitutionMode,
                 continue  # flat oracle: Ricci terms are identically zero
             else:
                 raise CompositeDerivativeError(f"expand {sym} before flat differentiation")
-            out.append((c, from_labeled(u, rest + nf, kept)))
+            out.append((c, mono(u, *rest, *nf, free=kept)))
     return out
 
 
@@ -324,8 +324,8 @@ class OracleIdentityReport:
 
 
 def _params_for(n: int, alpha: Fraction, a: Fraction) -> dict:
-    bs = Fraction(-1, 2) * (1 + Fraction(n) * alpha / (n + 4))
-    return {"n": Fraction(n), "alpha": alpha, "a": a, "b": bs}
+    return {"n": Fraction(n), "alpha": alpha, "a": a,
+            "b": bstar().evaluate(n=n, alpha=alpha)}
 
 
 def identity_lhs_flat_terms(ident: Identity, mode: SubstitutionMode | None = None):

@@ -237,31 +237,23 @@ def check_minor_formulas() -> MinorFormulaReport:
 _SYLVESTER = {"A11": lambda m: m.A11, "minor2": MatrixA.minor2, "detA": MatrixA.det}
 
 
-def positivity_certificate(poly_id: str, n: int,
-                           interval: tuple[Fraction, Fraction] | None = None,
-                           coeffs: list[Fraction] | None = None) -> SignCertificate:
+def positivity_certificate(poly_id: str, n: int) -> SignCertificate:
     """Sturm-certified sign of one of the named polynomials at integer n.
 
     Known ids: f1 on (0, 1/(n-2)); f3 on (0, 1/(n-4)); A11, minor2, detA in
-    alpha on (0, (n+4)/(n-4)).  A custom coefficient list may be supplied
-    with poly_id="custom" (used by tests to plant roots).
+    alpha on (0, (n+4)/(n-4)).
     """
     if n < 5:
         raise ValueError("certificates require integer n >= 5")
     if poly_id == "f1":
         poly = upoly([c.evaluate(n=n) for c in F1_COEFFS])
-        iv = interval or (Fraction(0), Fraction(1, n - 2))
+        iv = (Fraction(0), Fraction(1, n - 2))
     elif poly_id == "f3":
         poly = upoly([c.evaluate(n=n) for c in F3_COEFFS])
-        iv = interval or (Fraction(0), Fraction(1, n - 4))
+        iv = (Fraction(0), Fraction(1, n - 4))
     elif poly_id in _SYLVESTER:
         poly = _SYLVESTER[poly_id](matrix_at(n))
-        iv = interval or (Fraction(0), Fraction(n + 4, n - 4))
-    elif poly_id == "custom":
-        if coeffs is None:
-            raise ValueError("custom certificate needs coefficients")
-        poly = upoly(coeffs)
-        iv = interval or (Fraction(0), Fraction(1))
+        iv = (Fraction(0), Fraction(n + 4, n - 4))
     else:
         raise KeyError(f"unknown certificate polynomial {poly_id!r}")
     return certify_sign(poly_id, poly, n, iv)

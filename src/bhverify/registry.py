@@ -16,17 +16,16 @@ six auxiliary flux identities.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from sympy.polys.matrices import DomainMatrix
 
-from . import __version__
 from .calculus import (SubstitutionMode, WeightedVectorField, bstar,
                        divergence, grad, substitute_defs)
 from .coeffs import ALPHA, A, B, COEFF_FIELD, N, ONE, ZERO, ParamScalar, frac, ps
 from .errors import NoCombinationError, SingularSystemError
-from .tensor import (TExpr, dot, econtract, emul, expr, frob, mono,
+from .tensor import (TExpr, dot, emul, expr, frob, mono,
                      tensor_vec, upow)
 
 # -- building blocks ----------------------------------------------------------
@@ -216,7 +215,6 @@ class VerificationReport:
     residual_count: int
     residual_terms: list[str]
     millis: float
-    engine_version: str = __version__
 
     def to_dict(self) -> dict:
         return {

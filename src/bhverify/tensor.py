@@ -19,7 +19,10 @@ other (contracted) or free.  Supported factors:
 Canonicalization first applies structural rewrites (metric elimination,
 self-traces of D2u/D3u, vanishing traces of Etf) and then minimizes an
 explicit serialization over all relabelings allowed by factor multiplicities
-and slot symmetries.  Monomials stay tiny (at most 6 factors in practice), so
+and slot symmetries.  Edits of factors (differentiation, substitution and the
+structural rewrites) run on the labeled view (``to_labeled``, then ``mono``):
+a label used twice is a contraction, and a label repeated inside one factor
+is a self-trace.  Monomials stay tiny (at most 6 factors in practice), so
 the exhaustive search is cheap and fully deterministic.
 """
 
@@ -100,14 +103,6 @@ class TensorMonomial:
             out.append(off)
             off += FACTORS[s].arity
         return out
-
-    def owner(self, slot: int) -> int:
-        off = 0
-        for i, s in enumerate(self.symbols):
-            off += FACTORS[s].arity
-            if slot < off:
-                return i
-        raise MalformedMonomialError(f"slot {slot} out of range")
 
     def validate(self):
         total = self.slot_count
@@ -210,122 +205,47 @@ def mono(u: int, *factors, free: Sequence[str] = ()) -> TensorMonomial:
 # -- canonicalization --------------------------------------------------------
 
 
-def _drop_factor(m: TensorMonomial, idx: int,
-                 rewire: dict[int, int]) -> TensorMonomial:
-    """Remove factor idx, renumbering slots; ``rewire`` maps old slots of the
-    removed factor's partners onto each other (used by metric elimination)."""
-    offs = m.offsets()
-    k = FACTORS[m.symbols[idx]].arity
-    removed = set(range(offs[idx], offs[idx] + k))
-
-    def newslot(s: int) -> int:
-        if s in removed:
-            raise MalformedMonomialError("dangling reference to removed slot")
-        return s - k if s > offs[idx] else s
-
-    pairs = []
-    for a, b in m.pairs:
-        if a in removed or b in removed:
-            continue
-        pairs.append((newslot(a), newslot(b)))
-    for a, b in rewire.items():
-        pairs.append((newslot(a), newslot(b)))
-    if any(s in removed for s in m.free):
-        raise MalformedMonomialError("cannot drop a factor carrying a free slot")
-    free = [newslot(s) for s in m.free]
-    symbols = m.symbols[:idx] + m.symbols[idx + 1:]
-    return TensorMonomial(m.u_power, symbols, pairs, free)
-
-
-def _replace_symbol(m: TensorMonomial, idx: int, new_name: str,
-                    keep_local: Sequence[int]) -> TensorMonomial:
-    """Replace factor idx by ``new_name`` keeping the listed local slots (in
-    order); the discarded local slots must be paired with each other."""
-    offs = m.offsets()
-    old_arity = FACTORS[m.symbols[idx]].arity
-    base = offs[idx]
-    kept_old = [base + j for j in keep_local]
-    dropped = [base + j for j in range(old_arity) if j not in keep_local]
-    dropped_set = set(dropped)
-
-    shift = {}
-    new = 0
-    for s in range(m.slot_count):
-        if s in dropped_set:
-            continue
-        # kept slots of the replaced factor keep their relative order
-        shift[s] = new
-        new += 1
-
-    pairs = []
-    for a, b in m.pairs:
-        if a in dropped_set and b in dropped_set:
-            continue
-        if a in dropped_set or b in dropped_set:
-            raise MalformedMonomialError("partially dropped contraction")
-        pairs.append((shift[a], shift[b]))
-    free = [shift[s] for s in m.free]
-    symbols = list(m.symbols)
-    symbols[idx] = new_name
-    return TensorMonomial(m.u_power, symbols, pairs, free)
-
-
 def _structural_rewrites(m: TensorMonomial):
     """Apply metric elimination and self-trace rewrites until stable.
 
-    Returns (multiplier, monomial) where monomial is None if the term
-    vanishes identically (trace of a trace-free factor).
+    Works on the labeled view, where a label repeated inside one factor is a
+    self-trace.  Factors are scanned in listing order and the first rewrite
+    found is applied.  Returns (multiplier, monomial) where monomial is None
+    if the term vanishes identically (trace of a trace-free factor).
     """
+    u, facs, free = to_labeled(m)
     mult = ONE
-    changed = True
-    while changed:
-        changed = False
-        offs = m.offsets()
-        partner = {}
-        for a, b in m.pairs:
-            partner[a] = b
-            partner[b] = a
-        for idx, sym in enumerate(m.symbols):
-            base = offs[idx]
-            if sym == "g":
-                s1, s2 = base, base + 1
-                if partner.get(s1) == s2:
-                    mult = mult * N
-                    m = _drop_factor(m, idx, {})
-                elif s1 in partner and s2 in partner:
-                    m = _drop_factor(m, idx, {partner[s1]: partner[s2]})
-                elif s1 in partner or s2 in partner:
-                    paired, free_ = (s1, s2) if s1 in partner else (s2, s1)
-                    # metric with one free slot renames the partner slot
-                    pos = m.free.index(free_)
-                    tgt = partner[paired]
-                    pairs = [p for p in m.pairs if paired not in p]
-                    free = list(m.free)
-                    free[pos] = tgt
-                    m = _drop_factor(
-                        TensorMonomial(m.u_power, m.symbols, pairs, free), idx, {})
-                else:
-                    continue  # both slots free: metric term of a 2-tensor
-                changed = True
-                break
-            if sym == "D2u" and partner.get(base) == base + 1:
-                m = _replace_symbol(m, idx, "Lap", [])
-                changed = True
-                break
-            if sym == "D3u" and partner.get(base + 1) == base + 2:
-                m = _replace_symbol(m, idx, "DLap", [0])
-                changed = True
-                break
-            if sym == "D3u" and partner.get(base) in (base + 1, base + 2):
-                raise MalformedMonomialError(
-                    "unreduced contraction of the derivative slot of D3u with its "
-                    "own Hessian slot; expand it through the divergence rules")
-            if sym == "Etf" and partner.get(base) == base + 1:
-                return mult, None
-            if sym == "Ric" and partner.get(base) == base + 1:
-                raise UnsupportedCurvatureError(
-                    "self-traced Ricci factor (scalar curvature) is unsupported")
-    return mult, m
+    idx = 0
+    while idx < len(facs):
+        sym, labels = facs[idx][0], facs[idx][1:]
+        traced = len(labels) >= 2 and labels[-2] == labels[-1]
+        if sym == "g" and not (labels[0] in free and labels[1] in free):
+            rest = facs[:idx] + facs[idx + 1:]
+            if traced:
+                mult = mult * N
+                facs = rest
+            else:
+                # rename the other label onto a free one, if there is one
+                old, new = labels if labels[1] in free else labels[::-1]
+                facs = [(f[0],) + tuple(new if lab == old else lab for lab in f[1:])
+                        for f in rest]
+            idx = 0  # renaming can close a self-trace in an earlier factor
+            continue
+        if sym == "D2u" and traced:
+            facs[idx] = ("Lap",)
+        elif sym == "D3u" and traced:
+            facs[idx] = ("DLap", labels[0])
+        elif sym == "D3u" and labels[0] in labels[1:]:
+            raise MalformedMonomialError(
+                "unreduced contraction of the derivative slot of D3u with its "
+                "own Hessian slot; expand it through the divergence rules")
+        elif FACTORS[sym].traceless and traced:
+            return mult, None
+        elif sym == "Ric" and traced:
+            raise UnsupportedCurvatureError(
+                "self-traced Ricci factor (scalar curvature) is unsupported")
+        idx += 1
+    return mult, mono(u, *facs, free=free)
 
 
 @lru_cache(maxsize=None)
@@ -334,7 +254,6 @@ def _canonical_cached(m: TensorMonomial):
     mult, m = _structural_rewrites(m)
     if m is None:
         return mult, None
-    m.validate()
 
     order = sorted(range(len(m.symbols)), key=lambda i: (_ORDER[m.symbols[i]], i))
     symbols = tuple(m.symbols[i] for i in order)
@@ -381,20 +300,6 @@ def canonical_form(m: TensorMonomial) -> tuple[ParamScalar, TensorMonomial | Non
     return _canonical_cached(m)
 
 
-def canonicalize(m: TensorMonomial) -> TensorMonomial:
-    """Public canonical form for monomials that neither vanish nor pick up a
-    dimension factor (the common case); idempotent."""
-    if len(m.free) > 2:
-        raise MalformedMonomialError(f"{len(m.free)} dangling slots unsupported")
-    mult, canon = canonical_form(m)
-    if canon is None:
-        raise MalformedMonomialError("monomial vanishes identically (trace-free trace)")
-    if not (mult == ONE):
-        raise MalformedMonomialError(
-            "monomial carries a metric self-trace; canonicalize it as an expression")
-    return canon
-
-
 # -- expressions -------------------------------------------------------------
 
 
@@ -410,10 +315,6 @@ class TExpr:
 
     def __setattr__(self, *args):
         raise AttributeError("TExpr is immutable")
-
-    @classmethod
-    def zero(cls, valence: int = 0) -> "TExpr":
-        return cls(valence)
 
     @classmethod
     def from_terms(cls, valence: int, raw: Iterable[tuple[ParamScalar, TensorMonomial]]) -> "TExpr":
@@ -498,32 +399,11 @@ def expr(coeff, m: TensorMonomial) -> TExpr:
     return TExpr(canon.valence, {canon: c * mult})
 
 
-def combine(e1: TExpr, c1, e2: TExpr, c2) -> TExpr:
-    """c1*e1 + c2*e2 in canonical form; empty iff identically zero."""
-    return e1.scale(c1) + e2.scale(c2)
-
-
-def _concat_raw(m1: TensorMonomial, m2: TensorMonomial):
-    """Concatenate two monomials; returns (symbols, pairs, free1, free2)
-    with m2's slots shifted."""
-    off = m1.slot_count
-    symbols = m1.symbols + m2.symbols
-    pairs = list(m1.pairs) + [(a + off, b + off) for a, b in m2.pairs]
-    return symbols, pairs, list(m1.free), [s + off for s in m2.free]
-
-
 def emul(e1: TExpr, e2: TExpr) -> TExpr:
     """Tensor product, keeping all free slots (e1's first)."""
-    val = e1.valence + e2.valence
-    if val > 2:
+    if e1.valence + e2.valence > 2:
         raise ValenceError("product valence exceeds 2")
-    raw = []
-    for m1, c1 in e1.terms.items():
-        for m2, c2 in e2.terms.items():
-            symbols, pairs, f1, f2 = _concat_raw(m1, m2)
-            raw.append((c1 * c2,
-                        TensorMonomial(m1.u_power + m2.u_power, symbols, pairs, f1 + f2)))
-    return TExpr.from_terms(val, raw)
+    return econtract(e1, e2, ())
 
 
 def econtract(e1: TExpr, e2: TExpr, joins: Sequence[tuple[int, int]]) -> TExpr:
@@ -534,7 +414,9 @@ def econtract(e1: TExpr, e2: TExpr, joins: Sequence[tuple[int, int]]) -> TExpr:
     raw = []
     for m1, c1 in e1.terms.items():
         for m2, c2 in e2.terms.items():
-            symbols, pairs, f1, f2 = _concat_raw(m1, m2)
+            off = m1.slot_count
+            pairs = list(m1.pairs) + [(a + off, b + off) for a, b in m2.pairs]
+            f1, f2 = m1.free, [s + off for s in m2.free]
             used1, used2 = set(), set()
             for i, j in joins:
                 pairs.append((f1[i], f2[j]))
@@ -542,8 +424,8 @@ def econtract(e1: TExpr, e2: TExpr, joins: Sequence[tuple[int, int]]) -> TExpr:
                 used2.add(j)
             free = [s for i, s in enumerate(f1) if i not in used1] + \
                    [s for j, s in enumerate(f2) if j not in used2]
-            raw.append((c1 * c2,
-                        TensorMonomial(m1.u_power + m2.u_power, symbols, pairs, free)))
+            raw.append((c1 * c2, TensorMonomial(m1.u_power + m2.u_power,
+                                                m1.symbols + m2.symbols, pairs, free)))
     return TExpr.from_terms(val, raw)
 
 
@@ -566,17 +448,6 @@ def tensor_vec(t: TExpr, v: TExpr) -> TExpr:
     if t.valence != 2 or v.valence != 1:
         raise ValenceError("tensor_vec requires a 2-tensor and a vector")
     return econtract(t, v, [(1, 0)])
-
-
-def etrace(t: TExpr) -> TExpr:
-    """Metric trace of a 2-tensor expression."""
-    if t.valence != 2:
-        raise ValenceError("trace requires a 2-tensor expression")
-    raw = []
-    for m, c in t.terms.items():
-        raw.append((c, TensorMonomial(m.u_power, m.symbols,
-                                      list(m.pairs) + [tuple(m.free)], [])))
-    return TExpr.from_terms(0, raw)
 
 
 def upow(e: TExpr, k: int) -> TExpr:
@@ -602,10 +473,6 @@ def to_labeled(m: TensorMonomial):
         factors.append((sym,) + tuple(names[off + j] for j in range(k)))
         off += k
     return m.u_power, factors, free_labels
-
-
-def from_labeled(u_power: int, factors, free_labels) -> TensorMonomial:
-    return mono(u_power, *factors, free=free_labels)
 
 
 def replace_factor(m: TensorMonomial, idx: int, replacement: TExpr):
@@ -635,7 +502,7 @@ def replace_factor(m: TensorMonomial, idx: int, replacement: TExpr):
         new_facs = [f for j, f in enumerate(facs) if j != idx]
         for rf in rfacs:
             new_facs.append((rf[0],) + tuple(rename.get(lab, f"r_{lab}") for lab in rf[1:]))
-        out.append((rc, from_labeled(u + ru, new_facs, list(frees) + extra)))
+        out.append((rc, mono(u + ru, *new_facs, free=list(frees) + extra)))
     return out
 
 

@@ -142,9 +142,10 @@ def test_roundtrip_forward_backward():
 
 
 def test_trace_of_forward_hessian_is_lap():
-    from bhverify.tensor import etrace
+    from bhverify.tensor import frob
     t = expr(1, mono(0, ("D2u", "x", "y"), free=("x", "y")))
-    assert etrace(substitute_defs(t, "forward")) == expr(1, mono(0, ("Lap",)))
+    metric = expr(1, mono(0, ("g", "x", "y"), free=("x", "y")))
+    assert frob(substitute_defs(t, "forward"), metric) == expr(1, mono(0, ("Lap",)))
 
 
 def test_forward_image_of_raw_divergence_display():

@@ -10,6 +10,9 @@ from bhverify.cli import run
 from bhverify.errors import EngineInconsistencyError
 from bhverify.report import render_json, render_markdown
 
+# a path below a regular file, which no process can create or write
+UNDER_A_FILE = os.path.join(__file__, "r.json")
+
 
 def test_no_arguments_is_usage_error(capsys):
     assert run([]) == 2
@@ -198,6 +201,10 @@ def test_radial_grid_rejected(spec, reason, capsys):
     (["radial", "--alpha", "1", "--grid", "1x1"], "--alpha"),
     (["radial", "--alpha", "nan", "--grid", "1x1"], "--alpha"),
     (["radial", "--alpha", "inf", "--grid", "1x1"], "--alpha"),
+    (["--out", UNDER_A_FILE, "verify", "--ids", "I3"], "--out"),
+    (["radial", "--grid", "1x1", "--dump-trajectories", UNDER_A_FILE],
+     "--dump-trajectories"),
+    (["radial", "--grid", "1x1", "--dump-trajectories", __file__], "--dump-trajectories"),
 ])
 def test_out_of_range_params_and_scan_pd_rejected(argv, flag, capsys):
     assert run(argv) == 2

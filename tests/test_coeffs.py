@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bhverify.calculus import bstar
 from bhverify.coeffs import (_RING, ALPHA, A, B, N, ONE, VAR_NAMES, ParamScalar,
-                             ZERO, frac, normalize_param, ps)
+                             ZERO, frac, ps)
 from bhverify.errors import MalformedCoefficientError, PoleError
 
 
@@ -25,15 +25,18 @@ def test_c2_hand_substitution():
 
 
 def test_normalize_param_idempotent_and_unique():
-    p = normalize_param({(2, 0, 0, 0): Fraction(1), (0, 0, 0, 0): Fraction(-16)},
-                        {(1, 0, 0, 0): Fraction(1), (0, 0, 0, 0): Fraction(-4)})
-    assert p == N + 4
-    assert normalize_param(p) == p
+    n = _RING.gens[0]
+    p = ParamScalar(n**2 - 16, 2 * n - 8)
+    assert p == (N + 4) / 2
+    again = ParamScalar(p.num, p.den)
+    assert (again.num, again.den) == (p.num, p.den)
+    scaled = ParamScalar(-3 * p.num, -3 * p.den)
+    assert (scaled.num, scaled.den) == (p.num, p.den)
 
 
 def test_zero_denominator_rejected():
     with pytest.raises(MalformedCoefficientError):
-        normalize_param(1, 0)
+        ParamScalar(_RING.one, _RING.zero)
     with pytest.raises(MalformedCoefficientError):
         ONE / ZERO
 
@@ -133,10 +136,16 @@ _polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), _small_fractions,
                          max_size=4)
 
 
+def _poly(terms) -> ParamScalar:
+    """sum c * n^e_n * alpha^e_alpha * a^e_a * b^e_b over the drawn terms."""
+    return sum((c * N**e[0] * ALPHA**e[1] * A**e[2] * B**e[3] for e, c in terms.items()),
+               ZERO)
+
+
 @st.composite
 def _rational_functions(draw):
     den = draw(_polys.filter(lambda m: any(m.values())))
-    return normalize_param(draw(_polys), den)
+    return _poly(draw(_polys)) / _poly(den)
 
 
 _values = st.one_of(

@@ -20,7 +20,7 @@ from bhverify.jetoracle import (JetSample, OracleIdentityReport, _params_for,
                                 sharp_constant_certificate,
                                 sharp_constant_search, stack_jets)
 from bhverify.registry import all_identities, get_identity, perturb_identity
-from bhverify.tensor import expr, frob, from_labeled, mono, to_labeled
+from bhverify.tensor import expr, frob, mono, to_labeled
 
 
 def unit_jet(n=5, g1=None, g2=None):
@@ -316,7 +316,7 @@ def _ref_flat_grad_terms(terms, mode):
         u, facs, frees = to_labeled(m)
         d = "d"
         if m.u_power:
-            out.append((c * m.u_power, from_labeled(u - 1, facs + [("Du", d)], frees + [d])))
+            out.append((c * m.u_power, mono(u - 1, *facs, ("Du", d), free=frees + [d])))
         for i, fac in enumerate(facs):
             rest = facs[:i] + facs[i + 1:]
             sym = fac[0]
@@ -331,7 +331,7 @@ def _ref_flat_grad_terms(terms, mode):
             elif sym == "Bilap":
                 if mode is not SubstitutionMode.ON_SHELL:
                     raise OrderOverflowError("gradient of Bilap needs the equation")
-                out.append((c * _ALPHA_PS, from_labeled(u - 1, facs + [("Du", d)], frees + [d])))
+                out.append((c * _ALPHA_PS, mono(u - 1, *facs, ("Du", d), free=frees + [d])))
                 continue
             elif sym == "g":
                 continue
@@ -339,7 +339,7 @@ def _ref_flat_grad_terms(terms, mode):
                 continue  # flat oracle: Ricci terms are identically zero
             else:
                 raise CompositeDerivativeError(f"expand {sym} before flat differentiation")
-            out.append((c, from_labeled(u, rest + nf, frees + [d])))
+            out.append((c, mono(u, *rest, *nf, free=frees + [d])))
     return out
 
 
@@ -349,9 +349,9 @@ def _ref_flat_div_terms(weight, terms, mode):
         u, facs, frees = to_labeled(m)
         f = frees[0]
         if m.u_power:
-            out.append((c * m.u_power, from_labeled(u - 1, facs + [("Du", f)], [])))
+            out.append((c * m.u_power, mono(u - 1, *facs, ("Du", f))))
         if not weight.is_zero:
-            out.append((c * weight, from_labeled(u - 1, facs + [("Du", f)], [])))
+            out.append((c * weight, mono(u - 1, *facs, ("Du", f))))
         for i, fac in enumerate(facs):
             rest = facs[:i] + facs[i + 1:]
             sym = fac[0]
@@ -369,7 +369,7 @@ def _ref_flat_div_terms(weight, terms, mode):
             elif sym == "Bilap":
                 if mode is not SubstitutionMode.ON_SHELL:
                     raise OrderOverflowError("gradient of Bilap needs the equation")
-                out.append((c * _ALPHA_PS, from_labeled(u - 1, facs + [("Du", f)], [])))
+                out.append((c * _ALPHA_PS, mono(u - 1, *facs, ("Du", f))))
                 continue
             elif sym == "g":
                 continue
@@ -377,7 +377,7 @@ def _ref_flat_div_terms(weight, terms, mode):
                 continue  # flat oracle: Ricci terms are identically zero
             else:
                 raise CompositeDerivativeError(f"expand {sym} before flat differentiation")
-            out.append((c, from_labeled(u, rest + nf, [])))
+            out.append((c, mono(u, *rest, *nf)))
     return out
 
 

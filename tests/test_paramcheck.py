@@ -91,14 +91,12 @@ class TestSturm:
         assert sturm_root_count(p, Fraction(1), Fraction(3)) == 1
 
     def test_certify_planted_root(self):
-        c = positivity_certificate("custom", 5, interval=(Fraction(0), Fraction(2)),
-                                   coeffs=[0, 1, -1])
+        c = certify_sign("custom", upoly([0, 1, -1]), 5, (Fraction(0), Fraction(2)))
         assert c.verdict == "not-one-signed"
         assert c.sturm_root_count == 1
 
     def test_certify_negative(self):
-        c = positivity_certificate("custom", 5, interval=(Fraction(0), Fraction(1)),
-                                   coeffs=[-1, 0, -1])
+        c = certify_sign("custom", upoly([-1, 0, -1]), 5, (Fraction(0), Fraction(1)))
         assert c.verdict == "negative"
 
     def test_degenerate_certificate(self):
@@ -374,7 +372,7 @@ class TestAgainstReplacedCode:
         coeffs, a, b, inside = case
         got = sturm_root_count(upoly(coeffs), a, b)
         assert got == _ref_sturm_root_count(coeffs, a, b) == len(inside)
-        cert = positivity_certificate("custom", 5, interval=(a, b), coeffs=coeffs)
+        cert = certify_sign("custom", upoly(coeffs), 5, (a, b))
         assert cert == _ref_certify_sign("custom", coeffs, 5, (a, b))
 
     def test_all_480_certificates_match_reference(self):
