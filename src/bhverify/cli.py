@@ -18,10 +18,12 @@ outside CONFIG_KEYS is a configuration error.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import re
 import sys
+from fractions import Fraction
 
 from . import paramcheck, registry
 from .calculus import SubstitutionMode
@@ -71,6 +73,21 @@ def _pick(args_value, config: dict, key: str, cast, default):
 def _require(ok: bool, flag: str, message: str):
     if not ok:
         raise ValueError(f"{flag} {message}")
+
+
+def _out_path_error(path: str) -> str | None:
+    """Why no report can be written to path, or None: its directory must
+    exist, be a directory and be writable, and path must not be a directory."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.exists(parent):
+        return os.strerror(errno.ENOENT)
+    if not os.path.isdir(parent):
+        return os.strerror(errno.ENOTDIR)
+    if not os.access(parent, os.W_OK | os.X_OK):
+        return os.strerror(errno.EACCES)
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    return None
 
 
 def _parse_n_range(spec: str) -> tuple[int, int]:
@@ -164,12 +181,19 @@ def run_scan_pd(n_lo: int = 5, n_hi: int = 100, grid: int = 1000):
 
 
 def run_oracle(seed: int = 0, samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9):
-    from .jetoracle import check_all_identities, sharp_constant_search
+    from .jetoracle import (check_all_identities, sharp_constant_certificate,
+                            sharp_constant_search)
     reports = [r.to_dict() for r in check_all_identities(samples, tuple(dims), tol, seed)]
-    sharp = [sharp_constant_search(n, seed=seed).to_dict() for n in (5, 6, 7, 8)]
-    ok = (all(r["passed"] for r in reports)
-          and all(abs(s["minimum"] - s["analytic"]) <= 1e-6 for s in sharp))
-    return {"identities": reports, "sharp_constant": sharp}, ok
+    sharp = [sharp_constant_search(n, seed=seed) for n in (5, 6, 7, 8)]
+
+    def sharp_holds(s) -> bool:
+        # exact: the certified constant is n/(n-1) and the probe found no
+        # ratio below it (it would have been recorded as the minimum)
+        exact = sharp_constant_certificate(s.n)
+        return exact == Fraction(s.n, s.n - 1) and s.minimum == float(exact)
+
+    ok = all(r["passed"] for r in reports) and all(sharp_holds(s) for s in sharp)
+    return {"identities": reports, "sharp_constant": [s.to_dict() for s in sharp]}, ok
 
 
 def run_radial(configs, grid_size: int = 10, rmax: float = 50.0,
@@ -245,6 +269,11 @@ def run(argv) -> int:
 
     fmt = _pick(args.format, config, "format", str, "json")
     out_path = _pick(args.out, config, "out", str, None)
+    # before any section runs, so a bad path costs no work
+    reason = _out_path_error(out_path) if out_path else None
+    if reason:
+        print(f"error: --out cannot write {out_path}: {reason}", file=sys.stderr)
+        return 2
 
     sections: dict = {}
     statuses: dict[str, bool] = {}

@@ -6,11 +6,15 @@ multivariate polynomials with integer-primitive denominator and positive
 denominator leading coefficient, so equal rational functions always have
 byte-identical representations.
 
-The polynomial arithmetic (multiplication, multivariate gcd) is delegated to
-sympy's sparse polynomial rings over QQ.  On top of it sit the canonical
-normalization, exact evaluation, and parameter substitution, which composes
-on raw ring elements and normalizes only once per result, since each
-normalization is a full multivariate gcd.
+The polynomial arithmetic (multiplication, gcds) is delegated to sympy's
+sparse polynomial rings over QQ.  On top of it sit the canonical
+normalization, exact evaluation, and parameter substitution.  Normalization
+takes one of two routes.  A denominator in Q[n], as every denominator of the
+identities is, is reduced by a univariate gcd in Q[n] against the content of
+the numerator as a polynomial in (alpha, a, b); a constant denominator needs
+no gcd.  Any other denominator, which subs_param can create, takes sympy's
+multivariate cancel.  Parameter substitution composes on raw ring elements
+and normalizes only once per result.
 """
 
 from __future__ import annotations
@@ -27,9 +31,24 @@ _RING, _N, _ALPHA, _A, _B = ring("n,alpha,a,b", QQ)
 _GENS = {"n": _N, "alpha": _ALPHA, "a": _A, "b": _B}
 # Q(n, alpha, a, b) as a sympy field, for exact linear algebra over it.
 COEFF_FIELD = _RING.to_field()
+_N_RING = _RING.drop(_ALPHA, _A, _B)
 VAR_NAMES = ("n", "alpha", "a", "b")
 
 Rationalish = Union[int, Fraction, "ParamScalar"]
+
+
+def _content_gcd(num, den):
+    """gcd in Q[n] of den (which lies in Q[n]) and the coefficients of num
+    viewed as a polynomial in (alpha, a, b) over Q[n]; stops once it is 1."""
+    by_monom: dict[tuple, dict] = {}
+    for (e, *rest), c in num.items():
+        by_monom.setdefault(tuple(rest), {})[(e,)] = c
+    g = den.set_ring(_N_RING)
+    for coeff in by_monom.values():
+        g = g.gcd(_N_RING.from_dict(coeff))
+        if g.is_ground:
+            break
+    return g
 
 
 def _qq_to_fraction(q) -> Fraction:
@@ -60,7 +79,18 @@ class ParamScalar:
             raise MalformedCoefficientError("zero denominator in coefficient")
         if not num:
             return _RING.zero, _RING.one
-        num, den = num.cancel(den)
+        # Every factor a denominator in Q[n] shares with num divides each
+        # coefficient of num as a polynomial in (alpha, a, b) over Q[n], so a
+        # univariate gcd against that content replaces the multivariate
+        # cancel; a constant denominator needs no gcd at all.  Denominators
+        # outside Q[n] (subs_param can create them) keep the cancel.
+        if any(den.degrees()[1:]):
+            num, den = num.cancel(den)
+        elif not den.is_ground:
+            g = _content_gcd(num, den)
+            if not g.is_ground:
+                g = g.set_ring(_RING)
+                num, den = num.exquo(g), den.exquo(g)
         # Make the denominator integer-primitive with positive leading
         # coefficient; the numerator absorbs the rational content.
         content, prim = den.primitive()

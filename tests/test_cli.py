@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from bhverify import paramcheck, registry
+from bhverify import cli, paramcheck, registry
 from bhverify.cli import run
 from bhverify.errors import EngineInconsistencyError
 from bhverify.report import render_json, render_markdown
@@ -210,6 +210,20 @@ def test_out_of_range_params_and_scan_pd_rejected(argv, flag, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("out, reason", [
+    (UNDER_A_FILE, "Not a directory"),
+    (os.path.join(os.path.dirname(__file__), "no-such-dir", "r.json"),
+     "No such file or directory"),
+    (os.path.dirname(__file__), "Is a directory"),
+])
+def test_bad_out_path_rejected_before_any_section_runs(out, reason, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a section ran before --out was checked")
+    monkeypatch.setattr(cli, "run_verify", must_not_run)
+    assert run(["--out", out, "all"]) == 2
+    assert capsys.readouterr().err == f"error: --out cannot write {out}: {reason}\n"
 
 
 def test_unknown_identity_id_is_usage_error(tmp_path, capsys):

@@ -5,9 +5,12 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.rings import PolyElement
 
+from bhverify import cli
 from bhverify.calculus import bstar
 from bhverify.coeffs import (_RING, ALPHA, A, B, N, ONE, VAR_NAMES, ParamScalar,
                              ZERO, frac, ps)
@@ -201,3 +204,90 @@ def test_subs_param_alpha_polys_match_reference():
         for poly_id, body in bodies.items():
             want = _reference_subs_param(body, "n", ps(n))
             assert got[poly_id] == upoly(want.univariate("alpha")), (poly_id, n)
+
+
+# -- differential test: _normalize against the multivariate cancel it replaced ---
+
+
+def _ref_normalize(num, den):
+    if not den:
+        raise MalformedCoefficientError("zero denominator in coefficient")
+    if not num:
+        return _RING.zero, _RING.one
+    num, den = num.cancel(den)
+    # Make the denominator integer-primitive with positive leading
+    # coefficient; the numerator absorbs the rational content.
+    content, prim = den.primitive()
+    num = num.quo_ground(content)
+    if prim.LC < 0:
+        prim = -prim
+        num = -num
+    return num, prim
+
+
+_n, _alpha, _a, _b = _RING.gens
+
+
+def _ring_poly(terms):
+    """sum c * n^e_n * alpha^e_alpha * a^e_a * b^e_b as a raw ring element."""
+    return _RING.from_dict({e: QQ(c.numerator, c.denominator) for e, c in terms.items()})
+
+
+_n_polys = st.dictionaries(st.tuples(st.integers(0, 3), *[st.just(0)] * 3),
+                           _small_fractions, max_size=3).map(_ring_poly)
+_constants = _small_fractions.map(lambda c: _ring_poly({(0, 0, 0, 0): c}))
+# cofactors that take a denominator outside Q[n]: fixed ones, or drawn
+_outside_factors = st.one_of(
+    st.sampled_from([_alpha * _a - _b, _alpha + 1, 2 * _n * _b - 3, _a**2 - _n * _alpha]),
+    _polys.map(_ring_poly).filter(bool),
+)
+
+
+@st.composite
+def _num_den_pairs(draw):
+    """num = f g, den = h g k: f multivariate, g and h in Q[n] or constant
+    (h possibly zero), k a cofactor that may take den outside Q[n]."""
+    f = _ring_poly(draw(_polys))
+    g = draw(st.one_of(_n_polys, _constants).filter(bool))
+    h = draw(st.one_of(_n_polys.filter(bool), _constants))
+    k = draw(_outside_factors) if draw(st.booleans()) else _RING.one
+    return f * g, h * g * k
+
+
+@settings(max_examples=400, deadline=None)
+@given(_num_den_pairs())
+@example((_n**2 - 16, 2 * _n - 8))                       # shared factor n - 4
+@example(((_alpha - _n) * (_n + 4) / 3, -(_n + 4) * (_n - 1) / 2))
+@example((-_alpha * _a / 6, _RING(QQ(-4, 9))))          # constant denominator
+@example(((_alpha * _a - _b) * _n, (_alpha * _a - _b) * (_n - 1)))  # outside Q[n]
+@example((_RING.zero, _n + 4))
+@example((_alpha, _RING.zero))
+def test_normalize_matches_multivariate_cancel(pair):
+    num, den = pair
+    try:
+        want = _ref_normalize(num, den)
+    except MalformedCoefficientError as exc:
+        with pytest.raises(MalformedCoefficientError, match=f"^{re.escape(str(exc))}$"):
+            ParamScalar._normalize(num, den)
+        return
+    got = ParamScalar._normalize(num, den)
+    assert got == want
+    x, y = ParamScalar(*got, _normalized=True), ParamScalar(*want, _normalized=True)
+    assert str(x) == str(y)
+    assert hash(x) == hash(y)
+
+
+def test_verify_never_calls_the_multivariate_cancel(monkeypatch):
+    """Every denominator of the identities lies in Q[n], so verify takes the
+    univariate route throughout."""
+    calls = []
+    cancel = PolyElement.cancel
+
+    def counted(self, other):
+        calls.append(other)
+        return cancel(self, other)
+
+    monkeypatch.setattr(PolyElement, "cancel", counted)
+    records, ok = cli.run_verify()
+    assert ok and len(records) == 15
+    assert len(calls) == 0
