@@ -11,8 +11,9 @@ exact certificate contradicted by a numeric check), reported on stderr as
 
 A flat key=value config file may supply defaults (path via --config or the
 BHVERIFY_CONFIG environment variable); command-line flags take precedence.
-Config values are validated like the flags they stand for, and a key
-outside CONFIG_KEYS is a configuration error.
+Config values are validated like the flags they stand for (a value that does
+not parse is reported by its key), and a key outside CONFIG_KEYS is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -66,7 +67,11 @@ def _pick(args_value, config: dict, key: str, cast, default):
     if args_value is not None:
         return args_value
     if key in config:
-        return cast(config[key])
+        try:
+            return cast(config[key])
+        except ValueError:
+            raise ValueError(f"config key {key} = {config[key]!r} is not a valid "
+                             f"{cast.__name__}") from None
     return default
 
 
@@ -263,12 +268,13 @@ def run(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         config = load_config(args.config)
+        fmt = _pick(args.format, config, "format", str, "json")
+        _require(fmt in ("json", "markdown"), "--format",
+                 f"must be json or markdown, got {fmt!r}")
+        out_path = _pick(args.out, config, "out", str, None)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    fmt = _pick(args.format, config, "format", str, "json")
-    out_path = _pick(args.out, config, "out", str, None)
     # before any section runs, so a bad path costs no work
     reason = _out_path_error(out_path) if out_path else None
     if reason:
@@ -305,6 +311,7 @@ def run(argv) -> int:
             sections["pd_scan"], statuses["pd_scan"] = run_scan_pd(lo, hi, grid)
         elif args.command == "oracle":
             seed = _pick(args.seed, config, "seed", int, 0)
+            _require(seed >= 0, "--seed", f"must be at least 0, got {seed}")
             samples = _pick(args.samples, config, "samples", int, 1000)
             _require(samples >= 1, "--samples", f"must be at least 1, got {samples}")
             dims = _parse_dims(_pick(args.dims, config, "dims", str, "5,6,8"))

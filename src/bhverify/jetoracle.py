@@ -42,7 +42,7 @@ from .coeffs import ParamScalar
 from .errors import (CompositeDerivativeError, EngineInconsistencyError,
                      OrderOverflowError)
 from .registry import Identity, all_identities
-from .tensor import FACTORS, TExpr, TensorMonomial, mono, to_labeled
+from .tensor import FACTORS, TensorMonomial, mono, to_labeled
 
 _LETTERS = "abcdefghijklmnopqrstuvwxy"
 
@@ -70,12 +70,6 @@ class JetSample:
             "g3": self.g3.tolist(), "w4": self.w4,
         }, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "JetSample":
-        d = json.loads(text)
-        return cls(d["n"], d["mode"], d["seed"], d["u"], np.array(d["g1"]),
-                   np.array(d["g2"]), np.array(d["g3"]), d["w4"])
-
 
 @lru_cache(maxsize=None)
 def _symmetric_index(n: int) -> np.ndarray:
@@ -95,7 +89,7 @@ def jet_batch(seed0: int, n: int, samples: int, mode: str = "free",
     gradient, Hessian, third derivative and, in free mode, w4; in onshell
     mode w4 = u^alpha.  g2/g3 are exactly symmetric, u >= 1e-3, and every
     array is C-contiguous (einsum's summation order follows the layout).
-    The keys are those of ``stack_jets``.
+    The keys are u, g1, g2, g3, w4 and n.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -126,17 +120,6 @@ def sample_jet(seed: int, n: int, mode: str = "free",
     b = jet_batch(seed, n, 1, mode, alpha)
     return JetSample(n, mode, seed, float(b["u"][0]), b["g1"][0], b["g2"][0],
                      b["g3"][0], float(b["w4"][0]))
-
-
-def stack_jets(jets: list[JetSample]) -> dict:
-    return {
-        "u": np.array([j.u for j in jets]),
-        "g1": np.stack([j.g1 for j in jets]),
-        "g2": np.stack([j.g2 for j in jets]),
-        "g3": np.stack([j.g3 for j in jets]),
-        "w4": np.array([j.w4 for j in jets]),
-        "n": jets[0].n,
-    }
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -221,7 +204,10 @@ def eval_monomial_batch(m: TensorMonomial, batch: dict, comp: dict) -> np.ndarra
     return np.einsum(spec, *operands)
 
 
-def _sum_terms(terms, batch: dict, params: dict, comp: dict) -> np.ndarray:
+def eval_terms_batch(terms, batch: dict, params: dict, comp: dict) -> np.ndarray:
+    """Sum of coeff * monomial over a batch; coefficients evaluated exactly
+    at the rational parameters, then floated.  ``comp`` is
+    ``_composite_arrays(batch, params)``."""
     total = None
     for coeff, m in terms:
         c = float(coeff.evaluate(**params))
@@ -230,19 +216,6 @@ def _sum_terms(terms, batch: dict, params: dict, comp: dict) -> np.ndarray:
     if total is None:
         return np.zeros(len(batch["u"]))
     return total
-
-
-def eval_terms_batch(terms, batch: dict, params: dict) -> np.ndarray:
-    """Sum of coeff * monomial over a batch; coefficients evaluated exactly
-    at the rational parameters, then floated."""
-    return _sum_terms(terms, batch, params, _composite_arrays(batch, params))
-
-
-def eval_expr(e: TExpr, jet: JetSample, params: dict):
-    """Single-jet value of a canonical expression."""
-    batch = stack_jets([jet])
-    out = eval_terms_batch([(c, m) for m, c in e.terms.items()], batch, params)
-    return out[0] if e.valence == 0 else out[0, ...]
 
 
 # -- naive flat differentiator ---------------------------------------------------
@@ -328,19 +301,20 @@ def _params_for(n: int, alpha: Fraction, a: Fraction) -> dict:
             "b": bstar().evaluate(n=n, alpha=alpha)}
 
 
-def identity_lhs_flat_terms(ident: Identity, mode: SubstitutionMode | None = None):
+def identity_lhs_flat_terms(ident: Identity):
     """Left side of an identity as raw flat-Leibniz terms in jet variables."""
-    mode = mode or ident.mode
     lhs_jets = substitute_defs(ident.lhs, "backward", b=ident.b)
     terms = [(c, m) for m, c in lhs_jets.terms.items()]
     if ident.kind == "wdiv":
-        return flat_leibniz_terms(terms, mode, ident.weight), 0
-    return flat_leibniz_terms(terms, mode), 1
+        return flat_leibniz_terms(terms, ident.mode, ident.weight), 0
+    return flat_leibniz_terms(terms, ident.mode), 1
 
 
-def _check_identities(idents, samples: int, dims, tol: float, seed: int,
-                      alpha, a) -> list[OracleIdentityReport]:
-    """Max relative residual of LHS - RHS per identity over random flat jets.
+def check_all_identities(samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9,
+                         seed: int = 0, alpha=Fraction(2),
+                         a=Fraction(1)) -> list[OracleIdentityReport]:
+    """Max relative residual of LHS - RHS per registered identity over random
+    flat jets.
 
     The residual is normalized by 1 + |LHS| + |RHS|.  Dimensions are the
     outer loop: each (n, mode) batch is drawn once, its composites realized
@@ -349,6 +323,7 @@ def _check_identities(idents, samples: int, dims, tol: float, seed: int,
     through ``sample_jet`` and serialized.
     """
     alpha, a = Fraction(alpha), Fraction(a)
+    idents = all_identities()
     checks = []
     for ident in idents:
         lhs_terms, out_valence = identity_lhs_flat_terms(ident)
@@ -366,8 +341,8 @@ def _check_identities(idents, samples: int, dims, tol: float, seed: int,
             for i, (check_mode, lhs_terms, rhs_terms, out_valence) in enumerate(checks):
                 if check_mode != mode:
                     continue
-                lhs = _sum_terms(lhs_terms, batch, params, comp)
-                rhs = _sum_terms(rhs_terms, batch, params, comp)
+                lhs = eval_terms_batch(lhs_terms, batch, params, comp)
+                rhs = eval_terms_batch(rhs_terms, batch, params, comp)
                 if out_valence == 0:
                     rel = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
                 else:
@@ -382,39 +357,6 @@ def _check_identities(idents, samples: int, dims, tol: float, seed: int,
     return [OracleIdentityReport(ident.id, list(dims), samples, str(alpha), str(a),
                                  tol, w, w <= tol, f)
             for ident, w, f in zip(idents, worst, failing)]
-
-
-def numeric_check_identity(ident: Identity, samples: int = 1000,
-                           dims=(5, 6, 8), tol: float = 1e-9,
-                           seed: int = 0, alpha=Fraction(2),
-                           a=Fraction(1)) -> OracleIdentityReport:
-    """Max relative residual of LHS - RHS over random flat jets.
-
-    The residual is normalized by 1 + |LHS| + |RHS|; jets violating the
-    tolerance are serialized for replay.
-    """
-    return _check_identities([ident], samples, dims, tol, seed, alpha, a)[0]
-
-
-def check_all_identities(samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9,
-                         seed: int = 0, alpha=Fraction(2), a=Fraction(1)):
-    return _check_identities(all_identities(), samples, dims, tol, seed, alpha, a)
-
-
-def identity_homogeneity(ident: Identity) -> int:
-    """Common scaling degree of the identity under u -> t*u jets."""
-    degrees = ident.rhs.u_degrees() | substitute_defs(
-        ident.lhs, "backward", b=ident.b).u_degrees()
-    if len(degrees) != 1:
-        raise ValueError(f"{ident.id} is not u-homogeneous: {degrees}")
-    return degrees.pop()
-
-
-def scale_jet(jet: JetSample, lam: float, alpha=None) -> JetSample:
-    """The jet of lam*u; in onshell mode w4 is recomputed as (lam*u)^alpha."""
-    w4 = (lam * jet.u) ** float(alpha) if jet.mode == "onshell" else lam * jet.w4
-    return JetSample(jet.n, jet.mode, jet.seed, lam * jet.u, lam * jet.g1,
-                     lam * jet.g2, lam * jet.g3, w4)
 
 
 # -- sharp constant of the trace-free inequality -----------------------------------

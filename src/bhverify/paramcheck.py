@@ -314,8 +314,7 @@ def _eigmin_sym3(a11, a12, a13, a22, a23, a33):
     return np.where(p > 0, q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0), q)
 
 
-def numeric_pd_scan(n_values, grid: int = 1000,
-                    check_certificates: bool = True) -> PDReport:
+def numeric_pd_scan(n_values, grid: int = 1000) -> PDReport:
     """Minimal eigenvalue of A on a strictly interior alpha grid per n.
 
     The sign at every point must agree with the Sylvester certificates
@@ -338,16 +337,13 @@ def numeric_pd_scan(n_values, grid: int = 1000,
             min_lambda = float(lam[i])
             best = (int(n), float(alphas[i]))
     all_positive = min_lambda > 0.0
-    agrees = True
-    if check_certificates:
-        cert_positive = all(c.verdict == "positive" for n in n_values
-                            for c in sylvester_certificates(int(n)))
-        agrees = cert_positive == all_positive
-        if not agrees:
-            raise EngineInconsistencyError(
-                "numeric eigenvalue sign disagrees with the Sylvester certificates")
+    cert_positive = all(c.verdict == "positive" for n in n_values
+                        for c in sylvester_certificates(int(n)))
+    if cert_positive != all_positive:
+        raise EngineInconsistencyError(
+            "numeric eigenvalue sign disagrees with the Sylvester certificates")
     return PDReport(list(int(v) for v in n_values), grid, min_lambda, best,
-                    per_n_min, all_positive, agrees)
+                    per_n_min, all_positive, True)
 
 
 # -- auxiliary coefficient and exponent checks ------------------------------------

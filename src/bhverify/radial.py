@@ -12,10 +12,10 @@ u fails, subharmonicity fails (v > 0), the solution blows up, or it survives
 to the maximum radius.  The nonexistence theorem predicts that no trajectory
 with u0 > 0, v0 <= 0 survives with u > 0 and v <= 0; the scan reports the
 survival fraction, which is consistency evidence only (finite grids prove
-nothing).  Along the valid window the second-order estimate monitor
-Z = v/u + (2/(n-4)) p^2/u^2 is recorded; its hypotheses are global, so a
-positive local maximum is logged as out-of-hypothesis rather than as a
-refutation.
+nothing).  Along the valid window (u > 0, v <= 0) the maximum of the
+second-order estimate monitor Z = v/u + (2/(n-4)) p^2/u^2 is recorded; the
+estimate's hypotheses are global (complete manifold, entire solution), so a
+positive maximum on a local trajectory is not a refutation.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ class RadialState:
     v: float   # Lap u
     q: float   # v'
 
-    def to_dict(self) -> dict:
-        return {"r": self.r, "u": self.u, "p": self.p, "v": self.v, "q": self.q}
-
 
 @dataclass
 class ShootingResult:
@@ -52,21 +49,12 @@ class ShootingResult:
     verdict: str                     # positivity-violated | subharmonicity-violated
     #                                # | blow-up | reached-max-radius
     termination_radius: float
-    checkpoints: list[RadialState]
+    r: np.ndarray                    # checkpoint radii
+    y: np.ndarray                    # (4, len(r)): u, p, v, q at each radius
     max_z: float | None              # max of v/u + (2/(n-4)) p^2/u^2 on the window
-    out_of_hypothesis: bool          # True for exploratory v0 > 0 runs
 
     def survived(self) -> bool:
         return self.verdict == "reached-max-radius"
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "alpha": self.alpha, "u0": self.u0, "v0": self.v0,
-            "rmax": self.rmax, "verdict": self.verdict,
-            "termination_radius": self.termination_radius,
-            "max_z": self.max_z, "out_of_hypothesis": self.out_of_hypothesis,
-            "checkpoints": len(self.checkpoints),
-        }
 
 
 def series_start(n: int, alpha: float, u0: float, v0: float,
@@ -82,18 +70,18 @@ def series_start(n: int, alpha: float, u0: float, v0: float,
     )
 
 
-def monitor_z(n: int, u: float, p: float, v: float) -> float:
-    """Second-order estimate monitor Z = v/u + (2/(n-4)) p^2/u^2."""
+def monitor_z(n: int, u, p, v):
+    """Second-order estimate monitor Z = v/u + (2/(n-4)) p^2/u^2 (floats or
+    arrays, elementwise)."""
     return v / u + 2.0 / (n - 4) * p * p / (u * u)
 
 
 def shoot(n: int, alpha: float, u0: float, v0: float, rmax: float = 50.0,
-          rtol: float = 1e-10, atol: float = 1e-10,
-          allow_positive_v0: bool = False) -> ShootingResult:
+          rtol: float = 1e-10, atol: float = 1e-10) -> ShootingResult:
     """Integrate one radial trajectory and classify its termination.
 
-    v0 <= 0 honors the subharmonicity hypothesis at the center; exploratory
-    v0 > 0 runs need allow_positive_v0 and are marked out-of-hypothesis.
+    v0 <= 0 is the subharmonicity hypothesis at the center.  The trajectory
+    is kept as the checkpoint arrays of the integrator.
     """
     if n < 5:
         raise ValueError("need n >= 5")
@@ -101,9 +89,8 @@ def shoot(n: int, alpha: float, u0: float, v0: float, rmax: float = 50.0,
         raise ValueError("need alpha > 1")
     if u0 <= 0:
         raise ValueError("need u0 > 0")
-    if v0 > 0 and not allow_positive_v0:
-        raise ValueError("v0 > 0 violates the center hypothesis; "
-                         "pass allow_positive_v0 to explore anyway")
+    if v0 > 0:
+        raise ValueError("v0 > 0 violates the center hypothesis")
 
     def rhs(r, y):
         u, p, v, q = y
@@ -132,15 +119,12 @@ def shoot(n: int, alpha: float, u0: float, v0: float, rmax: float = 50.0,
         # v is already positive at the series start (v0 = 0 forces this:
         # v ~ u0^alpha r^2/(2n) > 0); no integration needed
         return ShootingResult(n, alpha, u0, v0, rmax, "subharmonicity-violated",
-                              start.r, [start], None, v0 > 0)
+                              start.r, np.array([start.r]), np.array(y0)[:, None],
+                              None)
 
     sol = solve_ivp(rhs, (start.r, rmax), y0, rtol=rtol, atol=atol,
                     events=[ev_positivity, ev_subharmonicity, ev_blowup],
                     dense_output=False)
-
-    rs, ys = sol.t, sol.y
-    checkpoints = [RadialState(float(r), *map(float, ys[:, i]))
-                   for i, r in enumerate(rs)]
 
     if sol.status == 1:
         if len(sol.t_events[0]):
@@ -150,15 +134,16 @@ def shoot(n: int, alpha: float, u0: float, v0: float, rmax: float = 50.0,
         else:
             verdict, r_end = "blow-up", float(sol.t_events[2][0])
     elif sol.status == 0:
-        verdict, r_end = "reached-max-radius", float(rs[-1])
+        verdict, r_end = "reached-max-radius", float(sol.t[-1])
     else:
         # step-size underflow near blow-up: report with the last finite state
-        verdict, r_end = "blow-up", float(rs[-1])
+        verdict, r_end = "blow-up", float(sol.t[-1])
 
-    window = [s for s in checkpoints if s.u > 0 and s.v <= 0]
-    max_z = max((monitor_z(n, s.u, s.p, s.v) for s in window), default=None)
-    return ShootingResult(n, alpha, u0, v0, rmax, verdict, r_end,
-                          checkpoints, max_z, v0 > 0)
+    u, p, v = sol.y[0], sol.y[1], sol.y[2]
+    window = (u > 0) & (v <= 0)
+    max_z = (float(monitor_z(n, u[window], p[window], v[window]).max())
+             if window.any() else None)
+    return ShootingResult(n, alpha, u0, v0, rmax, verdict, r_end, sol.t, sol.y, max_z)
 
 
 @dataclass
@@ -219,40 +204,10 @@ def scan_shooting(n: int, alpha: float, u0_grid=None, v0_grid=None,
             results)
 
 
-@dataclass
-class Prop22Report:
-    """Monitor of the second-order estimate along the valid window."""
-    n: int
-    window_points: int
-    max_z: float
-    positive: bool
-    note: str
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "window_points": self.window_points,
-                "max_z": self.max_z, "positive": self.positive, "note": self.note}
-
-
-def check_prop22(result: ShootingResult) -> Prop22Report:
-    """Max of Z over the window where u > 0 and v <= 0.
-
-    The estimate's hypotheses are global (complete manifold, entire
-    solution), so a positive local max is logged as out-of-hypothesis
-    evidence, never as a refutation.
-    """
-    window = [s for s in result.checkpoints if s.u > 0 and s.v <= 0]
-    if not window:
-        raise ValueError("trajectory has no valid window (u > 0, v <= 0)")
-    z = max(monitor_z(result.n, s.u, s.p, s.v) for s in window)
-    note = ("out-of-hypothesis: local trajectory, no global estimate implied"
-            if z > 0 else "monitor nonpositive on the window")
-    return Prop22Report(result.n, len(window), z, z > 0, note)
-
-
 def dump_trajectory_csv(result: ShootingResult, path: str):
     """Checkpoint dump: r, u, p, v, q, Z per line."""
     with open(path, "w") as fh:
         fh.write("r,u,p,v,q,Z\n")
-        for s in result.checkpoints:
-            z = monitor_z(result.n, s.u, s.p, s.v) if s.u > 0 else math.nan
-            fh.write(f"{s.r!r},{s.u!r},{s.p!r},{s.v!r},{s.q!r},{z!r}\n")
+        for r, u, p, v, q in zip(result.r.tolist(), *result.y.tolist()):
+            z = monitor_z(result.n, u, p, v) if u > 0 else math.nan
+            fh.write(f"{r!r},{u!r},{p!r},{v!r},{q!r},{z!r}\n")

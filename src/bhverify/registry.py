@@ -412,21 +412,17 @@ def all_identities() -> tuple[Identity, ...]:
     ids.append(Identity("I13", "flux identity for Lap * |Du|^2 * Du / u^2",
                         "wdiv", w0, lhs13, rhs13, SubstitutionMode.FREE, bstar()))
 
-    # Flux identity for u * F_i.  The transcribed display omits the term
-    # (1 - 2*alpha/(n+4)) * uF produced by the Leibniz rule on the u-power
-    # and the weight; the registered right side carries it and the omission
-    # is recorded in ERRATA.  The inequality the display feeds absorbs the
-    # term into its generic constant, so nothing downstream changes.
+    # Flux identity for u * F_i.  The uF coefficient carries the Leibniz term
+    # (1 - 2*alpha/(n+4)) that the printed display omits (ERRATA).
     rhs14 = (upow(g_sym, 1)
              + upow(e_sc, 1).scale(frac(1, 2) * K * ((N + 2) / N - (N - 2) * ALPHA / (N + 4)))
              + upow(f_sc, 1).scale(-(N + 2) / (2 * N) * K + 1 - 2 * ALPHA / (N + 4)))
     ids.append(Identity("I14", "flux identity for u * first-order-vector",
                         "wdiv", w0, upow(f_i, 1), rhs14, SubstitutionMode.FREE, bstar()))
 
-    # Flux identity for Lap * Du.  The transcribed display prints the
-    # |Du|^4/u^2 coefficient as (1/6)*K*((n-2)a/(n+4)+(n+2)/n); the derived
-    # coefficient is -(1/4)*K*((n+2)/n-(n-2)a/(n+4)).  Recorded in ERRATA;
-    # the Lap-term coefficient matches the display exactly.
+    # Flux identity for Lap * Du.  The |Du|^4/u^2 coefficient is the derived
+    # one, not the printed one (ERRATA); the Lap-term coefficient matches the
+    # display exactly.
     rhs15 = (expr(1, mono(0, ("Lap",), ("Lap",)))
              + upow(f_sc, 1)
              + expr(frac(1, 2) * ((N - 2) * ALPHA / (N + 4) + (N + 2) / N),
@@ -440,54 +436,51 @@ def all_identities() -> tuple[Identity, ...]:
     return tuple(ids)
 
 
-# Discrepancies between the transcribed source displays and the derived
-# identities.  Each registered identity carries the derived (correct) right
-# side; the printed variants below fail verification with exactly the listed
-# residual, which the test suite asserts.
-ERRATA: tuple[dict, ...] = (
-    {
-        "identity": "I14",
-        "term": "uF",
-        "printed_coefficient": "-(n+2)/(2n) * (1 + n*alpha/(n+4))",
-        "derived_coefficient": "-(n+2)/(2n) * (1 + n*alpha/(n+4)) + 1 - 2*alpha/(n+4)",
-        "note": "printed display drops the Leibniz terms of the u-power and "
-                "the weight; the inequality it feeds absorbs uF into its "
-                "generic constant, so the downstream estimate is unaffected",
-    },
-    {
-        "identity": "I15",
-        "term": "|Du|^4/u^2",
-        "printed_coefficient": "(1/6) * (1 + n*alpha/(n+4)) * ((n-2)*alpha/(n+4) + (n+2)/n)",
-        "derived_coefficient": "-(1/4) * (1 + n*alpha/(n+4)) * ((n+2)/n - (n-2)*alpha/(n+4))",
-        "note": "quartic gradient coefficient of the printed display does not "
-                "match the expansion; the estimate it feeds only needs "
-                "boundedness of this coefficient, so it is unaffected",
-    },
-)
+# Where a transcribed source display differs from the derived identity: id ->
+# (right-side monomial, coefficient as printed).  Each registered identity
+# carries the derived coefficient; printed_variant puts the printed one back,
+# and its verification leaves exactly that residual, which the test suite
+# asserts.
+#   I14, uF: the display drops the Leibniz terms (1 - 2*alpha/(n+4)) of the
+#     u-power and the weight; the inequality it feeds absorbs uF into its
+#     generic constant, so the downstream estimate is unaffected.
+#   I15, |Du|^4/u^2: the derived coefficient is
+#     -(1/4) * K * ((n+2)/n - (n-2)*alpha/(n+4)); the estimate it feeds only
+#     needs boundedness of this coefficient, so it is unaffected.
+ERRATA: dict[str, tuple] = {
+    "I14": (mono(0, ("Du", "i"), ("Fvec", "i")), -(N + 2) / (2 * N) * _k()),
+    "I15": (mono(-2, ("Du", "i"), ("Du", "i"), ("Du", "j"), ("Du", "j")),
+            frac(1, 6) * ((N - 2) * ALPHA / (N + 4) + (N + 2) / N) * _k()),
+}
+
+
+def _replace_coefficient(ident: Identity, m, coeff: ParamScalar, suffix: str,
+                         note: str) -> Identity:
+    """Copy of the identity with the right-side coefficient of m replaced."""
+    terms = dict(ident.rhs.terms)
+    terms[m] = coeff
+    return Identity(ident.id + suffix, f"{ident.anchor} ({note})", ident.kind,
+                    ident.weight, ident.lhs, TExpr(ident.rhs.valence, terms),
+                    ident.mode, ident.b)
 
 
 def printed_variant(identity_id: str) -> Identity:
     """The identity with the right side as printed in the source display,
-    for the two entries of ERRATA; verification exhibits the residual."""
-    K = _k()
-    if identity_id == "I14":
-        base = get_identity("I14")
-        rhs = (upow(_gscal_sym(), 1)
-               + upow(_e_scalar(), 1)
-               .scale(frac(1, 2) * K * ((N + 2) / N - (N - 2) * ALPHA / (N + 4)))
-               + upow(_f_scalar(), 1).scale(-(N + 2) / (2 * N) * K))
-    elif identity_id == "I15":
-        base = get_identity("I15")
-        rhs = (expr(1, mono(0, ("Lap",), ("Lap",)))
-               + upow(_f_scalar(), 1)
-               + expr(frac(1, 2) * ((N - 2) * ALPHA / (N + 4) + (N + 2) / N),
-                      mono(-1, ("Lap",), ("Du", "k"), ("Du", "k")))
-               + expr(frac(1, 6) * ((N - 2) * ALPHA / (N + 4) + (N + 2) / N) * K,
-                      mono(-2, ("Du", "i"), ("Du", "i"), ("Du", "j"), ("Du", "j"))))
-    else:
+    for the entries of ERRATA; verification exhibits the residual."""
+    if identity_id not in ERRATA:
         raise KeyError(f"no printed variant recorded for {identity_id!r}")
-    return Identity(base.id + "-printed", base.anchor + " (as printed)", base.kind,
-                    base.weight, base.lhs, rhs, base.mode, base.b)
+    m, printed = ERRATA[identity_id]
+    return _replace_coefficient(get_identity(identity_id), m, printed,
+                                "-printed", "as printed")
+
+
+def perturb_identity(ident: Identity, term_index: int, delta=1) -> Identity:
+    """Copy of the identity with one right-side coefficient shifted by delta.
+
+    Used for mutation testing: any such perturbation must produce a residual.
+    """
+    m, c = ident.rhs.sorted_terms()[term_index % len(ident.rhs.terms)]
+    return _replace_coefficient(ident, m, c + ps(delta), "*", "perturbed")
 
 
 def get_identity(identity_id: str) -> Identity:
@@ -538,20 +531,6 @@ def list_registry() -> list[dict]:
     """Stable-ordered census of the registered identities."""
     return [{"id": i.id, "anchor": i.anchor, "mode": i.mode.value, "kind": i.kind}
             for i in all_identities()]
-
-
-def perturb_identity(ident: Identity, term_index: int, delta=1) -> Identity:
-    """Copy of the identity with one right-side coefficient shifted by delta.
-
-    Used for mutation testing: any such perturbation must produce a residual.
-    """
-    items = ident.rhs.sorted_terms()
-    m, c = items[term_index % len(items)]
-    terms = dict(ident.rhs.terms)
-    terms[m] = c + ps(delta)
-    rhs = TExpr(ident.rhs.valence, terms)
-    return Identity(ident.id + "*", ident.anchor + " (perturbed)", ident.kind,
-                    ident.weight, ident.lhs, rhs, ident.mode, ident.b)
 
 
 # -- combination solver --------------------------------------------------------

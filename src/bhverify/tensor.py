@@ -42,23 +42,21 @@ class FactorInfo:
     arity: int
     # Permutations of local slot positions leaving the factor invariant.
     sym: tuple[tuple[int, ...], ...]
-    # Degree in u under the scaling u -> t*u (curvature and metric carry none).
-    u_degree: int
     traceless: bool = False
 
 
 FACTORS: dict[str, FactorInfo] = {
-    "Du": FactorInfo(1, ((0,),), 1),
-    "D2u": FactorInfo(2, ((0, 1), (1, 0)), 1),
-    "D3u": FactorInfo(3, ((0, 1, 2), (0, 2, 1)), 1),
-    "Lap": FactorInfo(0, ((),), 1),
-    "DLap": FactorInfo(1, ((0,),), 1),
-    "Bilap": FactorInfo(0, ((),), 1),
-    "Ric": FactorInfo(2, ((0, 1), (1, 0)), 0),
-    "g": FactorInfo(2, ((0, 1), (1, 0)), 0),
-    "Etf": FactorInfo(2, ((0, 1), (1, 0)), 1, traceless=True),
-    "Fvec": FactorInfo(1, ((0,),), 1),
-    "Gscal": FactorInfo(0, ((),), 1),
+    "Du": FactorInfo(1, ((0,),)),
+    "D2u": FactorInfo(2, ((0, 1), (1, 0))),
+    "D3u": FactorInfo(3, ((0, 1, 2), (0, 2, 1))),
+    "Lap": FactorInfo(0, ((),)),
+    "DLap": FactorInfo(1, ((0,),)),
+    "Bilap": FactorInfo(0, ((),)),
+    "Ric": FactorInfo(2, ((0, 1), (1, 0))),
+    "g": FactorInfo(2, ((0, 1), (1, 0))),
+    "Etf": FactorInfo(2, ((0, 1), (1, 0)), traceless=True),
+    "Fvec": FactorInfo(1, ((0,),)),
+    "Gscal": FactorInfo(0, ((),)),
 }
 
 _ORDER = {name: i for i, name in enumerate(FACTORS)}
@@ -126,10 +124,6 @@ class TensorMonomial:
             raise MalformedMonomialError("dangling slot: not paired and not declared free")
         if len(self.free) > 3:
             raise MalformedMonomialError(f"{len(self.free)} free slots unsupported")
-
-    def u_degree(self) -> int:
-        """Homogeneity degree under u -> t*u jets."""
-        return self.u_power + sum(FACTORS[s].u_degree for s in self.symbols)
 
     # -- identity ------------------------------------------------------------
 
@@ -377,9 +371,6 @@ class TExpr:
 
     def sorted_terms(self) -> list[tuple[TensorMonomial, ParamScalar]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].key())
-
-    def u_degrees(self) -> set[int]:
-        return {m.u_degree() for m in self.terms}
 
     def render(self) -> str:
         if self.is_zero:

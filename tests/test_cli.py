@@ -187,6 +187,7 @@ def test_radial_grid_rejected(spec, reason, capsys):
     (["radial", "--rmax", "nan", "--grid", "1x1"], "--rmax"),
     (["oracle", "--samples", "0", "--dims", "5"], "--samples"),
     (["oracle", "--samples", "-3", "--dims", "5"], "--samples"),
+    (["oracle", "--seed", "-1", "--samples", "2", "--dims", "5"], "--seed"),
     (["oracle", "--samples", "2", "--dims", "1"], "--dims"),
     (["oracle", "--samples", "2", "--dims", "5,4"], "--dims"),
     (["oracle", "--samples", "2", "--dims", "5,x"], "--dims"),
@@ -250,6 +251,9 @@ def test_unknown_identity_id_is_usage_error(tmp_path, capsys):
     ("tol = -1", "--tol"),
     ("tol = nan", "--tol"),
     ("tol = inf", "--tol"),
+    ("seed = -3", "--seed"),
+    ("format = xml", "--format"),
+    ("n = 6.5", "config key n"),
 ])
 def test_out_of_range_config_values_rejected(tmp_path, line, flag, capsys):
     cfg = tmp_path / "bh.cfg"
@@ -257,7 +261,7 @@ def test_out_of_range_config_values_rejected(tmp_path, line, flag, capsys):
     command = {"n_max": "params", "n_range": "scan-pd", "grid": "scan-pd",
                "radial_grid": "radial", "n": "radial", "rmax": "radial",
                "samples": "oracle", "dims": "oracle", "alpha": "radial",
-               "tol": "oracle"}[line.split(" ")[0]]
+               "tol": "oracle", "seed": "oracle", "format": "params"}[line.split(" ")[0]]
     assert run(["--config", str(cfg), command]) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag} ")
 

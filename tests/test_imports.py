@@ -1,4 +1,5 @@
-"""Every name a `bhverify` module imports is referenced in that module."""
+"""Every name a `bhverify` module imports is referenced in that module, and
+every top-level function and class is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,10 @@ import pytest
 import bhverify
 
 MODULES = sorted(Path(bhverify.__file__).parent.glob("*.py"))
+
+# definitions kept for the tests alone: the acceptance mutation checks build
+# on perturb_identity, and printed_variant reproduces the display errata
+UNREFERENCED_ALLOWED = ["registry.py:perturb_identity", "registry.py:printed_variant"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -25,11 +30,47 @@ def _unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def _unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """'module:name' of every top-level function or class that no code in
+    the sources names (as a bare name or an attribute) outside its own body."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    refs: dict[str, list[tuple[str, int]]] = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append((module, node.lineno))
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not any(m != module or not node.lineno <= line <= node.end_lineno
+                       for m, line in refs.get(node.name, [])):
+                out.append(f"{module}:{node.name}")
+    return sorted(out)
+
+
 def test_scan_flags_an_unused_import():
     assert _unused_imports("import os\nfrom typing import Any, List\nx: List = 1\n") \
         == ["Any (line 2)", "os (line 1)"]
 
 
+def test_scan_flags_an_unreferenced_definition():
+    sources = {
+        "a.py": "def f():\n    return f()\n\n\ndef g():\n    pass\n\n\n"
+                "class C:\n    pass\n\n\nclass D:\n    pass\n\n\nh = g\n",
+        "b.py": "from . import a\n\n\ndef k():\n    return a.D()\n",
+    }
+    assert _unreferenced_definitions(sources) == ["a.py:C", "a.py:f", "b.py:k"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_every_definition_is_referenced_in_the_package():
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert _unreferenced_definitions(sources) == UNREFERENCED_ALLOWED

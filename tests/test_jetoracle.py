@@ -1,5 +1,6 @@
 """Flat-jet numeric oracle: evaluation semantics, identity checks, sharp constant."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -11,25 +12,47 @@ from bhverify.cli import run_oracle
 from bhverify.coeffs import ALPHA as _ALPHA_PS
 from bhverify.coeffs import ParamScalar
 from bhverify.errors import CompositeDerivativeError, OrderOverflowError
-from bhverify.jetoracle import (JetSample, OracleIdentityReport, _params_for,
+from bhverify.jetoracle import (JetSample, OracleIdentityReport,
+                                _composite_arrays, _params_for,
                                 _probe_min_ratio, check_all_identities,
-                                eval_expr, eval_terms_batch,
-                                flat_leibniz_terms, identity_homogeneity,
-                                identity_lhs_flat_terms, jet_batch,
-                                numeric_check_identity, sample_jet, scale_jet,
+                                eval_terms_batch, flat_leibniz_terms,
+                                identity_lhs_flat_terms, jet_batch, sample_jet,
                                 sharp_constant_certificate,
-                                sharp_constant_search, stack_jets)
+                                sharp_constant_search)
 from bhverify.registry import all_identities, get_identity, perturb_identity
 from bhverify.tensor import expr, frob, mono, to_labeled
 
 
-def unit_jet(n=5, g1=None, g2=None):
-    """Hand-built jet for the closed-form examples."""
-    j = sample_jet(0, n)
-    j.u = 1.0
-    j.g1 = np.zeros(n) if g1 is None else np.asarray(g1, float)
-    j.g2 = np.zeros((n, n)) if g2 is None else np.asarray(g2, float)
-    return j
+def unit_batch(n=5, g1=None, g2=None):
+    """One hand-built jet, as a batch, for the closed-form examples."""
+    b = jet_batch(0, n, 1)
+    b["u"][0] = 1.0
+    b["g1"][0] = 0.0 if g1 is None else g1
+    b["g2"][0] = 0.0 if g2 is None else g2
+    return b
+
+
+def batch_terms(terms, batch, params):
+    return eval_terms_batch(terms, batch, params, _composite_arrays(batch, params))
+
+
+def batch_value(e, batch, params):
+    """Value of a canonical expression at every jet of a batch."""
+    return batch_terms([(c, m) for m, c in e.terms.items()], batch, params)
+
+
+def scaled_batch(batch, lam, alpha=None):
+    """The jets of lam*u; with alpha (onshell) w4 is recomputed as (lam*u)^alpha."""
+    out = {k: v if k == "n" else lam * v for k, v in batch.items()}
+    if alpha is not None:
+        out["w4"] = out["u"] ** float(alpha)
+    return out
+
+
+def check_one(monkeypatch, ident, **kwargs):
+    """check_all_identities with ident as the only registered identity."""
+    monkeypatch.setattr(jetoracle, "all_identities", lambda: (ident,))
+    return check_all_identities(**kwargs)[0]
 
 
 PARAMS5 = _params_for(5, Fraction(2), Fraction(1))
@@ -53,41 +76,43 @@ class TestSampling:
         j = sample_jet(9, 5, "onshell", alpha=Fraction(2))
         assert j.w4 == j.u**2
 
-    def test_replay_roundtrip_bit_exact(self):
-        j = sample_jet(17, 5)
-        k = JetSample.from_json(j.to_json())
-        assert k.u == j.u and (k.g3 == j.g3).all() and k.w4 == j.w4
+    def test_replay_json_is_the_batch_row_bit_exact(self):
+        d = json.loads(sample_jet(17, 5).to_json())
+        b = jet_batch(17, 5, 1)
+        assert d["u"] == b["u"][0] and d["w4"] == b["w4"][0]
+        for key in ("g1", "g2", "g3"):
+            assert np.array_equal(np.array(d[key]), b[key][0]), key
 
 
 class TestEvaluation:
     def test_gradsq_unit_vector(self):
-        j = unit_jet(g1=np.eye(5)[0])
+        b = unit_batch(g1=np.eye(5)[0])
         e = expr(1, mono(0, ("Du", "k"), ("Du", "k")))
-        assert eval_expr(e, j, PARAMS5) == 1.0
+        assert batch_value(e, b, PARAMS5)[0] == 1.0
 
     def test_lap_identity_hessian(self):
-        j = unit_jet(g2=np.eye(5))
-        assert eval_expr(expr(1, mono(0, ("Lap",))), j, PARAMS5) == 5.0
+        b = unit_batch(g2=np.eye(5))
+        assert batch_value(expr(1, mono(0, ("Lap",))), b, PARAMS5)[0] == 5.0
 
     def test_ric_evaluates_to_zero(self):
-        j = sample_jet(1, 5)
         e = expr(1, mono(0, ("Ric", "i", "j"), ("Du", "i"), ("Du", "j")))
-        assert eval_expr(e, j, PARAMS5) == 0.0
+        assert batch_value(e, jet_batch(1, 5, 1), PARAMS5)[0] == 0.0
 
     def test_tracefree_square_dense_matrix_oracle(self):
         """Etf_ij Etf^ij evaluated through the einsum path equals the direct
         dense-matrix computation, both in symbol space and expanded."""
-        j = sample_jet(11, 6)
+        batch = jet_batch(11, 6, 1)
+        u, g1, g2 = batch["u"][0], batch["g1"][0], batch["g2"][0]
         params = _params_for(6, Fraction(2), Fraction(1))
         b = float(params["b"])
         n = 6
-        e_mat = (j.g2 + b * np.outer(j.g1, j.g1) / j.u
-                 - (np.trace(j.g2) + b * (j.g1 @ j.g1) / j.u) / n * np.eye(n))
+        e_mat = (g2 + b * np.outer(g1, g1) / u
+                 - (np.trace(g2) + b * (g1 @ g1) / u) / n * np.eye(n))
         direct = float((e_mat * e_mat).sum())
         ee = frob(expr(1, mono(0, ("Etf", "x", "y"), free=("x", "y"))),
                   expr(1, mono(0, ("Etf", "x", "y"), free=("x", "y"))))
-        sym = eval_expr(ee, j, params)
-        jet = eval_expr(substitute_defs(ee, "backward", b=bstar()), j, params)
+        sym = batch_value(ee, batch, params)[0]
+        jet = batch_value(substitute_defs(ee, "backward", b=bstar()), batch, params)[0]
         assert abs(sym - direct) < 1e-12 * (1 + abs(direct))
         assert abs(jet - direct) < 1e-12 * (1 + abs(direct))
 
@@ -96,15 +121,13 @@ class TestEvaluation:
         ident = get_identity("I6")
         diff = expand_lhs(ident) - expand_rhs(ident)
         assert diff.is_zero
-        for seed in range(20):
-            assert eval_expr(diff, sample_jet(seed, 5), PARAMS5) == 0.0
+        assert (batch_value(diff, jet_batch(0, 5, 20), PARAMS5) == 0.0).all()
 
     def test_genericity_nonzero_expression(self):
         """A nonzero canonical expression is nonzero at >= 99% of random jets."""
         e = (expr(1, mono(-1, ("Lap",), ("Du", "k"), ("Du", "k")))
              + expr(2, mono(0, ("D2u", "i", "j"), ("D2u", "i", "j"))))
-        hits = sum(abs(eval_expr(e, sample_jet(s, 5), PARAMS5)) > 1e-12
-                   for s in range(200))
+        hits = np.sum(np.abs(batch_value(e, jet_batch(0, 5, 200), PARAMS5)) > 1e-12)
         assert hits >= 198
 
 
@@ -118,12 +141,10 @@ class TestFlatVsCovariant:
             cov = expand_lhs(ident)
             cov_terms = [(c, m) for m, c in cov.terms.items()]
             flat_terms, _ = identity_lhs_flat_terms(ident)
-            jets = [sample_jet(100 + s, 5,
-                               "onshell" if ident.mode is SubstitutionMode.ON_SHELL
-                               else "free", Fraction(2)) for s in range(40)]
-            batch = stack_jets(jets)
-            a = eval_terms_batch(cov_terms, batch, PARAMS5)
-            b = eval_terms_batch(flat_terms, batch, PARAMS5)
+            mode = "onshell" if ident.mode is SubstitutionMode.ON_SHELL else "free"
+            batch = jet_batch(100, 5, 40, mode, Fraction(2))
+            a = batch_terms(cov_terms, batch, PARAMS5)
+            b = batch_terms(flat_terms, batch, PARAMS5)
             scale = 1.0 + np.abs(a) + np.abs(b)
             assert np.max(np.abs(a - b) / scale) < 1e-12
 
@@ -133,7 +154,7 @@ class TestIdentityChecks:
         for rep in check_all_identities(samples=60, dims=(5,), seed=2):
             assert rep.passed, (rep.id, rep.max_rel_residual)
 
-    def test_perturbed_coefficient_detected_at_matching_scale(self):
+    def test_perturbed_coefficient_detected_at_matching_scale(self, monkeypatch):
         """A 1e-3 shift of the |Du|^2 E-term coefficient (the one carrying
         A13) shows up as a residual of order 1e-3."""
         ident = get_identity("I12")
@@ -141,14 +162,14 @@ class TestIdentityChecks:
         idx = next(i for i, (m, _) in enumerate(items)
                    if "Etf" in m.symbols and m.symbols.count("Du") == 4)
         mutated = perturb_identity(ident, idx, Fraction(1, 1000))
-        rep = numeric_check_identity(mutated, samples=60, dims=(5,), seed=4)
+        rep = check_one(monkeypatch, mutated, samples=60, dims=(5,), seed=4)
         assert not rep.passed
         assert 1e-6 < rep.max_rel_residual < 1.0
         assert rep.failing_jets  # replay records captured
 
-    def test_report_determinism(self):
-        a = numeric_check_identity(get_identity("I7"), samples=30, dims=(5,), seed=9)
-        b = numeric_check_identity(get_identity("I7"), samples=30, dims=(5,), seed=9)
+    def test_report_determinism(self, monkeypatch):
+        a = check_one(monkeypatch, get_identity("I7"), samples=30, dims=(5,), seed=9)
+        b = check_one(monkeypatch, get_identity("I7"), samples=30, dims=(5,), seed=9)
         assert a.to_dict() == b.to_dict()
 
     def test_degenerate_gradient_jet(self):
@@ -156,45 +177,36 @@ class TestIdentityChecks:
         ident = get_identity("I1")
         lhs_terms, _ = identity_lhs_flat_terms(ident)
         rhs_terms = [(c, m) for m, c in ident.rhs.terms.items()]
-        j = sample_jet(8, 5)
-        j.g1 = np.zeros(5)
-        batch = stack_jets([j])
-        a = eval_terms_batch(lhs_terms, batch, PARAMS5)
-        b = eval_terms_batch(rhs_terms, batch, PARAMS5)
+        batch = jet_batch(8, 5, 1)
+        batch["g1"][0] = 0.0
+        a = batch_terms(lhs_terms, batch, PARAMS5)
+        b = batch_terms(rhs_terms, batch, PARAMS5)
         assert np.isfinite(a).all() and np.isfinite(b).all()
         assert abs(a[0] - b[0]) < 1e-12 * (1 + abs(a[0]) + abs(b[0]))
 
     def test_scale_covariance_free_identities(self):
-        """Both sides scale by lambda^h under u -> lambda*u, h the common
-        homogeneity degree."""
-        for iid in ("I3", "I6", "I13", "I15"):
-            ident = get_identity(iid)
-            h = identity_homogeneity(ident)
-            lhs_terms, _ = identity_lhs_flat_terms(ident)
-            j = sample_jet(31, 5)
-            base = eval_terms_batch(lhs_terms, stack_jets([j]), PARAMS5)[0]
+        """The left side scales by lambda^h under u -> lambda*u, h the
+        homogeneity degree: each factor of u or a derivative counts 1, each
+        power of u its exponent."""
+        batch = jet_batch(31, 5, 1)
+        for iid, h in (("I1", 0), ("I3", 1), ("I6", 2), ("I13", 2), ("I15", 2)):
+            lhs_terms, _ = identity_lhs_flat_terms(get_identity(iid))
+            base = batch_terms(lhs_terms, batch, PARAMS5)[0]
             for lam in (0.5, 2.0):
-                scaled = eval_terms_batch(
-                    lhs_terms, stack_jets([scale_jet(j, lam)]), PARAMS5)[0]
-                assert abs(scaled - lam**h * base) < 1e-9 * (1 + abs(scaled))
+                scaled = batch_terms(lhs_terms, scaled_batch(batch, lam), PARAMS5)[0]
+                assert abs(scaled - lam**h * base) < 1e-9 * (1 + abs(scaled)), iid
 
     def test_scale_covariance_onshell_identity(self):
         """On-shell identities still balance at rescaled on-shell jets."""
         ident = get_identity("I12")
         lhs_terms, _ = identity_lhs_flat_terms(ident)
         rhs_terms = [(c, m) for m, c in ident.rhs.terms.items()]
-        j = sample_jet(13, 5, "onshell", Fraction(2))
+        batch = jet_batch(13, 5, 1, "onshell", Fraction(2))
         for lam in (0.5, 2.0):
-            sj = scale_jet(j, lam, alpha=Fraction(2))
-            batch = stack_jets([sj])
-            a = eval_terms_batch(lhs_terms, batch, PARAMS5)[0]
-            b = eval_terms_batch(rhs_terms, batch, PARAMS5)[0]
+            scaled = scaled_batch(batch, lam, alpha=Fraction(2))
+            a = batch_terms(lhs_terms, scaled, PARAMS5)[0]
+            b = batch_terms(rhs_terms, scaled, PARAMS5)[0]
             assert abs(a - b) < 1e-10 * (1 + abs(a) + abs(b))
-
-    def test_identity_homogeneity_values(self):
-        assert identity_homogeneity(get_identity("I1")) == 0
-        assert identity_homogeneity(get_identity("I3")) == 1
-        assert identity_homogeneity(get_identity("I12")) == 2
 
 
 class TestSharpConstant:
@@ -296,8 +308,8 @@ def _ref_numeric_check_identity(ident, samples=1000, dims=(5, 6, 8), tol=1e-9,
         jets = [_ref_sample_jet(seed + 1_000_000 * n + k, n, mode, alpha)
                 for k in range(samples)]
         batch = _ref_stack_jets(jets)
-        lhs = eval_terms_batch(lhs_terms, batch, params)
-        rhs = eval_terms_batch(rhs_terms, batch, params)
+        lhs = batch_terms(lhs_terms, batch, params)
+        rhs = batch_terms(rhs_terms, batch, params)
         if out_valence == 0:
             rel = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
         else:
@@ -431,8 +443,6 @@ class TestAgainstReplacedCode:
         mutated = perturb_identity(ident, idx, Fraction(1, 1000))
         want = _ref_numeric_check_identity(mutated, samples=40, dims=(5, 6), seed=4)
         assert want.failing_jets and not want.passed
-        assert numeric_check_identity(mutated, samples=40, dims=(5, 6),
-                                      seed=4).to_dict() == want.to_dict()
         idents = [mutated if i.id == "I12" else i for i in all_identities()]
         monkeypatch.setattr(jetoracle, "all_identities", lambda: tuple(idents))
         got = {r.id: r.to_dict() for r in check_all_identities(samples=40, dims=(5, 6),

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from bhverify.radial import (Prop22Report, RadialState, ShootingResult,
-                             check_prop22, default_grids, dump_trajectory_csv,
+from bhverify import radial
+from bhverify.radial import (RadialState, default_grids, dump_trajectory_csv,
                              monitor_z, scan_shooting, series_start, shoot)
 
 
@@ -35,11 +35,9 @@ class TestVerdicts:
                              "blow-up")
         assert r.max_z is not None
 
-    def test_positive_v0_guarded(self):
-        with pytest.raises(ValueError):
+    def test_positive_v0_rejected(self):
+        with pytest.raises(ValueError, match="center hypothesis"):
             shoot(6, 2.0, 1.0, 0.5)
-        r = shoot(6, 2.0, 1.0, 0.5, allow_positive_v0=True)
-        assert r.out_of_hypothesis
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -87,33 +85,16 @@ class TestScan:
 
 
 class TestMonitor:
-    def test_zero_gradient_window_is_nonpositive(self):
-        """With p == 0 on the window and v < 0 the monitor is negative."""
-        states = [RadialState(0.1 * k, 1.0, 0.0, -0.5, 0.0) for k in range(1, 5)]
-        res = ShootingResult(6, 2.0, 1.0, -0.5, 1.0, "reached-max-radius",
-                             0.4, states, None, False)
-        rep = check_prop22(res)
-        assert rep.max_z < 0 and not rep.positive
+    def test_zero_gradient_is_nonpositive(self):
+        """With p == 0 and v < 0 the monitor is negative."""
+        assert monitor_z(6, 1.0, 0.0, -0.5) < 0
 
     def test_window_definition_keeps_v_nonpositive(self):
         """The a = 0 specialization v/u is <= 0 on the window by construction."""
         r = shoot(6, 2.0, 1.0, -1.0)
-        window = [s for s in r.checkpoints if s.u > 0 and s.v <= 0]
-        assert window and all(s.v / s.u <= 0 for s in window)
-
-    def test_monitor_reported_for_reference_cell(self):
-        r = shoot(6, 2.0, 1.0, -1.0)
-        rep = check_prop22(r)
-        assert rep.window_points > 0
-        assert rep.max_z == r.max_z
-        assert rep.positive == (rep.max_z > 0)
-        assert ("out-of-hypothesis" in rep.note) == rep.positive
-
-    def test_empty_window_raises(self):
-        res = ShootingResult(6, 2.0, 1.0, -0.5, 1.0, "positivity-violated",
-                             0.0, [], None, False)
-        with pytest.raises(ValueError):
-            check_prop22(res)
+        u, v = r.y[0], r.y[2]
+        window = (u > 0) & (v <= 0)
+        assert window.any() and (v[window] / u[window] <= 0).all()
 
 
 def test_trajectory_dump(tmp_path):
@@ -122,6 +103,77 @@ def test_trajectory_dump(tmp_path):
     dump_trajectory_csv(r, str(path))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "r,u,p,v,q,Z"
-    assert len(lines) == len(r.checkpoints) + 1
+    assert len(lines) == len(r.r) + 1
     first = [float(x) for x in lines[1].split(",")]
-    assert first[1] == r.checkpoints[0].u
+    assert first[1] == r.y[0, 0]
+
+
+# -- differential test against the per-RadialState code the arrays replaced -----
+
+
+def _ref_shoot_checkpoints(n, alpha, u0, v0, rmax=50.0, rtol=1e-10, atol=1e-10):
+    """The checkpoints and max_z of the previous shoot, one RadialState per
+    step, from the same solve_ivp call."""
+    def rhs(r, y):
+        u, p, v, q = y
+        ua = max(u, 0.0) ** alpha
+        return [p, v - (n - 1) * p / r, q, ua - (n - 1) * q / r]
+
+    def ev_positivity(r, y):
+        return y[0]
+    ev_positivity.terminal = True
+    ev_positivity.direction = -1
+
+    def ev_subharmonicity(r, y):
+        return y[2]
+    ev_subharmonicity.terminal = True
+    ev_subharmonicity.direction = 1
+
+    def ev_blowup(r, y):
+        return abs(y[0]) - radial.BLOWUP_THRESHOLD
+    ev_blowup.terminal = True
+    ev_blowup.direction = 1
+
+    start = series_start(n, alpha, u0, v0)
+    y0 = [start.u, start.p, start.v, start.q]
+
+    if start.v > 0:
+        return [start], None
+
+    sol = radial.solve_ivp(rhs, (start.r, rmax), y0, rtol=rtol, atol=atol,
+                           events=[ev_positivity, ev_subharmonicity, ev_blowup],
+                           dense_output=False)
+
+    rs, ys = sol.t, sol.y
+    checkpoints = [RadialState(float(r), *map(float, ys[:, i]))
+                   for i, r in enumerate(rs)]
+    window = [s for s in checkpoints if s.u > 0 and s.v <= 0]
+    max_z = max((monitor_z(n, s.u, s.p, s.v) for s in window), default=None)
+    return checkpoints, max_z
+
+
+def _ref_dump_trajectory_csv(n, checkpoints, path):
+    with open(path, "w") as fh:
+        fh.write("r,u,p,v,q,Z\n")
+        for s in checkpoints:
+            z = monitor_z(n, s.u, s.p, s.v) if s.u > 0 else math.nan
+            fh.write(f"{s.r!r},{s.u!r},{s.p!r},{s.v!r},{s.q!r},{z!r}\n")
+
+
+@pytest.mark.parametrize("n, alpha, u0, v0, rmax", [
+    (6, 2.0, 1.0, -1.0, 50.0),      # reference cell
+    (6, 2.0, 1.0, 0.0, 50.0),       # v0 = 0: the series-start early return
+    (5, 2.0, 0.1, -10.0, 50.0),
+    (6, 3.0, 10.0, -10.0, 50.0),
+    (8, 2.0, 0.5, -2.0, 50.0),
+    (6, 2.0, 1.0, -1.0, 0.5),       # stops at rmax before any event
+])
+def test_arrays_equal_per_state_reference(n, alpha, u0, v0, rmax, tmp_path):
+    """max_z and the CSV dump from the checkpoint arrays equal, bit for bit,
+    those of the previous per-RadialState code."""
+    got = shoot(n, alpha, u0, v0, rmax)
+    checkpoints, max_z = _ref_shoot_checkpoints(n, alpha, u0, v0, rmax)
+    assert got.max_z == max_z
+    dump_trajectory_csv(got, str(tmp_path / "got.csv"))
+    _ref_dump_trajectory_csv(n, checkpoints, str(tmp_path / "want.csv"))
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

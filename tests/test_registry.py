@@ -91,7 +91,12 @@ class TestVerification:
     def test_printed_variants_fail_with_recorded_residuals(self):
         """The two display errata are reproducible: the printed right sides
         leave exactly the residuals the errata describe."""
-        assert {e["identity"] for e in ERRATA} == {"I14", "I15"}
+        assert set(ERRATA) == {"I14", "I15"}
+        for iid in ERRATA:
+            # one printed coefficient replaces a registered one; no term is added
+            printed, registered = printed_variant(iid).rhs, get_identity(iid).rhs
+            assert printed.terms.keys() == registered.terms.keys()
+            assert sum(printed.terms[m] != c for m, c in registered.terms.items()) == 1
         r14 = verify_identity(printed_variant("I14"))
         assert r14.status == "residual" and r14.residual_count == 3
         r15 = verify_identity(printed_variant("I15"))
