@@ -203,7 +203,7 @@ def run_oracle(seed: int = 0, samples: int = 1000, dims=(5, 6, 8), tol: float = 
 
 def run_radial(configs, grid_size: int = 10, rmax: float = 50.0,
                dump_dir: str | None = None):
-    from .radial import default_grids, dump_trajectory_csv, scan_shooting
+    from .radial import default_grids, dump_trajectory_csv, scan_shooting, shoot
     u0s, v0s = default_grids(grid_size)
     summaries = []
     ok = True
@@ -212,9 +212,11 @@ def run_radial(configs, grid_size: int = 10, rmax: float = 50.0,
         summaries.append(summary.to_dict())
         ok = ok and summary.survival_fraction == 0.0 and not summary.errors
         if dump_dir:
+            # the scan keeps no trajectories: shoot the middle cell again
             mid = results[len(results) // 2]
             dump_trajectory_csv(
-                mid, os.path.join(dump_dir, f"trajectory_n{n}_a{alpha}.csv"))
+                shoot(n, alpha, mid.u0, mid.v0, rmax),
+                os.path.join(dump_dir, f"trajectory_n{n}_a{alpha}.csv"))
     return summaries, ok
 
 
@@ -330,8 +332,9 @@ def run(argv) -> int:
             grid_s = _pick(args.grid, config, "radial_grid", str, "10x10")
             size = _parse_square_grid(grid_s)
             rmax = _pick(args.rmax, config, "rmax", float, 50.0)
-            _require(rmax > DEFAULT_R0, "--rmax",
-                     f"must exceed the series start r0 = {DEFAULT_R0}, got {rmax}")
+            _require(math.isfinite(rmax) and rmax > DEFAULT_R0, "--rmax",
+                     f"must be a finite value above the series start r0 = {DEFAULT_R0}, "
+                     f"got {rmax}")
             echo.update(n=n, alpha=alpha, grid=f"{size}x{size}", rmax=rmax)
             dump_dir = args.dump_trajectories
             if dump_dir:

@@ -12,22 +12,44 @@ u fails, subharmonicity fails (v > 0), the solution blows up, or it survives
 to the maximum radius.  The nonexistence theorem predicts that no trajectory
 with u0 > 0, v0 <= 0 survives with u > 0 and v <= 0; the scan reports the
 survival fraction, which is consistency evidence only (finite grids prove
-nothing).  Along the valid window (u > 0, v <= 0) the maximum of the
-second-order estimate monitor Z = v/u + (2/(n-4)) p^2/u^2 is recorded; the
-estimate's hypotheses are global (complete manifold, entire solution), so a
-positive maximum on a local trajectory is not a refutation.
+nothing).
+
+A scan classifies all of its cells in one batch: ``shoot_batch`` steps every
+live cell together with scipy's RK45 method (Dormand-Prince 5(4), Hairer,
+Norsett and Wanner, Solving ODEs I, II.4-II.6), each cell with its own step
+size, and locates the events as ``solve_ivp`` does.  ``shoot`` integrates one
+trajectory with ``solve_ivp`` and keeps its checkpoints: it inspects a single
+cell (the CSV dump) and is the reference the batch is tested against.  Along
+the valid window (u > 0, v <= 0) it records the maximum of the second-order
+estimate monitor Z = v/u + (2/(n-4)) p^2/u^2; the estimate's hypotheses are
+global (complete manifold, entire solution), so a positive maximum on a
+local trajectory is not a refutation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 BLOWUP_THRESHOLD = 1e12
 DEFAULT_R0 = 1e-6
+
+# scipy's RK45 step-size controller, which shoot_batch applies per cell
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
+EPS = np.finfo(float).eps
+# brentq's xtol and rtol in solve_ivp's event location
+EVENT_TOL = 4 * EPS
+
+# the terminal events in solve_ivp's order: u falls through 0, v rises
+# through 0, |u| rises through BLOWUP_THRESHOLD
+VERDICTS = ("positivity-violated", "subharmonicity-violated", "blow-up")
+EVENT_RISES = np.array([False, True, True])
 
 
 @dataclass
@@ -53,9 +75,6 @@ class ShootingResult:
     y: np.ndarray                    # (4, len(r)): u, p, v, q at each radius
     max_z: float | None              # max of v/u + (2/(n-4)) p^2/u^2 on the window
 
-    def survived(self) -> bool:
-        return self.verdict == "reached-max-radius"
-
 
 def series_start(n: int, alpha: float, u0: float, v0: float,
                  r0: float = DEFAULT_R0) -> RadialState:
@@ -76,13 +95,8 @@ def monitor_z(n: int, u, p, v):
     return v / u + 2.0 / (n - 4) * p * p / (u * u)
 
 
-def shoot(n: int, alpha: float, u0: float, v0: float, rmax: float = 50.0,
-          rtol: float = 1e-10, atol: float = 1e-10) -> ShootingResult:
-    """Integrate one radial trajectory and classify its termination.
-
-    v0 <= 0 is the subharmonicity hypothesis at the center.  The trajectory
-    is kept as the checkpoint arrays of the integrator.
-    """
+def _check_cell(n: int, alpha: float, u0: float, v0: float):
+    """Raise ValueError unless (n, alpha, u0, v0) is a shot the lab takes."""
     if n < 5:
         raise ValueError("need n >= 5")
     if alpha <= 1:
@@ -91,6 +105,19 @@ def shoot(n: int, alpha: float, u0: float, v0: float, rmax: float = 50.0,
         raise ValueError("need u0 > 0")
     if v0 > 0:
         raise ValueError("v0 > 0 violates the center hypothesis")
+    if not (math.isfinite(u0) and math.isfinite(v0)):
+        raise ValueError(f"need finite u0 and v0, got u0 = {u0}, v0 = {v0}")
+
+
+def shoot(n: int, alpha: float, u0: float, v0: float, rmax: float = 50.0,
+          rtol: float = 1e-10, atol: float = 1e-10) -> ShootingResult:
+    """Integrate one radial trajectory with solve_ivp and classify its
+    termination.
+
+    v0 <= 0 is the subharmonicity hypothesis at the center.  The trajectory
+    is kept as the checkpoint arrays of the integrator.
+    """
+    _check_cell(n, alpha, u0, v0)
 
     def rhs(r, y):
         u, p, v, q = y
@@ -146,6 +173,169 @@ def shoot(n: int, alpha: float, u0: float, v0: float, rmax: float = 50.0,
     return ShootingResult(n, alpha, u0, v0, rmax, verdict, r_end, sol.t, sol.y, max_z)
 
 
+# -- batched integration -------------------------------------------------------------
+
+
+def _rhs_batch(n: int, alpha: float, r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The radial system at radii r (cells,) and states y (cells, 4)."""
+    f = np.empty_like(y)
+    f[:, 0] = y[:, 1]
+    f[:, 1] = y[:, 2] - (n - 1) * y[:, 1] / r
+    f[:, 2] = y[:, 3]
+    f[:, 3] = np.maximum(y[:, 0], 0.0) ** alpha - (n - 1) * y[:, 3] / r
+    return f
+
+
+def _event_values(y: np.ndarray) -> np.ndarray:
+    """The three event functions, in VERDICTS order, at states y (..., 4)."""
+    return np.stack([y[..., 0], y[..., 2], np.abs(y[..., 0]) - BLOWUP_THRESHOLD],
+                    axis=-1)
+
+
+def _rms(x: np.ndarray) -> np.ndarray:
+    """scipy's RMS norm, per row."""
+    return np.linalg.norm(x, axis=1) / math.sqrt(x.shape[1])
+
+
+def _initial_steps(rhs, r, y, f, rmax, rtol, atol) -> np.ndarray:
+    """scipy's ``select_initial_step`` (Hairer-Norsett-Wanner II.4), per cell."""
+    length = rmax - r
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), length)
+    d2 = _rms((rhs(r + h0, y + h0[:, None] * f) - f) / scale) / h0
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.fmax(d1, d2)) ** (1 / (RK45.error_estimator_order + 1)))
+    return np.minimum(np.minimum(100 * h0, h1), length)
+
+
+def _first_event(K, r_old, r_new, y_old, crossed):
+    """(root, event) of the earliest crossed event on one accepted step.
+
+    Each crossing is refined by brentq on RK45's dense interpolant, as
+    solve_ivp does; K holds the step's stages, (stages + 1, 4).
+    """
+    from scipy.optimize import brentq   # as solve_ivp: only once an event fires
+
+    h = r_new - r_old
+    Q = K.T.dot(RK45.P)
+
+    def event(r, e):
+        x = (r - r_old) / h
+        return _event_values(h * Q.dot(np.cumprod(np.full(Q.shape[1], x))) + y_old)[e]
+
+    return min((brentq(event, r_old, r_new, args=(e,), xtol=EVENT_TOL, rtol=EVENT_TOL), e)
+               for e in np.nonzero(crossed)[0])
+
+
+class BatchRun(NamedTuple):
+    """Per-cell outcome of ``shoot_batch``, in the order of its start states."""
+    verdicts: list             # a verdict, or None for a cell in errors
+    radii: np.ndarray          # termination radius
+    nfev: np.ndarray           # right-hand-side evaluations
+    steps: np.ndarray          # accepted steps
+    errors: dict               # cell -> message of a failed event location
+
+
+def shoot_batch(n: int, alpha: float, starts, rmax: float = 50.0,
+                rtol: float = 1e-10, atol: float = 1e-10) -> BatchRun:
+    """Integrate many trajectories at once and classify each as ``shoot``.
+
+    ``starts`` holds one series-start state (u, p, v, q) at r = DEFAULT_R0
+    per row, each finite with v <= 0, and rmax > DEFAULT_R0.  All live cells
+    are stepped together as (cells, 4) arrays with scipy's RK45 tableau and
+    controller, each cell with its own step size.  After each accepted step
+    the events are found from sign changes with solve_ivp's direction rules
+    and refined on the dense interpolant; the earliest root decides the
+    verdict.  A step below 10 ulp(r) fails, and the cell is a blow-up at its
+    last radius.  A finished cell drops out of the arrays.
+    """
+    rhs = partial(_rhs_batch, n, alpha)
+    rtol = max(rtol, 100 * EPS)     # solve_ivp's floor
+    if atol < 0:
+        raise ValueError("`atol` must be positive.")   # as solve_ivp
+    y = np.array(starts, dtype=float).reshape(-1, 4)
+    cells = len(y)
+    verdicts: list = [None] * cells
+    radii = np.full(cells, np.nan)
+    nfev = np.full(cells, 2)       # the start's f and the initial-step probe
+    steps = np.zeros(cells, dtype=int)
+    errors: dict = {}
+    live = np.arange(cells)
+    r = np.full(cells, DEFAULT_R0)
+    stages = RK45.n_stages
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = rhs(r, y)
+        h = _initial_steps(rhs, r, y, f, rmax, rtol, atol)
+        g = _event_values(y)
+        retry = np.zeros(cells, dtype=bool)    # the last attempt was rejected
+        while live.size:
+            min_step = 10 * np.abs(np.nextafter(r, np.inf) - r)
+            h = np.where(retry, h, np.maximum(h, min_step))
+            r_new = np.minimum(r + h, rmax)
+            h = r_new - r
+            K = np.empty((stages + 1,) + y.shape)
+            flat = K.reshape(stages + 1, -1)
+            K[0] = f
+            for s in range(1, stages):
+                dy = (RK45.A[s, :s] @ flat[:s]).reshape(y.shape) * h[:, None]
+                K[s] = rhs(r + RK45.C[s] * h, y + dy)
+            y_new = y + h[:, None] * (RK45.B @ flat[:stages]).reshape(y.shape)
+            K[stages] = f_new = rhs(r_new, y_new)
+            nfev[live] += stages
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms((RK45.E @ flat).reshape(y.shape) * h[:, None] / scale)
+
+            # err == 0 gives MAX_FACTOR through err ** ERROR_EXPONENT = inf;
+            # fmax keeps Python's max(MIN_FACTOR, nan) == MIN_FACTOR
+            accepted = err < 1
+            grow = np.minimum(MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+            grow = np.where(retry, np.minimum(1.0, grow), grow)
+            shrink = np.fmax(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+            h = h * np.where(accepted, grow, shrink)
+            retry = ~accepted
+
+            # a retry below 10 ulp(r) fails: a blow-up at the last radius
+            # (so does a NaN step, which would otherwise be retried forever)
+            done = retry & ~(h >= min_step)
+            for k in np.nonzero(done)[0]:
+                verdicts[live[k]], radii[live[k]] = "blow-up", r[k]
+            acc = np.nonzero(accepted)[0]
+            steps[live[acc]] += 1
+            g_new = _event_values(y_new[acc])
+            g_old = g[acc]
+            crossed = np.where(EVENT_RISES, (g_old <= 0) & (g_new >= 0),
+                               (g_old >= 0) & (g_new <= 0))
+            for j in np.nonzero(crossed.any(axis=1))[0]:
+                k = acc[j]
+                try:
+                    root, e = _first_event(K[:, k], r[k], r_new[k], y[k], crossed[j])
+                except ValueError as exc:   # brentq found no sign change
+                    errors[int(live[k])] = str(exc)
+                else:
+                    verdicts[live[k]], radii[live[k]] = VERDICTS[e], root
+                done[k] = True
+            for k in acc[(r_new[acc] == rmax) & ~done[acc]]:
+                verdicts[live[k]], radii[live[k]] = "reached-max-radius", rmax
+                done[k] = True
+            r[acc], y[acc], f[acc], g[acc] = r_new[acc], y_new[acc], f_new[acc], g_new
+            if done.any():
+                keep = ~done
+                live, r, y, f, h, g, retry = (a[keep] for a in (live, r, y, f, h, g, retry))
+    return BatchRun(verdicts, radii, nfev, steps, errors)
+
+
+# -- scans ---------------------------------------------------------------------------
+
+
+class ScanCell(NamedTuple):
+    """One classified cell of a scan."""
+    u0: float
+    v0: float
+    verdict: str
+    termination_radius: float
+
+
 @dataclass
 class ScanSummary:
     n: int
@@ -175,10 +365,13 @@ def default_grids(size: int = 10):
 
 def scan_shooting(n: int, alpha: float, u0_grid=None, v0_grid=None,
                   rmax: float = 50.0, rtol: float = 1e-10,
-                  atol: float = 1e-10) -> tuple[ScanSummary, list[ShootingResult]]:
-    """Run shoot on every grid cell; survivors keep u > 0 and v <= 0 to rmax.
+                  atol: float = 1e-10) -> tuple[ScanSummary, list[ScanCell]]:
+    """Classify every grid cell as ``shoot`` does, all in one ``shoot_batch``;
+    survivors keep u > 0 and v <= 0 to rmax.
 
-    Per-cell failures are collected, not fatal.  An empty grid gives an
+    Per-cell failures are collected, not fatal: a cell with invalid
+    parameters or start values never enters the batch.  Cells whose series
+    start already has v > 0 need no integration.  An empty grid gives an
     empty table.
     """
     if u0_grid is None or v0_grid is None:
@@ -187,20 +380,40 @@ def scan_shooting(n: int, alpha: float, u0_grid=None, v0_grid=None,
         v0_grid = d_v if v0_grid is None else v0_grid
     if any(v > 0 for v in v0_grid):
         raise ValueError("scan grids must keep v0 <= 0")
-    results, errors = [], []
-    counts: dict[str, int] = {}
+    if not (math.isfinite(rmax) and rmax > DEFAULT_R0):
+        raise ValueError(f"rmax must be finite and exceed r0 = {DEFAULT_R0}, got {rmax}")
+    cells, starts = [], []      # a ScanCell, an error, or a row of starts
     for u0 in u0_grid:
         for v0 in v0_grid:
+            u0, v0 = float(u0), float(v0)
             try:
-                res = shoot(n, alpha, float(u0), float(v0), rmax, rtol, atol)
-                results.append(res)
-                counts[res.verdict] = counts.get(res.verdict, 0) + 1
-            except Exception as exc:  # per-cell, non-fatal
-                errors.append({"u0": float(u0), "v0": float(v0), "error": str(exc)})
-    survivors = sum(1 for r in results if r.survived())
-    cells = len(results) + len(errors)
-    frac = survivors / cells if cells else 0.0
-    return (ScanSummary(n, alpha, rmax, cells, survivors, frac, counts, errors),
+                _check_cell(n, alpha, u0, v0)
+                start = series_start(n, alpha, u0, v0)
+            except (ValueError, OverflowError) as exc:  # per-cell, non-fatal
+                cells.append({"u0": u0, "v0": v0, "error": str(exc)})
+                continue
+            if start.v > 0:     # as in shoot: no integration needed
+                cells.append(ScanCell(u0, v0, "subharmonicity-violated", start.r))
+            else:
+                cells.append(len(starts))
+                starts.append((u0, v0, (start.u, start.p, start.v, start.q)))
+    run = shoot_batch(n, alpha, [s[2] for s in starts], rmax, rtol, atol)
+    results, errors = [], []
+    for cell in cells:
+        if isinstance(cell, int):
+            u0, v0, _ = starts[cell]
+            if cell in run.errors:
+                cell = {"u0": u0, "v0": v0, "error": run.errors[cell]}
+            else:
+                cell = ScanCell(u0, v0, run.verdicts[cell], float(run.radii[cell]))
+        (errors if isinstance(cell, dict) else results).append(cell)
+    counts: dict[str, int] = {}
+    for cell in results:
+        counts[cell.verdict] = counts.get(cell.verdict, 0) + 1
+    survivors = counts.get("reached-max-radius", 0)
+    total = len(results) + len(errors)
+    frac = survivors / total if total else 0.0
+    return (ScanSummary(n, alpha, rmax, total, survivors, frac, counts, errors),
             results)
 
 

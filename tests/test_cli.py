@@ -185,6 +185,7 @@ def test_radial_grid_rejected(spec, reason, capsys):
     (["radial", "--rmax", "-1", "--grid", "1x1"], "--rmax"),
     (["radial", "--rmax", "1e-6", "--grid", "1x1"], "--rmax"),
     (["radial", "--rmax", "nan", "--grid", "1x1"], "--rmax"),
+    (["radial", "--rmax", "inf", "--grid", "1x1"], "--rmax"),
     (["oracle", "--samples", "0", "--dims", "5"], "--samples"),
     (["oracle", "--samples", "-3", "--dims", "5"], "--samples"),
     (["oracle", "--seed", "-1", "--samples", "2", "--dims", "5"], "--seed"),
@@ -243,6 +244,7 @@ def test_unknown_identity_id_is_usage_error(tmp_path, capsys):
     ("radial_grid = 2x8", "--grid"),
     ("n = 4", "--n"),
     ("rmax = -1", "--rmax"),
+    ("rmax = inf", "--rmax"),
     ("samples = 0", "--samples"),
     ("dims = 1", "--dims"),
     ("alpha = 0.5", "--alpha"),

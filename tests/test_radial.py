@@ -1,11 +1,13 @@
 """Radial shooting: starts, verdicts, scans, estimate monitor."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from bhverify import radial
+from bhverify.cli import run_radial
 from bhverify.radial import (RadialState, default_grids, dump_trajectory_csv,
                              monitor_z, scan_shooting, series_start, shoot)
 
@@ -76,6 +78,11 @@ class TestScan:
     def test_positive_v0_grid_rejected(self):
         with pytest.raises(ValueError):
             scan_shooting(6, 2.0, [1.0], [0.5])
+
+    @pytest.mark.parametrize("rmax", [math.inf, math.nan, radial.DEFAULT_R0, -1.0])
+    def test_rmax_outside_the_forward_range_rejected(self, rmax):
+        with pytest.raises(ValueError, match="rmax must be finite"):
+            scan_shooting(6, 2.0, [1.0], [-1.0], rmax=rmax)
 
     def test_default_grids_shape(self):
         u0s, v0s = default_grids(10)
@@ -177,3 +184,136 @@ def test_arrays_equal_per_state_reference(n, alpha, u0, v0, rmax, tmp_path):
     dump_trajectory_csv(got, str(tmp_path / "got.csv"))
     _ref_dump_trajectory_csv(n, checkpoints, str(tmp_path / "want.csv"))
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# -- differential test: the batched scan against per-cell shoot --------------------
+
+ACCEPTANCE_CONFIGS = [(5, 2.0), (6, 2.0), (6, 3.0), (8, 2.0)]
+
+
+def _perfbench_cells(seed):
+    """The radial cells perfbench's `oracles` workload draws from a seed."""
+    rng = random.Random(seed)
+    rng.randrange(2**31)     # the jet seed, drawn first
+    return ([10.0 ** rng.uniform(-1.0, 1.0) for _ in range(10)],
+            [rng.uniform(-10.0, 0.0) for _ in range(10)])
+
+
+def _assert_scan_equals_shoot(n, alpha, u0s, v0s, rmax=50.0):
+    """Each cell of the scan has shoot's verdict, its termination radius to
+    1e-9 relative, or shoot's error; returns the summary."""
+    summary, results = scan_shooting(n, alpha, u0s, v0s, rmax)
+    want, want_errors = [], []
+    for u0 in u0s:
+        for v0 in v0s:
+            try:
+                want.append(shoot(n, alpha, float(u0), float(v0), rmax))
+            except ValueError as exc:
+                want_errors.append((repr(float(u0)), repr(float(v0)), str(exc)))
+    assert [(repr(e["u0"]), repr(e["v0"]), e["error"]) for e in summary.errors] \
+        == want_errors
+    assert [(c.u0, c.v0, c.verdict) for c in results] \
+        == [(w.u0, w.v0, w.verdict) for w in want]
+    for c, w in zip(results, want):
+        assert c.termination_radius == pytest.approx(w.termination_radius, rel=1e-9), c
+    return summary
+
+
+@pytest.mark.parametrize("n, alpha", ACCEPTANCE_CONFIGS)
+def test_batch_equals_shoot_on_acceptance_grid(n, alpha):
+    """Includes the v0 = 0 column, whose cells need no integration."""
+    u0s, v0s = default_grids(10)
+    summary = _assert_scan_equals_shoot(n, alpha, u0s, v0s)
+    assert summary.cells == 100 and summary.survivors == 0
+
+
+@pytest.mark.parametrize("seed, n, alpha", [(0, 5, 2.0), (7, 6, 3.0), (123, 8, 2.0)])
+def test_batch_equals_shoot_on_perfbench_cells(seed, n, alpha):
+    u0s, v0s = _perfbench_cells(seed)
+    _assert_scan_equals_shoot(n, alpha, u0s, v0s + [0.0])
+
+
+def test_batch_equals_shoot_across_the_verdict_boundary():
+    """Near v0 = -0.84535654842700 (u0 = 1) u and v both cross 0 in one
+    step, and the earlier root decides."""
+    v0s = [-0.8453575 + 2e-7 * k for k in range(10)]
+    summary = _assert_scan_equals_shoot(6, 2.0, [1.0], v0s)
+    assert summary.verdict_counts == {"positivity-violated": 5,
+                                      "subharmonicity-violated": 5}
+
+
+def test_batch_equals_shoot_to_a_small_rmax():
+    u0s, v0s = default_grids(4)
+    summary = _assert_scan_equals_shoot(6, 2.0, u0s, v0s, rmax=1e-3)
+    assert summary.verdict_counts == {"reached-max-radius": 12,
+                                      "subharmonicity-violated": 4}
+
+
+def test_bad_cells_stay_out_of_the_batch(monkeypatch):
+    """NaN, infinite or non-positive u0 and non-finite v0 are per-cell
+    errors, and only finite start states reach the integrator."""
+    seen = []
+
+    def checked(n, alpha, starts, *args):
+        seen.append(np.asarray(starts, dtype=float).reshape(-1, 4))
+        return batch(n, alpha, starts, *args)
+    batch = radial.shoot_batch
+    monkeypatch.setattr(radial, "shoot_batch", checked)
+    u0s = [math.nan, math.inf, -1.0, 0.0, 0.5, 2.0]
+    v0s = [-math.inf, math.nan, -3.0, 0.0]
+    summary = _assert_scan_equals_shoot(6, 2.0, u0s, v0s)
+    assert len(summary.errors) == 4 * 4 + 2 * 2 and summary.cells == 24
+    (starts,) = seen
+    assert len(starts) == 2 and np.isfinite(starts).all()
+
+
+def test_batch_counts_equal_solve_ivp(monkeypatch):
+    """The batch takes the steps and right-hand-side evaluations solve_ivp
+    takes, cell by cell: the same method, controller and initial step."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        calls.append((len(sol.t) - 1, sol.nfev))
+        return sol
+    solve_ivp = radial.solve_ivp
+    monkeypatch.setattr(radial, "solve_ivp", counted)
+    u0s, v0s = _perfbench_cells(7)
+    n, alpha = 6, 2.0
+    starts = [series_start(n, alpha, u0, v0) for u0 in u0s for v0 in v0s]
+    run = radial.shoot_batch(n, alpha, [(s.u, s.p, s.v, s.q) for s in starts])
+    for u0 in u0s:
+        for v0 in v0s:
+            shoot(n, alpha, u0, v0)
+    assert list(zip(run.steps.tolist(), run.nfev.tolist())) == calls
+
+
+def test_step_underflow_is_a_blow_up_at_the_last_radius():
+    """A right side that overflows rejects every step until the step falls
+    below 10 ulp(r): solve_ivp fails there, and shoot calls that a blow-up
+    at the last radius."""
+    start = (1e200, -1.0, -1.0, 0.0)
+
+    def rhs(r, y):
+        u, p, v, q = y
+        return [p, v - 5 * p / r, q, max(u, 0.0) ** 2.0 - 5 * q / r]
+    with np.errstate(all="ignore"):
+        sol = radial.solve_ivp(rhs, (radial.DEFAULT_R0, 50.0), start,
+                               rtol=1e-10, atol=1e-10)
+    run = radial.shoot_batch(6, 2.0, [start])
+    assert sol.status == -1
+    assert (run.verdicts, run.radii.tolist(), run.nfev.tolist(), run.steps.tolist()) \
+        == (["blow-up"], [sol.t[-1]], [sol.nfev], [len(sol.t) - 1])
+
+
+def test_dump_reshoots_the_middle_cell(tmp_path):
+    """run_radial writes, per config, the checkpoints of shoot on the
+    len(results) // 2-th cell without an error, early returns included."""
+    u0s, v0s = default_grids(10)
+    run_radial(ACCEPTANCE_CONFIGS, 10, 50.0, str(tmp_path))
+    for n, alpha in ACCEPTANCE_CONFIGS:
+        cells = [(float(u0), float(v0)) for u0 in u0s for v0 in v0s]
+        u0, v0 = cells[len(cells) // 2]
+        dump_trajectory_csv(shoot(n, alpha, u0, v0), str(tmp_path / "want.csv"))
+        got = tmp_path / f"trajectory_n{n}_a{alpha}.csv"
+        assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
