@@ -111,7 +111,22 @@ def _parse_dims(spec: str) -> tuple[int, ...]:
              f"expects comma-separated integers, e.g. 5,6,8, got {spec!r}")
     dims = tuple(int(p) for p in parts)
     _require(min(dims) >= 5, "--dims", f"needs every dimension at least 5, got {spec!r}")
+    _require(len(set(dims)) == len(dims), "--dims",
+             f"lists a dimension more than once, got {spec!r}")
     return dims
+
+
+def _parse_ids(spec: str, known: list[str]) -> list[str]:
+    """'I1,I12': comma-separated registered identity ids, each listed once."""
+    ids = spec.split(",")
+    _require(all(ids), "--ids", f"expects comma-separated identity ids, e.g. I1,I12, "
+             f"got {spec!r}")
+    unknown = [i for i in ids if i not in known]
+    _require(not unknown, "--ids",
+             f"unknown identity {', '.join(unknown)}; known: {', '.join(known)}")
+    _require(len(set(ids)) == len(ids), "--ids",
+             f"lists an identity more than once, got {spec!r}")
+    return ids
 
 
 def _parse_square_grid(spec: str) -> int:
@@ -289,12 +304,9 @@ def run(argv) -> int:
 
     try:
         if args.command == "verify":
-            ids = args.ids.split(",") if args.ids else None
-            if ids:
-                known = [i.id for i in registry.all_identities()]
-                unknown = [i for i in ids if i not in known]
-                _require(not unknown, "--ids",
-                         f"unknown identity {', '.join(unknown)}; known: {', '.join(known)}")
+            ids = None
+            if args.ids is not None:
+                ids = _parse_ids(args.ids, [i.id for i in registry.all_identities()])
             mode = SubstitutionMode(args.mode) if args.mode else None
             echo.update(ids=ids, mode=args.mode)
             sections["identities"], statuses["identities"] = run_verify(ids, mode)

@@ -9,17 +9,21 @@ byte-identical representations.
 The polynomial arithmetic (multiplication, gcds) is delegated to sympy's
 sparse polynomial rings over QQ.  On top of it sit the canonical
 normalization, exact evaluation, and parameter substitution.  Normalization
-takes one of two routes.  A denominator in Q[n], as every denominator of the
-identities is, is reduced by a univariate gcd in Q[n] against the content of
-the numerator as a polynomial in (alpha, a, b); a constant denominator needs
-no gcd.  Any other denominator, which subs_param can create, takes sympy's
-multivariate cancel.  Parameter substitution composes on raw ring elements
-and normalizes only once per result.
+takes one of three routes.  A constant denominator needs no gcd.  A
+denominator in Q[n] that splits into linear factors over Q, as every
+denominator of the identities does, is factored once (the factorization is
+cached per denominator); each root r of multiplicity m then cancels at most
+m times, each time only if num(r, alpha, a, b) vanishes exactly, so no gcd
+is computed at all.  Any other denominator, including those subs_param
+creates outside Q[n], takes sympy's multivariate cancel.  Parameter
+substitution composes on raw ring elements and normalizes only once per
+result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from sympy import QQ
@@ -37,18 +41,27 @@ VAR_NAMES = ("n", "alpha", "a", "b")
 Rationalish = Union[int, Fraction, "ParamScalar"]
 
 
-def _content_gcd(num, den):
-    """gcd in Q[n] of den (which lies in Q[n]) and the coefficients of num
-    viewed as a polynomial in (alpha, a, b) over Q[n]; stops once it is 1."""
-    by_monom: dict[tuple, dict] = {}
-    for (e, *rest), c in num.items():
-        by_monom.setdefault(tuple(rest), {})[(e,)] = c
-    g = den.set_ring(_N_RING)
-    for coeff in by_monom.values():
-        g = g.gcd(_N_RING.from_dict(coeff))
-        if g.is_ground:
-            break
-    return g
+@lru_cache(maxsize=1024)
+def _linear_roots(den):
+    """((r, m), ...) for den in Q[n] = c * prod (n - r)^m over the rationals,
+    or None when den has an irreducible factor of degree 2 or more."""
+    _, factors = den.set_ring(_N_RING).factor_list()
+    roots = []
+    for f, m in factors:
+        if f.degree() != 1:
+            return None
+        roots.append((-f.coeff(1) / f.LC, m))
+    return tuple(roots)
+
+
+def _vanishes_at(num, r) -> bool:
+    """Whether num(n = r, alpha, a, b) is exactly 0: one pass over the terms,
+    summing r^e c into the group of each (alpha, a, b) monomial."""
+    groups: dict[tuple, object] = {}
+    for monom, c in num.items():
+        rest = monom[1:]
+        groups[rest] = groups.get(rest, 0) + c * r ** monom[0]
+    return not any(groups.values())
 
 
 def _qq_to_fraction(q) -> Fraction:
@@ -79,18 +92,24 @@ class ParamScalar:
             raise MalformedCoefficientError("zero denominator in coefficient")
         if not num:
             return _RING.zero, _RING.one
-        # Every factor a denominator in Q[n] shares with num divides each
-        # coefficient of num as a polynomial in (alpha, a, b) over Q[n], so a
-        # univariate gcd against that content replaces the multivariate
-        # cancel; a constant denominator needs no gcd at all.  Denominators
-        # outside Q[n] (subs_param can create them) keep the cancel.
-        if any(den.degrees()[1:]):
-            num, den = num.cancel(den)
-        elif not den.is_ground:
-            g = _content_gcd(num, den)
-            if not g.is_ground:
-                g = g.set_ring(_RING)
-                num, den = num.exquo(g), den.exquo(g)
+        # A denominator in Q[n] that splits into linear factors n - r shares
+        # a factor with num exactly when num vanishes at n = r, so root
+        # tests replace the gcd: (n - r) cancels while num(r) == 0, at most
+        # its multiplicity m times.  A constant denominator needs nothing; a
+        # denominator with an irreducible factor of degree 2 or more, or one
+        # outside Q[n] (subs_param can create one), keeps the multivariate
+        # cancel.
+        if not den.is_ground:
+            roots = None if any(den.degrees()[1:]) else _linear_roots(den)
+            if roots is None:
+                num, den = num.cancel(den)
+            else:
+                for r, m in roots:
+                    for _ in range(m):
+                        if not _vanishes_at(num, r):
+                            break
+                        lin = _N - r
+                        num, den = num.exquo(lin), den.exquo(lin)
         # Make the denominator integer-primitive with positive leading
         # coefficient; the numerator absorbs the rational content.
         content, prim = den.primitive()

@@ -312,7 +312,15 @@ class TExpr:
 
     @classmethod
     def from_terms(cls, valence: int, raw: Iterable[tuple[ParamScalar, TensorMonomial]]) -> "TExpr":
-        acc: dict[TensorMonomial, ParamScalar] = {}
+        """Sum of coeff * m over raw, collected on canonical monomials.
+
+        Each monomial's running sum is kept as a raw (num, den) pair of ring
+        elements: equal denominators add numerators, others meet over
+        den * d / gcd(den, d).  Each sum is normalized once, at the end.  A
+        monomial whose running sum cancels is dropped and re-enters at the
+        end of the key order if it comes back.
+        """
+        acc: dict[TensorMonomial, tuple] = {}
         for coeff, m in raw:
             if coeff.is_zero:
                 continue
@@ -322,14 +330,22 @@ class TExpr:
             if canon.valence != valence:
                 raise ValenceError(
                     f"monomial valence {canon.valence} != expression valence {valence}")
-            c = coeff * mult
+            num, den = coeff.num, coeff.den
+            if mult is not ONE:
+                num, den = num * mult.num, den * mult.den
             prev = acc.get(canon)
-            tot = c if prev is None else prev + c
-            if tot.is_zero:
-                acc.pop(canon, None)
-            else:
-                acc[canon] = tot
-        return cls(valence, acc)
+            if prev is not None:
+                p_num, p_den = prev
+                if p_den == den:
+                    num = p_num + num
+                else:
+                    _, p_cof, cof = p_den.cofactors(den)
+                    num, den = p_num * cof + num * p_cof, p_den * cof
+                if not num:
+                    del acc[canon]
+                    continue
+            acc[canon] = (num, den)
+        return cls(valence, {m: ParamScalar(num, den) for m, (num, den) in acc.items()})
 
     # -- linear structure ----------------------------------------------------
 

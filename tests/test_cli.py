@@ -207,6 +207,11 @@ def test_radial_grid_rejected(spec, reason, capsys):
     (["radial", "--grid", "1x1", "--dump-trajectories", UNDER_A_FILE],
      "--dump-trajectories"),
     (["radial", "--grid", "1x1", "--dump-trajectories", __file__], "--dump-trajectories"),
+    (["verify", "--ids", ""], "--ids"),
+    (["verify", "--ids", "I1,I1"], "--ids"),
+    (["verify", "--ids", "I1,,I2"], "--ids"),
+    (["oracle", "--samples", "2", "--dims", "5,5"], "--dims"),
+    (["oracle", "--samples", "2", "--dims", "6,5,6"], "--dims"),
 ])
 def test_out_of_range_params_and_scan_pd_rejected(argv, flag, capsys):
     assert run(argv) == 2
@@ -256,6 +261,7 @@ def test_unknown_identity_id_is_usage_error(tmp_path, capsys):
     ("seed = -3", "--seed"),
     ("format = xml", "--format"),
     ("n = 6.5", "config key n"),
+    ("dims = 5,5", "--dims"),
 ])
 def test_out_of_range_config_values_rejected(tmp_path, line, flag, capsys):
     cfg = tmp_path / "bh.cfg"

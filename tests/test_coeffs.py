@@ -1,5 +1,6 @@
 """Exact coefficient field: normalization, equality, evaluation."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -13,7 +14,7 @@ from sympy.polys.rings import PolyElement
 from bhverify import cli
 from bhverify.calculus import bstar
 from bhverify.coeffs import (_RING, ALPHA, A, B, N, ONE, VAR_NAMES, ParamScalar,
-                             ZERO, frac, ps)
+                             ZERO, _linear_roots, frac, ps)
 from bhverify.errors import MalformedCoefficientError, PoleError
 
 
@@ -236,6 +237,13 @@ def _ring_poly(terms):
 _n_polys = st.dictionaries(st.tuples(st.integers(0, 3), *[st.just(0)] * 3),
                            _small_fractions, max_size=3).map(_ring_poly)
 _constants = _small_fractions.map(lambda c: _ring_poly({(0, 0, 0, 0): c}))
+# products of linear factors, repeated and non-monic roots included, and of
+# irreducible quadratics, which keep a Q[n] denominator on the multivariate cancel
+_N_FACTORS = (_n, _n + 4, _n - 1, _n - 4, 2 * _n - 3, 3 * _n + 1, _n**2 + 1, _n**2 - 2)
+_factored_n_polys = st.builds(
+    lambda c, powers: math.prod((f**e for f, e in powers), start=c),
+    _constants.filter(bool),
+    st.lists(st.tuples(st.sampled_from(_N_FACTORS), st.integers(1, 3)), max_size=3))
 # cofactors that take a denominator outside Q[n]: fixed ones, or drawn
 _outside_factors = st.one_of(
     st.sampled_from([_alpha * _a - _b, _alpha + 1, 2 * _n * _b - 3, _a**2 - _n * _alpha]),
@@ -245,11 +253,12 @@ _outside_factors = st.one_of(
 
 @st.composite
 def _num_den_pairs(draw):
-    """num = f g, den = h g k: f multivariate, g and h in Q[n] or constant
-    (h possibly zero), k a cofactor that may take den outside Q[n]."""
+    """num = f g, den = h g k: f multivariate, g and h in Q[n] (drawn or
+    factored) or constant (h possibly zero), k a cofactor that may take den
+    outside Q[n]."""
     f = _ring_poly(draw(_polys))
-    g = draw(st.one_of(_n_polys, _constants).filter(bool))
-    h = draw(st.one_of(_n_polys.filter(bool), _constants))
+    g = draw(st.one_of(_n_polys, _constants, _factored_n_polys).filter(bool))
+    h = draw(st.one_of(_n_polys.filter(bool), _constants, _factored_n_polys))
     k = draw(_outside_factors) if draw(st.booleans()) else _RING.one
     return f * g, h * g * k
 
@@ -260,6 +269,11 @@ def _num_den_pairs(draw):
 @example(((_alpha - _n) * (_n + 4) / 3, -(_n + 4) * (_n - 1) / 2))
 @example((-_alpha * _a / 6, _RING(QQ(-4, 9))))          # constant denominator
 @example(((_alpha * _a - _b) * _n, (_alpha * _a - _b) * (_n - 1)))  # outside Q[n]
+# a repeated non-monic root: 2n - 3 divides den twice and num once; n - 1 only den
+@example(((_alpha * _n - 3) * (2 * _n - 3) * (_n + 4), (2 * _n - 3)**2 * (_n + 4) * (_n - 1)))
+# irreducible quadratics in Q[n]: the multivariate cancel
+@example((_alpha * (_n**2 + 1), 3 * (_n**2 + 1)))
+@example((_a * (_n**2 - 2) * (_n - 1), (_n**2 - 2) * (_n - 1)**2))
 @example((_RING.zero, _n + 4))
 @example((_alpha, _RING.zero))
 def test_normalize_matches_multivariate_cancel(pair):
@@ -277,9 +291,14 @@ def test_normalize_matches_multivariate_cancel(pair):
     assert hash(x) == hash(y)
 
 
-def test_verify_never_calls_the_multivariate_cancel(monkeypatch):
-    """Every denominator of the identities lies in Q[n], so verify takes the
-    univariate route throughout."""
+def test_linear_roots_of_cached_factorization():
+    roots = _linear_roots(_n**2 * (_n + 4) * (2 * _n - 3)**3)
+    assert sorted(roots) == [(QQ(-4), 1), (QQ(0), 2), (QQ(3, 2), 3)]
+    assert _linear_roots(_n**2 + 1) is None
+    assert _linear_roots((_n**2 - 2) * (_n - 1)) is None
+
+
+def _count_cancels(monkeypatch) -> list:
     calls = []
     cancel = PolyElement.cancel
 
@@ -288,6 +307,25 @@ def test_verify_never_calls_the_multivariate_cancel(monkeypatch):
         return cancel(self, other)
 
     monkeypatch.setattr(PolyElement, "cancel", counted)
+    return calls
+
+
+def test_normalize_route_follows_denominator_factors(monkeypatch):
+    """Root tests for denominators that split into linear factors over Q,
+    the multivariate cancel for an irreducible quadratic factor."""
+    calls = _count_cancels(monkeypatch)
+    x = ParamScalar((_alpha - 1) * (2 * _n - 3) * _n, (2 * _n - 3)**2 * _n**2 * (_n + 4))
+    assert not calls
+    assert (x.num, x.den) == (_alpha - 1, (2 * _n - 3) * _n * (_n + 4))
+    y = ParamScalar(_alpha * (_n**2 + 1), (_n**2 + 1) * (_n - 1))
+    assert len(calls) == 1
+    assert (y.num, y.den) == (_alpha, _n - 1)
+
+
+def test_verify_never_calls_the_multivariate_cancel(monkeypatch):
+    """Every denominator of the identities splits into linear factors in
+    Q[n], so verify decides every cancellation by root tests."""
+    calls = _count_cancels(monkeypatch)
     records, ok = cli.run_verify()
     assert ok and len(records) == 15
     assert len(calls) == 0

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bhverify.coeffs import A, N, ONE, ps
+from bhverify.coeffs import ALPHA, A, B, N, ONE, ZERO, ParamScalar, frac, ps
 from bhverify.errors import (MalformedMonomialError, UnsupportedCurvatureError,
                              ValenceError)
-from bhverify.tensor import (FACTORS, TensorMonomial, canonical_form, dot, emul, expr,
-                             frob, mono, substitute_factors, tensor_vec, to_labeled,
-                             upow)
+from bhverify.tensor import (FACTORS, TensorMonomial, TExpr, canonical_form, dot, emul,
+                             expr, frob, mono, substitute_factors, tensor_vec,
+                             to_labeled, upow)
 
 
 def canonicalize(m):
@@ -410,3 +410,110 @@ def test_structural_rewrites_match_replaced_code(m):
     """Same multiplier and canonical monomial, or the same exception, as the
     slot-renumbering reference."""
     assert _outcome(canonical_form, m) == _outcome(_ref_canonical_form, m), m.render()
+
+
+# -- TExpr.from_terms against the per-term ParamScalar sum it replaced ------------
+
+
+def _ref_from_terms(cls, valence, raw):
+    """The replaced from_terms, verbatim: every partial sum normalized."""
+    acc: dict[TensorMonomial, ParamScalar] = {}
+    for coeff, m in raw:
+        if coeff.is_zero:
+            continue
+        mult, canon = canonical_form(m)
+        if canon is None:
+            continue
+        if canon.valence != valence:
+            raise ValenceError(
+                f"monomial valence {canon.valence} != expression valence {valence}")
+        c = coeff * mult
+        prev = acc.get(canon)
+        tot = c if prev is None else prev + c
+        if tot.is_zero:
+            acc.pop(canon, None)
+        else:
+            acc[canon] = tot
+    return cls(valence, acc)
+
+
+# scalar monomials: several share a canonical form, some through a metric
+# self-trace (multiplier n), and the trace of Etf vanishes
+_SCALAR_MONOS = (
+    mono(0, ("Du", "i"), ("Du", "i")),
+    mono(0, ("g", "i", "j"), ("Du", "i"), ("Du", "j")),
+    mono(0, ("g", "k", "k"), ("Du", "i"), ("Du", "i")),
+    mono(0, ("Lap",)),
+    mono(0, ("D2u", "i", "i")),
+    mono(-1, ("Lap",), ("Du", "i"), ("Du", "i")),
+    mono(0, ("D2u", "i", "j"), ("D2u", "i", "j")),
+    mono(0, ("Etf", "i", "i")),
+    mono(0, ("g", "i", "i")),
+    mono(0),
+)
+# denominators in Q[n] with linear factors (repeated, non-monic) and with an
+# irreducible quadratic, and denominators outside Q[n]
+_COEFF_BASES = (
+    ONE, N, frac(3, 7), (N + 4) / (N - 1), ALPHA / (N * (N + 4)), -(N + 2) / (2 * N),
+    (ALPHA * A - B) / (2 * N - 3)**2, ALPHA / (N**2 + 1), ONE / (ALPHA - B),
+    (N + 1) / (N * A + 1),
+)
+_term_coeffs = st.builds(lambda j, x, k, y: j * x + k * y,
+                         st.integers(-2, 2), st.sampled_from(_COEFF_BASES),
+                         st.integers(-2, 2), st.sampled_from(_COEFF_BASES))
+
+
+@st.composite
+def _term_lists(draw):
+    """Scalar (coeff, monomial) lists, with terms planted to cancel the
+    running sum of a monomial on a prefix, so that it leaves and re-enters."""
+    terms = draw(st.lists(st.tuples(_term_coeffs, st.sampled_from(_SCALAR_MONOS)),
+                          max_size=12))
+    for k in draw(st.lists(st.integers(0, len(terms)), max_size=3)):
+        m = draw(st.sampled_from(_SCALAR_MONOS))
+        mult, canon = canonical_form(m)
+        if canon is None:
+            continue
+        total = ZERO
+        for c, m2 in terms[:k]:
+            mult2, canon2 = canonical_form(m2)
+            if canon2 == canon:
+                total = total + c * mult2
+        if not total.is_zero:
+            terms.insert(k, (-total / mult, m))
+    return terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_lists())
+@example([(ONE, _SCALAR_MONOS[0]), (-ONE, _SCALAR_MONOS[1]), (N, _SCALAR_MONOS[3]),
+          (ONE / N, _SCALAR_MONOS[2])])
+@example([(ONE / (N - 1), _SCALAR_MONOS[3]), (ONE / (N + 4), _SCALAR_MONOS[4]),
+          (ONE / (ALPHA - B), _SCALAR_MONOS[3]), (ALPHA, _SCALAR_MONOS[7])])
+def test_from_terms_matches_replaced_code(terms):
+    """Same monomials in the same order with the same coefficients."""
+    got = TExpr.from_terms(0, terms)
+    want = _ref_from_terms(TExpr, 0, terms)
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_oracle_reports_unchanged_under_replaced_from_terms(monkeypatch):
+    """The float residuals depend on term order, so the oracle reports pin
+    it: equal with the identities built by either from_terms.  Keys kept in
+    order of first appearance leave the dims (5, 6) reports unchanged but
+    move a residual at n = 8."""
+    from bhverify import registry
+    from bhverify.jetoracle import check_all_identities
+
+    def reports():
+        registry.all_identities.cache_clear()
+        return [[r.to_dict() for r in check_all_identities(samples=40, dims=dims)]
+                for dims in ((5, 6), (8,))]
+
+    got = reports()
+    monkeypatch.setattr(TExpr, "from_terms", classmethod(_ref_from_terms))
+    try:
+        want = reports()
+    finally:
+        registry.all_identities.cache_clear()
+    assert got == want
