@@ -270,13 +270,6 @@ class ParamScalar:
             h_den = h_den * q ** (d_num - d_den)
         return ParamScalar(h_num, h_den)
 
-    def degree(self, name: str) -> int:
-        """Max degree of a variable across numerator and denominator."""
-        i = VAR_NAMES.index(name)
-        dn = self.num.degrees()[i] if self.num else 0
-        dd = self.den.degrees()[i] if self.den else 0
-        return max(dn, dd)
-
     def univariate(self, name: str) -> list[Fraction]:
         """Coefficient list [c0, c1, ...] in one variable.
 

@@ -385,6 +385,7 @@ class SharpConstantResult:
 
 CITED_CONSTANT = Fraction(4, 3)
 PROBE_ROWS = 256        # (E, v) pairs per probe chunk: 128 KiB per E array at n = 8
+PROBE_CHUNKS = 20       # chunks per probe
 # A probe ratio counts as below the exact bound only beyond this relative
 # margin: at n = 2 every pair attains the bound, and the float ratio of a
 # pair lands an ulp or a few on either side of it.
@@ -416,13 +417,13 @@ def sharp_constant_certificate(n: int) -> Fraction:
     return attained
 
 
-def _probe_min_ratio(n: int, chunks: int, seed: int) -> float:
-    """Smallest |E|^2 |v|^2 / |Ev|^2 over chunks x PROBE_ROWS random
+def _probe_min_ratio(n: int, seed: int) -> float:
+    """Smallest |E|^2 |v|^2 / |Ev|^2 over PROBE_CHUNKS x PROBE_ROWS random
     trace-free symmetric E and vectors v."""
     rng = np.random.default_rng(seed)
     eye = np.eye(n)
     best = np.inf
-    for _ in range(chunks):
+    for _ in range(PROBE_CHUNKS):
         m = rng.normal(size=(PROBE_ROWS, n, n))
         e = m + m.transpose(0, 2, 1)
         e -= (np.einsum("zii->z", e) / n)[:, None, None] * eye
@@ -434,19 +435,18 @@ def _probe_min_ratio(n: int, chunks: int, seed: int) -> float:
     return best
 
 
-def sharp_constant_search(n: int, iterations: int = 20,
-                          seed: int = 0) -> SharpConstantResult:
+def sharp_constant_search(n: int, seed: int = 0) -> SharpConstantResult:
     """Minimum of |E|^2 |v|^2 / |Ev|^2 over trace-free symmetric E and v != 0.
 
     The minimum is certified exactly (``sharp_constant_certificate``) and
-    cross-checked by a random probe of ``iterations`` chunks of PROBE_ROWS
+    cross-checked by a random probe of PROBE_CHUNKS chunks of PROBE_ROWS
     pairs.  The recorded minimum is the exact value, floated, unless the
     probe finds a ratio below it by more than PROBE_RTOL, which is then
     recorded instead.
     """
     exact = sharp_constant_certificate(n)
     minimum = float(exact)
-    probe = _probe_min_ratio(n, iterations, seed)
+    probe = _probe_min_ratio(n, seed)
     if probe < minimum * (1 - PROBE_RTOL):
         minimum = probe
     return SharpConstantResult(

@@ -348,6 +348,10 @@ def numeric_pd_scan(n_values, grid: int = 1000) -> PDReport:
 
 # -- auxiliary coefficient and exponent checks ------------------------------------
 
+EST1_GRID_POINTS = 20           # interior a-points per n
+EXPONENT_GRID_N = range(5, 25)
+EXPONENT_GRID_ALPHAS = 20       # interior alphas per n
+
 
 def est1_coefficient(n: int, a: Fraction) -> Fraction:
     """Cubic coefficient (a/n)(1+2a)(2-(n-4)a) of the Bernstein estimate."""
@@ -355,9 +359,11 @@ def est1_coefficient(n: int, a: Fraction) -> Fraction:
     return a / n * (1 + 2 * a) * (2 - (n - 4) * a)
 
 
-def est1_grid_check(n: int, count: int = 20) -> dict:
-    """Exact positivity of the cubic coefficient on an interior a-grid."""
+def est1_grid_check(n: int) -> dict:
+    """Exact positivity of the cubic coefficient on an interior a-grid of
+    EST1_GRID_POINTS points."""
     upper = Fraction(2, n - 4)
+    count = EST1_GRID_POINTS
     points = [Fraction(k, count + 1) * upper for k in range(1, count + 1)]
     values = [est1_coefficient(n, a) for a in points]
     return {
@@ -434,15 +440,16 @@ def linear_reduction_certificate(n: int) -> dict:
     }
 
 
-def exponent_grid_check(n_values=range(5, 25), alphas_per_n: int = 20) -> dict:
-    """Exact exponent checks on a rational grid; returns per-point records
+def exponent_grid_check() -> dict:
+    """Exact exponent checks on the rational grid of EXPONENT_GRID_ALPHAS
+    interior alphas for each n in EXPONENT_GRID_N; returns per-point records
     plus summary flags (the chain fails at n = 5, the exponent never does)."""
     records = []
-    for n in n_values:
+    for n in EXPONENT_GRID_N:
         upper = Fraction(n + 4, n - 4)
-        for k in range(1, alphas_per_n + 1):
-            alpha = 1 + Fraction(k, alphas_per_n + 1) * (upper - 1)
-            records.append(exponent_check(int(n), alpha))
+        for k in range(1, EXPONENT_GRID_ALPHAS + 1):
+            alpha = 1 + Fraction(k, EXPONENT_GRID_ALPHAS + 1) * (upper - 1)
+            records.append(exponent_check(n, alpha))
     return {
         "points": len(records),
         "gamma_always_at_least_six": all(r.gamma_at_least_six for r in records),

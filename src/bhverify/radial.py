@@ -8,22 +8,24 @@ started from a series expansion at a small r0 to clear the coordinate
 singularity: u ~ u0 + v0 r^2/(2n), v ~ v0 + u0^alpha r^2/(2n).
 
 A trajectory is classified by the first threshold it crosses: positivity of
-u fails, subharmonicity fails (v > 0), the solution blows up, or it survives
-to the maximum radius.  The nonexistence theorem predicts that no trajectory
-with u0 > 0, v0 <= 0 survives with u > 0 and v <= 0; the scan reports the
-survival fraction, which is consistency evidence only (finite grids prove
-nothing).
+u fails (u < 0) or subharmonicity fails (v > 0); otherwise it survives to the
+maximum radius.  A series start already past a threshold is classified at
+r0.  Unbounded growth needs no verdict of its own: while v <= 0, u is
+non-increasing, so |u| can only grow without bound after u has crossed 0.
+The nonexistence theorem predicts that no trajectory with u0 > 0, v0 <= 0
+survives with u > 0 and v <= 0; the scan reports the survival fraction,
+which is consistency evidence only (finite grids prove nothing).
 
 A scan classifies all of its cells in one batch: ``shoot_batch`` steps every
 live cell together with scipy's RK45 method (Dormand-Prince 5(4), Hairer,
 Norsett and Wanner, Solving ODEs I, II.4-II.6), each cell with its own step
 size, and locates the events as ``solve_ivp`` does.  ``shoot`` integrates one
 trajectory with ``solve_ivp`` and keeps its checkpoints: it inspects a single
-cell (the CSV dump) and is the reference the batch is tested against.  Along
-the valid window (u > 0, v <= 0) it records the maximum of the second-order
-estimate monitor Z = v/u + (2/(n-4)) p^2/u^2; the estimate's hypotheses are
-global (complete manifold, entire solution), so a positive maximum on a
-local trajectory is not a refutation.
+cell (the CSV dump) and is the reference the batch is tested against.  The
+dump writes the second-order estimate monitor Z = v/u + (2/(n-4)) p^2/u^2 at
+each checkpoint; the estimate's hypotheses are global (complete manifold,
+entire solution), so a positive Z on a local trajectory is not a refutation.
+Both integrate with fixed tolerances RTOL and ATOL.
 """
 
 from __future__ import annotations
@@ -36,20 +38,19 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import RK45, solve_ivp
 
-BLOWUP_THRESHOLD = 1e12
 DEFAULT_R0 = 1e-6
+RTOL = ATOL = 1e-10
 
 # scipy's RK45 step-size controller, which shoot_batch applies per cell
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
-EPS = np.finfo(float).eps
 # brentq's xtol and rtol in solve_ivp's event location
-EVENT_TOL = 4 * EPS
+EVENT_TOL = 4 * np.finfo(float).eps
 
 # the terminal events in solve_ivp's order: u falls through 0, v rises
-# through 0, |u| rises through BLOWUP_THRESHOLD
-VERDICTS = ("positivity-violated", "subharmonicity-violated", "blow-up")
-EVENT_RISES = np.array([False, True, True])
+# through 0
+VERDICTS = ("positivity-violated", "subharmonicity-violated")
+EVENT_RISES = np.array([False, True])
 
 
 @dataclass
@@ -68,17 +69,15 @@ class ShootingResult:
     u0: float
     v0: float
     rmax: float
-    verdict: str                     # positivity-violated | subharmonicity-violated
-    #                                # | blow-up | reached-max-radius
+    verdict: str                     # a VERDICTS entry or reached-max-radius
     termination_radius: float
     r: np.ndarray                    # checkpoint radii
     y: np.ndarray                    # (4, len(r)): u, p, v, q at each radius
-    max_z: float | None              # max of v/u + (2/(n-4)) p^2/u^2 on the window
 
 
-def series_start(n: int, alpha: float, u0: float, v0: float,
-                 r0: float = DEFAULT_R0) -> RadialState:
-    """Second-order series expansion around the regular center."""
+def series_start(n: int, alpha: float, u0: float, v0: float) -> RadialState:
+    """Second-order series expansion around the regular center at DEFAULT_R0."""
+    r0 = DEFAULT_R0
     ua = u0**alpha
     return RadialState(
         r=r0,
@@ -87,6 +86,19 @@ def series_start(n: int, alpha: float, u0: float, v0: float,
         v=v0 + ua * r0**2 / (2 * n),
         q=ua * r0 / n,
     )
+
+
+def _start_verdict(start: RadialState) -> str | None:
+    """The verdict of a series start already past a threshold, else None.
+
+    v0 = 0 forces v > 0 (v ~ u0^alpha r^2/(2n)); a tiny u0 with v0 < 0 can
+    give u < 0.  Neither is a crossing, so no event would fire on it.
+    """
+    if start.v > 0:
+        return "subharmonicity-violated"
+    if start.u < 0:
+        return "positivity-violated"
+    return None
 
 
 def monitor_z(n: int, u, p, v):
@@ -109,13 +121,19 @@ def _check_cell(n: int, alpha: float, u0: float, v0: float):
         raise ValueError(f"need finite u0 and v0, got u0 = {u0}, v0 = {v0}")
 
 
-def shoot(n: int, alpha: float, u0: float, v0: float, rmax: float = 50.0,
-          rtol: float = 1e-10, atol: float = 1e-10) -> ShootingResult:
+def _underflow_message(r) -> str:
+    """The error of a trajectory whose step fell below 10 ulp(r) at r."""
+    return f"step size underflow at r = {float(r)!r}"
+
+
+def shoot(n: int, alpha: float, u0: float, v0: float,
+          rmax: float = 50.0) -> ShootingResult:
     """Integrate one radial trajectory with solve_ivp and classify its
     termination.
 
     v0 <= 0 is the subharmonicity hypothesis at the center.  The trajectory
-    is kept as the checkpoint arrays of the integrator.
+    is kept as the checkpoint arrays of the integrator.  A step-size
+    underflow raises ValueError.
     """
     _check_cell(n, alpha, u0, v0)
 
@@ -134,43 +152,26 @@ def shoot(n: int, alpha: float, u0: float, v0: float, rmax: float = 50.0,
     ev_subharmonicity.terminal = True
     ev_subharmonicity.direction = 1
 
-    def ev_blowup(r, y):
-        return abs(y[0]) - BLOWUP_THRESHOLD
-    ev_blowup.terminal = True
-    ev_blowup.direction = 1
-
     start = series_start(n, alpha, u0, v0)
     y0 = [start.u, start.p, start.v, start.q]
 
-    if start.v > 0:
-        # v is already positive at the series start (v0 = 0 forces this:
-        # v ~ u0^alpha r^2/(2n) > 0); no integration needed
-        return ShootingResult(n, alpha, u0, v0, rmax, "subharmonicity-violated",
-                              start.r, np.array([start.r]), np.array(y0)[:, None],
-                              None)
+    verdict = _start_verdict(start)
+    if verdict:     # no integration needed
+        return ShootingResult(n, alpha, u0, v0, rmax, verdict, start.r,
+                              np.array([start.r]), np.array(y0)[:, None])
 
-    sol = solve_ivp(rhs, (start.r, rmax), y0, rtol=rtol, atol=atol,
-                    events=[ev_positivity, ev_subharmonicity, ev_blowup],
-                    dense_output=False)
+    sol = solve_ivp(rhs, (start.r, rmax), y0, rtol=RTOL, atol=ATOL,
+                    events=[ev_positivity, ev_subharmonicity], dense_output=False)
 
-    if sol.status == 1:
-        if len(sol.t_events[0]):
-            verdict, r_end = "positivity-violated", float(sol.t_events[0][0])
-        elif len(sol.t_events[1]):
-            verdict, r_end = "subharmonicity-violated", float(sol.t_events[1][0])
-        else:
-            verdict, r_end = "blow-up", float(sol.t_events[2][0])
-    elif sol.status == 0:
+    if sol.status == -1:
+        raise ValueError(_underflow_message(sol.t[-1]))
+    if sol.status == 0:
         verdict, r_end = "reached-max-radius", float(sol.t[-1])
+    elif len(sol.t_events[0]):
+        verdict, r_end = "positivity-violated", float(sol.t_events[0][0])
     else:
-        # step-size underflow near blow-up: report with the last finite state
-        verdict, r_end = "blow-up", float(sol.t[-1])
-
-    u, p, v = sol.y[0], sol.y[1], sol.y[2]
-    window = (u > 0) & (v <= 0)
-    max_z = (float(monitor_z(n, u[window], p[window], v[window]).max())
-             if window.any() else None)
-    return ShootingResult(n, alpha, u0, v0, rmax, verdict, r_end, sol.t, sol.y, max_z)
+        verdict, r_end = "subharmonicity-violated", float(sol.t_events[1][0])
+    return ShootingResult(n, alpha, u0, v0, rmax, verdict, r_end, sol.t, sol.y)
 
 
 # -- batched integration -------------------------------------------------------------
@@ -187,9 +188,8 @@ def _rhs_batch(n: int, alpha: float, r: np.ndarray, y: np.ndarray) -> np.ndarray
 
 
 def _event_values(y: np.ndarray) -> np.ndarray:
-    """The three event functions, in VERDICTS order, at states y (..., 4)."""
-    return np.stack([y[..., 0], y[..., 2], np.abs(y[..., 0]) - BLOWUP_THRESHOLD],
-                    axis=-1)
+    """The event functions u and v, in VERDICTS order, at states y (..., 4)."""
+    return y[..., [0, 2]]
 
 
 def _rms(x: np.ndarray) -> np.ndarray:
@@ -197,10 +197,10 @@ def _rms(x: np.ndarray) -> np.ndarray:
     return np.linalg.norm(x, axis=1) / math.sqrt(x.shape[1])
 
 
-def _initial_steps(rhs, r, y, f, rmax, rtol, atol) -> np.ndarray:
+def _initial_steps(rhs, r, y, f, rmax) -> np.ndarray:
     """scipy's ``select_initial_step`` (Hairer-Norsett-Wanner II.4), per cell."""
     length = rmax - r
-    scale = atol + np.abs(y) * rtol
+    scale = ATOL + np.abs(y) * RTOL
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), length)
     d2 = _rms((rhs(r + h0, y + h0[:, None] * f) - f) / scale) / h0
@@ -234,26 +234,23 @@ class BatchRun(NamedTuple):
     radii: np.ndarray          # termination radius
     nfev: np.ndarray           # right-hand-side evaluations
     steps: np.ndarray          # accepted steps
-    errors: dict               # cell -> message of a failed event location
+    errors: dict               # cell -> step-size underflow or event-location message
 
 
-def shoot_batch(n: int, alpha: float, starts, rmax: float = 50.0,
-                rtol: float = 1e-10, atol: float = 1e-10) -> BatchRun:
+def shoot_batch(n: int, alpha: float, starts, rmax: float = 50.0) -> BatchRun:
     """Integrate many trajectories at once and classify each as ``shoot``.
 
     ``starts`` holds one series-start state (u, p, v, q) at r = DEFAULT_R0
-    per row, each finite with v <= 0, and rmax > DEFAULT_R0.  All live cells
-    are stepped together as (cells, 4) arrays with scipy's RK45 tableau and
-    controller, each cell with its own step size.  After each accepted step
+    per row, each finite with u >= 0 and v <= 0, and rmax > DEFAULT_R0.  All
+    live cells are stepped together as (cells, 4) arrays with scipy's RK45
+    tableau and controller, each cell with its own step size.  After each accepted step
     the events are found from sign changes with solve_ivp's direction rules
     and refined on the dense interpolant; the earliest root decides the
-    verdict.  A step below 10 ulp(r) fails, and the cell is a blow-up at its
-    last radius.  A finished cell drops out of the arrays.
+    verdict.  A step below 10 ulp(r) fails, as in ``shoot``, and the cell
+    goes into ``errors`` as a step-size underflow at its last radius.  A
+    finished cell drops out of the arrays.
     """
     rhs = partial(_rhs_batch, n, alpha)
-    rtol = max(rtol, 100 * EPS)     # solve_ivp's floor
-    if atol < 0:
-        raise ValueError("`atol` must be positive.")   # as solve_ivp
     y = np.array(starts, dtype=float).reshape(-1, 4)
     cells = len(y)
     verdicts: list = [None] * cells
@@ -266,7 +263,7 @@ def shoot_batch(n: int, alpha: float, starts, rmax: float = 50.0,
     stages = RK45.n_stages
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = rhs(r, y)
-        h = _initial_steps(rhs, r, y, f, rmax, rtol, atol)
+        h = _initial_steps(rhs, r, y, f, rmax)
         g = _event_values(y)
         retry = np.zeros(cells, dtype=bool)    # the last attempt was rejected
         while live.size:
@@ -283,7 +280,7 @@ def shoot_batch(n: int, alpha: float, starts, rmax: float = 50.0,
             y_new = y + h[:, None] * (RK45.B @ flat[:stages]).reshape(y.shape)
             K[stages] = f_new = rhs(r_new, y_new)
             nfev[live] += stages
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
             err = _rms((RK45.E @ flat).reshape(y.shape) * h[:, None] / scale)
 
             # err == 0 gives MAX_FACTOR through err ** ERROR_EXPONENT = inf;
@@ -295,11 +292,11 @@ def shoot_batch(n: int, alpha: float, starts, rmax: float = 50.0,
             h = h * np.where(accepted, grow, shrink)
             retry = ~accepted
 
-            # a retry below 10 ulp(r) fails: a blow-up at the last radius
-            # (so does a NaN step, which would otherwise be retried forever)
+            # a retry below 10 ulp(r) fails at the last radius (so does a
+            # NaN step, which would otherwise be retried forever)
             done = retry & ~(h >= min_step)
             for k in np.nonzero(done)[0]:
-                verdicts[live[k]], radii[live[k]] = "blow-up", r[k]
+                errors[int(live[k])] = _underflow_message(r[k])
             acc = np.nonzero(accepted)[0]
             steps[live[acc]] += 1
             g_new = _event_values(y_new[acc])
@@ -363,21 +360,16 @@ def default_grids(size: int = 10):
     return u0s, v0s
 
 
-def scan_shooting(n: int, alpha: float, u0_grid=None, v0_grid=None,
-                  rmax: float = 50.0, rtol: float = 1e-10,
-                  atol: float = 1e-10) -> tuple[ScanSummary, list[ScanCell]]:
+def scan_shooting(n: int, alpha: float, u0_grid, v0_grid,
+                  rmax: float = 50.0) -> tuple[ScanSummary, list[ScanCell]]:
     """Classify every grid cell as ``shoot`` does, all in one ``shoot_batch``;
     survivors keep u > 0 and v <= 0 to rmax.
 
     Per-cell failures are collected, not fatal: a cell with invalid
     parameters or start values never enters the batch.  Cells whose series
-    start already has v > 0 need no integration.  An empty grid gives an
-    empty table.
+    start is already past a threshold need no integration.  An empty grid
+    gives an empty table.
     """
-    if u0_grid is None or v0_grid is None:
-        d_u, d_v = default_grids()
-        u0_grid = d_u if u0_grid is None else u0_grid
-        v0_grid = d_v if v0_grid is None else v0_grid
     if any(v > 0 for v in v0_grid):
         raise ValueError("scan grids must keep v0 <= 0")
     if not (math.isfinite(rmax) and rmax > DEFAULT_R0):
@@ -392,12 +384,13 @@ def scan_shooting(n: int, alpha: float, u0_grid=None, v0_grid=None,
             except (ValueError, OverflowError) as exc:  # per-cell, non-fatal
                 cells.append({"u0": u0, "v0": v0, "error": str(exc)})
                 continue
-            if start.v > 0:     # as in shoot: no integration needed
-                cells.append(ScanCell(u0, v0, "subharmonicity-violated", start.r))
+            verdict = _start_verdict(start)
+            if verdict:
+                cells.append(ScanCell(u0, v0, verdict, start.r))
             else:
                 cells.append(len(starts))
                 starts.append((u0, v0, (start.u, start.p, start.v, start.q)))
-    run = shoot_batch(n, alpha, [s[2] for s in starts], rmax, rtol, atol)
+    run = shoot_batch(n, alpha, [s[2] for s in starts], rmax)
     results, errors = [], []
     for cell in cells:
         if isinstance(cell, int):

@@ -76,11 +76,9 @@ def _etf_square_plus_ric() -> TExpr:
         1, mono(0, ("Ric", "i", "j"), ("Du", "i"), ("Du", "j")))
 
 
-def build_z(a: ParamScalar | None = None) -> TExpr:
+def build_z() -> TExpr:
     """Z_a = Lap/u + a |Du|^2 / u^2."""
-    if a is None:
-        a = A
-    return expr(1, mono(-1, ("Lap",))) + expr(a, mono(-2, ("Du", "k"), ("Du", "k")))
+    return expr(1, mono(-1, ("Lap",))) + expr(A, mono(-2, ("Du", "k"), ("Du", "k")))
 
 
 # -- named catalog -------------------------------------------------------------

@@ -142,7 +142,7 @@ def test_criterion_6_sharp_constant_probe():
     """Measured minimum of |E|^2|v|^2/|Ev|^2 equals n/(n-1) within 1e-6 for
     n in {5,6,7,8}, and the report flags that it lies below the cited 4/3."""
     from bhverify.jetoracle import sharp_constant_search
-    results = [sharp_constant_search(n, iterations=10, seed=1) for n in (5, 6, 7, 8)]
+    results = [sharp_constant_search(n, seed=1) for n in (5, 6, 7, 8)]
     ok = all(abs(r.minimum - r.analytic) <= 1e-6 for r in results) and \
         all(r.below_cited for r in results)
     detail = ", ".join(f"n={r.n}: {r.minimum:.8f}" for r in results)
@@ -154,7 +154,7 @@ def test_criterion_7_exponent_arithmetic_core():
     """20x20 rational grid, n in [5, 24]: gamma >= 6 exactly, the final
     exponent is negative everywhere, the chain holds for every n >= 6, and
     the cubic estimate coefficient is positive on a 20-point a-grid per n."""
-    grid = exponent_grid_check(n_values=range(5, 25), alphas_per_n=20)
+    grid = exponent_grid_check()
     est1 = [est1_grid_check(n) for n in range(5, 25)]
     chain_n6 = all(r.chain_holds for r in grid["records"] if r.n >= 6)
     ok = (grid["points"] == 400
@@ -176,7 +176,7 @@ def test_criterion_7_printed_chain_on_full_grid():
     n >= 6.  At n = 5 the difference is 9 - alpha > 0 and the chain fails at
     every grid point.  The test asserts exactly that refutation; the exponent
     X itself stays negative, so the blow-down argument survives."""
-    grid = exponent_grid_check(n_values=range(5, 25), alphas_per_n=20)
+    grid = exponent_grid_check()
     records = grid["records"]
     n5_alphas = [1 + Fraction(k, 21) * (Fraction(9) - 1) for k in range(1, 21)]
 

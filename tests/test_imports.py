@@ -1,5 +1,6 @@
 """Every name a `bhverify` module imports is referenced in that module, and
-every top-level function and class is referenced somewhere in the package."""
+every top-level function, class and UPPER_CASE constant is referenced
+somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -30,9 +31,25 @@ def _unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def _top_level_names(node) -> list[str]:
+    """The names a top-level statement defines: a function or class, or the
+    UPPER_CASE names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name.isupper()]
+
+
 def _unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """'module:name' of every top-level function or class that no code in
-    the sources names (as a bare name or an attribute) outside its own body."""
+    """'module:name' of every top-level function, class or UPPER_CASE
+    constant that no code in the sources names (as a bare name or an
+    attribute) outside its own definition."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     refs: dict[str, list[tuple[str, int]]] = {}
     for module, tree in trees.items():
@@ -44,11 +61,10 @@ def _unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     out = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if not any(m != module or not node.lineno <= line <= node.end_lineno
-                       for m, line in refs.get(node.name, [])):
-                out.append(f"{module}:{node.name}")
+            for name in _top_level_names(node):
+                if not any(m != module or not node.lineno <= line <= node.end_lineno
+                           for m, line in refs.get(name, [])):
+                    out.append(f"{module}:{name}")
     return sorted(out)
 
 
@@ -60,10 +76,12 @@ def test_scan_flags_an_unused_import():
 def test_scan_flags_an_unreferenced_definition():
     sources = {
         "a.py": "def f():\n    return f()\n\n\ndef g():\n    pass\n\n\n"
-                "class C:\n    pass\n\n\nclass D:\n    pass\n\n\nh = g\n",
-        "b.py": "from . import a\n\n\ndef k():\n    return a.D()\n",
+                "class C:\n    pass\n\n\nclass D:\n    pass\n\n\nh = g\n"
+                "X, _ = Y = 1, 2\nZ: int = X\n",
+        "b.py": "from . import a\n\n\ndef k():\n    return a.D()\n\n\nW = a.Z\n",
     }
-    assert _unreferenced_definitions(sources) == ["a.py:C", "a.py:f", "b.py:k"]
+    assert _unreferenced_definitions(sources) \
+        == ["a.py:C", "a.py:Y", "a.py:f", "b.py:W", "b.py:k"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

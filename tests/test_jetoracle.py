@@ -212,17 +212,17 @@ class TestIdentityChecks:
 class TestSharpConstant:
     def test_minimum_is_n_over_n_minus_one(self):
         for n in (5, 6):
-            r = sharp_constant_search(n, iterations=8, seed=3)
+            r = sharp_constant_search(n, seed=3)
             assert abs(r.minimum - n / (n - 1)) <= 1e-6
             assert r.below_cited
 
     def test_large_n_approaches_one(self):
-        r = sharp_constant_search(25, iterations=4, seed=3)
+        r = sharp_constant_search(25, seed=3)
         assert abs(r.minimum - 25 / 24) <= 1e-6
         assert r.minimum < 1.05
 
     def test_analytic_candidate_bounds_search(self):
-        r = sharp_constant_search(7, iterations=6, seed=5)
+        r = sharp_constant_search(7, seed=5)
         assert r.minimum <= r.analytic + 1e-12
 
 
@@ -230,7 +230,7 @@ class TestSharpCertificate:
     def test_exact_ratio_and_below_cited_for_n_2_to_60(self):
         for n in range(2, 61):
             assert sharp_constant_certificate(n) == Fraction(n, n - 1)
-            r = sharp_constant_search(n, iterations=1, seed=n)
+            r = sharp_constant_search(n, seed=n)
             assert r.below_cited is (n >= 5)
             assert r.minimum == float(Fraction(n, n - 1))
 
@@ -245,10 +245,10 @@ class TestSharpCertificate:
         its float ratios scatter by a few ulps around n/(n-1)."""
         for n in (2, 3, 5, 8, 20, 60):
             for seed in (0, 1, 7):
-                assert _probe_min_ratio(n, 4, seed) >= n / (n - 1) * (1 - 1e-12)
+                assert _probe_min_ratio(n, seed) >= n / (n - 1) * (1 - 1e-12)
 
     def test_probe_below_the_bound_fails_the_section(self, monkeypatch):
-        monkeypatch.setattr(jetoracle, "_probe_min_ratio", lambda n, chunks, seed: 1.0)
+        monkeypatch.setattr(jetoracle, "_probe_min_ratio", lambda n, seed: 1.0)
         assert sharp_constant_search(5).minimum == 1.0
         section, ok = run_oracle(samples=2, dims=(5,))
         assert not ok

@@ -11,17 +11,17 @@ from bhverify.cli import run_radial
 from bhverify.radial import (RadialState, default_grids, dump_trajectory_csv,
                              monitor_z, scan_shooting, series_start, shoot)
 
-
 class TestSeriesStart:
     def test_center_slope_limit(self):
         """p(r0)/r0 -> v0/n as r0 -> 0."""
-        s = series_start(6, 2.0, 1.0, -1.0, r0=1e-6)
+        s = series_start(6, 2.0, 1.0, -1.0)
+        assert s.r == radial.DEFAULT_R0 == 1e-6
         assert abs(s.p / 1e-6 - (-1.0 / 6)) < 1e-8
 
     def test_constant_data_cannot_persist(self):
         """u == c has Bilap 0 != c^alpha, so the series start already forces
         nonzero q at any positive radius."""
-        s = series_start(6, 2.0, 1.0, 0.0, r0=1e-6)
+        s = series_start(6, 2.0, 1.0, 0.0)
         assert s.q > 0
 
 
@@ -33,9 +33,7 @@ class TestVerdicts:
 
     def test_reference_cell_terminates(self):
         r = shoot(6, 2.0, 1.0, -1.0, rmax=50.0)
-        assert r.verdict in ("positivity-violated", "subharmonicity-violated",
-                             "blow-up")
-        assert r.max_z is not None
+        assert r.verdict in radial.VERDICTS
 
     def test_positive_v0_rejected(self):
         with pytest.raises(ValueError, match="center hypothesis"):
@@ -52,9 +50,9 @@ class TestVerdicts:
     def test_integrator_convergence(self):
         """Halving the tolerance moves the termination radius by < 1e-6
         relative on the reference cell."""
-        r1 = shoot(6, 2.0, 1.0, -1.0, rtol=1e-10, atol=1e-10)
-        r2 = shoot(6, 2.0, 1.0, -1.0, rtol=5e-11, atol=5e-11)
-        rel = abs(r1.termination_radius - r2.termination_radius) / r1.termination_radius
+        r1 = shoot(6, 2.0, 1.0, -1.0)
+        _, _, r2 = _ref_shoot_checkpoints(6, 2.0, 1.0, -1.0, rtol=5e-11, atol=5e-11)
+        rel = abs(r1.termination_radius - r2) / r1.termination_radius
         assert rel < 1e-6
 
     def test_verdict_stability_under_tiny_perturbation(self):
@@ -119,8 +117,9 @@ def test_trajectory_dump(tmp_path):
 
 
 def _ref_shoot_checkpoints(n, alpha, u0, v0, rmax=50.0, rtol=1e-10, atol=1e-10):
-    """The checkpoints and max_z of the previous shoot, one RadialState per
-    step, from the same solve_ivp call."""
+    """The checkpoints, verdict and termination radius of the previous shoot,
+    one RadialState per step, from the same solve_ivp call with its
+    blow-up event at |u| = 1e12."""
     def rhs(r, y):
         u, p, v, q = y
         ua = max(u, 0.0) ** alpha
@@ -137,7 +136,7 @@ def _ref_shoot_checkpoints(n, alpha, u0, v0, rmax=50.0, rtol=1e-10, atol=1e-10):
     ev_subharmonicity.direction = 1
 
     def ev_blowup(r, y):
-        return abs(y[0]) - radial.BLOWUP_THRESHOLD
+        return abs(y[0]) - 1e12
     ev_blowup.terminal = True
     ev_blowup.direction = 1
 
@@ -145,18 +144,28 @@ def _ref_shoot_checkpoints(n, alpha, u0, v0, rmax=50.0, rtol=1e-10, atol=1e-10):
     y0 = [start.u, start.p, start.v, start.q]
 
     if start.v > 0:
-        return [start], None
+        return [start], "subharmonicity-violated", start.r
 
     sol = radial.solve_ivp(rhs, (start.r, rmax), y0, rtol=rtol, atol=atol,
                            events=[ev_positivity, ev_subharmonicity, ev_blowup],
                            dense_output=False)
 
+    if sol.status == 1:
+        if len(sol.t_events[0]):
+            verdict, r_end = "positivity-violated", float(sol.t_events[0][0])
+        elif len(sol.t_events[1]):
+            verdict, r_end = "subharmonicity-violated", float(sol.t_events[1][0])
+        else:
+            verdict, r_end = "blow-up", float(sol.t_events[2][0])
+    elif sol.status == 0:
+        verdict, r_end = "reached-max-radius", float(sol.t[-1])
+    else:
+        verdict, r_end = "blow-up", float(sol.t[-1])
+
     rs, ys = sol.t, sol.y
     checkpoints = [RadialState(float(r), *map(float, ys[:, i]))
                    for i, r in enumerate(rs)]
-    window = [s for s in checkpoints if s.u > 0 and s.v <= 0]
-    max_z = max((monitor_z(n, s.u, s.p, s.v) for s in window), default=None)
-    return checkpoints, max_z
+    return checkpoints, verdict, r_end
 
 
 def _ref_dump_trajectory_csv(n, checkpoints, path):
@@ -176,14 +185,24 @@ def _ref_dump_trajectory_csv(n, checkpoints, path):
     (6, 2.0, 1.0, -1.0, 0.5),       # stops at rmax before any event
 ])
 def test_arrays_equal_per_state_reference(n, alpha, u0, v0, rmax, tmp_path):
-    """max_z and the CSV dump from the checkpoint arrays equal, bit for bit,
-    those of the previous per-RadialState code."""
-    got = shoot(n, alpha, u0, v0, rmax)
-    checkpoints, max_z = _ref_shoot_checkpoints(n, alpha, u0, v0, rmax)
-    assert got.max_z == max_z
-    dump_trajectory_csv(got, str(tmp_path / "got.csv"))
-    _ref_dump_trajectory_csv(n, checkpoints, str(tmp_path / "want.csv"))
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    """The verdict, the termination radius and the CSV dump from the
+    checkpoint arrays equal, bit for bit, those of the previous
+    per-RadialState code."""
+    _assert_shoot_equals_reference([shoot(n, alpha, u0, v0, rmax)], tmp_path)
+
+
+def _assert_shoot_equals_reference(shots, tmp_path):
+    """Each shoot result has the reference's verdict, termination radius and
+    CSV bytes, and the reference's blow-up event never decides."""
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    for s in shots:
+        checkpoints, verdict, r_end = _ref_shoot_checkpoints(
+            s.n, s.alpha, s.u0, s.v0, s.rmax)
+        assert verdict != "blow-up"
+        assert (s.verdict, s.termination_radius) == (verdict, r_end)
+        dump_trajectory_csv(s, str(got))
+        _ref_dump_trajectory_csv(s.n, checkpoints, str(want))
+        assert got.read_bytes() == want.read_bytes()
 
 
 # -- differential test: the batched scan against per-cell shoot --------------------
@@ -201,7 +220,7 @@ def _perfbench_cells(seed):
 
 def _assert_scan_equals_shoot(n, alpha, u0s, v0s, rmax=50.0):
     """Each cell of the scan has shoot's verdict, its termination radius to
-    1e-9 relative, or shoot's error; returns the summary."""
+    1e-9 relative, or shoot's error; returns the summary and shoot's results."""
     summary, results = scan_shooting(n, alpha, u0s, v0s, rmax)
     want, want_errors = [], []
     for u0 in u0s:
@@ -216,35 +235,49 @@ def _assert_scan_equals_shoot(n, alpha, u0s, v0s, rmax=50.0):
         == [(w.u0, w.v0, w.verdict) for w in want]
     for c, w in zip(results, want):
         assert c.termination_radius == pytest.approx(w.termination_radius, rel=1e-9), c
-    return summary
+    return summary, want
 
 
 @pytest.mark.parametrize("n, alpha", ACCEPTANCE_CONFIGS)
-def test_batch_equals_shoot_on_acceptance_grid(n, alpha):
-    """Includes the v0 = 0 column, whose cells need no integration."""
+def test_batch_equals_shoot_on_acceptance_grid(n, alpha, tmp_path):
+    """Includes the v0 = 0 column, whose cells need no integration; shoot
+    also equals the reference that had a blow-up event."""
     u0s, v0s = default_grids(10)
-    summary = _assert_scan_equals_shoot(n, alpha, u0s, v0s)
+    summary, shots = _assert_scan_equals_shoot(n, alpha, u0s, v0s)
     assert summary.cells == 100 and summary.survivors == 0
+    _assert_shoot_equals_reference(shots, tmp_path)
 
 
 @pytest.mark.parametrize("seed, n, alpha", [(0, 5, 2.0), (7, 6, 3.0), (123, 8, 2.0)])
-def test_batch_equals_shoot_on_perfbench_cells(seed, n, alpha):
+def test_batch_equals_shoot_on_perfbench_cells(seed, n, alpha, tmp_path):
     u0s, v0s = _perfbench_cells(seed)
-    _assert_scan_equals_shoot(n, alpha, u0s, v0s + [0.0])
+    _, shots = _assert_scan_equals_shoot(n, alpha, u0s, v0s + [0.0])
+    _assert_shoot_equals_reference(shots, tmp_path)
+
+
+def test_a_start_already_below_zero_violates_positivity():
+    """u(r0) = u0 + v0 r0^2/(2n) < 0 for a tiny u0: no crossing is left for
+    the event to find, so the start itself is the verdict."""
+    summary, _ = _assert_scan_equals_shoot(6, 2.0, [1e-14, 1e-13, 1e-12], [-10.0, -1.0])
+    assert summary.survivors == 0
+    assert summary.verdict_counts == {"positivity-violated": 6}
+    summary, (cell,) = scan_shooting(6, 2.0, [1e-14], [-10.0])
+    assert (summary.survivors, cell.verdict, cell.termination_radius) \
+        == (0, "positivity-violated", radial.DEFAULT_R0)
 
 
 def test_batch_equals_shoot_across_the_verdict_boundary():
     """Near v0 = -0.84535654842700 (u0 = 1) u and v both cross 0 in one
     step, and the earlier root decides."""
     v0s = [-0.8453575 + 2e-7 * k for k in range(10)]
-    summary = _assert_scan_equals_shoot(6, 2.0, [1.0], v0s)
+    summary, _ = _assert_scan_equals_shoot(6, 2.0, [1.0], v0s)
     assert summary.verdict_counts == {"positivity-violated": 5,
                                       "subharmonicity-violated": 5}
 
 
 def test_batch_equals_shoot_to_a_small_rmax():
     u0s, v0s = default_grids(4)
-    summary = _assert_scan_equals_shoot(6, 2.0, u0s, v0s, rmax=1e-3)
+    summary, _ = _assert_scan_equals_shoot(6, 2.0, u0s, v0s, rmax=1e-3)
     assert summary.verdict_counts == {"reached-max-radius": 12,
                                       "subharmonicity-violated": 4}
 
@@ -261,7 +294,7 @@ def test_bad_cells_stay_out_of_the_batch(monkeypatch):
     monkeypatch.setattr(radial, "shoot_batch", checked)
     u0s = [math.nan, math.inf, -1.0, 0.0, 0.5, 2.0]
     v0s = [-math.inf, math.nan, -3.0, 0.0]
-    summary = _assert_scan_equals_shoot(6, 2.0, u0s, v0s)
+    summary, _ = _assert_scan_equals_shoot(6, 2.0, u0s, v0s)
     assert len(summary.errors) == 4 * 4 + 2 * 2 and summary.cells == 24
     (starts,) = seen
     assert len(starts) == 2 and np.isfinite(starts).all()
@@ -288,10 +321,12 @@ def test_batch_counts_equal_solve_ivp(monkeypatch):
     assert list(zip(run.steps.tolist(), run.nfev.tolist())) == calls
 
 
-def test_step_underflow_is_a_blow_up_at_the_last_radius():
+def test_step_underflow_is_a_per_cell_error_at_the_last_radius(monkeypatch):
     """A right side that overflows rejects every step until the step falls
-    below 10 ulp(r): solve_ivp fails there, and shoot calls that a blow-up
-    at the last radius."""
+    below 10 ulp(r): solve_ivp fails there, and the batch records the cell
+    as a step-size underflow at the last radius, after solve_ivp's steps and
+    evaluations.  shoot raises the same message, and the scan reports it as
+    that cell's error."""
     start = (1e200, -1.0, -1.0, 0.0)
 
     def rhs(r, y):
@@ -302,8 +337,17 @@ def test_step_underflow_is_a_blow_up_at_the_last_radius():
                                rtol=1e-10, atol=1e-10)
     run = radial.shoot_batch(6, 2.0, [start])
     assert sol.status == -1
-    assert (run.verdicts, run.radii.tolist(), run.nfev.tolist(), run.steps.tolist()) \
-        == (["blow-up"], [sol.t[-1]], [sol.nfev], [len(sol.t) - 1])
+    message = f"step size underflow at r = {float(sol.t[-1])!r}"
+    assert (run.verdicts, run.errors, run.nfev.tolist(), run.steps.tolist()) \
+        == ([None], {0: message}, [sol.nfev], [len(sol.t) - 1])
+
+    # no valid (u0, v0) reaches this start: u0 must be near 1e154 for u^2
+    # to overflow, and then v(r0) <= 0 needs u(r0) < 0; inject it instead
+    monkeypatch.setattr(radial, "series_start",
+                        lambda *_: RadialState(radial.DEFAULT_R0, *start))
+    with np.errstate(all="ignore"):
+        summary, _ = _assert_scan_equals_shoot(6, 2.0, [1.0], [-1.0])
+    assert summary.errors == [{"u0": 1.0, "v0": -1.0, "error": message}]
 
 
 def test_dump_reshoots_the_middle_cell(tmp_path):
