@@ -172,9 +172,9 @@ def run_params(n_max: int = 100):
     for n in range(5, n_max + 1):
         certs.extend(c.to_dict() for c in paramcheck.all_certificates(n))
     all_positive = all(c["verdict"] == "positive" for c in certs)
-    est1 = [paramcheck.est1_grid_check(n) for n in range(5, min(n_max, 24) + 1)]
+    est1 = [paramcheck.est1_grid_check(n) for n in paramcheck.EXPONENT_GRID_N if n <= n_max]
     exponents = paramcheck.exponent_grid_check()
-    linear = [paramcheck.linear_reduction_certificate(n) for n in range(5, 25)]
+    linear = [paramcheck.linear_reduction_certificate(n) for n in paramcheck.EXPONENT_GRID_N]
     section = {
         "minor_formulas": formulas.to_dict(),
         "certificates": certs,

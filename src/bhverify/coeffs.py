@@ -16,8 +16,10 @@ cached per denominator); each root r of multiplicity m then cancels at most
 m times, each time only if num(r, alpha, a, b) vanishes exactly, so no gcd
 is computed at all.  Any other denominator, including those subs_param
 creates outside Q[n], takes sympy's multivariate cancel.  Parameter
-substitution composes on raw ring elements and normalizes only once per
-result.
+substitution by a rational function (subs_param) composes on raw ring
+elements and normalizes only once per result.  Fixing n at an integer needs
+no substitution: paramcheck evaluates num and den at n with sympy's ring
+evaluation, which lands in Q[alpha] directly.
 """
 
 from __future__ import annotations
@@ -269,24 +271,6 @@ class ParamScalar:
         else:
             h_den = h_den * q ** (d_num - d_den)
         return ParamScalar(h_num, h_den)
-
-    def univariate(self, name: str) -> list[Fraction]:
-        """Coefficient list [c0, c1, ...] in one variable.
-
-        Requires every other variable to have been specialized away; the
-        denominator must be a ground constant.
-        """
-        i = VAR_NAMES.index(name)
-        if not self.den.is_ground:
-            raise ValueError(f"denominator {self.den} not constant")
-        den = _qq_to_fraction(self.den.coeff(1)) if self.den else Fraction(1)
-        deg = self.num.degrees()[i] if self.num else 0
-        coeffs = [Fraction(0)] * (max(deg, 0) + 1)
-        for monom, coeff in self.num.terms():
-            if any(e for j, e in enumerate(monom) if j != i):
-                raise ValueError(f"{self} is not univariate in {name}")
-            coeffs[monom[i]] += _qq_to_fraction(coeff)
-        return [c / den for c in coeffs]
 
     # -- serialization -------------------------------------------------------
 

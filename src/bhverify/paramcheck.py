@@ -6,11 +6,13 @@ that with exact arithmetic: the minor/determinant factorizations through the
 auxiliary polynomials f1, f2, f3 are checked as polynomial identities in
 formal (n, alpha), and positivity on the stated open intervals is certified
 per integer n by Sturm sequences over exact rationals (root counting plus an
-interior sample).  The entries of A are specialized to Q[alpha] once per n,
-and the Sylvester minors are formed there.  A floating-point
-minimal-eigenvalue scan reads the same specialized entries, cross-checks the
-certificates and reports the positivity margin.  The univariate polynomial
-arithmetic and the Sturm root count are sympy's.
+interior sample).  The five certified polynomials (f1, f3 and the leading
+principal minors of A) are formed once in formal (n, alpha); each certificate
+evaluates its polynomial at n with sympy's ring evaluation, which lands in
+Q[alpha].  A floating-point minimal-eigenvalue scan reads the entries of A
+specialized the same way, cross-checks the certificates and reports the
+positivity margin.  The univariate polynomial arithmetic and the Sturm root
+count are sympy's.
 
 The module also carries the small exact checks used by the blow-down
 argument: the cubic coefficient of the Bernstein estimate, the exponent
@@ -31,7 +33,7 @@ from sympy.polys.rings import PolyElement, ring
 from sympy.polys.rootisolation import dup_count_real_roots
 
 from .coeffs import ALPHA, A, N, ParamScalar, ps
-from .errors import DegenerateCertificateError, EngineInconsistencyError
+from .errors import DegenerateCertificateError, EngineInconsistencyError, PoleError
 from .registry import F1_COEFFS, F2_COEFFS, F3_COEFFS, build_named, poly_apply
 
 # -- univariate exact polynomials in Q[alpha] -----------------------------------
@@ -39,28 +41,27 @@ from .registry import F1_COEFFS, F2_COEFFS, F3_COEFFS, build_named, poly_apply
 QALPHA, _ = ring("alpha", QQ)
 
 
-def upoly(coeffs) -> PolyElement:
-    """The polynomial in QALPHA with these rational coefficients, constant first."""
-    return QALPHA.from_list(list(reversed(coeffs)))
+def at_n(x: ParamScalar, n: int) -> PolyElement:
+    """x at integer n as a polynomial in QALPHA.
+
+    The numerator and denominator are evaluated at n by sympy; the
+    denominator must become a nonzero constant, and neither a nor b may
+    survive.
+    """
+    num, den = x.num.evaluate(N.num, n), x.den.evaluate(N.num, n)
+    if not den.is_ground:
+        raise ValueError(f"denominator of {x} is not constant at n = {n}")
+    if not den:
+        raise PoleError(f"n = {n} is a denominator root of {x}")
+    if any(d > 0 for d in num.degrees()[1:]):
+        raise ValueError(f"{x} is not univariate in alpha")
+    return num.set_ring(QALPHA).quo_ground(den.LC)
 
 
 def _value(poly: PolyElement, x: Fraction) -> Fraction:
     """Exact value of a QALPHA polynomial at a rational point."""
     v = poly(x)
     return Fraction(int(v.numerator), int(v.denominator))
-
-
-def sturm_root_count(poly: PolyElement, a: Fraction, b: Fraction) -> int:
-    """Distinct real roots in the open interval (a, b).
-
-    sympy's Sturm-sequence count covers the closed interval [a, b]; roots
-    sitting exactly at the endpoints are taken off, so the count refers to
-    the interior only.
-    """
-    if not poly:
-        raise DegenerateCertificateError("root count of the zero polynomial")
-    closed = dup_count_real_roots(poly.to_dense(), QQ, inf=QQ.convert(a), sup=QQ.convert(b))
-    return closed - sum(1 for end in (a, b) if not poly(end))
 
 
 @dataclass(frozen=True)
@@ -88,11 +89,18 @@ class SignCertificate:
 
 def certify_sign(name: str, poly: PolyElement, n: int,
                  interval: tuple[Fraction, Fraction]) -> SignCertificate:
-    """Exact one-signedness verdict on an open interval via Sturm counting."""
+    """Exact one-signedness verdict on an open interval via Sturm counting.
+
+    sympy's Sturm-sequence count covers the closed interval [a, b]; roots
+    sitting exactly at the endpoints are taken off, so the recorded count
+    refers to the interior only.
+    """
     a, b = Fraction(interval[0]), Fraction(interval[1])
     if not poly:
         raise DegenerateCertificateError(f"{name}: zero polynomial on [{a}, {b}]")
-    roots = sturm_root_count(poly, a, b)
+    ends = (_value(poly, a), _value(poly, b))
+    closed = dup_count_real_roots(poly.to_dense(), QQ, inf=QQ.convert(a), sup=QQ.convert(b))
+    roots = closed - sum(1 for v in ends if not v)
     mid = (a + b) / 2
     sample = _value(poly, mid)
     if roots == 0 and sample > 0:
@@ -101,9 +109,7 @@ def certify_sign(name: str, poly: PolyElement, n: int,
         verdict = "negative"
     else:
         verdict = "not-one-signed"
-    return SignCertificate(name, n, (a, b), roots,
-                           (_value(poly, a), _value(poly, b)),
-                           (mid, sample), verdict)
+    return SignCertificate(name, n, (a, b), roots, ends, (mid, sample), verdict)
 
 
 # -- the coefficient matrix ----------------------------------------------------
@@ -135,9 +141,8 @@ class MatrixA:
                 - self.A12 * (self.A12 * self.A33 - self.A23 * self.A13)
                 + self.A13 * (self.A12 * self.A23 - self.A22 * self.A13))
 
-    def entry_polys_in_alpha(self, n: int) -> dict[str, list[Fraction]]:
-        return {name: getattr(self, name).subs_param("n", ps(n)).univariate("alpha")
-                for name in _ENTRIES}
+    def entry_polys_in_alpha(self, n: int) -> dict[str, PolyElement]:
+        return {name: at_n(getattr(self, name), n) for name in _ENTRIES}
 
 
 @lru_cache(maxsize=None)
@@ -150,16 +155,31 @@ def build_matrix_A() -> MatrixA:
     return MatrixA(**{k: build_named(k) for k in _ENTRIES})
 
 
-@lru_cache(maxsize=None)
 def matrix_at(n: int) -> MatrixA:
-    """A at integer n with entries in QALPHA.
+    """A at integer n with entries in QALPHA, for the eigenvalue scan.
 
     Substituting an integer n >= 5 is a ring homomorphism on the entries
     (their denominators are products of n - 1, n - 4 and n + 4), so the
     minors of this matrix are the specialized minors of the formal one.
-    Cached: the certificates and the eigenvalue scan share it.
     """
-    return MatrixA(**{k: upoly(v) for k, v in build_matrix_A().entry_polys_in_alpha(n).items()})
+    return MatrixA(**build_matrix_A().entry_polys_in_alpha(n))
+
+
+@lru_cache(maxsize=None)
+def certified_polys() -> dict[str, tuple[ParamScalar, ParamScalar]]:
+    """The five certified polynomials in formal (n, alpha), each with the
+    upper end of the open interval (0, upper) it is positive on.
+
+    f1 and f3 carry their variable x in the alpha slot; A11, minor2 and detA
+    are the leading principal minors of A.  Formed once per process.
+    """
+    mat = build_matrix_A()
+    critical = (N + 4) / (N - 4)
+    return {"f1": (poly_apply(F1_COEFFS, ALPHA), 1 / (N - 2)),
+            "f3": (poly_apply(F3_COEFFS, ALPHA), 1 / (N - 4)),
+            "A11": (mat.A11, critical),
+            "minor2": (mat.minor2(), critical),
+            "detA": (mat.det(), critical)}
 
 
 # -- factorization identities ---------------------------------------------------
@@ -195,7 +215,7 @@ def check_minor_formulas() -> MinorFormulaReport:
     (with its (n-2)^2 factor) and the corrected one (single factor n-2);
     the printed one fails, which the report records.
     """
-    mat = build_matrix_A()
+    polys = certified_polys()
     x13 = (N - 4) * ALPHA / ((N - 2) * (N + 4))
     minor_claim = ((N - 2) ** 2 / (2 * (N - 1) ** 2 * (N - 4) ** 2)
                    * poly_apply(F1_COEFFS, x13))
@@ -217,8 +237,8 @@ def check_minor_formulas() -> MinorFormulaReport:
     corrected = 64 * (N - 2) * (4 * N**3 - 13 * N**2 + 24 * N - 16) / (N - 4) ** 2
 
     return MinorFormulaReport(
-        minor2_vs_f1=(mat.minor2() == minor_claim),
-        det_vs_f2=(mat.det() == det_claim),
+        minor2_vs_f1=(polys["minor2"][0] == minor_claim),
+        det_vs_f2=(polys["detA"][0] == det_claim),
         f2_reduction_to_f3=reduction.is_zero,
         f1_at_zero=(f1_zero == 4 * (N + 2) * (N - 4)),
         f1_at_upper=(f1_upper == (8 * N**3 - 26 * N**2 + 48 * N - 32) / (N - 2) ** 2),
@@ -234,7 +254,7 @@ def check_minor_formulas() -> MinorFormulaReport:
 # -- per-n positivity certificates ----------------------------------------------
 
 
-_SYLVESTER = {"A11": lambda m: m.A11, "minor2": MatrixA.minor2, "detA": MatrixA.det}
+_SYLVESTER = ("A11", "minor2", "detA")
 
 
 def positivity_certificate(poly_id: str, n: int) -> SignCertificate:
@@ -245,18 +265,11 @@ def positivity_certificate(poly_id: str, n: int) -> SignCertificate:
     """
     if n < 5:
         raise ValueError("certificates require integer n >= 5")
-    if poly_id == "f1":
-        poly = upoly([c.evaluate(n=n) for c in F1_COEFFS])
-        iv = (Fraction(0), Fraction(1, n - 2))
-    elif poly_id == "f3":
-        poly = upoly([c.evaluate(n=n) for c in F3_COEFFS])
-        iv = (Fraction(0), Fraction(1, n - 4))
-    elif poly_id in _SYLVESTER:
-        poly = _SYLVESTER[poly_id](matrix_at(n))
-        iv = (Fraction(0), Fraction(n + 4, n - 4))
-    else:
+    table = certified_polys()
+    if poly_id not in table:
         raise KeyError(f"unknown certificate polynomial {poly_id!r}")
-    return certify_sign(poly_id, poly, n, iv)
+    body, upper = table[poly_id]
+    return certify_sign(poly_id, at_n(body, n), n, (Fraction(0), upper.evaluate(n=n)))
 
 
 @lru_cache(maxsize=None)
@@ -269,8 +282,8 @@ def sylvester_certificates(n: int) -> tuple[SignCertificate, ...]:
 
 
 def all_certificates(n: int) -> list[SignCertificate]:
-    return [positivity_certificate("f1", n), positivity_certificate("f3", n)] + \
-        list(sylvester_certificates(n))
+    return [positivity_certificate("f1", n), positivity_certificate("f3", n),
+            *sylvester_certificates(n)]
 
 
 # -- numeric minimal-eigenvalue scan ---------------------------------------------

@@ -119,6 +119,10 @@ def _check_cell(n: int, alpha: float, u0: float, v0: float):
         raise ValueError("v0 > 0 violates the center hypothesis")
     if not (math.isfinite(u0) and math.isfinite(v0)):
         raise ValueError(f"need finite u0 and v0, got u0 = {u0}, v0 = {v0}")
+    try:
+        u0**alpha
+    except OverflowError:
+        raise ValueError(f"u0**alpha overflows at u0 = {u0}, alpha = {alpha}") from None
 
 
 def _underflow_message(r) -> str:
@@ -381,7 +385,7 @@ def scan_shooting(n: int, alpha: float, u0_grid, v0_grid,
             try:
                 _check_cell(n, alpha, u0, v0)
                 start = series_start(n, alpha, u0, v0)
-            except (ValueError, OverflowError) as exc:  # per-cell, non-fatal
+            except ValueError as exc:  # per-cell, non-fatal
                 cells.append({"u0": u0, "v0": v0, "error": str(exc)})
                 continue
             verdict = _start_verdict(start)

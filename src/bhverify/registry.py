@@ -1,4 +1,4 @@
-"""Catalog of named invariants and the fifteen verified divergence identities.
+"""Catalog of named coefficients and the fifteen verified divergence identities.
 
 Every identity is stored as data: a bracket (vector expression in the
 composite symbols Etf/Fvec/Gscal where the derivation uses them), the weight
@@ -148,43 +148,13 @@ def poly_apply(coeffs, x):
     return acc
 
 
-_NAMES = ("Z_a", "E_ij", "E_i", "F_i", "E", "F", "G",
-          "c1", "c2", "A11", "A11_display", "A22", "A12", "A13", "A23", "A33",
-          "b_star", "f1", "f2", "f3")
-_ALIASES = {"E_j": "E_i", "F_j": "F_i"}
-
-
-def build_named(name: str, specialized: bool = True):
-    """Return the canonical body of a cataloged expression or coefficient.
-
-    With ``specialized`` the tensor-weight parameter is fixed to b_star;
-    otherwise it stays the formal b.  Bodies are built from the definitions,
-    never re-entered by hand.
-    """
-    name = _ALIASES.get(name, name)
-    if name not in _NAMES:
-        raise KeyError(f"unknown catalog name {name!r}")
+def build_named(name: str) -> ParamScalar:
+    """The catalog coefficient of this name, built from the definitions,
+    never re-entered by hand."""
     coeffs = _coeff_catalog()
-    if name in coeffs:
-        return coeffs[name]
-    if name == "f1":
-        return F1_COEFFS
-    if name == "f2":
-        return F2_COEFFS
-    if name == "f3":
-        return F3_COEFFS
-    if name == "Z_a":
-        return build_z()
-    b = bstar() if specialized else B
-    body = {
-        "E_ij": _etf_sym(),
-        "E_i": _e_i(),
-        "F_i": _fvec_sym(),
-        "E": _e_scalar(),
-        "F": _f_scalar(),
-        "G": _gscal_sym(),
-    }[name]
-    return substitute_defs(body, "backward", b=b)
+    if name not in coeffs:
+        raise KeyError(f"unknown catalog name {name!r}")
+    return coeffs[name]
 
 
 # -- identities ----------------------------------------------------------------

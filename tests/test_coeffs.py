@@ -14,7 +14,7 @@ from sympy.polys.rings import PolyElement
 from bhverify import cli
 from bhverify.calculus import bstar
 from bhverify.coeffs import (_RING, ALPHA, A, B, N, ONE, VAR_NAMES, ParamScalar,
-                             ZERO, _linear_roots, frac, ps)
+                             ZERO, _linear_roots, _qq_to_fraction, frac, ps)
 from bhverify.errors import MalformedCoefficientError, PoleError
 
 
@@ -101,11 +101,6 @@ def test_subs_param_composition():
     assert got == bb**2 + bb
 
 
-def test_univariate_extraction():
-    p = (N**2 * ALPHA**2 + 3 * ALPHA - 7).subs_param("n", ps(5))
-    assert p.univariate("alpha") == [Fraction(-7), Fraction(3), Fraction(25)]
-
-
 def test_pow_including_negative():
     x = (N - 1) / (N + 4)
     assert x**3 * x**-3 == ONE
@@ -188,23 +183,63 @@ def test_subs_param_denominator_root_raises_like_reference():
         x.subs_param("n", 4)
 
 
+def _ref_univariate(self, name: str) -> list[Fraction]:
+    """Coefficient list [c0, c1, ...] in one variable.
+
+    Requires every other variable to have been specialized away; the
+    denominator must be a ground constant.
+    """
+    i = VAR_NAMES.index(name)
+    if not self.den.is_ground:
+        raise ValueError(f"denominator {self.den} not constant")
+    den = _qq_to_fraction(self.den.coeff(1)) if self.den else Fraction(1)
+    deg = self.num.degrees()[i] if self.num else 0
+    coeffs = [Fraction(0)] * (max(deg, 0) + 1)
+    for monom, coeff in self.num.terms():
+        if any(e for j, e in enumerate(monom) if j != i):
+            raise ValueError(f"{self} is not univariate in {name}")
+        coeffs[monom[i]] += _qq_to_fraction(coeff)
+    return [c / den for c in coeffs]
+
+
+def _ref_in_alpha(x, n: int):
+    """x at integer n in QALPHA by the replaced route: the reference
+    subs_param, then the coefficient list of the replaced univariate."""
+    from bhverify.paramcheck import QALPHA
+    return QALPHA.from_list(_ref_univariate(_reference_subs_param(x, "n", ps(n)),
+                                            "alpha")[::-1])
+
+
 def test_subs_param_alpha_polys_match_reference():
-    """The 288 Sylvester polynomials at n = 5..100, as the certificates use
-    them: formed from the six entries specialized by subs_param, they equal
-    the formal minors specialized by the reference."""
-    from bhverify.paramcheck import build_matrix_A, matrix_at, upoly
+    """The 480 certified polynomials at n = 5..100, as the certificates use
+    them (formed in formal (n, alpha), then evaluated at n), equal the
+    formal bodies specialized by the reference.  The Sylvester minors formed
+    from matrix_at(n) equal them too, and subs_param agrees with the
+    reference on every entry."""
+    from bhverify.paramcheck import at_n, build_matrix_A, certified_polys, matrix_at
     mat = build_matrix_A()
-    bodies = {"A11": mat.A11, "minor2": mat.minor2(), "detA": mat.det()}
     for n in range(5, 101):
         for name in ("A11", "A12", "A13", "A22", "A23", "A33"):
             entry = getattr(mat, name)
             assert (str(entry.subs_param("n", ps(n)))
                     == str(_reference_subs_param(entry, "n", ps(n))))
-        at_n = matrix_at(n)
-        got = {"A11": at_n.A11, "minor2": at_n.minor2(), "detA": at_n.det()}
-        for poly_id, body in bodies.items():
-            want = _reference_subs_param(body, "n", ps(n))
-            assert got[poly_id] == upoly(want.univariate("alpha")), (poly_id, n)
+        at_n_mat = matrix_at(n)
+        minors = {"A11": at_n_mat.A11, "minor2": at_n_mat.minor2(), "detA": at_n_mat.det()}
+        for poly_id, (body, _) in certified_polys().items():
+            want = _ref_in_alpha(body, n)
+            assert at_n(body, n) == want, (poly_id, n)
+            assert minors.get(poly_id, want) == want, (poly_id, n)
+
+
+def test_matrix_at_entries_match_reference():
+    """All six entries of matrix_at(n), n = 5..100, equal the reference
+    specialization of the formal entries."""
+    from bhverify.paramcheck import build_matrix_A, matrix_at
+    mat = build_matrix_A()
+    for n in range(5, 101):
+        at_n_mat = matrix_at(n)
+        for name in ("A11", "A12", "A13", "A22", "A23", "A33"):
+            assert getattr(at_n_mat, name) == _ref_in_alpha(getattr(mat, name), n), (name, n)
 
 
 # -- differential test: _normalize against the multivariate cancel it replaced ---

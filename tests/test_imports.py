@@ -1,6 +1,6 @@
 """Every name a `bhverify` module imports is referenced in that module, and
-every top-level function, class and UPPER_CASE constant is referenced
-somewhere in the package."""
+every top-level function, class, UPPER_CASE constant and method of a
+top-level class is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -12,8 +12,11 @@ import bhverify
 MODULES = sorted(Path(bhverify.__file__).parent.glob("*.py"))
 
 # definitions kept for the tests alone: the acceptance mutation checks build
-# on perturb_identity, and printed_variant reproduces the display errata
-UNREFERENCED_ALLOWED = ["registry.py:perturb_identity", "registry.py:printed_variant"]
+# on perturb_identity, printed_variant reproduces the display errata, and
+# subs_param is the reference route for specializing a parameter (the tests
+# substitute b and alpha with it, and the benchmark's tracer wraps it)
+UNREFERENCED_ALLOWED = ["coeffs.py:ParamScalar.subs_param", "registry.py:perturb_identity",
+                        "registry.py:printed_variant"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -31,11 +34,17 @@ def _unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-def _top_level_names(node) -> list[str]:
-    """The names a top-level statement defines: a function or class, or the
-    UPPER_CASE names an assignment binds."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return [node.name]
+def _top_level_names(node) -> list[tuple[str, ast.AST]]:
+    """(qualified name, defining node) for what a top-level statement
+    defines: a function or class, the methods of a class other than dunder
+    methods, or the UPPER_CASE names an assignment binds."""
+    if isinstance(node, ast.ClassDef):
+        return [(node.name, node)] + [
+            (f"{node.name}.{m.name}", m) for m in node.body
+            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (m.name.startswith("__") and m.name.endswith("__"))]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [(node.name, node)]
     if isinstance(node, ast.Assign):
         targets = node.targets
     elif isinstance(node, ast.AnnAssign):
@@ -43,13 +52,14 @@ def _top_level_names(node) -> list[str]:
     else:
         return []
     names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    return [name for name in names if name.isupper()]
+    return [(name, node) for name in names if name.isupper()]
 
 
 def _unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """'module:name' of every top-level function, class or UPPER_CASE
-    constant that no code in the sources names (as a bare name or an
-    attribute) outside its own definition."""
+    constant, and 'module:Class.method' of every method of a top-level class
+    other than a dunder, that no code in the sources names (as a bare name
+    or an attribute) outside its own definition."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     refs: dict[str, list[tuple[str, int]]] = {}
     for module, tree in trees.items():
@@ -61,9 +71,9 @@ def _unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     out = []
     for module, tree in trees.items():
         for node in tree.body:
-            for name in _top_level_names(node):
-                if not any(m != module or not node.lineno <= line <= node.end_lineno
-                           for m, line in refs.get(name, [])):
+            for name, defn in _top_level_names(node):
+                if not any(m != module or not defn.lineno <= line <= defn.end_lineno
+                           for m, line in refs.get(name.rpartition(".")[2], [])):
                     out.append(f"{module}:{name}")
     return sorted(out)
 
@@ -82,6 +92,20 @@ def test_scan_flags_an_unreferenced_definition():
     }
     assert _unreferenced_definitions(sources) \
         == ["a.py:C", "a.py:Y", "a.py:f", "b.py:W", "b.py:k"]
+
+
+def test_scan_flags_an_unreferenced_method():
+    """Methods count by their attribute name; dunder methods are exempt, and
+    a method that only calls itself is still unreferenced."""
+    sources = {
+        "a.py": "class C:\n    def __init__(self):\n        self.g()\n\n"
+                "    def g(self):\n        pass\n\n"
+                "    def h(self):\n        return self.h()\n\n"
+                "    @property\n    def p(self):\n        return 1\n\n\n"
+                "def f(c):\n    def inner():\n        pass\n    return c.p\n",
+        "b.py": "from .a import C, f\n\n\nX = f(C())\n",
+    }
+    assert _unreferenced_definitions(sources) == ["a.py:C.h", "b.py:X"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

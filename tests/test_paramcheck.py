@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhverify.coeffs import N, ps
-from bhverify.errors import DegenerateCertificateError, EngineInconsistencyError
-from bhverify.paramcheck import (ExponentCheck, QALPHA, SignCertificate,
+from bhverify.coeffs import ALPHA, A, N, ps
+from bhverify.errors import DegenerateCertificateError, EngineInconsistencyError, PoleError
+from bhverify.paramcheck import (ExponentCheck, QALPHA, SignCertificate, at_n,
                                  build_matrix_A, certify_sign, check_minor_formulas,
                                  est1_coefficient, est1_grid_check,
                                  exponent_check, exponent_grid_check,
                                  linear_reduction_certificate,
                                  numeric_pd_scan, positivity_certificate,
-                                 sturm_root_count, sylvester_certificates, upoly)
+                                 sylvester_certificates)
 from bhverify.registry import F1_COEFFS, F3_COEFFS, poly_apply
+from test_coeffs import _ref_univariate
 
 
 class TestMatrix:
@@ -54,7 +55,6 @@ class TestFactorizations:
         """Beyond the formal identity: both sides numerically equal at
         (n, alpha) = (7, 1)."""
         from bhverify.registry import F2_COEFFS
-        from bhverify.coeffs import ALPHA
         lhs = build_matrix_A().det().evaluate(n=7, alpha=1)
         claim = (N * ALPHA**2 / (64 * (N - 1) ** 2 * (N + 4) ** 2)
                  * (1 / (N - 4) - ALPHA / (N + 4))
@@ -72,7 +72,6 @@ class TestFactorizations:
         assert poly_apply(f3_5, Fraction(1, 1)) == 53568  # 64*(n-2)*279 at n=5
 
     def test_mutated_f1_breaks_minor_identity(self):
-        from bhverify.coeffs import ALPHA
         mat = build_matrix_A()
         bad = (F1_COEFFS[0], F1_COEFFS[1] + 1, F1_COEFFS[2])
         x13 = (N - 4) * ALPHA / ((N - 2) * (N + 4))
@@ -81,22 +80,41 @@ class TestFactorizations:
         assert not (mat.minor2() == claim)
 
 
+class TestAtN:
+    def test_specializes_to_qalpha(self):
+        assert at_n(N**2 * ALPHA**2 + 3 * ALPHA - 7, 5) == QALPHA.from_list([25, 3, -7])
+        assert at_n((N + 4) * ALPHA / (N - 4), 6) == QALPHA.from_list([5, 0])
+
+    def test_rejects_what_is_not_a_polynomial_in_alpha(self):
+        with pytest.raises(ValueError, match="not univariate"):
+            at_n(N * A + ALPHA, 5)
+        with pytest.raises(ValueError, match="not constant"):
+            at_n(N / (ALPHA + 1), 5)
+        with pytest.raises(PoleError):
+            at_n(ALPHA / (N - 4), 4)
+
+
 class TestSturm:
     def test_root_counts(self):
         # (x-1)(x-2)(x-3)
-        p = upoly([Fraction(-6), Fraction(11), Fraction(-6), Fraction(1)])
-        assert sturm_root_count(p, Fraction(0), Fraction(4)) == 3
-        assert sturm_root_count(p, Fraction(0), Fraction(5, 2)) == 2
+        p = QALPHA.from_list([1, -6, 11, -6])
+
+        def count(a, b):
+            return certify_sign("custom", p, 5, (a, b)).sturm_root_count
+        assert count(Fraction(0), Fraction(4)) == 3
+        assert count(Fraction(0), Fraction(5, 2)) == 2
         # endpoint roots are deflated away
-        assert sturm_root_count(p, Fraction(1), Fraction(3)) == 1
+        assert count(Fraction(1), Fraction(3)) == 1
 
     def test_certify_planted_root(self):
-        c = certify_sign("custom", upoly([0, 1, -1]), 5, (Fraction(0), Fraction(2)))
+        c = certify_sign("custom", QALPHA.from_list([-1, 1, 0]), 5,
+                         (Fraction(0), Fraction(2)))
         assert c.verdict == "not-one-signed"
         assert c.sturm_root_count == 1
 
     def test_certify_negative(self):
-        c = certify_sign("custom", upoly([-1, 0, -1]), 5, (Fraction(0), Fraction(1)))
+        c = certify_sign("custom", QALPHA.from_list([-1, 0, -1]), 5,
+                         (Fraction(0), Fraction(1)))
         assert c.verdict == "negative"
 
     def test_degenerate_certificate(self):
@@ -135,8 +153,7 @@ class TestNumericScan:
         polys = mat.entry_polys_in_alpha(5)
         from bhverify.paramcheck import _eigmin_sym3
         alphas = np.array([9 - 10.0**-k for k in range(1, 7)])
-        vals = {k: np.polynomial.polynomial.polyval(alphas,
-                                                    np.array([float(x) for x in v]))
+        vals = {k: np.polyval([float(c) for c in v.to_dense()], alphas)
                 for k, v in polys.items()}
         lam = _eigmin_sym3(vals["A11"], vals["A12"], vals["A13"],
                            vals["A22"], vals["A23"], vals["A33"])
@@ -317,14 +334,15 @@ def _ref_formal_bodies():
 
 
 def _ref_certificate(poly_id: str, n: int) -> SignCertificate:
-    """The replaced route: the Sylvester minors are formed in formal
-    (n, alpha) and then specialized, one subs_param per minor."""
+    """The replaced route: f1 and f3 coefficient by coefficient, the
+    Sylvester minors by subs_param and the coefficient list of the replaced
+    ParamScalar.univariate."""
     if poly_id in ("f1", "f3"):
         coeffs = F1_COEFFS if poly_id == "f1" else F3_COEFFS
         upper = Fraction(1, n - 2) if poly_id == "f1" else Fraction(1, n - 4)
         return _ref_certify_sign(poly_id, [c.evaluate(n=n) for c in coeffs], n,
                                  (Fraction(0), upper))
-    cs = _ref_formal_bodies()[poly_id].subs_param("n", ps(n)).univariate("alpha")
+    cs = _ref_univariate(_ref_formal_bodies()[poly_id].subs_param("n", ps(n)), "alpha")
     return _ref_certify_sign(poly_id, cs, n, (Fraction(0), Fraction(n + 4, n - 4)))
 
 
@@ -371,9 +389,8 @@ class TestAgainstReplacedCode:
     @given(_planted_polys())
     def test_root_count_matches_reference(self, case):
         coeffs, a, b, inside = case
-        got = sturm_root_count(upoly(coeffs), a, b)
-        assert got == _ref_sturm_root_count(coeffs, a, b) == len(inside)
-        cert = certify_sign("custom", upoly(coeffs), 5, (a, b))
+        cert = certify_sign("custom", QALPHA.from_list(coeffs[::-1]), 5, (a, b))
+        assert cert.sturm_root_count == _ref_sturm_root_count(coeffs, a, b) == len(inside)
         assert cert == _ref_certify_sign("custom", coeffs, 5, (a, b))
 
     def test_all_480_certificates_match_reference(self):

@@ -300,6 +300,16 @@ def test_bad_cells_stay_out_of_the_batch(monkeypatch):
     assert len(starts) == 2 and np.isfinite(starts).all()
 
 
+def test_an_overflowing_power_of_u0_is_a_named_error():
+    """u0**alpha overflows a float at u0 = 1e200, alpha = 2: shoot raises a
+    ValueError that names u0, and the scan reports it as that cell's error."""
+    with pytest.raises(ValueError, match=r"u0\*\*alpha overflows at u0 = 1e\+200"):
+        shoot(6, 2.0, 1e200, -1.0)
+    summary, shots = _assert_scan_equals_shoot(6, 2.0, [1e200, 1.0], [-1.0])
+    assert [e["u0"] for e in summary.errors] == [1e200]
+    assert summary.cells == 2 and len(shots) == 1
+
+
 def test_batch_counts_equal_solve_ivp(monkeypatch):
     """The batch takes the steps and right-hand-side evaluations solve_ivp
     takes, cell by cell: the same method, controller and initial step."""

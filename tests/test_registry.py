@@ -5,30 +5,27 @@ from fractions import Fraction
 
 import pytest
 
-from bhverify.calculus import SubstitutionMode, bstar
-from bhverify.coeffs import ALPHA, N, ParamScalar, frac, ps
+from bhverify.calculus import SubstitutionMode, bstar, substitute_defs
+from bhverify.coeffs import ALPHA, B, N, ParamScalar, frac, ps
 from bhverify.errors import NoCombinationError, SingularSystemError
 from bhverify.registry import (ERRATA, Identity, all_identities, build_named,
-                               build_z, get_identity, list_registry,
+                               get_identity, list_registry,
                                perturb_identity, printed_variant,
                                solve_combination, verify_all, verify_identity)
 from bhverify.tensor import TExpr, expr, frob, mono
 
 
 class TestCatalog:
-    def test_bernstein_quantity(self):
-        za = build_named("Z_a")
-        assert za == build_z()
-
     def test_tracefree_tensor_is_tracefree(self):
-        for specialized in (True, False):
-            eij = build_named("E_ij", specialized=specialized)
-            metric = expr(1, mono(0, ("g", "x", "y"), free=("x", "y")))
+        etf = expr(1, mono(0, ("Etf", "x", "y"), free=("x", "y")))
+        metric = expr(1, mono(0, ("g", "x", "y"), free=("x", "y")))
+        for b in (B, bstar()):
+            eij = substitute_defs(etf, "backward", b=b)
             assert frob(eij, metric).is_zero
 
     def test_specialized_fvec_display(self):
-        """F_j with b specialized has the three displayed coefficients."""
-        from bhverify.tensor import expr, mono
+        """F_i with b specialized has the three displayed coefficients."""
+        fvec = expr(1, mono(0, ("Fvec", "x"), free=("x",)))
         k = 1 + N * ALPHA / (N + 4)
         expected = (expr(1, mono(0, ("DLap", "x"), free=("x",)))
                     + expr(-(N + 2) / (2 * N) * k,
@@ -36,7 +33,7 @@ class TestCatalog:
                     + expr(frac(1, 4) * k * ((N + 2) / N - (N - 2) * ALPHA / (N + 4)),
                            mono(-2, ("Du", "j"), ("Du", "j"), ("Du", "x"),
                                 free=("x",))))
-        assert (build_named("F_i") - expected).is_zero
+        assert (substitute_defs(fvec, "backward", b=bstar()) - expected).is_zero
 
     def test_c1_value(self):
         c1 = build_named("c1")
@@ -45,8 +42,7 @@ class TestCatalog:
     def test_a11_two_routes_agree(self):
         assert build_named("A11") == build_named("A11_display")
 
-    def test_alias_names(self):
-        assert build_named("E_j") == build_named("E_i")
+    def test_unknown_name(self):
         with pytest.raises(KeyError):
             build_named("nonsense")
 
