@@ -8,18 +8,29 @@ byte-identical representations.
 
 The polynomial arithmetic (multiplication, gcds) is delegated to sympy's
 sparse polynomial rings over QQ.  On top of it sit the canonical
-normalization, exact evaluation, and parameter substitution.  Normalization
-takes one of three routes.  A constant denominator needs no gcd.  A
-denominator in Q[n] that splits into linear factors over Q, as every
-denominator of the identities does, is factored once (the factorization is
-cached per denominator); each root r of multiplicity m then cancels at most
-m times, each time only if num(r, alpha, a, b) vanishes exactly, so no gcd
-is computed at all.  Any other denominator, including those subs_param
-creates outside Q[n], takes sympy's multivariate cancel.  Parameter
+normalization, memoized arithmetic, exact evaluation, and parameter
+substitution.  Normalization takes one of three routes.  A constant
+denominator needs no gcd.  A denominator in Q[n] that splits into linear
+factors over Q, as every denominator of the identities does, is factored
+once (the factorization is cached per denominator); each root r of
+multiplicity m then cancels at most m times, each time only if
+num(r, alpha, a, b) vanishes exactly, so no gcd is computed at all.  Any
+other denominator, including those subs_param creates outside Q[n], takes
+sympy's multivariate cancel.
+
+Sum, difference, product and quotient are module-level kernels with an LRU
+cache keyed on the two normalized operands (ParamScalars are immutable and
+hashable), and from_int is cached the same way: the identities rebuild the
+same coefficients many times over, and a repeated operation returns the
+object built the first time.  On a miss, a product of two factors whose
+denominators split in Q[n] follows Henrici's rule: both factors are
+reduced, so the root tests cancel num1 against the roots of den2 and num2
+against the roots of den1, and the product needs only the primitive/sign
+step.  Any other product normalizes num1*num2 / den1*den2.  Parameter
 substitution by a rational function (subs_param) composes on raw ring
 elements and normalizes only once per result.  Fixing n at an integer needs
-no substitution: paramcheck evaluates num and den at n with sympy's ring
-evaluation, which lands in Q[alpha] directly.
+no substitution: paramcheck evaluates each coefficient of num and den in n
+directly, which lands in Q[alpha].
 """
 
 from __future__ import annotations
@@ -56,6 +67,16 @@ def _linear_roots(den):
     return tuple(roots)
 
 
+def _split_roots(den):
+    """_linear_roots(den) for den in Q[n] (() when den is constant), or None
+    when den has a factor outside Q[n] or irreducible of degree 2 or more."""
+    if den.is_ground:
+        return ()
+    if any(den.degrees()[1:]):
+        return None
+    return _linear_roots(den)
+
+
 def _vanishes_at(num, r) -> bool:
     """Whether num(n = r, alpha, a, b) is exactly 0: one pass over the terms,
     summing r^e c into the group of each (alpha, a, b) monomial."""
@@ -64,6 +85,39 @@ def _vanishes_at(num, r) -> bool:
         rest = monom[1:]
         groups[rest] = groups.get(rest, 0) + c * r ** monom[0]
     return not any(groups.values())
+
+
+def _cancel_roots(num, den, roots):
+    """Divide num and den by n - r while num vanishes at r, at most m times
+    for each (r, m) in roots: a linear factor of den shares a factor with
+    num exactly when num vanishes at its root, so no gcd is needed."""
+    for r, m in roots:
+        for _ in range(m):
+            if not _vanishes_at(num, r):
+                break
+            lin = _N - r
+            num, den = num.exquo(lin), den.exquo(lin)
+    return num, den
+
+
+def cofactors(f, g):
+    """(h, f/h, g/h) for h the monic gcd of two ring elements; taken in the
+    univariate ring Q[n] when both lie there."""
+    if any(f.degrees()[1:]) or any(g.degrees()[1:]):
+        return f.cofactors(g)
+    h, cf, cg = f.set_ring(_N_RING).cofactors(g.set_ring(_N_RING))
+    return h.set_ring(_RING), cf.set_ring(_RING), cg.set_ring(_RING)
+
+
+def _primitive(num, den):
+    """Make den integer-primitive with positive leading coefficient; num
+    absorbs the rational content."""
+    content, prim = den.primitive()
+    num = num.quo_ground(content)
+    if prim.LC < 0:
+        prim = -prim
+        num = -num
+    return num, prim
 
 
 def _qq_to_fraction(q) -> Fraction:
@@ -94,32 +148,16 @@ class ParamScalar:
             raise MalformedCoefficientError("zero denominator in coefficient")
         if not num:
             return _RING.zero, _RING.one
-        # A denominator in Q[n] that splits into linear factors n - r shares
-        # a factor with num exactly when num vanishes at n = r, so root
-        # tests replace the gcd: (n - r) cancels while num(r) == 0, at most
-        # its multiplicity m times.  A constant denominator needs nothing; a
-        # denominator with an irreducible factor of degree 2 or more, or one
-        # outside Q[n] (subs_param can create one), keeps the multivariate
-        # cancel.
-        if not den.is_ground:
-            roots = None if any(den.degrees()[1:]) else _linear_roots(den)
-            if roots is None:
-                num, den = num.cancel(den)
-            else:
-                for r, m in roots:
-                    for _ in range(m):
-                        if not _vanishes_at(num, r):
-                            break
-                        lin = _N - r
-                        num, den = num.exquo(lin), den.exquo(lin)
-        # Make the denominator integer-primitive with positive leading
-        # coefficient; the numerator absorbs the rational content.
-        content, prim = den.primitive()
-        num = num.quo_ground(content)
-        if prim.LC < 0:
-            prim = -prim
-            num = -num
-        return num, prim
+        # A constant denominator needs nothing; one that splits into linear
+        # factors of Q[n] cancels by root tests; one with an irreducible
+        # factor of degree 2 or more, or one outside Q[n] (subs_param can
+        # create one), keeps the multivariate cancel.
+        roots = _split_roots(den)
+        if roots is None:
+            num, den = num.cancel(den)
+        else:
+            num, den = _cancel_roots(num, den, roots)
+        return _primitive(num, den)
 
     def __setattr__(self, *args):
         raise AttributeError("ParamScalar is immutable")
@@ -128,7 +166,7 @@ class ParamScalar:
 
     @classmethod
     def from_int(cls, k: int) -> "ParamScalar":
-        return cls(_RING.ground_new(QQ(k)))
+        return _from_int(k)
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "ParamScalar":
@@ -151,21 +189,18 @@ class ParamScalar:
     # -- ring / field structure -------------------------------------------
 
     def __add__(self, other: Rationalish) -> "ParamScalar":
-        o = ParamScalar.coerce(other)
-        return ParamScalar(self.num * o.den + o.num * self.den, self.den * o.den)
+        return _sum(self, ParamScalar.coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other: Rationalish) -> "ParamScalar":
-        o = ParamScalar.coerce(other)
-        return ParamScalar(self.num * o.den - o.num * self.den, self.den * o.den)
+        return _difference(self, ParamScalar.coerce(other))
 
     def __rsub__(self, other: Rationalish) -> "ParamScalar":
         return ParamScalar.coerce(other) - self
 
     def __mul__(self, other: Rationalish) -> "ParamScalar":
-        o = ParamScalar.coerce(other)
-        return ParamScalar(self.num * o.num, self.den * o.den)
+        return _product(self, ParamScalar.coerce(other))
 
     __rmul__ = __mul__
 
@@ -173,7 +208,7 @@ class ParamScalar:
         o = ParamScalar.coerce(other)
         if not o.num:
             raise MalformedCoefficientError("division by zero coefficient")
-        return ParamScalar(self.num * o.den, self.den * o.num)
+        return _quotient(self, o)
 
     def __rtruediv__(self, other: Rationalish) -> "ParamScalar":
         return ParamScalar.coerce(other) / self
@@ -282,6 +317,50 @@ class ParamScalar:
 
     def __repr__(self) -> str:
         return f"ParamScalar({self})"
+
+
+# -- memoized arithmetic kernels -------------------------------------------------
+# Keyed on the two normalized operands, which are immutable and hashable: a
+# repeated operation returns the ParamScalar built the first time.
+
+_KERNEL_CACHE = 4096
+
+
+@lru_cache(maxsize=_KERNEL_CACHE)
+def _from_int(k: int) -> ParamScalar:
+    return ParamScalar(_RING.ground_new(QQ(k)))
+
+
+@lru_cache(maxsize=_KERNEL_CACHE)
+def _sum(x: ParamScalar, y: ParamScalar) -> ParamScalar:
+    return ParamScalar(x.num * y.den + y.num * x.den, x.den * y.den)
+
+
+@lru_cache(maxsize=_KERNEL_CACHE)
+def _difference(x: ParamScalar, y: ParamScalar) -> ParamScalar:
+    return ParamScalar(x.num * y.den - y.num * x.den, x.den * y.den)
+
+
+@lru_cache(maxsize=_KERNEL_CACHE)
+def _product(x: ParamScalar, y: ParamScalar) -> ParamScalar:
+    """x * y by Henrici's rule when both denominators split in Q[n].
+
+    Both factors are reduced, so a root of x.den can only cancel against
+    y.num and a root of y.den only against x.num; cancelling crosswise
+    before multiplying leaves a reduced product that needs only the
+    primitive/sign step.  Other denominators normalize the full product.
+    """
+    x_roots, y_roots = _split_roots(x.den), _split_roots(y.den)
+    if x_roots is None or y_roots is None:
+        return ParamScalar(x.num * y.num, x.den * y.den)
+    x_num, y_den = _cancel_roots(x.num, y.den, y_roots)
+    y_num, x_den = _cancel_roots(y.num, x.den, x_roots)
+    return ParamScalar(*_primitive(x_num * y_num, x_den * y_den), _normalized=True)
+
+
+@lru_cache(maxsize=_KERNEL_CACHE)
+def _quotient(x: ParamScalar, y: ParamScalar) -> ParamScalar:
+    return ParamScalar(x.num * y.den, x.den * y.num)
 
 
 # Frequently used atoms.

@@ -8,11 +8,12 @@ formal (n, alpha), and positivity on the stated open intervals is certified
 per integer n by Sturm sequences over exact rationals (root counting plus an
 interior sample).  The five certified polynomials (f1, f3 and the leading
 principal minors of A) are formed once in formal (n, alpha); each certificate
-evaluates its polynomial at n with sympy's ring evaluation, which lands in
-Q[alpha].  A floating-point minimal-eigenvalue scan reads the entries of A
-specialized the same way, cross-checks the certificates and reports the
-positivity margin.  The univariate polynomial arithmetic and the Sturm root
-count are sympy's.
+evaluates its polynomial at n (at_n) by Horner's rule, from a table of the
+body's coefficients as dense polynomials in n formed once per body, which
+lands in Q[alpha].  A floating-point minimal-eigenvalue scan reads the
+entries of A specialized the same way, cross-checks the certificates and
+reports the positivity margin.  The univariate polynomial arithmetic and the
+Sturm root count are sympy's.
 
 The module also carries the small exact checks used by the blow-down
 argument: the cubic coefficient of the Bernstein estimate, the exponent
@@ -41,21 +42,52 @@ from .registry import F1_COEFFS, F2_COEFFS, F3_COEFFS, build_named, poly_apply
 QALPHA, _ = ring("alpha", QQ)
 
 
+def _dense_in_n(poly: PolyElement) -> dict[tuple, list]:
+    """poly as {(alpha, a, b) exponents: its coefficient in Q[n] as a dense
+    list, highest degree first}."""
+    groups: dict[tuple, dict[int, object]] = {}
+    for (e, *rest), c in poly.items():
+        groups.setdefault(tuple(rest), {})[e] = c
+    return {rest: [cs.get(e, QQ.zero) for e in range(max(cs), -1, -1)]
+            for rest, cs in groups.items()}
+
+
+@lru_cache(maxsize=64)
+def _n_tables(x: ParamScalar) -> tuple[dict, dict]:
+    """The coefficient tables of x's denominator and numerator, formed once
+    per body."""
+    return _dense_in_n(x.den), _dense_in_n(x.num)
+
+
+def _horner(table: dict[tuple, list], n: int) -> dict[tuple, object]:
+    """Every coefficient list of a table at n, by Horner's rule in QQ."""
+    out = {}
+    for rest, coeffs in table.items():
+        v = coeffs[0]
+        for c in coeffs[1:]:
+            v = v * n + c
+        out[rest] = v
+    return out
+
+
 def at_n(x: ParamScalar, n: int) -> PolyElement:
     """x at integer n as a polynomial in QALPHA.
 
-    The numerator and denominator are evaluated at n by sympy; the
-    denominator must become a nonzero constant, and neither a nor b may
-    survive.
+    Each (alpha, a, b) coefficient of the numerator and denominator is
+    evaluated at n from x's coefficient tables; the denominator must become
+    a nonzero constant, and neither a nor b may survive.
     """
-    num, den = x.num.evaluate(N.num, n), x.den.evaluate(N.num, n)
-    if not den.is_ground:
+    den_table, num_table = _n_tables(x)
+    den = _horner(den_table, n)
+    if any(v for rest, v in den.items() if any(rest)):
         raise ValueError(f"denominator of {x} is not constant at n = {n}")
-    if not den:
+    d = den.get((0, 0, 0))
+    if not d:
         raise PoleError(f"n = {n} is a denominator root of {x}")
-    if any(d > 0 for d in num.degrees()[1:]):
+    num = _horner(num_table, n)
+    if any(v for (_, a, b), v in num.items() if a or b):
         raise ValueError(f"{x} is not univariate in alpha")
-    return num.set_ring(QALPHA).quo_ground(den.LC)
+    return QALPHA.from_dict({(k,): v / d for (k, _, _), v in num.items() if v})
 
 
 def _value(poly: PolyElement, x: Fraction) -> Fraction:

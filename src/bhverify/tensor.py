@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .coeffs import ONE, ParamScalar, N, ps
+from .coeffs import ONE, ParamScalar, N, cofactors, ps
 from .errors import MalformedMonomialError, UnsupportedCurvatureError, ValenceError
 
 
@@ -339,7 +339,7 @@ class TExpr:
                 if p_den == den:
                     num = p_num + num
                 else:
-                    _, p_cof, cof = p_den.cofactors(den)
+                    _, p_cof, cof = cofactors(p_den, den)
                     num, den = p_num * cof + num * p_cof, p_den * cof
                 if not num:
                     del acc[canon]

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import PolyElement
 
-from bhverify import cli
+from bhverify import cli, coeffs, registry, tensor
 from bhverify.calculus import bstar
 from bhverify.coeffs import (_RING, ALPHA, A, B, N, ONE, VAR_NAMES, ParamScalar,
-                             ZERO, _linear_roots, _qq_to_fraction, frac, ps)
+                             ZERO, _linear_roots, _qq_to_fraction, cofactors, frac, ps)
 from bhverify.errors import MalformedCoefficientError, PoleError
 
 
@@ -364,3 +365,180 @@ def test_verify_never_calls_the_multivariate_cancel(monkeypatch):
     records, ok = cli.run_verify()
     assert ok and len(records) == 15
     assert len(calls) == 0
+
+
+# -- differential test: memoized kernels against the operators they replaced ------
+
+
+def _ref_add(self, other):
+    o = ParamScalar.coerce(other)
+    return ParamScalar(self.num * o.den + o.num * self.den, self.den * o.den)
+
+
+def _ref_sub(self, other):
+    o = ParamScalar.coerce(other)
+    return ParamScalar(self.num * o.den - o.num * self.den, self.den * o.den)
+
+
+def _ref_mul(self, other):
+    o = ParamScalar.coerce(other)
+    return ParamScalar(self.num * o.num, self.den * o.den)
+
+
+def _ref_truediv(self, other):
+    o = ParamScalar.coerce(other)
+    if not o.num:
+        raise MalformedCoefficientError("division by zero coefficient")
+    return ParamScalar(self.num * o.den, self.den * o.num)
+
+
+_OPERATIONS = ((_ref_add, lambda x, y: x + y), (_ref_sub, lambda x, y: x - y),
+               (_ref_mul, lambda x, y: x * y), (_ref_truediv, lambda x, y: x / y))
+
+
+def _scalars(pair):
+    """The normalized ParamScalar of a drawn (num, den) pair; a zero
+    denominator gives the zero coefficient."""
+    num, den = pair
+    return ParamScalar(num, den) if den else ZERO
+
+
+_operands = st.one_of(_num_den_pairs().map(_scalars), st.integers(-3, 3), _small_fractions)
+
+
+@st.composite
+def _operand_pairs(draw):
+    """A drawn coefficient and an operand, or two coefficients that share
+    factors crosswise, x = f1 g1 / (h1 g2) and y = f2 g2 / (h2 g1), with
+    (f, h) drawn as num/den pairs and g1, g2 factored in Q[n]."""
+    if draw(st.booleans()):
+        return _scalars(draw(_num_den_pairs())), draw(_operands)
+    g1, g2 = draw(_factored_n_polys), draw(_factored_n_polys)
+    (f1, h1), (f2, h2) = draw(_num_den_pairs()), draw(_num_den_pairs())
+    return _scalars((f1 * g1, h1 * g2)), _scalars((f2 * g2, h2 * g1))
+
+
+def _assert_same_arithmetic(x, y):
+    """Both operand orders; an int or Fraction first takes the reflected
+    operator."""
+    for ref, op in _OPERATIONS:
+        for a, b in ((x, y), (y, x)):
+            try:
+                want = ref(ParamScalar.coerce(a), b)
+            except MalformedCoefficientError as exc:
+                with pytest.raises(MalformedCoefficientError,
+                                   match=f"^{re.escape(str(exc))}$"):
+                    op(a, b)
+                continue
+            got = op(a, b)
+            assert (got.num, got.den) == (want.num, want.den)
+            assert str(got) == str(want)
+
+
+_split = ParamScalar((_alpha - 1) * (_n + 4), (2 * _n - 3) * _n**2)
+_non_split = ParamScalar(_alpha * (_n - 1), 3 * (_n**2 + 1))
+_outside = ParamScalar(_n * _b - 1, _alpha * _a - _b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_operand_pairs())
+@example((_split, ParamScalar(_alpha * (_n - 1) * (2 * _n - 3) * _n, 5 * (_n + 4))))  # crosswise
+@example((_split, _non_split))
+@example((_split, _outside))
+@example((_non_split, _outside))
+@example((_split, ZERO))                                # product and quotient by zero
+@example((ZERO, _outside))
+@example((_split, -7))
+@example((-_split, Fraction(-3, 4)))                    # negative leading coefficients
+@example((ParamScalar(-_alpha, -2 * _n + 3), ParamScalar(_n, -_n - 4)))
+def test_kernels_match_replaced_operators(pair):
+    """+, -, * and / give the num, den and text of the replaced operators,
+    with either operand first: split, non-split and non-Q[n] denominators,
+    zero, constants, negative leading coefficients, division by zero."""
+    _assert_same_arithmetic(*pair)
+
+
+def test_repeated_operation_returns_the_cached_object():
+    x = (N - 1) / (N + 4)
+    y = ALPHA * (N + 4) / (2 * N - 3)
+    assert x * y is x * y
+    assert x + y is x + y
+    assert x - y is x - y
+    assert x / y is x / y
+    assert ParamScalar.from_int(7) is ParamScalar.from_int(7)
+    assert 2 * x is 2 * x
+
+
+def test_cofactors_match_the_multivariate_ring():
+    """The univariate route for Q[n] gives the 4-variable ring's gcd and
+    cofactors; other pairs take the 4-variable ring itself."""
+    dens = [(2 * _n - 3)**2 * (_n + 4), 3 * _n * (2 * _n - 3), _n**2 + 1, _RING(QQ(-4, 9)),
+            (_n**2 + 1) * (_alpha * _a - _b), _n * (_alpha * _a - _b)]
+    for f in dens:
+        for g in dens:
+            assert cofactors(f, g) == f.cofactors(g)
+
+
+def _kernels():
+    return {name: getattr(coeffs, name)
+            for name in ("_from_int", "_sum", "_difference", "_product", "_quotient")}
+
+
+def _clear_caches():
+    """Cold kernels, and identities built anew, as in a fresh process."""
+    for cached in (*_kernels().values(), registry.all_identities, registry._coeff_catalog):
+        cached.cache_clear()
+
+
+def test_verify_leaves_every_cached_coefficient_unchanged(monkeypatch):
+    """Every coefficient a kernel hands out during run_verify keeps the num
+    and den it had when it was returned, until the run is over."""
+    seen = {}
+
+    def snapshot(kernel):
+        def recorded(*args):
+            out = kernel(*args)
+            if id(out) not in seen:
+                seen[id(out)] = (out, dict(out.num), dict(out.den))
+            return out
+        return recorded
+
+    _clear_caches()
+    for name, kernel in _kernels().items():
+        monkeypatch.setattr(coeffs, name, snapshot(kernel))
+    records, ok = cli.run_verify()
+    assert ok and len(seen) > 500
+    changed = [str(x) for x, num, den in seen.values()
+               if dict(x.num) != num or dict(x.den) != den]
+    assert not changed
+
+
+def test_verify_reuses_coefficient_arithmetic(monkeypatch):
+    """From cold caches, run_verify normalizes at most 600 times (3,832
+    before the kernels were memoized), and run_verify plus run_combination,
+    the identities benchmark workload, make exactly 1,095 canonical_form
+    calls, the benchmark's reference count."""
+    normalize, canonical_form = ParamScalar._normalize, tensor.canonical_form
+    counts = {"normalize": 0, "canonical_form": 0}
+
+    def counted_normalize(num, den):
+        counts["normalize"] += 1
+        return normalize(num, den)
+
+    def counted_canonical_form(m):
+        counts["canonical_form"] += 1
+        return canonical_form(m)
+
+    monkeypatch.setattr(ParamScalar, "_normalize", staticmethod(counted_normalize))
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("bhverify") and mod is not None:
+            for attr, value in list(vars(mod).items()):
+                if value is canonical_form:
+                    monkeypatch.setattr(mod, attr, counted_canonical_form)
+    _clear_caches()
+    records, ok = cli.run_verify()
+    assert ok and len(records) == 15
+    assert counts["normalize"] <= 600
+    _, ok = cli.run_combination()
+    assert ok
+    assert counts["canonical_form"] == 1095

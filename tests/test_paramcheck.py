@@ -84,6 +84,10 @@ class TestAtN:
     def test_specializes_to_qalpha(self):
         assert at_n(N**2 * ALPHA**2 + 3 * ALPHA - 7, 5) == QALPHA.from_list([25, 3, -7])
         assert at_n((N + 4) * ALPHA / (N - 4), 6) == QALPHA.from_list([5, 0])
+        # a or b, in the numerator or the denominator, with a coefficient
+        # that vanishes at this n
+        assert at_n((N - 5) * A + ALPHA, 5) == QALPHA.from_list([1, 0])
+        assert at_n(2 * ALPHA / ((N - 5) * A + 2), 5) == QALPHA.from_list([1, 0])
 
     def test_rejects_what_is_not_a_polynomial_in_alpha(self):
         with pytest.raises(ValueError, match="not univariate"):

@@ -490,6 +490,11 @@ def _term_lists(draw):
           (ONE / N, _SCALAR_MONOS[2])])
 @example([(ONE / (N - 1), _SCALAR_MONOS[3]), (ONE / (N + 4), _SCALAR_MONOS[4]),
           (ONE / (ALPHA - B), _SCALAR_MONOS[3]), (ALPHA, _SCALAR_MONOS[7])])
+# running denominators outside Q[n] that share a factor, and a Q[n] one
+# meeting a denominator outside Q[n]: the multivariate gcd
+@example([(ONE / (N * A + 1), _SCALAR_MONOS[0]),
+          ((N + 1) / ((N * A + 1) * (N - 1)), _SCALAR_MONOS[1]),
+          (ONE / N, _SCALAR_MONOS[3]), (ALPHA / (N * (ALPHA - B)), _SCALAR_MONOS[4])])
 def test_from_terms_matches_replaced_code(terms):
     """Same monomials in the same order with the same coefficients."""
     got = TExpr.from_terms(0, terms)
