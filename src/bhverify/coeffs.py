@@ -1,36 +1,30 @@
 """Exact rational-function coefficients in the formal parameters n, alpha, a, b.
 
 Every coefficient appearing in the verified identities is an element of the
-fraction field Q(n, alpha, a, b).  A ParamScalar stores a gcd-reduced pair of
-multivariate polynomials with integer-primitive denominator and positive
-denominator leading coefficient, so equal rational functions always have
-byte-identical representations.
+fraction field Q(n, alpha, a, b) whose denominator lies in Q[n] and splits
+into linear factors over Q (products of n, n - 1, n - 2, n - 4 and n + 4).
+That is the domain: any other denominator raises MalformedCoefficientError
+naming it.  A ParamScalar stores a reduced pair of multivariate polynomials
+with integer-primitive denominator and positive denominator leading
+coefficient, so equal rational functions always have byte-identical
+representations.
 
-The polynomial arithmetic (multiplication, gcds) is delegated to sympy's
-sparse polynomial rings over QQ.  On top of it sit the canonical
-normalization, memoized arithmetic, exact evaluation, and parameter
-substitution.  Normalization takes one of three routes.  A constant
-denominator needs no gcd.  A denominator in Q[n] that splits into linear
-factors over Q, as every denominator of the identities does, is factored
-once (the factorization is cached per denominator); each root r of
-multiplicity m then cancels at most m times, each time only if
-num(r, alpha, a, b) vanishes exactly, so no gcd is computed at all.  Any
-other denominator, including those subs_param creates outside Q[n], takes
-sympy's multivariate cancel.
+The polynomial arithmetic (multiplication, factorization) is sympy's, in
+sparse polynomial rings over QQ.  Normalization factors each denominator
+once (cached per denominator); each root r of multiplicity m then cancels at
+most m times, each time only if num(r, alpha, a, b) vanishes exactly, which
+Horner's rule decides per (alpha, a, b) coefficient, so no gcd is computed.
 
 Sum, difference, product and quotient are module-level kernels with an LRU
 cache keyed on the two normalized operands (ParamScalars are immutable and
-hashable), and from_int is cached the same way: the identities rebuild the
-same coefficients many times over, and a repeated operation returns the
-object built the first time.  On a miss, a product of two factors whose
-denominators split in Q[n] follows Henrici's rule: both factors are
-reduced, so the root tests cancel num1 against the roots of den2 and num2
-against the roots of den1, and the product needs only the primitive/sign
-step.  Any other product normalizes num1*num2 / den1*den2.  Parameter
-substitution by a rational function (subs_param) composes on raw ring
-elements and normalizes only once per result.  Fixing n at an integer needs
-no substitution: paramcheck evaluates each coefficient of num and den in n
-directly, which lands in Q[alpha].
+hashable), and from_int is cached the same way: a repeated operation returns
+the object built the first time.  On a miss, a product follows Henrici's
+rule: both factors are reduced, so num1 cancels only against the roots of
+den2 and num2 only against those of den1, and the product needs only the
+primitive/sign step.  subs_param composes on raw ring elements and
+normalizes once per result.  Fixing n at an integer needs no substitution:
+paramcheck evaluates each coefficient of num and den in n directly, which
+lands in Q[alpha].
 """
 
 from __future__ import annotations
@@ -56,35 +50,52 @@ Rationalish = Union[int, Fraction, "ParamScalar"]
 
 @lru_cache(maxsize=1024)
 def _linear_roots(den):
-    """((r, m), ...) for den in Q[n] = c * prod (n - r)^m over the rationals,
-    or None when den has an irreducible factor of degree 2 or more."""
+    """((r, m), ...) for den in Q[n] = c * prod (n - r)^m over the rationals;
+    an irreducible factor of degree 2 or more raises MalformedCoefficientError."""
     _, factors = den.set_ring(_N_RING).factor_list()
     roots = []
     for f, m in factors:
         if f.degree() != 1:
-            return None
+            raise MalformedCoefficientError(
+                f"denominator does not split over Q: {den} has the factor {f}")
         roots.append((-f.coeff(1) / f.LC, m))
     return tuple(roots)
 
 
 def _split_roots(den):
-    """_linear_roots(den) for den in Q[n] (() when den is constant), or None
-    when den has a factor outside Q[n] or irreducible of degree 2 or more."""
+    """_linear_roots(den), or () when den is constant; a denominator outside
+    Q[n] raises MalformedCoefficientError."""
     if den.is_ground:
         return ()
     if any(den.degrees()[1:]):
-        return None
+        raise MalformedCoefficientError(f"denominator outside Q[n]: {den}")
     return _linear_roots(den)
 
 
+def _dense_in_n(poly) -> dict[tuple, list]:
+    """poly as {(alpha, a, b) exponents: its coefficient in Q[n] as a dense
+    list, highest degree first}."""
+    groups: dict[tuple, dict[int, object]] = {}
+    for (e, *rest), c in poly.items():
+        groups.setdefault(tuple(rest), {})[e] = c
+    return {rest: [cs.get(e, QQ.zero) for e in range(max(cs), -1, -1)]
+            for rest, cs in groups.items()}
+
+
+def _horner(table: dict[tuple, list], n) -> dict[tuple, object]:
+    """Every coefficient list of a table at n, by Horner's rule in QQ."""
+    out = {}
+    for rest, coeffs in table.items():
+        v = coeffs[0]
+        for c in coeffs[1:]:
+            v = v * n + c
+        out[rest] = v
+    return out
+
+
 def _vanishes_at(num, r) -> bool:
-    """Whether num(n = r, alpha, a, b) is exactly 0: one pass over the terms,
-    summing r^e c into the group of each (alpha, a, b) monomial."""
-    groups: dict[tuple, object] = {}
-    for monom, c in num.items():
-        rest = monom[1:]
-        groups[rest] = groups.get(rest, 0) + c * r ** monom[0]
-    return not any(groups.values())
+    """Whether num(n = r, alpha, a, b) is exactly 0."""
+    return not any(_horner(_dense_in_n(num), r).values())
 
 
 def _cancel_roots(num, den, roots):
@@ -101,10 +112,8 @@ def _cancel_roots(num, den, roots):
 
 
 def cofactors(f, g):
-    """(h, f/h, g/h) for h the monic gcd of two ring elements; taken in the
-    univariate ring Q[n] when both lie there."""
-    if any(f.degrees()[1:]) or any(g.degrees()[1:]):
-        return f.cofactors(g)
+    """(h, f/h, g/h) for h the monic gcd of two denominators, taken in the
+    univariate ring Q[n]."""
     h, cf, cg = f.set_ring(_N_RING).cofactors(g.set_ring(_N_RING))
     return h.set_ring(_RING), cf.set_ring(_RING), cg.set_ring(_RING)
 
@@ -148,16 +157,7 @@ class ParamScalar:
             raise MalformedCoefficientError("zero denominator in coefficient")
         if not num:
             return _RING.zero, _RING.one
-        # A constant denominator needs nothing; one that splits into linear
-        # factors of Q[n] cancels by root tests; one with an irreducible
-        # factor of degree 2 or more, or one outside Q[n] (subs_param can
-        # create one), keeps the multivariate cancel.
-        roots = _split_roots(den)
-        if roots is None:
-            num, den = num.cancel(den)
-        else:
-            num, den = _cancel_roots(num, den, roots)
-        return _primitive(num, den)
+        return _primitive(*_cancel_roots(num, den, _split_roots(den)))
 
     def __setattr__(self, *args):
         raise AttributeError("ParamScalar is immutable")
@@ -275,7 +275,8 @@ class ParamScalar:
         the parameter, sum C_e x^e, becomes the homogeneous
         H = sum C_e p^e q^(d-e) (Horner's rule on the raw polynomials), so
         num/den turns into H_num q^(d_den-d_num) / H_den.  Hitting a root of
-        the denominator raises MalformedCoefficientError.
+        the denominator, or a result outside the domain, raises
+        MalformedCoefficientError.
         """
         value = ParamScalar.coerce(value)
         i = VAR_NAMES.index(name)
@@ -343,18 +344,15 @@ def _difference(x: ParamScalar, y: ParamScalar) -> ParamScalar:
 
 @lru_cache(maxsize=_KERNEL_CACHE)
 def _product(x: ParamScalar, y: ParamScalar) -> ParamScalar:
-    """x * y by Henrici's rule when both denominators split in Q[n].
+    """x * y by Henrici's rule.
 
     Both factors are reduced, so a root of x.den can only cancel against
     y.num and a root of y.den only against x.num; cancelling crosswise
     before multiplying leaves a reduced product that needs only the
-    primitive/sign step.  Other denominators normalize the full product.
+    primitive/sign step.
     """
-    x_roots, y_roots = _split_roots(x.den), _split_roots(y.den)
-    if x_roots is None or y_roots is None:
-        return ParamScalar(x.num * y.num, x.den * y.den)
-    x_num, y_den = _cancel_roots(x.num, y.den, y_roots)
-    y_num, x_den = _cancel_roots(y.num, x.den, x_roots)
+    x_num, y_den = _cancel_roots(x.num, y.den, _split_roots(y.den))
+    y_num, x_den = _cancel_roots(y.num, x.den, _split_roots(x.den))
     return ParamScalar(*_primitive(x_num * y_num, x_den * y_den), _normalized=True)
 
 

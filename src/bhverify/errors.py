@@ -6,7 +6,7 @@ class EngineError(Exception):
 
 
 class MalformedCoefficientError(EngineError):
-    """Raised when a rational-function coefficient has a zero denominator."""
+    """Raised when a coefficient's denominator is zero or does not split in Q[n]."""
 
 
 class MalformedMonomialError(EngineError):

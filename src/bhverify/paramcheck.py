@@ -8,9 +8,10 @@ formal (n, alpha), and positivity on the stated open intervals is certified
 per integer n by Sturm sequences over exact rationals (root counting plus an
 interior sample).  The five certified polynomials (f1, f3 and the leading
 principal minors of A) are formed once in formal (n, alpha); each certificate
-evaluates its polynomial at n (at_n) by Horner's rule, from a table of the
-body's coefficients as dense polynomials in n formed once per body, which
-lands in Q[alpha].  A floating-point minimal-eigenvalue scan reads the
+evaluates its polynomial at n (at_n) by Horner's rule (coeffs' evaluator
+in n), from a table of the body's coefficients as dense polynomials in n
+formed once per body; every denominator lies in Q[n] (the coefficient
+domain), so the result lands in Q[alpha].  A floating-point minimal-eigenvalue scan reads the
 entries of A specialized the same way, cross-checks the certificates and
 reports the positivity margin.  The univariate polynomial arithmetic and the
 Sturm root count are sympy's.
@@ -33,23 +34,13 @@ from sympy import QQ
 from sympy.polys.rings import PolyElement, ring
 from sympy.polys.rootisolation import dup_count_real_roots
 
-from .coeffs import ALPHA, A, N, ParamScalar, ps
+from .coeffs import ALPHA, A, N, ParamScalar, _dense_in_n, _horner, ps
 from .errors import DegenerateCertificateError, EngineInconsistencyError, PoleError
 from .registry import F1_COEFFS, F2_COEFFS, F3_COEFFS, build_named, poly_apply
 
 # -- univariate exact polynomials in Q[alpha] -----------------------------------
 
 QALPHA, _ = ring("alpha", QQ)
-
-
-def _dense_in_n(poly: PolyElement) -> dict[tuple, list]:
-    """poly as {(alpha, a, b) exponents: its coefficient in Q[n] as a dense
-    list, highest degree first}."""
-    groups: dict[tuple, dict[int, object]] = {}
-    for (e, *rest), c in poly.items():
-        groups.setdefault(tuple(rest), {})[e] = c
-    return {rest: [cs.get(e, QQ.zero) for e in range(max(cs), -1, -1)]
-            for rest, cs in groups.items()}
 
 
 @lru_cache(maxsize=64)
@@ -59,29 +50,15 @@ def _n_tables(x: ParamScalar) -> tuple[dict, dict]:
     return _dense_in_n(x.den), _dense_in_n(x.num)
 
 
-def _horner(table: dict[tuple, list], n: int) -> dict[tuple, object]:
-    """Every coefficient list of a table at n, by Horner's rule in QQ."""
-    out = {}
-    for rest, coeffs in table.items():
-        v = coeffs[0]
-        for c in coeffs[1:]:
-            v = v * n + c
-        out[rest] = v
-    return out
-
-
 def at_n(x: ParamScalar, n: int) -> PolyElement:
     """x at integer n as a polynomial in QALPHA.
 
-    Each (alpha, a, b) coefficient of the numerator and denominator is
-    evaluated at n from x's coefficient tables; the denominator must become
-    a nonzero constant, and neither a nor b may survive.
+    Each (alpha, a, b) coefficient of the numerator, and the denominator,
+    which lies in Q[n], are evaluated at n from x's coefficient tables; the
+    denominator must not vanish, and neither a nor b may survive.
     """
     den_table, num_table = _n_tables(x)
-    den = _horner(den_table, n)
-    if any(v for rest, v in den.items() if any(rest)):
-        raise ValueError(f"denominator of {x} is not constant at n = {n}")
-    d = den.get((0, 0, 0))
+    d = _horner(den_table, n)[(0, 0, 0)]
     if not d:
         raise PoleError(f"n = {n} is a denominator root of {x}")
     num = _horner(num_table, n)

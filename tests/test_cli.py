@@ -6,7 +6,7 @@ import os
 import pytest
 
 from bhverify import cli, paramcheck, registry
-from bhverify.cli import run
+from bhverify.cli import load_config, run
 from bhverify.errors import EngineInconsistencyError
 from bhverify.report import render_json, render_markdown
 
@@ -125,6 +125,16 @@ def test_config_env_var(tmp_path, monkeypatch):
 
 def test_missing_config_file_is_usage_error(tmp_path):
     assert run(["--config", str(tmp_path / "absent.cfg"), "verify"]) == 2
+
+
+def test_missing_config_file_from_environment_is_usage_error(tmp_path, monkeypatch, capsys):
+    """A non-empty BHVERIFY_CONFIG naming no file exits 2 before any section
+    runs; an empty one means no config file."""
+    monkeypatch.setenv("BHVERIFY_CONFIG", str(tmp_path / "absent.cfg"))
+    assert run(["params"]) == 2
+    assert "config file not found" in capsys.readouterr().err
+    monkeypatch.setenv("BHVERIFY_CONFIG", "")
+    assert load_config(None) == {}
 
 
 def test_malformed_config_line(tmp_path):

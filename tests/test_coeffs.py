@@ -1,4 +1,4 @@
-"""Exact coefficient field: normalization, equality, evaluation."""
+"""Exact coefficients: the domain, normalization, equality, evaluation."""
 
 import math
 import random
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import PolyElement
 
-from bhverify import cli, coeffs, registry, tensor
+from bhverify import cli, coeffs, paramcheck, registry, tensor
 from bhverify.calculus import bstar
 from bhverify.coeffs import (_RING, ALPHA, A, B, N, ONE, VAR_NAMES, ParamScalar,
                              ZERO, _linear_roots, _qq_to_fraction, cofactors, frac, ps)
@@ -72,9 +72,9 @@ def test_equality_agrees_with_evaluation():
     """Normalized equality iff equal values at 1000 random rational points
     (avoiding denominator roots)."""
     rng = random.Random(20240811)
-    u = (N**2 - 16) * (ALPHA + 1) / ((N - 4) * (ALPHA + 1))
-    v = N + 4
-    w = N + 4 + ALPHA * frac(1, 1000)
+    u = (N**2 - 16) * (ALPHA + 1) / ((N - 4) * (N + 1))
+    v = (N + 4) * (ALPHA + 1) / (N + 1)
+    w = v + ALPHA * frac(1, 1000)
     hits = 0
     for _ in range(1000):
         pt = {k: _random_rational(rng) for k in ("n", "alpha", "a", "b")}
@@ -134,6 +134,22 @@ def _reference_subs_param(x, name, value):
 _small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 _polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), _small_fractions,
                          max_size=4)
+_n, _alpha, _a, _b = _RING.gens
+
+
+def _ring_poly(terms):
+    """sum c * n^e_n * alpha^e_alpha * a^e_a * b^e_b as a raw ring element."""
+    return _RING.from_dict({e: QQ(c.numerator, c.denominator) for e, c in terms.items()})
+
+
+_constants = _small_fractions.map(lambda c: _ring_poly({(0, 0, 0, 0): c}))
+# the domain's denominators: products of linear factors in Q[n], repeated
+# and non-monic roots included
+_N_FACTORS = (_n, _n + 4, _n - 1, _n - 2, _n - 4, 2 * _n - 3, 3 * _n + 1)
+_factored_n_polys = st.builds(
+    lambda c, powers: math.prod((f**e for f, e in powers), start=c),
+    _constants.filter(bool),
+    st.lists(st.tuples(st.sampled_from(_N_FACTORS), st.integers(1, 3)), max_size=3))
 
 
 def _poly(terms) -> ParamScalar:
@@ -144,8 +160,7 @@ def _poly(terms) -> ParamScalar:
 
 @st.composite
 def _rational_functions(draw):
-    den = draw(_polys.filter(lambda m: any(m.values())))
-    return _poly(draw(_polys)) / _poly(den)
+    return _poly(draw(_polys)) / ParamScalar(draw(_factored_n_polys))
 
 
 _values = st.one_of(
@@ -156,12 +171,20 @@ _values = st.one_of(
 )
 
 
+def _reason(exc) -> str:
+    """An error message without the denominator it names: the reference
+    names the one it formed, which can differ from subs_param's by constant
+    and linear factors in Q[n]."""
+    return str(exc).split(":")[0]
+
+
 def _assert_same_substitution(x, name, value):
     try:
         want = _reference_subs_param(x, name, value)
     except MalformedCoefficientError as exc:
-        with pytest.raises(MalformedCoefficientError, match=f"^{re.escape(str(exc))}$"):
+        with pytest.raises(MalformedCoefficientError) as got:
             x.subs_param(name, value)
+        assert _reason(got.value) == _reason(exc)
         return
     got = x.subs_param(name, value)
     assert str(got) == str(want)
@@ -179,7 +202,7 @@ def test_subs_param_denominator_root_raises_like_reference():
     x = (ALPHA + 1) / (N - 4)
     for value in (4, Fraction(4), ps(4)):
         _assert_same_substitution(x, "n", value)
-    _assert_same_substitution(N / (B * (B + 1)), "b", frac(-1, 1))
+    _assert_same_substitution(B / (N * (2 * N - 3)), "n", frac(3, 2))
     with pytest.raises(MalformedCoefficientError):
         x.subs_param("n", 4)
 
@@ -262,41 +285,14 @@ def _ref_normalize(num, den):
     return num, prim
 
 
-_n, _alpha, _a, _b = _RING.gens
-
-
-def _ring_poly(terms):
-    """sum c * n^e_n * alpha^e_alpha * a^e_a * b^e_b as a raw ring element."""
-    return _RING.from_dict({e: QQ(c.numerator, c.denominator) for e, c in terms.items()})
-
-
-_n_polys = st.dictionaries(st.tuples(st.integers(0, 3), *[st.just(0)] * 3),
-                           _small_fractions, max_size=3).map(_ring_poly)
-_constants = _small_fractions.map(lambda c: _ring_poly({(0, 0, 0, 0): c}))
-# products of linear factors, repeated and non-monic roots included, and of
-# irreducible quadratics, which keep a Q[n] denominator on the multivariate cancel
-_N_FACTORS = (_n, _n + 4, _n - 1, _n - 4, 2 * _n - 3, 3 * _n + 1, _n**2 + 1, _n**2 - 2)
-_factored_n_polys = st.builds(
-    lambda c, powers: math.prod((f**e for f, e in powers), start=c),
-    _constants.filter(bool),
-    st.lists(st.tuples(st.sampled_from(_N_FACTORS), st.integers(1, 3)), max_size=3))
-# cofactors that take a denominator outside Q[n]: fixed ones, or drawn
-_outside_factors = st.one_of(
-    st.sampled_from([_alpha * _a - _b, _alpha + 1, 2 * _n * _b - 3, _a**2 - _n * _alpha]),
-    _polys.map(_ring_poly).filter(bool),
-)
-
-
 @st.composite
 def _num_den_pairs(draw):
-    """num = f g, den = h g k: f multivariate, g and h in Q[n] (drawn or
-    factored) or constant (h possibly zero), k a cofactor that may take den
-    outside Q[n]."""
+    """num = f g, den = h g: f multivariate, g and h products of linear
+    factors in Q[n] or constant (h possibly zero)."""
     f = _ring_poly(draw(_polys))
-    g = draw(st.one_of(_n_polys, _constants, _factored_n_polys).filter(bool))
-    h = draw(st.one_of(_n_polys.filter(bool), _constants, _factored_n_polys))
-    k = draw(_outside_factors) if draw(st.booleans()) else _RING.one
-    return f * g, h * g * k
+    g = draw(st.one_of(_constants, _factored_n_polys).filter(bool))
+    h = draw(st.one_of(_constants, _factored_n_polys))
+    return f * g, h * g
 
 
 @settings(max_examples=400, deadline=None)
@@ -304,12 +300,8 @@ def _num_den_pairs(draw):
 @example((_n**2 - 16, 2 * _n - 8))                       # shared factor n - 4
 @example(((_alpha - _n) * (_n + 4) / 3, -(_n + 4) * (_n - 1) / 2))
 @example((-_alpha * _a / 6, _RING(QQ(-4, 9))))          # constant denominator
-@example(((_alpha * _a - _b) * _n, (_alpha * _a - _b) * (_n - 1)))  # outside Q[n]
 # a repeated non-monic root: 2n - 3 divides den twice and num once; n - 1 only den
 @example(((_alpha * _n - 3) * (2 * _n - 3) * (_n + 4), (2 * _n - 3)**2 * (_n + 4) * (_n - 1)))
-# irreducible quadratics in Q[n]: the multivariate cancel
-@example((_alpha * (_n**2 + 1), 3 * (_n**2 + 1)))
-@example((_a * (_n**2 - 2) * (_n - 1), (_n**2 - 2) * (_n - 1)**2))
 @example((_RING.zero, _n + 4))
 @example((_alpha, _RING.zero))
 def test_normalize_matches_multivariate_cancel(pair):
@@ -330,8 +322,48 @@ def test_normalize_matches_multivariate_cancel(pair):
 def test_linear_roots_of_cached_factorization():
     roots = _linear_roots(_n**2 * (_n + 4) * (2 * _n - 3)**3)
     assert sorted(roots) == [(QQ(-4), 1), (QQ(0), 2), (QQ(3, 2), 3)]
-    assert _linear_roots(_n**2 + 1) is None
-    assert _linear_roots((_n**2 - 2) * (_n - 1)) is None
+    with pytest.raises(MalformedCoefficientError, match=r"split over Q: n\*\*2 \+ 1 has"):
+        _linear_roots(_n**2 + 1)
+    with pytest.raises(MalformedCoefficientError, match=r"has the factor n\*\*2 - 2$"):
+        _linear_roots((_n**2 - 2) * (_n - 1))
+
+
+_split = ParamScalar((_alpha - 1) * (_n + 4), (2 * _n - 3) * _n**2)
+
+
+@pytest.mark.parametrize("build, message", [
+    # construction
+    (lambda: ONE / (ALPHA + 1), "denominator outside Q[n]: alpha + 1"),
+    (lambda: ParamScalar(_n, _n**2 + 1),
+     "denominator does not split over Q: n**2 + 1 has the factor n**2 + 1"),
+    (lambda: ParamScalar((_alpha * _a - _b) * _n, (_alpha * _a - _b) * (_n - 1)),
+     "denominator outside Q[n]: n*alpha*a - n*b - alpha*a + b"),
+    (lambda: ParamScalar(_alpha * (_n**2 + 1), 3 * (_n**2 + 1)),
+     "denominator does not split over Q: 3*n**2 + 3 has the factor n**2 + 1"),
+    (lambda: ParamScalar(_a * (_n**2 - 2) * (_n - 1), (_n**2 - 2) * (_n - 1)**2),
+     "denominator does not split over Q: n**4 - 2*n**3 - n**2 + 4*n - 2 has the factor n**2 - 2"),
+    (lambda: ParamScalar(_n * _b - 1, _alpha * _a - _b), "denominator outside Q[n]: alpha*a - b"),
+    # arithmetic
+    (lambda: (N + 1) / (N * A + 1), "denominator outside Q[n]: n*a + 1"),
+    (lambda: ALPHA**-2, "denominator outside Q[n]: alpha"),
+    (lambda: 3 / (N**2 - 2), "denominator does not split over Q: n**2 - 2 has the factor n**2 - 2"),
+    (lambda: _split / (ALPHA * A - B),
+     "denominator outside Q[n]: 2*n**3*alpha*a - 2*n**3*b - 3*n**2*alpha*a + 3*n**2*b"),
+    # subs_param
+    (lambda: (ONE / (N - 4)).subs_param("n", ALPHA), "denominator outside Q[n]: alpha - 4"),
+    (lambda: (ALPHA / (N - 1)).subs_param("n", N**2 + 2),
+     "denominator does not split over Q: n**2 + 1 has the factor n**2 + 1"),
+    (lambda: (ALPHA / N).subs_param("n", A / (N - 1)), "denominator outside Q[n]: a"),
+], ids=["construct-alpha", "construct-quadratic", "construct-shared-outside",
+        "construct-shared-quadratic", "construct-repeated-quadratic", "construct-outside",
+        "quotient-outside", "power-outside", "quotient-quadratic", "quotient-product",
+        "subs-outside", "subs-quadratic", "subs-rational-outside"])
+def test_denominators_outside_the_domain_raise(build, message):
+    """A denominator outside Q[n], or with an irreducible factor of degree 2
+    or more, raises MalformedCoefficientError naming it, whether it comes
+    from construction, arithmetic or subs_param."""
+    with pytest.raises(MalformedCoefficientError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def _count_cancels(monkeypatch) -> list:
@@ -347,23 +379,40 @@ def _count_cancels(monkeypatch) -> list:
 
 
 def test_normalize_route_follows_denominator_factors(monkeypatch):
-    """Root tests for denominators that split into linear factors over Q,
-    the multivariate cancel for an irreducible quadratic factor."""
+    """Root tests for denominators that split into linear factors over Q; an
+    irreducible quadratic factor raises instead of taking the multivariate
+    cancel."""
     calls = _count_cancels(monkeypatch)
     x = ParamScalar((_alpha - 1) * (2 * _n - 3) * _n, (2 * _n - 3)**2 * _n**2 * (_n + 4))
-    assert not calls
     assert (x.num, x.den) == (_alpha - 1, (2 * _n - 3) * _n * (_n + 4))
-    y = ParamScalar(_alpha * (_n**2 + 1), (_n**2 + 1) * (_n - 1))
-    assert len(calls) == 1
-    assert (y.num, y.den) == (_alpha, _n - 1)
+    with pytest.raises(MalformedCoefficientError, match="has the factor n\\*\\*2 \\+ 1$"):
+        ParamScalar(_alpha * (_n**2 + 1), (_n**2 + 1) * (_n - 1))
+    assert not calls
 
 
-def test_verify_never_calls_the_multivariate_cancel(monkeypatch):
-    """Every denominator of the identities splits into linear factors in
-    Q[n], so verify decides every cancellation by root tests."""
-    calls = _count_cancels(monkeypatch)
+def _verify():
     records, ok = cli.run_verify()
     assert ok and len(records) == 15
+
+
+def _params_and_scan_pd():
+    for cached in (paramcheck.build_matrix_A, paramcheck.certified_polys,
+                   paramcheck.sylvester_certificates, paramcheck._n_tables):
+        cached.cache_clear()
+    _, ok = cli.run_params(8)
+    assert ok
+    _, ok = cli.run_scan_pd(5, 8, 50)
+    assert ok
+
+
+@pytest.mark.parametrize("run", [_verify, _params_and_scan_pd], ids=["verify", "params"])
+def test_verify_never_calls_the_multivariate_cancel(monkeypatch, run):
+    """Every denominator of the identities splits into linear factors in
+    Q[n], so verify, params and scan-pd decide every cancellation by root
+    tests, from cold caches."""
+    _clear_caches()
+    calls = _count_cancels(monkeypatch)
+    run()
     assert len(calls) == 0
 
 
@@ -435,32 +484,33 @@ def _assert_same_arithmetic(x, y):
             assert str(got) == str(want)
 
 
-_split = ParamScalar((_alpha - 1) * (_n + 4), (2 * _n - 3) * _n**2)
-_non_split = ParamScalar(_alpha * (_n - 1), 3 * (_n**2 + 1))
-_outside = ParamScalar(_n * _b - 1, _alpha * _a - _b)
+_repeated = ParamScalar(_alpha * (_n - 1), 3 * (_n + 4)**2)
+# a quotient by it leaves Q[n]: MalformedCoefficientError from both
+_multivariate = ParamScalar(_n * _b - 1, _n - 4)
 
 
 @settings(max_examples=400, deadline=None)
 @given(_operand_pairs())
 @example((_split, ParamScalar(_alpha * (_n - 1) * (2 * _n - 3) * _n, 5 * (_n + 4))))  # crosswise
-@example((_split, _non_split))
-@example((_split, _outside))
-@example((_non_split, _outside))
+@example((_split, _repeated))
+@example((_split, _multivariate))
+@example((_repeated, _multivariate))
 @example((_split, ZERO))                                # product and quotient by zero
-@example((ZERO, _outside))
+@example((ZERO, _multivariate))
 @example((_split, -7))
 @example((-_split, Fraction(-3, 4)))                    # negative leading coefficients
 @example((ParamScalar(-_alpha, -2 * _n + 3), ParamScalar(_n, -_n - 4)))
 def test_kernels_match_replaced_operators(pair):
     """+, -, * and / give the num, den and text of the replaced operators,
-    with either operand first: split, non-split and non-Q[n] denominators,
-    zero, constants, negative leading coefficients, division by zero."""
+    with either operand first: split denominators, quotients that leave
+    Q[n], zero, constants, negative leading coefficients, division by
+    zero."""
     _assert_same_arithmetic(*pair)
 
 
 def test_repeated_operation_returns_the_cached_object():
-    x = (N - 1) / (N + 4)
-    y = ALPHA * (N + 4) / (2 * N - 3)
+    x = ALPHA * (N - 1) / (N + 4)
+    y = (N + 4) / (2 * N - 3)
     assert x * y is x * y
     assert x + y is x + y
     assert x - y is x - y
@@ -470,10 +520,10 @@ def test_repeated_operation_returns_the_cached_object():
 
 
 def test_cofactors_match_the_multivariate_ring():
-    """The univariate route for Q[n] gives the 4-variable ring's gcd and
-    cofactors; other pairs take the 4-variable ring itself."""
+    """The univariate gcd in Q[n] gives the 4-variable ring's gcd and
+    cofactors."""
     dens = [(2 * _n - 3)**2 * (_n + 4), 3 * _n * (2 * _n - 3), _n**2 + 1, _RING(QQ(-4, 9)),
-            (_n**2 + 1) * (_alpha * _a - _b), _n * (_alpha * _a - _b)]
+            _n * (_n - 2) * (_n + 4)]
     for f in dens:
         for g in dens:
             assert cofactors(f, g) == f.cofactors(g)

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhverify.coeffs import ALPHA, A, N, ps
-from bhverify.errors import DegenerateCertificateError, EngineInconsistencyError, PoleError
+from bhverify.errors import (DegenerateCertificateError, EngineInconsistencyError,
+                             MalformedCoefficientError, PoleError)
 from bhverify.paramcheck import (ExponentCheck, QALPHA, SignCertificate, at_n,
                                  build_matrix_A, certify_sign, check_minor_formulas,
                                  est1_coefficient, est1_grid_check,
@@ -84,16 +85,18 @@ class TestAtN:
     def test_specializes_to_qalpha(self):
         assert at_n(N**2 * ALPHA**2 + 3 * ALPHA - 7, 5) == QALPHA.from_list([25, 3, -7])
         assert at_n((N + 4) * ALPHA / (N - 4), 6) == QALPHA.from_list([5, 0])
-        # a or b, in the numerator or the denominator, with a coefficient
-        # that vanishes at this n
+        # a or b in the numerator, with a coefficient that vanishes at this n
         assert at_n((N - 5) * A + ALPHA, 5) == QALPHA.from_list([1, 0])
-        assert at_n(2 * ALPHA / ((N - 5) * A + 2), 5) == QALPHA.from_list([1, 0])
 
     def test_rejects_what_is_not_a_polynomial_in_alpha(self):
         with pytest.raises(ValueError, match="not univariate"):
             at_n(N * A + ALPHA, 5)
-        with pytest.raises(ValueError, match="not constant"):
+        # a denominator outside Q[n] cannot reach at_n: the coefficient
+        # domain refuses it
+        with pytest.raises(MalformedCoefficientError, match="outside Q"):
             at_n(N / (ALPHA + 1), 5)
+        with pytest.raises(MalformedCoefficientError, match="outside Q"):
+            at_n(2 * ALPHA / ((N - 5) * A + 2), 5)
         with pytest.raises(PoleError):
             at_n(ALPHA / (N - 4), 4)
 

@@ -451,12 +451,12 @@ _SCALAR_MONOS = (
     mono(0, ("g", "i", "i")),
     mono(0),
 )
-# denominators in Q[n] with linear factors (repeated, non-monic) and with an
-# irreducible quadratic, and denominators outside Q[n]
+# denominators that are products of linear factors in Q[n] (repeated,
+# non-monic), under numerators in all four parameters
 _COEFF_BASES = (
     ONE, N, frac(3, 7), (N + 4) / (N - 1), ALPHA / (N * (N + 4)), -(N + 2) / (2 * N),
-    (ALPHA * A - B) / (2 * N - 3)**2, ALPHA / (N**2 + 1), ONE / (ALPHA - B),
-    (N + 1) / (N * A + 1),
+    (ALPHA * A - B) / (2 * N - 3)**2, ALPHA / ((N - 2) * (N + 4)), (ALPHA - B) / (3 * N + 1),
+    (N * A + 1) / ((N - 4) * (N - 1)),
 )
 _term_coeffs = st.builds(lambda j, x, k, y: j * x + k * y,
                          st.integers(-2, 2), st.sampled_from(_COEFF_BASES),
@@ -489,12 +489,11 @@ def _term_lists(draw):
 @example([(ONE, _SCALAR_MONOS[0]), (-ONE, _SCALAR_MONOS[1]), (N, _SCALAR_MONOS[3]),
           (ONE / N, _SCALAR_MONOS[2])])
 @example([(ONE / (N - 1), _SCALAR_MONOS[3]), (ONE / (N + 4), _SCALAR_MONOS[4]),
-          (ONE / (ALPHA - B), _SCALAR_MONOS[3]), (ALPHA, _SCALAR_MONOS[7])])
-# running denominators outside Q[n] that share a factor, and a Q[n] one
-# meeting a denominator outside Q[n]: the multivariate gcd
-@example([(ONE / (N * A + 1), _SCALAR_MONOS[0]),
-          ((N + 1) / ((N * A + 1) * (N - 1)), _SCALAR_MONOS[1]),
-          (ONE / N, _SCALAR_MONOS[3]), (ALPHA / (N * (ALPHA - B)), _SCALAR_MONOS[4])])
+          ((ALPHA - B) / (N - 2), _SCALAR_MONOS[3]), (ALPHA, _SCALAR_MONOS[7])])
+# running denominators that share a factor, n - 4 and a repeated n
+@example([(ONE / (N * (N - 4)), _SCALAR_MONOS[0]),
+          ((N + 1) / ((N - 4) * (N - 1)), _SCALAR_MONOS[1]),
+          (ONE / N, _SCALAR_MONOS[3]), (ALPHA / (N**2 * (N + 4)), _SCALAR_MONOS[4])])
 def test_from_terms_matches_replaced_code(terms):
     """Same monomials in the same order with the same coefficients."""
     got = TExpr.from_terms(0, terms)
