@@ -24,12 +24,11 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import paramcheck, registry
 from .calculus import SubstitutionMode
-from .errors import EngineError
-from .report import build_report, render_json, render_markdown, write_atomic
+from .errors import EngineError, NoCombinationError, SingularSystemError
+from .report import build_report, jsonable, render_json, render_markdown, write_atomic
 
 CONFIG_ENV_VAR = "BHVERIFY_CONFIG"
 # every key run() reads from a config file
@@ -144,7 +143,7 @@ def _parse_square_grid(spec: str) -> int:
 
 def run_verify(ids=None, mode=None):
     reports = registry.verify_all(ids, mode)
-    records = [r.to_dict() for r in reports]
+    records = jsonable(reports)
     ok = bool(reports) and all(r.status == "verified-zero" for r in reports)
     return records, ok
 
@@ -154,14 +153,14 @@ def run_combination():
     target = registry.get_identity("I12")
     try:
         weights = registry.solve_combination(target, basis)
-    except Exception as exc:
+    except (NoCombinationError, SingularSystemError) as exc:
         return {"error": str(exc)}, False
     matches = (weights[0] == registry.build_named("c1")
                and weights[1] == -registry.build_named("c2"))
     return {
         "basis": [b.id for b in basis],
         "target": target.id,
-        "weights": [str(w) for w in weights],
+        "weights": jsonable(weights),
         "matches_catalog": matches,
     }, matches
 
@@ -170,18 +169,18 @@ def run_params(n_max: int = 100):
     formulas = paramcheck.check_minor_formulas()
     certs = []
     for n in range(5, n_max + 1):
-        certs.extend(c.to_dict() for c in paramcheck.all_certificates(n))
+        certs.extend(jsonable(paramcheck.all_certificates(n)))
     all_positive = all(c["verdict"] == "positive" for c in certs)
     est1 = [paramcheck.est1_grid_check(n) for n in paramcheck.EXPONENT_GRID_N if n <= n_max]
     exponents = paramcheck.exponent_grid_check()
     linear = [paramcheck.linear_reduction_certificate(n) for n in paramcheck.EXPONENT_GRID_N]
     section = {
-        "minor_formulas": formulas.to_dict(),
+        "minor_formulas": jsonable(formulas),
         "certificates": certs,
         "all_certificates_positive": all_positive,
         "est1_grids": est1,
         "exponents": {k: v for k, v in exponents.items() if k != "records"},
-        "exponent_records": [r.to_dict() for r in exponents["records"]],
+        "exponent_records": jsonable(exponents["records"]),
         "linear_reduction": linear,
     }
     # mandatory: the engine-certified mathematics; the printed-display
@@ -197,23 +196,17 @@ def run_params(n_max: int = 100):
 
 def run_scan_pd(n_lo: int = 5, n_hi: int = 100, grid: int = 1000):
     rep = paramcheck.numeric_pd_scan(range(n_lo, n_hi + 1), grid=grid)
-    return rep.to_dict(), rep.all_positive
+    return jsonable(rep), rep.all_positive
 
 
 def run_oracle(seed: int = 0, samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9):
-    from .jetoracle import (check_all_identities, sharp_constant_certificate,
-                            sharp_constant_search)
-    reports = [r.to_dict() for r in check_all_identities(samples, tuple(dims), tol, seed)]
+    from .jetoracle import check_all_identities, sharp_constant_search
+    reports = check_all_identities(samples, tuple(dims), tol, seed)
     sharp = [sharp_constant_search(n, seed=seed) for n in (5, 6, 7, 8)]
-
-    def sharp_holds(s) -> bool:
-        # exact: the certified constant is n/(n-1) and the probe found no
-        # ratio below it (it would have been recorded as the minimum)
-        exact = sharp_constant_certificate(s.n)
-        return exact == Fraction(s.n, s.n - 1) and s.minimum == float(exact)
-
-    ok = all(r["passed"] for r in reports) and all(sharp_holds(s) for s in sharp)
-    return {"identities": reports, "sharp_constant": [s.to_dict() for s in sharp]}, ok
+    # the search certifies n/(n-1) exactly and records a probe ratio below it
+    # as the minimum; both floats are correctly rounded n/(n-1) otherwise
+    ok = all(r.passed for r in reports) and all(s.minimum == s.analytic for s in sharp)
+    return jsonable({"identities": reports, "sharp_constant": sharp}), ok
 
 
 def run_radial(configs, grid_size: int = 10, rmax: float = 50.0,
@@ -224,7 +217,7 @@ def run_radial(configs, grid_size: int = 10, rmax: float = 50.0,
     ok = True
     for n, alpha in configs:
         summary, results = scan_shooting(n, alpha, u0s, v0s, rmax)
-        summaries.append(summary.to_dict())
+        summaries.append(jsonable(summary))
         ok = ok and summary.survival_fraction == 0.0 and not summary.errors
         if dump_dir:
             # the scan keeps no trajectories: shoot the middle cell again

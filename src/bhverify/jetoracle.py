@@ -287,14 +287,6 @@ class OracleIdentityReport:
     passed: bool
     failing_jets: list[str]
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id, "dims": self.dims, "samples": self.samples,
-            "alpha": self.alpha, "a": self.a, "tol": self.tol,
-            "max_rel_residual": self.max_rel_residual, "passed": self.passed,
-            "failing_jets": self.failing_jets,
-        }
-
 
 def _params_for(n: int, alpha: Fraction, a: Fraction) -> dict:
     return {"n": Fraction(n), "alpha": alpha, "a": a,
@@ -374,13 +366,6 @@ class SharpConstantResult:
     cited_constant: float        # 4/3
     below_cited: bool
     extremizer: str
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "minimum": self.minimum, "analytic": self.analytic,
-            "cited_constant": self.cited_constant, "below_cited": self.below_cited,
-            "extremizer": self.extremizer,
-        }
 
 
 CITED_CONSTANT = Fraction(4, 3)

@@ -80,20 +80,8 @@ class SignCertificate:
     interval: tuple[Fraction, Fraction]
     sturm_root_count: int
     endpoint_values: tuple[Fraction, Fraction]
-    interior_sample: tuple[Fraction, Fraction]   # (point, value)
+    interior_sample: dict[str, Fraction]          # {"point", "value"}
     verdict: str                                  # "positive" | "negative" | "not-one-signed"
-
-    def to_dict(self) -> dict:
-        return {
-            "poly": self.poly,
-            "n": self.n,
-            "interval": [str(self.interval[0]), str(self.interval[1])],
-            "sturm_root_count": self.sturm_root_count,
-            "endpoint_values": [str(v) for v in self.endpoint_values],
-            "interior_sample": {"point": str(self.interior_sample[0]),
-                                "value": str(self.interior_sample[1])},
-            "verdict": self.verdict,
-        }
 
 
 def certify_sign(name: str, poly: PolyElement, n: int,
@@ -118,7 +106,8 @@ def certify_sign(name: str, poly: PolyElement, n: int,
         verdict = "negative"
     else:
         verdict = "not-one-signed"
-    return SignCertificate(name, n, (a, b), roots, ends, (mid, sample), verdict)
+    return SignCertificate(name, n, (a, b), roots, ends,
+                           {"point": mid, "value": sample}, verdict)
 
 
 # -- the coefficient matrix ----------------------------------------------------
@@ -212,9 +201,6 @@ class MinorFormulaReport:
         return (self.minor2_vs_f1 and self.det_vs_f2 and self.f2_reduction_to_f3
                 and self.f1_at_zero and self.f1_at_upper and self.f3_at_zero)
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def check_minor_formulas() -> MinorFormulaReport:
     """Verify the minor/determinant factorizations as exact identities in
@@ -303,21 +289,10 @@ class PDReport:
     n_values: list[int]
     grid: int
     min_lambda: float
-    argmin: tuple[int, float]
-    per_n_min: dict[int, float]
+    argmin: dict[str, int | float]      # {"n", "alpha"}
+    per_n_min: dict[str, float]         # keyed by str(n)
     all_positive: bool
     agrees_with_certificates: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n_values": [int(v) for v in self.n_values],
-            "grid": self.grid,
-            "min_lambda": self.min_lambda,
-            "argmin": {"n": self.argmin[0], "alpha": self.argmin[1]},
-            "per_n_min": {str(k): v for k, v in self.per_n_min.items()},
-            "all_positive": self.all_positive,
-            "agrees_with_certificates": self.agrees_with_certificates,
-        }
 
 
 def _eigmin_sym3(a11, a12, a13, a22, a23, a33):
@@ -343,8 +318,8 @@ def numeric_pd_scan(n_values, grid: int = 1000) -> PDReport:
     (which assert positivity on the whole open interval); disagreement is an
     engine inconsistency and is fatal.
     """
-    per_n_min: dict[int, float] = {}
-    best = (None, None)
+    per_n_min: dict[str, float] = {}
+    best = {"n": None, "alpha": None}
     min_lambda = math.inf
     for n in n_values:
         mat = matrix_at(int(n))
@@ -354,10 +329,10 @@ def numeric_pd_scan(n_values, grid: int = 1000) -> PDReport:
                 for name in _ENTRIES]
         lam = _eigmin_sym3(*vals)
         i = int(np.argmin(lam))
-        per_n_min[int(n)] = float(lam[i])
+        per_n_min[str(int(n))] = float(lam[i])
         if lam[i] < min_lambda:
             min_lambda = float(lam[i])
-            best = (int(n), float(alphas[i]))
+            best = {"n": int(n), "alpha": float(alphas[i])}
     all_positive = min_lambda > 0.0
     cert_positive = all(c.verdict == "positive" for n in n_values
                         for c in sylvester_certificates(int(n)))
@@ -408,18 +383,6 @@ class ExponentCheck:
     gamma_at_least_six: bool
     chain_holds: bool             # final_exponent < bound < 0
     exponent_negative: bool       # final_exponent < 0
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha": str(self.alpha),
-            "gamma": str(self.gamma),
-            "final_exponent": str(self.final_exponent),
-            "bound": str(self.bound),
-            "gamma_at_least_six": self.gamma_at_least_six,
-            "chain_holds": self.chain_holds,
-            "exponent_negative": self.exponent_negative,
-        }
 
 
 def exponent_check(n: int, alpha: Fraction) -> ExponentCheck:

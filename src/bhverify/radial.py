@@ -348,14 +348,6 @@ class ScanSummary:
     verdict_counts: dict
     errors: list
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "alpha": self.alpha, "rmax": self.rmax,
-            "cells": self.cells, "survivors": self.survivors,
-            "survival_fraction": self.survival_fraction,
-            "verdict_counts": self.verdict_counts, "errors": self.errors,
-        }
-
 
 def default_grids(size: int = 10):
     """u0 log-spaced in [0.1, 10], v0 linear in [-10, 0]."""

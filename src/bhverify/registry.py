@@ -182,18 +182,7 @@ class VerificationReport:
     status: str                    # "verified-zero" | "residual"
     residual_count: int
     residual_terms: list[str]
-    millis: float
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "anchor": self.anchor,
-            "mode": self.mode,
-            "status": self.status,
-            "residual_count": self.residual_count,
-            "residual_terms": self.residual_terms,
-            "millis": round(self.millis, 3),
-        }
+    millis: float                  # rounded to 3 places
 
 
 def _weight0() -> ParamScalar:
@@ -477,7 +466,7 @@ def verify_identity(ident: Identity, mode: SubstitutionMode | None = None) -> Ve
     """Reduce LHS - RHS to canonical form and report the residual."""
     t0 = time.perf_counter()
     residual = expand_lhs(ident, mode) - expand_rhs(ident)
-    millis = (time.perf_counter() - t0) * 1000.0
+    millis = round((time.perf_counter() - t0) * 1000.0, 3)
     terms = [f"({c}) {m.render()}" for m, c in residual.sorted_terms()]
     status = "verified-zero" if residual.is_zero else "residual"
     return VerificationReport(ident.id, ident.anchor,

@@ -2,6 +2,9 @@
 
 The JSON schema is versioned and frozen: fixed inputs render to identical
 bytes, so verification runs can be diffed.  Markdown is presentation only.
+``jsonable`` is the one route from the engine's result records to JSON
+data: the records carry their report shape in their fields, and no record
+serializes itself.
 """
 
 from __future__ import annotations
@@ -9,8 +12,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import is_dataclass
+from fractions import Fraction
 
 from . import __version__
+from .coeffs import ParamScalar
 
 SCHEMA_VERSION = 1
 
@@ -67,6 +73,25 @@ ENGINE_NOTES = (
                   "eigenvalue margins of the coefficient matrix instead",
     },
 )
+
+
+def jsonable(x):
+    """JSON data of a result record: a dataclass becomes the dict of its
+    fields, a tuple or list a list and a dict a dict, recursively; exact
+    numbers (``Fraction``, ``ParamScalar``) become their ``str``; ``str``,
+    ``int``, ``float``, ``bool`` and ``None`` pass unchanged.  Any other type
+    raises ``TypeError``."""
+    if x is None or isinstance(x, (str, int, float)):
+        return x
+    if isinstance(x, (Fraction, ParamScalar)):
+        return str(x)
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if is_dataclass(x):
+        return jsonable(vars(x))
+    raise TypeError(f"no JSON form for {type(x).__name__}: {x!r}")
 
 
 def build_report(config: dict, sections: dict, statuses: dict[str, bool]) -> dict:

@@ -485,31 +485,24 @@ def to_labeled(m: TensorMonomial):
 def replace_factor(m: TensorMonomial, idx: int, replacement: TExpr):
     """Substitute ``replacement`` for factor idx.
 
-    The replacement's first ``arity`` free slots wire onto whatever the
-    factor's slots touched; any extra free slots of the replacement become
-    new trailing free slots of the result.  Returns raw (coeff, monomial)
-    pairs, not yet canonicalized.
+    The replacement has one free slot per slot of the factor, and each
+    wires onto whatever that factor slot touched.  Returns raw (coeff,
+    monomial) pairs, not yet canonicalized.
     """
     arity = FACTORS[m.symbols[idx]].arity
-    if replacement.valence < arity:
-        raise ValenceError("replacement valence must cover the factor arity")
+    if replacement.valence != arity:
+        raise ValenceError("replacement valence must equal the factor arity")
     u, facs, frees = to_labeled(m)
     target_labels = facs[idx][1:]
 
     out = []
     for rm, rc in replacement.terms.items():
         ru, rfacs, rfrees = to_labeled(rm)
-        rename = {}
-        for k, lab in enumerate(rfrees[:arity]):
-            rename[lab] = target_labels[k]
-        extra = []
-        for i, lab in enumerate(rfrees[arity:]):
-            rename[lab] = f"x{i}"
-            extra.append(f"x{i}")
+        rename = dict(zip(rfrees, target_labels))
         new_facs = [f for j, f in enumerate(facs) if j != idx]
         for rf in rfacs:
             new_facs.append((rf[0],) + tuple(rename.get(lab, f"r_{lab}") for lab in rf[1:]))
-        out.append((rc, mono(u + ru, *new_facs, free=list(frees) + extra)))
+        out.append((rc, mono(u + ru, *new_facs, free=list(frees))))
     return out
 
 

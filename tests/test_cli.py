@@ -7,7 +7,7 @@ import pytest
 
 from bhverify import cli, paramcheck, registry
 from bhverify.cli import load_config, run
-from bhverify.errors import EngineInconsistencyError
+from bhverify.errors import EngineInconsistencyError, NoCombinationError
 from bhverify.report import render_json, render_markdown
 
 # a path below a regular file, which no process can create or write
@@ -303,3 +303,19 @@ def test_engine_fault_exits_3(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "engine error: EngineInconsistencyError: planted disagreement\n")
     assert not out.exists()
+
+
+def test_combination_reports_only_a_missing_combination(monkeypatch):
+    """A missing combination is a failed check; any other engine fault
+    propagates, so ``run`` exits 3 instead of reporting a failed proof."""
+    def raising(exc):
+        def solve(target, basis):
+            raise exc
+        return solve
+    monkeypatch.setattr(registry, "solve_combination",
+                        raising(NoCombinationError("no match")))
+    assert cli.run_combination() == ({"error": "no match"}, False)
+    monkeypatch.setattr(registry, "solve_combination",
+                        raising(EngineInconsistencyError("planted fault")))
+    with pytest.raises(EngineInconsistencyError, match="planted fault"):
+        cli.run_combination()

@@ -20,6 +20,7 @@ from bhverify.jetoracle import (JetSample, OracleIdentityReport,
                                 sharp_constant_certificate,
                                 sharp_constant_search)
 from bhverify.registry import all_identities, get_identity, perturb_identity
+from bhverify.report import jsonable
 from bhverify.tensor import expr, frob, mono, to_labeled
 
 
@@ -170,7 +171,7 @@ class TestIdentityChecks:
     def test_report_determinism(self, monkeypatch):
         a = check_one(monkeypatch, get_identity("I7"), samples=30, dims=(5,), seed=9)
         b = check_one(monkeypatch, get_identity("I7"), samples=30, dims=(5,), seed=9)
-        assert a.to_dict() == b.to_dict()
+        assert jsonable(a) == jsonable(b)
 
     def test_degenerate_gradient_jet(self):
         """Zero gradient is a legal jet: both sides stay finite and equal."""
@@ -237,7 +238,7 @@ class TestSharpCertificate:
     def test_recorded_minimum_is_the_floated_exact_value(self):
         minima = [sharp_constant_search(n).minimum for n in (6, 7, 8)]
         assert minima == [1.2, 1.1666666666666667, 1.1428571428571428]
-        assert sharp_constant_search(6).to_dict().keys() == {
+        assert jsonable(sharp_constant_search(6)).keys() == {
             "n", "minimum", "analytic", "cited_constant", "below_cited", "extremizer"}
 
     def test_probe_never_below_the_bound(self):
@@ -427,9 +428,8 @@ class TestAgainstReplacedCode:
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_check_all_identities_equals_reference(self, seed):
-        got = [r.to_dict() for r in check_all_identities(samples=40, dims=(5, 6),
-                                                         seed=seed)]
-        want = [_ref_numeric_check_identity(i, samples=40, dims=(5, 6), seed=seed).to_dict()
+        got = jsonable(check_all_identities(samples=40, dims=(5, 6), seed=seed))
+        want = [jsonable(_ref_numeric_check_identity(i, samples=40, dims=(5, 6), seed=seed))
                 for i in all_identities()]
         assert got == want
 
@@ -445,11 +445,11 @@ class TestAgainstReplacedCode:
         assert want.failing_jets and not want.passed
         idents = [mutated if i.id == "I12" else i for i in all_identities()]
         monkeypatch.setattr(jetoracle, "all_identities", lambda: tuple(idents))
-        got = {r.id: r.to_dict() for r in check_all_identities(samples=40, dims=(5, 6),
+        got = {r.id: jsonable(r) for r in check_all_identities(samples=40, dims=(5, 6),
                                                                seed=4)}
-        assert got[mutated.id] == want.to_dict()
-        assert got["I3"] == _ref_numeric_check_identity(
-            get_identity("I3"), samples=40, dims=(5, 6), seed=4).to_dict()
+        assert got[mutated.id] == jsonable(want)
+        assert got["I3"] == jsonable(_ref_numeric_check_identity(
+            get_identity("I3"), samples=40, dims=(5, 6), seed=4))
 
     def test_merged_leibniz_equals_grad_and_div_for_every_identity(self):
         for ident in all_identities():

@@ -12,6 +12,7 @@ from bhverify.registry import (ERRATA, Identity, all_identities, build_named,
                                get_identity, list_registry,
                                perturb_identity, printed_variant,
                                solve_combination, verify_all, verify_identity)
+from bhverify.report import jsonable
 from bhverify.tensor import TExpr, expr, frob, mono
 
 
@@ -60,7 +61,7 @@ class TestVerification:
 
     def test_report_fields(self):
         r = verify_identity(get_identity("I3"))
-        d = r.to_dict()
+        d = jsonable(r)
         assert d["status"] == "verified-zero" and d["residual_count"] == 0
         assert d["residual_terms"] == [] and d["millis"] >= 0
         assert d["mode"] == "free" and d["anchor"]

@@ -13,8 +13,8 @@ from bhverify.coeffs import ALPHA, A, B, N, ONE, ZERO, ParamScalar, frac, ps
 from bhverify.errors import (MalformedMonomialError, UnsupportedCurvatureError,
                              ValenceError)
 from bhverify.tensor import (FACTORS, TensorMonomial, TExpr, canonical_form, dot, emul,
-                             expr, frob, mono, substitute_factors, tensor_vec,
-                             to_labeled, upow)
+                             expr, frob, mono, replace_factor, substitute_factors,
+                             tensor_vec, to_labeled, upow)
 
 
 def canonicalize(m):
@@ -129,6 +129,14 @@ def test_substitute_factors_roundtrip_simple():
     table_bwd = {"Gscal": expr(1, mono(0, ("Lap",)))}
     e = expr(ps(3), mono(-1, ("Lap",), ("Du", "k"), ("Du", "k")))
     assert substitute_factors(substitute_factors(e, table_fwd), table_bwd) == e
+
+
+def test_replacement_valence_must_equal_factor_arity():
+    m = mono(0, ("Du", "k"), ("Du", "k"))
+    for replacement in (expr(1, mono(0, ("Lap",))),
+                        expr(1, mono(0, ("D2u", "x", "y"), free=("x", "y")))):
+        with pytest.raises(ValenceError, match="must equal the factor arity"):
+            replace_factor(m, 0, replacement)
 
 
 def test_labeled_roundtrip():
@@ -508,10 +516,11 @@ def test_oracle_reports_unchanged_under_replaced_from_terms(monkeypatch):
     move a residual at n = 8."""
     from bhverify import registry
     from bhverify.jetoracle import check_all_identities
+    from bhverify.report import jsonable
 
     def reports():
         registry.all_identities.cache_clear()
-        return [[r.to_dict() for r in check_all_identities(samples=40, dims=dims)]
+        return [jsonable(check_all_identities(samples=40, dims=dims))
                 for dims in ((5, 6), (8,))]
 
     got = reports()
