@@ -34,7 +34,8 @@ class PoleError(EngineError):
 
 
 class DegenerateCertificateError(EngineError):
-    """Raised when a sign certificate is requested for an identically-zero polynomial."""
+    """Raised when a sign certificate is requested for an identically-zero
+    polynomial or on an empty interval."""
 
 
 class NoCombinationError(EngineError):

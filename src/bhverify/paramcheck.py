@@ -5,16 +5,19 @@ form is positive definite for 0 < alpha < (n+4)/(n-4); this module certifies
 that with exact arithmetic: the minor/determinant factorizations through the
 auxiliary polynomials f1, f2, f3 are checked as polynomial identities in
 formal (n, alpha), and positivity on the stated open intervals is certified
-per integer n by Sturm sequences over exact rationals (root counting plus an
-interior sample).  The five certified polynomials (f1, f3 and the leading
-principal minors of A) are formed once in formal (n, alpha); each certificate
-evaluates its polynomial at n (at_n) by Horner's rule (coeffs' evaluator
-in n), from a table of the body's coefficients as dense polynomials in n
-formed once per body; every denominator lies in Q[n] (the coefficient
-domain), so the result lands in Q[alpha].  A floating-point minimal-eigenvalue scan reads the
-entries of A specialized the same way, cross-checks the certificates and
-reports the positivity margin.  The univariate polynomial arithmetic and the
-Sturm root count are sympy's.
+per integer n over exact rationals (a root count plus an interior sample).
+The root count is Descartes' rule of signs after a Moebius map of the
+interval onto (0, inf) (Vincent; Collins-Akritas); a Sturm sequence is
+built only when sign changes remain.  The five certified polynomials (f1,
+f3 and the leading principal minors of A) are formed once in formal
+(n, alpha); each certificate evaluates its polynomial at n (at_n) by
+Horner's rule (coeffs' evaluator in n), from a table of the body's
+coefficients as dense polynomials in n formed once per body; every
+denominator lies in Q[n] (the coefficient domain), so the result lands in
+Q[alpha].  A floating-point minimal-eigenvalue scan reads the entries of A
+specialized the same way, cross-checks the certificates and reports the
+positivity margin.  The univariate polynomial arithmetic, the Taylor shifts
+and the Sturm root count are sympy's.
 
 The module also carries the small exact checks used by the blow-down
 argument: the cubic coefficient of the Bernstein estimate, the exponent
@@ -31,6 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 from sympy import QQ
+from sympy.polys.densetools import dup_scale, dup_shift
 from sympy.polys.rings import PolyElement, ring
 from sympy.polys.rootisolation import dup_count_real_roots
 
@@ -67,10 +71,17 @@ def at_n(x: ParamScalar, n: int) -> PolyElement:
     return QALPHA.from_dict({(k,): v / d for (k, _, _), v in num.items() if v})
 
 
-def _value(poly: PolyElement, x: Fraction) -> Fraction:
-    """Exact value of a QALPHA polynomial at a rational point."""
-    v = poly(x)
-    return Fraction(int(v.numerator), int(v.denominator))
+def _qq(x: Fraction):
+    return QQ(x.numerator, x.denominator)
+
+
+def _value(dense: list, x: Fraction) -> Fraction:
+    """Exact value at a rational point of a dense QQ polynomial (highest
+    coefficient first), by Horner's rule."""
+    x, acc = _qq(x), QQ.zero
+    for c in dense:
+        acc = acc * x + c
+    return Fraction(int(acc.numerator), int(acc.denominator))
 
 
 @dataclass(frozen=True)
@@ -78,28 +89,52 @@ class SignCertificate:
     poly: str
     n: int
     interval: tuple[Fraction, Fraction]
+    # distinct roots in the open interval, whichever route counted them
+    # (Descartes or Sturm); the name waits for the report's schema v2
     sturm_root_count: int
     endpoint_values: tuple[Fraction, Fraction]
     interior_sample: dict[str, Fraction]          # {"point", "value"}
     verdict: str                                  # "positive" | "negative" | "not-one-signed"
 
 
+def _descartes_no_root(dense: list, a: Fraction, b: Fraction) -> bool:
+    """True when Descartes' rule proves that p has no root in (a, b).
+
+    x = (a + b t)/(1 + t) maps (0, inf) onto (a, b), and
+    q(t) = (1+t)^d p((a + b t)/(1 + t)) is formed by Taylor shifts: shift by
+    a, scale by b - a, reverse, shift by 1, reverse.  If q's nonzero
+    coefficients share one sign, q has no positive root.  False proves
+    nothing.
+    """
+    q = dup_shift(dup_scale(dup_shift(dense, _qq(a), QQ), _qq(b - a), QQ)[::-1],
+                  QQ.one, QQ)[::-1]
+    return all(c >= 0 for c in q) or all(c <= 0 for c in q)
+
+
 def certify_sign(name: str, poly: PolyElement, n: int,
                  interval: tuple[Fraction, Fraction]) -> SignCertificate:
-    """Exact one-signedness verdict on an open interval via Sturm counting.
+    """Exact one-signedness verdict on a nonempty open interval (a, b).
 
-    sympy's Sturm-sequence count covers the closed interval [a, b]; roots
-    sitting exactly at the endpoints are taken off, so the recorded count
-    refers to the interior only.
+    The root count is 0 when Descartes' rule proves it after the interval is
+    mapped onto (0, inf) (_descartes_no_root).  Otherwise sympy's
+    Sturm-sequence count covers the closed interval [a, b], and roots sitting
+    exactly at the endpoints are taken off, so the recorded count refers to
+    the interior only.
     """
     a, b = Fraction(interval[0]), Fraction(interval[1])
+    if not a < b:
+        raise DegenerateCertificateError(f"{name}: empty interval ({a}, {b})")
     if not poly:
         raise DegenerateCertificateError(f"{name}: zero polynomial on [{a}, {b}]")
-    ends = (_value(poly, a), _value(poly, b))
-    closed = dup_count_real_roots(poly.to_dense(), QQ, inf=QQ.convert(a), sup=QQ.convert(b))
-    roots = closed - sum(1 for v in ends if not v)
+    dense = poly.to_dense()
+    ends = (_value(dense, a), _value(dense, b))
+    if _descartes_no_root(dense, a, b):
+        roots = 0
+    else:
+        closed = dup_count_real_roots(dense, QQ, inf=QQ.convert(a), sup=QQ.convert(b))
+        roots = closed - sum(1 for v in ends if not v)
     mid = (a + b) / 2
-    sample = _value(poly, mid)
+    sample = _value(dense, mid)
     if roots == 0 and sample > 0:
         verdict = "positive"
     elif roots == 0 and sample < 0:
@@ -253,13 +288,14 @@ _SYLVESTER = ("A11", "minor2", "detA")
 
 
 def positivity_certificate(poly_id: str, n: int) -> SignCertificate:
-    """Sturm-certified sign of one of the named polynomials at integer n.
+    """Certified sign of one of the named polynomials at integer n >= 5
+    (certify_sign: Descartes after the interval map, Sturm as the fallback).
 
     Known ids: f1 on (0, 1/(n-2)); f3 on (0, 1/(n-4)); A11, minor2, detA in
     alpha on (0, (n+4)/(n-4)).
     """
-    if n < 5:
-        raise ValueError("certificates require integer n >= 5")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 5:
+        raise ValueError(f"certificates require an integer n >= 5, got n = {n!r}")
     table = certified_polys()
     if poly_id not in table:
         raise KeyError(f"unknown certificate polynomial {poly_id!r}")

@@ -107,7 +107,8 @@ def test_criterion_3_f3_upper_endpoint_printed_display():
 
 
 def test_criterion_4_positivity_certificates():
-    """For every integer n in [5, 100]: Sturm certificates for f1, f3 and the
+    """For every integer n in [5, 100]: exact sign certificates (Descartes
+    after the interval map, Sturm as the fallback) for f1, f3 and the
     Sylvester triple on the subcritical alpha range; the numeric minimal-
     eigenvalue scan (1000 points per n) agrees in sign at 100% of points;
     all inside 2 minutes."""

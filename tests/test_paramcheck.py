@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bhverify import paramcheck
 from bhverify.coeffs import ALPHA, A, N, ps
 from bhverify.errors import (DegenerateCertificateError, EngineInconsistencyError,
                              MalformedCoefficientError, PoleError)
@@ -129,6 +130,17 @@ class TestSturm:
         with pytest.raises(DegenerateCertificateError):
             certify_sign("zero", QALPHA.zero, 5, (Fraction(0), Fraction(1)))
 
+    @pytest.mark.parametrize("interval", [(Fraction(1), Fraction(1)),
+                                          (Fraction(3), Fraction(0))])
+    def test_empty_or_reversed_interval_is_degenerate(self, interval):
+        with pytest.raises(DegenerateCertificateError, match="empty interval"):
+            certify_sign("custom", QALPHA.from_list([1, 0, 1]), 5, interval)
+
+    @pytest.mark.parametrize("n", [6.0, 5.5, True, Fraction(6)])
+    def test_positivity_certificate_rejects_non_integer_n(self, n):
+        with pytest.raises(ValueError, match="n = "):
+            positivity_certificate("f1", n)
+
     def test_f1_certificate_n5(self):
         c = positivity_certificate("f1", 5)
         assert c.verdict == "positive"
@@ -145,6 +157,16 @@ class TestSturm:
     def test_sylvester_triples_sample(self):
         for n in (5, 6, 13, 40, 100):
             assert all(c.verdict == "positive" for c in sylvester_certificates(n))
+
+    def test_all_480_certificates_take_the_descartes_route(self, monkeypatch):
+        """Every certified polynomial at n = 5..100 is proved root-free by
+        Descartes' rule after the interval map: no Sturm sequence is built."""
+        def no_sturm(*args, **kwargs):
+            raise AssertionError("Sturm fallback taken")
+        monkeypatch.setattr(paramcheck, "dup_count_real_roots", no_sturm)
+        for n in range(5, 101):
+            for poly_id in ("f1", "f3", "A11", "minor2", "detA"):
+                assert positivity_certificate(poly_id, n).verdict == "positive"
 
 
 class TestNumericScan:
@@ -392,14 +414,55 @@ def _planted_polys(draw):
     return p, a, b, set(inside)
 
 
+def _sturm_only(name, poly, n, interval) -> SignCertificate:
+    """certify_sign with the Descartes route switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paramcheck, "_descartes_no_root", lambda *args: False)
+        return certify_sign(name, poly, n, interval)
+
+
 class TestAgainstReplacedCode:
     @settings(max_examples=300, deadline=None)
     @given(_planted_polys())
     def test_root_count_matches_reference(self, case):
         coeffs, a, b, inside = case
-        cert = certify_sign("custom", QALPHA.from_list(coeffs[::-1]), 5, (a, b))
+        poly = QALPHA.from_list(coeffs[::-1])
+        cert = certify_sign("custom", poly, 5, (a, b))
         assert cert.sturm_root_count == _ref_sturm_root_count(coeffs, a, b) == len(inside)
         assert cert == _ref_certify_sign("custom", coeffs, 5, (a, b))
+        assert cert == _sturm_only("custom", poly, 5, (a, b))
+
+    def test_sign_changes_left_fall_back_to_sturm(self):
+        """(x - 1/2)^2 + 1/100 has no real root, but on (0, 1) its q is
+        0.26 t^2 - 0.48 t + 0.26: two sign changes, so Sturm decides."""
+        coeffs = [Fraction(26, 100), Fraction(-1), Fraction(1)]
+        a, b = Fraction(0), Fraction(1)
+        poly = QALPHA.from_list(coeffs[::-1])
+        assert not paramcheck._descartes_no_root(poly.to_dense(), a, b)
+        cert = certify_sign("custom", poly, 5, (a, b))
+        assert cert.verdict == "positive"
+        assert cert.sturm_root_count == _ref_sturm_root_count(coeffs, a, b) == 0
+        assert cert == _ref_certify_sign("custom", coeffs, 5, (a, b))
+
+    @pytest.mark.parametrize("coeffs, count, verdict", [
+        # x (x^2 + 1): a root at a only
+        ([0, 1, 0, 1], 0, "positive"),
+        # (x - 2)(x^2 + 1): a root at b only
+        ([-2, 1, -2, 1], 0, "negative"),
+        # x^2 (x - 2): a double root at a and a root at b
+        ([0, 0, -2, 1], 0, "negative"),
+        # x (x - 1)(x - 2): roots at both ends and one inside
+        ([0, 2, -3, 1], 1, "not-one-signed"),
+    ])
+    def test_planted_endpoint_roots(self, coeffs, count, verdict):
+        coeffs = [Fraction(c) for c in coeffs]
+        a, b = Fraction(0), Fraction(2)
+        poly = QALPHA.from_list(coeffs[::-1])
+        cert = certify_sign("custom", poly, 5, (a, b))
+        assert cert.sturm_root_count == _ref_sturm_root_count(coeffs, a, b) == count
+        assert cert.verdict == verdict
+        assert cert == _ref_certify_sign("custom", coeffs, 5, (a, b))
+        assert cert == _sturm_only("custom", poly, 5, (a, b))
 
     def test_all_480_certificates_match_reference(self):
         for n in range(5, 101):
