@@ -1,7 +1,10 @@
 """Covariant differential operators on tensor expressions.
 
-Gradient and weighted divergence expand by the Leibniz rule; the only
-commutation facts used are the contracted ones that close in Ricci terms:
+Gradient and weighted divergence share one Leibniz routine, which
+differentiates a monomial along one labelled slot: a new free slot for the
+gradient, the monomial's own free slot (contracted) for the divergence.
+Only a contracted derivative uses commutation facts, and only the
+contracted ones that close in Ricci terms:
 
   * the divergence of the Hessian:  (D2u)_{ij,}{}^i = (DLap)_j + Ric_{jk} u^k
   * contracted derivatives of DLap: (DLap)_{i,}{}^i = Bilap
@@ -15,6 +18,9 @@ variables with integer u-powers.
 
 In ON_SHELL mode the fourth-order equation is used through its differentiated
 form: the gradient of Bilap is replaced by alpha * (Bilap/u) * Du.
+
+substitute_defs expands the composite symbols Etf, Fvec and Gscal into jet
+variables before anything is differentiated or compared.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .coeffs import ALPHA, B, ONE, ParamScalar, frac, N
+from .coeffs import ALPHA, ParamScalar, frac, N
 from .errors import (CompositeDerivativeError, OrderOverflowError,
                      UnsupportedCurvatureError, ValenceError)
 from .tensor import (TExpr, TensorMonomial, expr, mono,
@@ -45,34 +51,58 @@ class WeightedVectorField:
             raise ValenceError("WeightedVectorField requires a vector expression")
 
 
-def _derived_factor(fac, d, mode):
-    """Derivative of one factor, as (coeff multiplier, u shift, new factors).
+def _leibniz(m: TensorMonomial, c: ParamScalar, d: str, kept: list,
+             mode: SubstitutionMode):
+    """Raw Leibniz terms of the derivative of c * m along the slot labelled d.
 
-    ``d`` is the label of the derivative slot.  Returns None for factors with
-    vanishing derivative (the metric).
+    The output monomials carry the free labels ``kept``.  For the gradient,
+    d is a new label and the last of them; for the divergence, d is m's own
+    free slot f0, so the derivative is contracted with it and the contracted
+    commutation rewrites apply: D2u on slot d gives DLap plus the Ricci
+    correction, and DLap on slot d gives Bilap.
     """
-    sym = fac[0]
-    if sym == "Du":
-        return ONE, 0, [("D2u", fac[1], d)]
-    if sym == "D2u":
-        return ONE, 0, [("D3u", d, fac[1], fac[2])]
-    if sym == "Lap":
-        return ONE, 0, [("DLap", d)]
-    if sym == "g":
-        return None
-    if sym == "Bilap":
-        if mode is SubstitutionMode.ON_SHELL:
-            return ALPHA, -1, [("Bilap",), ("Du", d)]
-        raise OrderOverflowError(
-            "gradient of Bilap needs the equation; use ON_SHELL mode")
-    if sym in ("DLap", "D3u"):
-        raise OrderOverflowError(f"derivative of {sym} exceeds the supported jet order")
-    if sym == "Ric":
-        raise UnsupportedCurvatureError("the Ricci tensor carries no differentiation rule")
-    if sym in ("Etf", "Fvec", "Gscal"):
-        raise CompositeDerivativeError(
-            f"expand the composite symbol {sym} before differentiating")
-    raise ValueError(f"unknown factor {sym!r}")
+    u, facs, _ = to_labeled(m)
+    out = []
+    if m.u_power:
+        out.append((c * m.u_power, mono(u - 1, *facs, ("Du", d), free=kept)))
+    for idx, fac in enumerate(facs):
+        sym = fac[0]
+        rest = facs[:idx] + facs[idx + 1:]
+        if sym == "D2u" and d in fac[1:]:
+            # divergence of the Hessian: DLap + Ricci correction
+            other = fac[2] if fac[1] == d else fac[1]
+            out.append((c, mono(u, *rest, ("DLap", other), free=kept)))
+            out.append((c, mono(u, *rest, ("Ric", other, "t"), ("Du", "t"), free=kept)))
+            continue
+        if sym == "DLap" and fac[1] == d:
+            out.append((c, mono(u, *rest, ("Bilap",), free=kept)))
+            continue
+        if sym == "g":
+            continue
+        coeff, shift = c, 0
+        if sym == "Du":
+            new = [("D2u", fac[1], d)]
+        elif sym == "D2u":
+            new = [("D3u", d, fac[1], fac[2])]
+        elif sym == "Lap":
+            new = [("DLap", d)]
+        elif sym == "Bilap":
+            if mode is not SubstitutionMode.ON_SHELL:
+                raise OrderOverflowError(
+                    "gradient of Bilap needs the equation; use ON_SHELL mode")
+            # the differentiated equation: D Bilap = alpha * (Bilap/u) * Du
+            coeff, shift, new = c * ALPHA, -1, [("Bilap",), ("Du", d)]
+        elif sym in ("DLap", "D3u"):
+            raise OrderOverflowError(f"derivative of {sym} exceeds the supported jet order")
+        elif sym == "Ric":
+            raise UnsupportedCurvatureError("the Ricci tensor carries no differentiation rule")
+        elif sym in ("Etf", "Fvec", "Gscal"):
+            raise CompositeDerivativeError(
+                f"expand the composite symbol {sym} before differentiating")
+        else:
+            raise ValueError(f"unknown factor {sym!r}")
+        out.append((coeff, mono(u + shift, *facs[:idx], *new, *facs[idx + 1:], free=kept)))
+    return out
 
 
 def grad(e: TExpr, mode: SubstitutionMode = SubstitutionMode.FREE) -> TExpr:
@@ -81,50 +111,8 @@ def grad(e: TExpr, mode: SubstitutionMode = SubstitutionMode.FREE) -> TExpr:
         raise ValenceError("grad acts on scalar expressions")
     raw = []
     for m, c in e.terms.items():
-        u, facs, frees = to_labeled(m)
-        if m.u_power:
-            raw.append((c * m.u_power,
-                        mono(u - 1, *facs, ("Du", "d"), free=frees + ["d"])))
-        for idx, fac in enumerate(facs):
-            der = _derived_factor(fac, "d", mode)
-            if der is None:
-                continue
-            mult, du, newfacs = der
-            nf = facs[:idx] + list(newfacs) + facs[idx + 1:]
-            raw.append((c * mult, mono(u + du, *nf, free=frees + ["d"])))
+        raw.extend(_leibniz(m, c, "d", ["d"], mode))
     return TExpr.from_terms(1, raw)
-
-
-def _div_terms(m: TensorMonomial, c: ParamScalar, mode: SubstitutionMode):
-    """Raw Leibniz terms of div(V) for one vector monomial, with the
-    contracted commutation rewrites applied in place."""
-    u, facs, frees = to_labeled(m)
-    f = frees[0]
-    out = []
-    if m.u_power:
-        out.append((c * m.u_power, mono(u - 1, *facs, ("Du", f))))
-    for idx, fac in enumerate(facs):
-        sym = fac[0]
-        rest = facs[:idx] + facs[idx + 1:]
-        if sym == "D2u" and f in fac[1:]:
-            # divergence of the Hessian: DLap + Ricci correction
-            other = fac[2] if fac[1] == f else fac[1]
-            out.append((c, mono(u, *rest, ("DLap", other))))
-            out.append((c, mono(u, *rest, ("Ric", other, "t"), ("Du", "t"))))
-            continue
-        if sym == "DLap":
-            if fac[1] == f:
-                out.append((c, mono(u, *rest, ("Bilap",))))
-                continue
-            raise OrderOverflowError(
-                "derivative of DLap contracted off its own slot exceeds the jet order")
-        der = _derived_factor(fac, f, mode)
-        if der is None:
-            continue
-        mult, du, newfacs = der
-        nf = facs[:idx] + list(newfacs) + facs[idx + 1:]
-        out.append((c * mult, mono(u + du, *nf)))
-    return out
 
 
 def divergence(field: WeightedVectorField,
@@ -136,7 +124,7 @@ def divergence(field: WeightedVectorField,
     """
     raw = []
     for m, c in field.vector.terms.items():
-        raw.extend(_div_terms(m, c, mode))
+        raw.extend(_leibniz(m, c, "f0", [], mode))
         if not field.weight.is_zero:
             u, facs, frees = to_labeled(m)
             raw.append((c * field.weight,
@@ -178,41 +166,10 @@ def _gscal_form(b: ParamScalar) -> TExpr:
                    mono(-3, ("Du", "k"), ("Du", "k"), ("Du", "l"), ("Du", "l"))))
 
 
-def substitute_defs(e: TExpr, direction: str, b: ParamScalar | None = None) -> TExpr:
-    """Rewrite between jet variables and the composite symbols.
-
-    direction="forward":  D2u -> Etf-form, DLap -> Fvec-form, Bilap -> Gscal-form
-    direction="backward": Etf/Fvec/Gscal replaced by their jet definitions
-
-    The round trip forward then backward is the identity on canonical forms.
-    ``b`` defaults to the formal parameter; pass ``bstar()`` for the
-    specialized tensors.
-    """
-    if b is None:
-        b = B
-    etf = _tracefree_tensor_form(b)
-    fv = _fvec_form(b)
-    gs = _gscal_form(b)
-
-    if direction == "backward":
-        table = {
-            "Etf": etf,
-            "Fvec": fv,
-            "Gscal": gs,
-        }
-    elif direction == "forward":
-        # solve each definition for the jet symbol it isolates
-        etf_sym = expr(1, mono(0, ("Etf", "x", "y"), free=("x", "y")))
-        fv_sym = expr(1, mono(0, ("Fvec", "x"), free=("x",)))
-        gs_sym = expr(1, mono(0, ("Gscal",)))
-        d2u = expr(1, mono(0, ("D2u", "x", "y"), free=("x", "y")))
-        dlap = expr(1, mono(0, ("DLap", "x"), free=("x",)))
-        bilap = expr(1, mono(0, ("Bilap",)))
-        table = {
-            "D2u": etf_sym - (etf - d2u),
-            "DLap": fv_sym - (fv - dlap),
-            "Bilap": gs_sym - (gs - bilap),
-        }
-    else:
-        raise ValueError("direction must be 'forward' or 'backward'")
-    return substitute_factors(e, table)
+def substitute_defs(e: TExpr, b: ParamScalar) -> TExpr:
+    """Replace the composite symbols Etf, Fvec and Gscal by their definitions
+    in jet variables, with tensor weight ``b`` (the formal parameter B, or
+    ``bstar()`` for the specialized tensors)."""
+    return substitute_factors(e, {"Etf": _tracefree_tensor_form(b),
+                                  "Fvec": _fvec_form(b),
+                                  "Gscal": _gscal_form(b)})

@@ -26,7 +26,6 @@ import re
 import sys
 
 from . import paramcheck, registry
-from .calculus import SubstitutionMode
 from .errors import EngineError, NoCombinationError, SingularSystemError
 from .report import build_report, jsonable, render_json, render_markdown, write_atomic
 
@@ -141,8 +140,8 @@ def _parse_square_grid(spec: str) -> int:
 # -- section runners -------------------------------------------------------------
 
 
-def run_verify(ids=None, mode=None):
-    reports = registry.verify_all(ids, mode)
+def run_verify(ids=None):
+    reports = registry.verify_all(ids)
     records = jsonable(reports)
     ok = bool(reports) and all(r.status == "verified-zero" for r in reports)
     return records, ok
@@ -244,8 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="expand and check the identity registry")
     p.add_argument("--ids", default=None, help="comma-separated subset, e.g. I1,I12")
-    p.add_argument("--mode", choices=("free", "onshell"), default=None,
-                   help="override the stored substitution mode")
 
     p = sub.add_parser("params", help="matrix algebra, certificates, exponents")
     p.add_argument("--n-max", type=int, default=None)
@@ -300,9 +297,8 @@ def run(argv) -> int:
             ids = None
             if args.ids is not None:
                 ids = _parse_ids(args.ids, [i.id for i in registry.all_identities()])
-            mode = SubstitutionMode(args.mode) if args.mode else None
-            echo.update(ids=ids, mode=args.mode)
-            sections["identities"], statuses["identities"] = run_verify(ids, mode)
+            echo.update(ids=ids)
+            sections["identities"], statuses["identities"] = run_verify(ids)
             sections["registry"] = registry.list_registry()
         elif args.command == "params":
             n_max = _pick(args.n_max, config, "n_max", int, 100)

@@ -295,7 +295,7 @@ def _params_for(n: int, alpha: Fraction, a: Fraction) -> dict:
 
 def identity_lhs_flat_terms(ident: Identity):
     """Left side of an identity as raw flat-Leibniz terms in jet variables."""
-    lhs_jets = substitute_defs(ident.lhs, "backward", b=ident.b)
+    lhs_jets = substitute_defs(ident.lhs, ident.b)
     terms = [(c, m) for m, c in lhs_jets.terms.items()]
     if ident.kind == "wdiv":
         return flat_leibniz_terms(terms, ident.mode, ident.weight), 0

@@ -16,8 +16,8 @@ coefficients as dense polynomials in n formed once per body; every
 denominator lies in Q[n] (the coefficient domain), so the result lands in
 Q[alpha].  A floating-point minimal-eigenvalue scan reads the entries of A
 specialized the same way, cross-checks the certificates and reports the
-positivity margin.  The univariate polynomial arithmetic, the Taylor shifts
-and the Sturm root count are sympy's.
+positivity margin.  The univariate polynomial arithmetic, its values at
+rational points, the Taylor shifts and the Sturm root count are sympy's.
 
 The module also carries the small exact checks used by the blow-down
 argument: the cubic coefficient of the Bernstein estimate, the exponent
@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 from sympy import QQ
-from sympy.polys.densetools import dup_scale, dup_shift
+from sympy.polys.densetools import dup_eval, dup_scale, dup_shift
 from sympy.polys.rings import PolyElement, ring
 from sympy.polys.rootisolation import dup_count_real_roots
 
@@ -76,12 +76,9 @@ def _qq(x: Fraction):
 
 
 def _value(dense: list, x: Fraction) -> Fraction:
-    """Exact value at a rational point of a dense QQ polynomial (highest
-    coefficient first), by Horner's rule."""
-    x, acc = _qq(x), QQ.zero
-    for c in dense:
-        acc = acc * x + c
-    return Fraction(int(acc.numerator), int(acc.denominator))
+    """Exact value at a rational point of a dense QQ polynomial."""
+    v = dup_eval(dense, _qq(x), QQ)
+    return Fraction(int(v.numerator), int(v.denominator))
 
 
 @dataclass(frozen=True)

@@ -447,40 +447,37 @@ def get_identity(identity_id: str) -> Identity:
     raise KeyError(f"unknown identity {identity_id!r}")
 
 
-def expand_lhs(ident: Identity, mode: SubstitutionMode | None = None) -> TExpr:
-    """Expand the identity's left side to jet variables."""
-    mode = mode or ident.mode
-    lhs_jets = substitute_defs(ident.lhs, "backward", b=ident.b)
+def expand_lhs(ident: Identity) -> TExpr:
+    """Expand the identity's left side to jet variables, in its mode."""
+    lhs_jets = substitute_defs(ident.lhs, ident.b)
     if ident.kind == "wdiv":
-        return divergence(WeightedVectorField(ident.weight, lhs_jets), mode)
+        return divergence(WeightedVectorField(ident.weight, lhs_jets), ident.mode)
     if ident.kind == "grad":
-        return grad(lhs_jets, mode)
+        return grad(lhs_jets, ident.mode)
     raise ValueError(f"unknown identity kind {ident.kind!r}")
 
 
 def expand_rhs(ident: Identity) -> TExpr:
-    return substitute_defs(ident.rhs, "backward", b=ident.b)
+    return substitute_defs(ident.rhs, ident.b)
 
 
-def verify_identity(ident: Identity, mode: SubstitutionMode | None = None) -> VerificationReport:
+def verify_identity(ident: Identity) -> VerificationReport:
     """Reduce LHS - RHS to canonical form and report the residual."""
     t0 = time.perf_counter()
-    residual = expand_lhs(ident, mode) - expand_rhs(ident)
+    residual = expand_lhs(ident) - expand_rhs(ident)
     millis = round((time.perf_counter() - t0) * 1000.0, 3)
     terms = [f"({c}) {m.render()}" for m, c in residual.sorted_terms()]
     status = "verified-zero" if residual.is_zero else "residual"
-    return VerificationReport(ident.id, ident.anchor,
-                              (mode or ident.mode).value, status,
+    return VerificationReport(ident.id, ident.anchor, ident.mode.value, status,
                               len(terms), terms, millis)
 
 
-def verify_all(ids: list[str] | None = None,
-               mode: SubstitutionMode | None = None) -> list[VerificationReport]:
+def verify_all(ids: list[str] | None = None) -> list[VerificationReport]:
     reports = []
     for ident in all_identities():
         if ids and ident.id not in ids:
             continue
-        reports.append(verify_identity(ident, mode))
+        reports.append(verify_identity(ident))
     return reports
 
 
@@ -529,7 +526,7 @@ def solve_combination(target: Identity, basis: list[Identity]) -> list[ParamScal
     combo_rhs = TExpr(target.rhs.valence)
     for w, b in zip(weights, basis):
         combo_rhs = combo_rhs + b.rhs.scale(w)
-    diff = substitute_defs(combo_rhs - target.rhs, "backward", b=target.b)
+    diff = substitute_defs(combo_rhs - target.rhs, target.b)
     if not diff.is_zero:
         raise NoCombinationError(
             "weights solve the bracket system but the induced right side "

@@ -4,14 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhverify.calculus import (SubstitutionMode, WeightedVectorField, bstar,
                                divergence, grad, substitute_defs)
-from bhverify.coeffs import ALPHA, A, B, N, ONE, frac, ps
+from bhverify.coeffs import ALPHA, A, B, N, ONE, ParamScalar, frac, ps
 from bhverify.errors import (CompositeDerivativeError, OrderOverflowError,
-                             UnsupportedCurvatureError)
+                             UnsupportedCurvatureError, ValenceError)
 from bhverify.registry import build_z
-from bhverify.tensor import TExpr, expr, mono, tensor_vec, upow
+from bhverify.tensor import (TensorMonomial, TExpr, expr, mono,
+                             substitute_factors, tensor_vec, to_labeled, upow)
 
 FREE = SubstitutionMode.FREE
 ON_SHELL = SubstitutionMode.ON_SHELL
@@ -19,6 +22,21 @@ ON_SHELL = SubstitutionMode.ON_SHELL
 
 def du_vec():
     return expr(1, mono(0, ("Du", "x"), free=("x",)))
+
+
+def forward_defs(e: TExpr, b: ParamScalar = B) -> TExpr:
+    """Rewrite D2u, DLap and Bilap into the composite symbols: each jet
+    symbol is solved from the definition of the composite that isolates it
+    (the inverse of substitute_defs, which the engine never needs)."""
+    table = {}
+    for jet, comp in (
+            (mono(0, ("D2u", "x", "y"), free=("x", "y")),
+             mono(0, ("Etf", "x", "y"), free=("x", "y"))),
+            (mono(0, ("DLap", "x"), free=("x",)), mono(0, ("Fvec", "x"), free=("x",))),
+            (mono(0, ("Bilap",)), mono(0, ("Gscal",)))):
+        sym = expr(1, comp)
+        table[jet.symbols[0]] = sym - (substitute_defs(sym, b) - expr(1, jet))
+    return substitute_factors(e, table)
 
 
 def test_grad_gradsq():
@@ -137,7 +155,7 @@ def test_roundtrip_forward_backward():
          + expr(frac(3, 2), mono(0, ("DLap", "k"), ("Du", "k")))
          + expr(N, mono(1, ("Bilap",))))
     for b in (B, bstar()):
-        rt = substitute_defs(substitute_defs(e, "forward", b=b), "backward", b=b)
+        rt = substitute_defs(forward_defs(e, b), b)
         assert (rt - e).is_zero
 
 
@@ -145,7 +163,7 @@ def test_trace_of_forward_hessian_is_lap():
     from bhverify.tensor import frob
     t = expr(1, mono(0, ("D2u", "x", "y"), free=("x", "y")))
     metric = expr(1, mono(0, ("g", "x", "y"), free=("x", "y")))
-    assert frob(substitute_defs(t, "forward"), metric) == expr(1, mono(0, ("Lap",)))
+    assert frob(forward_defs(t), metric) == expr(1, mono(0, ("Lap",)))
 
 
 def test_forward_image_of_raw_divergence_display():
@@ -159,7 +177,7 @@ def test_forward_image_of_raw_divergence_display():
                   mono(-1, ("D2u", "x", "j"), ("Du", "j"), free=("x",)))
            + expr(-(N - 1) / N * B,
                   mono(-2, ("Du", "k"), ("Du", "k"), ("Du", "x"), free=("x",))))
-    got = substitute_defs(raw, "forward", b=B)
+    got = forward_defs(raw, B)
     e_j = upow(tensor_vec(expr(1, mono(0, ("Etf", "x", "y"), free=("x", "y"))),
                           du_vec()), -1)
     f_j = expr(1, mono(0, ("Fvec", "x"), free=("x",)))
@@ -182,8 +200,8 @@ def test_bstar_kills_lap_squared_gradient_term():
     assert claimed.subs_param("b", bstar()).is_zero
 
     def lap2_coeff(b):
-        gscal = substitute_defs(expr(1, mono(0, ("Gscal",))), "backward", b=b)
-        fwd = substitute_defs(grad(gscal, ON_SHELL), "forward", b=b)
+        gscal = substitute_defs(expr(1, mono(0, ("Gscal",))), b)
+        fwd = forward_defs(grad(gscal, ON_SHELL), b)
         return fwd.terms.get(target)
 
     assert lap2_coeff(B) == claimed
@@ -200,3 +218,200 @@ def test_flat_reduction_matches_naive_leibniz():
     expected_flat = (expr(1, mono(0, ("DLap", "j"), ("Du", "j")))
                      + expr(1, mono(0, ("D2u", "i", "j"), ("D2u", "i", "j"))))
     assert flat_part == expected_flat
+
+
+# -- differential test against the two Leibniz loops _leibniz replaced ----------
+# Verbatim copies of grad, _derived_factor, _div_terms and divergence as they
+# were before one routine served both operators.
+
+
+def _ref_derived_factor(fac, d, mode):
+    """Derivative of one factor, as (coeff multiplier, u shift, new factors).
+
+    ``d`` is the label of the derivative slot.  Returns None for factors with
+    vanishing derivative (the metric).
+    """
+    sym = fac[0]
+    if sym == "Du":
+        return ONE, 0, [("D2u", fac[1], d)]
+    if sym == "D2u":
+        return ONE, 0, [("D3u", d, fac[1], fac[2])]
+    if sym == "Lap":
+        return ONE, 0, [("DLap", d)]
+    if sym == "g":
+        return None
+    if sym == "Bilap":
+        if mode is SubstitutionMode.ON_SHELL:
+            return ALPHA, -1, [("Bilap",), ("Du", d)]
+        raise OrderOverflowError(
+            "gradient of Bilap needs the equation; use ON_SHELL mode")
+    if sym in ("DLap", "D3u"):
+        raise OrderOverflowError(f"derivative of {sym} exceeds the supported jet order")
+    if sym == "Ric":
+        raise UnsupportedCurvatureError("the Ricci tensor carries no differentiation rule")
+    if sym in ("Etf", "Fvec", "Gscal"):
+        raise CompositeDerivativeError(
+            f"expand the composite symbol {sym} before differentiating")
+    raise ValueError(f"unknown factor {sym!r}")
+
+
+def _ref_grad(e: TExpr, mode: SubstitutionMode = SubstitutionMode.FREE) -> TExpr:
+    """Leibniz-expanded covariant gradient of a scalar expression."""
+    if e.valence != 0:
+        raise ValenceError("grad acts on scalar expressions")
+    raw = []
+    for m, c in e.terms.items():
+        u, facs, frees = to_labeled(m)
+        if m.u_power:
+            raw.append((c * m.u_power,
+                        mono(u - 1, *facs, ("Du", "d"), free=frees + ["d"])))
+        for idx, fac in enumerate(facs):
+            der = _ref_derived_factor(fac, "d", mode)
+            if der is None:
+                continue
+            mult, du, newfacs = der
+            nf = facs[:idx] + list(newfacs) + facs[idx + 1:]
+            raw.append((c * mult, mono(u + du, *nf, free=frees + ["d"])))
+    return TExpr.from_terms(1, raw)
+
+
+def _ref_div_terms(m: TensorMonomial, c: ParamScalar, mode: SubstitutionMode):
+    """Raw Leibniz terms of div(V) for one vector monomial, with the
+    contracted commutation rewrites applied in place."""
+    u, facs, frees = to_labeled(m)
+    f = frees[0]
+    out = []
+    if m.u_power:
+        out.append((c * m.u_power, mono(u - 1, *facs, ("Du", f))))
+    for idx, fac in enumerate(facs):
+        sym = fac[0]
+        rest = facs[:idx] + facs[idx + 1:]
+        if sym == "D2u" and f in fac[1:]:
+            # divergence of the Hessian: DLap + Ricci correction
+            other = fac[2] if fac[1] == f else fac[1]
+            out.append((c, mono(u, *rest, ("DLap", other))))
+            out.append((c, mono(u, *rest, ("Ric", other, "t"), ("Du", "t"))))
+            continue
+        if sym == "DLap":
+            if fac[1] == f:
+                out.append((c, mono(u, *rest, ("Bilap",))))
+                continue
+            raise OrderOverflowError(
+                "derivative of DLap contracted off its own slot exceeds the jet order")
+        der = _ref_derived_factor(fac, f, mode)
+        if der is None:
+            continue
+        mult, du, newfacs = der
+        nf = facs[:idx] + list(newfacs) + facs[idx + 1:]
+        out.append((c * mult, mono(u + du, *nf)))
+    return out
+
+
+def _ref_divergence(field: WeightedVectorField,
+               mode: SubstitutionMode = SubstitutionMode.FREE) -> TExpr:
+    """u^{-w} div(u^w V), fully expanded and canonicalized.
+
+    The weight contributes w * <Du/u, V>; the divergence of V expands by
+    Leibniz with the contracted commutation corrections.
+    """
+    raw = []
+    for m, c in field.vector.terms.items():
+        raw.extend(_ref_div_terms(m, c, mode))
+        if not field.weight.is_zero:
+            u, facs, frees = to_labeled(m)
+            raw.append((c * field.weight,
+                        mono(u - 1, *facs, ("Du", frees[0]))))
+    return TExpr.from_terms(0, raw)
+
+
+# Pieces of monomials with their own labels; a piece with label "x" carries
+# the free slot.  g and self-traces survive because the expressions below are
+# built from raw monomials, not canonical forms.  Pieces that make the
+# derivative raise are drawn a quarter as often as the others.
+SCALAR_PIECES = 4 * (
+    [("Lap",)],
+    [("Bilap",)],                            # raises unless ON_SHELL
+    [("Du", "k"), ("Du", "k")],
+    [("D2u", "i", "j"), ("D2u", "i", "j")],
+    [("D2u", "i", "j"), ("Du", "i"), ("Du", "j")],
+    [("g", "i", "j"), ("Du", "i"), ("Du", "j")],
+) + (
+    [("Ric", "i", "j"), ("Du", "i"), ("Du", "j")],
+    [("D3u", "i", "j", "k"), ("Du", "i"), ("Du", "j"), ("Du", "k")],
+    [("DLap", "k"), ("Du", "k")],
+    [("Etf", "i", "j"), ("Du", "i"), ("Du", "j")],
+    [("Fvec", "k"), ("Du", "k")],
+    [("Gscal",)],
+)
+VECTOR_PIECES = 4 * (
+    [("Du", "x")],
+    [("D2u", "x", "j"), ("Du", "j")],        # Hessian on the free slot
+    [("D2u", "j", "x"), ("Du", "j")],
+    [("DLap", "x")],                         # DLap on the free slot
+    [("Lap",), ("Du", "x")],
+    [("Bilap",), ("Du", "x")],
+    [("g", "x", "j"), ("Du", "j")],
+) + (
+    [("DLap", "j"), ("Du", "j"), ("Du", "x")],
+    [("Ric", "x", "j"), ("Du", "j")],
+    [("D3u", "x", "j", "k"), ("D2u", "j", "k")],
+    [("Etf", "x", "j"), ("Du", "j")],
+    [("Fvec", "x")],
+)
+COEFFS = (ONE, frac(-3, 2), N, ALPHA, 2 - 2 * A, -B / N)
+
+
+@st.composite
+def monomials(draw, vector: bool):
+    pieces = draw(st.lists(st.sampled_from(SCALAR_PIECES), max_size=2))
+    if vector:
+        pieces.append(draw(st.sampled_from(VECTOR_PIECES)))
+    factors = []
+    for k, piece in enumerate(pieces):
+        factors.extend((f[0],) + tuple(lab if lab == "x" else f"{lab}{k}" for lab in f[1:])
+                       for f in piece)
+    return mono(draw(st.integers(-3, 2)), *factors, free=("x",) if vector else ())
+
+
+@st.composite
+def raw_exprs(draw, vector: bool):
+    terms = draw(st.lists(st.tuples(monomials(vector), st.sampled_from(COEFFS)),
+                          min_size=1, max_size=3, unique_by=lambda t: t[0]))
+    return TExpr(1 if vector else 0, dict(terms))
+
+
+MODES = st.sampled_from((FREE, ON_SHELL))
+
+
+def _same_outcome(new, ref):
+    try:
+        want = ref()
+    except (OrderOverflowError, UnsupportedCurvatureError, CompositeDerivativeError,
+            ValenceError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            new()
+        return
+    got = new()
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_exprs(vector=False), MODES)
+def test_grad_matches_the_replaced_loop(e, mode):
+    _same_outcome(lambda: grad(e, mode), lambda: _ref_grad(e, mode))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_exprs(vector=True), MODES,
+       st.sampled_from((ps(0), ps(0), ONE, B, 2 - 2 * A, -2 * ALPHA / (N + 4))))
+def test_divergence_matches_the_replaced_loop(v, mode, weight):
+    field = WeightedVectorField(weight, v)
+    _same_outcome(lambda: divergence(field, mode),
+                  lambda: _ref_divergence(field, mode))
+
+
+def test_grad_of_the_bernstein_quantity_keeps_its_term_order():
+    """The oracle sums grad(build_z())'s terms in this order."""
+    got, want = grad(build_z()), _ref_grad(build_z())
+    assert list(got.terms.items()) == list(want.terms.items())

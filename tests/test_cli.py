@@ -35,6 +35,15 @@ def test_verify_subset_passes(tmp_path, capsys):
     assert doc["overall_status"] == "pass"
     assert [r["id"] for r in doc["sections"]["identities"]] == ["I1", "I3", "I15"]
     assert doc["schema_version"] == 1
+    # each identity runs in its registered mode; nothing overrides it
+    assert list(doc["config"]) == ["command", "format", "ids"]
+
+
+def test_verify_has_no_mode_option(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(["--out", str(out), "verify", "--mode", "onshell"]) == 2
+    assert "--mode" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mutated_registry_fails_with_exit_1(tmp_path, monkeypatch):

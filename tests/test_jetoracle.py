@@ -113,7 +113,7 @@ class TestEvaluation:
         ee = frob(expr(1, mono(0, ("Etf", "x", "y"), free=("x", "y"))),
                   expr(1, mono(0, ("Etf", "x", "y"), free=("x", "y"))))
         sym = batch_value(ee, batch, params)[0]
-        jet = batch_value(substitute_defs(ee, "backward", b=bstar()), batch, params)[0]
+        jet = batch_value(substitute_defs(ee, bstar()), batch, params)[0]
         assert abs(sym - direct) < 1e-12 * (1 + abs(direct))
         assert abs(jet - direct) < 1e-12 * (1 + abs(direct))
 
@@ -453,7 +453,7 @@ class TestAgainstReplacedCode:
 
     def test_merged_leibniz_equals_grad_and_div_for_every_identity(self):
         for ident in all_identities():
-            jets = substitute_defs(ident.lhs, "backward", b=ident.b)
+            jets = substitute_defs(ident.lhs, ident.b)
             terms = [(c, m) for m, c in jets.terms.items()]
             if ident.kind == "wdiv":
                 want = _ref_flat_div_terms(ident.weight, terms, ident.mode)
