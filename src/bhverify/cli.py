@@ -13,7 +13,7 @@ A flat key=value config file may supply defaults (path via --config or the
 BHVERIFY_CONFIG environment variable); command-line flags take precedence.
 Config values are validated like the flags they stand for (a value that does
 not parse is reported by its key), and a key outside CONFIG_KEYS is a
-configuration error.
+configuration error, and so is a key set twice.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ CONFIG_KEYS = ("format", "out", "n_max", "n_range", "grid", "seed", "samples",
 
 def load_config(path: str | None) -> dict:
     """Flat key=value file; '#' starts a comment; a missing file named by
-    --config or a non-empty $BHVERIFY_CONFIG is a usage error."""
+    --config or a non-empty $BHVERIFY_CONFIG, and a repeated key, are usage
+    errors."""
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
         if not path:
@@ -53,6 +54,8 @@ def load_config(path: str | None) -> dict:
             if "=" not in line:
                 raise ValueError(f"malformed config line: {line!r}")
             key, value = (s.strip() for s in line.split("=", 1))
+            if key in out:
+                raise ValueError(f"config key {key} is set more than once in {path}")
             out[key] = value
     unknown = sorted(set(out) - set(CONFIG_KEYS))
     if unknown:

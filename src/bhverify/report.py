@@ -5,6 +5,10 @@ bytes, so verification runs can be diffed.  Markdown is presentation only.
 ``jsonable`` is the one route from the engine's result records to JSON
 data: the records carry their report shape in their fields, and no record
 serializes itself.
+
+The ``notes`` are read from the sections of the same run (``findings``):
+each names the report field it came from, and a section that did not run or
+does not show the finding gives no note (schema 2).
 """
 
 from __future__ import annotations
@@ -15,64 +19,10 @@ import tempfile
 from dataclasses import is_dataclass
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, registry
 from .coeffs import ParamScalar
 
-SCHEMA_VERSION = 1
-
-# Standing findings the engine surfaces on every run: discrepancies between
-# the transcribed source displays and what the engine derives or measures.
-ENGINE_NOTES = (
-    {
-        "flag": "display-erratum-uF-flux",
-        "detail": "the printed flux display for u * first-order-vector omits "
-                  "the Leibniz term (1 - 2*alpha/(n+4)) * uF; the registered "
-                  "identity carries it (the estimate it feeds absorbs uF into "
-                  "a generic constant, so nothing downstream changes)",
-    },
-    {
-        "flag": "display-erratum-lap-flux",
-        "detail": "the printed flux display for Lap * Du has quartic gradient "
-                  "coefficient (1/6)(1+n*alpha/(n+4))((n-2)alpha/(n+4)+(n+2)/n); "
-                  "the derived coefficient is "
-                  "-(1/4)(1+n*alpha/(n+4))((n+2)/n-(n-2)alpha/(n+4))",
-    },
-    {
-        "flag": "display-erratum-f3-endpoint",
-        "detail": "the printed value of f3 at 1/(n-4) carries a factor (n-2)^2; "
-                  "direct evaluation gives a single factor (n-2): "
-                  "64(n-2)(4n^3-13n^2+24n-16)/(n-4)^2",
-    },
-    {
-        "flag": "exponent-chain-fails-at-n5",
-        "detail": "the final exponent bound chain X < -8/((n-4)(alpha-1)) fails "
-                  "for n = 5 (it holds iff n^2-2n-16 >= 0, i.e. n >= 6); the "
-                  "exponent X itself is negative on the whole range for every "
-                  "n >= 5, so the blow-down conclusion is unaffected",
-    },
-    {
-        "flag": "homogeneity-mismatch-second-order-estimate",
-        "detail": "the second-order estimate is proved as Lap(u) + "
-                  "(2/(n-4))|Du|^2/u <= 0, while a later positivity argument "
-                  "quotes -Lap(u) >= (2/(n-4))|Du|^2/u^2 (different u-power); "
-                  "the engine implements the proved form and flags the usage "
-                  "without guessing intent",
-    },
-    {
-        "flag": "tracefree-constant-below-cited",
-        "detail": "the measured sharp constant of |E|^2|v|^2 >= c|Ev|^2 over "
-                  "trace-free symmetric E is n/(n-1), below the cited 4/3 for "
-                  "every n >= 5; as cited the inequality also carries "
-                  "inhomogeneous u-weights, so the oracle tests the homogeneous "
-                  "surrogate",
-    },
-    {
-        "flag": "lambda-min-margins",
-        "detail": "no explicit values are given for the small constants the "
-                  "positivity step needs; the report carries the minimal-"
-                  "eigenvalue margins of the coefficient matrix instead",
-    },
-)
+SCHEMA_VERSION = 2
 
 
 def jsonable(x):
@@ -94,6 +44,51 @@ def jsonable(x):
     raise TypeError(f"no JSON form for {type(x).__name__}: {x!r}")
 
 
+def findings(sections: dict) -> list[dict]:
+    """The notes of a report over these sections, each ``{"flag", "check",
+    "detail"}``: ``check`` is the dotted path (list items by index) of the
+    report field the note was read from, and ``detail`` is formatted from the
+    section data.  Nothing is expanded or verified again."""
+    notes = []
+
+    def note(flag, check, detail):
+        notes.append({"flag": flag, "check": f"sections.{check}", "detail": detail})
+
+    for i, r in enumerate(sections.get("identities", ())):
+        if r["status"] == "verified-zero" and r["id"] in registry.ERRATA:
+            m, printed = registry.ERRATA[r["id"]]
+            derived = registry.get_identity(r["id"]).rhs.terms[m]
+            note(f"display-erratum-{r['id']}", f"identities.{i}.status",
+                 f"{r['anchor']}: the display prints the coefficient {printed} of "
+                 f"{m.render()}; the identity verified here carries {derived}")
+    if "params" in sections:
+        mf, exps = sections["params"]["minor_formulas"], sections["params"]["exponents"]
+        if not mf["f3_upper_matches_printed"]:
+            note("display-erratum-f3-endpoint", "params.minor_formulas.f3_upper_matches_printed",
+                 f"the display prints f3(1/(n-4)) = {mf['f3_upper_printed']}; direct "
+                 f"evaluation gives {mf['f3_upper_computed']}")
+        fails = [f"n = {r['n']} (L(1) = {r['L_at_one']})"
+                 for r in sections["params"]["linear_reduction"] if not r["chain_holds_on_range"]]
+        if fails:
+            note("exponent-chain-fails", "params.linear_reduction",
+                 f"the printed chain X < -8/((n-4)(alpha-1)), cleared to L(alpha) < 0, "
+                 f"fails on the range at {', '.join(fails)}; X < 0 on all {exps['points']} "
+                 f"grid points: {exps['exponent_negative_everywhere']}")
+    below = [r for r in sections.get("oracle", {}).get("sharp_constant", ()) if r["below_cited"]]
+    if below:
+        note("tracefree-constant-below-cited", "oracle.sharp_constant",
+             f"the sharp constant n/(n-1) of |E|^2|v|^2 >= c|Ev|^2 over trace-free symmetric "
+             f"E is below the cited {below[0]['cited_constant']:.6g} at "
+             + ", ".join(f"n = {r['n']} ({r['analytic']:.6g})" for r in below))
+    if "pd_scan" in sections:
+        s = sections["pd_scan"]
+        note("lambda-min-margins", "pd_scan.min_lambda",
+             f"the display gives no values for the small constants of the positivity step; "
+             f"the scanned minimal eigenvalue of A is {s['min_lambda']:.6e}, at "
+             f"n = {s['argmin']['n']}, alpha = {s['argmin']['alpha']:.6g}")
+    return notes
+
+
 def build_report(config: dict, sections: dict, statuses: dict[str, bool]) -> dict:
     """Assemble the versioned report document."""
     return {
@@ -102,22 +97,13 @@ def build_report(config: dict, sections: dict, statuses: dict[str, bool]) -> dic
         "config": config,
         "sections": sections,
         "section_status": {k: ("pass" if v else "fail") for k, v in statuses.items()},
-        "notes": list(ENGINE_NOTES),
+        "notes": findings(sections),
         "overall_status": "pass" if all(statuses.values()) else "fail",
     }
 
 
 def render_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-def _md_identity_lines(records: list[dict]) -> list[str]:
-    out = ["| id | status | residuals | ms | anchor |",
-           "|----|--------|-----------|----|--------|"]
-    for r in records:
-        out.append(f"| {r['id']} | {r['status']} | {r['residual_count']} "
-                   f"| {r['millis']:.0f} | {r['anchor']} |")
-    return out
 
 
 def render_markdown(report: dict) -> str:
@@ -130,14 +116,20 @@ def render_markdown(report: dict) -> str:
     lines.append("")
     sections = report["sections"]
     if "identities" in sections:
-        lines.append("## Identities")
-        lines.extend(_md_identity_lines(sections["identities"]))
+        lines += ["## Identities", "| id | status | residuals | ms | anchor |",
+                  "|----|--------|-----------|----|--------|"]
+        for r in sections["identities"]:
+            lines.append(f"| {r['id']} | {r['status']} | {r['residual_count']} "
+                         f"| {r['millis']:.0f} | {r['anchor']} |")
         lines.append("")
     if "combination" in sections:
+        c = sections["combination"]
         lines.append("## Combination recovery")
-        lines.append(f"- weights: {sections['combination']['weights']}")
-        lines.append(f"- matches catalog c1/c2: "
-                     f"{sections['combination']['matches_catalog']}")
+        if "error" in c:
+            lines.append(f"- error: {c['error']}")
+        else:
+            lines.append(f"- weights: {c['weights']}")
+            lines.append(f"- matches catalog c1/c2: {c['matches_catalog']}")
         lines.append("")
     if "params" in sections:
         p = sections["params"]
@@ -176,7 +168,7 @@ def render_markdown(report: dict) -> str:
         lines.append("")
     lines.append("## Notes and flags")
     for note in report["notes"]:
-        lines.append(f"- **{note['flag']}**: {note['detail']}")
+        lines.append(f"- **{note['flag']}** (`{note['check']}`): {note['detail']}")
     lines.append("")
     return "\n".join(lines)
 

@@ -34,7 +34,7 @@ def test_verify_subset_passes(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["overall_status"] == "pass"
     assert [r["id"] for r in doc["sections"]["identities"]] == ["I1", "I3", "I15"]
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     # each identity runs in its registered mode; nothing overrides it
     assert list(doc["config"]) == ["command", "format", "ids"]
 
@@ -293,6 +293,16 @@ def test_out_of_range_config_values_rejected(tmp_path, line, flag, capsys):
     assert capsys.readouterr().err.startswith(f"error: {flag} ")
 
 
+def test_repeated_config_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "bh.cfg"
+    cfg.write_text("n = 5\nalpha = 2\nn = 7\n")
+    out = tmp_path / "r.json"
+    assert run(["--config", str(cfg), "--out", str(out), "radial"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config key n is set more than once in {cfg}\n")
+    assert not out.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bh.cfg"
     cfg.write_text("n = 6\nrmx = 20\n")
@@ -328,3 +338,15 @@ def test_combination_reports_only_a_missing_combination(monkeypatch):
                         raising(EngineInconsistencyError("planted fault")))
     with pytest.raises(EngineInconsistencyError, match="planted fault"):
         cli.run_combination()
+
+
+def test_failed_combination_renders_in_markdown(monkeypatch, capsys):
+    """A missing combination is a failed check in every format: the
+    markdown report states the error and ``all`` exits 1."""
+    def solve(target, basis):
+        raise NoCombinationError("planted: no combination")
+    monkeypatch.setattr(registry, "solve_combination", solve)
+    assert run(["--format", "markdown", "all"]) == 1
+    text = capsys.readouterr().out
+    assert "- combination: fail" in text
+    assert "- error: planted: no combination" in text

@@ -4,44 +4,62 @@
 ``run_combination()`` with the per-identity ``millis`` timings removed.
 ``tests/data/certificates_report.json`` holds ``run_params(12)`` and
 ``run_scan_pd(5, 12, 50)``, the certificate path through ``paramcheck.at_n``.
+``tests/data/notes_report.json`` holds the ``notes`` that ``build_report``
+reads from each of those two section sets.
 A change that must keep reports byte-identical (a refactor or a performance
 rewrite) keeps these files as they are.  To re-record them after a
 deliberate report change, run ``PYTHONPATH=src python tests/test_golden_report.py``.
 """
 
 import pathlib
+from functools import cache
 
 from bhverify.cli import run_combination, run_params, run_scan_pd, run_verify
-from bhverify.report import render_json
+from bhverify.report import build_report, render_json
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA / "verify_report.json"
 GOLDEN_CERTIFICATES = DATA / "certificates_report.json"
+GOLDEN_NOTES = DATA / "notes_report.json"
 
 
-def _document() -> str:
+@cache
+def _sections() -> dict:
     records, _ = run_verify()
     for r in records:
         del r["millis"]
     combination, _ = run_combination()
-    return render_json({"identities": records, "combination": combination})
+    return {"identities": records, "combination": combination}
 
 
-def _certificates_document() -> str:
+@cache
+def _certificates_sections() -> dict:
     params, _ = run_params(12)
     pd_scan, _ = run_scan_pd(5, 12, 50)
-    return render_json({"params": params, "pd_scan": pd_scan})
+    return {"params": params, "pd_scan": pd_scan}
+
+
+def _notes_document() -> str:
+    return render_json({
+        "verify": build_report({}, _sections(), {})["notes"],
+        "certificates": build_report({}, _certificates_sections(), {})["notes"],
+    })
 
 
 def test_verify_and_combination_render_the_recorded_bytes():
-    assert _document() == GOLDEN.read_text()
+    assert render_json(_sections()) == GOLDEN.read_text()
 
 
 def test_params_and_scan_pd_render_the_recorded_bytes():
-    assert _certificates_document() == GOLDEN_CERTIFICATES.read_text()
+    assert render_json(_certificates_sections()) == GOLDEN_CERTIFICATES.read_text()
+
+
+def test_notes_of_both_section_sets_render_the_recorded_bytes():
+    assert _notes_document() == GOLDEN_NOTES.read_text()
 
 
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
-    GOLDEN.write_text(_document())
-    GOLDEN_CERTIFICATES.write_text(_certificates_document())
+    GOLDEN.write_text(render_json(_sections()))
+    GOLDEN_CERTIFICATES.write_text(render_json(_certificates_sections()))
+    GOLDEN_NOTES.write_text(_notes_document())

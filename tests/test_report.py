@@ -6,20 +6,29 @@ serve as the reference on real records.  The oracle and radial records have
 no golden file, so this is their only byte guard.  The certificate and
 eigenvalue-scan records take their JSON shape where they are built and are
 guarded by ``tests/data/certificates_report.json``.
+
+The report's notes are read from the sections of the same run; the tests
+below flip one evidence field at a time in copies of real sections.
 """
 
+import copy
+import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from bhverify import calculus, registry, tensor
+from bhverify.cli import (run, run_combination, run_oracle, run_params, run_scan_pd,
+                          run_verify)
 from bhverify.coeffs import ALPHA, N
 from bhverify.jetoracle import check_all_identities, sharp_constant_search
 from bhverify.paramcheck import exponent_grid_check
 from bhverify.radial import default_grids, scan_shooting
 from bhverify.registry import verify_all
-from bhverify.report import jsonable
+from bhverify.report import build_report, jsonable
 
 
 def _ref_verification_report_to_dict(self) -> dict:
@@ -129,3 +138,115 @@ def test_nested_records_exact_numbers_and_leaves():
 def test_other_types_raise(value):
     with pytest.raises(TypeError, match="no JSON form"):
         jsonable({"x": [value]})
+
+
+# -- notes built from the sections of a run ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sections():
+    return {
+        "identities": run_verify()[0],
+        "combination": run_combination()[0],
+        "params": run_params(12)[0],
+        "pd_scan": run_scan_pd(5, 12, 50)[0],
+        "oracle": run_oracle(samples=2, dims=(5,))[0],
+    }
+
+
+def _notes(sections) -> dict:
+    return {n["flag"]: n for n in build_report({}, sections, {})["notes"]}
+
+
+def _resolve(doc, path: str):
+    for part in path.split("."):
+        doc = doc[int(part)] if isinstance(doc, list) else doc[part]
+    return doc
+
+
+def _flip_i14(s):
+    next(r for r in s["identities"] if r["id"] == "I14")["status"] = "residual"
+
+
+def _flip_f3(s):
+    s["params"]["minor_formulas"]["f3_upper_matches_printed"] = True
+
+
+def _flip_chain(s):
+    for r in s["params"]["linear_reduction"]:
+        r["chain_holds_on_range"] = True
+
+
+def _flip_below_cited(s):
+    for r in s["oracle"]["sharp_constant"]:
+        r["below_cited"] = False
+
+
+ALL_FLAGS = {"display-erratum-I14", "display-erratum-I15", "display-erratum-f3-endpoint",
+             "exponent-chain-fails", "tracefree-constant-below-cited",
+             "lambda-min-margins"}
+
+
+def test_every_note_names_a_field_of_its_report(sections):
+    report = build_report({}, sections, {})
+    assert {n["flag"] for n in report["notes"]} == ALL_FLAGS
+    for note in report["notes"]:
+        assert set(note) == {"flag", "check", "detail"}
+        _resolve(report, note["check"])
+
+
+def test_note_details_are_formatted_from_their_evidence(sections):
+    notes = _notes(sections)
+    m, printed = registry.ERRATA["I14"]
+    derived = registry.get_identity("I14").rhs.terms[m]
+    assert str(printed) in notes["display-erratum-I14"]["detail"]
+    assert str(derived) in notes["display-erratum-I14"]["detail"]
+    mf = sections["params"]["minor_formulas"]
+    assert mf["f3_upper_computed"] in notes["display-erratum-f3-endpoint"]["detail"]
+    assert mf["f3_upper_printed"] in notes["display-erratum-f3-endpoint"]["detail"]
+    assert "n = 5 (L(1) = 8)" in notes["exponent-chain-fails"]["detail"]
+    moved = copy.deepcopy(sections)
+    moved["pd_scan"]["min_lambda"] = 0.5
+    assert "5.000000e-01" in _notes(moved)["lambda-min-margins"]["detail"]
+
+
+@pytest.mark.parametrize("flip, flag", [
+    (_flip_i14, "display-erratum-I14"),
+    (_flip_f3, "display-erratum-f3-endpoint"),
+    (_flip_chain, "exponent-chain-fails"),
+    (_flip_below_cited, "tracefree-constant-below-cited"),
+])
+def test_each_note_tracks_its_evidence(sections, flip, flag):
+    flipped = copy.deepcopy(sections)
+    flip(flipped)
+    assert set(_notes(flipped)) == ALL_FLAGS - {flag}
+
+
+def test_notes_follow_the_sections_that_ran(sections):
+    assert _notes({"pd_scan": sections["pd_scan"]}).keys() == {"lambda-min-margins"}
+    assert _notes({"combination": {"error": "no match"}}) == {}
+
+
+def test_verify_of_an_identity_without_erratum_carries_no_notes(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["--out", str(out), "verify", "--ids", "I1"]) == 0
+    assert json.loads(out.read_text())["notes"] == []
+
+
+def test_notes_do_no_traced_work(sections, monkeypatch):
+    """Building the notes expands and verifies nothing: the benchmark's
+    traced counts (canonical forms, verifications, substitutions) stay those
+    of the sections."""
+    want = build_report({}, sections, {})["notes"]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("notes must only read the sections")
+    # every binding of the traced functions, re-exports included
+    traced = [tensor.canonical_form, registry.verify_identity, calculus.substitute_defs]
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("bhverify"):
+            for key, value in list(vars(mod).items()):
+                if any(value is fn for fn in traced):
+                    monkeypatch.setattr(mod, key, forbidden)
+    assert tensor.canonical_form is forbidden
+    assert build_report({}, sections, {})["notes"] == want
