@@ -9,11 +9,13 @@ with integer-primitive denominator and positive denominator leading
 coefficient, so equal rational functions always have byte-identical
 representations.
 
-The polynomial arithmetic (multiplication, factorization) is sympy's, in
-sparse polynomial rings over QQ.  Normalization factors each denominator
-once (cached per denominator); each root r of multiplicity m then cancels at
-most m times, each time only if num(r, alpha, a, b) vanishes exactly, which
-Horner's rule decides per (alpha, a, b) coefficient, so no gcd is computed.
+Multiplication is sympy's, in a sparse polynomial ring over QQ, and the
+univariate ring Q[n] (``_N_RING``) only factors each denominator, once
+(cached per denominator).  Every division and gcd goes through root tests
+on those factors: each root r of multiplicity m cancels at most m times,
+each time only if num(r, alpha, a, b) vanishes exactly.  Horner's rule per
+(alpha, a, b) coefficient decides that, and the same pass yields the
+quotient by n - r, so no gcd and no multivariate division is computed.
 
 Sum, difference, product and quotient are module-level kernels with an LRU
 cache keyed on the two normalized operands (ParamScalars are immutable and
@@ -93,29 +95,56 @@ def _horner(table: dict[tuple, list], n) -> dict[tuple, object]:
     return out
 
 
-def _vanishes_at(num, r) -> bool:
-    """Whether num(n = r, alpha, a, b) is exactly 0."""
-    return not any(_horner(_dense_in_n(num), r).values())
+def _divide_root(table, r):
+    """A ``_dense_in_n`` table divided by n - r, or None when one of its
+    coefficients does not vanish at r.
+
+    Horner's rule is synthetic division: the pass that evaluates a
+    coefficient at r yields its quotient by n - r on the way.
+    """
+    out = {}
+    for rest, coeffs in table.items():
+        v, quotient = coeffs[0], []
+        for c in coeffs[1:]:
+            quotient.append(v)
+            v = v * r + c
+        if v:
+            return None
+        out[rest] = quotient
+    return out
+
+
+def _from_dense(table):
+    """The ring element of a ``_dense_in_n`` table."""
+    return _RING.dtype({(e, *rest): c for rest, coeffs in table.items()
+                        for e, c in enumerate(reversed(coeffs)) if c})
 
 
 def _cancel_roots(num, den, roots):
     """Divide num and den by n - r while num vanishes at r, at most m times
     for each (r, m) in roots: a linear factor of den shares a factor with
-    num exactly when num vanishes at its root, so no gcd is needed."""
+    num exactly when num vanishes at its root, so no gcd is needed.  Each
+    polynomial is tabulated once, den only when a root cancels."""
+    num_table, den_table = _dense_in_n(num), None
     for r, m in roots:
         for _ in range(m):
-            if not _vanishes_at(num, r):
+            quotient = _divide_root(num_table, r)
+            if quotient is None:
                 break
-            lin = _N - r
-            num, den = num.exquo(lin), den.exquo(lin)
-    return num, den
+            num_table = quotient
+            den_table = _divide_root(den_table or _dense_in_n(den), r)
+    if den_table is None:
+        return num, den
+    return _from_dense(num_table), _from_dense(den_table)
 
 
 def cofactors(f, g):
-    """(h, f/h, g/h) for h the monic gcd of two denominators, taken in the
-    univariate ring Q[n]."""
-    h, cf, cg = f.set_ring(_N_RING).cofactors(g.set_ring(_N_RING))
-    return h.set_ring(_RING), cf.set_ring(_RING), cg.set_ring(_RING)
+    """(f/h, g/h) for h the monic gcd of f and a denominator g in Q[n].
+
+    g splits into linear factors over Q, so h is the product of the n - r
+    that ``_cancel_roots`` divides out over g's cached roots; a g that does
+    not split raises MalformedCoefficientError."""
+    return _cancel_roots(f, g, _split_roots(g))
 
 
 def _primitive(num, den):

@@ -17,18 +17,24 @@ other (contracted) or free.  Supported factors:
     Gscal   zeroth-order invariant scalar    0 slots
 
 Canonicalization first applies structural rewrites (metric elimination,
-self-traces of D2u/D3u, vanishing traces of Etf) and then minimizes an
-explicit serialization over all relabelings allowed by factor multiplicities
-and slot symmetries.  Edits of factors (differentiation, substitution and the
-structural rewrites) run on the labeled view (``to_labeled``, then ``mono``):
-a label used twice is a contraction, and a label repeated inside one factor
-is a self-trace.  Monomials stay tiny (at most 6 factors in practice), so
-the exhaustive search is cheap and fully deterministic.
+self-traces of D2u/D3u, vanishing traces of Etf) and then takes the least
+explicit serialization (the sorted contraction pairs, then the free slots)
+over all relabelings allowed by factor multiplicities and slot symmetries.
+A branch-and-bound search finds it: placing the factors one position at a
+time bounds a prefix of the sorted pairs from below, and a partial
+relabeling whose bound already exceeds the best key is dropped.  The least
+key is unique, so the result is the exhaustive search's, fully
+deterministic; the eleven six-Du monomials of the identities reach 48 to 70
+of their 720 relabelings, most of them ties.
+
+Edits of factors (differentiation, substitution and the structural
+rewrites) run on the labeled view (``to_labeled``, then ``mono``): a label
+used twice is a contraction, and a label repeated inside one factor is a
+self-trace.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -248,43 +254,87 @@ def _canonical_cached(m: TensorMonomial):
     mult, m = _structural_rewrites(m)
     if m is None:
         return mult, None
+    symbols = tuple(sorted(m.symbols, key=_ORDER.__getitem__))
+    pairs, free = _least_relabeling(m, symbols)
+    return mult, TensorMonomial(m.u_power, symbols, pairs, free)
 
-    order = sorted(range(len(m.symbols)), key=lambda i: (_ORDER[m.symbols[i]], i))
-    symbols = tuple(m.symbols[i] for i in order)
 
-    # group identical symbols in the sorted listing
-    groups: list[list[int]] = []
-    for pos, i in enumerate(order):
-        if groups and m.symbols[i] == m.symbols[groups[-1][0]]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+def _least_relabeling(m: TensorMonomial, symbols: tuple[str, ...]):
+    """The least (pairs, free) key over the relabelings that list m's
+    factors as ``symbols``, by branch and bound.
 
+    Depth first over the positions of ``symbols`` that carry slots, each
+    step places one unused factor of that symbol under one of its slot
+    symmetries.  The new slots below ``frontier`` are then placed, and the
+    pairs with a placed endpoint are exactly the first pairs of the final
+    sorted key, in the order of their placed (smaller) endpoint.  An
+    unplaced partner will get a slot of at least ``frontier``, so taking it
+    as ``frontier`` bounds that prefix from below; a branch whose bound
+    already exceeds the best key's prefix cannot improve on it.
+    """
     old_offs = m.offsets()
-    new_offs = []
-    off = 0
-    for s in symbols:
-        new_offs.append(off)
-        off += FACTORS[s].arity
-
+    partner = [None] * m.slot_count
+    for a, b in m.pairs:
+        partner[a], partner[b] = b, a
+    # per step: first new slot, frontier after it, candidate factor offsets, symmetries
+    steps = []
+    start = 0
+    for sym in symbols:
+        info = FACTORS[sym]
+        if info.arity:
+            bases = [old_offs[i] for i, s in enumerate(m.symbols) if s == sym]
+            steps.append((start, start + info.arity, bases, info.sym))
+        start += info.arity
+    new_of = [None] * m.slot_count  # old slot -> new slot
+    old_of = [None] * m.slot_count  # new slot -> old slot
+    used = set()
     best = None
-    group_perms = [list(itertools.permutations(g)) for g in groups]
-    for assignment in itertools.product(*group_perms):
-        placed = [i for grp in assignment for i in grp]
-        sym_choices = [FACTORS[m.symbols[i]].sym for i in placed]
-        for syms in itertools.product(*sym_choices):
-            mapping = {}
-            for pos, (i, sigma) in enumerate(zip(placed, syms)):
-                for j, sj in enumerate(sigma):
-                    mapping[old_offs[i] + sj] = new_offs[pos] + j
-            pairs = tuple(sorted(
-                tuple(sorted((mapping[a], mapping[b]))) for a, b in m.pairs))
-            free = tuple(mapping[s] for s in m.free)
-            key = (pairs, free)
+
+    def bound(frontier):
+        out = []
+        for x in range(frontier):
+            t = partner[old_of[x]]
+            if t is not None:
+                y = new_of[t]
+                if y is None:
+                    out.append((x, frontier))
+                elif y > x:
+                    out.append((x, y))
+        return tuple(out)
+
+    def search(depth):
+        nonlocal best
+        if depth == len(steps):
+            key = _leaf_key(m, new_of)
             if best is None or key < best:
                 best = key
-    result = TensorMonomial(m.u_power, symbols, best[0], best[1])
-    return mult, result
+            return
+        start, frontier, bases, perms = steps[depth]
+        for base in bases:
+            if base in used:
+                continue
+            used.add(base)
+            for sigma in perms:
+                for j, sj in enumerate(sigma):
+                    new_of[base + sj] = start + j
+                    old_of[start + j] = base + sj
+                if best is not None:
+                    prefix = bound(frontier)
+                    if prefix > best[0][:len(prefix)]:
+                        continue
+                search(depth + 1)
+            for j in range(frontier - start):
+                new_of[base + j] = None
+            used.discard(base)
+
+    search(0)
+    return best
+
+
+def _leaf_key(m: TensorMonomial, new_of: list[int]):
+    """The (pairs, free) key of m under a complete relabeling of its slots."""
+    pairs = tuple(sorted(tuple(sorted((new_of[a], new_of[b]))) for a, b in m.pairs))
+    return pairs, tuple(new_of[s] for s in m.free)
 
 
 def canonical_form(m: TensorMonomial) -> tuple[ParamScalar, TensorMonomial | None]:
@@ -339,7 +389,7 @@ class TExpr:
                 if p_den == den:
                     num = p_num + num
                 else:
-                    _, p_cof, cof = cofactors(p_den, den)
+                    p_cof, cof = cofactors(p_den, den)
                     num, den = p_num * cof + num * p_cof, p_den * cof
                 if not num:
                     del acc[canon]

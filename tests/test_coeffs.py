@@ -14,8 +14,9 @@ from sympy.polys.rings import PolyElement
 
 from bhverify import cli, coeffs, paramcheck, registry, tensor
 from bhverify.calculus import bstar
-from bhverify.coeffs import (_RING, ALPHA, A, B, N, ONE, VAR_NAMES, ParamScalar,
-                             ZERO, _linear_roots, _qq_to_fraction, cofactors, frac, ps)
+from bhverify.coeffs import (_RING, ALPHA, A, B, N, ONE, VAR_NAMES, ParamScalar, ZERO,
+                             _dense_in_n, _divide_root, _from_dense, _horner, _linear_roots,
+                             _qq_to_fraction, cofactors, frac, ps)
 from bhverify.errors import MalformedCoefficientError, PoleError
 
 
@@ -519,14 +520,118 @@ def test_repeated_operation_returns_the_cached_object():
     assert 2 * x is 2 * x
 
 
+# -- differential test: the Horner kernels against sympy's division and gcd ------
+
+
+def _ref_vanishes_at(num, r) -> bool:
+    """Whether num(n = r, alpha, a, b) is exactly 0."""
+    return not any(_horner(_dense_in_n(num), r).values())
+
+
+def _qq(r: Fraction):
+    return QQ(r.numerator, r.denominator)
+
+
+# rational roots with multiplicities, under a nonzero (possibly negative)
+# constant
+_roots = st.lists(st.tuples(_small_fractions, st.integers(1, 3)), max_size=3)
+
+
+def _split_poly(c, roots):
+    """c * prod (n - r)^m over the (r, m) in roots."""
+    return math.prod(((_n - _qq(r))**m for r, m in roots), start=c)
+
+
+@st.composite
+def _polys_and_points(draw):
+    """A numerator in (n, alpha, a, b) times a polynomial in Q[n] that splits
+    over Q, plus half the time any other polynomial, and a point: one of
+    the roots, or any small fraction."""
+    roots = draw(_roots)
+    poly = (_ring_poly(draw(_polys)) * _split_poly(draw(_constants.filter(bool)), roots)
+            + _ring_poly(draw(st.just({}) | _polys)))
+    points = st.sampled_from([r for r, _ in roots]) | _small_fractions if roots \
+        else _small_fractions
+    return poly, _qq(draw(points))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_polys_and_points())
+@example((_RING.zero, QQ(2)))
+@example((_RING(QQ(-4, 9)), QQ(0)))
+@example(((_alpha * _n - _b) * (2 * _n - 3)**2 * _n, QQ(3, 2)))   # repeated root
+@example(((_alpha - 1) * _a * (_n + 4), QQ(-4)))                   # constant quotient in n
+@example(((_alpha - 1) * _a * (_n + 4) + _b, QQ(-4)))              # one coefficient vanishes
+def test_divide_root_matches_exquo(pair):
+    """poly / (n - r) exactly when poly vanishes at r, else None: the
+    multivariate exquo and the replaced evaluation decide the same."""
+    poly, r = pair
+    got = _divide_root(_dense_in_n(poly), r)
+    if not _ref_vanishes_at(poly, r):
+        assert got is None
+        return
+    quotient = _from_dense(got)
+    assert quotient == poly.exquo(_n - r)
+    assert got == _dense_in_n(quotient)
+    assert quotient.ring is _RING and all(quotient.values())
+    assert hash(quotient) == hash(_RING.from_dict(dict(quotient)))
+
+
+# sympy's gcd is monic, except where an input is a single term: there it
+# takes the ground gcd over QQ of the coefficients, so a constant such as
+# -4/9 gives the unit multiple 1/9 of the monic gcd.  Denominators never
+# meet that case.  A ParamScalar's denominator is integer-primitive, so a
+# single-term one is n^k; TExpr.from_terms passes cofactors products of
+# those and of cofactors g/h, which have integer coefficients (Gauss's
+# lemma), and the ground gcd of 1 with integers is 1.
+
+
+def _cofactor_triple(f, g):
+    """(h, f/h, g/h) from the pair cofactors(f, g) returns: h = f / (f/h)."""
+    cf, cg = cofactors(f, g)
+    return f.exquo(cf), cf, cg
+
+
+@st.composite
+def _split_pairs(draw):
+    """Two polynomials in Q[n] with integer coefficients that split over Q
+    and share some roots: +-c * prod (q n - p)^m over roots p/q, with
+    integer content c = 1 for a single term."""
+    shared = draw(_roots)
+
+    def one():
+        roots = shared + draw(_roots)
+        poly = math.prod(((r.denominator * _n - r.numerator)**m for r, m in roots),
+                         start=_RING(draw(st.sampled_from([-1, 1]))))
+        return poly * draw(st.integers(1, 6)) if len(poly) > 1 else poly
+
+    return one(), one()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_split_pairs())
+@example((_RING.one, _RING(-1)))
+@example((_n**2, -2 * _n * (2 * _n - 3)))
+@example((-(2 * _n - 3)**2 * _n, 3 * _n * (2 * _n - 3)**3))
+def test_cofactors_match_sympy_gcd(pair):
+    f, g = pair
+    assert _cofactor_triple(f, g) == f.cofactors(g)
+
+
 def test_cofactors_match_the_multivariate_ring():
-    """The univariate gcd in Q[n] gives the 4-variable ring's gcd and
-    cofactors."""
-    dens = [(2 * _n - 3)**2 * (_n + 4), 3 * _n * (2 * _n - 3), _n**2 + 1, _RING(QQ(-4, 9)),
+    """The root tests give the 4-variable ring's gcd and cofactors for every
+    pair whose second entry splits over Q; one that does not split is
+    outside the domain."""
+    dens = [(2 * _n - 3)**2 * (_n + 4), 3 * _n * (2 * _n - 3), _n**2 + 1, _RING.one, _n**2,
             _n * (_n - 2) * (_n + 4)]
     for f in dens:
         for g in dens:
-            assert cofactors(f, g) == f.cofactors(g)
+            if g == _n**2 + 1:
+                with pytest.raises(MalformedCoefficientError,
+                                   match=r"split over Q: n\*\*2 \+ 1 has"):
+                    cofactors(f, g)
+                continue
+            assert _cofactor_triple(f, g) == f.cofactors(g)
 
 
 def _kernels():
@@ -538,6 +643,23 @@ def _clear_caches():
     """Cold kernels, and identities built anew, as in a fresh process."""
     for cached in (*_kernels().values(), registry.all_identities, registry._coeff_catalog):
         cached.cache_clear()
+
+
+def test_verify_cofactors_match_the_multivariate_ring(monkeypatch):
+    """Every gcd that run_verify plus run_combination take, from cold
+    caches, equals the 4-variable ring's."""
+    calls = []
+
+    def recorded(f, g):
+        calls.append((f, g))
+        return cofactors(f, g)
+
+    _clear_caches()
+    monkeypatch.setattr(tensor, "cofactors", recorded)
+    assert cli.run_verify()[1] and cli.run_combination()[1]
+    assert len(calls) == 187
+    for f, g in calls:
+        assert _cofactor_triple(f, g) == f.cofactors(g), (f, g)
 
 
 def test_verify_leaves_every_cached_coefficient_unchanged(monkeypatch):

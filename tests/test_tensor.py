@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bhverify import cli, registry, tensor
 from bhverify.coeffs import ALPHA, A, B, N, ONE, ZERO, ParamScalar, frac, ps
 from bhverify.errors import (MalformedMonomialError, UnsupportedCurvatureError,
                              ValenceError)
@@ -381,12 +384,21 @@ def _ref_canonical_form(m: TensorMonomial):
     return mult, result
 
 
+def _relabelings(symbols) -> int:
+    """How many relabelings the exhaustive search tries: every order of each
+    symbol's factors, under every slot symmetry of each factor."""
+    return math.prod(math.factorial(k) * len(FACTORS[sym].sym)**k
+                     for sym, k in Counter(symbols).items())
+
+
 @st.composite
-def _raw_monomials(draw):
-    """Any valid monomial of 1 to 5 factors over all 11 kinds (the metric and
-    the derivative factors drawn more often) with 0 to 3 free slots."""
-    syms = draw(st.lists(st.sampled_from(tuple(FACTORS) + ("g", "g", "D2u", "D3u")),
-                         min_size=1, max_size=5))
+def _raw_monomials(draw, kinds=tuple(FACTORS) + ("g", "g", "D2u", "D3u"), max_size=5):
+    """Any valid monomial of 1 to ``max_size`` factors drawn from ``kinds``
+    (by default all 11, the metric and the derivative factors more often)
+    with 0 to 3 free slots, and at most 6,000 relabelings, so that the
+    exhaustive reference stays quick."""
+    syms = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=max_size)
+                .filter(lambda syms: _relabelings(syms) <= 6000))
     total = sum(FACTORS[s].arity for s in syms)
     n_free = draw(st.sampled_from([k for k in range(4)
                                    if k <= total and (total - k) % 2 == 0]))
@@ -418,6 +430,69 @@ def test_structural_rewrites_match_replaced_code(m):
     """Same multiplier and canonical monomial, or the same exception, as the
     slot-renumbering reference."""
     assert _outcome(canonical_form, m) == _outcome(_ref_canonical_form, m), m.render()
+
+
+# -- the branch-and-bound search against the exhaustive one it replaced ----------
+
+
+@settings(max_examples=600, deadline=None)
+@given(_raw_monomials(kinds=("Du",) * 12 + tuple(FACTORS) + ("D3u", "g"), max_size=7))
+# six Du factors, 720 orders, among two Hessians and a D3u
+@example(mono(-3, ("D2u", "i", "j"), ("Du", "k"), ("Du", "i"), ("Du", "l"), ("Du", "j"),
+              ("D2u", "k", "l"), ("Du", "m"), ("Du", "m")))
+@example(mono(1, ("Du", "x"), ("D3u", "i", "j", "k"), ("Du", "j"), ("Du", "i"), ("Du", "k"),
+              ("Du", "y"), free=("y", "x")))
+@example(mono(0, ("Du", "a"), ("Du", "b"), ("Du", "c"), ("Du", "a"), ("Du", "c"),
+              ("Du", "b"), ("g", "x", "y"), free=("y", "x")))
+def test_search_matches_exhaustive(m):
+    """Branch and bound finds the exhaustive search's least key: the same
+    multiplier and canonical monomial, or the same exception."""
+    assert _outcome(canonical_form, m) == _outcome(_ref_canonical_form, m), m.key()
+
+
+@pytest.fixture(scope="module")
+def verify_monomials():
+    """Every distinct monomial that run_verify plus run_combination
+    canonicalize, from cold identity caches, in order of first use."""
+    seen = {}
+    cached = tensor._canonical_cached
+
+    def recorded(m):
+        seen.setdefault(m, None)
+        return cached(m)
+
+    registry.all_identities.cache_clear()
+    registry._coeff_catalog.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "_canonical_cached", recorded)
+        assert cli.run_verify()[1] and cli.run_combination()[1]
+    return list(seen)
+
+
+def test_search_matches_exhaustive_on_the_verify_monomials(verify_monomials):
+    assert len(verify_monomials) == 276
+    for m in verify_monomials:
+        assert _outcome(canonical_form, m) == _outcome(_ref_canonical_form, m), m.key()
+
+
+def test_search_prunes_the_verify_monomials(verify_monomials, monkeypatch):
+    """The 276 monomials of the identities benchmark reach at most 1,460
+    complete relabelings; the exhaustive search tried 10,939, 720 each for
+    the eleven with six Du factors."""
+    leaves = []
+    leaf_key = tensor._leaf_key
+
+    def counted(m, new_of):
+        leaves.append(m)
+        return leaf_key(m, new_of)
+
+    monkeypatch.setattr(tensor, "_leaf_key", counted)
+    tried = []
+    for m in verify_monomials:
+        tensor._canonical_cached.__wrapped__(m)
+        tried.append(_relabelings(tensor._structural_rewrites(m)[1].symbols))
+    assert sum(tried) == 10_939 and tried.count(720) == 11
+    assert len(leaves) <= 1460
 
 
 # -- TExpr.from_terms against the per-term ParamScalar sum it replaced ------------
