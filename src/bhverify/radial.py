@@ -17,11 +17,14 @@ survives with u > 0 and v <= 0; the scan reports the survival fraction,
 which is consistency evidence only (finite grids prove nothing).
 
 A scan classifies all of its cells in one batch: ``shoot_batch`` steps every
-live cell together with scipy's RK45 method (Dormand-Prince 5(4), Hairer,
-Norsett and Wanner, Solving ODEs I, II.4-II.6), each cell with its own step
-size, and locates the events as ``solve_ivp`` does.  ``shoot`` integrates one
-trajectory with ``solve_ivp`` and keeps its checkpoints: it inspects a single
-cell (the CSV dump) and is the reference the batch is tested against.  The
+live cell together with the Dormand-Prince 5(4) pair (Hairer, Norsett and
+Wanner, Solving ODEs I, II.4-II.6), with the constants and step-size
+controller of scipy's RK45, each cell with its own step size, and locates the
+events as ``solve_ivp`` does, by Brent's method in the step order of scipy's
+``brentq``.  The batch needs no scipy.  ``shoot`` integrates one trajectory
+with scipy's ``solve_ivp`` and keeps its checkpoints: it inspects a single
+cell (the CSV dump) and is the reference the batch is tested against; it is
+the only code here that loads scipy, on its first call.  The
 dump writes the second-order estimate monitor Z = v/u + (2/(n-4)) p^2/u^2 at
 each checkpoint; the estimate's hypotheses are global (complete manifold,
 entire solution), so a positive Z on a local trajectory is not a refutation.
@@ -36,16 +39,46 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
 
 DEFAULT_R0 = 1e-6
 RTOL = ATOL = 1e-10
 
+# the Dormand-Prince 5(4) tableau with its dense output, literally as
+# scipy.integrate.RK45 writes it, so every float is the same
+N_STAGES = 6
+ERROR_ESTIMATOR_ORDER = 4
+C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+])
+B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+              1/40])
+P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
 # scipy's RK45 step-size controller, which shoot_batch applies per cell
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
-ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
-# brentq's xtol and rtol in solve_ivp's event location
+ERROR_EXPONENT = -1.0 / (ERROR_ESTIMATOR_ORDER + 1)
+# brentq's xtol and rtol, and its iteration limit, in solve_ivp's event
+# location
 EVENT_TOL = 4 * np.finfo(float).eps
+EVENT_MAXITER = 100
 
 # the terminal events in solve_ivp's order: u falls through 0, v rises
 # through 0
@@ -130,6 +163,13 @@ def _underflow_message(r) -> str:
     return f"step size underflow at r = {float(r)!r}"
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, imported on the first call: only ``shoot``
+    needs scipy, so a scan never loads it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
+
+
 def shoot(n: int, alpha: float, u0: float, v0: float,
           rmax: float = 50.0) -> ShootingResult:
     """Integrate one radial trajectory with solve_ivp and classify its
@@ -209,26 +249,81 @@ def _initial_steps(rhs, r, y, f, rmax) -> np.ndarray:
     h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), length)
     d2 = _rms((rhs(r + h0, y + h0[:, None] * f) - f) / scale) / h0
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / np.fmax(d1, d2)) ** (1 / (RK45.error_estimator_order + 1)))
+                  (0.01 / np.fmax(d1, d2)) ** (1 / (ERROR_ESTIMATOR_ORDER + 1)))
     return np.minimum(np.minimum(100 * h0, h1), length)
+
+
+def _brentq(f, a, b):
+    """A root of f in [a, b] by Brent's method, in the step order of scipy's
+    ``brentq`` (its brentq.c) with xtol = rtol = EVENT_TOL, so the root is
+    the same float.
+
+    Raises ValueError, as ``brentq`` does, when f is NaN at a point or has
+    no sign change on [a, b], and also when EVENT_MAXITER iterations do not
+    converge (``brentq`` raises RuntimeError there).  The values of f are
+    kept as numpy floats, so a division by zero gives inf or nan as in C.
+    """
+    def value(x):
+        fx = np.float64(f(x))
+        if np.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(EVENT_MAXITER):
+            if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+                xblk, fblk = xpre, fpre
+                spre = scur = xcur - xpre
+            if abs(fblk) < abs(fcur):
+                xpre, xcur, xblk = xcur, xblk, xcur
+                fpre, fcur, fblk = fcur, fblk, fcur
+            delta = (EVENT_TOL + EVENT_TOL * abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            if fcur == 0 or abs(sbis) < delta:
+                return xcur
+            if abs(spre) > delta and abs(fcur) < abs(fpre):
+                if xpre == xblk:    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:               # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):   # good short step
+                    spre, scur = scur, stry
+                else:
+                    spre = scur = sbis
+            else:
+                spre = scur = sbis
+            xpre, fpre = xcur, fcur
+            xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+            fcur = value(xcur)
+    raise ValueError(f"event location did not converge after {EVENT_MAXITER} "
+                     f"iterations at r = {float(xcur)!r}")
 
 
 def _first_event(K, r_old, r_new, y_old, crossed):
     """(root, event) of the earliest crossed event on one accepted step.
 
-    Each crossing is refined by brentq on RK45's dense interpolant, as
+    Each crossing is refined by ``_brentq`` on RK45's dense interpolant, as
     solve_ivp does; K holds the step's stages, (stages + 1, 4).
     """
-    from scipy.optimize import brentq   # as solve_ivp: only once an event fires
-
     h = r_new - r_old
-    Q = K.T.dot(RK45.P)
+    Q = K.T.dot(P)
 
     def event(r, e):
         x = (r - r_old) / h
         return _event_values(h * Q.dot(np.cumprod(np.full(Q.shape[1], x))) + y_old)[e]
 
-    return min((brentq(event, r_old, r_new, args=(e,), xtol=EVENT_TOL, rtol=EVENT_TOL), e)
+    return min((_brentq(partial(event, e=e), r_old, r_new), e)
                for e in np.nonzero(crossed)[0])
 
 
@@ -246,13 +341,15 @@ def shoot_batch(n: int, alpha: float, starts, rmax: float = 50.0) -> BatchRun:
 
     ``starts`` holds one series-start state (u, p, v, q) at r = DEFAULT_R0
     per row, each finite with u >= 0 and v <= 0, and rmax > DEFAULT_R0.  All
-    live cells are stepped together as (cells, 4) arrays with scipy's RK45
-    tableau and controller, each cell with its own step size.  After each accepted step
-    the events are found from sign changes with solve_ivp's direction rules
-    and refined on the dense interpolant; the earliest root decides the
-    verdict.  A step below 10 ulp(r) fails, as in ``shoot``, and the cell
-    goes into ``errors`` as a step-size underflow at its last radius.  A
-    finished cell drops out of the arrays.
+    live cells are stepped together as (cells, 4) arrays with the
+    Dormand-Prince tableau and scipy's RK45 controller, each cell with its
+    own step size.  After each accepted step the events are found from sign
+    changes with solve_ivp's direction rules and refined on the dense
+    interpolant; the earliest root decides the verdict.  A step below
+    10 ulp(r) fails, as in ``shoot``, and the cell goes into ``errors`` as a
+    step-size underflow at its last radius; so does a crossing whose event
+    location fails, with ``_brentq``'s message.  A finished cell drops out
+    of the arrays.
     """
     rhs = partial(_rhs_batch, n, alpha)
     y = np.array(starts, dtype=float).reshape(-1, 4)
@@ -264,7 +361,7 @@ def shoot_batch(n: int, alpha: float, starts, rmax: float = 50.0) -> BatchRun:
     errors: dict = {}
     live = np.arange(cells)
     r = np.full(cells, DEFAULT_R0)
-    stages = RK45.n_stages
+    stages = N_STAGES
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = rhs(r, y)
         h = _initial_steps(rhs, r, y, f, rmax)
@@ -279,13 +376,13 @@ def shoot_batch(n: int, alpha: float, starts, rmax: float = 50.0) -> BatchRun:
             flat = K.reshape(stages + 1, -1)
             K[0] = f
             for s in range(1, stages):
-                dy = (RK45.A[s, :s] @ flat[:s]).reshape(y.shape) * h[:, None]
-                K[s] = rhs(r + RK45.C[s] * h, y + dy)
-            y_new = y + h[:, None] * (RK45.B @ flat[:stages]).reshape(y.shape)
+                dy = (A[s, :s] @ flat[:s]).reshape(y.shape) * h[:, None]
+                K[s] = rhs(r + C[s] * h, y + dy)
+            y_new = y + h[:, None] * (B @ flat[:stages]).reshape(y.shape)
             K[stages] = f_new = rhs(r_new, y_new)
             nfev[live] += stages
             scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
-            err = _rms((RK45.E @ flat).reshape(y.shape) * h[:, None] / scale)
+            err = _rms((E @ flat).reshape(y.shape) * h[:, None] / scale)
 
             # err == 0 gives MAX_FACTOR through err ** ERROR_EXPONENT = inf;
             # fmax keeps Python's max(MIN_FACTOR, nan) == MIN_FACTOR
@@ -311,7 +408,7 @@ def shoot_batch(n: int, alpha: float, starts, rmax: float = 50.0) -> BatchRun:
                 k = acc[j]
                 try:
                     root, e = _first_event(K[:, k], r[k], r_new[k], y[k], crossed[j])
-                except ValueError as exc:   # brentq found no sign change
+                except ValueError as exc:   # no sign change, NaN or no convergence
                     errors[int(live[k])] = str(exc)
                 else:
                     verdicts[live[k]], radii[live[k]] = VERDICTS[e], root

@@ -155,7 +155,7 @@ class TensorMonomial:
         for i, p in enumerate(sorted(self.pairs)):
             names[p[0]] = names[p[1]] = f"i{i + 1}"
         for i, s in enumerate(self.free):
-            names[s] = ("x", "y")[i]
+            names[s] = "xyz"[i]
         parts = []
         if self.u_power:
             parts.append(f"u^{self.u_power}")

@@ -156,6 +156,15 @@ def test_serialization_deterministic():
     assert "u^-2" in m.render() and "Lap" in m.render()
 
 
+def test_render_names_up_to_three_free_slots():
+    """validate allows three free slots; render names them x, y, z."""
+    assert repr(mono(0, ("D3u", "x", "y", "z"), free=("x", "y", "z"))) \
+        == "TensorMonomial(D3u(x,y,z))"
+    assert mono(0, ("D2u", "a", "b"), free=("a", "b")).render() == "D2u(x,y)"
+    assert mono(0, ("Du", "i"), ("D2u", "i", "a"), free=("a",)).render() \
+        == "Du(i1) D2u(i1,x)"
+
+
 # -- canonicalization soundness over random relabelings -------------------------
 
 _POOL = ("Du", "D2u", "D3u", "Lap", "DLap", "Ric")
