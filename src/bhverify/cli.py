@@ -4,10 +4,12 @@ Subcommands: verify, params, scan-pd, oracle, radial, all.  Exit code 0
 means every mandatory check passed, 1 means a mathematical check failed
 (nonzero residual, sign flip, survival > 0), 2 means a usage or
 configuration error (an unwritable --out or --dump-trajectories path
-included), 3 means an engine fault (an EngineError such as an
-exact certificate contradicted by a numeric check), reported on stderr as
-``engine error: <ClassName>: <message>``.  Reports are written atomically
-(JSON is byte-deterministic for a fixed seed and configuration).
+included), found before any section runs, and 3 means a fault inside a
+section.  An EngineError (such as an exact certificate contradicted by a
+numeric check) is reported on stderr as ``engine error: <ClassName>:
+<message>``, any other exception as ``internal error: <ClassName>:
+<message> (at <file>:<line> in <function>)``.  Reports are written
+atomically (JSON is byte-deterministic for a fixed seed and configuration).
 
 A flat key=value config file may supply defaults (path via --config or the
 BHVERIFY_CONFIG environment variable); command-line flags take precedence.
@@ -271,6 +273,101 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command(args, config: dict):
+    """Validate the command's arguments before any section runs.
+
+    Returns the settings the report echoes and the job that runs the
+    command's sections into ``(sections, statuses)``.  An invalid argument
+    raises ValueError, and an uncreatable --dump-trajectories directory
+    too, so a usage error costs no work.
+    """
+    if args.command == "verify":
+        ids = None
+        if args.ids is not None:
+            ids = _parse_ids(args.ids, [i.id for i in registry.all_identities()])
+
+        def job(sections, statuses):
+            sections["identities"], statuses["identities"] = run_verify(ids)
+            sections["registry"] = registry.list_registry()
+        return {"ids": ids}, job
+    if args.command == "params":
+        n_max = _pick(args.n_max, config, "n_max", int, 100)
+        _require(n_max >= 5, "--n-max", f"must be at least 5, got {n_max}")
+
+        def job(sections, statuses):
+            sections["params"], statuses["params"] = run_params(n_max)
+        return {"n_max": n_max}, job
+    if args.command == "scan-pd":
+        spec = _pick(args.n, config, "n_range", str, "5..100")
+        lo, hi = _parse_n_range(spec)
+        grid = _pick(args.grid, config, "grid", int, 1000)
+        _require(grid >= 1, "--grid", f"must be at least 1, got {grid}")
+
+        def job(sections, statuses):
+            sections["pd_scan"], statuses["pd_scan"] = run_scan_pd(lo, hi, grid)
+        return {"n_range": [lo, hi], "grid": grid}, job
+    if args.command == "oracle":
+        seed = _pick(args.seed, config, "seed", int, 0)
+        _require(seed >= 0, "--seed", f"must be at least 0, got {seed}")
+        samples = _pick(args.samples, config, "samples", int, 1000)
+        _require(samples >= 1, "--samples", f"must be at least 1, got {samples}")
+        dims = _parse_dims(_pick(args.dims, config, "dims", str, "5,6,8"))
+        tol = _pick(args.tol, config, "tol", float, 1e-9)
+        _require(math.isfinite(tol) and tol > 0, "--tol",
+                 f"must be a finite value above 0, got {tol}")
+
+        def job(sections, statuses):
+            sections["oracle"], statuses["oracle"] = run_oracle(seed, samples, dims, tol)
+        return {"seed": seed, "samples": samples, "dims": list(dims), "tol": tol}, job
+    if args.command == "radial":
+        from .radial import DEFAULT_R0
+        n = _pick(args.n, config, "n", int, 6)
+        _require(n >= 5, "--n", f"must be at least 5, got {n}")
+        alpha = _pick(args.alpha, config, "alpha", float, 2.0)
+        _require(math.isfinite(alpha) and alpha > 1, "--alpha",
+                 f"must be a finite value above 1, got {alpha}")
+        size = _parse_square_grid(_pick(args.grid, config, "radial_grid", str, "10x10"))
+        rmax = _pick(args.rmax, config, "rmax", float, 50.0)
+        _require(math.isfinite(rmax) and rmax > DEFAULT_R0, "--rmax",
+                 f"must be a finite value above the series start r0 = {DEFAULT_R0}, "
+                 f"got {rmax}")
+        dump_dir = args.dump_trajectories
+        if dump_dir:
+            try:
+                os.makedirs(dump_dir, exist_ok=True)
+            except OSError as exc:
+                raise ValueError(f"--dump-trajectories cannot create {dump_dir}: "
+                                 f"{exc.strerror}") from None
+
+        def job(sections, statuses):
+            sections["radial"], statuses["radial"] = run_radial(
+                [(n, alpha)], size, rmax, dump_dir)
+        return {"n": n, "alpha": alpha, "grid": f"{size}x{size}", "rmax": rmax}, job
+
+    def job(sections, statuses):    # all
+        sections["identities"], statuses["identities"] = run_verify()
+        sections["combination"], statuses["combination"] = run_combination()
+        sections["params"], statuses["params"] = run_params(100)
+        sections["pd_scan"], statuses["pd_scan"] = run_scan_pd(5, 100, 1000)
+        sections["oracle"], statuses["oracle"] = run_oracle()
+        sections["radial"], statuses["radial"] = run_radial(
+            [(5, 2.0), (6, 2.0), (6, 3.0), (8, 2.0)])
+    return {"profile": "acceptance-defaults"}, job
+
+
+def _fault(exc: Exception) -> int:
+    """Report a fault of the engine on one stderr line; its exit code is 3."""
+    if isinstance(exc, EngineError):
+        print(f"engine error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    else:
+        from traceback import extract_tb    # not loaded on a clean run
+        where = extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {type(exc).__name__}: {exc} "
+              f"(at {os.path.basename(where.filename)}:{where.lineno} in {where.name})",
+              file=sys.stderr)
+    return 3
+
+
 def run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -282,89 +379,26 @@ def run(argv) -> int:
         _require(fmt in ("json", "markdown"), "--format",
                  f"must be json or markdown, got {fmt!r}")
         out_path = _pick(args.out, config, "out", str, None)
+        # before the command's own arguments, so a bad path creates no
+        # --dump-trajectories directory
+        reason = _out_path_error(out_path) if out_path else None
+        if reason:
+            raise ValueError(f"--out cannot write {out_path}: {reason}")
+        settings, job = _command(args, config)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # before any section runs, so a bad path costs no work
-    reason = _out_path_error(out_path) if out_path else None
-    if reason:
-        print(f"error: --out cannot write {out_path}: {reason}", file=sys.stderr)
-        return 2
+    except Exception as exc:    # a fault while validating: the registry behind --ids
+        return _fault(exc)
 
     sections: dict = {}
     statuses: dict[str, bool] = {}
-    echo: dict = {"command": args.command, "format": fmt}
-
     try:
-        if args.command == "verify":
-            ids = None
-            if args.ids is not None:
-                ids = _parse_ids(args.ids, [i.id for i in registry.all_identities()])
-            echo.update(ids=ids)
-            sections["identities"], statuses["identities"] = run_verify(ids)
-            sections["registry"] = registry.list_registry()
-        elif args.command == "params":
-            n_max = _pick(args.n_max, config, "n_max", int, 100)
-            _require(n_max >= 5, "--n-max", f"must be at least 5, got {n_max}")
-            echo.update(n_max=n_max)
-            sections["params"], statuses["params"] = run_params(n_max)
-        elif args.command == "scan-pd":
-            spec = _pick(args.n, config, "n_range", str, "5..100")
-            lo, hi = _parse_n_range(spec)
-            grid = _pick(args.grid, config, "grid", int, 1000)
-            _require(grid >= 1, "--grid", f"must be at least 1, got {grid}")
-            echo.update(n_range=[lo, hi], grid=grid)
-            sections["pd_scan"], statuses["pd_scan"] = run_scan_pd(lo, hi, grid)
-        elif args.command == "oracle":
-            seed = _pick(args.seed, config, "seed", int, 0)
-            _require(seed >= 0, "--seed", f"must be at least 0, got {seed}")
-            samples = _pick(args.samples, config, "samples", int, 1000)
-            _require(samples >= 1, "--samples", f"must be at least 1, got {samples}")
-            dims = _parse_dims(_pick(args.dims, config, "dims", str, "5,6,8"))
-            tol = _pick(args.tol, config, "tol", float, 1e-9)
-            _require(math.isfinite(tol) and tol > 0, "--tol",
-                     f"must be a finite value above 0, got {tol}")
-            echo.update(seed=seed, samples=samples, dims=list(dims), tol=tol)
-            sections["oracle"], statuses["oracle"] = run_oracle(seed, samples, dims, tol)
-        elif args.command == "radial":
-            from .radial import DEFAULT_R0
-            n = _pick(args.n, config, "n", int, 6)
-            _require(n >= 5, "--n", f"must be at least 5, got {n}")
-            alpha = _pick(args.alpha, config, "alpha", float, 2.0)
-            _require(math.isfinite(alpha) and alpha > 1, "--alpha",
-                     f"must be a finite value above 1, got {alpha}")
-            grid_s = _pick(args.grid, config, "radial_grid", str, "10x10")
-            size = _parse_square_grid(grid_s)
-            rmax = _pick(args.rmax, config, "rmax", float, 50.0)
-            _require(math.isfinite(rmax) and rmax > DEFAULT_R0, "--rmax",
-                     f"must be a finite value above the series start r0 = {DEFAULT_R0}, "
-                     f"got {rmax}")
-            echo.update(n=n, alpha=alpha, grid=f"{size}x{size}", rmax=rmax)
-            dump_dir = args.dump_trajectories
-            if dump_dir:
-                try:  # before the scan, so a bad path costs no shooting
-                    os.makedirs(dump_dir, exist_ok=True)
-                except OSError as exc:
-                    raise ValueError(f"--dump-trajectories cannot create {dump_dir}: "
-                                     f"{exc.strerror}") from None
-            sections["radial"], statuses["radial"] = run_radial(
-                [(n, alpha)], size, rmax, dump_dir)
-        elif args.command == "all":
-            echo.update(profile="acceptance-defaults")
-            sections["identities"], statuses["identities"] = run_verify()
-            sections["combination"], statuses["combination"] = run_combination()
-            sections["params"], statuses["params"] = run_params(100)
-            sections["pd_scan"], statuses["pd_scan"] = run_scan_pd(5, 100, 1000)
-            sections["oracle"], statuses["oracle"] = run_oracle()
-            sections["radial"], statuses["radial"] = run_radial(
-                [(5, 2.0), (6, 2.0), (6, 3.0), (8, 2.0)])
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EngineError as exc:
-        print(f"engine error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        job(sections, statuses)
+    except Exception as exc:    # a fault inside a section, not a usage error
+        return _fault(exc)
 
+    echo = {"command": args.command, "format": fmt, **settings}
     report = build_report(echo, sections, statuses)
     text = render_json(report) if fmt == "json" else render_markdown(report)
     if out_path:

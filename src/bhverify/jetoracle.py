@@ -15,9 +15,13 @@ route that shares as little as possible with the exact engine:
 An exact identity then shows only floating-point rounding, with the relative
 residual normalized by 1 + |LHS| + |RHS|.
 
-Jets are drawn a batch at a time: each (dimension, mode) batch is drawn
-once, its composite tensors are realized once, and every identity of that
-mode is evaluated on it before the next batch is drawn.
+Jets are drawn a batch at a time, once per dimension: the on-shell batch
+shares the free batch's draw and replaces only w4.  Each distinct monomial
+is evaluated once per batch, or once per dimension when it reads neither
+Bilap nor Gscal (the only factors that see w4), and each coefficient is
+floated once per dimension; the memos are dropped with the dimension's
+batches.  The same function on the same arrays gives the same bits, so a
+residual does not depend on what was memoized.
 
 The module also certifies the sharp constant of the trace-free inequality
 |E|^2 |v|^2 >= c |Ev|^2 exactly: a Cauchy-Schwarz bound on trace-free
@@ -87,7 +91,8 @@ def jet_batch(seed0: int, n: int, samples: int, mode: str = "free",
 
     Row k is the jet of ``default_rng(seed0 + k)``, drawn in the order u,
     gradient, Hessian, third derivative and, in free mode, w4; in onshell
-    mode w4 = u^alpha.  g2/g3 are exactly symmetric, u >= 1e-3, and every
+    mode w4 = u^alpha (``onshell_batch``), so both modes draw the same u,
+    g1, g2 and g3.  g2/g3 are exactly symmetric, u >= 1e-3, and every
     array is C-contiguous (einsum's summation order follows the layout).
     The keys are u, g1, g2, g3, w4 and n.
     """
@@ -103,15 +108,23 @@ def jet_batch(seed0: int, n: int, samples: int, mode: str = "free",
     t = np.empty((samples, n ** 3))
     for k in range(samples):
         rng = np.random.default_rng(seed0 + k)
-        uk = float(rng.uniform(1e-3, 1.0))
-        u[k] = uk
+        u[k] = rng.uniform(1e-3, 1.0)
         g1[k] = rng.uniform(-1.0, 1.0, n)
         m[k] = rng.uniform(-1.0, 1.0, (n, n))
         t[k] = rng.uniform(-1.0, 1.0, n ** 3)
-        w4[k] = uk ** float(alpha) if onshell else float(rng.uniform(-1.0, 1.0))
+        if not onshell:     # the last draw: skipping it moves no other value
+            w4[k] = rng.uniform(-1.0, 1.0)
     g2 = (m + m.transpose(0, 2, 1)) / 2.0
     g3 = np.take(t, _symmetric_index(n), axis=1).reshape(samples, n, n, n)
-    return {"u": u, "g1": g1, "g2": g2, "g3": g3, "w4": w4, "n": n}
+    batch = {"u": u, "g1": g1, "g2": g2, "g3": g3, "w4": w4, "n": n}
+    return onshell_batch(batch, alpha) if onshell else batch
+
+
+def onshell_batch(batch: dict, alpha: Fraction | float) -> dict:
+    """The on-shell batch of the same draw: the arrays of ``batch`` shared,
+    and w4 = u^alpha, row by row in Python floats."""
+    a = float(alpha)
+    return dict(batch, w4=np.array([uk ** a for uk in batch["u"].tolist()]))
 
 
 def sample_jet(seed: int, n: int, mode: str = "free",
@@ -204,14 +217,27 @@ def eval_monomial_batch(m: TensorMonomial, batch: dict, comp: dict) -> np.ndarra
     return np.einsum(spec, *operands)
 
 
-def eval_terms_batch(terms, batch: dict, params: dict, comp: dict) -> np.ndarray:
-    """Sum of coeff * monomial over a batch; coefficients evaluated exactly
-    at the rational parameters, then floated.  ``comp`` is
-    ``_composite_arrays(batch, params)``."""
+def eval_terms_batch(terms, batch: dict, params: dict, comp: dict,
+                     coeffs: dict, values: dict) -> np.ndarray:
+    """Sum of coeff * monomial over a batch, in term order; coefficients
+    evaluated exactly at the rational parameters, then floated.  ``comp`` is
+    ``_composite_arrays(batch, params)``.
+
+    ``coeffs`` maps a coefficient to its float at ``params``, and ``values``
+    a monomial to its array on ``batch``.  Both are the caller's memos,
+    filled here as terms are evaluated, so each entry is computed once for
+    as long as the caller keeps them; they must hold nothing computed at
+    other parameters or on another batch.
+    """
     total = None
     for coeff, m in terms:
-        c = float(coeff.evaluate(**params))
-        v = c * eval_monomial_batch(m, batch, comp)
+        c = coeffs.get(coeff)
+        if c is None:
+            c = coeffs[coeff] = float(coeff.evaluate(**params))
+        arr = values.get(m)
+        if arr is None:
+            arr = values[m] = eval_monomial_batch(m, batch, comp)
+        v = c * arr
         total = v if total is None else total + v
     if total is None:
         return np.zeros(len(batch["u"]))
@@ -314,10 +340,14 @@ def check_all_identities(samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9,
     flat jets, at alpha = ORACLE_ALPHA and a = ORACLE_A.
 
     The residual is normalized by 1 + |LHS| + |RHS|.  Dimensions are the
-    outer loop: each (n, mode) batch is drawn once, its composites realized
-    once, every identity of that mode evaluated on it, and the batch dropped
-    before the next one is drawn.  Jets violating the tolerance are replayed
-    through ``sample_jet`` and serialized.
+    outer loop: the free batch of each n is drawn once and the on-shell
+    batch derived from it (``onshell_batch``); each mode's composites are
+    realized once and every identity of that mode evaluated on its batch.
+    Within an n, each coefficient is floated once, each monomial evaluated
+    once per batch, and a monomial reading neither Bilap nor Gscal once for
+    both batches.  The batches and memos are dropped before the next n is
+    drawn.  Jets violating the tolerance are replayed through ``sample_jet``
+    and serialized.
     """
     idents = all_identities()
     checks = []
@@ -331,14 +361,21 @@ def check_all_identities(samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9,
     for n in dims:
         params = _params_for(n, ORACLE_ALPHA, ORACLE_A)
         seed0 = seed + 1_000_000 * n
+        free = jet_batch(seed0, n, samples)
+        coeffs: dict = {}
+        values: dict = {}
         for mode in dict.fromkeys(c[0] for c in checks):
-            batch = jet_batch(seed0, n, samples, mode, ORACLE_ALPHA)
+            batch = free if mode == "free" else onshell_batch(free, ORACLE_ALPHA)
             comp = _composite_arrays(batch, params)
+            # the batches of one n differ only in w4, which only Bilap and
+            # Gscal read: any other monomial keeps its array from the other mode
+            values = {m: v for m, v in values.items()
+                      if "Bilap" not in m.symbols and "Gscal" not in m.symbols}
             for i, (check_mode, lhs_terms, rhs_terms, out_valence) in enumerate(checks):
                 if check_mode != mode:
                     continue
-                lhs = eval_terms_batch(lhs_terms, batch, params, comp)
-                rhs = eval_terms_batch(rhs_terms, batch, params, comp)
+                lhs = eval_terms_batch(lhs_terms, batch, params, comp, coeffs, values)
+                rhs = eval_terms_batch(rhs_terms, batch, params, comp, coeffs, values)
                 if out_valence == 0:
                     rel = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
                 else:
@@ -350,6 +387,7 @@ def check_all_identities(samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9,
                     failing[i].append(
                         sample_jet(seed0 + int(k), n, mode, ORACLE_ALPHA).to_json())
             del batch, comp
+        del free, coeffs, values
     return [OracleIdentityReport(ident.id, list(dims), samples, str(ORACLE_ALPHA),
                                  str(ORACLE_A), tol, w, w <= tol, f)
             for ident, w, f in zip(idents, worst, failing)]

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from bhverify import cli, paramcheck, registry
+from bhverify import cli, jetoracle, paramcheck, registry
 from bhverify.cli import load_config, run
 from bhverify.errors import EngineInconsistencyError, NoCombinationError
 from bhverify.report import render_json, render_markdown
@@ -322,6 +322,29 @@ def test_engine_fault_exits_3(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "engine error: EngineInconsistencyError: planted disagreement\n")
     assert not out.exists()
+
+
+def test_fault_inside_a_section_exits_3_not_2(monkeypatch, tmp_path, capsys):
+    """A non-engine exception raised while a section runs is a fault, not a
+    usage error: every argument was validated before the section started."""
+    def broken(*args, **kwargs):
+        raise KeyError("Etf")
+    monkeypatch.setattr(jetoracle, "eval_monomial_batch", broken)
+    out = tmp_path / "r.json"
+    assert run(["--out", str(out), "oracle", "--samples", "2", "--dims", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: KeyError: 'Etf' (at test_cli.py:")
+    assert err.endswith(" in broken)\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_fault_while_validating_ids_exits_3(monkeypatch, capsys):
+    def broken():
+        raise EngineInconsistencyError("planted registry fault")
+    monkeypatch.setattr(registry, "all_identities", broken)
+    assert run(["verify", "--ids", "I1"]) == 3
+    assert capsys.readouterr().err == (
+        "engine error: EngineInconsistencyError: planted registry fault\n")
 
 
 def test_combination_reports_only_a_missing_combination(monkeypatch):

@@ -6,6 +6,9 @@
 ``run_scan_pd(5, 12, 50)``, the certificate path through ``paramcheck.at_n``.
 ``tests/data/notes_report.json`` holds the ``notes`` that ``build_report``
 reads from each of those two section sets.
+``tests/data/oracle_report.json`` holds the whole report of
+``bhverify oracle --seed 3 --samples 50 --dims 5,6,8``, which has no timing
+fields.
 A change that must keep reports byte-identical (a refactor or a performance
 rewrite) keeps these files as they are.  To re-record them after a
 deliberate report change, run ``PYTHONPATH=src python tests/test_golden_report.py``.
@@ -14,13 +17,15 @@ deliberate report change, run ``PYTHONPATH=src python tests/test_golden_report.p
 import pathlib
 from functools import cache
 
-from bhverify.cli import run_combination, run_params, run_scan_pd, run_verify
+from bhverify.cli import run, run_combination, run_params, run_scan_pd, run_verify
 from bhverify.report import build_report, render_json
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA / "verify_report.json"
 GOLDEN_CERTIFICATES = DATA / "certificates_report.json"
 GOLDEN_NOTES = DATA / "notes_report.json"
+GOLDEN_ORACLE = DATA / "oracle_report.json"
+ORACLE_ARGV = ["oracle", "--seed", "3", "--samples", "50", "--dims", "5,6,8"]
 
 
 @cache
@@ -58,8 +63,16 @@ def test_notes_of_both_section_sets_render_the_recorded_bytes():
     assert _notes_document() == GOLDEN_NOTES.read_text()
 
 
+def test_oracle_command_writes_the_recorded_bytes(tmp_path, monkeypatch):
+    monkeypatch.delenv("BHVERIFY_CONFIG", raising=False)
+    out = tmp_path / "oracle.json"
+    assert run(["--out", str(out), *ORACLE_ARGV]) == 0
+    assert out.read_text() == GOLDEN_ORACLE.read_text()
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     GOLDEN.write_text(render_json(_sections()))
     GOLDEN_CERTIFICATES.write_text(render_json(_certificates_sections()))
     GOLDEN_NOTES.write_text(_notes_document())
+    run(["--out", str(GOLDEN_ORACLE), *ORACLE_ARGV])

@@ -15,8 +15,9 @@ from bhverify.errors import CompositeDerivativeError, OrderOverflowError
 from bhverify.jetoracle import (JetSample, OracleIdentityReport,
                                 _composite_arrays, _params_for,
                                 _probe_min_ratio, check_all_identities,
-                                eval_terms_batch, flat_leibniz_terms,
-                                identity_lhs_flat_terms, jet_batch, sample_jet,
+                                eval_monomial_batch, eval_terms_batch,
+                                flat_leibniz_terms, identity_lhs_flat_terms,
+                                jet_batch, onshell_batch, sample_jet,
                                 sharp_constant_certificate,
                                 sharp_constant_search)
 from bhverify.registry import all_identities, get_identity, perturb_identity
@@ -34,7 +35,7 @@ def unit_batch(n=5, g1=None, g2=None):
 
 
 def batch_terms(terms, batch, params):
-    return eval_terms_batch(terms, batch, params, _composite_arrays(batch, params))
+    return eval_terms_batch(terms, batch, params, _composite_arrays(batch, params), {}, {})
 
 
 def batch_value(e, batch, params):
@@ -296,6 +297,24 @@ def _ref_stack_jets(jets):
     }
 
 
+def _ref_eval_terms_batch(terms, batch: dict, params: dict, comp: dict) -> np.ndarray:
+    """Sum of coeff * monomial over a batch; coefficients evaluated exactly
+    at the rational parameters, then floated.  ``comp`` is
+    ``_composite_arrays(batch, params)``."""
+    total = None
+    for coeff, m in terms:
+        c = float(coeff.evaluate(**params))
+        v = c * eval_monomial_batch(m, batch, comp)
+        total = v if total is None else total + v
+    if total is None:
+        return np.zeros(len(batch["u"]))
+    return total
+
+
+def _ref_batch_terms(terms, batch, params):
+    return _ref_eval_terms_batch(terms, batch, params, _composite_arrays(batch, params))
+
+
 def _ref_numeric_check_identity(ident, samples=1000, dims=(5, 6, 8), tol=1e-9,
                                 seed=0, alpha=Fraction(2), a=Fraction(1)):
     alpha, a = Fraction(alpha), Fraction(a)
@@ -309,8 +328,8 @@ def _ref_numeric_check_identity(ident, samples=1000, dims=(5, 6, 8), tol=1e-9,
         jets = [_ref_sample_jet(seed + 1_000_000 * n + k, n, mode, alpha)
                 for k in range(samples)]
         batch = _ref_stack_jets(jets)
-        lhs = batch_terms(lhs_terms, batch, params)
-        rhs = batch_terms(rhs_terms, batch, params)
+        lhs = _ref_batch_terms(lhs_terms, batch, params)
+        rhs = _ref_batch_terms(rhs_terms, batch, params)
         if out_valence == 0:
             rel = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
         else:
@@ -420,6 +439,24 @@ class TestAgainstReplacedCode:
         assert one.to_json() == want.to_json()
         assert one.g3.flags.c_contiguous
 
+    @pytest.mark.parametrize("alpha", [Fraction(2), Fraction(7, 3)])
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_onshell_batch_of_the_free_draw_equals_the_onshell_draw(self, n, alpha):
+        seed0 = 1_000_000 * n + 5
+        free = jet_batch(seed0, n, 30)
+        derived = onshell_batch(free, alpha)
+        drawn = jet_batch(seed0, n, 30, "onshell", alpha)
+        ref = _ref_stack_jets([_ref_sample_jet(seed0 + k, n, "onshell", alpha)
+                               for k in range(30)])
+        assert derived.keys() == drawn.keys() == ref.keys() and derived["n"] == n
+        for key in ("u", "g1", "g2", "g3", "w4"):
+            assert derived[key].dtype == drawn[key].dtype
+            assert np.array_equal(derived[key], drawn[key]), key
+            assert np.array_equal(derived[key], ref[key]), key
+            assert derived[key].flags.c_contiguous, key
+        # the draw's arrays are shared, and the free batch keeps its own w4
+        assert derived["g3"] is free["g3"] and derived["w4"] is not free["w4"]
+
     def test_jet_batch_rejects_like_reference(self):
         with pytest.raises(ValueError, match="need n >= 2"):
             jet_batch(0, 1, 3)
@@ -428,28 +465,60 @@ class TestAgainstReplacedCode:
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_check_all_identities_equals_reference(self, seed):
-        got = jsonable(check_all_identities(samples=40, dims=(5, 6), seed=seed))
-        want = [jsonable(_ref_numeric_check_identity(i, samples=40, dims=(5, 6), seed=seed))
+        got = jsonable(check_all_identities(samples=40, dims=(5, 6, 8), seed=seed))
+        want = [jsonable(_ref_numeric_check_identity(i, samples=40, dims=(5, 6, 8), seed=seed))
                 for i in all_identities()]
         assert got == want
 
+    def test_back_to_back_runs_each_equal_reference(self):
+        """Two seeds in one process: no array or coefficient of the first
+        run is served to the second."""
+        for seed in (3, 4):
+            got = jsonable(check_all_identities(samples=20, dims=(5, 6), seed=seed))
+            want = [jsonable(_ref_numeric_check_identity(i, samples=20, dims=(5, 6),
+                                                         seed=seed))
+                    for i in all_identities()]
+            assert got == want, seed
+
     def test_failing_jet_replay_equals_reference(self, monkeypatch):
-        """A mutated identity among the registered ones: its failing jets,
-        replayed one seed at a time, serialize exactly as the reference's."""
-        ident = get_identity("I12")
-        items = ident.rhs.sorted_terms()
-        idx = next(i for i, (m, _) in enumerate(items)
+        """Mutated identities among the registered ones, one free (I3) and
+        one on-shell (I12): their failing jets, replayed one seed at a time,
+        serialize exactly as the reference's, and every other record is
+        unchanged."""
+        i12 = get_identity("I12")
+        idx = next(i for i, (m, _) in enumerate(i12.rhs.sorted_terms())
                    if "Etf" in m.symbols and m.symbols.count("Du") == 4)
-        mutated = perturb_identity(ident, idx, Fraction(1, 1000))
-        want = _ref_numeric_check_identity(mutated, samples=40, dims=(5, 6), seed=4)
-        assert want.failing_jets and not want.passed
-        idents = [mutated if i.id == "I12" else i for i in all_identities()]
+        mutants = {"I3": perturb_identity(get_identity("I3"), 0, Fraction(1, 1000)),
+                   "I12": perturb_identity(i12, idx, Fraction(1, 1000))}
+        idents = [mutants.get(i.id, i) for i in all_identities()]
+        want = {i.id: jsonable(_ref_numeric_check_identity(i, samples=40, dims=(5, 6),
+                                                           seed=4))
+                for i in idents}
+        for mutant in mutants.values():
+            assert want[mutant.id]["failing_jets"] and not want[mutant.id]["passed"]
         monkeypatch.setattr(jetoracle, "all_identities", lambda: tuple(idents))
         got = {r.id: jsonable(r) for r in check_all_identities(samples=40, dims=(5, 6),
                                                                seed=4)}
-        assert got[mutated.id] == jsonable(want)
-        assert got["I3"] == jsonable(_ref_numeric_check_identity(
-            get_identity("I3"), samples=40, dims=(5, 6), seed=4))
+        assert got == want
+
+    def test_each_monomial_evaluated_once_per_batch(self, monkeypatch):
+        """At the acceptance dimensions: one draw per n, 306 monomial
+        evaluations (897 without the memo) and 252 coefficient evaluations
+        (900 without it), whatever the sample count."""
+        calls = {"jet_batch": 0, "eval_monomial_batch": 0, "evaluate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        for name in ("jet_batch", "eval_monomial_batch"):
+            monkeypatch.setattr(jetoracle, name, counted(name, getattr(jetoracle, name)))
+        monkeypatch.setattr(ParamScalar, "evaluate",
+                            counted("evaluate", ParamScalar.evaluate))
+        reports = check_all_identities(samples=3, dims=(5, 6, 8))
+        assert all(r.passed for r in reports)
+        assert calls == {"jet_batch": 3, "eval_monomial_batch": 306, "evaluate": 252}
 
     def test_merged_leibniz_equals_grad_and_div_for_every_identity(self):
         for ident in all_identities():
