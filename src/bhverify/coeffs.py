@@ -9,13 +9,17 @@ with integer-primitive denominator and positive denominator leading
 coefficient, so equal rational functions always have byte-identical
 representations.
 
-Multiplication is sympy's, in a sparse polynomial ring over QQ, and the
-univariate ring Q[n] (``_N_RING``) only factors each denominator, once
-(cached per denominator).  Every division and gcd goes through root tests
-on those factors: each root r of multiplicity m cancels at most m times,
-each time only if num(r, alpha, a, b) vanishes exactly.  Horner's rule per
+Multiplication is sympy's, in a sparse polynomial ring over QQ.  The roots
+of each denominator are found once (cached per denominator) by dividing it
+by the roots earlier denominators gave; the univariate ring Q[n]
+(``_N_RING``) factors only what those leave, so a process factors a handful
+of denominators.  Every division and gcd goes through root tests on those
+roots: each root r of multiplicity m cancels at most m times, each time
+only if num(r, alpha, a, b) vanishes exactly.  Horner's rule per
 (alpha, a, b) coefficient decides that, and the same pass yields the
-quotient by n - r, so no gcd and no multivariate division is computed.
+quotient by n - r, so no gcd and no multivariate division is computed.  The
+content of a denominator is taken on Python ints, and dividing by it is
+skipped when it is 1.
 
 Sum, difference, product and quotient are module-level kernels with an LRU
 cache keyed on the two normalized operands (ParamScalars are immutable and
@@ -31,6 +35,7 @@ lands in Q[alpha].
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -50,17 +55,40 @@ VAR_NAMES = ("n", "alpha", "a", "b")
 Rationalish = Union[int, Fraction, "ParamScalar"]
 
 
+# Every root that a factorization has found so far, in the order found.  The
+# denominators of the identities are products of a few linear factors that
+# recur, so these roots usually divide a new denominator down to a constant,
+# and only what they leave is factored.  The set affects speed only: a root
+# that does not divide a denominator costs one Horner pass.
+_known_roots: dict = {}
+
+
 @lru_cache(maxsize=1024)
 def _linear_roots(den):
     """((r, m), ...) for den in Q[n] = c * prod (n - r)^m over the rationals;
-    an irreducible factor of degree 2 or more raises MalformedCoefficientError."""
-    _, factors = den.set_ring(_N_RING).factor_list()
-    roots = []
-    for f, m in factors:
-        if f.degree() != 1:
-            raise MalformedCoefficientError(
-                f"denominator does not split over Q: {den} has the factor {f}")
-        roots.append((-f.coeff(1) / f.LC, m))
+    an irreducible factor of degree 2 or more raises MalformedCoefficientError.
+
+    den's table is divided by n - r for each known root r, as often as it
+    divides (_divide_root); only a remainder that is not constant goes to
+    sympy's factor_list, and its roots join the known ones.
+    """
+    table, roots = _dense_in_n(den), []
+    for r in _known_roots:
+        m = 0
+        while (quotient := _divide_root(table, r)) is not None:
+            table, m = quotient, m + 1
+        if m:
+            roots.append((r, m))
+    (coeffs,) = table.values()
+    if len(coeffs) > 1:
+        _, factors = _N_RING.from_list(coeffs).factor_list()
+        for f, m in factors:
+            if f.degree() != 1:
+                raise MalformedCoefficientError(
+                    f"denominator does not split over Q: {den} has the factor {f}")
+            r = -f.coeff(1) / f.LC
+            roots.append((r, m))
+            _known_roots[r] = None
     return tuple(roots)
 
 
@@ -82,17 +110,6 @@ def _dense_in_n(poly) -> dict[tuple, list]:
         groups.setdefault(tuple(rest), {})[e] = c
     return {rest: [cs.get(e, QQ.zero) for e in range(max(cs), -1, -1)]
             for rest, cs in groups.items()}
-
-
-def _horner(table: dict[tuple, list], n) -> dict[tuple, object]:
-    """Every coefficient list of a table at n, by Horner's rule in QQ."""
-    out = {}
-    for rest, coeffs in table.items():
-        v = coeffs[0]
-        for c in coeffs[1:]:
-            v = v * n + c
-        out[rest] = v
-    return out
 
 
 def _divide_root(table, r):
@@ -149,13 +166,21 @@ def cofactors(f, g):
 
 def _primitive(num, den):
     """Make den integer-primitive with positive leading coefficient; num
-    absorbs the rational content."""
-    content, prim = den.primitive()
-    num = num.quo_ground(content)
-    if prim.LC < 0:
-        prim = -prim
-        num = -num
-    return num, prim
+    absorbs the rational content.
+
+    The content, gcd of the numerators over lcm of the denominators of den's
+    coefficients, is taken on Python ints.  When it is 1, the usual case
+    (by Gauss's lemma a product of integer-primitive denominators is
+    primitive), only the sign step is left.
+    """
+    num_gcd = math.gcd(*(c.numerator for c in den.values()))
+    den_lcm = math.lcm(*(c.denominator for c in den.values()))
+    if num_gcd != 1 or den_lcm != 1:
+        content = QQ(num_gcd, den_lcm)
+        num, den = num.quo_ground(content), den.quo_ground(content)
+    if den.LC < 0:
+        num, den = -num, -den
+    return num, den
 
 
 def _qq_to_fraction(q) -> Fraction:

@@ -11,13 +11,15 @@ interval onto (0, inf) (Vincent; Collins-Akritas); a Sturm sequence is
 built only when sign changes remain.  The five certified polynomials (f1,
 f3 and the leading principal minors of A) are formed once in formal
 (n, alpha); each certificate evaluates its polynomial at n (at_n) by
-Horner's rule (coeffs' evaluator in n), from a table of the body's
-coefficients as dense polynomials in n formed once per body; every
-denominator lies in Q[n] (the coefficient domain), so the result lands in
-Q[alpha].  A floating-point minimal-eigenvalue scan reads the entries of A
-specialized the same way, cross-checks the certificates and reports the
-positivity margin.  The univariate polynomial arithmetic, its values at
-rational points, the Taylor shifts and the Sturm root count are sympy's.
+Horner's rule on Python ints, from a table of the body's coefficients as
+dense integer polynomials in n over one common denominator, formed once per
+body; every denominator lies in Q[n] (the coefficient domain), so the
+result lands in Q[alpha].  A floating-point minimal-eigenvalue scan reads
+the entries of A specialized the same way, cross-checks the certificates
+and reports the positivity margin.  A certificate clears the denominators
+of its polynomial once: its values at rational points are homogeneous
+Horner sums on Python ints, and the interval map is one sympy
+dup_transform over ZZ.  The Sturm root count is sympy's.
 
 The module also carries the small exact checks used by the blow-down
 argument: the cubic coefficient of the Bernstein estimate, the exponent
@@ -33,12 +35,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from sympy import QQ
-from sympy.polys.densetools import dup_eval, dup_scale, dup_shift
+from sympy import QQ, ZZ
+from sympy.polys.densetools import dup_transform
 from sympy.polys.rings import PolyElement, ring
 from sympy.polys.rootisolation import dup_count_real_roots
 
-from .coeffs import ALPHA, A, N, ParamScalar, _dense_in_n, _horner, ps
+from .coeffs import ALPHA, A, N, ParamScalar, _dense_in_n, ps
 from .errors import DegenerateCertificateError, EngineInconsistencyError, PoleError
 from .registry import F1_COEFFS, F2_COEFFS, F3_COEFFS, build_named, poly_apply
 
@@ -47,38 +49,57 @@ from .registry import F1_COEFFS, F2_COEFFS, F3_COEFFS, build_named, poly_apply
 QALPHA, _ = ring("alpha", QQ)
 
 
+def _integer_multiple(lists: list[list]) -> tuple[list[list[int]], int]:
+    """(s * each list on Python ints, s) for the least s > 0 that clears the
+    denominator of every coefficient in the lists (QQ's rationals, or
+    ints)."""
+    s = math.lcm(*(c.denominator for cs in lists for c in cs))
+    return [[c.numerator * (s // c.denominator) for c in cs] for cs in lists], s
+
+
+def _horner(coeffs: list[int], u: int, w: int) -> int:
+    """w^d p(u/w) for the integer polynomial p = coeffs of degree d (highest
+    degree first), by homogeneous Horner: exact, with no fraction formed."""
+    v, w_pow = 0, 1
+    for c in coeffs:
+        v = v * u + c * w_pow
+        w_pow *= w
+    return v
+
+
 @lru_cache(maxsize=64)
-def _n_tables(x: ParamScalar) -> tuple[dict, dict]:
-    """The coefficient tables of x's denominator and numerator, formed once
+def _n_tables(x: ParamScalar) -> tuple[list[int], dict[tuple, list[int]]]:
+    """x's denominator, which lies in Q[n], and the ``_dense_in_n`` table of
+    its numerator, times the one positive integer that clears every
+    denominator of their coefficients (it cancels in num/den); formed once
     per body."""
-    return _dense_in_n(x.den), _dense_in_n(x.num)
+    num_table = _dense_in_n(x.num)
+    (den, *nums), _ = _integer_multiple([*_dense_in_n(x.den).values(), *num_table.values()])
+    return den, dict(zip(num_table, nums))
 
 
 def at_n(x: ParamScalar, n: int) -> PolyElement:
     """x at integer n as a polynomial in QALPHA.
 
     Each (alpha, a, b) coefficient of the numerator, and the denominator,
-    which lies in Q[n], are evaluated at n from x's coefficient tables; the
-    denominator must not vanish, and neither a nor b may survive.
+    which lies in Q[n], are evaluated at n by Horner's rule on Python ints
+    from x's integer tables (_n_tables); only their quotients are formed in
+    QQ.  The denominator must not vanish, and neither a nor b may survive.
     """
-    den_table, num_table = _n_tables(x)
-    d = _horner(den_table, n)[(0, 0, 0)]
+    den, num_table = _n_tables(x)
+    d = _horner(den, n, 1)
     if not d:
         raise PoleError(f"n = {n} is a denominator root of {x}")
-    num = _horner(num_table, n)
+    num = {rest: _horner(cs, n, 1) for rest, cs in num_table.items()}
     if any(v for (_, a, b), v in num.items() if a or b):
         raise ValueError(f"{x} is not univariate in alpha")
-    return QALPHA.from_dict({(k,): v / d for (k, _, _), v in num.items() if v})
+    return QALPHA.from_dict({(k,): QQ(v, d) for (k, _, _), v in num.items() if v})
 
 
-def _qq(x: Fraction):
-    return QQ(x.numerator, x.denominator)
-
-
-def _value(dense: list, x: Fraction) -> Fraction:
-    """Exact value at a rational point of a dense QQ polynomial."""
-    v = dup_eval(dense, _qq(x), QQ)
-    return Fraction(int(v.numerator), int(v.denominator))
+def _value(ints: list[int], scale: int, x: Fraction) -> Fraction:
+    """Exact value at a rational point of the polynomial ints / scale."""
+    return Fraction(_horner(ints, x.numerator, x.denominator),
+                    scale * x.denominator ** (len(ints) - 1))
 
 
 @dataclass(frozen=True)
@@ -97,14 +118,18 @@ class SignCertificate:
 def _descartes_no_root(dense: list, a: Fraction, b: Fraction) -> bool:
     """True when Descartes' rule proves that p has no root in (a, b).
 
-    x = (a + b t)/(1 + t) maps (0, inf) onto (a, b), and
-    q(t) = (1+t)^d p((a + b t)/(1 + t)) is formed by Taylor shifts: shift by
-    a, scale by b - a, reverse, shift by 1, reverse.  If q's nonzero
-    coefficients share one sign, q has no positive root.  False proves
-    nothing.
+    x = (a + b t)/(1 + t) maps (0, inf) onto (a, b).  With a = A/W and
+    b = B/W over one denominator W > 0, and p cleared of denominators,
+    q(t) = (W + W t)^d p((A + B t)/(W + W t)) is a positive multiple of
+    (1+t)^d p((a + b t)/(1 + t)) with integer coefficients, formed over ZZ
+    by sympy's dup_transform.  If q's nonzero coefficients share one sign,
+    q has no positive root.  False proves nothing.  dense holds ints or
+    QQ's rationals.
     """
-    q = dup_shift(dup_scale(dup_shift(dense, _qq(a), QQ), _qq(b - a), QQ)[::-1],
-                  QQ.one, QQ)[::-1]
+    (p,), _ = _integer_multiple([dense])
+    w = math.lcm(a.denominator, b.denominator)
+    q = dup_transform(p, [b.numerator * (w // b.denominator), a.numerator * (w // a.denominator)],
+                      [w, w], ZZ)
     return all(c >= 0 for c in q) or all(c <= 0 for c in q)
 
 
@@ -112,11 +137,13 @@ def certify_sign(name: str, poly: PolyElement, n: int,
                  interval: tuple[Fraction, Fraction]) -> SignCertificate:
     """Exact one-signedness verdict on a nonempty open interval (a, b).
 
-    The root count is 0 when Descartes' rule proves it after the interval is
-    mapped onto (0, inf) (_descartes_no_root).  Otherwise sympy's
-    Sturm-sequence count covers the closed interval [a, b], and roots sitting
-    exactly at the endpoints are taken off, so the recorded count refers to
-    the interior only.
+    The polynomial's denominators are cleared once: the values at a, b and
+    the midpoint come from homogeneous Horner on its integer multiple
+    (_value), and the root count is 0 when Descartes' rule proves it after
+    the interval is mapped onto (0, inf) (_descartes_no_root, over ZZ).
+    Otherwise sympy's Sturm-sequence count covers the closed interval
+    [a, b], and roots sitting exactly at the endpoints are taken off, so the
+    recorded count refers to the interior only.
     """
     a, b = Fraction(interval[0]), Fraction(interval[1])
     if not a < b:
@@ -124,14 +151,15 @@ def certify_sign(name: str, poly: PolyElement, n: int,
     if not poly:
         raise DegenerateCertificateError(f"{name}: zero polynomial on [{a}, {b}]")
     dense = poly.to_dense()
-    ends = (_value(dense, a), _value(dense, b))
-    if _descartes_no_root(dense, a, b):
+    (ints,), scale = _integer_multiple([dense])
+    ends = (_value(ints, scale, a), _value(ints, scale, b))
+    if _descartes_no_root(ints, a, b):
         roots = 0
     else:
         closed = dup_count_real_roots(dense, QQ, inf=QQ.convert(a), sup=QQ.convert(b))
         roots = closed - sum(1 for v in ends if not v)
     mid = (a + b) / 2
-    sample = _value(dense, mid)
+    sample = _value(ints, scale, mid)
     if roots == 0 and sample > 0:
         verdict = "positive"
     elif roots == 0 and sample < 0:

@@ -14,8 +14,8 @@ from sympy.polys.rings import PolyElement
 
 from bhverify import cli, coeffs, paramcheck, registry, tensor
 from bhverify.calculus import bstar
-from bhverify.coeffs import (_RING, ALPHA, A, B, N, ONE, VAR_NAMES, ParamScalar, ZERO,
-                             _dense_in_n, _divide_root, _from_dense, _horner, _linear_roots,
+from bhverify.coeffs import (_N_RING, _RING, ALPHA, A, B, N, ONE, VAR_NAMES, ParamScalar, ZERO,
+                             _dense_in_n, _divide_root, _from_dense, _linear_roots, _primitive,
                              _qq_to_fraction, cofactors, frac, ps)
 from bhverify.errors import MalformedCoefficientError, PoleError
 
@@ -329,6 +329,101 @@ def test_linear_roots_of_cached_factorization():
         _linear_roots((_n**2 - 2) * (_n - 1))
 
 
+# -- differential test: the root search against the factorization it replaced -----
+
+
+def _ref_linear_roots(den):
+    """The replaced _linear_roots body: sympy's factor_list on every
+    denominator."""
+    _, factors = den.set_ring(_N_RING).factor_list()
+    roots = []
+    for f, m in factors:
+        if f.degree() != 1:
+            raise MalformedCoefficientError(
+                f"denominator does not split over Q: {den} has the factor {f}")
+        roots.append((-f.coeff(1) / f.LC, m))
+    return tuple(roots)
+
+
+# q n - p with multiplicity m: p = 0 gives the root 0, q > 1 a leading
+# coefficient other than 1, and the same root can come twice
+_linear_factors = st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 5), st.integers(1, 3)),
+                           max_size=4)
+# constants up to about 10^30, so no search may walk the divisors of the
+# constant term
+_huge_constants = st.builds(Fraction, st.integers(-10**30, 10**30).filter(bool),
+                            st.integers(1, 10**6))
+
+
+def _den_of(c: Fraction, factors):
+    """c * prod (q n - p)^m over the (p, q, m) in factors."""
+    return math.prod(((q * _n - p)**m for p, q, m in factors),
+                     start=_RING(QQ(c.numerator, c.denominator)))
+
+
+@settings(max_examples=300, deadline=5000)
+@given(_huge_constants, _linear_factors)
+@example(Fraction(1), [(0, 1, 3)])                      # n^3
+@example(Fraction(-7, 3), [(4, 1, 2), (8, 2, 1), (3, 2, 3), (0, 5, 1)])
+@example(Fraction(10**30 - 57), [(-4, 1, 1), (1, 1, 2)])
+@example(Fraction(5), [])
+def test_linear_roots_match_the_factorization(c, factors):
+    """The same roots and multiplicities as factor_list, with no root known
+    (every root from the factorization), with every root known (none), and
+    with the roots of the first factor known."""
+    den = _den_of(c, factors)
+    want = sorted(_ref_linear_roots(den))
+    coeffs._known_roots.clear()
+    assert sorted(_linear_roots.__wrapped__(den)) == want
+    assert sorted(_linear_roots.__wrapped__(den)) == want
+    coeffs._known_roots.clear()
+    _linear_roots.__wrapped__(_den_of(Fraction(1), factors[:1]))
+    assert sorted(_linear_roots.__wrapped__(den)) == want
+
+
+@pytest.mark.parametrize("linear, rest", [
+    (_n - 4, _n**2 + 1),
+    (3 * _n**2 * (2 * _n - 3), (_n**2 - 2)**2),
+    ((_n + 4) * (_n - 1)**2, (_n**2 + 1) * (_n**3 - 2)),
+    (_RING(QQ(-2, 5)), 7 * _n**2 - 3),
+])
+def test_the_remainder_after_known_roots_is_factored(monkeypatch, linear, rest):
+    """With the roots of the linear part known, only the rest goes to
+    factor_list, and its irreducible factor raises the replaced message,
+    which names the whole denominator."""
+    den = linear * rest
+    with pytest.raises(MalformedCoefficientError) as want:
+        _ref_linear_roots(den)
+    coeffs._known_roots.clear()
+    _linear_roots.__wrapped__(linear)
+    factored = _counted(monkeypatch, "factor_list")
+    with pytest.raises(MalformedCoefficientError, match=f"^{re.escape(str(want.value))}$"):
+        _linear_roots.__wrapped__(den)
+    assert [f.degree() for f in factored] == [rest.degree()]
+
+
+def _ref_primitive(num, den):
+    """The replaced _primitive: sympy's content over QQ."""
+    content, prim = den.primitive()
+    num = num.quo_ground(content)
+    if prim.LC < 0:
+        prim = -prim
+        num = -num
+    return num, prim
+
+
+@settings(max_examples=300, deadline=None)
+@given(_num_den_pairs().filter(lambda pair: pair[1]))
+@example((_alpha, _RING(QQ(-4, 9))))
+@example((_alpha - _n, 2 * _n - 6))
+@example((_a, -(2 * _n - 3) * _n))
+@example((_b / 3, _n**2 / 6 - _n / 4))
+def test_primitive_matches_the_qq_content(pair):
+    """Integer content 1 (the sign step only), integer and rational
+    content, negative leading coefficients."""
+    assert _primitive(*pair) == _ref_primitive(*pair)
+
+
 _split = ParamScalar((_alpha - 1) * (_n + 4), (2 * _n - 3) * _n**2)
 
 
@@ -396,13 +491,13 @@ def _verify():
     assert ok and len(records) == 15
 
 
-def _params_and_scan_pd():
+def _params_and_scan_pd(n_max=8, grid=50):
     for cached in (paramcheck.build_matrix_A, paramcheck.certified_polys,
                    paramcheck.sylvester_certificates, paramcheck._n_tables):
         cached.cache_clear()
-    _, ok = cli.run_params(8)
+    _, ok = cli.run_params(n_max)
     assert ok
-    _, ok = cli.run_scan_pd(5, 8, 50)
+    _, ok = cli.run_scan_pd(5, n_max, grid)
     assert ok
 
 
@@ -415,6 +510,42 @@ def test_verify_never_calls_the_multivariate_cancel(monkeypatch, run):
     calls = _count_cancels(monkeypatch)
     run()
     assert len(calls) == 0
+
+
+def _verify_and_combination():
+    assert cli.run_verify()[1] and cli.run_combination()[1]
+
+
+def _counted(monkeypatch, method) -> list:
+    calls = []
+    original = getattr(PolyElement, method)
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(PolyElement, method, counted)
+    return calls
+
+
+@pytest.mark.parametrize("run, is_paramcheck", [
+    (_verify_and_combination, False), (lambda: _params_and_scan_pd(100, 1000), True)],
+    ids=["verify", "params"])
+def test_few_denominators_are_factored(monkeypatch, run, is_paramcheck):
+    """From cold caches and with no root known, the identities benchmark
+    pair (run_verify plus run_combination) and the certificates pair
+    (run_params(100) plus run_scan_pd(5, 100, 1000)) each factor at most 8
+    denominators (47 and 41 in a fresh process when every denominator was
+    factored): the known roots divide the rest.  paramcheck takes no
+    content with sympy (the combination solve does, inside sympy's
+    heuristic gcd)."""
+    _clear_caches()
+    factored = _counted(monkeypatch, "factor_list")
+    primitive = _counted(monkeypatch, "primitive")
+    run()
+    assert len(factored) <= 8
+    if is_paramcheck:
+        assert not primitive
 
 
 # -- differential test: memoized kernels against the operators they replaced ------
@@ -521,6 +652,17 @@ def test_repeated_operation_returns_the_cached_object():
 
 
 # -- differential test: the Horner kernels against sympy's division and gcd ------
+
+
+def _horner(table: dict[tuple, list], n) -> dict[tuple, object]:
+    """Every coefficient list of a table at n, by Horner's rule in QQ."""
+    out = {}
+    for rest, coeffs in table.items():
+        v = coeffs[0]
+        for c in coeffs[1:]:
+            v = v * n + c
+        out[rest] = v
+    return out
 
 
 def _ref_vanishes_at(num, r) -> bool:
@@ -640,9 +782,12 @@ def _kernels():
 
 
 def _clear_caches():
-    """Cold kernels, and identities built anew, as in a fresh process."""
-    for cached in (*_kernels().values(), registry.all_identities, registry._coeff_catalog):
+    """Cold kernels, no denominator's roots known, and identities built
+    anew, as in a fresh process."""
+    for cached in (*_kernels().values(), _linear_roots, registry.all_identities,
+                   registry._coeff_catalog):
         cached.cache_clear()
+    coeffs._known_roots.clear()
 
 
 def test_verify_cofactors_match_the_multivariate_ring(monkeypatch):

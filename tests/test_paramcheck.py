@@ -1,15 +1,18 @@
 """Matrix positivity certificates, factorization identities, exponent checks."""
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.densetools import dup_eval, dup_scale, dup_shift
 
-from bhverify import paramcheck
-from bhverify.coeffs import ALPHA, A, N, ps
+from bhverify import cli, paramcheck
+from bhverify.coeffs import ALPHA, A, B, N, _dense_in_n, ps
 from bhverify.errors import (DegenerateCertificateError, EngineInconsistencyError,
                              MalformedCoefficientError, PoleError)
 from bhverify.paramcheck import (ExponentCheck, QALPHA, SignCertificate, at_n,
@@ -21,7 +24,7 @@ from bhverify.paramcheck import (ExponentCheck, QALPHA, SignCertificate, at_n,
                                  sylvester_certificates)
 from bhverify.registry import F1_COEFFS, F3_COEFFS, poly_apply
 from bhverify.report import jsonable
-from test_coeffs import _ref_univariate
+from test_coeffs import _horner, _ref_univariate
 
 
 class TestMatrix:
@@ -469,3 +472,117 @@ class TestAgainstReplacedCode:
             for poly_id in ("f1", "f3", "A11", "minor2", "detA"):
                 assert (jsonable(positivity_certificate(poly_id, n))
                         == jsonable(_ref_certificate(poly_id, n))), (poly_id, n)
+
+
+# -- differential tests: the integer kernels against the QQ code they replaced ----
+
+
+def _ref_n_tables(x):
+    return _dense_in_n(x.den), _dense_in_n(x.num)
+
+
+def _ref_at_n(x, n: int):
+    """The replaced at_n: Horner's rule in QQ on the QQ tables."""
+    den_table, num_table = _ref_n_tables(x)
+    d = _horner(den_table, n)[(0, 0, 0)]
+    if not d:
+        raise PoleError(f"n = {n} is a denominator root of {x}")
+    num = _horner(num_table, n)
+    if any(v for (_, a, b), v in num.items() if a or b):
+        raise ValueError(f"{x} is not univariate in alpha")
+    return QALPHA.from_dict({(k,): v / d for (k, _, _), v in num.items() if v})
+
+
+def _ref_qq(x: Fraction):
+    return QQ(x.numerator, x.denominator)
+
+
+def _ref_value(dense: list, x: Fraction) -> Fraction:
+    """The replaced _value: sympy's dup_eval over QQ."""
+    v = dup_eval(dense, _ref_qq(x), QQ)
+    return Fraction(int(v.numerator), int(v.denominator))
+
+
+def _ref_descartes_no_root(dense: list, a: Fraction, b: Fraction) -> bool:
+    """The replaced _descartes_no_root: three Taylor shifts over QQ."""
+    q = dup_shift(dup_scale(dup_shift(dense, _ref_qq(a), QQ), _ref_qq(b - a), QQ)[::-1],
+                  QQ.one, QQ)[::-1]
+    return all(c >= 0 for c in q) or all(c <= 0 for c in q)
+
+
+def _tabled_bodies(monkeypatch) -> set:
+    """Every body that at_n tabulates during run_params(100) plus
+    run_scan_pd(5, 100, 1000), from cold caches."""
+    bodies, n_tables = set(), paramcheck._n_tables
+
+    def recorded(x):
+        bodies.add(x)
+        return n_tables(x)
+
+    for cached in (paramcheck.build_matrix_A, paramcheck.certified_polys,
+                   paramcheck.sylvester_certificates, n_tables):
+        cached.cache_clear()
+    monkeypatch.setattr(paramcheck, "_n_tables", recorded)
+    assert cli.run_params(100)[1] and cli.run_scan_pd(5, 100, 1000)[1]
+    return bodies
+
+
+# a pole at n = 7, a numerator that leaves Q[alpha] except at n = 5,
+# rational coefficients over a non-monic denominator, and zero
+_EDGE_BODIES = (ALPHA / (N - 7), (N - 5) * A + ALPHA, N * B - ALPHA**2,
+                (ALPHA**3 / 7 - N * ALPHA / 3 + ps(Fraction(5, 6))) / (3 * N - 2), ps(0))
+
+
+def test_at_n_matches_the_qq_horner(monkeypatch):
+    """Every body the certificates and the scan tabulate (the five certified
+    polynomials and the six entries of A, A11 among both), and bodies that
+    hit a pole or leave Q[alpha], give at n = 5..100 what the QQ Horner
+    gave: the same polynomial and text, or the same error and message."""
+    bodies = _tabled_bodies(monkeypatch)
+    assert len(bodies) == 10
+    for x in (*bodies, *_EDGE_BODIES):
+        for n in range(5, 101):
+            try:
+                want = _ref_at_n(x, n)
+            except (PoleError, ValueError) as exc:
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    at_n(x, n)
+                continue
+            got = at_n(x, n)
+            assert got == want and str(got) == str(want), (str(x), n)
+
+
+# rationals with zero, negative values and large denominators
+_points = st.one_of(st.just(Fraction(0)),
+                    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6)),
+                    st.builds(Fraction, st.integers(-10**15, 10**15), st.integers(1, 10**12)))
+_dense_polys = st.lists(_points, min_size=1, max_size=7).filter(lambda cs: cs[0]).map(
+    lambda cs: QALPHA.from_list(cs).to_dense())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dense_polys, _points, _points.filter(bool))
+@example([QQ(-3, 7)], Fraction(-2), Fraction(5))                        # degree 0
+@example([QQ(2), QQ(-3)], Fraction(0), Fraction(3, 2))                  # degree 1, root at b
+@example([QQ(1, 10**12), QQ(-1, 3)], Fraction(-1, 10**12 + 1), Fraction(7))
+@example([QQ(26, 100), QQ(-1), QQ(1)][::-1], Fraction(0), Fraction(1))  # Sturm decides
+def test_value_and_descartes_match_the_qq_kernels(dense, a, width):
+    """Exact values at both ends and the midpoint, and the Descartes
+    verdict on (a, a + |width|), equal the QQ kernels', from the QQ list
+    and from its integer multiple."""
+    b = a + abs(width)
+    (ints,), scale = paramcheck._integer_multiple([dense])
+    for x in (a, b, (a + b) / 2):
+        assert paramcheck._value(ints, scale, x) == _ref_value(dense, x)
+    want = _ref_descartes_no_root(dense, a, b)
+    assert paramcheck._descartes_no_root(dense, a, b) == want
+    assert paramcheck._descartes_no_root(ints, a, b) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_planted_polys())
+def test_descartes_matches_the_qq_kernel_on_planted_roots(case):
+    """Roots planted at the ends, inside and outside the interval."""
+    coeffs, a, b, _ = case
+    dense = QALPHA.from_list(coeffs[::-1]).to_dense()
+    assert paramcheck._descartes_no_root(dense, a, b) == _ref_descartes_no_root(dense, a, b)
