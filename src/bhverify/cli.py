@@ -38,9 +38,10 @@ CONFIG_KEYS = ("format", "out", "n_max", "n_range", "grid", "seed", "samples",
 
 
 def load_config(path: str | None) -> dict:
-    """Flat key=value file; '#' starts a comment; a missing file named by
-    --config or a non-empty $BHVERIFY_CONFIG, and a repeated key, are usage
-    errors."""
+    """Flat key=value file; '#' at the start of a line or after whitespace
+    starts a comment, so a value such as run#1.json keeps its '#'; a missing
+    file named by --config or a non-empty $BHVERIFY_CONFIG, and a repeated
+    key, are usage errors."""
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
         if not path:
@@ -50,7 +51,7 @@ def load_config(path: str | None) -> dict:
     out = {}
     with open(path) as fh:
         for line in fh:
-            line = line.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -121,7 +122,7 @@ def _parse_dims(spec: str) -> tuple[int, ...]:
 
 def _parse_ids(spec: str, known: list[str]) -> list[str]:
     """'I1,I12': comma-separated registered identity ids, each listed once."""
-    ids = spec.split(",")
+    ids = [i.strip() for i in spec.split(",")]
     _require(all(ids), "--ids", f"expects comma-separated identity ids, e.g. I1,I12, "
              f"got {spec!r}")
     unknown = [i for i in ids if i not in known]

@@ -27,10 +27,10 @@ hashable), and from_int is cached the same way: a repeated operation returns
 the object built the first time.  On a miss, a product follows Henrici's
 rule: both factors are reduced, so num1 cancels only against the roots of
 den2 and num2 only against those of den1, and the product needs only the
-primitive/sign step.  subs_param composes on raw ring elements and
-normalizes once per result.  Fixing n at an integer needs no substitution:
-paramcheck evaluates each coefficient of num and den in n directly, which
-lands in Q[alpha].
+primitive/sign step.  subs_param composes term by term with that same
+arithmetic.  Fixing n at an integer needs no substitution: paramcheck
+evaluates each coefficient of num and den in n directly, which lands in
+Q[alpha].
 """
 
 from __future__ import annotations
@@ -323,44 +323,22 @@ class ParamScalar:
         return ev(self.num) / den_val
 
     def subs_param(self, name: str, value: Rationalish) -> "ParamScalar":
-        """Substitute a formal parameter by a rational function p/q.
+        """Substitute a formal parameter by a rational function.
 
-        Composes first, then normalizes once.  A polynomial of degree d in
-        the parameter, sum C_e x^e, becomes the homogeneous
-        H = sum C_e p^e q^(d-e) (Horner's rule on the raw polynomials), so
-        num/den turns into H_num q^(d_den-d_num) / H_den.  Hitting a root of
-        the denominator, or a result outside the domain, raises
+        Each term of num and den is rebuilt with ParamScalar arithmetic, the
+        parameter replaced by value, and the two sums are divided.  Hitting a
+        root of the denominator, or a result outside the domain, raises
         MalformedCoefficientError.
         """
-        value = ParamScalar.coerce(value)
-        i = VAR_NAMES.index(name)
-        p, q = value.num, value.den
+        gens = [N, ALPHA, A, B]
+        gens[VAR_NAMES.index(name)] = ParamScalar.coerce(value)
 
-        def compose(poly):
-            if not poly:
-                return poly, 0
-            groups: dict[int, dict] = {}
-            for monom, coeff in poly.items():
-                groups.setdefault(monom[i], {})[monom[:i] + (0,) + monom[i + 1:]] = coeff
-            d = max(groups)
-            acc = _RING.from_dict(groups[d])
-            q_pow = _RING.one
-            for e in range(d - 1, -1, -1):
-                q_pow = q_pow * q
-                acc = acc * p
-                if e in groups:
-                    acc += _RING.from_dict(groups[e]) * q_pow
-            return acc, d
+        def compose(poly) -> ParamScalar:
+            return sum((math.prod((g**e for g, e in zip(gens, monom) if e),
+                                  start=ParamScalar(_RING.ground_new(coeff)))
+                        for monom, coeff in poly.terms()), ZERO)
 
-        h_num, d_num = compose(self.num)
-        h_den, d_den = compose(self.den)
-        if not h_den:
-            raise MalformedCoefficientError("division by zero coefficient")
-        if d_den >= d_num:
-            h_num = h_num * q ** (d_den - d_num)
-        else:
-            h_den = h_den * q ** (d_num - d_den)
-        return ParamScalar(h_num, h_den)
+        return compose(self.num) / compose(self.den)
 
     # -- serialization -------------------------------------------------------
 

@@ -10,13 +10,14 @@ The root count is Descartes' rule of signs after a Moebius map of the
 interval onto (0, inf) (Vincent; Collins-Akritas); a Sturm sequence is
 built only when sign changes remain.  The five certified polynomials (f1,
 f3 and the leading principal minors of A) are formed once in formal
-(n, alpha); each certificate evaluates its polynomial at n (at_n) by
-Horner's rule on Python ints, from a table of the body's coefficients as
-dense integer polynomials in n over one common denominator, formed once per
-body; every denominator lies in Q[n] (the coefficient domain), so the
-result lands in Q[alpha].  A floating-point minimal-eigenvalue scan reads
-the entries of A specialized the same way, cross-checks the certificates
-and reports the positivity margin.  A certificate clears the denominators
+(n, alpha); each certificate evaluates its polynomial, and the upper end
+of its interval, at n (at_n) by Horner's rule on Python ints, from a table
+of the body's coefficients as dense integer polynomials in n over one
+common denominator, formed once per body; every denominator lies in Q[n]
+(the coefficient domain), so the result lands in Q[alpha], and an end,
+free of alpha, is a constant there.  A floating-point minimal-eigenvalue
+scan reads the entries of A specialized the same way, cross-checks the
+certificates and reports the positivity margin.  A certificate clears the denominators
 of its polynomial once: its values at rational points are homogeneous
 Horner sums on Python ints, and the interval map is one sympy
 dup_transform over ZZ.  The Sturm root count is sympy's.
@@ -40,7 +41,7 @@ from sympy.polys.densetools import dup_transform
 from sympy.polys.rings import PolyElement, ring
 from sympy.polys.rootisolation import dup_count_real_roots
 
-from .coeffs import ALPHA, A, N, ParamScalar, _dense_in_n, ps
+from .coeffs import ALPHA, A, N, ParamScalar, _dense_in_n, _qq_to_fraction, ps
 from .errors import DegenerateCertificateError, EngineInconsistencyError, PoleError
 from .registry import F1_COEFFS, F2_COEFFS, F3_COEFFS, build_named, poly_apply
 
@@ -317,7 +318,8 @@ def positivity_certificate(poly_id: str, n: int) -> SignCertificate:
     (certify_sign: Descartes after the interval map, Sturm as the fallback).
 
     Known ids: f1 on (0, 1/(n-2)); f3 on (0, 1/(n-4)); A11, minor2, detA in
-    alpha on (0, (n+4)/(n-4)).
+    alpha on (0, (n+4)/(n-4)).  The body and the upper end are both fixed
+    at n by at_n; the end is the constant coefficient of its result.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 5:
         raise ValueError(f"certificates require an integer n >= 5, got n = {n!r}")
@@ -325,7 +327,8 @@ def positivity_certificate(poly_id: str, n: int) -> SignCertificate:
     if poly_id not in table:
         raise KeyError(f"unknown certificate polynomial {poly_id!r}")
     body, upper = table[poly_id]
-    return certify_sign(poly_id, at_n(body, n), n, (Fraction(0), upper.evaluate(n=n)))
+    end = at_n(upper, n).coeff(1)
+    return certify_sign(poly_id, at_n(body, n), n, (Fraction(0), _qq_to_fraction(end)))
 
 
 @lru_cache(maxsize=None)

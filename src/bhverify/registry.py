@@ -86,7 +86,7 @@ def build_z() -> TExpr:
 
 def _k() -> ParamScalar:
     """K = 1 + n*alpha/(n+4) = -2*bstar."""
-    return 1 + N * ALPHA / (N + 4)
+    return -2 * bstar()
 
 
 def _c1() -> ParamScalar:

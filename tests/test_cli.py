@@ -152,6 +152,19 @@ def test_malformed_config_line(tmp_path):
     assert run(["--config", str(cfg), "verify"]) == 2
 
 
+def test_hash_inside_a_config_value_is_kept(tmp_path):
+    """'#' starts a comment only at the start of a line or after
+    whitespace: the report goes to run#1.json, and n_max = 5  # small
+    still reads 5."""
+    out = tmp_path / "run#1.json"
+    cfg = tmp_path / "bh.cfg"
+    cfg.write_text(f"#defaults\nout = {out}\nn_max = 5  # small\n")
+    assert load_config(str(cfg)) == {"out": str(out), "n_max": "5"}
+    assert run(["--config", str(cfg), "params"]) == 0
+    assert json.loads(out.read_text())["config"]["n_max"] == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bh.cfg", "run#1.json"]
+
+
 def test_markdown_render_includes_anchors(tmp_path):
     out = tmp_path / "r.md"
     assert run(["--format", "markdown", "--out", str(out),
@@ -229,6 +242,8 @@ def test_radial_grid_rejected(spec, reason, capsys):
     (["verify", "--ids", ""], "--ids"),
     (["verify", "--ids", "I1,I1"], "--ids"),
     (["verify", "--ids", "I1,,I2"], "--ids"),
+    (["verify", "--ids", "I1, ,I2"], "--ids"),
+    (["verify", "--ids", "I1, I1"], "--ids"),
     (["oracle", "--samples", "2", "--dims", "5,5"], "--dims"),
     (["oracle", "--samples", "2", "--dims", "6,5,6"], "--dims"),
 ])
@@ -259,6 +274,14 @@ def test_unknown_identity_id_is_usage_error(tmp_path, capsys):
     known = ", ".join(f"I{k}" for k in range(1, 16))
     assert err == f"error: --ids unknown identity I99; known: {known}\n"
     assert not out.exists()
+
+
+def test_ids_are_stripped(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["--out", str(out), "verify", "--ids", " I1, I3 "]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["ids"] == ["I1", "I3"]
+    assert [r["id"] for r in doc["sections"]["identities"]] == ["I1", "I3"]
 
 
 @pytest.mark.parametrize("line, flag", [

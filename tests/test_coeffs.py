@@ -13,7 +13,6 @@ from sympy import QQ
 from sympy.polys.rings import PolyElement
 
 from bhverify import cli, coeffs, paramcheck, registry, tensor
-from bhverify.calculus import bstar
 from bhverify.coeffs import (_N_RING, _RING, ALPHA, A, B, N, ONE, VAR_NAMES, ParamScalar, ZERO,
                              _dense_in_n, _divide_root, _from_dense, _linear_roots, _primitive,
                              _qq_to_fraction, cofactors, frac, ps)
@@ -95,6 +94,11 @@ def test_evaluate_pole_raises():
         (ONE / (N - 4)).evaluate(n=4)
 
 
+def test_evaluate_unbound_parameter_raises():
+    with pytest.raises(ValueError, match=r"^unbound parameter in n\*alpha$"):
+        (N * ALPHA).evaluate(n=5)
+
+
 def test_subs_param_composition():
     bstar = frac(-1, 2) * (1 + N * ALPHA / (N + 4))
     e = B**2 + B
@@ -103,18 +107,27 @@ def test_subs_param_composition():
     assert got == bb**2 + bb
 
 
+def test_subs_param_at_a_denominator_root_raises():
+    root = "^division by zero coefficient$"
+    for value in (4, Fraction(4), ps(4)):
+        with pytest.raises(MalformedCoefficientError, match=root):
+            ((ALPHA + 1) / (N - 4)).subs_param("n", value)
+    with pytest.raises(MalformedCoefficientError, match=root):
+        (B / (N * (2 * N - 3))).subs_param("n", frac(3, 2))
+
+
 def test_pow_including_negative():
     x = (N - 1) / (N + 4)
     assert x**3 * x**-3 == ONE
     assert x**0 == ONE
 
 
-# -- differential test: subs_param against the term-by-term composition -------
+# -- the term-by-term composition, the reference for at_n ----------------------
 
 
 def _reference_subs_param(x, name, value):
-    """The previous subs_param: rebuild each term with ParamScalar
-    arithmetic, normalizing after every +, * and **."""
+    """Rebuild each term with ParamScalar arithmetic, normalizing after
+    every +, * and ** (subs_param does the same)."""
     gen_index = VAR_NAMES.index(name)
 
     def sub_poly(poly):
@@ -153,61 +166,6 @@ _factored_n_polys = st.builds(
     st.lists(st.tuples(st.sampled_from(_N_FACTORS), st.integers(1, 3)), max_size=3))
 
 
-def _poly(terms) -> ParamScalar:
-    """sum c * n^e_n * alpha^e_alpha * a^e_a * b^e_b over the drawn terms."""
-    return sum((c * N**e[0] * ALPHA**e[1] * A**e[2] * B**e[3] for e, c in terms.items()),
-               ZERO)
-
-
-@st.composite
-def _rational_functions(draw):
-    return _poly(draw(_polys)) / ParamScalar(draw(_factored_n_polys))
-
-
-_values = st.one_of(
-    st.integers(-6, 6),
-    _small_fractions,
-    st.sampled_from([bstar(), (N + 4) / (N - 4), ONE / (N - 4), ALPHA * A - B]),
-    _rational_functions(),
-)
-
-
-def _reason(exc) -> str:
-    """An error message without the denominator it names: the reference
-    names the one it formed, which can differ from subs_param's by constant
-    and linear factors in Q[n]."""
-    return str(exc).split(":")[0]
-
-
-def _assert_same_substitution(x, name, value):
-    try:
-        want = _reference_subs_param(x, name, value)
-    except MalformedCoefficientError as exc:
-        with pytest.raises(MalformedCoefficientError) as got:
-            x.subs_param(name, value)
-        assert _reason(got.value) == _reason(exc)
-        return
-    got = x.subs_param(name, value)
-    assert str(got) == str(want)
-    assert got == want
-    assert hash(got) == hash(want)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_rational_functions(), st.sampled_from(VAR_NAMES), _values)
-def test_subs_param_matches_term_by_term_reference(x, name, value):
-    _assert_same_substitution(x, name, value)
-
-
-def test_subs_param_denominator_root_raises_like_reference():
-    x = (ALPHA + 1) / (N - 4)
-    for value in (4, Fraction(4), ps(4)):
-        _assert_same_substitution(x, "n", value)
-    _assert_same_substitution(B / (N * (2 * N - 3)), "n", frac(3, 2))
-    with pytest.raises(MalformedCoefficientError):
-        x.subs_param("n", 4)
-
-
 def _ref_univariate(self, name: str) -> list[Fraction]:
     """Coefficient list [c0, c1, ...] in one variable.
 
@@ -239,15 +197,9 @@ def test_subs_param_alpha_polys_match_reference():
     """The 480 certified polynomials at n = 5..100, as the certificates use
     them (formed in formal (n, alpha), then evaluated at n), equal the
     formal bodies specialized by the reference.  The Sylvester minors formed
-    from matrix_at(n) equal them too, and subs_param agrees with the
-    reference on every entry."""
-    from bhverify.paramcheck import at_n, build_matrix_A, certified_polys, matrix_at
-    mat = build_matrix_A()
+    from matrix_at(n) equal them too."""
+    from bhverify.paramcheck import at_n, certified_polys, matrix_at
     for n in range(5, 101):
-        for name in ("A11", "A12", "A13", "A22", "A23", "A33"):
-            entry = getattr(mat, name)
-            assert (str(entry.subs_param("n", ps(n)))
-                    == str(_reference_subs_param(entry, "n", ps(n))))
         at_n_mat = matrix_at(n)
         minors = {"A11": at_n_mat.A11, "minor2": at_n_mat.minor2(), "detA": at_n_mat.det()}
         for poly_id, (body, _) in certified_polys().items():
@@ -514,6 +466,30 @@ def test_verify_never_calls_the_multivariate_cancel(monkeypatch, run):
 
 def _verify_and_combination():
     assert cli.run_verify()[1] and cli.run_combination()[1]
+
+
+def _must_not_run(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"ParamScalar.{name} was called")
+    return refuse
+
+
+def test_no_section_substitutes_a_parameter(monkeypatch):
+    """From cold caches, no section calls subs_param: paramcheck fixes n
+    through at_n, and the oracles read coefficients as they are."""
+    _clear_caches()
+    monkeypatch.setattr(ParamScalar, "subs_param", _must_not_run("subs_param"))
+    _verify_and_combination()
+    _params_and_scan_pd()
+    assert cli.run_oracle(0, 20, (5,))[1]
+    assert cli.run_radial([(6, 2.0)], 2)[1]
+
+
+def test_certificates_and_scan_never_evaluate(monkeypatch):
+    """params and scan-pd fix n only through at_n, interval ends included;
+    ParamScalar.evaluate serves the float oracle alone."""
+    monkeypatch.setattr(ParamScalar, "evaluate", _must_not_run("evaluate"))
+    _params_and_scan_pd()
 
 
 def _counted(monkeypatch, method) -> list:

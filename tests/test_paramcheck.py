@@ -535,11 +535,12 @@ _EDGE_BODIES = (ALPHA / (N - 7), (N - 5) * A + ALPHA, N * B - ALPHA**2,
 
 def test_at_n_matches_the_qq_horner(monkeypatch):
     """Every body the certificates and the scan tabulate (the five certified
-    polynomials and the six entries of A, A11 among both), and bodies that
-    hit a pole or leave Q[alpha], give at n = 5..100 what the QQ Horner
-    gave: the same polynomial and text, or the same error and message."""
+    polynomials, the six entries of A, A11 among both, and the interval
+    ends 1/(n-2), 1/(n-4) and (n+4)/(n-4)), and bodies that hit a pole or
+    leave Q[alpha], give at n = 5..100 what the QQ Horner gave: the same
+    polynomial and text, or the same error and message."""
     bodies = _tabled_bodies(monkeypatch)
-    assert len(bodies) == 10
+    assert len(bodies) == 13
     for x in (*bodies, *_EDGE_BODIES):
         for n in range(5, 101):
             try:
