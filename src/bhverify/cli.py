@@ -348,8 +348,8 @@ def _command(args, config: dict):
     def job(sections, statuses):    # all
         sections["identities"], statuses["identities"] = run_verify()
         sections["combination"], statuses["combination"] = run_combination()
-        sections["params"], statuses["params"] = run_params(100)
-        sections["pd_scan"], statuses["pd_scan"] = run_scan_pd(5, 100, 1000)
+        sections["params"], statuses["params"] = run_params()
+        sections["pd_scan"], statuses["pd_scan"] = run_scan_pd()
         sections["oracle"], statuses["oracle"] = run_oracle()
         sections["radial"], statuses["radial"] = run_radial(
             [(5, 2.0), (6, 2.0), (6, 3.0), (8, 2.0)])

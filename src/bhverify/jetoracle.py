@@ -15,13 +15,18 @@ route that shares as little as possible with the exact engine:
 An exact identity then shows only floating-point rounding, with the relative
 residual normalized by 1 + |LHS| + |RHS|.
 
+Both sides go through one evaluator, which reads every factor's array by
+its symbol from one table per batch (``_factor_table``): the jet arrays and
+the dense composites side by side.
+
 Jets are drawn a batch at a time, once per dimension: the on-shell batch
-shares the free batch's draw and replaces only w4.  Each distinct monomial
-is evaluated once per batch, or once per dimension when it reads neither
-Bilap nor Gscal (the only factors that see w4), and each coefficient is
-floated once per dimension; the memos are dropped with the dimension's
-batches.  The same function on the same arrays gives the same bits, so a
-residual does not depend on what was memoized.
+shares the free batch's draw and replaces only w4.  A jet that fails is
+serialized from its row of that batch, never drawn again.  Each distinct
+monomial is evaluated once per batch, or once per dimension when it reads
+neither Bilap nor Gscal (the only factors that see w4), and each
+coefficient is floated once per dimension; the memos are dropped with the
+dimension's batches.  The same function on the same arrays gives the same
+bits, so a residual does not depend on what was memoized.
 
 The module also certifies the sharp constant of the trace-free inequality
 |E|^2 |v|^2 >= c |Ev|^2 exactly: a Cauchy-Schwarz bound on trace-free
@@ -85,22 +90,18 @@ def _symmetric_index(n: int) -> np.ndarray:
     return flat
 
 
-def jet_batch(seed0: int, n: int, samples: int, mode: str = "free",
-              alpha: Fraction | float | None = None) -> dict:
+def jet_batch(seed0: int, n: int, samples: int) -> dict:
     """Jets for the seeds seed0, ..., seed0 + samples - 1, stacked by row.
 
     Row k is the jet of ``default_rng(seed0 + k)``, drawn in the order u,
-    gradient, Hessian, third derivative and, in free mode, w4; in onshell
-    mode w4 = u^alpha (``onshell_batch``), so both modes draw the same u,
-    g1, g2 and g3.  g2/g3 are exactly symmetric, u >= 1e-3, and every
-    array is C-contiguous (einsum's summation order follows the layout).
-    The keys are u, g1, g2, g3, w4 and n.
+    gradient, Hessian, third derivative and w4; w4 is the last draw, so the
+    on-shell batch (``onshell_batch``) replaces it and moves no other value.
+    g2/g3 are exactly symmetric, u >= 1e-3, and every array is C-contiguous
+    (einsum's summation order follows the layout).  The keys are u, g1, g2,
+    g3, w4 and n.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    onshell = mode == "onshell"
-    if onshell and alpha is None:
-        raise ValueError("onshell jets need alpha")
     u = np.empty(samples)
     w4 = np.empty(samples)
     g1 = np.empty((samples, n))
@@ -112,12 +113,10 @@ def jet_batch(seed0: int, n: int, samples: int, mode: str = "free",
         g1[k] = rng.uniform(-1.0, 1.0, n)
         m[k] = rng.uniform(-1.0, 1.0, (n, n))
         t[k] = rng.uniform(-1.0, 1.0, n ** 3)
-        if not onshell:     # the last draw: skipping it moves no other value
-            w4[k] = rng.uniform(-1.0, 1.0)
+        w4[k] = rng.uniform(-1.0, 1.0)
     g2 = (m + m.transpose(0, 2, 1)) / 2.0
     g3 = np.take(t, _symmetric_index(n), axis=1).reshape(samples, n, n, n)
-    batch = {"u": u, "g1": g1, "g2": g2, "g3": g3, "w4": w4, "n": n}
-    return onshell_batch(batch, alpha) if onshell else batch
+    return {"u": u, "g1": g1, "g2": g2, "g3": g3, "w4": w4, "n": n}
 
 
 def onshell_batch(batch: dict, alpha: Fraction | float) -> dict:
@@ -127,19 +126,32 @@ def onshell_batch(batch: dict, alpha: Fraction | float) -> dict:
     return dict(batch, w4=np.array([uk ** a for uk in batch["u"].tolist()]))
 
 
+def _jet_row(batch: dict, k: int, seed: int, mode: str) -> JetSample:
+    """Row k of a batch, drawn from ``seed``, as one jet."""
+    return JetSample(batch["n"], mode, seed, float(batch["u"][k]), batch["g1"][k],
+                     batch["g2"][k], batch["g3"][k], float(batch["w4"][k]))
+
+
 def sample_jet(seed: int, n: int, mode: str = "free",
                alpha: Fraction | float | None = None) -> JetSample:
-    """Deterministic jet from a seed: row 0 of ``jet_batch(seed, n, 1, ...)``."""
-    b = jet_batch(seed, n, 1, mode, alpha)
-    return JetSample(n, mode, seed, float(b["u"][0]), b["g1"][0], b["g2"][0],
-                     b["g3"][0], float(b["w4"][0]))
+    """Deterministic jet from a seed: row 0 of a one-row batch, on-shell
+    (w4 = u^alpha) when ``mode`` is "onshell"."""
+    b = jet_batch(seed, n, 1)
+    if mode == "onshell":
+        if alpha is None:
+            raise ValueError("onshell jets need alpha")
+        b = onshell_batch(b, alpha)
+    return _jet_row(b, 0, seed, mode)
 
 
 # -- evaluation ----------------------------------------------------------------
 
 
-def _composite_arrays(batch: dict, params: dict):
-    """Dense realizations of the composite symbols from their definitions."""
+def _factor_table(batch: dict, params: dict) -> dict:
+    """The array of every factor symbol over a batch, keyed by the symbol,
+    plus u and n.  The jet factors are the batch's own arrays; the composites
+    are realized densely from their definitions.  Ric has no entry: the
+    oracle is flat."""
     n = batch["n"]
     b = float(params["b"])
     u = batch["u"]
@@ -156,21 +168,21 @@ def _composite_arrays(batch: dict, params: dict):
     gscal = (batch["w4"] + (n + 2) / n * b * tr**2 / u
              - 2 * (n + 2) / n * b * (1 + b) * tr * gradsq / u**2
              + b * (3 * b + 2) * (1 + (n - 2) / n * b) * gradsq**2 / u**3)
-    return {"Etf": etf, "Fvec": fvec, "Gscal": gscal, "Lap": tr, "DLap": dlap}
+    return {"u": u, "n": n, "Du": g1, "D2u": g2, "D3u": g3, "Bilap": batch["w4"],
+            "g": eye, "Lap": tr, "DLap": dlap, "Etf": etf, "Fvec": fvec,
+            "Gscal": gscal}
 
 
-def eval_monomial_batch(m: TensorMonomial, batch: dict, comp: dict) -> np.ndarray:
+def eval_monomial_batch(m: TensorMonomial, arrays: dict) -> np.ndarray:
     """Einstein-summation value of one monomial over a batch of jets.
 
-    ``comp`` is ``_composite_arrays(batch, params)``.  Returns shape (B,) for
-    scalars, (B, n) for vectors, (B, n, n) for 2-tensors.  Ricci factors
-    evaluate to zero (flat oracle).
+    ``arrays`` is ``_factor_table(batch, params)``: each factor's array is
+    read from it by symbol.  A scalar factor multiplies; the metric ``g``
+    has no batch index.  Returns shape (B,) for scalars, (B, n) for vectors,
+    (B, n, n) for 2-tensors.  Ricci factors evaluate to zero (flat oracle).
     """
-    if any(s == "Ric" for s in m.symbols):
-        b = len(batch["u"])
-        n = batch["n"]
-        shape = (b,) + (n,) * len(m.free)
-        return np.zeros(shape)
+    if "Ric" in m.symbols:
+        return np.zeros((len(arrays["u"]),) + (arrays["n"],) * len(m.free))
     letters = {}
     for k, (x, y) in enumerate(m.pairs):
         letters[x] = letters[y] = _LETTERS[k]
@@ -179,52 +191,34 @@ def eval_monomial_batch(m: TensorMonomial, batch: dict, comp: dict) -> np.ndarra
         letters[s] = _LETTERS[len(m.pairs) + j]
         out_letters += letters[s]
     operands, scripts = [], []
-    scalars = batch["u"] ** m.u_power
+    scalars = arrays["u"] ** m.u_power
     off = 0
     for sym in m.symbols:
         k = FACTORS[sym].arity
         idx = "".join(letters[off + j] for j in range(k))
         off += k
-        if sym == "Du":
-            operands.append(batch["g1"])
-        elif sym == "D2u":
-            operands.append(batch["g2"])
-        elif sym == "D3u":
-            operands.append(batch["g3"])
-        elif sym == "DLap":
-            operands.append(comp["DLap"])
-        elif sym == "Lap":
-            scalars = scalars * comp["Lap"]
-            continue
-        elif sym == "Bilap":
-            scalars = scalars * batch["w4"]
-            continue
-        elif sym == "Gscal":
-            scalars = scalars * comp["Gscal"]
-            continue
-        elif sym == "g":
-            operands.append(np.eye(batch["n"]))
-            scripts.append(idx)
-            continue
-        elif sym in ("Etf", "Fvec"):
-            operands.append(comp[sym])
-        else:
+        arr = arrays.get(sym)
+        if arr is None:
             raise ValueError(f"cannot evaluate factor {sym!r}")
-        scripts.append("z" + idx)
+        if not k:
+            scalars = scalars * arr
+            continue
+        operands.append(arr)
+        scripts.append(idx if sym == "g" else "z" + idx)
     operands.append(scalars)
     scripts.append("z")
     spec = ",".join(scripts) + "->z" + out_letters
     return np.einsum(spec, *operands)
 
 
-def eval_terms_batch(terms, batch: dict, params: dict, comp: dict,
-                     coeffs: dict, values: dict) -> np.ndarray:
+def eval_terms_batch(terms, arrays: dict, params: dict, coeffs: dict,
+                     values: dict) -> np.ndarray:
     """Sum of coeff * monomial over a batch, in term order; coefficients
-    evaluated exactly at the rational parameters, then floated.  ``comp`` is
-    ``_composite_arrays(batch, params)``.
+    evaluated exactly at the rational parameters, then floated.  ``arrays``
+    is ``_factor_table(batch, params)``.
 
     ``coeffs`` maps a coefficient to its float at ``params``, and ``values``
-    a monomial to its array on ``batch``.  Both are the caller's memos,
+    a monomial to its array on the batch.  Both are the caller's memos,
     filled here as terms are evaluated, so each entry is computed once for
     as long as the caller keeps them; they must hold nothing computed at
     other parameters or on another batch.
@@ -236,11 +230,11 @@ def eval_terms_batch(terms, batch: dict, params: dict, comp: dict,
             c = coeffs[coeff] = float(coeff.evaluate(**params))
         arr = values.get(m)
         if arr is None:
-            arr = values[m] = eval_monomial_batch(m, batch, comp)
+            arr = values[m] = eval_monomial_batch(m, arrays)
         v = c * arr
         total = v if total is None else total + v
     if total is None:
-        return np.zeros(len(batch["u"]))
+        return np.zeros(len(arrays["u"]))
     return total
 
 
@@ -341,13 +335,14 @@ def check_all_identities(samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9,
 
     The residual is normalized by 1 + |LHS| + |RHS|.  Dimensions are the
     outer loop: the free batch of each n is drawn once and the on-shell
-    batch derived from it (``onshell_batch``); each mode's composites are
-    realized once and every identity of that mode evaluated on its batch.
-    Within an n, each coefficient is floated once, each monomial evaluated
-    once per batch, and a monomial reading neither Bilap nor Gscal once for
-    both batches.  The batches and memos are dropped before the next n is
-    drawn.  Jets violating the tolerance are replayed through ``sample_jet``
-    and serialized.
+    batch derived from it (``onshell_batch``); each mode's factor table is
+    built once and every identity of that mode evaluated on it.  Within an
+    n, each coefficient is floated once, each monomial evaluated once per
+    batch, and a monomial reading neither Bilap nor Gscal once for both
+    batches.  The batches and memos are dropped before the next n is drawn.
+    A jet violating the tolerance is serialized from its row of the batch
+    in hand, as ``sample_jet`` of its seed would give it; nothing is drawn
+    twice.
     """
     idents = all_identities()
     checks = []
@@ -366,7 +361,7 @@ def check_all_identities(samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9,
         values: dict = {}
         for mode in dict.fromkeys(c[0] for c in checks):
             batch = free if mode == "free" else onshell_batch(free, ORACLE_ALPHA)
-            comp = _composite_arrays(batch, params)
+            arrays = _factor_table(batch, params)
             # the batches of one n differ only in w4, which only Bilap and
             # Gscal read: any other monomial keeps its array from the other mode
             values = {m: v for m, v in values.items()
@@ -374,8 +369,8 @@ def check_all_identities(samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9,
             for i, (check_mode, lhs_terms, rhs_terms, out_valence) in enumerate(checks):
                 if check_mode != mode:
                     continue
-                lhs = eval_terms_batch(lhs_terms, batch, params, comp, coeffs, values)
-                rhs = eval_terms_batch(rhs_terms, batch, params, comp, coeffs, values)
+                lhs = eval_terms_batch(lhs_terms, arrays, params, coeffs, values)
+                rhs = eval_terms_batch(rhs_terms, arrays, params, coeffs, values)
                 if out_valence == 0:
                     rel = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
                 else:
@@ -383,10 +378,9 @@ def check_all_identities(samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9,
                     rel = num / (1.0 + np.linalg.norm(lhs, axis=1)
                                  + np.linalg.norm(rhs, axis=1))
                 worst[i] = max(worst[i], float(np.max(rel)))
-                for k in np.nonzero(rel > tol)[0][:3]:
-                    failing[i].append(
-                        sample_jet(seed0 + int(k), n, mode, ORACLE_ALPHA).to_json())
-            del batch, comp
+                for k in np.nonzero(rel > tol)[0][:3].tolist():
+                    failing[i].append(_jet_row(batch, k, seed0 + k, mode).to_json())
+            del batch, arrays
         del free, coeffs, values
     return [OracleIdentityReport(ident.id, list(dims), samples, str(ORACLE_ALPHA),
                                  str(ORACLE_A), tol, w, w <= tol, f)

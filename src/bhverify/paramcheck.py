@@ -109,7 +109,7 @@ class SignCertificate:
     n: int
     interval: tuple[Fraction, Fraction]
     # distinct roots in the open interval, whichever route counted them
-    # (Descartes or Sturm); the name waits for the report's schema v2
+    # (Descartes or Sturm); the name waits for the report's schema v3
     sturm_root_count: int
     endpoint_values: tuple[Fraction, Fraction]
     interior_sample: dict[str, Fraction]          # {"point", "value"}

@@ -13,10 +13,6 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
-import pytest
-
-from bhverify.coeffs import ALPHA, N, ps
 from bhverify.paramcheck import (all_certificates, check_minor_formulas,
                                  est1_grid_check, exponent_grid_check,
                                  linear_reduction_certificate, numeric_pd_scan)

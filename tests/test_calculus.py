@@ -1,7 +1,6 @@
 """Gradient, weighted divergence, commutation corrections, substitutions."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings

@@ -1,6 +1,6 @@
-"""Every name a `bhverify` module imports is referenced in that module, and
-every top-level function, class, UPPER_CASE constant and method of a
-top-level class is referenced somewhere in the package."""
+"""Every name a `bhverify` module or a test module imports is referenced in
+that module, and every top-level function, class, UPPER_CASE constant and
+method of a top-level class is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -10,13 +10,16 @@ import pytest
 import bhverify
 
 MODULES = sorted(Path(bhverify.__file__).parent.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 # definitions kept for the tests alone: the acceptance mutation checks build
-# on perturb_identity, printed_variant reproduces the display errata, and
+# on perturb_identity, printed_variant reproduces the display errata,
 # subs_param is the reference route for specializing a parameter (the tests
-# substitute b and alpha with it, and the benchmark's tracer wraps it)
-UNREFERENCED_ALLOWED = ["coeffs.py:ParamScalar.subs_param", "registry.py:perturb_identity",
-                        "registry.py:printed_variant"]
+# substitute b and alpha with it, and the benchmark's tracer wraps it), and
+# sample_jet draws one jet from its seed (the benchmark's tracer wraps it, and
+# the tests replay failing jets with it)
+UNREFERENCED_ALLOWED = ["coeffs.py:ParamScalar.subs_param", "jetoracle.py:sample_jet",
+                        "registry.py:perturb_identity", "registry.py:printed_variant"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -108,7 +111,7 @@ def test_scan_flags_an_unreferenced_method():
     assert _unreferenced_definitions(sources) == ["a.py:C.h", "b.py:X"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert _unused_imports(path.read_text()) == []
 

@@ -12,8 +12,8 @@ from bhverify.cli import run_oracle
 from bhverify.coeffs import ALPHA as _ALPHA_PS
 from bhverify.coeffs import ParamScalar
 from bhverify.errors import CompositeDerivativeError, OrderOverflowError
-from bhverify.jetoracle import (JetSample, OracleIdentityReport,
-                                _composite_arrays, _params_for,
+from bhverify.jetoracle import (ORACLE_ALPHA, JetSample, OracleIdentityReport,
+                                _factor_table, _params_for,
                                 _probe_min_ratio, check_all_identities,
                                 eval_monomial_batch, eval_terms_batch,
                                 flat_leibniz_terms, identity_lhs_flat_terms,
@@ -35,7 +35,7 @@ def unit_batch(n=5, g1=None, g2=None):
 
 
 def batch_terms(terms, batch, params):
-    return eval_terms_batch(terms, batch, params, _composite_arrays(batch, params), {}, {})
+    return eval_terms_batch(terms, _factor_table(batch, params), params, {}, {})
 
 
 def batch_value(e, batch, params):
@@ -144,7 +144,9 @@ class TestFlatVsCovariant:
             cov_terms = [(c, m) for m, c in cov.terms.items()]
             flat_terms, _ = identity_lhs_flat_terms(ident)
             mode = "onshell" if ident.mode is SubstitutionMode.ON_SHELL else "free"
-            batch = jet_batch(100, 5, 40, mode, Fraction(2))
+            batch = jet_batch(100, 5, 40)
+            if mode == "onshell":
+                batch = onshell_batch(batch, Fraction(2))
             a = batch_terms(cov_terms, batch, PARAMS5)
             b = batch_terms(flat_terms, batch, PARAMS5)
             scale = 1.0 + np.abs(a) + np.abs(b)
@@ -203,7 +205,7 @@ class TestIdentityChecks:
         ident = get_identity("I12")
         lhs_terms, _ = identity_lhs_flat_terms(ident)
         rhs_terms = [(c, m) for m, c in ident.rhs.terms.items()]
-        batch = jet_batch(13, 5, 1, "onshell", Fraction(2))
+        batch = onshell_batch(jet_batch(13, 5, 1), Fraction(2))
         for lam in (0.5, 2.0):
             scaled = scaled_batch(batch, lam, alpha=Fraction(2))
             a = batch_terms(lhs_terms, scaled, PARAMS5)[0]
@@ -297,22 +299,22 @@ def _ref_stack_jets(jets):
     }
 
 
-def _ref_eval_terms_batch(terms, batch: dict, params: dict, comp: dict) -> np.ndarray:
+def _ref_eval_terms_batch(terms, arrays: dict, params: dict) -> np.ndarray:
     """Sum of coeff * monomial over a batch; coefficients evaluated exactly
-    at the rational parameters, then floated.  ``comp`` is
-    ``_composite_arrays(batch, params)``."""
+    at the rational parameters, then floated.  ``arrays`` is
+    ``_factor_table(batch, params)``."""
     total = None
     for coeff, m in terms:
         c = float(coeff.evaluate(**params))
-        v = c * eval_monomial_batch(m, batch, comp)
+        v = c * eval_monomial_batch(m, arrays)
         total = v if total is None else total + v
     if total is None:
-        return np.zeros(len(batch["u"]))
+        return np.zeros(len(arrays["u"]))
     return total
 
 
 def _ref_batch_terms(terms, batch, params):
-    return _ref_eval_terms_batch(terms, batch, params, _composite_arrays(batch, params))
+    return _ref_eval_terms_batch(terms, _factor_table(batch, params), params)
 
 
 def _ref_numeric_check_identity(ident, samples=1000, dims=(5, 6, 8), tol=1e-9,
@@ -426,7 +428,9 @@ class TestAgainstReplacedCode:
     @pytest.mark.parametrize("mode", ["free", "onshell"])
     def test_jet_batch_equals_stacked_reference_bitwise(self, mode, n, alpha):
         seed0 = 1_000_000 * n + 11
-        batch = jet_batch(seed0, n, 30, mode, alpha)
+        batch = jet_batch(seed0, n, 30)
+        if mode == "onshell":
+            batch = onshell_batch(batch, alpha)
         ref = _ref_stack_jets([_ref_sample_jet(seed0 + k, n, mode, alpha)
                                for k in range(30)])
         assert batch.keys() == ref.keys() and batch["n"] == n
@@ -445,7 +449,8 @@ class TestAgainstReplacedCode:
         seed0 = 1_000_000 * n + 5
         free = jet_batch(seed0, n, 30)
         derived = onshell_batch(free, alpha)
-        drawn = jet_batch(seed0, n, 30, "onshell", alpha)
+        drawn = _ref_stack_jets([sample_jet(seed0 + k, n, "onshell", alpha)
+                                 for k in range(30)])
         ref = _ref_stack_jets([_ref_sample_jet(seed0 + k, n, "onshell", alpha)
                                for k in range(30)])
         assert derived.keys() == drawn.keys() == ref.keys() and derived["n"] == n
@@ -461,7 +466,9 @@ class TestAgainstReplacedCode:
         with pytest.raises(ValueError, match="need n >= 2"):
             jet_batch(0, 1, 3)
         with pytest.raises(ValueError, match="onshell jets need alpha"):
-            jet_batch(0, 5, 3, "onshell")
+            sample_jet(0, 5, "onshell")
+        for args in ((0, 1), (0, 1, "onshell", 2), (0, 5, "onshell")):
+            assert _outcome(sample_jet, *args) == _outcome(_ref_sample_jet, *args)
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_check_all_identities_equals_reference(self, seed):
@@ -500,6 +507,33 @@ class TestAgainstReplacedCode:
         got = {r.id: jsonable(r) for r in check_all_identities(samples=40, dims=(5, 6),
                                                                seed=4)}
         assert got == want
+
+    def test_failing_jets_are_drawn_once(self, monkeypatch):
+        """Perturbed free (I3) and on-shell (I12) identities: one draw per n,
+        and each failing record is the jet that ``sample_jet`` of its seed
+        gives."""
+        i12 = get_identity("I12")
+        idx = next(i for i, (m, _) in enumerate(i12.rhs.sorted_terms())
+                   if "Etf" in m.symbols and m.symbols.count("Du") == 4)
+        mutants = (perturb_identity(get_identity("I3"), 0, Fraction(1, 1000)),
+                   perturb_identity(i12, idx, Fraction(1, 1000)))
+        monkeypatch.setattr(jetoracle, "all_identities", lambda: mutants)
+        draws = []
+
+        def counted(seed0, n, *rest):
+            draws.append(n)
+            return jet_batch(seed0, n, *rest)
+        monkeypatch.setattr(jetoracle, "jet_batch", counted)
+        reports = check_all_identities(samples=40, dims=(5, 6), seed=4)
+        assert draws == [5, 6]
+        monkeypatch.undo()
+        for rep, mode in zip(reports, ("free", "onshell")):
+            assert not rep.passed and len(rep.failing_jets) == 6, rep.id
+            for record in rep.failing_jets:
+                d = json.loads(record)
+                k = d["seed"] - 4 - 1_000_000 * d["n"]
+                assert d["mode"] == mode and 0 <= k < 40
+                assert record == sample_jet(d["seed"], d["n"], mode, ORACLE_ALPHA).to_json()
 
     def test_each_monomial_evaluated_once_per_batch(self, monkeypatch):
         """At the acceptance dimensions: one draw per n, 306 monomial

@@ -13,9 +13,9 @@ from sympy.polys.densetools import dup_eval, dup_scale, dup_shift
 
 from bhverify import cli, paramcheck
 from bhverify.coeffs import ALPHA, A, B, N, _dense_in_n, ps
-from bhverify.errors import (DegenerateCertificateError, EngineInconsistencyError,
-                             MalformedCoefficientError, PoleError)
-from bhverify.paramcheck import (ExponentCheck, QALPHA, SignCertificate, at_n,
+from bhverify.errors import (DegenerateCertificateError, MalformedCoefficientError,
+                             PoleError)
+from bhverify.paramcheck import (QALPHA, SignCertificate, at_n,
                                  build_matrix_A, certify_sign, check_minor_formulas,
                                  est1_coefficient, est1_grid_check,
                                  exponent_check, exponent_grid_check,
