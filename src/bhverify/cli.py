@@ -216,12 +216,17 @@ def run_oracle(seed: int = 0, samples: int = 1000, dims=(5, 6, 8), tol: float = 
 
 def run_radial(configs, grid_size: int = 10, rmax: float = 50.0,
                dump_dir: str | None = None):
+    """The radial section: each (n, alpha) config scanned over the same
+    ``default_grids(grid_size)`` cells, all configs' cells integrated in one
+    ``scan_shooting`` batch.  It passes when no config has a survivor or a
+    per-cell error.  With ``dump_dir``, each config's middle cell is shot
+    again and its checkpoints written there as CSV."""
     from .radial import default_grids, dump_trajectory_csv, scan_shooting, shoot
     u0s, v0s = default_grids(grid_size)
     summaries = []
     ok = True
-    for n, alpha in configs:
-        summary, results = scan_shooting(n, alpha, u0s, v0s, rmax)
+    scans = scan_shooting(configs, u0s, v0s, rmax)
+    for (n, alpha), (summary, results) in zip(configs, scans):
         summaries.append(jsonable(summary))
         ok = ok and summary.survival_fraction == 0.0 and not summary.errors
         if dump_dir:

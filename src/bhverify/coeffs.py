@@ -301,26 +301,42 @@ class ParamScalar:
         """Evaluate exactly at rational parameter values.
 
         All variables actually present must be given; hitting a denominator
-        root raises PoleError.
+        root raises PoleError.  Each of num and den is summed on Python
+        ints, its denominators cleared once: by the lcm of its coefficients'
+        denominators, and by q^d for each value p/q, d the degree in that
+        variable.  The one Fraction is formed at the end.
         """
-        vals = (n, alpha, a, b)
+        vals = [None if v is None else Fraction(v) for v in (n, alpha, a, b)]
 
-        def ev(poly) -> Fraction:
-            total = Fraction(0)
-            for monom, coeff in poly.terms():
-                t = _qq_to_fraction(coeff)
-                for val, e in zip(vals, monom):
-                    if e:
-                        if val is None:
-                            raise ValueError(f"unbound parameter in {self}")
-                        t *= Fraction(val) ** e
+        def ev(poly) -> tuple[int, int]:
+            """(s, t) with poly = s / t at vals, t > 0."""
+            if not poly:
+                return 0, 1
+            lcm = math.lcm(*(int(c.denominator) for c in poly.values()))
+            scale = lcm
+            # per variable present, powers[e] = p^e q^(d - e) for its value
+            # p/q and its degree d
+            present = []
+            for i, (val, d) in enumerate(zip(vals, poly.degrees())):
+                if d > 0:
+                    if val is None:
+                        raise ValueError(f"unbound parameter in {self}")
+                    p, q = val.numerator, val.denominator
+                    present.append((i, [p**e * q**(d - e) for e in range(d + 1)]))
+                    scale *= q**d
+            total = 0
+            for monom, c in poly.terms():
+                t = int(c.numerator) * (lcm // int(c.denominator))
+                for i, powers in present:
+                    t *= powers[monom[i]]
                 total += t
-            return total
+            return total, scale
 
-        den_val = ev(self.den)
-        if den_val == 0:
+        den_s, den_t = ev(self.den)
+        if den_s == 0:
             raise PoleError(f"parameters hit denominator root of {self}")
-        return ev(self.num) / den_val
+        num_s, num_t = ev(self.num)
+        return Fraction(num_s * den_t, num_t * den_s)
 
     def subs_param(self, name: str, value: Rationalish) -> "ParamScalar":
         """Substitute a formal parameter by a rational function.

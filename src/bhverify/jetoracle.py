@@ -17,16 +17,20 @@ residual normalized by 1 + |LHS| + |RHS|.
 
 Both sides go through one evaluator, which reads every factor's array by
 its symbol from one table per batch (``_factor_table``): the jet arrays and
-the dense composites side by side.
+the dense composites side by side.  A monomial is summed one connected
+component of its contraction graph at a time, and the table memoizes each
+component by structure, so the few distinct components are each evaluated
+once per table.
 
-Jets are drawn a batch at a time, once per dimension: the on-shell batch
-shares the free batch's draw and replaces only w4.  A jet that fails is
-serialized from its row of that batch, never drawn again.  Each distinct
-monomial is evaluated once per batch, or once per dimension when it reads
-neither Bilap nor Gscal (the only factors that see w4), and each
-coefficient is floated once per dimension; the memos are dropped with the
-dimension's batches.  The same function on the same arrays gives the same
-bits, so a residual does not depend on what was memoized.
+Jets are drawn a batch at a time, once per dimension, with three draws per
+row from the row's own seeded generator; the on-shell batch shares the free
+batch's draw and replaces only w4.  A jet that fails is serialized from its
+row of that batch, never drawn again.  Each distinct monomial is evaluated
+once per batch, or once per dimension when it reads neither Bilap nor
+Gscal (the only factors that see w4), and each coefficient is floated once
+per dimension; the memos are dropped with the dimension's batches.  The
+same function on the same arrays gives the same bits, so a residual does
+not depend on what was memoized.
 
 The module also certifies the sharp constant of the trace-free inequality
 |E|^2 |v|^2 >= c |Ev|^2 exactly: a Cauchy-Schwarz bound on trace-free
@@ -93,28 +97,38 @@ def _symmetric_index(n: int) -> np.ndarray:
 def jet_batch(seed0: int, n: int, samples: int) -> dict:
     """Jets for the seeds seed0, ..., seed0 + samples - 1, stacked by row.
 
-    Row k is the jet of ``default_rng(seed0 + k)``, drawn in the order u,
-    gradient, Hessian, third derivative and w4; w4 is the last draw, so the
-    on-shell batch (``onshell_batch``) replaces it and moves no other value.
-    g2/g3 are exactly symmetric, u >= 1e-3, and every array is C-contiguous
-    (einsum's summation order follows the layout).  The keys are u, g1, g2,
-    g3, w4 and n.
+    Row k is the jet of ``default_rng(seed0 + k)``: the values of five
+    ``uniform`` calls in the order u, gradient, Hessian, third derivative
+    and w4.  The row's stream is drawn in three calls (u, gradient and
+    Hessian together, then the third derivative, then w4) and mapped to the
+    ranges as ``uniform`` maps it, lo + (hi - lo) x, a batch at a time.
+    w4 is the last draw, so the on-shell batch (``onshell_batch``) replaces
+    it and moves no other value.  g2/g3 are exactly symmetric, u >= 1e-3,
+    and every array is C-contiguous (einsum's summation order follows the
+    layout).  The third derivative is mapped in place and read through the
+    symmetric index last, so at most one n^3 block is held beside the
+    outputs.  The keys are u, g1, g2, g3, w4 and n.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    u = np.empty(samples)
-    w4 = np.empty(samples)
-    g1 = np.empty((samples, n))
-    m = np.empty((samples, n, n))
+    head = np.empty((samples, 1 + n + n * n))
     t = np.empty((samples, n ** 3))
+    w4 = np.empty(samples)
     for k in range(samples):
-        rng = np.random.default_rng(seed0 + k)
-        u[k] = rng.uniform(1e-3, 1.0)
-        g1[k] = rng.uniform(-1.0, 1.0, n)
-        m[k] = rng.uniform(-1.0, 1.0, (n, n))
-        t[k] = rng.uniform(-1.0, 1.0, n ** 3)
-        w4[k] = rng.uniform(-1.0, 1.0)
+        # default_rng's generator, without its argument dispatch
+        rng = np.random.Generator(np.random.PCG64(seed0 + k))
+        rng.random(out=head[k])
+        rng.random(out=t[k])
+        w4[k] = rng.random()
+    u = 1e-3 + (1.0 - 1e-3) * head[:, 0]
+    g1 = -1.0 + 2.0 * head[:, 1:1 + n]
+    m = -1.0 + 2.0 * head[:, 1 + n:].reshape(samples, n, n)
+    del head
     g2 = (m + m.transpose(0, 2, 1)) / 2.0
+    del m
+    w4 = -1.0 + 2.0 * w4
+    t *= 2.0
+    t += -1.0
     g3 = np.take(t, _symmetric_index(n), axis=1).reshape(samples, n, n, n)
     return {"u": u, "g1": g1, "g2": g2, "g3": g3, "w4": w4, "n": n}
 
@@ -147,7 +161,18 @@ def sample_jet(seed: int, n: int, mode: str = "free",
 # -- evaluation ----------------------------------------------------------------
 
 
-def _factor_table(batch: dict, params: dict) -> dict:
+class FactorTable(dict):
+    """The arrays of one batch keyed by factor symbol (``_factor_table``),
+    with ``components``: the memo of the contraction-graph components
+    evaluated on them, keyed by structure.  The memo is the table's own, so
+    it is dropped with the arrays it was computed from."""
+
+    def __init__(self, arrays: dict):
+        super().__init__(arrays)
+        self.components: dict = {}
+
+
+def _factor_table(batch: dict, params: dict) -> FactorTable:
     """The array of every factor symbol over a batch, keyed by the symbol,
     plus u and n.  The jet factors are the batch's own arrays; the composites
     are realized densely from their definitions.  Ric has no entry: the
@@ -168,47 +193,97 @@ def _factor_table(batch: dict, params: dict) -> dict:
     gscal = (batch["w4"] + (n + 2) / n * b * tr**2 / u
              - 2 * (n + 2) / n * b * (1 + b) * tr * gradsq / u**2
              + b * (3 * b + 2) * (1 + (n - 2) / n * b) * gradsq**2 / u**3)
-    return {"u": u, "n": n, "Du": g1, "D2u": g2, "D3u": g3, "Bilap": batch["w4"],
-            "g": eye, "Lap": tr, "DLap": dlap, "Etf": etf, "Fvec": fvec,
-            "Gscal": gscal}
+    return FactorTable({"u": u, "n": n, "Du": g1, "D2u": g2, "D3u": g3,
+                        "Bilap": batch["w4"], "g": eye, "Lap": tr, "DLap": dlap,
+                        "Etf": etf, "Fvec": fvec, "Gscal": gscal})
 
 
-def eval_monomial_batch(m: TensorMonomial, arrays: dict) -> np.ndarray:
+def _component(arrays: FactorTable, factors, partner: dict, free) -> tuple:
+    """(value, batch, kept) of one connected component of a contraction
+    graph: its array, "z" when the array has the batch axis (every factor
+    but the metric has it) else "", and its free slots, which are the
+    array's other axes, in the monomial's order.
+
+    ``factors`` lists the component's (symbol, slots) in listing order,
+    ``partner`` maps a contracted slot to the slot it is contracted with,
+    and ``free`` is the monomial's ordered free slots.  Letters are given
+    to the slots in order of appearance, so the einsum spec and the symbols
+    name the computation whatever the monomial, and key the table's memo:
+    each distinct component is evaluated once per table.
+    """
+    letters, names = {}, iter(_LETTERS)
+    scripts = []
+    for sym, slots in factors:
+        for slot in slots:
+            if slot not in letters:
+                letters[slot] = next(names)
+                if slot in partner:
+                    letters[partner[slot]] = letters[slot]
+        scripts.append(("" if sym == "g" else "z") + "".join(letters[s] for s in slots))
+    batch = "z" if any(sym != "g" for sym, _ in factors) else ""
+    kept = [s for s in free if s in letters]
+    spec = ",".join(scripts) + "->" + batch + "".join(letters[s] for s in kept)
+    syms = tuple(sym for sym, _ in factors)
+    value = arrays.components.get((syms, spec))
+    if value is None:
+        value = arrays.components[(syms, spec)] = np.einsum(
+            spec, *(arrays[sym] for sym in syms))
+    return value, batch, kept
+
+
+def eval_monomial_batch(m: TensorMonomial, arrays: FactorTable) -> np.ndarray:
     """Einstein-summation value of one monomial over a batch of jets.
 
     ``arrays`` is ``_factor_table(batch, params)``: each factor's array is
     read from it by symbol.  A scalar factor multiplies; the metric ``g``
-    has no batch index.  Returns shape (B,) for scalars, (B, n) for vectors,
+    has no batch index.  Each connected component of the contraction graph
+    is summed on its own (``_component``, memoized per table), and the
+    components, the u-power and the scalar factors are multiplied in one
+    last einsum.  Returns shape (B,) for scalars, (B, n) for vectors,
     (B, n, n) for 2-tensors.  Ricci factors evaluate to zero (flat oracle).
     """
     if "Ric" in m.symbols:
         return np.zeros((len(arrays["u"]),) + (arrays["n"],) * len(m.free))
-    letters = {}
-    for k, (x, y) in enumerate(m.pairs):
-        letters[x] = letters[y] = _LETTERS[k]
-    out_letters = ""
-    for j, s in enumerate(m.free):
-        letters[s] = _LETTERS[len(m.pairs) + j]
-        out_letters += letters[s]
-    operands, scripts = [], []
     scalars = arrays["u"] ** m.u_power
-    off = 0
+    factors, off = [], 0
     for sym in m.symbols:
         k = FACTORS[sym].arity
-        idx = "".join(letters[off + j] for j in range(k))
-        off += k
         arr = arrays.get(sym)
         if arr is None:
             raise ValueError(f"cannot evaluate factor {sym!r}")
-        if not k:
+        if k:
+            factors.append((sym, range(off, off + k)))
+        else:
             scalars = scalars * arr
+        off += k
+    partner = {}
+    for x, y in m.pairs:
+        partner[x], partner[y] = y, x
+    owner = {slot: i for i, (_, slots) in enumerate(factors) for slot in slots}
+    out = {s: _LETTERS[j] for j, s in enumerate(m.free)}
+    operands, scripts, seen = [], [], set()
+    for first in range(len(factors)):
+        if first in seen:
             continue
-        operands.append(arr)
-        scripts.append(idx if sym == "g" else "z" + idx)
+        # the factors reached from this one through contractions
+        seen.add(first)
+        component, stack = [], [first]
+        while stack:
+            i = stack.pop()
+            component.append(i)
+            for slot in factors[i][1]:
+                j = owner.get(partner.get(slot))
+                if j is not None and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        value, batch, kept = _component(
+            arrays, [factors[i] for i in sorted(component)], partner, m.free)
+        operands.append(value)
+        scripts.append(batch + "".join(out[s] for s in kept))
     operands.append(scalars)
     scripts.append("z")
-    spec = ",".join(scripts) + "->z" + out_letters
-    return np.einsum(spec, *operands)
+    return np.einsum(",".join(scripts) + "->z" + "".join(out[s] for s in m.free),
+                     *operands)
 
 
 def eval_terms_batch(terms, arrays: dict, params: dict, coeffs: dict,

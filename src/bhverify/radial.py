@@ -16,12 +16,15 @@ The nonexistence theorem predicts that no trajectory with u0 > 0, v0 <= 0
 survives with u > 0 and v <= 0; the scan reports the survival fraction,
 which is consistency evidence only (finite grids prove nothing).
 
-A scan classifies all of its cells in one batch: ``shoot_batch`` steps every
-live cell together with the Dormand-Prince 5(4) pair (Hairer, Norsett and
-Wanner, Solving ODEs I, II.4-II.6), with the constants and step-size
-controller of scipy's RK45, each cell with its own step size, and locates the
-events as ``solve_ivp`` does, by Brent's method in the step order of scipy's
-``brentq``.  The batch needs no scipy.  ``shoot`` integrates one trajectory
+A scan classifies the cells of all its (n, alpha) configs in one batch:
+``shoot_batch`` steps every live cell together with the Dormand-Prince 5(4)
+pair (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.6), with the
+constants and step-size controller of scipy's RK45, each cell with its own
+step size, n and alpha, and locates the events as ``solve_ivp`` does, by
+Brent's method in the step order of scipy's ``brentq``.  Each cell's
+floats are those of a batch of its config alone: the rows do not mix, and
+u^alpha is taken one distinct alpha at a time with a scalar exponent.  The
+batch needs no scipy.  ``shoot`` integrates one trajectory
 with scipy's ``solve_ivp`` and keeps its checkpoints: it inspects a single
 cell (the CSV dump) and is the reference the batch is tested against; it is
 the only code here that loads scipy, on its first call.  The
@@ -144,8 +147,8 @@ def _check_cell(n: int, alpha: float, u0: float, v0: float):
     """Raise ValueError unless (n, alpha, u0, v0) is a shot the lab takes."""
     if n < 5:
         raise ValueError("need n >= 5")
-    if alpha <= 1:
-        raise ValueError("need alpha > 1")
+    if not (math.isfinite(alpha) and alpha > 1):
+        raise ValueError(f"need a finite alpha > 1, got alpha = {alpha}")
     if u0 <= 0:
         raise ValueError("need u0 > 0")
     if v0 > 0:
@@ -221,13 +224,25 @@ def shoot(n: int, alpha: float, u0: float, v0: float,
 # -- batched integration -------------------------------------------------------------
 
 
-def _rhs_batch(n: int, alpha: float, r: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The radial system at radii r (cells,) and states y (cells, 4)."""
+def _rhs_batch(nm1: np.ndarray, alpha: np.ndarray, exponents, r: np.ndarray,
+               y: np.ndarray) -> np.ndarray:
+    """The radial system at radii r (cells,) and states y (cells, 4), with
+    n - 1 and alpha per cell.
+
+    u^alpha is taken one distinct alpha of ``exponents`` at a time, each a
+    Python float: ``x ** 2.0`` is numpy's square, and a power against an
+    array of exponents would not give the same bits.
+    """
     f = np.empty_like(y)
     f[:, 0] = y[:, 1]
-    f[:, 1] = y[:, 2] - (n - 1) * y[:, 1] / r
+    f[:, 1] = y[:, 2] - nm1 * y[:, 1] / r
     f[:, 2] = y[:, 3]
-    f[:, 3] = np.maximum(y[:, 0], 0.0) ** alpha - (n - 1) * y[:, 3] / r
+    u = np.maximum(y[:, 0], 0.0)
+    ua = np.empty_like(u)
+    for a in exponents:
+        cells = alpha == a
+        ua[cells] = u[cells] ** a
+    f[:, 3] = ua - nm1 * y[:, 3] / r
     return f
 
 
@@ -321,7 +336,9 @@ def _first_event(K, r_old, r_new, y_old, crossed):
 
     def event(r, e):
         x = (r - r_old) / h
-        return _event_values(h * Q.dot(np.cumprod(np.full(Q.shape[1], x))) + y_old)[e]
+        x2 = x * x
+        x3 = x2 * x
+        return _event_values(h * Q.dot(np.array([x, x2, x3, x3 * x])) + y_old)[e]
 
     return min((_brentq(partial(event, e=e), r_old, r_new), e)
                for e in np.nonzero(crossed)[0])
@@ -336,11 +353,12 @@ class BatchRun(NamedTuple):
     errors: dict               # cell -> step-size underflow or event-location message
 
 
-def shoot_batch(n: int, alpha: float, starts, rmax: float = 50.0) -> BatchRun:
+def shoot_batch(n, alpha, starts, rmax: float = 50.0) -> BatchRun:
     """Integrate many trajectories at once and classify each as ``shoot``.
 
     ``starts`` holds one series-start state (u, p, v, q) at r = DEFAULT_R0
-    per row, each finite with u >= 0 and v <= 0, and rmax > DEFAULT_R0.  All
+    per row, each finite with u >= 0 and v <= 0, and rmax > DEFAULT_R0.
+    ``n`` and ``alpha`` are given per row, or once for every row.  All
     live cells are stepped together as (cells, 4) arrays with the
     Dormand-Prince tableau and scipy's RK45 controller, each cell with its
     own step size.  After each accepted step the events are found from sign
@@ -349,11 +367,13 @@ def shoot_batch(n: int, alpha: float, starts, rmax: float = 50.0) -> BatchRun:
     10 ulp(r) fails, as in ``shoot``, and the cell goes into ``errors`` as a
     step-size underflow at its last radius; so does a crossing whose event
     location fails, with ``_brentq``'s message.  A finished cell drops out
-    of the arrays.
+    of the arrays, its n - 1 and alpha with it.
     """
-    rhs = partial(_rhs_batch, n, alpha)
     y = np.array(starts, dtype=float).reshape(-1, 4)
     cells = len(y)
+    nm1 = np.broadcast_to(np.asarray(n, dtype=float), (cells,)) - 1.0
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (cells,))
+    exponents = sorted(set(alpha.tolist()))
     verdicts: list = [None] * cells
     radii = np.full(cells, np.nan)
     nfev = np.full(cells, 2)       # the start's f and the initial-step probe
@@ -363,6 +383,7 @@ def shoot_batch(n: int, alpha: float, starts, rmax: float = 50.0) -> BatchRun:
     r = np.full(cells, DEFAULT_R0)
     stages = N_STAGES
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rhs = partial(_rhs_batch, nm1, alpha, exponents)
         f = rhs(r, y)
         h = _initial_steps(rhs, r, y, f, rmax)
         g = _event_values(y)
@@ -419,7 +440,9 @@ def shoot_batch(n: int, alpha: float, starts, rmax: float = 50.0) -> BatchRun:
             r[acc], y[acc], f[acc], g[acc] = r_new[acc], y_new[acc], f_new[acc], g_new
             if done.any():
                 keep = ~done
-                live, r, y, f, h, g, retry = (a[keep] for a in (live, r, y, f, h, g, retry))
+                live, r, y, f, h, g, retry, nm1, alpha = (
+                    a[keep] for a in (live, r, y, f, h, g, retry, nm1, alpha))
+                rhs = partial(_rhs_batch, nm1, alpha, exponents)
     return BatchRun(verdicts, radii, nfev, steps, errors)
 
 
@@ -453,41 +476,56 @@ def default_grids(size: int = 10):
     return u0s, v0s
 
 
-def scan_shooting(n: int, alpha: float, u0_grid, v0_grid,
-                  rmax: float = 50.0) -> tuple[ScanSummary, list[ScanCell]]:
-    """Classify every grid cell as ``shoot`` does, all in one ``shoot_batch``;
-    survivors keep u > 0 and v <= 0 to rmax.
+def scan_shooting(configs, u0_grid, v0_grid,
+                  rmax: float = 50.0) -> list[tuple[ScanSummary, list[ScanCell]]]:
+    """Classify every grid cell of every (n, alpha) config as ``shoot``
+    does, the cells of all configs in one ``shoot_batch``; survivors keep
+    u > 0 and v <= 0 to rmax.  Returns (summary, cells) per config, in
+    config order.
 
     Per-cell failures are collected, not fatal: a cell with invalid
     parameters or start values never enters the batch.  Cells whose series
     start is already past a threshold need no integration.  An empty grid
-    gives an empty table.
+    gives empty tables.
     """
     if any(v > 0 for v in v0_grid):
         raise ValueError("scan grids must keep v0 <= 0")
     if not (math.isfinite(rmax) and rmax > DEFAULT_R0):
         raise ValueError(f"rmax must be finite and exceed r0 = {DEFAULT_R0}, got {rmax}")
-    cells, starts = [], []      # a ScanCell, an error, or a row of starts
-    for u0 in u0_grid:
-        for v0 in v0_grid:
-            u0, v0 = float(u0), float(v0)
-            try:
-                _check_cell(n, alpha, u0, v0)
-                start = series_start(n, alpha, u0, v0)
-            except ValueError as exc:  # per-cell, non-fatal
-                cells.append({"u0": u0, "v0": v0, "error": str(exc)})
-                continue
-            verdict = _start_verdict(start)
-            if verdict:
-                cells.append(ScanCell(u0, v0, verdict, start.r))
-            else:
-                cells.append(len(starts))
-                starts.append((u0, v0, (start.u, start.p, start.v, start.q)))
-    run = shoot_batch(n, alpha, [s[2] for s in starts], rmax)
+    tables = []     # per config: a ScanCell, an error, or a row of the batch
+    rows, ns, alphas = [], [], []
+    for n, alpha in configs:
+        cells = []
+        for u0 in u0_grid:
+            for v0 in v0_grid:
+                u0, v0 = float(u0), float(v0)
+                try:
+                    _check_cell(n, alpha, u0, v0)
+                    start = series_start(n, alpha, u0, v0)
+                except ValueError as exc:  # per-cell, non-fatal
+                    cells.append({"u0": u0, "v0": v0, "error": str(exc)})
+                    continue
+                verdict = _start_verdict(start)
+                if verdict:
+                    cells.append(ScanCell(u0, v0, verdict, start.r))
+                else:
+                    cells.append(len(rows))
+                    rows.append((u0, v0, (start.u, start.p, start.v, start.q)))
+                    ns.append(n)
+                    alphas.append(alpha)
+        tables.append(cells)
+    run = shoot_batch(ns, alphas, [row[2] for row in rows], rmax)
+    return [_summarize(n, alpha, rmax, cells, rows, run)
+            for (n, alpha), cells in zip(configs, tables)]
+
+
+def _summarize(n, alpha, rmax, cells, rows, run: BatchRun):
+    """(summary, cells) of one config's scan table, its batch rows read
+    from ``run``."""
     results, errors = [], []
     for cell in cells:
         if isinstance(cell, int):
-            u0, v0, _ = starts[cell]
+            u0, v0, _ = rows[cell]
             if cell in run.errors:
                 cell = {"u0": u0, "v0": v0, "error": run.errors[cell]}
             else:

@@ -206,8 +206,9 @@ def test_criterion_8_radial_scans():
     t0 = time.perf_counter()
     u0s, v0s = default_grids(10)
     fracs = {}
-    for n, alpha in ((5, 2.0), (6, 2.0), (6, 3.0), (8, 2.0)):
-        summary, _ = scan_shooting(n, alpha, u0s, v0s, rmax=50.0)
+    configs = [(5, 2.0), (6, 2.0), (6, 3.0), (8, 2.0)]
+    scans = scan_shooting(configs, u0s, v0s, rmax=50.0)
+    for (n, alpha), (summary, _) in zip(configs, scans):
         fracs[(n, alpha)] = summary.survival_fraction
         assert summary.cells == 100 and not summary.errors
     elapsed = time.perf_counter() - t0

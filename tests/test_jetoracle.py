@@ -1,6 +1,7 @@
 """Flat-jet numeric oracle: evaluation semantics, identity checks, sharp constant."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,9 @@ from bhverify.cli import run_oracle
 from bhverify.coeffs import ALPHA as _ALPHA_PS
 from bhverify.coeffs import ParamScalar
 from bhverify.errors import CompositeDerivativeError, OrderOverflowError
-from bhverify.jetoracle import (ORACLE_ALPHA, JetSample, OracleIdentityReport,
-                                _factor_table, _params_for,
+from bhverify.jetoracle import (_LETTERS, ORACLE_ALPHA, JetSample,
+                                OracleIdentityReport, _factor_table, _jet_row,
+                                _params_for, _symmetric_index,
                                 _probe_min_ratio, check_all_identities,
                                 eval_monomial_batch, eval_terms_batch,
                                 flat_leibniz_terms, identity_lhs_flat_terms,
@@ -22,7 +24,7 @@ from bhverify.jetoracle import (ORACLE_ALPHA, JetSample, OracleIdentityReport,
                                 sharp_constant_search)
 from bhverify.registry import all_identities, get_identity, perturb_identity
 from bhverify.report import jsonable
-from bhverify.tensor import expr, frob, mono, to_labeled
+from bhverify.tensor import FACTORS, expr, frob, mono, to_labeled
 
 
 def unit_batch(n=5, g1=None, g2=None):
@@ -288,6 +290,73 @@ def _ref_sample_jet(seed, n, mode="free", alpha=None):
     return JetSample(n, mode, seed, u, g1, g2, g3, w4)
 
 
+def _ref_jet_batch(seed0: int, n: int, samples: int) -> dict:
+    """Jets for the seeds seed0, ..., seed0 + samples - 1, stacked by row.
+
+    Row k is the jet of ``default_rng(seed0 + k)``, drawn in the order u,
+    gradient, Hessian, third derivative and w4; w4 is the last draw, so the
+    on-shell batch (``onshell_batch``) replaces it and moves no other value.
+    g2/g3 are exactly symmetric, u >= 1e-3, and every array is C-contiguous
+    (einsum's summation order follows the layout).  The keys are u, g1, g2,
+    g3, w4 and n.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    u = np.empty(samples)
+    w4 = np.empty(samples)
+    g1 = np.empty((samples, n))
+    m = np.empty((samples, n, n))
+    t = np.empty((samples, n ** 3))
+    for k in range(samples):
+        rng = np.random.default_rng(seed0 + k)
+        u[k] = rng.uniform(1e-3, 1.0)
+        g1[k] = rng.uniform(-1.0, 1.0, n)
+        m[k] = rng.uniform(-1.0, 1.0, (n, n))
+        t[k] = rng.uniform(-1.0, 1.0, n ** 3)
+        w4[k] = rng.uniform(-1.0, 1.0)
+    g2 = (m + m.transpose(0, 2, 1)) / 2.0
+    g3 = np.take(t, _symmetric_index(n), axis=1).reshape(samples, n, n, n)
+    return {"u": u, "g1": g1, "g2": g2, "g3": g3, "w4": w4, "n": n}
+
+
+def _ref_eval_monomial_batch(m, arrays: dict) -> np.ndarray:
+    """Einstein-summation value of one monomial over a batch of jets.
+
+    ``arrays`` is ``_factor_table(batch, params)``: each factor's array is
+    read from it by symbol.  A scalar factor multiplies; the metric ``g``
+    has no batch index.  Returns shape (B,) for scalars, (B, n) for vectors,
+    (B, n, n) for 2-tensors.  Ricci factors evaluate to zero (flat oracle).
+    """
+    if "Ric" in m.symbols:
+        return np.zeros((len(arrays["u"]),) + (arrays["n"],) * len(m.free))
+    letters = {}
+    for k, (x, y) in enumerate(m.pairs):
+        letters[x] = letters[y] = _LETTERS[k]
+    out_letters = ""
+    for j, s in enumerate(m.free):
+        letters[s] = _LETTERS[len(m.pairs) + j]
+        out_letters += letters[s]
+    operands, scripts = [], []
+    scalars = arrays["u"] ** m.u_power
+    off = 0
+    for sym in m.symbols:
+        k = FACTORS[sym].arity
+        idx = "".join(letters[off + j] for j in range(k))
+        off += k
+        arr = arrays.get(sym)
+        if arr is None:
+            raise ValueError(f"cannot evaluate factor {sym!r}")
+        if not k:
+            scalars = scalars * arr
+            continue
+        operands.append(arr)
+        scripts.append(idx if sym == "g" else "z" + idx)
+    operands.append(scalars)
+    scripts.append("z")
+    spec = ",".join(scripts) + "->z" + out_letters
+    return np.einsum(spec, *operands)
+
+
 def _ref_stack_jets(jets):
     return {
         "u": np.array([j.u for j in jets]),
@@ -537,8 +606,10 @@ class TestAgainstReplacedCode:
 
     def test_each_monomial_evaluated_once_per_batch(self, monkeypatch):
         """At the acceptance dimensions: one draw per n, 306 monomial
-        evaluations (897 without the memo) and 252 coefficient evaluations
-        (900 without it), whatever the sample count."""
+        evaluations (897 without the memo), 252 coefficient evaluations
+        (900 without it) and 75 component evaluations, 18 on each free and
+        7 on each on-shell table (the 306 monomials hold 357 components),
+        whatever the sample count."""
         calls = {"jet_batch": 0, "eval_monomial_batch": 0, "evaluate": 0}
 
         def counted(name, fn):
@@ -550,9 +621,70 @@ class TestAgainstReplacedCode:
             monkeypatch.setattr(jetoracle, name, counted(name, getattr(jetoracle, name)))
         monkeypatch.setattr(ParamScalar, "evaluate",
                             counted("evaluate", ParamScalar.evaluate))
+        tables = []
+
+        def kept(batch, params):
+            tables.append(_factor_table(batch, params))
+            return tables[-1]
+        monkeypatch.setattr(jetoracle, "_factor_table", kept)
         reports = check_all_identities(samples=3, dims=(5, 6, 8))
         assert all(r.passed for r in reports)
         assert calls == {"jet_batch": 3, "eval_monomial_batch": 306, "evaluate": 252}
+        assert [len(t.components) for t in tables] == [18, 7] * 3
+
+    @pytest.mark.parametrize("samples", [1, 1000])
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_jet_batch_equals_five_uniform_draws_bitwise(self, n, samples):
+        """Three draws per row and a vectorized map to the ranges give the
+        bits of the five ``uniform`` calls per row they replaced, and
+        ``sample_jet`` replays any row."""
+        seed0 = 1_000_000 * n + 29
+        got, want = jet_batch(seed0, n, samples), _ref_jet_batch(seed0, n, samples)
+        assert got.keys() == want.keys() and got["n"] == n
+        for key in ("u", "g1", "g2", "g3", "w4"):
+            assert got[key].dtype == want[key].dtype
+            assert got[key].shape == want[key].shape, key
+            assert np.array_equal(got[key], want[key]), key
+            assert got[key].flags.c_contiguous, key
+        for k in sorted({0, samples // 2, samples - 1}):
+            assert sample_jet(seed0 + k, n).to_json() \
+                == _jet_row(want, k, seed0 + k, "free").to_json()
+
+    def test_jet_batch_holds_one_third_derivative_block_beside_its_outputs(self):
+        """The peak of a batch at n = 8 stays within its outputs plus one
+        samples x n^3 block and 64 KiB: no second n^3 block (a draw of each
+        row in one piece) and no Hessian-sized temporaries at the peak."""
+        jet_batch(0, 8, 1)      # the symmetric index is cached, not counted
+        tracemalloc.start()
+        try:
+            batch = jet_batch(0, 8, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = sum(batch[k].nbytes for k in ("u", "g1", "g2", "g3", "w4"))
+        assert peak <= outputs + 1000 * 8 ** 3 * 8 + 64 * 1024
+
+    def test_components_equal_whole_monomial_einsum(self):
+        """Every monomial the oracle meets, on the acceptance batches of
+        seed 0: evaluating each component apart changes only rounding.
+        The elementwise relative gap stays below 1e-10 (3.6e-11 at most
+        when this was written), and an exact zero stays zero."""
+        monos = {"free": set(), "onshell": set()}
+        for ident in all_identities():
+            lhs, _ = identity_lhs_flat_terms(ident)
+            mode = "onshell" if ident.mode is SubstitutionMode.ON_SHELL else "free"
+            monos[mode] |= {m for _, m in lhs} | set(ident.rhs.terms)
+        for n in (5, 6, 8):
+            params = _params_for(n, ORACLE_ALPHA, Fraction(1))
+            free = jet_batch(1_000_000 * n, n, 1000)
+            for mode, ms in monos.items():
+                batch = free if mode == "free" else onshell_batch(free, ORACLE_ALPHA)
+                arrays = _factor_table(batch, params)
+                for m in ms:
+                    got = eval_monomial_batch(m, arrays)
+                    want = _ref_eval_monomial_batch(m, arrays)
+                    assert got.shape == want.shape, m
+                    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0, err_msg=str(m))
 
     def test_merged_leibniz_equals_grad_and_div_for_every_identity(self):
         for ident in all_identities():

@@ -1,15 +1,27 @@
 """Radial shooting: starts, verdicts, scans, estimate monitor."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bhverify import radial
 from bhverify.cli import run_radial
-from bhverify.radial import (RadialState, default_grids, dump_trajectory_csv,
+from bhverify.radial import (ATOL, DEFAULT_R0, ERROR_EXPONENT, EVENT_RISES,
+                             MAX_FACTOR, MIN_FACTOR, N_STAGES, RTOL, SAFETY,
+                             VERDICTS, A, B, BatchRun, C, E, P, RadialState,
+                             _brentq, _event_values, _initial_steps, _rms,
+                             _underflow_message, default_grids, dump_trajectory_csv,
                              monitor_z, scan_shooting, series_start, shoot)
+
+ROOT = Path(__file__).resolve().parents[1]
+
 
 class TestSeriesStart:
     def test_center_slope_limit(self):
@@ -47,6 +59,34 @@ class TestVerdicts:
         with pytest.raises(ValueError):
             shoot(6, 2.0, -1.0, -1.0)
 
+    def test_non_finite_alpha_is_rejected(self):
+        """A NaN alpha once sent shoot into an endless loop and gave a scan
+        a step-size underflow, and an infinite alpha got verdicts.  Both
+        are a ValueError that names alpha, from shoot and per cell from the
+        scan; a child process with a timeout keeps a regression from
+        hanging the suite."""
+        code = (
+            "import math\n"
+            "from bhverify import radial\n"
+            "for alpha in (math.nan, math.inf, -math.inf):\n"
+            "    try:\n"
+            "        radial.shoot(6, alpha, 1.0, -1.0, rmax=1.0)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+            "    [(summary, cells)] = radial.scan_shooting(\n"
+            "        [(6, alpha)], [1.0, 2.0], [-1.0, 0.0], rmax=1.0)\n"
+            "    assert cells == [] and summary.cells == 4, summary\n"
+            "    print(sorted({e['error'] for e in summary.errors}))\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        want = []
+        for alpha in ("nan", "inf", "-inf"):
+            message = f"need a finite alpha > 1, got alpha = {alpha}"
+            want += [message, repr([message])]
+        assert proc.stdout.splitlines() == want
+
     def test_integrator_convergence(self):
         """Halving the tolerance moves the termination radius by < 1e-6
         relative on the reference cell."""
@@ -63,24 +103,24 @@ class TestVerdicts:
 
 class TestScan:
     def test_empty_grid(self):
-        summary, results = scan_shooting(6, 2.0, [], [])
+        [(summary, results)] = scan_shooting([(6, 2.0)], [], [])
         assert summary.cells == 0 and results == []
 
     def test_small_grid_no_survivors(self):
         u0s, v0s = np.logspace(-1, 1, 4), np.linspace(-10, 0, 4)
-        summary, results = scan_shooting(6, 2.0, u0s, v0s, rmax=50.0)
+        [(summary, results)] = scan_shooting([(6, 2.0)], u0s, v0s, rmax=50.0)
         assert summary.cells == 16
         assert summary.survival_fraction == 0.0
         assert not summary.errors
 
     def test_positive_v0_grid_rejected(self):
         with pytest.raises(ValueError):
-            scan_shooting(6, 2.0, [1.0], [0.5])
+            scan_shooting([(6, 2.0)], [1.0], [0.5])
 
     @pytest.mark.parametrize("rmax", [math.inf, math.nan, radial.DEFAULT_R0, -1.0])
     def test_rmax_outside_the_forward_range_rejected(self, rmax):
         with pytest.raises(ValueError, match="rmax must be finite"):
-            scan_shooting(6, 2.0, [1.0], [-1.0], rmax=rmax)
+            scan_shooting([(6, 2.0)], [1.0], [-1.0], rmax=rmax)
 
     def test_default_grids_shape(self):
         u0s, v0s = default_grids(10)
@@ -221,7 +261,7 @@ def _perfbench_cells(seed):
 def _assert_scan_equals_shoot(n, alpha, u0s, v0s, rmax=50.0):
     """Each cell of the scan has shoot's verdict, its termination radius to
     1e-9 relative, or shoot's error; returns the summary and shoot's results."""
-    summary, results = scan_shooting(n, alpha, u0s, v0s, rmax)
+    [(summary, results)] = scan_shooting([(n, alpha)], u0s, v0s, rmax)
     want, want_errors = [], []
     for u0 in u0s:
         for v0 in v0s:
@@ -261,7 +301,7 @@ def test_a_start_already_below_zero_violates_positivity():
     summary, _ = _assert_scan_equals_shoot(6, 2.0, [1e-14, 1e-13, 1e-12], [-10.0, -1.0])
     assert summary.survivors == 0
     assert summary.verdict_counts == {"positivity-violated": 6}
-    summary, (cell,) = scan_shooting(6, 2.0, [1e-14], [-10.0])
+    [(summary, (cell,))] = scan_shooting([(6, 2.0)], [1e-14], [-10.0])
     assert (summary.survivors, cell.verdict, cell.termination_radius) \
         == (0, "positivity-violated", radial.DEFAULT_R0)
 
@@ -358,6 +398,185 @@ def test_step_underflow_is_a_per_cell_error_at_the_last_radius(monkeypatch):
     with np.errstate(all="ignore"):
         summary, _ = _assert_scan_equals_shoot(6, 2.0, [1.0], [-1.0])
     assert summary.errors == [{"u0": 1.0, "v0": -1.0, "error": message}]
+
+
+# -- differential test: one batch over every config against the batch it replaced --
+
+
+def _ref_rhs_batch(n: int, alpha: float, r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The radial system at radii r (cells,) and states y (cells, 4)."""
+    f = np.empty_like(y)
+    f[:, 0] = y[:, 1]
+    f[:, 1] = y[:, 2] - (n - 1) * y[:, 1] / r
+    f[:, 2] = y[:, 3]
+    f[:, 3] = np.maximum(y[:, 0], 0.0) ** alpha - (n - 1) * y[:, 3] / r
+    return f
+
+
+def _ref_first_event(K, r_old, r_new, y_old, crossed):
+    """(root, event) of the earliest crossed event on one accepted step.
+
+    Each crossing is refined by ``_brentq`` on RK45's dense interpolant, as
+    solve_ivp does; K holds the step's stages, (stages + 1, 4).
+    """
+    h = r_new - r_old
+    Q = K.T.dot(P)
+
+    def event(r, e):
+        x = (r - r_old) / h
+        return _event_values(h * Q.dot(np.cumprod(np.full(Q.shape[1], x))) + y_old)[e]
+
+    return min((_brentq(partial(event, e=e), r_old, r_new), e)
+               for e in np.nonzero(crossed)[0])
+
+
+def _ref_shoot_batch(n: int, alpha: float, starts, rmax: float = 50.0) -> BatchRun:
+    """The one-config batch, with scalar n and alpha, that the batch over
+    all configs replaced."""
+    rhs = partial(_ref_rhs_batch, n, alpha)
+    y = np.array(starts, dtype=float).reshape(-1, 4)
+    cells = len(y)
+    verdicts: list = [None] * cells
+    radii = np.full(cells, np.nan)
+    nfev = np.full(cells, 2)       # the start's f and the initial-step probe
+    steps = np.zeros(cells, dtype=int)
+    errors: dict = {}
+    live = np.arange(cells)
+    r = np.full(cells, DEFAULT_R0)
+    stages = N_STAGES
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = rhs(r, y)
+        h = _initial_steps(rhs, r, y, f, rmax)
+        g = _event_values(y)
+        retry = np.zeros(cells, dtype=bool)    # the last attempt was rejected
+        while live.size:
+            min_step = 10 * np.abs(np.nextafter(r, np.inf) - r)
+            h = np.where(retry, h, np.maximum(h, min_step))
+            r_new = np.minimum(r + h, rmax)
+            h = r_new - r
+            K = np.empty((stages + 1,) + y.shape)
+            flat = K.reshape(stages + 1, -1)
+            K[0] = f
+            for s in range(1, stages):
+                dy = (A[s, :s] @ flat[:s]).reshape(y.shape) * h[:, None]
+                K[s] = rhs(r + C[s] * h, y + dy)
+            y_new = y + h[:, None] * (B @ flat[:stages]).reshape(y.shape)
+            K[stages] = f_new = rhs(r_new, y_new)
+            nfev[live] += stages
+            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+            err = _rms((E @ flat).reshape(y.shape) * h[:, None] / scale)
+
+            # err == 0 gives MAX_FACTOR through err ** ERROR_EXPONENT = inf;
+            # fmax keeps Python's max(MIN_FACTOR, nan) == MIN_FACTOR
+            accepted = err < 1
+            grow = np.minimum(MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+            grow = np.where(retry, np.minimum(1.0, grow), grow)
+            shrink = np.fmax(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+            h = h * np.where(accepted, grow, shrink)
+            retry = ~accepted
+
+            # a retry below 10 ulp(r) fails at the last radius (so does a
+            # NaN step, which would otherwise be retried forever)
+            done = retry & ~(h >= min_step)
+            for k in np.nonzero(done)[0]:
+                errors[int(live[k])] = _underflow_message(r[k])
+            acc = np.nonzero(accepted)[0]
+            steps[live[acc]] += 1
+            g_new = _event_values(y_new[acc])
+            g_old = g[acc]
+            crossed = np.where(EVENT_RISES, (g_old <= 0) & (g_new >= 0),
+                               (g_old >= 0) & (g_new <= 0))
+            for j in np.nonzero(crossed.any(axis=1))[0]:
+                k = acc[j]
+                try:
+                    root, e = _ref_first_event(K[:, k], r[k], r_new[k], y[k], crossed[j])
+                except ValueError as exc:   # no sign change, NaN or no convergence
+                    errors[int(live[k])] = str(exc)
+                else:
+                    verdicts[live[k]], radii[live[k]] = VERDICTS[e], root
+                done[k] = True
+            for k in acc[(r_new[acc] == rmax) & ~done[acc]]:
+                verdicts[live[k]], radii[live[k]] = "reached-max-radius", rmax
+                done[k] = True
+            r[acc], y[acc], f[acc], g[acc] = r_new[acc], y_new[acc], f_new[acc], g_new
+            if done.any():
+                keep = ~done
+                live, r, y, f, h, g, retry = (a[keep] for a in (live, r, y, f, h, g, retry))
+    return BatchRun(verdicts, radii, nfev, steps, errors)
+
+
+def _batch_rows(configs, u0s, v0s):
+    """(n, alpha, start) of every cell of every config that needs
+    integration, config by config."""
+    rows = []
+    for n, alpha in configs:
+        for u0 in u0s:
+            for v0 in v0s:
+                s = series_start(n, alpha, float(u0), float(v0))
+                if radial._start_verdict(s) is None:
+                    rows.append((n, alpha, (s.u, s.p, s.v, s.q)))
+    return rows
+
+
+def _outcomes(run: BatchRun):
+    """Per cell: verdict, radius as float.hex, nfev, steps and error."""
+    return [(v, float(r).hex(), nf, st, run.errors.get(i))
+            for i, (v, r, nf, st) in enumerate(zip(
+                run.verdicts, run.radii.tolist(), run.nfev.tolist(), run.steps.tolist()))]
+
+
+def _assert_one_batch_equals_per_config(rows):
+    """One shoot_batch over ``rows`` gives, cell for cell and bit for bit,
+    what a one-config batch of the replaced code gives each config's cells,
+    and what the batch itself gives each config alone."""
+    one = _outcomes(radial.shoot_batch([r[0] for r in rows], [r[1] for r in rows],
+                                       [r[2] for r in rows]))
+    want, alone = [None] * len(rows), [None] * len(rows)
+    for config in dict.fromkeys(r[:2] for r in rows):
+        idx = [i for i, r in enumerate(rows) if r[:2] == config]
+        starts = [rows[i][2] for i in idx]
+        for i, w, a in zip(idx, _outcomes(_ref_shoot_batch(*config, starts)),
+                           _outcomes(radial.shoot_batch(*config, starts))):
+            want[i], alone[i] = w, a
+    assert one == want == alone
+
+
+@pytest.mark.parametrize("cells", ["default", 0, 7, 123])
+def test_one_batch_over_all_configs_equals_one_batch_per_config(cells):
+    """The acceptance configs' cells in one batch, on the default grids and
+    on perfbench's cells of three seeds."""
+    u0s, v0s = default_grids(10) if cells == "default" else _perfbench_cells(cells)
+    rows = _batch_rows(ACCEPTANCE_CONFIGS, u0s, v0s)
+    assert len({r[:2] for r in rows}) == 4
+    _assert_one_batch_equals_per_config(rows)
+
+
+def test_interleaved_alphas_equal_one_batch_per_config():
+    """alpha 2.0 and 3.0 rows alternate through the batch.  u^2.0 must stay
+    numpy's square, row by row wherever the row sits: a power against an
+    array of exponents differs from it in the last bit."""
+    u0s, v0s = _perfbench_cells(7)
+    by_alpha = [_batch_rows([(6, alpha)], u0s, v0s) for alpha in (2.0, 3.0)]
+    rows = [row for pair in zip(*by_alpha) for row in pair]
+    assert [r[1] for r in rows[:4]] == [2.0, 3.0, 2.0, 3.0]
+    _assert_one_batch_equals_per_config(rows)
+
+
+def test_run_radial_makes_one_batch_and_one_grid_call(monkeypatch):
+    """The four acceptance configs take one default_grids call (perfbench
+    hands in its cells through it) and one shoot_batch call."""
+    calls = {"default_grids": 0, "shoot_batch": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(radial, name, counted(name, getattr(radial, name)))
+    sections, ok = run_radial(ACCEPTANCE_CONFIGS)
+    assert ok and len(sections) == 4
+    assert calls == {"default_grids": 1, "shoot_batch": 1}
 
 
 def test_dump_reshoots_the_middle_cell(tmp_path):

@@ -48,8 +48,7 @@ def test_brentq_equals_scipy_on_the_acceptance_event_brackets(monkeypatch):
 
     monkeypatch.setattr(radial, "_brentq", compared)
     u0s, v0s = default_grids(10)
-    for n, alpha in ACCEPTANCE_CONFIGS:
-        scan_shooting(n, alpha, u0s, v0s)
+    scan_shooting(ACCEPTANCE_CONFIGS, u0s, v0s)
     assert len(roots) >= 360
     assert [ours for ours, _ in roots] == [theirs for _, theirs in roots]
 
@@ -108,7 +107,7 @@ def test_event_non_convergence_is_a_per_cell_error(monkeypatch):
     lands in the scan's errors with a named message, and the radial section
     fails (exit 1) instead of escaping as a traceback."""
     monkeypatch.setattr(radial, "EVENT_MAXITER", 1)
-    summary, results = scan_shooting(6, 2.0, [1.0, 2.0], [-1.0, -3.0])
+    [(summary, results)] = scan_shooting([(6, 2.0)], [1.0, 2.0], [-1.0, -3.0])
     assert summary.cells == 4 and results == [] and len(summary.errors) == 4
     for error in summary.errors:
         assert error["error"].startswith(
@@ -124,7 +123,7 @@ def test_a_scan_loads_no_scipy():
     code = (
         "import sys\n"
         "import bhverify.cli, bhverify.jetoracle, bhverify.radial as radial\n"
-        "summary, _ = radial.scan_shooting(6, 2.0, *radial.default_grids(4))\n"
+        "[(summary, _)] = radial.scan_shooting([(6, 2.0)], *radial.default_grids(4))\n"
         "assert summary.cells == 16, summary\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "radial.shoot(6, 2.0, 1.0, -1.0)\n"

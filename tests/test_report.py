@@ -110,7 +110,7 @@ def test_sharp_constant_results_match_replaced_to_dict():
 def test_scan_summary_matches_replaced_to_dict():
     u0s, v0s = default_grids(3)
     # a NaN start is a per-cell error, so the errors list is exercised too
-    summary, _ = scan_shooting(6, 2.0, [*u0s, float("nan")], v0s, 30.0)
+    [(summary, _)] = scan_shooting([(6, 2.0)], [*u0s, float("nan")], v0s, 30.0)
     assert summary.errors
     _assert_matches_reference([summary], _ref_scan_summary_to_dict)
 
