@@ -11,14 +11,14 @@ interval onto (0, inf) (Vincent; Collins-Akritas); a Sturm sequence is
 built only when sign changes remain.  The five certified polynomials (f1,
 f3 and the leading principal minors of A) are formed once in formal
 (n, alpha); each certificate evaluates its polynomial, and the upper end
-of its interval, at n (at_n) by Horner's rule on Python ints, from a table
-of the body's coefficients as dense integer polynomials in n over one
-common denominator, formed once per body; every denominator lies in Q[n]
-(the coefficient domain), so the result lands in Q[alpha], and an end,
-free of alpha, is a constant there.  A floating-point minimal-eigenvalue
-scan reads the entries of A specialized the same way, cross-checks the
-certificates and reports the positivity margin.  A certificate clears the denominators
-of its polynomial once: its values at rational points are homogeneous
+of its interval, at n (at_n) by Horner's rule on Python ints, from the
+body's integer numerator and denominator tabled as dense polynomials in n,
+formed once per body; every denominator lies in Z[n] (the coefficient
+domain), so the result lands in Q[alpha], and an end, free of alpha, is a
+constant there.  A floating-point minimal-eigenvalue scan reads the entries
+of A specialized the same way, cross-checks the certificates and reports
+the positivity margin.  A certificate clears the denominators of its
+polynomial once: its values at rational points are homogeneous
 Horner sums on Python ints, and the interval map is one sympy
 dup_transform over ZZ.  The Sturm root count is sympy's.
 
@@ -41,13 +41,17 @@ from sympy.polys.densetools import dup_transform
 from sympy.polys.rings import PolyElement, ring
 from sympy.polys.rootisolation import dup_count_real_roots
 
-from .coeffs import ALPHA, A, N, ParamScalar, _dense_in_n, _qq_to_fraction, ps
+from .coeffs import ALPHA, A, N, ParamScalar, _dense_in_n, ps
 from .errors import DegenerateCertificateError, EngineInconsistencyError, PoleError
 from .registry import F1_COEFFS, F2_COEFFS, F3_COEFFS, build_named, poly_apply
 
 # -- univariate exact polynomials in Q[alpha] -----------------------------------
 
 QALPHA, _ = ring("alpha", QQ)
+
+
+def _qq_to_fraction(q) -> Fraction:
+    return Fraction(int(q.numerator), int(q.denominator))
 
 
 def _integer_multiple(lists: list[list]) -> tuple[list[list[int]], int]:
@@ -70,22 +74,20 @@ def _horner(coeffs: list[int], u: int, w: int) -> int:
 
 @lru_cache(maxsize=64)
 def _n_tables(x: ParamScalar) -> tuple[list[int], dict[tuple, list[int]]]:
-    """x's denominator, which lies in Q[n], and the ``_dense_in_n`` table of
-    its numerator, times the one positive integer that clears every
-    denominator of their coefficients (it cancels in num/den); formed once
-    per body."""
-    num_table = _dense_in_n(x.num)
-    (den, *nums), _ = _integer_multiple([*_dense_in_n(x.den).values(), *num_table.values()])
-    return den, dict(zip(num_table, nums))
+    """x's denominator, which lies in Z[n], as a dense list, and the
+    ``_dense_in_n`` table of its numerator, both on Python ints as x stores
+    them; formed once per body."""
+    (den,) = _dense_in_n(x.den).values()
+    return den, _dense_in_n(x.num)
 
 
 def at_n(x: ParamScalar, n: int) -> PolyElement:
     """x at integer n as a polynomial in QALPHA.
 
     Each (alpha, a, b) coefficient of the numerator, and the denominator,
-    which lies in Q[n], are evaluated at n by Horner's rule on Python ints
-    from x's integer tables (_n_tables); only their quotients are formed in
-    QQ.  The denominator must not vanish, and neither a nor b may survive.
+    which lies in Z[n], are evaluated at n by Horner's rule on Python ints
+    from x's tables (_n_tables); only their quotients are formed in QQ.  The
+    denominator must not vanish, and neither a nor b may survive.
     """
     den, num_table = _n_tables(x)
     d = _horner(den, n, 1)
@@ -450,15 +452,18 @@ class ExponentCheck:
 
 
 def exponent_check(n: int, alpha: Fraction) -> ExponentCheck:
+    """The exponent arithmetic at alpha = p/q: gamma, the final exponent and
+    the bound each come from one integer numerator over one integer
+    denominator, with alpha - 1 = (p - q)/q cleared."""
     alpha = Fraction(alpha)
     if n < 5:
         raise ValueError("need n >= 5")
     if not (1 < alpha < Fraction(n + 4, n - 4)):
         raise ValueError("alpha outside the subcritical range")
-    gamma = max(Fraction(6),
-                Fraction(1) / (alpha - 1) * (Fraction(6 * n + 16, n + 4) * alpha - 2))
-    x = ((n * n - 2 * n - 16) * alpha - (n + 2) * (n + 4)) / ((n + 4) * (alpha - 1))
-    bound = Fraction(-8, n - 4) / (alpha - 1)
+    p, q = alpha.numerator, alpha.denominator
+    gamma = max(Fraction(6), Fraction((6 * n + 16) * p - 2 * (n + 4) * q, (n + 4) * (p - q)))
+    x = Fraction((n * n - 2 * n - 16) * p - (n + 2) * (n + 4) * q, (n + 4) * (p - q))
+    bound = Fraction(-8 * q, (n - 4) * (p - q))
     return ExponentCheck(
         n=n, alpha=alpha, gamma=gamma,
         final_exponent=x, bound=bound,

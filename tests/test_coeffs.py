@@ -1,6 +1,11 @@
-"""Exact coefficients: the domain, normalization, equality, evaluation."""
+"""Exact coefficients: the domain, normalization, equality, evaluation.
+
+The code under test stores integer polynomials; ``qq_coeffs`` is the QQ
+representation it replaced, and _qq_form maps the one onto the other.
+"""
 
 import math
+import operator
 import random
 import re
 import sys
@@ -10,13 +15,50 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ
+from sympy.external.pythonmpq import PythonMPQ
 from sympy.polys.rings import PolyElement
 
+import qq_coeffs as ref
 from bhverify import cli, coeffs, paramcheck, registry, tensor
-from bhverify.coeffs import (_N_RING, _RING, ALPHA, A, B, N, ONE, VAR_NAMES, ParamScalar, ZERO,
+from bhverify.coeffs import (_RING, ALPHA, A, B, N, ONE, VAR_NAMES, ParamScalar, ZERO,
                              _dense_in_n, _divide_root, _from_dense, _linear_roots, _primitive,
-                             _qq_to_fraction, cofactors, frac, ps)
+                             cofactors, frac, ps)
 from bhverify.errors import MalformedCoefficientError, PoleError
+
+# the replaced QQ ring: hypothesis draws rational polynomials there, and
+# _zz carries them to the integer ring
+_Q_RING = ref._RING
+_qn, _qalpha, _qa, _qb = _Q_RING.gens
+
+
+def _zz(*polys):
+    """Rational polynomials times the least positive integer that makes all
+    of them integral, in the integer ring: a pair keeps its quotient."""
+    s = math.lcm(*(int(c.denominator) for p in polys for c in p.values()))
+    return tuple(_RING.from_dict({m: int(c.numerator) * (s // int(c.denominator))
+                                  for m, c in p.items()}) for p in polys)
+
+
+def _as_q(poly):
+    """An integer polynomial as an element of the QQ ring."""
+    return poly.set_ring(_Q_RING)
+
+
+def _qq_form(num, den):
+    """(num / c, den / c) in the QQ ring, c the content of den: the replaced
+    representation of the integer pair (num, den)."""
+    c = math.gcd(*den.values())
+    return _as_q(num).quo_ground(c), _as_q(den).quo_ground(c)
+
+
+def _to_ref(x: ParamScalar) -> ref.ParamScalar:
+    return ref.ParamScalar(*_qq_form(x.num, x.den), _normalized=True)
+
+
+def _assert_canonical(num, den):
+    """The gcd of all coefficients of num and den is 1, den's leading
+    coefficient is positive."""
+    assert math.gcd(*num.values(), *den.values()) == 1 and den.LC > 0
 
 
 def test_gcd_reduction_trivial():
@@ -152,14 +194,14 @@ _n, _alpha, _a, _b = _RING.gens
 
 
 def _ring_poly(terms):
-    """sum c * n^e_n * alpha^e_alpha * a^e_a * b^e_b as a raw ring element."""
-    return _RING.from_dict({e: QQ(c.numerator, c.denominator) for e, c in terms.items()})
+    """sum c * n^e_n * alpha^e_alpha * a^e_a * b^e_b as a raw QQ-ring element."""
+    return _Q_RING.from_dict({e: QQ(c.numerator, c.denominator) for e, c in terms.items()})
 
 
 _constants = _small_fractions.map(lambda c: _ring_poly({(0, 0, 0, 0): c}))
 # the domain's denominators: products of linear factors in Q[n], repeated
 # and non-monic roots included
-_N_FACTORS = (_n, _n + 4, _n - 1, _n - 2, _n - 4, 2 * _n - 3, 3 * _n + 1)
+_N_FACTORS = (_qn, _qn + 4, _qn - 1, _qn - 2, _qn - 4, 2 * _qn - 3, 3 * _qn + 1)
 _factored_n_polys = st.builds(
     lambda c, powers: math.prod((f**e for f, e in powers), start=c),
     _constants.filter(bool),
@@ -175,13 +217,13 @@ def _ref_univariate(self, name: str) -> list[Fraction]:
     i = VAR_NAMES.index(name)
     if not self.den.is_ground:
         raise ValueError(f"denominator {self.den} not constant")
-    den = _qq_to_fraction(self.den.coeff(1)) if self.den else Fraction(1)
+    den = ref._qq_to_fraction(self.den.coeff(1)) if self.den else Fraction(1)
     deg = self.num.degrees()[i] if self.num else 0
     coeffs = [Fraction(0)] * (max(deg, 0) + 1)
     for monom, coeff in self.num.terms():
         if any(e for j, e in enumerate(monom) if j != i):
             raise ValueError(f"{self} is not univariate in {name}")
-        coeffs[monom[i]] += _qq_to_fraction(coeff)
+        coeffs[monom[i]] += ref._qq_to_fraction(coeff)
     return [c / den for c in coeffs]
 
 
@@ -250,31 +292,37 @@ def _num_den_pairs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_num_den_pairs())
-@example((_n**2 - 16, 2 * _n - 8))                       # shared factor n - 4
-@example(((_alpha - _n) * (_n + 4) / 3, -(_n + 4) * (_n - 1) / 2))
-@example((-_alpha * _a / 6, _RING(QQ(-4, 9))))          # constant denominator
+@example((_qn**2 - 16, 2 * _qn - 8))                    # shared factor n - 4
+@example(((_qalpha - _qn) * (_qn + 4) / 3, -(_qn + 4) * (_qn - 1) / 2))
+@example((-_qalpha * _qa / 6, _Q_RING(QQ(-4, 9))))      # constant denominator
 # a repeated non-monic root: 2n - 3 divides den twice and num once; n - 1 only den
-@example(((_alpha * _n - 3) * (2 * _n - 3) * (_n + 4), (2 * _n - 3)**2 * (_n + 4) * (_n - 1)))
-@example((_RING.zero, _n + 4))
-@example((_alpha, _RING.zero))
+@example(((_qalpha * _qn - 3) * (2 * _qn - 3) * (_qn + 4),
+          (2 * _qn - 3)**2 * (_qn + 4) * (_qn - 1)))
+@example((_Q_RING.zero, _qn + 4))
+@example((_qalpha, _Q_RING.zero))
 def test_normalize_matches_multivariate_cancel(pair):
+    """The integer normalization of a pair with its denominators cleared is,
+    through _qq_form, the multivariate cancel of the rational pair, and the
+    replaced QQ normalization agrees."""
     num, den = pair
     try:
         want = _ref_normalize(num, den)
     except MalformedCoefficientError as exc:
         with pytest.raises(MalformedCoefficientError, match=f"^{re.escape(str(exc))}$"):
-            ParamScalar._normalize(num, den)
+            ParamScalar._normalize(*_zz(num, den))
         return
-    got = ParamScalar._normalize(num, den)
-    assert got == want
-    x, y = ParamScalar(*got, _normalized=True), ParamScalar(*want, _normalized=True)
+    got = ParamScalar._normalize(*_zz(num, den))
+    _assert_canonical(*got)
+    assert _qq_form(*got) == want == ref.ParamScalar._normalize(num, den)
+    x, y = ParamScalar(*got, _normalized=True), ref.ParamScalar(*want, _normalized=True)
     assert str(x) == str(y)
-    assert hash(x) == hash(y)
+    assert hash(x) == hash(ParamScalar(*_zz(*want)))
 
 
 def test_linear_roots_of_cached_factorization():
+    """Roots -4, 0 and 3/2, each as (p, q) for the factor q n - p."""
     roots = _linear_roots(_n**2 * (_n + 4) * (2 * _n - 3)**3)
-    assert sorted(roots) == [(QQ(-4), 1), (QQ(0), 2), (QQ(3, 2), 3)]
+    assert sorted(roots) == [((-4, 1), 1), ((0, 1), 2), ((3, 2), 3)]
     with pytest.raises(MalformedCoefficientError, match=r"split over Q: n\*\*2 \+ 1 has"):
         _linear_roots(_n**2 + 1)
     with pytest.raises(MalformedCoefficientError, match=r"has the factor n\*\*2 - 2$"):
@@ -286,8 +334,8 @@ def test_linear_roots_of_cached_factorization():
 
 def _ref_linear_roots(den):
     """The replaced _linear_roots body: sympy's factor_list on every
-    denominator."""
-    _, factors = den.set_ring(_N_RING).factor_list()
+    denominator, in Q[n]."""
+    _, factors = den.set_ring(ref._N_RING).factor_list()
     roots = []
     for f, m in factors:
         if f.degree() != 1:
@@ -308,9 +356,14 @@ _huge_constants = st.builds(Fraction, st.integers(-10**30, 10**30).filter(bool),
 
 
 def _den_of(c: Fraction, factors):
-    """c * prod (q n - p)^m over the (p, q, m) in factors."""
-    return math.prod(((q * _n - p)**m for p, q, m in factors),
-                     start=_RING(QQ(c.numerator, c.denominator)))
+    """c * prod (q n - p)^m over the (p, q, m) in factors, in the QQ ring."""
+    return math.prod(((q * _qn - p)**m for p, q, m in factors),
+                     start=_Q_RING(QQ(c.numerator, c.denominator)))
+
+
+def _qq_roots(roots):
+    """The ((p, q), m) of _linear_roots as the (p/q, m) of the replaced one."""
+    return sorted((QQ(p, q), m) for (p, q), m in roots)
 
 
 @settings(max_examples=300, deadline=5000)
@@ -325,27 +378,30 @@ def test_linear_roots_match_the_factorization(c, factors):
     with the roots of the first factor known."""
     den = _den_of(c, factors)
     want = sorted(_ref_linear_roots(den))
+    (zden,) = _zz(den)
     coeffs._known_roots.clear()
-    assert sorted(_linear_roots.__wrapped__(den)) == want
-    assert sorted(_linear_roots.__wrapped__(den)) == want
+    roots = _linear_roots.__wrapped__(zden)
+    assert _qq_roots(roots) == want
+    assert all(q > 0 and math.gcd(p, q) == 1 for (p, q), _ in roots)
+    assert _qq_roots(_linear_roots.__wrapped__(zden)) == want
     coeffs._known_roots.clear()
-    _linear_roots.__wrapped__(_den_of(Fraction(1), factors[:1]))
-    assert sorted(_linear_roots.__wrapped__(den)) == want
+    _linear_roots.__wrapped__(*_zz(_den_of(Fraction(1), factors[:1])))
+    assert _qq_roots(_linear_roots.__wrapped__(zden)) == want
 
 
 @pytest.mark.parametrize("linear, rest", [
-    (_n - 4, _n**2 + 1),
-    (3 * _n**2 * (2 * _n - 3), (_n**2 - 2)**2),
-    ((_n + 4) * (_n - 1)**2, (_n**2 + 1) * (_n**3 - 2)),
-    (_RING(QQ(-2, 5)), 7 * _n**2 - 3),
+    (_qn - 4, _qn**2 + 1),
+    (3 * _qn**2 * (2 * _qn - 3), (_qn**2 - 2)**2),
+    ((_qn + 4) * (_qn - 1)**2, (_qn**2 + 1) * (_qn**3 - 2)),
+    (_Q_RING(QQ(-2, 5)), 7 * _qn**2 - 3),
 ])
 def test_the_remainder_after_known_roots_is_factored(monkeypatch, linear, rest):
     """With the roots of the linear part known, only the rest goes to
     factor_list, and its irreducible factor raises the replaced message,
-    which names the whole denominator."""
-    den = linear * rest
+    which names the whole (integer) denominator."""
+    (den,), (linear,) = _zz(linear * rest), _zz(linear)
     with pytest.raises(MalformedCoefficientError) as want:
-        _ref_linear_roots(den)
+        _ref_linear_roots(_as_q(den))
     coeffs._known_roots.clear()
     _linear_roots.__wrapped__(linear)
     factored = _counted(monkeypatch, "factor_list")
@@ -366,14 +422,17 @@ def _ref_primitive(num, den):
 
 @settings(max_examples=300, deadline=None)
 @given(_num_den_pairs().filter(lambda pair: pair[1]))
-@example((_alpha, _RING(QQ(-4, 9))))
-@example((_alpha - _n, 2 * _n - 6))
-@example((_a, -(2 * _n - 3) * _n))
-@example((_b / 3, _n**2 / 6 - _n / 4))
+@example((_qalpha, _Q_RING(QQ(-4, 9))))
+@example((_qalpha - _qn, 2 * _qn - 6))
+@example((_qa, -(2 * _qn - 3) * _qn))
+@example((_qb / 3, _qn**2 / 6 - _qn / 4))
 def test_primitive_matches_the_qq_content(pair):
     """Integer content 1 (the sign step only), integer and rational
-    content, negative leading coefficients."""
-    assert _primitive(*pair) == _ref_primitive(*pair)
+    content, negative leading coefficients: the integer pair, through
+    _qq_form, is sympy's QQ content step and the replaced _primitive."""
+    got = _primitive(*_zz(*pair))
+    _assert_canonical(*got)
+    assert _qq_form(*got) == _ref_primitive(*pair) == ref._primitive(*pair)
 
 
 _split = ParamScalar((_alpha - 1) * (_n + 4), (2 * _n - 3) * _n**2)
@@ -554,10 +613,10 @@ _OPERATIONS = ((_ref_add, lambda x, y: x + y), (_ref_sub, lambda x, y: x - y),
 
 
 def _scalars(pair):
-    """The normalized ParamScalar of a drawn (num, den) pair; a zero
+    """The normalized ParamScalar of a drawn rational (num, den) pair; a zero
     denominator gives the zero coefficient."""
     num, den = pair
-    return ParamScalar(num, den) if den else ZERO
+    return ParamScalar(*_zz(num, den)) if den else ZERO
 
 
 _operands = st.one_of(_num_den_pairs().map(_scalars), st.integers(-3, 3), _small_fractions)
@@ -642,8 +701,8 @@ def _horner(table: dict[tuple, list], n) -> dict[tuple, object]:
 
 
 def _ref_vanishes_at(num, r) -> bool:
-    """Whether num(n = r, alpha, a, b) is exactly 0."""
-    return not any(_horner(_dense_in_n(num), r).values())
+    """Whether num(n = r, alpha, a, b) is exactly 0, for num in the QQ ring."""
+    return not any(_horner(ref._dense_in_n(num), r).values())
 
 
 def _qq(r: Fraction):
@@ -656,8 +715,8 @@ _roots = st.lists(st.tuples(_small_fractions, st.integers(1, 3)), max_size=3)
 
 
 def _split_poly(c, roots):
-    """c * prod (n - r)^m over the (r, m) in roots."""
-    return math.prod(((_n - _qq(r))**m for r, m in roots), start=c)
+    """c * prod (n - r)^m over the (r, m) in roots, in the QQ ring."""
+    return math.prod(((_qn - _qq(r))**m for r, m in roots), start=c)
 
 
 @st.composite
@@ -675,39 +734,51 @@ def _polys_and_points(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_polys_and_points())
-@example((_RING.zero, QQ(2)))
-@example((_RING(QQ(-4, 9)), QQ(0)))
-@example(((_alpha * _n - _b) * (2 * _n - 3)**2 * _n, QQ(3, 2)))   # repeated root
-@example(((_alpha - 1) * _a * (_n + 4), QQ(-4)))                   # constant quotient in n
-@example(((_alpha - 1) * _a * (_n + 4) + _b, QQ(-4)))              # one coefficient vanishes
+@example((_Q_RING.zero, QQ(2)))
+@example((_Q_RING(QQ(-4, 9)), QQ(0)))
+@example(((_qalpha * _qn - _qb) * (2 * _qn - 3)**2 * _qn, QQ(3, 2)))   # repeated root
+@example(((_qalpha - 1) * _qa * (_qn + 4), QQ(-4)))                    # constant quotient in n
+@example(((_qalpha - 1) * _qa * (_qn + 4) + _qb, QQ(-4)))              # one coefficient vanishes
 def test_divide_root_matches_exquo(pair):
-    """poly / (n - r) exactly when poly vanishes at r, else None: the
-    multivariate exquo and the replaced evaluation decide the same."""
+    """poly / (q n - p) exactly when poly vanishes at r = p/q, else None,
+    for poly with its denominators cleared: the multivariate exquo, the
+    replaced evaluation and the replaced QQ Horner decide the same, and the
+    QQ quotient by n - r is q times the integer one."""
     poly, r = pair
-    got = _divide_root(_dense_in_n(poly), r)
+    (zpoly,), p, q = _zz(poly), int(r.numerator), int(r.denominator)
+    got = _divide_root(_dense_in_n(zpoly), (p, q))
+    want = ref._divide_root(ref._dense_in_n(_as_q(zpoly)), r)
     if not _ref_vanishes_at(poly, r):
-        assert got is None
+        assert got is None and want is None
         return
     quotient = _from_dense(got)
-    assert quotient == poly.exquo(_n - r)
+    assert quotient == zpoly.exquo(q * _n - p)
     assert got == _dense_in_n(quotient)
+    assert want == {rest: [q * c for c in cs] for rest, cs in got.items()}
     assert quotient.ring is _RING and all(quotient.values())
     assert hash(quotient) == hash(_RING.from_dict(dict(quotient)))
 
 
-# sympy's gcd is monic, except where an input is a single term: there it
-# takes the ground gcd over QQ of the coefficients, so a constant such as
-# -4/9 gives the unit multiple 1/9 of the monic gcd.  Denominators never
-# meet that case.  A ParamScalar's denominator is integer-primitive, so a
-# single-term one is n^k; TExpr.from_terms passes cofactors products of
-# those and of cofactors g/h, which have integer coefficients (Gauss's
-# lemma), and the ground gcd of 1 with integers is 1.
+# The cofactors are compared with the QQ ring's.  sympy's gcd over QQ is
+# monic, except where an input is a single term: there it takes the ground
+# gcd over QQ of the coefficients, so a constant such as -4/9 gives the unit
+# multiple 1/9 of the monic gcd.  The pairs below never meet that case: a
+# single-term one is +-n^k.
 
 
 def _cofactor_triple(f, g):
-    """(h, f/h, g/h) from the pair cofactors(f, g) returns: h = f / (f/h)."""
+    """(h, f/h, g/h) in the QQ ring, h monic, from the pair cofactors(f, g)
+    returns: it divides by a gcd up to a constant factor, the product of the
+    q n - p it cancels, so h = f / (f/h) made monic scales both cofactors by
+    that gcd's leading coefficient."""
     cf, cg = cofactors(f, g)
-    return f.exquo(cf), cf, cg
+    h = f.exquo(cf)
+    return _as_q(h).monic(), _as_q(cf) * h.LC, _as_q(cg) * h.LC
+
+
+def _qq_cofactors(f, g):
+    """sympy's (h, f/h, g/h) for the QQ images of f and g."""
+    return _as_q(f).cofactors(_as_q(g))
 
 
 @st.composite
@@ -733,13 +804,13 @@ def _split_pairs(draw):
 @example((-(2 * _n - 3)**2 * _n, 3 * _n * (2 * _n - 3)**3))
 def test_cofactors_match_sympy_gcd(pair):
     f, g = pair
-    assert _cofactor_triple(f, g) == f.cofactors(g)
+    assert _cofactor_triple(f, g) == _qq_cofactors(f, g)
 
 
 def test_cofactors_match_the_multivariate_ring():
-    """The root tests give the 4-variable ring's gcd and cofactors for every
-    pair whose second entry splits over Q; one that does not split is
-    outside the domain."""
+    """The root tests give the 4-variable QQ ring's gcd and cofactors, up to
+    the constant factor, for every pair whose second entry splits over Q;
+    one that does not split is outside the domain."""
     dens = [(2 * _n - 3)**2 * (_n + 4), 3 * _n * (2 * _n - 3), _n**2 + 1, _RING.one, _n**2,
             _n * (_n - 2) * (_n + 4)]
     for f in dens:
@@ -749,7 +820,7 @@ def test_cofactors_match_the_multivariate_ring():
                                    match=r"split over Q: n\*\*2 \+ 1 has"):
                     cofactors(f, g)
                 continue
-            assert _cofactor_triple(f, g) == f.cofactors(g)
+            assert _cofactor_triple(f, g) == _qq_cofactors(f, g)
 
 
 def _kernels():
@@ -768,7 +839,12 @@ def _clear_caches():
 
 def test_verify_cofactors_match_the_multivariate_ring(monkeypatch):
     """Every gcd that run_verify plus run_combination take, from cold
-    caches, equals the 4-variable ring's."""
+    caches, equals the 4-variable QQ ring's up to the constant factor.
+
+    from_terms adds numerators over equal denominators and takes a gcd
+    otherwise.  187 of the pairs differ in Q[n] beyond a constant factor,
+    the 187 gcds the QQ representation took; the other 68 differ by an
+    integer factor, which that representation kept in the numerator."""
     calls = []
 
     def recorded(f, g):
@@ -778,9 +854,10 @@ def test_verify_cofactors_match_the_multivariate_ring(monkeypatch):
     _clear_caches()
     monkeypatch.setattr(tensor, "cofactors", recorded)
     assert cli.run_verify()[1] and cli.run_combination()[1]
-    assert len(calls) == 187
+    assert len(calls) == 187 + 68
+    assert sum(_as_q(f).monic() != _as_q(g).monic() for f, g in calls) == 187
     for f, g in calls:
-        assert _cofactor_triple(f, g) == f.cofactors(g), (f, g)
+        assert _cofactor_triple(f, g) == _qq_cofactors(f, g), (f, g)
 
 
 def test_verify_leaves_every_cached_coefficient_unchanged(monkeypatch):
@@ -835,3 +912,176 @@ def test_verify_reuses_coefficient_arithmetic(monkeypatch):
     _, ok = cli.run_combination()
     assert ok
     assert counts["canonical_form"] == 1095
+
+
+# -- equal values hash equal ------------------------------------------------------
+
+
+@pytest.mark.parametrize("scalar, value", [
+    (ONE, 1), (ZERO, 0), (ps(-7), -7), (frac(3, 2), Fraction(3, 2)), (frac(-4, 9), Fraction(-4, 9)),
+    (frac(6, 3), 2), (ps(Fraction(0)), Fraction(0))])
+def test_a_constant_hashes_as_its_value(scalar, value):
+    """A constant equals its int or Fraction value and hashes like it, so
+    dict and set lookups find it from either side."""
+    assert scalar == value and value == scalar
+    assert hash(scalar) == hash(value)
+    assert {value: "x"}.get(scalar) == "x" and {scalar: "x"}.get(value) == "x"
+    assert scalar in {value} and value in {scalar}
+    assert len({scalar, value}) == 1
+
+
+def test_a_nonconstant_is_not_found_by_a_constant():
+    assert {N: "x"}.get(1) is None and 1 not in {N, ALPHA / (N - 4)}
+    assert {1: "x"}.get(N / N) == "x"
+
+
+# -- differential test: integer arithmetic against the QQ representation ----------
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_GEN_NAMES = {"n": "N", "alpha": "ALPHA", "a": "A", "b": "B"}
+_leaf_constants = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+def _ring_operations(kids):
+    return st.tuples(st.sampled_from("+-*"), kids, kids)
+
+
+def _field_operations(kids):
+    """+ - * and **, and / whose divisor is often in Q[n], so that most
+    quotients stay in the domain."""
+    return st.one_of(_ring_operations(kids),
+                     st.tuples(st.just("/"), kids, kids | _n_trees),
+                     st.tuples(st.just("**"), kids, st.integers(-2, 3)))
+
+
+_n_trees = st.recursive(st.just("n") | _leaf_constants, _ring_operations, max_leaves=4)
+_trees = st.recursive(st.sampled_from(list(_GEN_NAMES)) | _leaf_constants, _field_operations,
+                      max_leaves=8)
+
+
+def _build(tree, module):
+    """The value of an expression tree with module's ParamScalar, or the
+    class of the error it raises."""
+    try:
+        if isinstance(tree, str):
+            return getattr(module, _GEN_NAMES[tree])
+        if isinstance(tree, Fraction):
+            return module.frac(tree.numerator, tree.denominator)
+        op, x, y = tree
+        x = _build(x, module)
+        if op == "**":
+            return x if isinstance(x, type) else x**y
+        y = _build(y, module)
+        if isinstance(x, type) or isinstance(y, type):
+            return x if isinstance(x, type) else y
+        return _OPERATORS[op](x, y)
+    except (MalformedCoefficientError, PoleError, ValueError) as exc:
+        # ValueError: sympy refuses the power 0**0 of a zero numerator
+        return type(exc)
+
+
+def _evaluated(x, point):
+    try:
+        return x.evaluate(**point)
+    except PoleError:
+        return PoleError
+
+
+_rational_points = st.fixed_dictionaries(
+    {name: st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)) for name in _GEN_NAMES})
+_REPEATED_ROOT = ("/", ("*", "alpha", ("-", ("*", Fraction(2), "n"), Fraction(3))),
+                  ("**", ("-", ("*", Fraction(2), "n"), Fraction(3)), 2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees, _trees, st.lists(_rational_points, min_size=3, max_size=3))
+@example(_REPEATED_ROOT, ("/", "a", ("**", ("-", ("*", Fraction(2), "n"), Fraction(3)), 2)),
+         [{"n": Fraction(3, 2), "alpha": Fraction(1), "a": Fraction(2), "b": Fraction(0)},
+          {"n": Fraction(1), "alpha": Fraction(-1), "a": Fraction(1, 2), "b": Fraction(3)},
+          {"n": Fraction(0), "alpha": Fraction(0), "a": Fraction(0), "b": Fraction(0)}])
+@example(("*", Fraction(-4, 9), ("/", "alpha", Fraction(-4, 9))), ("/", "alpha", Fraction(-4, 9)),
+         [{"n": Fraction(1), "alpha": Fraction(2), "a": Fraction(0), "b": Fraction(1)}] * 3)
+@example(("*", Fraction(0), ("/", "b", "n")), ("-", "alpha", "alpha"),
+         [{"n": Fraction(0), "alpha": Fraction(2), "a": Fraction(0), "b": Fraction(1)}] * 3)
+@example(("/", "n", ("-", "alpha", "alpha")), ("**", Fraction(0), -1),
+         [{"n": Fraction(1), "alpha": Fraction(2), "a": Fraction(0), "b": Fraction(1)}] * 3)
+def test_arithmetic_matches_the_qq_representation(tree, other, points):
+    """Random expressions in N, ALPHA, A, B and frac constants under
+    + - * / and **: the same text, internal form through _qq_form, outcome
+    of ==, values at rational points, and error class (a pole, a
+    denominator outside the domain, division by zero) as the QQ code.
+    Explicit examples: a repeated non-monic root (2n - 3)^2, a constant
+    denominator -4/9, a zero numerator, division by zero."""
+    got = [_build(t, coeffs) for t in (tree, other)]
+    want = [_build(t, ref) for t in (tree, other)]
+    for x, y in zip(got, want):
+        if isinstance(y, type):
+            assert x is y
+            continue
+        _assert_canonical(x.num, x.den)
+        assert _qq_form(x.num, x.den) == (y.num, y.den)
+        assert str(x) == str(y)
+        assert [_evaluated(x, pt) for pt in points] == [_evaluated(y, pt) for pt in points]
+    (x, x2), (y, y2) = got, want
+    if not isinstance(x, type):
+        assert (x == x) and (x == _build(tree, coeffs))
+        if not isinstance(x2, type):
+            assert (x == x2) == (y == y2)
+        for c in (0, 1, Fraction(-4, 9)):
+            assert (x == c) == (y == c)
+
+
+def test_divide_root_matches_the_qq_horner_on_the_catalog_roots(monkeypatch):
+    """Every (table, root) that run_verify, run_combination, run_params and
+    run_scan_pd divide, from cold caches: the replaced QQ Horner on the same
+    table at p/q divides exactly when the integer division does, and its
+    quotient by n - p/q is q times the quotient by q n - p."""
+    calls = []
+
+    def recorded(table, root):
+        out = _divide_root(table, root)
+        calls.append((table, root, out))
+        return out
+
+    _clear_caches()
+    monkeypatch.setattr(coeffs, "_divide_root", recorded)
+    _verify_and_combination()
+    _params_and_scan_pd()
+    assert len(calls) > 1000
+    assert {root for _, root, _ in calls} >= {(0, 1), (1, 1), (2, 1), (4, 1), (-4, 1)}
+    for table, (p, q), out in calls:
+        want = ref._divide_root({rest: [QQ(c) for c in cs] for rest, cs in table.items()},
+                                QQ(p, q))
+        if out is None:
+            assert want is None
+        else:
+            assert want == {rest: [q * c for c in cs] for rest, cs in out.items()}
+
+
+# -- no rational ground arithmetic in the identities -----------------------------
+
+
+def test_verify_all_forms_no_rational_number(monkeypatch):
+    """From cold caches, registry.verify_all() constructs no PythonMPQ, sympy's
+    pure-Python rational (tens of thousands when the coefficients were
+    polynomials over QQ).  The count is live: one QQ(1, 3) afterwards counts."""
+    made = []
+    new, raw_new = PythonMPQ.__new__, PythonMPQ._new.__func__
+
+    def counted_new(cls, *args):
+        made.append(args)
+        return new(cls, *args)
+
+    def counted_raw_new(cls, *args):
+        made.append(args)
+        return raw_new(cls, *args)
+
+    _clear_caches()
+    monkeypatch.setattr(PythonMPQ, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(PythonMPQ, "_new", classmethod(counted_raw_new))
+    reports = registry.verify_all()
+    assert len(reports) == 15
+    assert made == []
+    QQ(1, 3)
+    assert made

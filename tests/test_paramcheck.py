@@ -11,20 +11,21 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.densetools import dup_eval, dup_scale, dup_shift
 
+import qq_coeffs as ref
 from bhverify import cli, paramcheck
-from bhverify.coeffs import ALPHA, A, B, N, _dense_in_n, ps
+from bhverify.coeffs import ALPHA, A, B, N, ps
 from bhverify.errors import (DegenerateCertificateError, MalformedCoefficientError,
                              PoleError)
 from bhverify.paramcheck import (QALPHA, SignCertificate, at_n,
                                  build_matrix_A, certify_sign, check_minor_formulas,
-                                 est1_coefficient, est1_grid_check,
+                                 ExponentCheck, est1_coefficient, est1_grid_check,
                                  exponent_check, exponent_grid_check,
                                  linear_reduction_certificate,
                                  numeric_pd_scan, positivity_certificate,
                                  sylvester_certificates)
 from bhverify.registry import F1_COEFFS, F3_COEFFS, poly_apply
 from bhverify.report import jsonable
-from test_coeffs import _horner, _ref_univariate
+from test_coeffs import _horner, _ref_univariate, _to_ref
 
 
 class TestMatrix:
@@ -248,6 +249,63 @@ class TestExponents:
         assert rep["exponent_negative_everywhere"]
         assert not rep["chain_holds_everywhere"]
         assert all(n == 5 for n, _ in rep["chain_failures"])
+
+
+# -- differential tests: the closed-form exponents against the Fraction chain ------
+
+
+def _ref_exponent_check(n: int, alpha: Fraction) -> ExponentCheck:
+    """The replaced exponent_check: gamma, the final exponent and the bound
+    each built from Fraction operations on alpha."""
+    alpha = Fraction(alpha)
+    if n < 5:
+        raise ValueError("need n >= 5")
+    if not (1 < alpha < Fraction(n + 4, n - 4)):
+        raise ValueError("alpha outside the subcritical range")
+    gamma = max(Fraction(6),
+                Fraction(1) / (alpha - 1) * (Fraction(6 * n + 16, n + 4) * alpha - 2))
+    x = ((n * n - 2 * n - 16) * alpha - (n + 2) * (n + 4)) / ((n + 4) * (alpha - 1))
+    bound = Fraction(-8, n - 4) / (alpha - 1)
+    return ExponentCheck(
+        n=n, alpha=alpha, gamma=gamma,
+        final_exponent=x, bound=bound,
+        gamma_at_least_six=(gamma >= 6),
+        chain_holds=(x < bound < 0),
+        exponent_negative=(x < 0),
+    )
+
+
+def _assert_same_exponents(n, alpha):
+    got, want = exponent_check(n, alpha), _ref_exponent_check(n, alpha)
+    assert got == want
+    assert jsonable(got) == jsonable(want)
+    assert all(type(v) is Fraction for v in (got.gamma, got.final_exponent, got.bound))
+
+
+def test_exponents_match_the_fraction_chain_on_the_grid():
+    """All 400 grid points of exponent_grid_check."""
+    records = exponent_grid_check()["records"]
+    assert len(records) == 400
+    for r in records:
+        _assert_same_exponents(r.n, r.alpha)
+
+
+@st.composite
+def _subcritical_points(draw):
+    """n >= 5 and alpha = 1 + t ((n+4)/(n-4) - 1) for a rational t in (0, 1)."""
+    n = draw(st.integers(5, 500))
+    m = draw(st.integers(2, 10**9))
+    t = Fraction(draw(st.integers(1, m - 1)), m)
+    return n, 1 + t * Fraction(8, n - 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subcritical_points())
+@example((5, Fraction(9, 2)))        # gamma ties 6, alpha = (n + 4)/2
+@example((6, Fraction(2)))
+@example((5, Fraction(2)))           # the chain fails
+def test_exponents_match_the_fraction_chain(point):
+    _assert_same_exponents(*point)
 
 
 # -- differential tests against the hand-rolled Sturm toolkit they replaced -----
@@ -478,7 +536,10 @@ class TestAgainstReplacedCode:
 
 
 def _ref_n_tables(x):
-    return _dense_in_n(x.den), _dense_in_n(x.num)
+    """The replaced tables: x's QQ numerator and integer-primitive
+    denominator, from the QQ representation."""
+    x = _to_ref(x)
+    return ref._dense_in_n(x.den), ref._dense_in_n(x.num)
 
 
 def _ref_at_n(x, n: int):
