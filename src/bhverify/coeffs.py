@@ -288,6 +288,8 @@ class ParamScalar:
     def __pow__(self, k: int) -> "ParamScalar":
         if k < 0:
             return (ParamScalar.from_int(1) / self) ** (-k)
+        if k == 0:      # ZERO ** 0 too, as for int and Fraction
+            return ONE
         return ParamScalar(self.num**k, self.den**k)
 
     # -- predicates / comparison -------------------------------------------

@@ -22,15 +22,17 @@ component of its contraction graph at a time, and the table memoizes each
 component by structure, so the few distinct components are each evaluated
 once per table.
 
-Jets are drawn a batch at a time, once per dimension, with three draws per
-row from the row's own seeded generator; the on-shell batch shares the free
-batch's draw and replaces only w4.  A jet that fails is serialized from its
-row of that batch, never drawn again.  Each distinct monomial is evaluated
-once per batch, or once per dimension when it reads neither Bilap nor
-Gscal (the only factors that see w4), and each coefficient is floated once
-per dimension; the memos are dropped with the dimension's batches.  The
-same function on the same arrays gives the same bits, so a residual does
-not depend on what was memoized.
+Jets are drawn a batch at a time, once per dimension, in one call on the
+generator of (seed, n): a row is a fixed-length slice of that stream, so it
+does not depend on the batch size, and the third derivative draws only its
+distinct entries.  The on-shell batch shares the free batch's draw and
+replaces only w4.  A jet that fails is serialized from its row of that
+batch with its (seed, n, row), never drawn again.  Each distinct monomial
+is evaluated once per batch, or once per dimension when it reads neither
+Bilap nor Gscal (the only factors that see w4), and each coefficient is
+interned once and floated once per dimension; the memos are dropped with
+the dimension's batches.  The same function on the same arrays gives the
+same bits, so a residual does not depend on what was memoized.
 
 The module also certifies the sharp constant of the trace-free inequality
 |E|^2 |v|^2 >= c |Ev|^2 exactly: a Cauchy-Schwarz bound on trace-free
@@ -46,6 +48,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -66,10 +69,12 @@ _LETTERS = "abcdefghijklmnopqrstuvwxy"
 @dataclass
 class JetSample:
     """One flat-space jet: scalar u, gradient, symmetric Hessian, totally
-    symmetric third derivative, and a scalar standing for Bilap."""
+    symmetric third derivative, and a scalar standing for Bilap.  It is row
+    ``row`` of ``jet_batch(seed, n, row + 1)``."""
     n: int
     mode: str           # "free" | "onshell"
     seed: int
+    row: int
     u: float
     g1: np.ndarray
     g2: np.ndarray
@@ -78,58 +83,55 @@ class JetSample:
 
     def to_json(self) -> str:
         return json.dumps({
-            "n": self.n, "mode": self.mode, "seed": self.seed, "u": self.u,
-            "g1": self.g1.tolist(), "g2": self.g2.tolist(),
+            "n": self.n, "mode": self.mode, "seed": self.seed, "row": self.row,
+            "u": self.u, "g1": self.g1.tolist(), "g2": self.g2.tolist(),
             "g3": self.g3.tolist(), "w4": self.w4,
         }, sort_keys=True)
 
 
 @lru_cache(maxsize=None)
 def _symmetric_index(n: int) -> np.ndarray:
-    """Flat index, into an n x n x n array, of the sorted representative of
-    every slot triple: reading through it makes the array totally symmetric."""
-    idx = np.sort(np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij")), axis=0)
-    flat = np.ravel_multi_index(tuple(idx), (n, n, n)).ravel()
+    """Position, among the distinct third-derivative entries (the sorted
+    index triples in lexicographic order), of the sorted representative of
+    every slot triple of an n x n x n array: reading through it makes the
+    array totally symmetric."""
+    distinct = {t: k for k, t in enumerate(combinations_with_replacement(range(n), 3))}
+    flat = np.array([distinct[tuple(sorted(t))] for t in product(range(n), repeat=3)])
     flat.flags.writeable = False
     return flat
 
 
-def jet_batch(seed0: int, n: int, samples: int) -> dict:
-    """Jets for the seeds seed0, ..., seed0 + samples - 1, stacked by row.
+def jet_batch(seed: int, n: int, samples: int) -> dict:
+    """Jets drawn from ``default_rng([seed, n])`` in one call, one row each.
 
-    Row k is the jet of ``default_rng(seed0 + k)``: the values of five
-    ``uniform`` calls in the order u, gradient, Hessian, third derivative
-    and w4.  The row's stream is drawn in three calls (u, gradient and
-    Hessian together, then the third derivative, then w4) and mapped to the
-    ranges as ``uniform`` maps it, lo + (hi - lo) x, a batch at a time.
-    w4 is the last draw, so the on-shell batch (``onshell_batch``) replaces
-    it and moves no other value.  g2/g3 are exactly symmetric, u >= 1e-3,
-    and every array is C-contiguous (einsum's summation order follows the
-    layout).  The third derivative is mapped in place and read through the
-    symmetric index last, so at most one n^3 block is held beside the
+    A row is W = 1 + n + n^2 + n(n+1)(n+2)/6 + 1 consecutive values of the
+    stream, in the order u, gradient, Hessian, the distinct third-derivative
+    entries (by sorted index triple) and w4, mapped to their ranges as
+    ``uniform`` maps them, lo + (hi - lo) x.  Row k is therefore the same
+    for every ``samples`` > k, and the row-k jet of a run replays as row k
+    of ``jet_batch(seed, n, k + 1)``.  w4 is the last value of a row, so the
+    on-shell batch (``onshell_batch``) replaces it and moves no other value.
+    g2/g3 are exactly symmetric, u >= 1e-3, and every array is C-contiguous
+    (einsum's summation order follows the layout).  The draw is mapped in
+    place, and dropped before the third derivative is read out of its
+    distinct entries, so at most those entries are held beside the
     outputs.  The keys are u, g1, g2, g3, w4 and n.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    head = np.empty((samples, 1 + n + n * n))
-    t = np.empty((samples, n ** 3))
-    w4 = np.empty(samples)
-    for k in range(samples):
-        # default_rng's generator, without its argument dispatch
-        rng = np.random.Generator(np.random.PCG64(seed0 + k))
-        rng.random(out=head[k])
-        rng.random(out=t[k])
-        w4[k] = rng.random()
-    u = 1e-3 + (1.0 - 1e-3) * head[:, 0]
-    g1 = -1.0 + 2.0 * head[:, 1:1 + n]
-    m = -1.0 + 2.0 * head[:, 1 + n:].reshape(samples, n, n)
-    del head
-    g2 = (m + m.transpose(0, 2, 1)) / 2.0
-    del m
-    w4 = -1.0 + 2.0 * w4
-    t *= 2.0
-    t += -1.0
-    g3 = np.take(t, _symmetric_index(n), axis=1).reshape(samples, n, n, n)
+    draw = np.random.Generator(np.random.PCG64([seed, n])).random(
+        (samples, 1 + n + n * n + n * (n + 1) * (n + 2) // 6 + 1))
+    u = 1e-3 + (1.0 - 1e-3) * draw[:, 0]
+    draw *= 2.0
+    draw += -1.0
+    g1 = draw[:, 1:1 + n].copy()
+    m = draw[:, 1 + n:1 + n + n * n].reshape(samples, n, n)
+    g2 = m + m.transpose(0, 2, 1)
+    g2 /= 2.0
+    w4 = draw[:, -1].copy()
+    distinct = draw[:, 1 + n + n * n:-1].copy()
+    del draw, m
+    g3 = np.take(distinct, _symmetric_index(n), axis=1).reshape(samples, n, n, n)
     return {"u": u, "g1": g1, "g2": g2, "g3": g3, "w4": w4, "n": n}
 
 
@@ -142,14 +144,14 @@ def onshell_batch(batch: dict, alpha: Fraction | float) -> dict:
 
 def _jet_row(batch: dict, k: int, seed: int, mode: str) -> JetSample:
     """Row k of a batch, drawn from ``seed``, as one jet."""
-    return JetSample(batch["n"], mode, seed, float(batch["u"][k]), batch["g1"][k],
+    return JetSample(batch["n"], mode, seed, k, float(batch["u"][k]), batch["g1"][k],
                      batch["g2"][k], batch["g3"][k], float(batch["w4"][k]))
 
 
 def sample_jet(seed: int, n: int, mode: str = "free",
                alpha: Fraction | float | None = None) -> JetSample:
-    """Deterministic jet from a seed: row 0 of a one-row batch, on-shell
-    (w4 = u^alpha) when ``mode`` is "onshell"."""
+    """Deterministic jet from a seed: row 0 of ``jet_batch(seed, n, 1)``,
+    on-shell (w4 = u^alpha) when ``mode`` is "onshell"."""
     b = jet_batch(seed, n, 1)
     if mode == "onshell":
         if alpha is None:
@@ -292,17 +294,21 @@ def eval_terms_batch(terms, arrays: dict, params: dict, coeffs: dict,
     evaluated exactly at the rational parameters, then floated.  ``arrays``
     is ``_factor_table(batch, params)``.
 
-    ``coeffs`` maps a coefficient to its float at ``params``, and ``values``
-    a monomial to its array on the batch.  Both are the caller's memos,
-    filled here as terms are evaluated, so each entry is computed once for
-    as long as the caller keeps them; they must hold nothing computed at
-    other parameters or on another batch.
+    ``coeffs`` maps the id of a coefficient object to its float at
+    ``params``, and ``values`` a monomial to its array on the batch.  Both
+    are the caller's memos, filled here as terms are evaluated, so each
+    entry is computed once for as long as the caller keeps them; they must
+    hold nothing computed at other parameters or on another batch, and the
+    coefficients must outlive ``coeffs``.  Keyed by id, a lookup compares
+    no polynomials (distinct values can share a hash, as -1 and -2 do); a
+    caller that interns equal coefficients to one object floats each value
+    once.
     """
     total = None
     for coeff, m in terms:
-        c = coeffs.get(coeff)
+        c = coeffs.get(id(coeff))
         if c is None:
-            c = coeffs[coeff] = float(coeff.evaluate(**params))
+            c = coeffs[id(coeff)] = float(coeff.evaluate(**params))
         arr = values.get(m)
         if arr is None:
             arr = values[m] = eval_monomial_batch(m, arrays)
@@ -415,23 +421,30 @@ def check_all_identities(samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9,
     n, each coefficient is floated once, each monomial evaluated once per
     batch, and a monomial reading neither Bilap nor Gscal once for both
     batches.  The batches and memos are dropped before the next n is drawn.
-    A jet violating the tolerance is serialized from its row of the batch
-    in hand, as ``sample_jet`` of its seed would give it; nothing is drawn
-    twice.
+    The exact work (the flat terms, one object per distinct coefficient,
+    the parameters of every n) is done before the first draw, so the
+    dimension loop compares no coefficients.  A jet violating the tolerance
+    is serialized from its row of the batch in hand, with ``seed``, ``n``
+    and ``row``: it is row ``row`` of ``jet_batch(seed, n, row + 1)``, and
+    nothing is drawn twice.
     """
     idents = all_identities()
     checks = []
+    # one object per distinct coefficient, so the per-n memo, keyed by
+    # object, floats each value once
+    interned: dict = {}
     for ident in idents:
         lhs_terms, out_valence = identity_lhs_flat_terms(ident)
-        rhs_terms = [(c, m) for m, c in ident.rhs.terms.items()]
+        lhs_terms = [(interned.setdefault(c, c), m) for c, m in lhs_terms]
+        rhs_terms = [(interned.setdefault(c, c), m) for m, c in ident.rhs.terms.items()]
         mode = "onshell" if ident.mode is SubstitutionMode.ON_SHELL else "free"
         checks.append((mode, lhs_terms, rhs_terms, out_valence))
     worst = [0.0] * len(checks)
     failing: list[list[str]] = [[] for _ in checks]
+    params_at = {n: _params_for(n, ORACLE_ALPHA, ORACLE_A) for n in dims}
     for n in dims:
-        params = _params_for(n, ORACLE_ALPHA, ORACLE_A)
-        seed0 = seed + 1_000_000 * n
-        free = jet_batch(seed0, n, samples)
+        params = params_at[n]
+        free = jet_batch(seed, n, samples)
         coeffs: dict = {}
         values: dict = {}
         for mode in dict.fromkeys(c[0] for c in checks):
@@ -454,7 +467,7 @@ def check_all_identities(samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9,
                                  + np.linalg.norm(rhs, axis=1))
                 worst[i] = max(worst[i], float(np.max(rel)))
                 for k in np.nonzero(rel > tol)[0][:3].tolist():
-                    failing[i].append(_jet_row(batch, k, seed0 + k, mode).to_json())
+                    failing[i].append(_jet_row(batch, k, seed, mode).to_json())
             del batch, arrays
         del free, coeffs, values
     return [OracleIdentityReport(ident.id, list(dims), samples, str(ORACLE_ALPHA),

@@ -21,7 +21,9 @@ A scan classifies the cells of all its (n, alpha) configs in one batch:
 pair (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.6), with the
 constants and step-size controller of scipy's RK45, each cell with its own
 step size, n and alpha, and locates the events as ``solve_ivp`` does, by
-Brent's method in the step order of scipy's ``brentq``.  Each cell's
+Brent's method in the step order of scipy's ``brentq``, stepped on Python
+floats, on the one state component the event reads from the dense
+interpolant; the roots are scipy's to the bit.  Each cell's
 floats are those of a batch of its config alone: the rows do not mix, and
 u^alpha is taken one distinct alpha at a time with a scalar exponent.  The
 batch needs no scipy.  ``shoot`` integrates one trajectory
@@ -80,12 +82,13 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 ERROR_EXPONENT = -1.0 / (ERROR_ESTIMATOR_ORDER + 1)
 # brentq's xtol and rtol, and its iteration limit, in solve_ivp's event
 # location
-EVENT_TOL = 4 * np.finfo(float).eps
+EVENT_TOL = 4 * float(np.finfo(float).eps)
 EVENT_MAXITER = 100
 
 # the terminal events in solve_ivp's order: u falls through 0, v rises
 # through 0
 VERDICTS = ("positivity-violated", "subharmonicity-violated")
+EVENT_COMPONENTS = [0, 2]      # u and v in the state (u, p, v, q)
 EVENT_RISES = np.array([False, True])
 
 
@@ -248,7 +251,7 @@ def _rhs_batch(nm1: np.ndarray, alpha: np.ndarray, exponents, r: np.ndarray,
 
 def _event_values(y: np.ndarray) -> np.ndarray:
     """The event functions u and v, in VERDICTS order, at states y (..., 4)."""
-    return y[..., [0, 2]]
+    return y[..., EVENT_COMPONENTS]
 
 
 def _rms(x: np.ndarray) -> np.ndarray:
@@ -268,6 +271,17 @@ def _initial_steps(rhs, r, y, f, rmax) -> np.ndarray:
     return np.minimum(np.minimum(100 * h0, h1), length)
 
 
+def _divide(x: float, y: float) -> float:
+    """x / y in Python floats, with C's result for a zero divisor: an inf
+    signed by both operands, or nan for 0/0 and nan/0."""
+    try:
+        return x / y
+    except ZeroDivisionError:
+        if x == 0 or math.isnan(x):
+            return math.nan
+        return math.copysign(math.inf, x) * math.copysign(1.0, y)
+
+
 def _brentq(f, a, b):
     """A root of f in [a, b] by Brent's method, in the step order of scipy's
     ``brentq`` (its brentq.c) with xtol = rtol = EVENT_TOL, so the root is
@@ -275,16 +289,17 @@ def _brentq(f, a, b):
 
     Raises ValueError, as ``brentq`` does, when f is NaN at a point or has
     no sign change on [a, b], and also when EVENT_MAXITER iterations do not
-    converge (``brentq`` raises RuntimeError there).  The values of f are
-    kept as numpy floats, so a division by zero gives inf or nan as in C.
+    converge (``brentq`` raises RuntimeError there).  The steps run on
+    Python floats, which round as C doubles do; ``_divide`` gives C's inf
+    or nan where Python would raise on a zero divisor.
     """
     def value(x):
-        fx = np.float64(f(x))
-        if np.isnan(fx):
+        fx = float(f(x))
+        if math.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
-    xpre, xcur = a, b
+    xpre, xcur = float(a), float(b)
     fpre, fcur = value(xpre), value(xcur)
     if fpre == 0:
         return xpre
@@ -293,55 +308,60 @@ def _brentq(f, a, b):
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(EVENT_MAXITER):
-            if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-                xblk, fblk = xpre, fpre
-                spre = scur = xcur - xpre
-            if abs(fblk) < abs(fcur):
-                xpre, xcur, xblk = xcur, xblk, xcur
-                fpre, fcur, fblk = fcur, fblk, fcur
-            delta = (EVENT_TOL + EVENT_TOL * abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            if fcur == 0 or abs(sbis) < delta:
-                return xcur
-            if abs(spre) > delta and abs(fcur) < abs(fpre):
-                if xpre == xblk:    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:               # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):   # good short step
-                    spre, scur = scur, stry
-                else:
-                    spre = scur = sbis
+    for _ in range(EVENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (EVENT_TOL + EVENT_TOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # interpolate
+                stry = _divide(-fcur * (xcur - xpre), fcur - fpre)
+            else:               # extrapolate
+                dpre = _divide(fpre - fcur, xpre - xcur)
+                dblk = _divide(fblk - fcur, xblk - xcur)
+                stry = _divide(-fcur * (fblk * dblk - fpre * dpre),
+                               dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):   # good short step
+                spre, scur = scur, stry
             else:
                 spre = scur = sbis
-            xpre, fpre = xcur, fcur
-            xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-            fcur = value(xcur)
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
     raise ValueError(f"event location did not converge after {EVENT_MAXITER} "
-                     f"iterations at r = {float(xcur)!r}")
+                     f"iterations at r = {xcur!r}")
 
 
 def _first_event(K, r_old, r_new, y_old, crossed):
     """(root, event) of the earliest crossed event on one accepted step.
 
     Each crossing is refined by ``_brentq`` on RK45's dense interpolant, as
-    solve_ivp does; K holds the step's stages, (stages + 1, 4).
+    solve_ivp does; K holds the step's stages, (stages + 1, 4).  A value of
+    the interpolant is one matrix-vector product, of which only the event's
+    state component is kept, in Python floats: the arithmetic after the
+    product is elementwise, so the bits are those of the whole state.
     """
+    r_old, r_new = float(r_old), float(r_new)
     h = r_new - r_old
     Q = K.T.dot(P)
+    y0 = y_old.tolist()
 
-    def event(r, e):
+    def event(r, i):
         x = (r - r_old) / h
         x2 = x * x
         x3 = x2 * x
-        return _event_values(h * Q.dot(np.array([x, x2, x3, x3 * x])) + y_old)[e]
+        return h * Q.dot(np.array([x, x2, x3, x3 * x])).item(i) + y0[i]
 
-    return min((_brentq(partial(event, e=e), r_old, r_new), e)
-               for e in np.nonzero(crossed)[0])
+    return min((_brentq(partial(event, i=EVENT_COMPONENTS[e]), r_old, r_new), e)
+               for e in np.nonzero(crossed)[0].tolist())
 
 
 class BatchRun(NamedTuple):

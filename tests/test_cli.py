@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -396,3 +399,25 @@ def test_failed_combination_renders_in_markdown(monkeypatch, capsys):
     text = capsys.readouterr().out
     assert "- combination: fail" in text
     assert "- error: planted: no combination" in text
+
+
+def test_the_exact_sections_load_neither_numpy_random_nor_scipy():
+    """Importing the CLI and running verify, combination, params and
+    scan-pd loads no ``numpy.random`` module (about 13 ms and 6 MB) and no
+    scipy module: only the oracles draw random numbers."""
+    code = (
+        "import sys\n"
+        "import bhverify.cli as cli\n"
+        "for name, (_, ok) in [('verify', cli.run_verify()),\n"
+        "                      ('combination', cli.run_combination()),\n"
+        "                      ('params', cli.run_params(10)),\n"
+        "                      ('scan-pd', cli.run_scan_pd(5, 6, 10))]:\n"
+        "    assert ok, name\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('numpy.random') or m.split('.')[0] == 'scipy'))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]

@@ -164,6 +164,15 @@ def test_pow_including_negative():
     assert x**0 == ONE
 
 
+def test_zero_to_the_zero_is_one():
+    """ZERO ** 0 is ONE, as for int and Fraction; ZERO to a negative power
+    is still a division by zero."""
+    assert ZERO**0 == ONE and 0**0 == Fraction(0)**0 == 1
+    assert (ONE - ONE)**0 == ONE
+    with pytest.raises(MalformedCoefficientError, match="division by zero"):
+        ZERO**-1
+
+
 # -- the term-by-term composition, the reference for at_n ----------------------
 
 
@@ -971,13 +980,14 @@ def _build(tree, module):
         op, x, y = tree
         x = _build(x, module)
         if op == "**":
+            if module is ref and y == 0 and not isinstance(x, type) and x.is_zero:
+                return ref.ONE      # the QQ code raised sympy's ValueError("0**0")
             return x if isinstance(x, type) else x**y
         y = _build(y, module)
         if isinstance(x, type) or isinstance(y, type):
             return x if isinstance(x, type) else y
         return _OPERATORS[op](x, y)
-    except (MalformedCoefficientError, PoleError, ValueError) as exc:
-        # ValueError: sympy refuses the power 0**0 of a zero numerator
+    except (MalformedCoefficientError, PoleError) as exc:
         return type(exc)
 
 
@@ -1004,6 +1014,8 @@ _REPEATED_ROOT = ("/", ("*", "alpha", ("-", ("*", Fraction(2), "n"), Fraction(3)
          [{"n": Fraction(1), "alpha": Fraction(2), "a": Fraction(0), "b": Fraction(1)}] * 3)
 @example(("*", Fraction(0), ("/", "b", "n")), ("-", "alpha", "alpha"),
          [{"n": Fraction(0), "alpha": Fraction(2), "a": Fraction(0), "b": Fraction(1)}] * 3)
+@example(("**", Fraction(0), 0), ("**", ("-", "alpha", "alpha"), 0),
+         [{"n": Fraction(1), "alpha": Fraction(2), "a": Fraction(0), "b": Fraction(1)}] * 3)
 @example(("/", "n", ("-", "alpha", "alpha")), ("**", Fraction(0), -1),
          [{"n": Fraction(1), "alpha": Fraction(2), "a": Fraction(0), "b": Fraction(1)}] * 3)
 def test_arithmetic_matches_the_qq_representation(tree, other, points):
@@ -1012,7 +1024,8 @@ def test_arithmetic_matches_the_qq_representation(tree, other, points):
     of ==, values at rational points, and error class (a pole, a
     denominator outside the domain, division by zero) as the QQ code.
     Explicit examples: a repeated non-monic root (2n - 3)^2, a constant
-    denominator -4/9, a zero numerator, division by zero."""
+    denominator -4/9, a zero numerator, 0**0 (ONE here, where the QQ code
+    raised sympy's ValueError), division by zero."""
     got = [_build(t, coeffs) for t in (tree, other)]
     want = [_build(t, ref) for t in (tree, other)]
     for x, y in zip(got, want):

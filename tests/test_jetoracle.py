@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from bhverify.coeffs import ParamScalar
 from bhverify.errors import CompositeDerivativeError, OrderOverflowError
 from bhverify.jetoracle import (_LETTERS, ORACLE_ALPHA, JetSample,
                                 OracleIdentityReport, _factor_table, _jet_row,
-                                _params_for, _symmetric_index,
-                                _probe_min_ratio, check_all_identities,
+                                _params_for, _probe_min_ratio,
+                                check_all_identities,
                                 eval_monomial_batch, eval_terms_batch,
                                 flat_leibniz_terms, identity_lhs_flat_terms,
                                 jet_batch, onshell_batch, sample_jet,
@@ -268,55 +269,52 @@ class TestSharpCertificate:
 # -- differential tests against the per-jet, per-identity code they replaced -----
 
 
-def _ref_sample_jet(seed, n, mode="free", alpha=None):
-    """Deterministic jet from a seed; g2/g3 exactly symmetric, u >= 1e-3."""
+def _ref_jets(seed, n, samples, mode="free", alpha=None):
+    """Rows 0, ..., samples - 1 of ``default_rng([seed, n])``: five
+    ``uniform`` calls per row, in the order u, gradient, Hessian, distinct
+    third-derivative entries (by sorted index triple) and w4, with g2
+    symmetrized and g3 filled entry by entry from its distinct values.  An
+    on-shell row still draws w4, then replaces it by u^alpha."""
     if n < 2:
         raise ValueError("need n >= 2")
-    rng = np.random.default_rng(seed)
-    u = float(rng.uniform(1e-3, 1.0))
-    g1 = rng.uniform(-1.0, 1.0, n)
-    m = rng.uniform(-1.0, 1.0, (n, n))
-    g2 = (m + m.T) / 2.0
-    t = rng.uniform(-1.0, 1.0, (n, n, n))
-    # exact total symmetry: every slot triple reads the sorted representative
-    idx = np.sort(np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij")), axis=0)
-    g3 = t[idx[0], idx[1], idx[2]]
-    if mode == "onshell":
-        if alpha is None:
-            raise ValueError("onshell jets need alpha")
-        w4 = u ** float(alpha)
-    else:
+    if mode == "onshell" and alpha is None:
+        raise ValueError("onshell jets need alpha")
+    triples = list(combinations_with_replacement(range(n), 3))
+    rng = np.random.default_rng([seed, n])
+    jets = []
+    for row in range(samples):
+        u = float(rng.uniform(1e-3, 1.0))
+        g1 = rng.uniform(-1.0, 1.0, n)
+        m = rng.uniform(-1.0, 1.0, (n, n))
+        t = rng.uniform(-1.0, 1.0, len(triples))
         w4 = float(rng.uniform(-1.0, 1.0))
-    return JetSample(n, mode, seed, u, g1, g2, g3, w4)
+        g3 = np.empty((n, n, n))
+        for value, triple in zip(t.tolist(), triples):
+            for i, j, k in permutations(triple):
+                g3[i, j, k] = value
+        if mode == "onshell":
+            w4 = u ** float(alpha)
+        jets.append(JetSample(n, mode, seed, row, u, g1, (m + m.T) / 2.0, g3, w4))
+    return jets
 
 
-def _ref_jet_batch(seed0: int, n: int, samples: int) -> dict:
-    """Jets for the seeds seed0, ..., seed0 + samples - 1, stacked by row.
+def _ref_sample_jet(seed, n, mode="free", alpha=None):
+    """Row 0 of the reference draw."""
+    return _ref_jets(seed, n, 1, mode, alpha)[0]
 
-    Row k is the jet of ``default_rng(seed0 + k)``, drawn in the order u,
-    gradient, Hessian, third derivative and w4; w4 is the last draw, so the
-    on-shell batch (``onshell_batch``) replaces it and moves no other value.
-    g2/g3 are exactly symmetric, u >= 1e-3, and every array is C-contiguous
-    (einsum's summation order follows the layout).  The keys are u, g1, g2,
-    g3, w4 and n.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    u = np.empty(samples)
-    w4 = np.empty(samples)
-    g1 = np.empty((samples, n))
-    m = np.empty((samples, n, n))
-    t = np.empty((samples, n ** 3))
-    for k in range(samples):
-        rng = np.random.default_rng(seed0 + k)
-        u[k] = rng.uniform(1e-3, 1.0)
-        g1[k] = rng.uniform(-1.0, 1.0, n)
-        m[k] = rng.uniform(-1.0, 1.0, (n, n))
-        t[k] = rng.uniform(-1.0, 1.0, n ** 3)
-        w4[k] = rng.uniform(-1.0, 1.0)
-    g2 = (m + m.transpose(0, 2, 1)) / 2.0
-    g3 = np.take(t, _symmetric_index(n), axis=1).reshape(samples, n, n, n)
-    return {"u": u, "g1": g1, "g2": g2, "g3": g3, "w4": w4, "n": n}
+
+def _ref_jet_batch(seed: int, n: int, samples: int) -> dict:
+    """The reference rows, stacked as ``jet_batch`` stacks them."""
+    return _ref_stack_jets(_ref_jets(seed, n, samples))
+
+
+def _replay(record: str) -> str:
+    """A failing-jet record drawn again from its (seed, n, row)."""
+    d = json.loads(record)
+    batch = jet_batch(d["seed"], d["n"], d["row"] + 1)
+    if d["mode"] == "onshell":
+        batch = onshell_batch(batch, ORACLE_ALPHA)
+    return _jet_row(batch, d["row"], d["seed"], d["mode"]).to_json()
 
 
 def _ref_eval_monomial_batch(m, arrays: dict) -> np.ndarray:
@@ -396,8 +394,7 @@ def _ref_numeric_check_identity(ident, samples=1000, dims=(5, 6, 8), tol=1e-9,
     mode = "onshell" if ident.mode is SubstitutionMode.ON_SHELL else "free"
     for n in dims:
         params = _params_for(n, alpha, a)
-        jets = [_ref_sample_jet(seed + 1_000_000 * n + k, n, mode, alpha)
-                for k in range(samples)]
+        jets = _ref_jets(seed, n, samples, mode, alpha)
         batch = _ref_stack_jets(jets)
         lhs = _ref_batch_terms(lhs_terms, batch, params)
         rhs = _ref_batch_terms(rhs_terms, batch, params)
@@ -496,32 +493,33 @@ class TestAgainstReplacedCode:
     @pytest.mark.parametrize("n", [5, 6, 8])
     @pytest.mark.parametrize("mode", ["free", "onshell"])
     def test_jet_batch_equals_stacked_reference_bitwise(self, mode, n, alpha):
-        seed0 = 1_000_000 * n + 11
-        batch = jet_batch(seed0, n, 30)
+        batch = jet_batch(11, n, 30)
         if mode == "onshell":
             batch = onshell_batch(batch, alpha)
-        ref = _ref_stack_jets([_ref_sample_jet(seed0 + k, n, mode, alpha)
-                               for k in range(30)])
+        jets = _ref_jets(11, n, 30, mode, alpha)
+        ref = _ref_stack_jets(jets)
         assert batch.keys() == ref.keys() and batch["n"] == n
         for key in ("u", "g1", "g2", "g3", "w4"):
             assert batch[key].dtype == ref[key].dtype
             assert np.array_equal(batch[key], ref[key]), key
             assert batch[key].flags.c_contiguous, key
-        one = sample_jet(seed0 + 3, n, mode, alpha)
-        want = _ref_sample_jet(seed0 + 3, n, mode, alpha)
+        one = sample_jet(11, n, mode, alpha)
+        want = _ref_sample_jet(11, n, mode, alpha)
         assert one.to_json() == want.to_json()
         assert one.g3.flags.c_contiguous
+        assert _jet_row(batch, 3, 11, mode).to_json() == jets[3].to_json()
 
     @pytest.mark.parametrize("alpha", [Fraction(2), Fraction(7, 3)])
     @pytest.mark.parametrize("n", [5, 6, 8])
     def test_onshell_batch_of_the_free_draw_equals_the_onshell_draw(self, n, alpha):
-        seed0 = 1_000_000 * n + 5
-        free = jet_batch(seed0, n, 30)
+        """The on-shell batch derived from the free draw equals each row
+        drawn again on its own, on shell, and the reference rows."""
+        free = jet_batch(5, n, 30)
         derived = onshell_batch(free, alpha)
-        drawn = _ref_stack_jets([sample_jet(seed0 + k, n, "onshell", alpha)
-                                 for k in range(30)])
-        ref = _ref_stack_jets([_ref_sample_jet(seed0 + k, n, "onshell", alpha)
-                               for k in range(30)])
+        drawn = _ref_stack_jets([
+            _jet_row(onshell_batch(jet_batch(5, n, k + 1), alpha), k, 5, "onshell")
+            for k in range(30)])
+        ref = _ref_stack_jets(_ref_jets(5, n, 30, "onshell", alpha))
         assert derived.keys() == drawn.keys() == ref.keys() and derived["n"] == n
         for key in ("u", "g1", "g2", "g3", "w4"):
             assert derived[key].dtype == drawn[key].dtype
@@ -558,9 +556,9 @@ class TestAgainstReplacedCode:
 
     def test_failing_jet_replay_equals_reference(self, monkeypatch):
         """Mutated identities among the registered ones, one free (I3) and
-        one on-shell (I12): their failing jets, replayed one seed at a time,
-        serialize exactly as the reference's, and every other record is
-        unchanged."""
+        one on-shell (I12): their failing jets serialize exactly as the
+        reference's rows, each replays from its (seed, n, row), and every
+        other record is unchanged."""
         i12 = get_identity("I12")
         idx = next(i for i, (m, _) in enumerate(i12.rhs.sorted_terms())
                    if "Etf" in m.symbols and m.symbols.count("Du") == 4)
@@ -576,11 +574,14 @@ class TestAgainstReplacedCode:
         got = {r.id: jsonable(r) for r in check_all_identities(samples=40, dims=(5, 6),
                                                                seed=4)}
         assert got == want
+        for mutant in mutants.values():
+            for record in got[mutant.id]["failing_jets"]:
+                assert _replay(record) == record
 
     def test_failing_jets_are_drawn_once(self, monkeypatch):
         """Perturbed free (I3) and on-shell (I12) identities: one draw per n,
-        and each failing record is the jet that ``sample_jet`` of its seed
-        gives."""
+        and each failing record, with the run's seed, is row ``row`` of
+        ``jet_batch(seed, n, row + 1)``."""
         i12 = get_identity("I12")
         idx = next(i for i, (m, _) in enumerate(i12.rhs.sorted_terms())
                    if "Etf" in m.symbols and m.symbols.count("Du") == 4)
@@ -589,9 +590,9 @@ class TestAgainstReplacedCode:
         monkeypatch.setattr(jetoracle, "all_identities", lambda: mutants)
         draws = []
 
-        def counted(seed0, n, *rest):
+        def counted(seed, n, *rest):
             draws.append(n)
-            return jet_batch(seed0, n, *rest)
+            return jet_batch(seed, n, *rest)
         monkeypatch.setattr(jetoracle, "jet_batch", counted)
         reports = check_all_identities(samples=40, dims=(5, 6), seed=4)
         assert draws == [5, 6]
@@ -600,9 +601,8 @@ class TestAgainstReplacedCode:
             assert not rep.passed and len(rep.failing_jets) == 6, rep.id
             for record in rep.failing_jets:
                 d = json.loads(record)
-                k = d["seed"] - 4 - 1_000_000 * d["n"]
-                assert d["mode"] == mode and 0 <= k < 40
-                assert record == sample_jet(d["seed"], d["n"], mode, ORACLE_ALPHA).to_json()
+                assert d["mode"] == mode and d["seed"] == 4 and 0 <= d["row"] < 40
+                assert record == _replay(record)
 
     def test_each_monomial_evaluated_once_per_batch(self, monkeypatch):
         """At the acceptance dimensions: one draw per n, 306 monomial
@@ -632,14 +632,39 @@ class TestAgainstReplacedCode:
         assert calls == {"jet_batch": 3, "eval_monomial_batch": 306, "evaluate": 252}
         assert [len(t.components) for t in tables] == [18, 7] * 3
 
+    def test_the_dimension_loop_compares_no_coefficients(self, monkeypatch):
+        """Every coefficient is interned and every parameter fixed before
+        the first draw, so at the acceptance dimensions the per-n memo finds
+        each of its 252 entries by object: no ``ParamScalar.__eq__`` call
+        from the first draw on."""
+        calls = {"draws": 0, "eq": 0, "evaluate": 0}
+        eq, evaluate = ParamScalar.__eq__, ParamScalar.evaluate
+
+        def counted_eq(self, other):
+            calls["eq"] += calls["draws"] > 0
+            return eq(self, other)
+
+        def counted_evaluate(self, **params):
+            calls["evaluate"] += 1
+            return evaluate(self, **params)
+
+        def counted_batch(*args):
+            calls["draws"] += 1
+            return jet_batch(*args)
+        monkeypatch.setattr(ParamScalar, "__eq__", counted_eq)
+        monkeypatch.setattr(ParamScalar, "evaluate", counted_evaluate)
+        monkeypatch.setattr(jetoracle, "jet_batch", counted_batch)
+        reports = check_all_identities(samples=3, dims=(5, 6, 8))
+        assert all(r.passed for r in reports)
+        assert calls == {"draws": 3, "eq": 0, "evaluate": 252}
+
     @pytest.mark.parametrize("samples", [1, 1000])
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_jet_batch_equals_five_uniform_draws_bitwise(self, n, samples):
-        """Three draws per row and a vectorized map to the ranges give the
-        bits of the five ``uniform`` calls per row they replaced, and
-        ``sample_jet`` replays any row."""
-        seed0 = 1_000_000 * n + 29
-        got, want = jet_batch(seed0, n, samples), _ref_jet_batch(seed0, n, samples)
+        """One draw per batch and a vectorized map to the ranges give the
+        bits of five ``uniform`` calls per row on one generator, and any
+        row replays from (seed, n, row); ``sample_jet`` is row 0."""
+        got, want = jet_batch(29, n, samples), _ref_jet_batch(29, n, samples)
         assert got.keys() == want.keys() and got["n"] == n
         for key in ("u", "g1", "g2", "g3", "w4"):
             assert got[key].dtype == want[key].dtype
@@ -647,13 +672,15 @@ class TestAgainstReplacedCode:
             assert np.array_equal(got[key], want[key]), key
             assert got[key].flags.c_contiguous, key
         for k in sorted({0, samples // 2, samples - 1}):
-            assert sample_jet(seed0 + k, n).to_json() \
-                == _jet_row(want, k, seed0 + k, "free").to_json()
+            assert _jet_row(jet_batch(29, n, k + 1), k, 29, "free").to_json() \
+                == _jet_row(want, k, 29, "free").to_json()
+        assert sample_jet(29, n).to_json() == _jet_row(want, 0, 29, "free").to_json()
 
     def test_jet_batch_holds_one_third_derivative_block_beside_its_outputs(self):
-        """The peak of a batch at n = 8 stays within its outputs plus one
-        samples x n^3 block and 64 KiB: no second n^3 block (a draw of each
-        row in one piece) and no Hessian-sized temporaries at the peak."""
+        """The peak of a batch at n = 8 stays within its outputs plus the
+        draw, samples x 194 values (120 of them the distinct third
+        derivatives), and 64 KiB: no n^3 raw block and no Hessian-sized
+        temporaries at the peak."""
         jet_batch(0, 8, 1)      # the symmetric index is cached, not counted
         tracemalloc.start()
         try:
@@ -662,13 +689,33 @@ class TestAgainstReplacedCode:
         finally:
             tracemalloc.stop()
         outputs = sum(batch[k].nbytes for k in ("u", "g1", "g2", "g3", "w4"))
-        assert peak <= outputs + 1000 * 8 ** 3 * 8 + 64 * 1024
+        assert peak <= outputs + 1000 * 194 * 8 + 64 * 1024
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_a_row_does_not_depend_on_the_batch_size(self, n):
+        """Row k of ``jet_batch(seed, n, m)`` is the same for every m > k."""
+        big = jet_batch(3, n, 40)
+        for m in (1, 2, 17, 39):
+            small = jet_batch(3, n, m)
+            for key in ("u", "g1", "g2", "g3", "w4"):
+                assert np.array_equal(small[key], big[key][:m]), (m, key)
+
+    def test_the_dimension_is_part_of_the_seed(self):
+        """The replaced oracle drew row k at dimension n from seed
+        seed + 1,000,000 n + k, so seed 1,000,000 at n = 5 read the jets of
+        seed 0 at n = 6, and one seed began every dimension with the same
+        u.  Now (seed, n) seeds the generator."""
+        a, b = jet_batch(1_000_000, 5, 1), jet_batch(0, 6, 1)
+        assert a["u"][0] != b["u"][0]
+        assert not np.array_equal(a["g1"][0], b["g1"][0, :5])
+        assert jet_batch(0, 5, 1)["u"][0] != jet_batch(0, 6, 1)["u"][0]
 
     def test_components_equal_whole_monomial_einsum(self):
         """Every monomial the oracle meets, on the acceptance batches of
         seed 0: evaluating each component apart changes only rounding.
-        The elementwise relative gap stays below 1e-10 (3.6e-11 at most
-        when this was written), and an exact zero stays zero."""
+        The elementwise relative gap stays below 1e-10 (2.0e-11 at most on
+        the batches of ``jet_batch(0, n, 1000)``), and an exact zero stays
+        zero."""
         monos = {"free": set(), "onshell": set()}
         for ident in all_identities():
             lhs, _ = identity_lhs_flat_terms(ident)
@@ -676,7 +723,7 @@ class TestAgainstReplacedCode:
             monos[mode] |= {m for _, m in lhs} | set(ident.rhs.terms)
         for n in (5, 6, 8):
             params = _params_for(n, ORACLE_ALPHA, Fraction(1))
-            free = jet_batch(1_000_000 * n, n, 1000)
+            free = jet_batch(0, n, 1000)
             for mode, ms in monos.items():
                 batch = free if mode == "free" else onshell_batch(free, ORACLE_ALPHA)
                 arrays = _factor_table(batch, params)
