@@ -20,7 +20,8 @@ its symbol from one table per batch (``_factor_table``): the jet arrays and
 the dense composites side by side.  A monomial is summed one connected
 component of its contraction graph at a time, and the table memoizes each
 component by structure, so the few distinct components are each evaluated
-once per table.
+once per table.  A component of more than two factors is contracted
+pairwise, along numpy's greedy einsum path.
 
 Jets are drawn a batch at a time, once per dimension, in one call on the
 generator of (seed, n): a row is a fixed-length slice of that stream, so it
@@ -211,7 +212,9 @@ def _component(arrays: FactorTable, factors, partner: dict, free) -> tuple:
     and ``free`` is the monomial's ordered free slots.  Letters are given
     to the slots in order of appearance, so the einsum spec and the symbols
     name the computation whatever the monomial, and key the table's memo:
-    each distinct component is evaluated once per table.
+    each distinct component is evaluated once per table.  A component of
+    more than two factors is contracted pairwise along numpy's greedy path,
+    so a chain such as ``za,zb,zbc,zac->z`` costs n^2 per row, not n^3.
     """
     letters, names = {}, iter(_LETTERS)
     scripts = []
@@ -229,7 +232,8 @@ def _component(arrays: FactorTable, factors, partner: dict, free) -> tuple:
     value = arrays.components.get((syms, spec))
     if value is None:
         value = arrays.components[(syms, spec)] = np.einsum(
-            spec, *(arrays[sym] for sym in syms))
+            spec, *(arrays[sym] for sym in syms),
+            optimize="greedy" if len(syms) > 2 else False)
     return value, batch, kept
 
 

@@ -23,14 +23,14 @@ constants and step-size controller of scipy's RK45, each cell with its own
 step size, n and alpha, and locates the events as ``solve_ivp`` does, by
 Brent's method in the step order of scipy's ``brentq``, stepped on Python
 floats, on the one state component the event reads from the dense
-interpolant; the roots are scipy's to the bit.  Each cell's
-floats are those of a batch of its config alone: the rows do not mix, and
-u^alpha is taken one distinct alpha at a time with a scalar exponent.  The
-batch needs no scipy.  ``shoot`` integrates one trajectory
-with scipy's ``solve_ivp`` and keeps its checkpoints: it inspects a single
-cell (the CSV dump) and is the reference the batch is tested against; it is
-the only code here that loads scipy, on its first call.  The
-dump writes the second-order estimate monitor Z = v/u + (2/(n-4)) p^2/u^2 at
+interpolant; the roots are scipy's to the bit.  The batch holds its arrays
+component-major, (4, cells), with the cells sorted by alpha, so u^alpha is
+one power with a scalar exponent per run of equal alpha; the cells do not
+mix, and each cell's floats are those of a batch of its config alone.  The
+batch needs no scipy.  ``shoot`` integrates one trajectory with scipy's
+``solve_ivp`` and keeps its checkpoints: it inspects a single cell (the CSV
+dump), is the reference the batch is tested against, and is the only code
+here that loads scipy, on its first call.  The dump writes the second-order estimate monitor Z = v/u + (2/(n-4)) p^2/u^2 at
 each checkpoint; the estimate's hypotheses are global (complete manifold,
 entire solution), so a positive Z on a local trajectory is not a refutation.
 Both integrate with fixed tolerances RTOL and ATOL.
@@ -89,7 +89,6 @@ EVENT_MAXITER = 100
 # through 0
 VERDICTS = ("positivity-violated", "subharmonicity-violated")
 EVENT_COMPONENTS = [0, 2]      # u and v in the state (u, p, v, q)
-EVENT_RISES = np.array([False, True])
 
 
 @dataclass
@@ -227,36 +226,35 @@ def shoot(n: int, alpha: float, u0: float, v0: float,
 # -- batched integration -------------------------------------------------------------
 
 
-def _rhs_batch(nm1: np.ndarray, alpha: np.ndarray, exponents, r: np.ndarray,
-               y: np.ndarray) -> np.ndarray:
-    """The radial system at radii r (cells,) and states y (cells, 4), with
-    n - 1 and alpha per cell.
+def _rhs_batch(nm1, runs, r, y, out: np.ndarray) -> np.ndarray:
+    """The radial system at radii r (cells,) and states y (4, cells), with
+    n - 1 per cell, written into out (4, cells).
 
-    u^alpha is taken one distinct alpha of ``exponents`` at a time, each a
-    Python float: ``x ** 2.0`` is numpy's square, and a power against an
-    array of exponents would not give the same bits.
+    ``runs`` holds (alpha, first, end) of each run of cells sharing alpha:
+    u^alpha is one in-place power per run with a Python float exponent, as
+    ``x ** 2.0`` is numpy's square and a power against an array of
+    exponents would not give the same bits.
     """
-    f = np.empty_like(y)
-    f[:, 0] = y[:, 1]
-    f[:, 1] = y[:, 2] - nm1 * y[:, 1] / r
-    f[:, 2] = y[:, 3]
-    u = np.maximum(y[:, 0], 0.0)
-    ua = np.empty_like(u)
-    for a in exponents:
-        cells = alpha == a
-        ua[cells] = u[cells] ** a
-    f[:, 3] = ua - nm1 * y[:, 3] / r
-    return f
+    out[0::2] = y[1::2]                 # u' = p, v' = q
+    damping = nm1 * y[1::2]             # (n - 1) p / r and (n - 1) q / r
+    damping /= r
+    np.subtract(y[2], damping[0], out=out[1])
+    ua = np.maximum(y[0], 0.0, out=out[3])
+    for a, first, end in runs:
+        ua[first:end] **= a
+    ua -= damping[1]
+    return out
 
 
-def _event_values(y: np.ndarray) -> np.ndarray:
-    """The event functions u and v, in VERDICTS order, at states y (..., 4)."""
-    return y[..., EVENT_COMPONENTS]
+def _alpha_runs(alpha: np.ndarray, exponents: list) -> list:
+    """(a, first, end) of each a of ``exponents`` (sorted) in sorted alpha."""
+    firsts = np.searchsorted(alpha, exponents).tolist()
+    return list(zip(exponents, firsts, firsts[1:] + [len(alpha)]))
 
 
 def _rms(x: np.ndarray) -> np.ndarray:
-    """scipy's RMS norm, per row."""
-    return np.linalg.norm(x, axis=1) / math.sqrt(x.shape[1])
+    """scipy's RMS norm, per column."""
+    return np.linalg.norm(x, axis=0) / math.sqrt(len(x))
 
 
 def _initial_steps(rhs, r, y, f, rmax) -> np.ndarray:
@@ -265,7 +263,7 @@ def _initial_steps(rhs, r, y, f, rmax) -> np.ndarray:
     scale = ATOL + np.abs(y) * RTOL
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), length)
-    d2 = _rms((rhs(r + h0, y + h0[:, None] * f) - f) / scale) / h0
+    d2 = _rms((rhs(r + h0, y + h0 * f, np.empty_like(f)) - f) / scale) / h0
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / np.fmax(d1, d2)) ** (1 / (ERROR_ESTIMATOR_ORDER + 1)))
     return np.minimum(np.minimum(100 * h0, h1), length)
@@ -361,7 +359,7 @@ def _first_event(K, r_old, r_new, y_old, crossed):
         return h * Q.dot(np.array([x, x2, x3, x3 * x])).item(i) + y0[i]
 
     return min((_brentq(partial(event, i=EVENT_COMPONENTS[e]), r_old, r_new), e)
-               for e in np.nonzero(crossed)[0].tolist())
+               for e in range(len(VERDICTS)) if crossed[e])
 
 
 class BatchRun(NamedTuple):
@@ -371,6 +369,7 @@ class BatchRun(NamedTuple):
     nfev: np.ndarray           # right-hand-side evaluations
     steps: np.ndarray          # accepted steps
     errors: dict               # cell -> step-size underflow or event-location message
+    passes: int = 0            # RK45 passes over the live cells
 
 
 def shoot_batch(n, alpha, starts, rmax: float = 50.0) -> BatchRun:
@@ -378,60 +377,59 @@ def shoot_batch(n, alpha, starts, rmax: float = 50.0) -> BatchRun:
 
     ``starts`` holds one series-start state (u, p, v, q) at r = DEFAULT_R0
     per row, each finite with u >= 0 and v <= 0, and rmax > DEFAULT_R0.
-    ``n`` and ``alpha`` are given per row, or once for every row.  All
-    live cells are stepped together as (cells, 4) arrays with the
-    Dormand-Prince tableau and scipy's RK45 controller, each cell with its
-    own step size.  After each accepted step the events are found from sign
-    changes with solve_ivp's direction rules and refined on the dense
-    interpolant; the earliest root decides the verdict.  A step below
-    10 ulp(r) fails, as in ``shoot``, and the cell goes into ``errors`` as a
-    step-size underflow at its last radius; so does a crossing whose event
-    location fails, with ``_brentq``'s message.  A finished cell drops out
-    of the arrays, its n - 1 and alpha with it.
+    ``n`` and ``alpha`` are given per row, or once for every row.  The
+    cells are sorted by alpha once, stably, so each u^alpha is one power on
+    a run; ``live`` maps the live cells to their rows, and the outcomes come
+    in the order of ``starts``.  The live cells are stepped together,
+    component-major (states (4, cells), stages (stages + 1, 4, cells)),
+    with the Dormand-Prince tableau and scipy's RK45 controller, each with
+    its own step size, and drop out when done.  After each accepted step
+    the events are found from sign changes with solve_ivp's direction rules
+    and refined on the dense interpolant; the earliest root decides the
+    verdict.  A step below 10 ulp(r) fails, as in ``shoot``, and the cell
+    goes into ``errors`` as a step-size underflow at its last radius; so
+    does a crossing whose event location fails, with ``_brentq``'s message.
     """
     y = np.array(starts, dtype=float).reshape(-1, 4)
     cells = len(y)
     nm1 = np.broadcast_to(np.asarray(n, dtype=float), (cells,)) - 1.0
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (cells,))
+    live = np.argsort(alpha, kind="stable")        # cell -> row of starts
+    y, nm1, alpha = y[live].T.copy(), nm1[live], alpha[live]
     exponents = sorted(set(alpha.tolist()))
+    rhs = partial(_rhs_batch, nm1, _alpha_runs(alpha, exponents))
     verdicts: list = [None] * cells
     radii = np.full(cells, np.nan)
     nfev = np.full(cells, 2)       # the start's f and the initial-step probe
     steps = np.zeros(cells, dtype=int)
     errors: dict = {}
-    live = np.arange(cells)
     r = np.full(cells, DEFAULT_R0)
-    stages = N_STAGES
+    stages, passes = N_STAGES, 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rhs = partial(_rhs_batch, nm1, alpha, exponents)
-        f = rhs(r, y)
-        h = _initial_steps(rhs, r, y, f, rmax)
-        g = _event_values(y)
+        K = np.empty((stages + 1,) + y.shape)
+        h = _initial_steps(rhs, r, y, rhs(r, y, K[0]), rmax)
         retry = np.zeros(cells, dtype=bool)    # the last attempt was rejected
         while live.size:
-            min_step = 10 * np.abs(np.nextafter(r, np.inf) - r)
+            passes += 1
+            min_step = 10 * np.spacing(r)
             h = np.where(retry, h, np.maximum(h, min_step))
             r_new = np.minimum(r + h, rmax)
             h = r_new - r
-            K = np.empty((stages + 1,) + y.shape)
+            stage_r = r + C[1:stages, None] * h
             flat = K.reshape(stages + 1, -1)
-            K[0] = f
             for s in range(1, stages):
-                dy = (A[s, :s] @ flat[:s]).reshape(y.shape) * h[:, None]
-                K[s] = rhs(r + C[s] * h, y + dy)
-            y_new = y + h[:, None] * (B @ flat[:stages]).reshape(y.shape)
-            K[stages] = f_new = rhs(r_new, y_new)
-            nfev[live] += stages
+                rhs(stage_r[s - 1], y + h * (A[s, :s] @ flat[:s]).reshape(y.shape), K[s])
+            y_new = y + h * (B @ flat[:stages]).reshape(y.shape)
+            rhs(r_new, y_new, K[stages])
             scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
-            err = _rms((E @ flat).reshape(y.shape) * h[:, None] / scale)
+            err = _rms(h * (E @ flat).reshape(y.shape) / scale)
 
-            # err == 0 gives MAX_FACTOR through err ** ERROR_EXPONENT = inf;
-            # fmax keeps Python's max(MIN_FACTOR, nan) == MIN_FACTOR
+            # err == 0 gives MAX_FACTOR through err ** ERROR_EXPONENT = inf, fmax
+            # keeps Python's max(MIN_FACTOR, nan), and a retry does not grow
             accepted = err < 1
-            grow = np.minimum(MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT)
-            grow = np.where(retry, np.minimum(1.0, grow), grow)
-            shrink = np.fmax(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
-            h = h * np.where(accepted, grow, shrink)
+            factor = SAFETY * err ** ERROR_EXPONENT
+            h *= np.where(accepted, np.minimum(np.where(retry, 1.0, MAX_FACTOR), factor),
+                          np.fmax(MIN_FACTOR, factor))
             retry = ~accepted
 
             # a retry below 10 ulp(r) fails at the last radius (so does a
@@ -439,31 +437,32 @@ def shoot_batch(n, alpha, starts, rmax: float = 50.0) -> BatchRun:
             done = retry & ~(h >= min_step)
             for k in np.nonzero(done)[0]:
                 errors[int(live[k])] = _underflow_message(r[k])
-            acc = np.nonzero(accepted)[0]
-            steps[live[acc]] += 1
-            g_new = _event_values(y_new[acc])
-            g_old = g[acc]
-            crossed = np.where(EVENT_RISES, (g_old <= 0) & (g_new >= 0),
-                               (g_old >= 0) & (g_new <= 0))
-            for j in np.nonzero(crossed.any(axis=1))[0]:
-                k = acc[j]
+            steps[live] += accepted
+            fell = accepted & (y[0] >= 0) & (y_new[0] <= 0)    # u falls through 0
+            rose = accepted & (y[2] <= 0) & (y_new[2] >= 0)    # v rises through 0
+            for k in np.nonzero(fell | rose)[0]:
                 try:
-                    root, e = _first_event(K[:, k], r[k], r_new[k], y[k], crossed[j])
+                    root, e = _first_event(K[:, :, k], r[k], r_new[k], y[:, k],
+                                           (fell[k], rose[k]))
                 except ValueError as exc:   # no sign change, NaN or no convergence
                     errors[int(live[k])] = str(exc)
                 else:
                     verdicts[live[k]], radii[live[k]] = VERDICTS[e], root
                 done[k] = True
-            for k in acc[(r_new[acc] == rmax) & ~done[acc]]:
+            for k in np.nonzero(accepted & (r_new == rmax) & ~done)[0]:
                 verdicts[live[k]], radii[live[k]] = "reached-max-radius", rmax
                 done[k] = True
-            r[acc], y[acc], f[acc], g[acc] = r_new[acc], y_new[acc], f_new[acc], g_new
+            np.copyto(r, r_new, where=accepted)
+            np.copyto(y, y_new, where=accepted)
+            np.copyto(K[0], K[stages], where=accepted)
             if done.any():
+                nfev[live[done]] += stages * passes
                 keep = ~done
-                live, r, y, f, h, g, retry, nm1, alpha = (
-                    a[keep] for a in (live, r, y, f, h, g, retry, nm1, alpha))
-                rhs = partial(_rhs_batch, nm1, alpha, exponents)
-    return BatchRun(verdicts, radii, nfev, steps, errors)
+                live, r, h, retry, nm1, alpha = (
+                    a[keep] for a in (live, r, h, retry, nm1, alpha))
+                y, K = y.compress(keep, axis=1), K.compress(keep, axis=2)
+                rhs = partial(_rhs_batch, nm1, _alpha_runs(alpha, exponents))
+    return BatchRun(verdicts, radii, nfev, steps, errors, passes)
 
 
 # -- scans ---------------------------------------------------------------------------

@@ -944,6 +944,33 @@ def test_a_nonconstant_is_not_found_by_a_constant():
     assert {1: "x"}.get(N / N) == "x"
 
 
+def test_distinct_nonconstants_compared_in_verify_hash_apart(monkeypatch):
+    """From cold caches, no two distinct non-constant coefficients that
+    run_verify plus run_combination compare share a hash.  With each integer
+    coefficient hashed as itself, hash(-1) == hash(-2) made n - 1 and n - 2
+    collide, and -1/n and -2/n: 95 of the 826 comparisons."""
+    compared = []
+    eq = ParamScalar.__eq__
+
+    def recorded(self, other):
+        compared.append((self, other))
+        return eq(self, other)
+
+    def constant(x):
+        return x.num.is_ground and x.den.is_ground
+
+    _clear_caches()
+    monkeypatch.setattr(ParamScalar, "__eq__", recorded)
+    _verify_and_combination()
+    monkeypatch.undo()
+    nonconstant = [(x, y) for x, y in compared if isinstance(y, ParamScalar)
+                   and not (constant(x) or constant(y))]
+    assert len(nonconstant) > 100
+    assert [(str(x), str(y)) for x, y in nonconstant if x != y and hash(x) == hash(y)] == []
+    for x, y in [(N - 1, N - 2), (-1 / N, -2 / N), (ALPHA - 1, ALPHA - 2)]:
+        assert hash(x) != hash(y)
+
+
 # -- differential test: integer arithmetic against the QQ representation ----------
 
 

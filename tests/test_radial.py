@@ -10,15 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhverify import radial
 from bhverify.cli import run_radial
-from bhverify.radial import (ATOL, DEFAULT_R0, ERROR_EXPONENT, EVENT_RISES,
-                             MAX_FACTOR, MIN_FACTOR, N_STAGES, RTOL, SAFETY,
-                             VERDICTS, A, B, BatchRun, C, E, P, RadialState,
-                             _brentq, _event_values, _initial_steps, _rms,
-                             _underflow_message, default_grids, dump_trajectory_csv,
-                             monitor_z, scan_shooting, series_start, shoot)
+from bhverify.radial import (ATOL, DEFAULT_R0, ERROR_ESTIMATOR_ORDER, ERROR_EXPONENT,
+                             EVENT_COMPONENTS, MAX_FACTOR, MIN_FACTOR, N_STAGES, RTOL,
+                             SAFETY, VERDICTS, A, B, BatchRun, C, E, P, RadialState,
+                             _brentq, _first_event, _underflow_message, default_grids,
+                             dump_trajectory_csv, monitor_z, scan_shooting, series_start,
+                             shoot)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -400,6 +402,138 @@ def test_step_underflow_is_a_per_cell_error_at_the_last_radius(monkeypatch):
     assert summary.errors == [{"u0": 1.0, "v0": -1.0, "error": message}]
 
 
+# -- differential test: the component-major batch against the row-major batch ------
+# The row-major batch, copied from the code the component-major one replaced;
+# its helpers keep their names, so that _ref_shoot_batch below reads them.
+
+EVENT_RISES = np.array([False, True])
+
+
+def _rowmajor_rhs_batch(nm1: np.ndarray, alpha: np.ndarray, exponents, r: np.ndarray,
+                        y: np.ndarray) -> np.ndarray:
+    """The radial system at radii r (cells,) and states y (cells, 4), with
+    n - 1 and alpha per cell.
+
+    u^alpha is taken one distinct alpha of ``exponents`` at a time, each a
+    Python float: ``x ** 2.0`` is numpy's square, and a power against an
+    array of exponents would not give the same bits.
+    """
+    f = np.empty_like(y)
+    f[:, 0] = y[:, 1]
+    f[:, 1] = y[:, 2] - nm1 * y[:, 1] / r
+    f[:, 2] = y[:, 3]
+    u = np.maximum(y[:, 0], 0.0)
+    ua = np.empty_like(u)
+    for a in exponents:
+        cells = alpha == a
+        ua[cells] = u[cells] ** a
+    f[:, 3] = ua - nm1 * y[:, 3] / r
+    return f
+
+
+def _event_values(y: np.ndarray) -> np.ndarray:
+    """The event functions u and v, in VERDICTS order, at states y (..., 4)."""
+    return y[..., EVENT_COMPONENTS]
+
+
+def _rms(x: np.ndarray) -> np.ndarray:
+    """scipy's RMS norm, per row."""
+    return np.linalg.norm(x, axis=1) / math.sqrt(x.shape[1])
+
+
+def _initial_steps(rhs, r, y, f, rmax) -> np.ndarray:
+    """scipy's ``select_initial_step`` (Hairer-Norsett-Wanner II.4), per cell."""
+    length = rmax - r
+    scale = ATOL + np.abs(y) * RTOL
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), length)
+    d2 = _rms((rhs(r + h0, y + h0[:, None] * f) - f) / scale) / h0
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.fmax(d1, d2)) ** (1 / (ERROR_ESTIMATOR_ORDER + 1)))
+    return np.minimum(np.minimum(100 * h0, h1), length)
+
+
+def _rowmajor_shoot_batch(n, alpha, starts, rmax: float = 50.0) -> BatchRun:
+    """``shoot_batch`` as it was before it went component-major: states as
+    (cells, 4), u^alpha taken one distinct alpha at a time by a mask over
+    every cell."""
+    y = np.array(starts, dtype=float).reshape(-1, 4)
+    cells = len(y)
+    nm1 = np.broadcast_to(np.asarray(n, dtype=float), (cells,)) - 1.0
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (cells,))
+    exponents = sorted(set(alpha.tolist()))
+    verdicts: list = [None] * cells
+    radii = np.full(cells, np.nan)
+    nfev = np.full(cells, 2)       # the start's f and the initial-step probe
+    steps = np.zeros(cells, dtype=int)
+    errors: dict = {}
+    live = np.arange(cells)
+    r = np.full(cells, DEFAULT_R0)
+    stages = N_STAGES
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rhs = partial(_rowmajor_rhs_batch, nm1, alpha, exponents)
+        f = rhs(r, y)
+        h = _initial_steps(rhs, r, y, f, rmax)
+        g = _event_values(y)
+        retry = np.zeros(cells, dtype=bool)    # the last attempt was rejected
+        while live.size:
+            min_step = 10 * np.abs(np.nextafter(r, np.inf) - r)
+            h = np.where(retry, h, np.maximum(h, min_step))
+            r_new = np.minimum(r + h, rmax)
+            h = r_new - r
+            K = np.empty((stages + 1,) + y.shape)
+            flat = K.reshape(stages + 1, -1)
+            K[0] = f
+            for s in range(1, stages):
+                dy = (A[s, :s] @ flat[:s]).reshape(y.shape) * h[:, None]
+                K[s] = rhs(r + C[s] * h, y + dy)
+            y_new = y + h[:, None] * (B @ flat[:stages]).reshape(y.shape)
+            K[stages] = f_new = rhs(r_new, y_new)
+            nfev[live] += stages
+            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+            err = _rms((E @ flat).reshape(y.shape) * h[:, None] / scale)
+
+            # err == 0 gives MAX_FACTOR through err ** ERROR_EXPONENT = inf;
+            # fmax keeps Python's max(MIN_FACTOR, nan) == MIN_FACTOR
+            accepted = err < 1
+            grow = np.minimum(MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+            grow = np.where(retry, np.minimum(1.0, grow), grow)
+            shrink = np.fmax(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+            h = h * np.where(accepted, grow, shrink)
+            retry = ~accepted
+
+            # a retry below 10 ulp(r) fails at the last radius (so does a
+            # NaN step, which would otherwise be retried forever)
+            done = retry & ~(h >= min_step)
+            for k in np.nonzero(done)[0]:
+                errors[int(live[k])] = _underflow_message(r[k])
+            acc = np.nonzero(accepted)[0]
+            steps[live[acc]] += 1
+            g_new = _event_values(y_new[acc])
+            g_old = g[acc]
+            crossed = np.where(EVENT_RISES, (g_old <= 0) & (g_new >= 0),
+                               (g_old >= 0) & (g_new <= 0))
+            for j in np.nonzero(crossed.any(axis=1))[0]:
+                k = acc[j]
+                try:
+                    root, e = _first_event(K[:, k], r[k], r_new[k], y[k], crossed[j])
+                except ValueError as exc:   # no sign change, NaN or no convergence
+                    errors[int(live[k])] = str(exc)
+                else:
+                    verdicts[live[k]], radii[live[k]] = VERDICTS[e], root
+                done[k] = True
+            for k in acc[(r_new[acc] == rmax) & ~done[acc]]:
+                verdicts[live[k]], radii[live[k]] = "reached-max-radius", rmax
+                done[k] = True
+            r[acc], y[acc], f[acc], g[acc] = r_new[acc], y_new[acc], f_new[acc], g_new
+            if done.any():
+                keep = ~done
+                live, r, y, f, h, g, retry, nm1, alpha = (
+                    a[keep] for a in (live, r, y, f, h, g, retry, nm1, alpha))
+                rhs = partial(_rowmajor_rhs_batch, nm1, alpha, exponents)
+    return BatchRun(verdicts, radii, nfev, steps, errors)
+
+
 # -- differential test: one batch over every config against the batch it replaced --
 
 
@@ -551,15 +685,113 @@ def test_one_batch_over_all_configs_equals_one_batch_per_config(cells):
     _assert_one_batch_equals_per_config(rows)
 
 
+def _interleaved_rows():
+    """Perfbench's seed-7 cells at n = 6, alpha 2.0 and 3.0 rows alternating."""
+    u0s, v0s = _perfbench_cells(7)
+    by_alpha = [_batch_rows([(6, alpha)], u0s, v0s) for alpha in (2.0, 3.0)]
+    return [row for pair in zip(*by_alpha) for row in pair]
+
+
 def test_interleaved_alphas_equal_one_batch_per_config():
     """alpha 2.0 and 3.0 rows alternate through the batch.  u^2.0 must stay
     numpy's square, row by row wherever the row sits: a power against an
     array of exponents differs from it in the last bit."""
-    u0s, v0s = _perfbench_cells(7)
-    by_alpha = [_batch_rows([(6, alpha)], u0s, v0s) for alpha in (2.0, 3.0)]
-    rows = [row for pair in zip(*by_alpha) for row in pair]
+    rows = _interleaved_rows()
     assert [r[1] for r in rows[:4]] == [2.0, 3.0, 2.0, 3.0]
     _assert_one_batch_equals_per_config(rows)
+
+
+# -- the component-major batch: the row-major batch's bits, in the rows' order ------
+
+# four alphas in descending order, so the sort by alpha moves the rows, and
+# the generic powers 1.5, 2.5 and 3.0 run beside numpy's square
+MIXED_CONFIGS = [(n, alpha) for alpha in (3.0, 2.5, 2.0, 1.5) for n in (5, 6, 8, 12)]
+# a pool of rows to draw from: 16 configs, 4 cells each
+MIXED_POOL = _batch_rows(MIXED_CONFIGS, [0.3, 3.0], [-5.0, -0.5])
+# configs whose alphas are out of order
+UNSORTED_CONFIGS = [(6, 3.0), (8, 2.0), (5, 2.5), (6, 2.0)]
+
+
+def _shoot_rows(shoot_batch, rows) -> BatchRun:
+    return shoot_batch([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
+
+
+def _differential_rows(cells):
+    if cells == "interleaved":
+        return _interleaved_rows()
+    if cells == "mixed":
+        return _batch_rows(MIXED_CONFIGS, *default_grids(5))
+    u0s, v0s = default_grids(10) if cells == "default" else _perfbench_cells(cells)
+    return _batch_rows(ACCEPTANCE_CONFIGS, u0s, v0s)
+
+
+@pytest.mark.parametrize("cells", ["default", 0, 7, 123, "interleaved", "mixed"])
+def test_component_major_batch_equals_the_row_major_batch(cells):
+    """Verdict, radius, nfev, steps and error of every cell, bit for bit, on
+    the acceptance configs' cells (the default grids and perfbench's cells
+    of three seeds), the interleaved rows and the mixed alphas; and the
+    passes are the most any cell took."""
+    rows = _differential_rows(cells)
+    run = _shoot_rows(radial.shoot_batch, rows)
+    assert _outcomes(run) == _outcomes(_shoot_rows(_rowmajor_shoot_batch, rows))
+    assert run.passes == max((run.nfev - 2) // N_STAGES)
+
+
+def test_passes_on_the_default_acceptance_grids():
+    """226 RK45 passes over the 360 cells that need integration: 1,358
+    right-hand-side calls, 2 before the first pass and 6 per pass, which
+    evaluate the right-hand side 199,500 times."""
+    run = _shoot_rows(radial.shoot_batch, _differential_rows("default"))
+    assert (run.passes, 2 + N_STAGES * run.passes) == (226, 1358)
+    assert (len(run.nfev), int(run.nfev.sum())) == (360, 199_500)
+
+
+def test_an_empty_batch_takes_no_pass():
+    run = radial.shoot_batch([], [], [])
+    assert (run.verdicts, run.radii.size, run.errors, run.passes) == ([], 0, {}, 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, len(MIXED_POOL) - 1), min_size=1, max_size=12), st.data())
+def test_row_order_survives_the_sort(picks, data):
+    """Rows in any order come back in that order, bit for bit: the batch of
+    permuted rows gives the permuted outcomes."""
+    rows = [MIXED_POOL[i] for i in picks]
+    order = data.draw(st.permutations(range(len(rows))))
+    want = _outcomes(_shoot_rows(radial.shoot_batch, rows))
+    got = _outcomes(_shoot_rows(radial.shoot_batch, [rows[i] for i in order]))
+    assert got == [want[i] for i in order]
+
+
+def _assert_rows_as_alone(rows) -> BatchRun:
+    """Each row of one batch over ``rows`` has the outcome of a batch of
+    that row alone, its error under its own index."""
+    run = _shoot_rows(radial.shoot_batch, rows)
+    assert _outcomes(run) == [_outcomes(_shoot_rows(radial.shoot_batch, [row]))[0]
+                              for row in rows]
+    return run
+
+
+def test_a_step_underflow_is_reported_at_the_input_row():
+    """A start whose u^3 overflows rejects every step until the step
+    underflows; among rows of unsorted alphas, the error is that row's."""
+    rows = _batch_rows(UNSORTED_CONFIGS, [1.0], [-1.0])
+    rows.insert(2, (6, 3.0, (1e200, -1.0, -1.0, 0.0)))
+    run = _assert_rows_as_alone(rows)
+    assert list(run.errors) == [2]
+    assert run.errors[2].startswith("step size underflow at r = ")
+
+
+def test_an_event_that_does_not_converge_is_reported_at_the_input_row(monkeypatch):
+    """With Brent's method cut to 5 iterations, half the crossings among
+    rows of unsorted alphas fail to converge, each under its own row."""
+    monkeypatch.setattr(radial, "EVENT_MAXITER", 5)
+    rows = _batch_rows(UNSORTED_CONFIGS, [0.5, 2.0], [-3.0, -0.3])
+    run = _assert_rows_as_alone(rows)
+    assert sorted(run.errors) == [0, 1, 3, 7, 8, 11, 13, 15]
+    assert all("did not converge after 5 iterations" in e for e in run.errors.values())
+    assert [rows[i][1] for i in sorted(run.errors)] \
+        == [3.0, 3.0, 3.0, 2.0, 2.5, 2.5, 2.0, 2.0]
 
 
 def test_run_radial_makes_one_batch_and_one_grid_call(monkeypatch):
