@@ -171,6 +171,10 @@ def run_combination():
 
 
 def run_params(n_max: int = 100):
+    """The params section.  n_max bounds the sign certificates (five per n
+    in 5..n_max) and the Bernstein estimate grids (n in 5..min(n_max, 24));
+    the exponent grid and the linear-reduction rows always cover
+    EXPONENT_GRID_N, n = 5..24."""
     formulas = paramcheck.check_minor_formulas()
     certs = []
     for n in range(5, n_max + 1):
@@ -256,7 +260,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ids", default=None, help="comma-separated subset, e.g. I1,I12")
 
     p = sub.add_parser("params", help="matrix algebra, certificates, exponents")
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=int, default=None,
+                   help="last n of the certificates and the est1 grids (default 100); "
+                        "the exponent grids always cover n = 5..24")
 
     p = sub.add_parser("scan-pd", help="numeric minimal-eigenvalue scan")
     p.add_argument("--n", default=None, help="range as LO..HI (default 5..100)")

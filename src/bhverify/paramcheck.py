@@ -5,22 +5,22 @@ form is positive definite for 0 < alpha < (n+4)/(n-4); this module certifies
 that with exact arithmetic: the minor/determinant factorizations through the
 auxiliary polynomials f1, f2, f3 are checked as polynomial identities in
 formal (n, alpha), and positivity on the stated open intervals is certified
-per integer n over exact rationals (a root count plus an interior sample).
-The root count is Descartes' rule of signs after a Moebius map of the
-interval onto (0, inf) (Vincent; Collins-Akritas); a Sturm sequence is
-built only when sign changes remain.  The five certified polynomials (f1,
-f3 and the leading principal minors of A) are formed once in formal
-(n, alpha); each certificate evaluates its polynomial, and the upper end
-of its interval, at n (at_n) by Horner's rule on Python ints, from the
-body's integer numerator and denominator tabled as dense polynomials in n,
-formed once per body; every denominator lies in Z[n] (the coefficient
-domain), so the result lands in Q[alpha], and an end, free of alpha, is a
-constant there.  A floating-point minimal-eigenvalue scan reads the entries
-of A specialized the same way, cross-checks the certificates and reports
-the positivity margin.  A certificate clears the denominators of its
-polynomial once: its values at rational points are homogeneous
-Horner sums on Python ints, and the interval map is one sympy
-dup_transform over ZZ.  The Sturm root count is sympy's.
+per integer n on Python ints (a root count plus an interior sample).
+
+The five certified polynomials (f1, f3 and the leading principal minors of
+A) are formed once in formal (n, alpha).  at_n fixes n in a body, and in
+the upper end of its interval, by Horner's rule on Python ints over the
+body's integer numerator and denominator, tabled once as dense polynomials
+in n; every denominator lies in Z[n], so the result is a pair (integer
+alpha-coefficients, integer denominator), and no rational number is formed.
+A certificate reads that pair as it is: its values at rational points are
+homogeneous Horner sums, and its root count is Descartes' rule of signs
+after a Moebius map of the interval onto (0, inf) (Vincent;
+Collins-Akritas), the map made of sympy's Taylor shifts over ZZ.  A Sturm
+count, sympy's, runs only when sign changes remain.  A floating-point
+minimal-eigenvalue scan reads the entries of A specialized the same way,
+each coefficient one correctly rounded integer division, cross-checks the
+certificates and reports the positivity margin.
 
 The module also carries the small exact checks used by the blow-down
 argument: the cubic coefficient of the Bernstein estimate, the exponent
@@ -37,29 +37,14 @@ from functools import lru_cache
 
 import numpy as np
 from sympy import QQ, ZZ
-from sympy.polys.densetools import dup_transform
-from sympy.polys.rings import PolyElement, ring
+from sympy.polys.densetools import dup_scale, dup_shift
 from sympy.polys.rootisolation import dup_count_real_roots
 
 from .coeffs import ALPHA, A, N, ParamScalar, _dense_in_n, ps
 from .errors import DegenerateCertificateError, EngineInconsistencyError, PoleError
 from .registry import F1_COEFFS, F2_COEFFS, F3_COEFFS, build_named, poly_apply
 
-# -- univariate exact polynomials in Q[alpha] -----------------------------------
-
-QALPHA, _ = ring("alpha", QQ)
-
-
-def _qq_to_fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
-def _integer_multiple(lists: list[list]) -> tuple[list[list[int]], int]:
-    """(s * each list on Python ints, s) for the least s > 0 that clears the
-    denominator of every coefficient in the lists (QQ's rationals, or
-    ints)."""
-    s = math.lcm(*(c.denominator for cs in lists for c in cs))
-    return [[c.numerator * (s // c.denominator) for c in cs] for cs in lists], s
+# -- univariate integer polynomials in alpha at fixed n -------------------------
 
 
 def _horner(coeffs: list[int], u: int, w: int) -> int:
@@ -81,28 +66,32 @@ def _n_tables(x: ParamScalar) -> tuple[list[int], dict[tuple, list[int]]]:
     return den, _dense_in_n(x.num)
 
 
-def at_n(x: ParamScalar, n: int) -> PolyElement:
-    """x at integer n as a polynomial in QALPHA.
+def at_n(x: ParamScalar, n: int) -> tuple[list[int], int]:
+    """x at integer n as (coeffs, d): x = (sum coeffs[k] alpha^(deg - k)) / d.
 
-    Each (alpha, a, b) coefficient of the numerator, and the denominator,
-    which lies in Z[n], are evaluated at n by Horner's rule on Python ints
-    from x's tables (_n_tables); only their quotients are formed in QQ.  The
-    denominator must not vanish, and neither a nor b may survive.
+    coeffs are the integer alpha-coefficients, highest degree first, with
+    leading zeros stripped ([] for zero), and d is the value of x's
+    denominator, which lies in Z[n].  Each is evaluated at n by Horner's
+    rule on Python ints from x's tables (_n_tables).  The denominator must
+    not vanish, and neither a nor b may survive.
     """
     den, num_table = _n_tables(x)
     d = _horner(den, n, 1)
     if not d:
         raise PoleError(f"n = {n} is a denominator root of {x}")
-    num = {rest: _horner(cs, n, 1) for rest, cs in num_table.items()}
-    if any(v for (_, a, b), v in num.items() if a or b):
-        raise ValueError(f"{x} is not univariate in alpha")
-    return QALPHA.from_dict({(k,): QQ(v, d) for (k, _, _), v in num.items() if v})
+    by_degree = {}
+    for (k, a, b), cs in num_table.items():
+        if v := _horner(cs, n, 1):
+            if a or b:
+                raise ValueError(f"{x} is not univariate in alpha")
+            by_degree[k] = v
+    return [by_degree.get(k, 0) for k in range(max(by_degree, default=-1), -1, -1)], d
 
 
-def _value(ints: list[int], scale: int, x: Fraction) -> Fraction:
-    """Exact value at a rational point of the polynomial ints / scale."""
-    return Fraction(_horner(ints, x.numerator, x.denominator),
-                    scale * x.denominator ** (len(ints) - 1))
+def _value(coeffs: list[int], d: int, x: Fraction) -> Fraction:
+    """Exact value at a rational point of the polynomial coeffs / d."""
+    return Fraction(_horner(coeffs, x.numerator, x.denominator),
+                    d * x.denominator ** (len(coeffs) - 1))
 
 
 @dataclass(frozen=True)
@@ -118,51 +107,54 @@ class SignCertificate:
     verdict: str                                  # "positive" | "negative" | "not-one-signed"
 
 
-def _descartes_no_root(dense: list, a: Fraction, b: Fraction) -> bool:
-    """True when Descartes' rule proves that p has no root in (a, b).
+def _descartes_no_root(coeffs: list[int], a: Fraction, b: Fraction) -> bool:
+    """True when Descartes' rule proves that the integer polynomial p =
+    coeffs (highest degree first) has no root in (a, b).
 
     x = (a + b t)/(1 + t) maps (0, inf) onto (a, b).  With a = A/W and
-    b = B/W over one denominator W > 0, and p cleared of denominators,
-    q(t) = (W + W t)^d p((A + B t)/(W + W t)) is a positive multiple of
-    (1+t)^d p((a + b t)/(1 + t)) with integer coefficients, formed over ZZ
-    by sympy's dup_transform.  If q's nonzero coefficients share one sign,
-    q has no positive root.  False proves nothing.  dense holds ints or
-    QQ's rationals.
+    b = B/W over one denominator W > 0, q(t) = (W + W t)^d p((A + B t)/(W + W t))
+    is a positive multiple of (1+t)^d p((a + b t)/(1 + t)) with integer
+    coefficients, formed by Taylor shifts over ZZ: r(y) = W^d p(y/W) (each
+    coefficient scaled by a power of W), shifted by A, scaled by B - A,
+    reversed, shifted by 1 and reversed again.  If q's nonzero coefficients
+    share one sign, q has no positive root.  False proves nothing.
     """
-    (p,), _ = _integer_multiple([dense])
     w = math.lcm(a.denominator, b.denominator)
-    q = dup_transform(p, [b.numerator * (w // b.denominator), a.numerator * (w // a.denominator)],
-                      [w, w], ZZ)
+    lo, hi = a.numerator * (w // a.denominator), b.numerator * (w // b.denominator)
+    q = [c * w**k for k, c in enumerate(coeffs)]
+    if lo:
+        q = dup_shift(q, lo, ZZ)
+    q = dup_shift(dup_scale(q, hi - lo, ZZ)[::-1], 1, ZZ)[::-1]
     return all(c >= 0 for c in q) or all(c <= 0 for c in q)
 
 
-def certify_sign(name: str, poly: PolyElement, n: int,
+def certify_sign(name: str, poly: tuple[list[int], int], n: int,
                  interval: tuple[Fraction, Fraction]) -> SignCertificate:
-    """Exact one-signedness verdict on a nonempty open interval (a, b).
+    """Exact one-signedness verdict of poly = (coeffs, d), the polynomial
+    coeffs / d as at_n returns it, on a nonempty open interval (a, b).
 
-    The polynomial's denominators are cleared once: the values at a, b and
-    the midpoint come from homogeneous Horner on its integer multiple
-    (_value), and the root count is 0 when Descartes' rule proves it after
-    the interval is mapped onto (0, inf) (_descartes_no_root, over ZZ).
-    Otherwise sympy's Sturm-sequence count covers the closed interval
-    [a, b], and roots sitting exactly at the endpoints are taken off, so the
-    recorded count refers to the interior only.
+    The values at a, b and the midpoint come from homogeneous Horner on the
+    integer coefficients (_value), and the root count is 0 when Descartes'
+    rule proves it after the interval is mapped onto (0, inf)
+    (_descartes_no_root, over ZZ).  Otherwise sympy's Sturm-sequence count
+    of the integer coefficients covers the closed interval [a, b], and roots
+    sitting exactly at the endpoints are taken off, so the recorded count
+    refers to the interior only.
     """
+    coeffs, d = poly
     a, b = Fraction(interval[0]), Fraction(interval[1])
     if not a < b:
         raise DegenerateCertificateError(f"{name}: empty interval ({a}, {b})")
-    if not poly:
+    if not coeffs:
         raise DegenerateCertificateError(f"{name}: zero polynomial on [{a}, {b}]")
-    dense = poly.to_dense()
-    (ints,), scale = _integer_multiple([dense])
-    ends = (_value(ints, scale, a), _value(ints, scale, b))
-    if _descartes_no_root(ints, a, b):
+    ends = (_value(coeffs, d, a), _value(coeffs, d, b))
+    if _descartes_no_root(coeffs, a, b):
         roots = 0
     else:
-        closed = dup_count_real_roots(dense, QQ, inf=QQ.convert(a), sup=QQ.convert(b))
+        closed = dup_count_real_roots(coeffs, ZZ, inf=QQ.convert(a), sup=QQ.convert(b))
         roots = closed - sum(1 for v in ends if not v)
     mid = (a + b) / 2
-    sample = _value(ints, scale, mid)
+    sample = _value(coeffs, d, mid)
     if roots == 0 and sample > 0:
         verdict = "positive"
     elif roots == 0 and sample < 0:
@@ -183,9 +175,12 @@ _ENTRIES = ("A11", "A12", "A13", "A22", "A23", "A33")
 class MatrixA:
     """Symmetric 3x3 coefficient matrix of the master quadratic form.
 
-    The entries may come from any commutative ring: exact rational functions
-    in (n, alpha) for the formal matrix, polynomials in QALPHA once n is
-    fixed (see matrix_at).
+    The entries are exact rational functions in (n, alpha); minor2 and det
+    need only ring operations.  entry_polys_in_alpha fixes n in each entry
+    by at_n, as an integer coefficient list over an integer denominator.
+    Fixing an integer n >= 5 is a ring homomorphism on the entries (their
+    denominators are products of n - 1, n - 4 and n + 4), so the minors of
+    the specialized entries are the specialized minors.
     """
     A11: ParamScalar
     A12: ParamScalar
@@ -202,7 +197,7 @@ class MatrixA:
                 - self.A12 * (self.A12 * self.A33 - self.A23 * self.A13)
                 + self.A13 * (self.A12 * self.A23 - self.A22 * self.A13))
 
-    def entry_polys_in_alpha(self, n: int) -> dict[str, PolyElement]:
+    def entry_polys_in_alpha(self, n: int) -> dict[str, tuple[list[int], int]]:
         return {name: at_n(getattr(self, name), n) for name in _ENTRIES}
 
 
@@ -214,16 +209,6 @@ def build_matrix_A() -> MatrixA:
     if not (a11 == build_named("A11_display")):
         raise EngineInconsistencyError("the two constructions of A11 disagree")
     return MatrixA(**{k: build_named(k) for k in _ENTRIES})
-
-
-def matrix_at(n: int) -> MatrixA:
-    """A at integer n with entries in QALPHA, for the eigenvalue scan.
-
-    Substituting an integer n >= 5 is a ring homomorphism on the entries
-    (their denominators are products of n - 1, n - 4 and n + 4), so the
-    minors of this matrix are the specialized minors of the formal one.
-    """
-    return MatrixA(**build_matrix_A().entry_polys_in_alpha(n))
 
 
 @lru_cache(maxsize=None)
@@ -321,7 +306,8 @@ def positivity_certificate(poly_id: str, n: int) -> SignCertificate:
 
     Known ids: f1 on (0, 1/(n-2)); f3 on (0, 1/(n-4)); A11, minor2, detA in
     alpha on (0, (n+4)/(n-4)).  The body and the upper end are both fixed
-    at n by at_n; the end is the constant coefficient of its result.
+    at n by at_n; the end is the one coefficient of its result over its
+    denominator.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 5:
         raise ValueError(f"certificates require an integer n >= 5, got n = {n!r}")
@@ -329,8 +315,8 @@ def positivity_certificate(poly_id: str, n: int) -> SignCertificate:
     if poly_id not in table:
         raise KeyError(f"unknown certificate polynomial {poly_id!r}")
     body, upper = table[poly_id]
-    end = at_n(upper, n).coeff(1)
-    return certify_sign(poly_id, at_n(body, n), n, (Fraction(0), _qq_to_fraction(end)))
+    (end,), d = at_n(upper, n)
+    return certify_sign(poly_id, at_n(body, n), n, (Fraction(0), Fraction(end, d)))
 
 
 @lru_cache(maxsize=None)
@@ -380,19 +366,21 @@ def _eigmin_sym3(a11, a12, a13, a22, a23, a33):
 def numeric_pd_scan(n_values, grid: int = 1000) -> PDReport:
     """Minimal eigenvalue of A on a strictly interior alpha grid per n.
 
-    The sign at every point must agree with the Sylvester certificates
-    (which assert positivity on the whole open interval); disagreement is an
-    engine inconsistency and is fatal.
+    The entries at n come from entry_polys_in_alpha, and each integer
+    coefficient c over the denominator d is floated as c / d, one correctly
+    rounded division.  The sign at every point must agree with the
+    Sylvester certificates (which assert positivity on the whole open
+    interval); disagreement is an engine inconsistency and is fatal.
     """
     per_n_min: dict[str, float] = {}
     best = {"n": None, "alpha": None}
     min_lambda = math.inf
+    mat = build_matrix_A()
     for n in n_values:
-        mat = matrix_at(int(n))
+        entries = mat.entry_polys_in_alpha(int(n))
         upper = (n + 4) / (n - 4)
         alphas = np.linspace(0.0, upper, grid + 2)[1:-1]
-        vals = [np.polyval([float(c) for c in getattr(mat, name).to_dense()], alphas)
-                for name in _ENTRIES]
+        vals = [np.polyval([c / d for c in coeffs], alphas) for coeffs, d in entries.values()]
         lam = _eigmin_sym3(*vals)
         i = int(np.argmin(lam))
         per_n_min[str(int(n))] = float(lam[i])
@@ -417,18 +405,20 @@ EXPONENT_GRID_ALPHAS = 20       # interior alphas per n
 
 
 def est1_coefficient(n: int, a: Fraction) -> Fraction:
-    """Cubic coefficient (a/n)(1+2a)(2-(n-4)a) of the Bernstein estimate."""
+    """Cubic coefficient (a/n)(1+2a)(2-(n-4)a) of the Bernstein estimate, at
+    a = p/q one integer fraction p(q+2p)(2q-(n-4)p) / (n q^3)."""
     a = Fraction(a)
-    return a / n * (1 + 2 * a) * (2 - (n - 4) * a)
+    p, q = a.numerator, a.denominator
+    return Fraction(p * (q + 2 * p) * (2 * q - (n - 4) * p), n * q**3)
 
 
 def est1_grid_check(n: int) -> dict:
-    """Exact positivity of the cubic coefficient on an interior a-grid of
-    EST1_GRID_POINTS points."""
+    """Exact positivity of the cubic coefficient on the EST1_GRID_POINTS
+    interior points a = 2k / ((EST1_GRID_POINTS + 1)(n - 4)) of (0, 2/(n-4))."""
     upper = Fraction(2, n - 4)
     count = EST1_GRID_POINTS
-    points = [Fraction(k, count + 1) * upper for k in range(1, count + 1)]
-    values = [est1_coefficient(n, a) for a in points]
+    values = [est1_coefficient(n, Fraction(2 * k, (count + 1) * (n - 4)))
+              for k in range(1, count + 1)]
     return {
         "n": n,
         "count": count,
@@ -500,10 +490,10 @@ def exponent_grid_check() -> dict:
     plus summary flags (the chain fails at n = 5, the exponent never does)."""
     records = []
     for n in EXPONENT_GRID_N:
-        upper = Fraction(n + 4, n - 4)
+        # alpha = 1 + k/(EXPONENT_GRID_ALPHAS + 1) * ((n+4)/(n-4) - 1) = (m + 8k)/m
+        m = (EXPONENT_GRID_ALPHAS + 1) * (n - 4)
         for k in range(1, EXPONENT_GRID_ALPHAS + 1):
-            alpha = 1 + Fraction(k, EXPONENT_GRID_ALPHAS + 1) * (upper - 1)
-            records.append(exponent_check(n, alpha))
+            records.append(exponent_check(n, Fraction(m + 8 * k, m)))
     return {
         "points": len(records),
         "gamma_always_at_least_six": all(r.gamma_at_least_six for r in records),

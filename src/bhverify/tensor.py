@@ -35,6 +35,7 @@ self-trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -365,8 +366,10 @@ class TExpr:
         """Sum of coeff * m over raw, collected on canonical monomials.
 
         Each monomial's running sum is kept as a raw (num, den) pair of ring
-        elements: equal denominators add numerators, others meet over
-        den * d / gcd(den, d).  Each sum is normalized once, at the end.  A
+        elements: equal denominators add numerators; den and d that differ
+        only by a constant factor, d/den = l/k for their leading coefficients
+        k and l, meet over den * l / gcd(k, l) with integer cofactors; others
+        meet over den * d / gcd(den, d).  Each sum is normalized once, at the end.  A
         monomial whose running sum cancels is dropped and re-enters at the
         end of the key order if it comes back.
         """
@@ -389,7 +392,12 @@ class TExpr:
                 if p_den == den:
                     num = p_num + num
                 else:
-                    p_cof, cof = cofactors(p_den, den)
+                    k, l = p_den.LC, den.LC
+                    if len(p_den) == len(den) and p_den.mul_ground(l) == den.mul_ground(k):
+                        g = math.gcd(k, l)
+                        p_cof, cof = k // g, l // g
+                    else:
+                        p_cof, cof = cofactors(p_den, den)
                     num, den = p_num * cof + num * p_cof, p_den * cof
                 if not num:
                     del acc[canon]

@@ -19,6 +19,7 @@ from sympy.external.pythonmpq import PythonMPQ
 from sympy.polys.rings import PolyElement
 
 import qq_coeffs as ref
+from qq_paramcheck import QALPHA
 from bhverify import cli, coeffs, paramcheck, registry, tensor
 from bhverify.coeffs import (_RING, ALPHA, A, B, N, ONE, VAR_NAMES, ParamScalar, ZERO,
                              _dense_in_n, _divide_root, _from_dense, _linear_roots, _primitive,
@@ -236,10 +237,16 @@ def _ref_univariate(self, name: str) -> list[Fraction]:
     return [c / den for c in coeffs]
 
 
+def _in_qalpha(pair):
+    """at_n's (integer coefficients, denominator) pair as a polynomial in
+    QALPHA."""
+    coeffs, d = pair
+    return QALPHA.from_list([QQ(c, d) for c in coeffs])
+
+
 def _ref_in_alpha(x, n: int):
     """x at integer n in QALPHA by the replaced route: the reference
     subs_param, then the coefficient list of the replaced univariate."""
-    from bhverify.paramcheck import QALPHA
     return QALPHA.from_list(_ref_univariate(_reference_subs_param(x, "n", ps(n)),
                                             "alpha")[::-1])
 
@@ -247,27 +254,30 @@ def _ref_in_alpha(x, n: int):
 def test_subs_param_alpha_polys_match_reference():
     """The 480 certified polynomials at n = 5..100, as the certificates use
     them (formed in formal (n, alpha), then evaluated at n), equal the
-    formal bodies specialized by the reference.  The Sylvester minors formed
-    from matrix_at(n) equal them too."""
-    from bhverify.paramcheck import at_n, certified_polys, matrix_at
+    formal bodies specialized by the reference.  The Sylvester minors of
+    the matrix of specialized entries (entry_polys_in_alpha(n), formed in
+    QALPHA) equal them too."""
+    from bhverify.paramcheck import MatrixA, at_n, build_matrix_A, certified_polys
     for n in range(5, 101):
-        at_n_mat = matrix_at(n)
+        at_n_mat = MatrixA(**{name: _in_qalpha(pair) for name, pair
+                              in build_matrix_A().entry_polys_in_alpha(n).items()})
         minors = {"A11": at_n_mat.A11, "minor2": at_n_mat.minor2(), "detA": at_n_mat.det()}
         for poly_id, (body, _) in certified_polys().items():
             want = _ref_in_alpha(body, n)
-            assert at_n(body, n) == want, (poly_id, n)
+            assert _in_qalpha(at_n(body, n)) == want, (poly_id, n)
             assert minors.get(poly_id, want) == want, (poly_id, n)
 
 
-def test_matrix_at_entries_match_reference():
-    """All six entries of matrix_at(n), n = 5..100, equal the reference
-    specialization of the formal entries."""
-    from bhverify.paramcheck import build_matrix_A, matrix_at
+def test_entry_polys_in_alpha_match_reference():
+    """All six entries of entry_polys_in_alpha(n), n = 5..100, equal the
+    reference specialization of the formal entries."""
+    from bhverify.paramcheck import build_matrix_A
     mat = build_matrix_A()
     for n in range(5, 101):
-        at_n_mat = matrix_at(n)
-        for name in ("A11", "A12", "A13", "A22", "A23", "A33"):
-            assert getattr(at_n_mat, name) == _ref_in_alpha(getattr(mat, name), n), (name, n)
+        entries = mat.entry_polys_in_alpha(n)
+        assert list(entries) == ["A11", "A12", "A13", "A22", "A23", "A33"]
+        for name, pair in entries.items():
+            assert _in_qalpha(pair) == _ref_in_alpha(getattr(mat, name), n), (name, n)
 
 
 # -- differential test: _normalize against the multivariate cancel it replaced ---
@@ -850,10 +860,10 @@ def test_verify_cofactors_match_the_multivariate_ring(monkeypatch):
     """Every gcd that run_verify plus run_combination take, from cold
     caches, equals the 4-variable QQ ring's up to the constant factor.
 
-    from_terms adds numerators over equal denominators and takes a gcd
-    otherwise.  187 of the pairs differ in Q[n] beyond a constant factor,
-    the 187 gcds the QQ representation took; the other 68 differ by an
-    integer factor, which that representation kept in the numerator."""
+    from_terms adds numerators over equal denominators, meets denominators
+    that differ only by an integer factor with integer cofactors, and takes
+    a gcd otherwise: all 187 pairs it hands to cofactors differ in Q[n]
+    beyond a constant factor, the 187 gcds the QQ representation took."""
     calls = []
 
     def recorded(f, g):
@@ -863,8 +873,8 @@ def test_verify_cofactors_match_the_multivariate_ring(monkeypatch):
     _clear_caches()
     monkeypatch.setattr(tensor, "cofactors", recorded)
     assert cli.run_verify()[1] and cli.run_combination()[1]
-    assert len(calls) == 187 + 68
-    assert sum(_as_q(f).monic() != _as_q(g).monic() for f, g in calls) == 187
+    assert len(calls) == 187
+    assert all(_as_q(f).monic() != _as_q(g).monic() for f, g in calls)
     for f, g in calls:
         assert _cofactor_triple(f, g) == _qq_cofactors(f, g), (f, g)
 
@@ -1102,10 +1112,9 @@ def test_divide_root_matches_the_qq_horner_on_the_catalog_roots(monkeypatch):
 # -- no rational ground arithmetic in the identities -----------------------------
 
 
-def test_verify_all_forms_no_rational_number(monkeypatch):
-    """From cold caches, registry.verify_all() constructs no PythonMPQ, sympy's
-    pure-Python rational (tens of thousands when the coefficients were
-    polynomials over QQ).  The count is live: one QQ(1, 3) afterwards counts."""
+def _count_rationals(monkeypatch) -> list:
+    """A live record of every PythonMPQ, sympy's pure-Python rational,
+    constructed from now on, by either constructor."""
     made = []
     new, raw_new = PythonMPQ.__new__, PythonMPQ._new.__func__
 
@@ -1117,11 +1126,32 @@ def test_verify_all_forms_no_rational_number(monkeypatch):
         made.append(args)
         return raw_new(cls, *args)
 
-    _clear_caches()
     monkeypatch.setattr(PythonMPQ, "__new__", staticmethod(counted_new))
     monkeypatch.setattr(PythonMPQ, "_new", classmethod(counted_raw_new))
+    return made
+
+
+def test_verify_all_forms_no_rational_number(monkeypatch):
+    """From cold caches, registry.verify_all() constructs no PythonMPQ, sympy's
+    pure-Python rational (tens of thousands when the coefficients were
+    polynomials over QQ).  The count is live: one QQ(1, 3) afterwards counts."""
+    _clear_caches()
+    made = _count_rationals(monkeypatch)
     reports = registry.verify_all()
     assert len(reports) == 15
+    assert made == []
+    QQ(1, 3)
+    assert made
+
+
+def test_certificates_and_scan_form_no_rational_number(monkeypatch):
+    """From cold caches, run_params(100) plus run_scan_pd(5, 100, 1000)
+    construct no PythonMPQ (about 6,900 when at_n returned polynomials over
+    QQ: 4,222 in the 480 certificates and 2,688 in the scan).  The count is
+    live: one QQ(1, 3) afterwards counts."""
+    _clear_caches()
+    made = _count_rationals(monkeypatch)
+    _params_and_scan_pd(100, 1000)
     assert made == []
     QQ(1, 3)
     assert made

@@ -12,11 +12,12 @@ from sympy import QQ
 from sympy.polys.densetools import dup_eval, dup_scale, dup_shift
 
 import qq_coeffs as ref
+import qq_paramcheck as old
 from bhverify import cli, paramcheck
 from bhverify.coeffs import ALPHA, A, B, N, ps
 from bhverify.errors import (DegenerateCertificateError, MalformedCoefficientError,
                              PoleError)
-from bhverify.paramcheck import (QALPHA, SignCertificate, at_n,
+from bhverify.paramcheck import (SignCertificate, at_n,
                                  build_matrix_A, certify_sign, check_minor_formulas,
                                  ExponentCheck, est1_coefficient, est1_grid_check,
                                  exponent_check, exponent_grid_check,
@@ -25,7 +26,8 @@ from bhverify.paramcheck import (QALPHA, SignCertificate, at_n,
                                  sylvester_certificates)
 from bhverify.registry import F1_COEFFS, F3_COEFFS, poly_apply
 from bhverify.report import jsonable
-from test_coeffs import _horner, _ref_univariate, _to_ref
+from qq_paramcheck import QALPHA
+from test_coeffs import _horner, _in_qalpha, _ref_univariate, _to_ref
 
 
 class TestMatrix:
@@ -88,11 +90,14 @@ class TestFactorizations:
 
 
 class TestAtN:
-    def test_specializes_to_qalpha(self):
-        assert at_n(N**2 * ALPHA**2 + 3 * ALPHA - 7, 5) == QALPHA.from_list([25, 3, -7])
-        assert at_n((N + 4) * ALPHA / (N - 4), 6) == QALPHA.from_list([5, 0])
+    def test_specializes_to_integer_pairs(self):
+        assert at_n(N**2 * ALPHA**2 + 3 * ALPHA - 7, 5) == ([25, 3, -7], 1)
+        assert at_n((N + 4) * ALPHA / (N - 4), 6) == ([10, 0], 2)
         # a or b in the numerator, with a coefficient that vanishes at this n
-        assert at_n((N - 5) * A + ALPHA, 5) == QALPHA.from_list([1, 0])
+        assert at_n((N - 5) * A + ALPHA, 5) == ([1, 0], 1)
+        # leading coefficients that vanish at this n are stripped
+        assert at_n(((N - 5) * ALPHA**2 - 3) / (N - 7), 5) == ([-3], -2)
+        assert at_n(ps(0), 5) == ([], 1)
 
     def test_rejects_what_is_not_a_polynomial_in_alpha(self):
         with pytest.raises(ValueError, match="not univariate"):
@@ -110,7 +115,7 @@ class TestAtN:
 class TestSturm:
     def test_root_counts(self):
         # (x-1)(x-2)(x-3)
-        p = QALPHA.from_list([1, -6, 11, -6])
+        p = ([1, -6, 11, -6], 1)
 
         def count(a, b):
             return certify_sign("custom", p, 5, (a, b)).sturm_root_count
@@ -120,25 +125,25 @@ class TestSturm:
         assert count(Fraction(1), Fraction(3)) == 1
 
     def test_certify_planted_root(self):
-        c = certify_sign("custom", QALPHA.from_list([-1, 1, 0]), 5,
+        c = certify_sign("custom", ([-1, 1, 0], 1), 5,
                          (Fraction(0), Fraction(2)))
         assert c.verdict == "not-one-signed"
         assert c.sturm_root_count == 1
 
     def test_certify_negative(self):
-        c = certify_sign("custom", QALPHA.from_list([-1, 0, -1]), 5,
+        c = certify_sign("custom", ([-1, 0, -1], 1), 5,
                          (Fraction(0), Fraction(1)))
         assert c.verdict == "negative"
 
     def test_degenerate_certificate(self):
         with pytest.raises(DegenerateCertificateError):
-            certify_sign("zero", QALPHA.zero, 5, (Fraction(0), Fraction(1)))
+            certify_sign("zero", ([], 1), 5, (Fraction(0), Fraction(1)))
 
     @pytest.mark.parametrize("interval", [(Fraction(1), Fraction(1)),
                                           (Fraction(3), Fraction(0))])
     def test_empty_or_reversed_interval_is_degenerate(self, interval):
         with pytest.raises(DegenerateCertificateError, match="empty interval"):
-            certify_sign("custom", QALPHA.from_list([1, 0, 1]), 5, interval)
+            certify_sign("custom", ([1, 0, 1], 1), 5, interval)
 
     @pytest.mark.parametrize("n", [6.0, 5.5, True, Fraction(6)])
     def test_positivity_certificate_rejects_non_integer_n(self, n):
@@ -187,8 +192,7 @@ class TestNumericScan:
         polys = mat.entry_polys_in_alpha(5)
         from bhverify.paramcheck import _eigmin_sym3
         alphas = np.array([9 - 10.0**-k for k in range(1, 7)])
-        vals = {k: np.polyval([float(c) for c in v.to_dense()], alphas)
-                for k, v in polys.items()}
+        vals = {k: np.polyval([c / d for c in cs], alphas) for k, (cs, d) in polys.items()}
         lam = _eigmin_sym3(vals["A11"], vals["A12"], vals["A13"],
                            vals["A22"], vals["A23"], vals["A33"])
         assert all(lam > 0)
@@ -475,11 +479,19 @@ def _planted_polys(draw):
     return p, a, b, set(inside)
 
 
-def _sturm_only(name, poly, n, interval) -> SignCertificate:
-    """certify_sign with the Descartes route switched off."""
+def _pair(coeffs: list[Fraction], sign: int = 1) -> tuple[list[int], int]:
+    """The rational polynomial coeffs (lowest degree first, nonzero leading
+    coefficient) as certify_sign takes it: integer coefficients, highest
+    first, over one integer denominator, both multiplied by sign."""
+    (ints,), d = old._integer_multiple([coeffs[::-1]])
+    return [sign * c for c in ints], sign * d
+
+
+def _sturm_only(name, poly, n, interval, module=paramcheck) -> SignCertificate:
+    """module.certify_sign with the Descartes route switched off."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(paramcheck, "_descartes_no_root", lambda *args: False)
-        return certify_sign(name, poly, n, interval)
+        mp.setattr(module, "_descartes_no_root", lambda *args: False)
+        return module.certify_sign(name, poly, n, interval)
 
 
 class TestAgainstReplacedCode:
@@ -487,7 +499,7 @@ class TestAgainstReplacedCode:
     @given(_planted_polys())
     def test_root_count_matches_reference(self, case):
         coeffs, a, b, inside = case
-        poly = QALPHA.from_list(coeffs[::-1])
+        poly = _pair(coeffs)
         cert = certify_sign("custom", poly, 5, (a, b))
         assert cert.sturm_root_count == _ref_sturm_root_count(coeffs, a, b) == len(inside)
         assert cert == _ref_certify_sign("custom", coeffs, 5, (a, b))
@@ -498,8 +510,8 @@ class TestAgainstReplacedCode:
         0.26 t^2 - 0.48 t + 0.26: two sign changes, so Sturm decides."""
         coeffs = [Fraction(26, 100), Fraction(-1), Fraction(1)]
         a, b = Fraction(0), Fraction(1)
-        poly = QALPHA.from_list(coeffs[::-1])
-        assert not paramcheck._descartes_no_root(poly.to_dense(), a, b)
+        poly = _pair(coeffs)
+        assert not paramcheck._descartes_no_root(poly[0], a, b)
         cert = certify_sign("custom", poly, 5, (a, b))
         assert cert.verdict == "positive"
         assert cert.sturm_root_count == _ref_sturm_root_count(coeffs, a, b) == 0
@@ -518,7 +530,7 @@ class TestAgainstReplacedCode:
     def test_planted_endpoint_roots(self, coeffs, count, verdict):
         coeffs = [Fraction(c) for c in coeffs]
         a, b = Fraction(0), Fraction(2)
-        poly = QALPHA.from_list(coeffs[::-1])
+        poly = _pair(coeffs)
         cert = certify_sign("custom", poly, 5, (a, b))
         assert cert.sturm_root_count == _ref_sturm_root_count(coeffs, a, b) == count
         assert cert.verdict == verdict
@@ -598,8 +610,10 @@ def test_at_n_matches_the_qq_horner(monkeypatch):
     """Every body the certificates and the scan tabulate (the five certified
     polynomials, the six entries of A, A11 among both, and the interval
     ends 1/(n-2), 1/(n-4) and (n+4)/(n-4)), and bodies that hit a pole or
-    leave Q[alpha], give at n = 5..100 what the QQ Horner gave: the same
-    polynomial and text, or the same error and message."""
+    leave Q[alpha], give at n = 5..100 what the QQ Horner gave and what the
+    replaced at_n (a polynomial in QALPHA) gave: the same polynomial and
+    text, or the same error and message.  The integer coefficients come
+    with no leading zero and the denominator is the denominator's value."""
     bodies = _tabled_bodies(monkeypatch)
     assert len(bodies) == 13
     for x in (*bodies, *_EDGE_BODIES):
@@ -607,11 +621,16 @@ def test_at_n_matches_the_qq_horner(monkeypatch):
             try:
                 want = _ref_at_n(x, n)
             except (PoleError, ValueError) as exc:
-                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                    at_n(x, n)
+                for route in (at_n, old.at_n):
+                    with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                        route(x, n)
                 continue
-            got = at_n(x, n)
-            assert got == want and str(got) == str(want), (str(x), n)
+            coeffs, d = at_n(x, n)
+            assert not coeffs or coeffs[0], (str(x), n)
+            assert all(type(c) is int for c in (*coeffs, d))
+            assert d == _horner({(): paramcheck._n_tables(x)[0]}, n)[()]
+            got = _in_qalpha((coeffs, d))
+            assert got == want == old.at_n(x, n) and str(got) == str(want), (str(x), n)
 
 
 # rationals with zero, negative values and large denominators
@@ -630,14 +649,15 @@ _dense_polys = st.lists(_points, min_size=1, max_size=7).filter(lambda cs: cs[0]
 @example([QQ(26, 100), QQ(-1), QQ(1)][::-1], Fraction(0), Fraction(1))  # Sturm decides
 def test_value_and_descartes_match_the_qq_kernels(dense, a, width):
     """Exact values at both ends and the midpoint, and the Descartes
-    verdict on (a, a + |width|), equal the QQ kernels', from the QQ list
-    and from its integer multiple."""
+    verdict on (a, a + |width|), of the integer multiple of a QQ list equal
+    the QQ kernels' and, for the verdict, the replaced dup_transform
+    route's."""
     b = a + abs(width)
-    (ints,), scale = paramcheck._integer_multiple([dense])
+    (ints,), scale = old._integer_multiple([dense])
     for x in (a, b, (a + b) / 2):
         assert paramcheck._value(ints, scale, x) == _ref_value(dense, x)
     want = _ref_descartes_no_root(dense, a, b)
-    assert paramcheck._descartes_no_root(dense, a, b) == want
+    assert old._descartes_no_root(dense, a, b) == want
     assert paramcheck._descartes_no_root(ints, a, b) == want
 
 
@@ -647,4 +667,56 @@ def test_descartes_matches_the_qq_kernel_on_planted_roots(case):
     """Roots planted at the ends, inside and outside the interval."""
     coeffs, a, b, _ = case
     dense = QALPHA.from_list(coeffs[::-1]).to_dense()
-    assert paramcheck._descartes_no_root(dense, a, b) == _ref_descartes_no_root(dense, a, b)
+    want = _ref_descartes_no_root(dense, a, b)
+    assert old._descartes_no_root(dense, a, b) == want
+    assert paramcheck._descartes_no_root(_pair(coeffs)[0], a, b) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_planted_polys(), st.sampled_from([1, -1]))
+def test_certify_sign_matches_the_replaced_code_on_both_routes(case, sign):
+    """certify_sign on the integer pair, over a positive or a negative
+    denominator, gives the certificate the replaced certify_sign gave on
+    the polynomial in QALPHA, by the Descartes route and with the Sturm
+    fallback forced on both; roots sit at the ends, inside and outside the
+    interval, whose left end a is mostly nonzero."""
+    coeffs, a, b, _ = case
+    pair, poly = _pair(coeffs, sign), QALPHA.from_list(coeffs[::-1])
+    assert certify_sign("custom", pair, 5, (a, b)) == old.certify_sign("custom", poly, 5, (a, b))
+    assert (_sturm_only("custom", pair, 5, (a, b))
+            == _sturm_only("custom", poly, 5, (a, b), module=old))
+
+
+def test_descartes_matches_the_replaced_transform_on_the_480_certificates():
+    """On each certified body at n = 5..100 and its interval (0, end), the
+    integer Taylor shifts and the replaced dup_transform prove the same."""
+    for n in range(5, 101):
+        for poly_id, (body, upper) in paramcheck.certified_polys().items():
+            (end,), d = at_n(upper, n)
+            coeffs, _ = at_n(body, n)
+            interval = (Fraction(0), Fraction(end, d))
+            assert paramcheck._descartes_no_root(coeffs, *interval), (poly_id, n)
+            assert old._descartes_no_root(coeffs, *interval), (poly_id, n)
+
+
+# -- differential tests: the integer grids against the Fraction code they replaced --
+
+
+def test_est1_grids_match_the_fraction_code():
+    for n in range(5, 61):
+        assert est1_grid_check(n) == old.est1_grid_check(n), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(5, 200), _rationals)
+def test_est1_coefficient_matches_the_fraction_code(n, a):
+    got = est1_coefficient(n, a)
+    assert got == old.est1_coefficient(n, a) and type(got) is Fraction
+
+
+def test_exponent_grid_matches_the_fraction_code():
+    """All 400 grid points: the same alphas, records and summary."""
+    got, want = exponent_grid_check(), old.exponent_grid_check()
+    assert len(got["records"]) == 400
+    assert [(r.n, r.alpha) for r in got["records"]] == [(r.n, r.alpha) for r in want["records"]]
+    assert got == want and jsonable(got) == jsonable(want)
