@@ -303,7 +303,12 @@ class ParamScalar:
             other = ParamScalar.coerce(other)
         if not isinstance(other, ParamScalar):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        num, den, onum, oden = self.num, self.den, other.num, other.den
+        if num.is_ground and den.is_ground and onum.is_ground and oden.is_ground:
+            # two constants: their normalized ground values, not the polynomials
+            z = _RING.zero_monom
+            return num.get(z, 0) == onum.get(z, 0) and den.get(z, 0) == oden.get(z, 0)
+        return num == onum and den == oden
 
     def __hash__(self):
         h = self._hash

@@ -46,6 +46,7 @@ report flags that discrepancy.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -418,7 +419,10 @@ def check_all_identities(samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9,
     """Max relative residual of LHS - RHS per registered identity over random
     flat jets, at alpha = ORACLE_ALPHA and a = ORACLE_A.
 
-    The residual is normalized by 1 + |LHS| + |RHS|.  Dimensions are the
+    The residual is normalized by 1 + |LHS| + |RHS|.  A row fails when its
+    residual exceeds ``tol`` or is not finite (NaN or infinite), and an
+    identity passes when no row fails; ``max_rel_residual`` is the largest
+    finite residual, so the report stays strict JSON.  Dimensions are the
     outer loop: the free batch of each n is drawn once and the on-shell
     batch derived from it (``onshell_batch``); each mode's factor table is
     built once and every identity of that mode evaluated on it.  Within an
@@ -463,19 +467,25 @@ def check_all_identities(samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9,
                     continue
                 lhs = eval_terms_batch(lhs_terms, arrays, params, coeffs, values)
                 rhs = eval_terms_batch(rhs_terms, arrays, params, coeffs, values)
-                if out_valence == 0:
-                    rel = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
-                else:
-                    num = np.max(np.abs(lhs - rhs), axis=1)
-                    rel = num / (1.0 + np.linalg.norm(lhs, axis=1)
-                                 + np.linalg.norm(rhs, axis=1))
-                worst[i] = max(worst[i], float(np.max(rel)))
-                for k in np.nonzero(rel > tol)[0][:3].tolist():
+                # inf - inf and inf / inf give NaN residuals, failed below
+                with np.errstate(invalid="ignore"):
+                    if out_valence == 0:
+                        rel = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
+                    else:
+                        num = np.max(np.abs(lhs - rhs), axis=1)
+                        rel = num / (1.0 + np.linalg.norm(lhs, axis=1)
+                                     + np.linalg.norm(rhs, axis=1))
+                top = float(np.max(rel))
+                if not math.isfinite(top):     # only finite residuals are reported
+                    top = float(np.max(rel, where=np.isfinite(rel), initial=0.0))
+                worst[i] = max(worst[i], top)
+                # a NaN or infinite residual fails its row
+                for k in np.nonzero(~(rel <= tol))[0][:3].tolist():
                     failing[i].append(_jet_row(batch, k, seed, mode).to_json())
             del batch, arrays
         del free, coeffs, values
     return [OracleIdentityReport(ident.id, list(dims), samples, str(ORACLE_ALPHA),
-                                 str(ORACLE_A), tol, w, w <= tol, f)
+                                 str(ORACLE_A), tol, w, not f, f)
             for ident, w, f in zip(idents, worst, failing)]
 
 

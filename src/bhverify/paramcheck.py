@@ -19,8 +19,9 @@ after a Moebius map of the interval onto (0, inf) (Vincent;
 Collins-Akritas), the map made of sympy's Taylor shifts over ZZ.  A Sturm
 count, sympy's, runs only when sign changes remain.  A floating-point
 minimal-eigenvalue scan reads the entries of A specialized the same way,
-each coefficient one correctly rounded integer division, cross-checks the
-certificates and reports the positivity margin.
+each coefficient one correctly rounded integer division, evaluates a block
+of n at once, cross-checks the certificates and reports the positivity
+margin.
 
 The module also carries the small exact checks used by the blow-down
 argument: the cubic coefficient of the Bernstein estimate, the exponent
@@ -142,7 +143,9 @@ def certify_sign(name: str, poly: tuple[list[int], int], n: int,
     refers to the interior only.
     """
     coeffs, d = poly
-    a, b = Fraction(interval[0]), Fraction(interval[1])
+    a, b = interval
+    if type(a) is not Fraction or type(b) is not Fraction:
+        a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise DegenerateCertificateError(f"{name}: empty interval ({a}, {b})")
     if not coeffs:
@@ -153,11 +156,12 @@ def certify_sign(name: str, poly: tuple[list[int], int], n: int,
     else:
         closed = dup_count_real_roots(coeffs, ZZ, inf=QQ.convert(a), sup=QQ.convert(b))
         roots = closed - sum(1 for v in ends if not v)
-    mid = (a + b) / 2
+    mid = Fraction(a.numerator * b.denominator + b.numerator * a.denominator,
+                   2 * a.denominator * b.denominator)
     sample = _value(coeffs, d, mid)
-    if roots == 0 and sample > 0:
+    if roots == 0 and sample.numerator > 0:
         verdict = "positive"
-    elif roots == 0 and sample < 0:
+    elif roots == 0 and sample.numerator < 0:
         verdict = "negative"
     else:
         verdict = "not-one-signed"
@@ -363,38 +367,85 @@ def _eigmin_sym3(a11, a12, a13, a22, a23, a33):
     return np.where(p > 0, q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0), q)
 
 
+# alpha points per block of the eigenvalue scan: a block holds
+# max(1, _SCAN_BLOCK_POINTS // grid) values of n, so its arrays stay small
+_SCAN_BLOCK_POINTS = 8000
+
+
+def _entry_values(mat: MatrixA, block: list[int], alphas: np.ndarray) -> list[np.ndarray]:
+    """The six entries of A at each n of block on its row of alphas, each a
+    (len(block), grid) array.
+
+    For each entry, every coefficient c over the denominator d is floated
+    as c / d and put right-aligned into a table zero-padded to the entry's
+    longest row, which is evaluated by Horner's rule in place.  Every point
+    sees the operations of ``np.polyval`` on its own coefficients (the
+    padding contributes exact zeros before the leading coefficient), so the
+    values are the same to the bit.
+    """
+    polys = [mat.entry_polys_in_alpha(n) for n in block]
+    vals = []
+    for name in _ENTRIES:
+        rows = [p[name] for p in polys]
+        width = max(1, *(len(cs) for cs, _ in rows))
+        table = np.array([[0.0] * (width - len(cs)) + [c / d for c in cs] for cs, d in rows])
+        y = np.empty(alphas.shape)
+        y[...] = table[:, :1]
+        for k in range(1, width):
+            y *= alphas
+            y += table[:, k:k + 1]
+        vals.append(y)
+    return vals
+
+
 def numeric_pd_scan(n_values, grid: int = 1000) -> PDReport:
     """Minimal eigenvalue of A on a strictly interior alpha grid per n.
 
     The entries at n come from entry_polys_in_alpha, and each integer
     coefficient c over the denominator d is floated as c / d, one correctly
-    rounded division.  The sign at every point must agree with the
-    Sylvester certificates (which assert positivity on the whole open
-    interval); disagreement is an engine inconsistency and is fatal.
+    rounded division.  The values of n are read once; each must be an int
+    n >= 5, and there must be at least one.  They are scanned in blocks of
+    max(1, _SCAN_BLOCK_POINTS // grid) rows (_entry_values), with the same
+    floats as one n at a time.  A non-finite eigenvalue is an engine
+    inconsistency.  The sign at every point must agree with the Sylvester
+    certificates (which assert positivity on the whole open interval);
+    disagreement is an engine inconsistency and is fatal.
     """
+    n_values = list(n_values)
+    if not n_values:
+        raise ValueError("the eigenvalue scan needs at least one n")
+    for n in n_values:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 5:
+            raise ValueError(f"the eigenvalue scan requires integers n >= 5, got n = {n!r}")
+    if grid < 1:
+        raise ValueError(f"the eigenvalue scan needs grid >= 1, got {grid!r}")
+    n_values = [int(n) for n in n_values]
     per_n_min: dict[str, float] = {}
     best = {"n": None, "alpha": None}
     min_lambda = math.inf
     mat = build_matrix_A()
-    for n in n_values:
-        entries = mat.entry_polys_in_alpha(int(n))
-        upper = (n + 4) / (n - 4)
-        alphas = np.linspace(0.0, upper, grid + 2)[1:-1]
-        vals = [np.polyval([c / d for c in coeffs], alphas) for coeffs, d in entries.values()]
-        lam = _eigmin_sym3(*vals)
-        i = int(np.argmin(lam))
-        per_n_min[str(int(n))] = float(lam[i])
-        if lam[i] < min_lambda:
-            min_lambda = float(lam[i])
-            best = {"n": int(n), "alpha": float(alphas[i])}
+    rows = max(1, _SCAN_BLOCK_POINTS // grid)
+    for start in range(0, len(n_values), rows):
+        block = n_values[start:start + rows]
+        uppers = [(n + 4) / (n - 4) for n in block]
+        alphas = np.ascontiguousarray(np.linspace(0.0, uppers, grid + 2, axis=1)[:, 1:-1])
+        lam = _eigmin_sym3(*_entry_values(mat, block, alphas))
+        if not np.isfinite(lam).all():
+            raise EngineInconsistencyError(
+                f"non-finite minimal eigenvalue in the scan of n = {block[0]}..{block[-1]}")
+        for r, i in enumerate(np.argmin(lam, axis=1).tolist()):
+            low = float(lam[r, i])
+            per_n_min[str(block[r])] = low
+            if low < min_lambda:
+                min_lambda = low
+                best = {"n": block[r], "alpha": float(alphas[r, i])}
     all_positive = min_lambda > 0.0
     cert_positive = all(c.verdict == "positive" for n in n_values
-                        for c in sylvester_certificates(int(n)))
+                        for c in sylvester_certificates(n))
     if cert_positive != all_positive:
         raise EngineInconsistencyError(
             "numeric eigenvalue sign disagrees with the Sylvester certificates")
-    return PDReport(list(int(v) for v in n_values), grid, min_lambda, best,
-                    per_n_min, all_positive, True)
+    return PDReport(n_values, grid, min_lambda, best, per_n_min, all_positive, True)
 
 
 # -- auxiliary coefficient and exponent checks ------------------------------------
@@ -442,23 +493,31 @@ class ExponentCheck:
 
 
 def exponent_check(n: int, alpha: Fraction) -> ExponentCheck:
-    """The exponent arithmetic at alpha = p/q: gamma, the final exponent and
-    the bound each come from one integer numerator over one integer
-    denominator, with alpha - 1 = (p - q)/q cleared."""
-    alpha = Fraction(alpha)
+    """The exponent arithmetic at alpha = p/q, decided on integers.
+
+    With den = (n+4)(p-q), positive on the range, gamma's raw value is
+    g / den with g = (6n+16)p - 2(n+4)q, the final exponent is x / den with
+    x = (n^2-2n-16)p - (n+2)(n+4)q, and the bound is -8q / ((n-4)(p-q)).
+    The range test 1 < alpha < (n+4)/(n-4), gamma = max(6, g / den) and the
+    chain x / den < bound (the bound is negative on the range) are integer
+    cross-products; each Fraction is formed once, for the record.
+    """
+    if type(alpha) is not Fraction:
+        alpha = Fraction(alpha)
     if n < 5:
         raise ValueError("need n >= 5")
-    if not (1 < alpha < Fraction(n + 4, n - 4)):
-        raise ValueError("alpha outside the subcritical range")
     p, q = alpha.numerator, alpha.denominator
-    gamma = max(Fraction(6), Fraction((6 * n + 16) * p - 2 * (n + 4) * q, (n + 4) * (p - q)))
-    x = Fraction((n * n - 2 * n - 16) * p - (n + 2) * (n + 4) * q, (n + 4) * (p - q))
-    bound = Fraction(-8 * q, (n - 4) * (p - q))
+    if not (q < p and (n - 4) * p < (n + 4) * q):
+        raise ValueError("alpha outside the subcritical range")
+    den = (n + 4) * (p - q)
+    g = (6 * n + 16) * p - 2 * (n + 4) * q
+    x = (n * n - 2 * n - 16) * p - (n + 2) * (n + 4) * q
+    gamma = Fraction(g, den) if g > 6 * den else Fraction(6)
     return ExponentCheck(
         n=n, alpha=alpha, gamma=gamma,
-        final_exponent=x, bound=bound,
+        final_exponent=Fraction(x, den), bound=Fraction(-8 * q, (n - 4) * (p - q)),
         gamma_at_least_six=(gamma >= 6),
-        chain_holds=(x < bound < 0),
+        chain_holds=((n - 4) * x < -8 * q * (n + 4)),
         exponent_negative=(x < 0),
     )
 

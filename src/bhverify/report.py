@@ -25,13 +25,39 @@ from .coeffs import ParamScalar
 SCHEMA_VERSION = 2
 
 
+# the exact types jsonable returns unchanged; a subclass (np.float64, an
+# IntEnum) takes the isinstance chain
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+# the exact types that the isinstance chain sent to its dataclass branch
+_RECORDS: set[type] = set()
+
+
 def jsonable(x):
     """JSON data of a result record: a dataclass becomes the dict of its
     fields, a tuple or list a list and a dict a dict, recursively; exact
     numbers (``Fraction``, ``ParamScalar``) become their ``str``; ``str``,
     ``int``, ``float``, ``bool`` and ``None`` pass unchanged.  Any other type
-    raises ``TypeError``."""
-    if x is None or isinstance(x, (str, int, float)):
+    raises ``TypeError``.
+
+    The exact type of x is tried first: ``Fraction``'s metaclass is
+    ``ABCMeta``, so each ``isinstance`` against it runs a Python-level check.
+    A subclass of a builtin container or number (a NamedTuple, a dict
+    subclass, ``np.float64``) takes the ``isinstance`` chain, and a dataclass
+    type is dispatched by exact type once the chain has sent it to its
+    dataclass branch.
+    """
+    t = type(x)
+    if t in _PLAIN:
+        return x
+    if t is Fraction or t is ParamScalar:
+        return str(x)
+    if t is list or t is tuple:
+        return [jsonable(v) for v in x]
+    if t is dict:
+        return {k: jsonable(v) for k, v in x.items()}
+    if t in _RECORDS:
+        return {k: jsonable(v) for k, v in vars(x).items()}
+    if isinstance(x, (str, int, float)):
         return x
     if isinstance(x, (Fraction, ParamScalar)):
         return str(x)
@@ -40,6 +66,8 @@ def jsonable(x):
     if isinstance(x, dict):
         return {k: jsonable(v) for k, v in x.items()}
     if is_dataclass(x):
+        if not isinstance(x, type):     # an instance, not a dataclass itself
+            _RECORDS.add(t)
         return jsonable(vars(x))
     raise TypeError(f"no JSON form for {type(x).__name__}: {x!r}")
 

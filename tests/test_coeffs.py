@@ -19,6 +19,7 @@ from sympy.external.pythonmpq import PythonMPQ
 from sympy.polys.rings import PolyElement
 
 import qq_coeffs as ref
+import replaced_hot_paths as replaced
 from qq_paramcheck import QALPHA
 from bhverify import cli, coeffs, paramcheck, registry, tensor
 from bhverify.coeffs import (_RING, ALPHA, A, B, N, ONE, VAR_NAMES, ParamScalar, ZERO,
@@ -1155,3 +1156,80 @@ def test_certificates_and_scan_form_no_rational_number(monkeypatch):
     assert made == []
     QQ(1, 3)
     assert made
+
+
+# -- two constants compare by their ground values ---------------------------------
+
+
+def _count_poly_eq(monkeypatch) -> list:
+    calls = []
+    eq = PolyElement.__eq__
+
+    def counted(p1, p2):
+        calls.append((p1, p2))
+        return eq(p1, p2)
+
+    monkeypatch.setattr(PolyElement, "__eq__", counted)
+    return calls
+
+
+def test_constants_compare_without_polynomial_equality(monkeypatch):
+    """-1 against -2, a constant against an equal int or Fraction, zero
+    against one: the ground values decide, and no PolyElement.__eq__ runs.
+    A non-constant operand still compares polynomials."""
+    pairs = [(ps(-1), ps(-2)), (ps(-1), -1), (ps(-2), -1), (ZERO, 0), (ZERO, ONE),
+             (frac(3, 2), Fraction(3, 2)), (frac(-4, 9), frac(4, 9)), (frac(6, 3), 2)]
+    calls = _count_poly_eq(monkeypatch)
+    assert [x == y for x, y in pairs] == [False, True, False, True, False, True, False, True]
+    assert calls == []
+    assert not (N - 1 == ps(-1)) and calls
+
+
+def test_constant_comparisons_in_verify_compare_no_polynomials(monkeypatch):
+    """From cold caches, run_verify plus run_combination compare constants
+    (-1 against -2 among them: 41 of the 731 comparisons compared sympy
+    polynomials), and none of those comparisons calls PolyElement.__eq__."""
+    constant_pairs, inside = [], []
+    scalar_eq, poly_eq = ParamScalar.__eq__, PolyElement.__eq__
+
+    def constant(x):
+        return isinstance(x, ParamScalar) and x.num.is_ground and x.den.is_ground
+
+    def recorded(self, other):
+        both = constant(self) and constant(other)
+        if both:
+            constant_pairs.append((self, other))
+        inside.append(both)
+        try:
+            return scalar_eq(self, other)
+        finally:
+            inside.pop()
+
+    def guarded(p1, p2):
+        assert not (inside and inside[-1]), "PolyElement.__eq__ ran for two constants"
+        return poly_eq(p1, p2)
+
+    _clear_caches()
+    monkeypatch.setattr(ParamScalar, "__eq__", recorded)
+    monkeypatch.setattr(PolyElement, "__eq__", guarded)
+    _verify_and_combination()
+    monkeypatch.undo()
+    assert len(constant_pairs) > 10
+    assert any(x != y and hash(x) == hash(y) for x, y in constant_pairs)
+
+
+_constant_trees = st.recursive(_leaf_constants, _ring_operations, max_leaves=5)
+_eq_operands = st.one_of(_operands, _trees.map(lambda t: _build(t, coeffs)),
+                         _constant_trees.map(lambda t: _build(t, coeffs)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_eq_operands, _eq_operands)
+def test_equality_matches_the_replaced_eq(x, y):
+    """Random pairs, constants most often: the same outcome as comparing the
+    normalized polynomials, from either side and against ints."""
+    if isinstance(x, type) or isinstance(y, type):
+        return      # an expression that raised while it was built
+    for a, b in ((x, y), (y, x), (x, 0), (y, -1)):
+        if isinstance(a, ParamScalar):
+            assert (a == b) is replaced.scalar_eq(a, b)

@@ -14,8 +14,11 @@ rewrite) keeps these files as they are.  To re-record them after a
 deliberate report change, run ``PYTHONPATH=src python tests/test_golden_report.py``.
 """
 
+import json
 import pathlib
 from functools import cache
+
+import pytest
 
 from bhverify.cli import run, run_combination, run_params, run_scan_pd, run_verify
 from bhverify.report import build_report, render_json
@@ -68,6 +71,35 @@ def test_oracle_command_writes_the_recorded_bytes(tmp_path, monkeypatch):
     out = tmp_path / "oracle.json"
     assert run(["--out", str(out), *ORACLE_ARGV]) == 0
     assert out.read_text() == GOLDEN_ORACLE.read_text()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in a report")
+
+
+def _load_strict(text: str):
+    """The JSON document in text; NaN, Infinity and -Infinity, which the
+    json module writes but strict JSON forbids, raise ValueError."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.name)
+def test_goldens_are_strict_json(path):
+    assert _load_strict(path.read_text())
+
+
+def test_the_all_report_is_strict_json(tmp_path, monkeypatch):
+    """Every section of ``bhverify all`` at acceptance sizes: no non-finite
+    float reaches the report.  The guard itself refuses each constant."""
+    monkeypatch.delenv("BHVERIFY_CONFIG", raising=False)
+    out = tmp_path / "all.json"
+    assert run(["--out", str(out), "all"]) == 0
+    doc = _load_strict(out.read_text())
+    assert set(doc["sections"]) == {"identities", "combination", "params", "pd_scan",
+                                    "oracle", "radial"}
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ValueError, match=constant):
+            _load_strict(f'{{"x": [{constant}]}}')
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Flat-jet numeric oracle: evaluation semantics, identity checks, sharp constant."""
 
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -173,6 +174,33 @@ class TestIdentityChecks:
         assert not rep.passed
         assert 1e-6 < rep.max_rel_residual < 1.0
         assert rep.failing_jets  # replay records captured
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_residual_fails_its_identity(self, monkeypatch, bad):
+        """Row 3 of I1's left side set to NaN (or inf, whose residual is
+        NaN).  max(worst, nan) kept the old worst and nan > tol is False, so
+        I1 passed with max_rel_residual 0.0.  Now the row fails and is
+        recorded, the section fails, and max_rel_residual stays the largest
+        finite residual, so the report is strict JSON."""
+        evaluate, calls = jetoracle.eval_terms_batch, []
+
+        def planted(terms, *args):
+            out = evaluate(terms, *args)
+            if not calls:           # the first evaluation: I1's left side at n = 5
+                out = out.copy()
+                out[3] = bad
+            calls.append(terms)
+            return out
+
+        monkeypatch.setattr(jetoracle, "eval_terms_batch", planted)
+        section, ok = run_oracle(samples=20, dims=(5,))
+        assert not ok
+        i1, *rest = section["identities"]
+        assert i1["id"] == "I1" and not i1["passed"]
+        assert math.isfinite(i1["max_rel_residual"]) and i1["max_rel_residual"] <= 1e-9
+        assert [json.loads(j)["row"] for j in i1["failing_jets"]] == [3]
+        assert all(r["passed"] and not r["failing_jets"] for r in rest)
+        json.dumps(section, allow_nan=False)
 
     def test_report_determinism(self, monkeypatch):
         a = check_one(monkeypatch, get_identity("I7"), samples=30, dims=(5,), seed=9)

@@ -13,9 +13,11 @@ from sympy.polys.densetools import dup_eval, dup_scale, dup_shift
 
 import qq_coeffs as ref
 import qq_paramcheck as old
+import replaced_hot_paths as replaced
 from bhverify import cli, paramcheck
 from bhverify.coeffs import ALPHA, A, B, N, ps
-from bhverify.errors import (DegenerateCertificateError, MalformedCoefficientError,
+from bhverify.errors import (DegenerateCertificateError, EngineInconsistencyError,
+                             MalformedCoefficientError,
                              PoleError)
 from bhverify.paramcheck import (SignCertificate, at_n,
                                  build_matrix_A, certify_sign, check_minor_formulas,
@@ -280,9 +282,12 @@ def _ref_exponent_check(n: int, alpha: Fraction) -> ExponentCheck:
 
 
 def _assert_same_exponents(n, alpha):
-    got, want = exponent_check(n, alpha), _ref_exponent_check(n, alpha)
-    assert got == want
-    assert jsonable(got) == jsonable(want)
+    """The same record as the Fraction chain and as the integer-fraction
+    code that replaced it, itself replaced by integer cross-products."""
+    got = exponent_check(n, alpha)
+    for want in (_ref_exponent_check(n, alpha), replaced.exponent_check(n, alpha)):
+        assert got == want
+        assert jsonable(got) == jsonable(want)
     assert all(type(v) is Fraction for v in (got.gamma, got.final_exponent, got.bound))
 
 
@@ -720,3 +725,112 @@ def test_exponent_grid_matches_the_fraction_code():
     assert len(got["records"]) == 400
     assert [(r.n, r.alpha) for r in got["records"]] == [(r.n, r.alpha) for r in want["records"]]
     assert got == want and jsonable(got) == jsonable(want)
+
+
+def _raised(f, *args):
+    with pytest.raises(ValueError) as info:
+        f(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("n, alpha", [
+    (4, Fraction(2)), (-3, Fraction(2)), (5, Fraction(1)), (5, Fraction(1, 2)), (5, 0),
+    (5, Fraction(9)), (5, Fraction(10)), (6, Fraction(5)), (6, Fraction(11, 2)),
+    (100, Fraction(104, 96)), (7, Fraction(-3))])
+def test_exponent_check_raises_as_the_replaced_code(n, alpha):
+    """Both ValueErrors, n < 5 and alpha outside (1, (n+4)/(n-4)), the
+    endpoints included, with the same messages."""
+    assert _raised(exponent_check, n, alpha) == _raised(replaced.exponent_check, n, alpha)
+
+
+def test_gamma_ties_six_at_n5_alpha_nine_halves():
+    """At n = 5, alpha = 9/2 the raw gamma (6n+16)p - 2(n+4)q over
+    (n+4)(p-q) is exactly 6: the record's gamma is Fraction(6)."""
+    p, q, n = 9, 2, 5
+    assert Fraction((6 * n + 16) * p - 2 * (n + 4) * q, (n + 4) * (p - q)) == 6
+    ec = exponent_check(5, Fraction(9, 2))
+    assert ec.gamma == 6 and type(ec.gamma) is Fraction and ec.gamma_at_least_six
+    assert ec == replaced.exponent_check(5, Fraction(9, 2))
+
+
+# -- the eigenvalue scan in blocks of n, against the per-n scan it replaced --------
+
+
+def _hex_view(rep):
+    return ({k: v.hex() for k, v in rep.per_n_min.items()}, rep.min_lambda.hex(),
+            rep.argmin["n"], rep.argmin["alpha"].hex())
+
+
+@pytest.mark.parametrize("grid", [1, 2, 999, 1000, 1001, 9000])
+@pytest.mark.parametrize("lo, hi", [(5, 5), (5, 13), (7, 100), (5, 120)])
+def test_block_scan_is_the_per_n_scan_to_the_bit(lo, hi, grid):
+    got = numeric_pd_scan(range(lo, hi + 1), grid)
+    want = replaced.numeric_pd_scan(range(lo, hi + 1), grid)
+    assert _hex_view(got) == _hex_view(want)
+    assert got == want and jsonable(got) == jsonable(want)
+
+
+@pytest.mark.parametrize("lo, hi, grid, shapes", [
+    (5, 100, 1000, [(8, 1000)] * 12), (5, 12, 3000, [(2, 3000)] * 4),
+    (5, 14, 2000, [(4, 2000)] * 2 + [(2, 2000)]), (5, 7, 8000, [(1, 8000)] * 3),
+    (5, 6, 9000, [(1, 9000)] * 2), (5, 6, 1, [(2, 1)])])
+def test_a_block_holds_at_most_8000_points_or_one_n(monkeypatch, lo, hi, grid, shapes):
+    seen = []
+    eigmin = paramcheck._eigmin_sym3
+
+    def recorded(*entries):
+        seen.append(entries[0].shape)
+        return eigmin(*entries)
+
+    monkeypatch.setattr(paramcheck, "_eigmin_sym3", recorded)
+    numeric_pd_scan(range(lo, hi + 1), grid)
+    assert seen == shapes
+
+
+def test_the_scan_reads_its_n_values_once():
+    """A generator gives the report of the list it yields: the replaced
+    scan read it twice, reported n_values [] and checked no certificate."""
+    got = numeric_pd_scan((n for n in range(5, 8)), 50)
+    assert got == numeric_pd_scan([5, 6, 7], 50)
+    assert got.n_values == [5, 6, 7] and list(got.per_n_min) == ["5", "6", "7"]
+
+
+@pytest.mark.parametrize("n_values", [[], range(5, 5), [4], [5, 4], [5.0], [True],
+                                      ["5"], [Fraction(5)]])
+def test_the_scan_rejects_what_is_not_a_nonempty_list_of_ints_from_5(n_values):
+    with pytest.raises(ValueError, match="eigenvalue scan"):
+        numeric_pd_scan(n_values, 10)
+
+
+def test_the_scan_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="grid >= 1"):
+        numeric_pd_scan([5], 0)
+
+
+def _nan_in_one_row(monkeypatch):
+    eigmin = paramcheck._eigmin_sym3
+
+    def planted(*entries):
+        lam = eigmin(*entries)
+        lam[-1, lam.shape[1] // 2] = math.nan
+        return lam
+
+    monkeypatch.setattr(paramcheck, "_eigmin_sym3", planted)
+
+
+def test_a_nan_eigenvalue_is_an_engine_inconsistency(monkeypatch):
+    """argmin picks a NaN and NaN < min_lambda is False, so the replaced
+    scan passed over it; now it is fatal."""
+    _nan_in_one_row(monkeypatch)
+    with pytest.raises(EngineInconsistencyError, match="non-finite minimal eigenvalue"):
+        numeric_pd_scan(range(5, 14), 100)
+
+
+def test_a_nan_eigenvalue_exits_3(monkeypatch, tmp_path, capsys):
+    monkeypatch.delenv("BHVERIFY_CONFIG", raising=False)
+    _nan_in_one_row(monkeypatch)
+    out = tmp_path / "r.json"
+    assert cli.run(["--out", str(out), "scan-pd", "--n", "5..12", "--grid", "50"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "engine error: EngineInconsistencyError: non-finite minimal eigenvalue")
+    assert not out.exists()

@@ -11,22 +11,28 @@ The report's notes are read from the sections of the same run; the tests
 below flip one evidence field at a time in copies of real sections.
 """
 
+import abc
 import copy
 import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bhverify import calculus, registry, tensor
+import replaced_hot_paths as replaced
+
+from bhverify import calculus, paramcheck, registry, tensor
 from bhverify.cli import (run, run_combination, run_oracle, run_params, run_scan_pd,
                           run_verify)
 from bhverify.coeffs import ALPHA, N
-from bhverify.jetoracle import check_all_identities, sharp_constant_search
+from bhverify.jetoracle import FactorTable, check_all_identities, sharp_constant_search
 from bhverify.paramcheck import exponent_grid_check
-from bhverify.radial import default_grids, scan_shooting
+from bhverify.radial import ScanCell, default_grids, scan_shooting
 from bhverify.registry import verify_all
 from bhverify.report import build_report, jsonable
 
@@ -138,6 +144,118 @@ def test_nested_records_exact_numbers_and_leaves():
 def test_other_types_raise(value):
     with pytest.raises(TypeError, match="no JSON form"):
         jsonable({"x": [value]})
+
+
+# -- differential tests: the exact-type dispatch against the isinstance chain -------
+
+
+class _Pair(NamedTuple):
+    left: object
+    right: object
+
+
+class _Table(dict):
+    pass
+
+
+class _Text(str):
+    pass
+
+
+@dataclass
+class _Node:
+    head: object
+    rest: object
+
+
+@dataclass
+class _LeafNode(_Node):
+    pass
+
+
+def _same(got, want) -> bool:
+    """Equal as JSON data and of the same type at every node (a float
+    subclass passes through as itself, so ``==`` alone would not tell)."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(got, list):
+        return len(got) == len(want) and all(map(_same, got, want))
+    if isinstance(got, dict):
+        return list(got) == list(want) and all(_same(got[k], want[k]) for k in got)
+    return got == want
+
+
+_SCALARS = [N / (N - 4) + ALPHA, ALPHA - 1, -ALPHA ** 2 / 3]
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**30, 10**30), st.text(max_size=4),
+    st.floats(allow_nan=False), st.builds(np.float64, st.floats(allow_nan=False)),
+    st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99)),
+    st.sampled_from(_SCALARS), st.builds(_Text, st.text(max_size=3)))
+
+
+def _containers(kids):
+    keys = st.text(max_size=3)
+    return st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(keys, kids, max_size=4),
+        st.dictionaries(keys, kids, max_size=4).map(_Table),
+        st.dictionaries(keys, kids, max_size=4).map(FactorTable),
+        st.builds(_Pair, kids, kids), st.builds(_Node, kids, kids),
+        st.builds(_LeafNode, kids, kids),
+        st.builds(paramcheck.PDReport, st.lists(st.integers(5, 9), max_size=2),
+                  st.integers(1, 9), st.floats(allow_nan=False),
+                  st.just({"n": 5, "alpha": 0.5}), st.just({}), st.booleans(),
+                  st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_leaves, _containers, max_leaves=25))
+def test_jsonable_matches_the_isinstance_chain(tree):
+    """Trees of dataclasses (a subclass among them), NamedTuples, dict
+    subclasses, np.float64, bool, Fraction and ParamScalar: the same data,
+    node for node, as the replaced chain."""
+    assert _same(jsonable(tree), replaced.jsonable(tree))
+
+
+def _error(f, value):
+    with pytest.raises(TypeError) as info:
+        f(value)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("value", [
+    np.int64(3), {1, 2}, frozenset(), object(), b"x", 1j, _Node,
+    [1, (Fraction(1, 2), {"k": np.int64(-1)})], _Pair(np.int32(0), 1),
+    _Table(x={2}), _Node(1, [set()])])
+def test_jsonable_raises_as_the_isinstance_chain(value):
+    assert _error(jsonable, value) == _error(replaced.jsonable, value)
+
+
+def test_records_take_the_exact_type_route(monkeypatch):
+    """Once a record type has been seen, the params and scan-pd records
+    convert without a single ABCMeta instance check (9,644 of them in the
+    replaced chain on run_params(100) plus run_scan_pd(5, 100, 1000));
+    subclasses of the builtins (ScanCell, np.float64, FactorTable) still
+    take the isinstance chain, which runs one."""
+    records = [paramcheck.all_certificates(5), paramcheck.exponent_grid_check(),
+               paramcheck.check_minor_formulas(), paramcheck.numeric_pd_scan([5, 6], 10)]
+    jsonable(records)
+    checks = []
+    instancecheck = abc.ABCMeta.__instancecheck__
+
+    def counted(cls, instance):
+        checks.append(type(instance))
+        return instancecheck(cls, instance)
+
+    monkeypatch.setattr(abc.ABCMeta, "__instancecheck__", counted)
+    assert jsonable(records) == replaced.jsonable(records)
+    checks.clear()
+    jsonable(records)
+    assert checks == []
+    for value in (ScanCell(1.0, -1.0, "decay", 3.0), FactorTable({"u": 1.5})):
+        jsonable(value)
+        assert checks[-1] is type(value)
+    assert type(jsonable(np.float64(0.25))) is np.float64
 
 
 # -- notes built from the sections of a run ------------------------------------------
