@@ -411,8 +411,11 @@ def run(argv) -> int:
         return _fault(exc)
 
     echo = {"command": args.command, "format": fmt, **settings}
-    report = build_report(echo, sections, statuses)
-    text = render_json(report) if fmt == "json" else render_markdown(report)
+    try:
+        report = build_report(echo, sections, statuses)
+        text = render_json(report) if fmt == "json" else render_markdown(report)
+    except Exception as exc:    # a fault while rendering: a value with no text form
+        return _fault(exc)
     if out_path:
         try:
             write_atomic(out_path, text)

@@ -77,12 +77,17 @@ def at_n(x: ParamScalar, n: int) -> tuple[list[int], int]:
     not vanish, and neither a nor b may survive.
     """
     den, num_table = _n_tables(x)
-    d = _horner(den, n, 1)
+    d = 0
+    for c in den:
+        d = d * n + c
     if not d:
         raise PoleError(f"n = {n} is a denominator root of {x}")
     by_degree = {}
     for (k, a, b), cs in num_table.items():
-        if v := _horner(cs, n, 1):
+        v = 0
+        for c in cs:
+            v = v * n + c
+        if v:
             if a or b:
                 raise ValueError(f"{x} is not univariate in alpha")
             by_degree[k] = v
@@ -465,17 +470,25 @@ def est1_coefficient(n: int, a: Fraction) -> Fraction:
 
 def est1_grid_check(n: int) -> dict:
     """Exact positivity of the cubic coefficient on the EST1_GRID_POINTS
-    interior points a = 2k / ((EST1_GRID_POINTS + 1)(n - 4)) of (0, 2/(n-4))."""
-    upper = Fraction(2, n - 4)
+    interior points a = 2k / ((EST1_GRID_POINTS + 1)(n - 4)) of (0, 2/(n-4)).
+
+    At a = p/q with p = 2k, q = (EST1_GRID_POINTS + 1)(n - 4), unreduced,
+    the coefficient is est1_coefficient's p(q+2p)(2q-(n-4)p) over the
+    positive n q^3, the same denominator at every point: the sign and the
+    minimum are read from the numerators, and the minimum's Fraction is
+    formed once.
+    """
+    if n < 5:
+        raise ValueError("need n >= 5")
     count = EST1_GRID_POINTS
-    values = [est1_coefficient(n, Fraction(2 * k, (count + 1) * (n - 4)))
-              for k in range(1, count + 1)]
+    q = (count + 1) * (n - 4)
+    nums = [p * (q + 2 * p) * (2 * q - (n - 4) * p) for p in range(2, 2 * count + 1, 2)]
     return {
         "n": n,
         "count": count,
-        "all_positive": all(v > 0 for v in values),
-        "min_value": str(min(values)),
-        "endpoint_value": str(est1_coefficient(n, upper)),
+        "all_positive": min(nums) > 0,
+        "min_value": str(Fraction(min(nums), n * q**3)),
+        "endpoint_value": str(est1_coefficient(n, Fraction(2, n - 4))),
     }
 
 

@@ -1,7 +1,10 @@
 """Report assembly and rendering (deterministic JSON, readable markdown).
 
 The JSON schema is versioned and frozen: fixed inputs render to identical
-bytes, so verification runs can be diffed.  Markdown is presentation only.
+bytes, so verification runs can be diffed.  ``render_json`` writes the text
+of ``json.dumps(report, sort_keys=True, indent=2)`` byte for byte, in one
+recursive pass over the report's exact types; it hands ``json.dumps`` only
+what it does not write itself.  Markdown is presentation only.
 ``jsonable`` is the one route from the engine's result records to JSON
 data: the records carry their report shape in their fields, and no record
 serializes itself.
@@ -14,6 +17,7 @@ does not show the finding gives no note (schema 2).
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import is_dataclass
@@ -131,7 +135,95 @@ def build_report(config: dict, sections: dict, statuses: dict[str, bool]) -> dic
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as text: ``json.dumps(report, sort_keys=True, indent=2)``
+    and a final newline, byte for byte, in one recursive pass.
+
+    ``dict``, ``list``, ``tuple``, ``str``, ``int``, ``bool``, ``None`` and
+    finite ``float`` (the exact types, not subclasses) are written directly:
+    pieces are appended to one list and joined once, and a string goes
+    through the stdlib's C ``encode_basestring_ascii``.  Any other node (a
+    non-finite float, a subclass, a dict with a key that is not a ``str``, a
+    type with no JSON form) is handed to ``json.dumps`` and re-indented to
+    its depth, which is exact since encoded JSON holds no raw newline.  So
+    every error is the one ``json.dumps`` raises; a container that holds
+    itself recurses until the tree is handed to ``json.dumps`` whole.
+    """
+    out: list[str] = []
+    try:
+        _render(report, "\n", out)
+    except RecursionError:
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(x, nl: str) -> str:
+    """json.dumps of x, its lines indented to the depth whose newline is nl."""
+    return json.dumps(x, sort_keys=True, indent=2).replace("\n", nl)
+
+
+def _render(x, nl: str, out: list[str]):
+    """Append the JSON text of x to out; nl is the newline and indent of x's
+    depth.  The commonest leaves, str, bool and int, are written inside the
+    container loops."""
+    t = type(x)
+    if t is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep, nxt = "{" + inner, "," + inner
+        start = len(out)
+        try:
+            for k, v in sorted(x.items()):     # as json.dumps sorts
+                t = type(v)
+                if t is str:
+                    out.append(f"{sep}{_encode_str(k)}: {_encode_str(v)}")
+                elif t is bool:
+                    out.append(f"{sep}{_encode_str(k)}: {'true' if v else 'false'}")
+                elif t is int:
+                    out.append(f"{sep}{_encode_str(k)}: {v}")
+                else:
+                    out.append(f"{sep}{_encode_str(k)}: ")
+                    _render(v, inner, out)
+                sep = nxt
+        except TypeError:   # a key that is not a str, or a value with no JSON form:
+            del out[start:]     # json.dumps writes the dict or raises its own error
+            out.append(_dumps(x, nl))
+            return
+        out.append(nl + "}")
+    elif t is list or t is tuple:
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep, nxt = "[" + inner, "," + inner
+        for v in x:
+            t = type(v)
+            if t is str:
+                out.append(sep + _encode_str(v))
+            elif t is int:
+                out.append(f"{sep}{v}")
+            else:
+                out.append(sep)
+                _render(v, inner, out)
+            sep = nxt
+        out.append(nl + "]")
+    elif t is str:
+        out.append(_encode_str(x))
+    elif t is int:
+        out.append(repr(x))
+    elif t is bool:
+        out.append("true" if x else "false")
+    elif x is None:
+        out.append("null")
+    elif t is float and math.isfinite(x):
+        out.append(repr(x))
+    else:
+        out.append(_dumps(x, nl))
 
 
 def render_markdown(report: dict) -> str:
@@ -202,11 +294,23 @@ def render_markdown(report: dict) -> str:
 
 
 def write_atomic(path: str, text: str):
-    """Write via a temp file and rename, so readers never see partial output."""
+    """Write via a temp file and rename, so readers never see partial output.
+
+    The file gets the mode a plain ``open`` would give it: an existing
+    target's mode is kept, and a new file gets ``0o666`` less the umask
+    (``mkstemp`` alone creates it ``0o600``).
+    """
     d = os.path.dirname(os.path.abspath(path)) or "."
+    try:
+        mode = os.stat(path).st_mode & 0o777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".report-")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -1,16 +1,21 @@
-"""The replaced record conversion, eigenvalue scan, exponent check and
-coefficient equality, kept as the tests' reference.
+"""The replaced record conversion, eigenvalue scan, exponent check,
+coefficient equality, estimate grid and report rendering, kept as the tests'
+reference.
 
 ``bhverify.report.jsonable`` now dispatches on the exact type of a value
 before its ``isinstance`` chain, ``paramcheck.numeric_pd_scan`` evaluates a
 block of n at once, ``paramcheck.exponent_check`` decides its verdicts on
-integer cross-products, and ``ParamScalar.__eq__`` compares two constants by
-their ground values.  Up to that change they were the functions below,
-unchanged; the helpers they share with the package (``PDReport``,
-``ExponentCheck``, ``_eigmin_sym3``, the cached matrix and certificates) are
-imported from it.
+integer cross-products, ``ParamScalar.__eq__`` compares two constants by
+their ground values, ``paramcheck.est1_grid_check`` decides on integer
+numerators, ``paramcheck.at_n`` evaluates its n-tables by a plain Horner
+loop and ``report.render_json`` writes its text in one recursive pass.  Up to
+that change they were the functions below, unchanged; the helpers they share
+with the package (``PDReport``, ``ExponentCheck``, ``_eigmin_sym3``,
+``est1_coefficient``, ``_horner``, ``_n_tables``, the cached matrix and
+certificates) are imported from it.
 """
 
+import json
 import math
 from dataclasses import is_dataclass
 from fractions import Fraction
@@ -18,8 +23,9 @@ from fractions import Fraction
 import numpy as np
 
 from bhverify.coeffs import ParamScalar
-from bhverify.errors import EngineInconsistencyError
-from bhverify.paramcheck import (ExponentCheck, PDReport, _eigmin_sym3, build_matrix_A,
+from bhverify.errors import EngineInconsistencyError, PoleError
+from bhverify.paramcheck import (EST1_GRID_POINTS, ExponentCheck, PDReport, _eigmin_sym3,
+                                 _horner, _n_tables, build_matrix_A, est1_coefficient,
                                  sylvester_certificates)
 
 
@@ -105,3 +111,45 @@ def scalar_eq(self, other) -> bool:
     if not isinstance(other, ParamScalar):
         return NotImplemented
     return self.num == other.num and self.den == other.den
+
+
+def est1_grid_check(n: int) -> dict:
+    """Exact positivity of the cubic coefficient on the EST1_GRID_POINTS
+    interior points a = 2k / ((EST1_GRID_POINTS + 1)(n - 4)) of (0, 2/(n-4))."""
+    upper = Fraction(2, n - 4)
+    count = EST1_GRID_POINTS
+    values = [est1_coefficient(n, Fraction(2 * k, (count + 1) * (n - 4)))
+              for k in range(1, count + 1)]
+    return {
+        "n": n,
+        "count": count,
+        "all_positive": all(v > 0 for v in values),
+        "min_value": str(min(values)),
+        "endpoint_value": str(est1_coefficient(n, upper)),
+    }
+
+
+def render_json(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def at_n(x: ParamScalar, n: int) -> tuple[list[int], int]:
+    """x at integer n as (coeffs, d): x = (sum coeffs[k] alpha^(deg - k)) / d.
+
+    coeffs are the integer alpha-coefficients, highest degree first, with
+    leading zeros stripped ([] for zero), and d is the value of x's
+    denominator, which lies in Z[n].  Each is evaluated at n by Horner's
+    rule on Python ints from x's tables (_n_tables).  The denominator must
+    not vanish, and neither a nor b may survive.
+    """
+    den, num_table = _n_tables(x)
+    d = _horner(den, n, 1)
+    if not d:
+        raise PoleError(f"n = {n} is a denominator root of {x}")
+    by_degree = {}
+    for (k, a, b), cs in num_table.items():
+        if v := _horner(cs, n, 1):
+            if a or b:
+                raise ValueError(f"{x} is not univariate in alpha")
+            by_degree[k] = v
+    return [by_degree.get(k, 0) for k in range(max(by_degree, default=-1), -1, -1)], d

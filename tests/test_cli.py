@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from bhverify import cli, jetoracle, paramcheck, registry
 from bhverify.cli import load_config, run
 from bhverify.errors import EngineInconsistencyError, NoCombinationError
-from bhverify.report import render_json, render_markdown
+from bhverify.report import render_json, render_markdown, write_atomic
 
 # a path below a regular file, which no process can create or write
 UNDER_A_FILE = os.path.join(__file__, "r.json")
@@ -362,6 +363,57 @@ def test_fault_inside_a_section_exits_3_not_2(monkeypatch, tmp_path, capsys):
     assert err.startswith("internal error: KeyError: 'Etf' (at test_cli.py:")
     assert err.endswith(" in broken)\n") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+def test_fault_while_rendering_exits_3(fmt, monkeypatch, tmp_path, capsys):
+    """A value with no text form, found while the report is rendered, is a
+    fault: exit 3, one stderr line and no report."""
+    def broken(report):
+        raise TypeError("Object of type set is not JSON serializable")
+    monkeypatch.setattr(cli, f"render_{fmt}", broken)
+    out = tmp_path / "r.json"
+    assert run(["--format", fmt, "--out", str(out), "verify", "--ids", "I1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: TypeError: Object of type set is not JSON "
+                          "serializable (at test_cli.py:")
+    assert err.endswith(" in broken)\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _plain_open_mode(path) -> int:
+    with open(path, "w"):
+        pass
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077, 0o002])
+def test_a_new_report_gets_the_mode_of_a_plain_open(umask, tmp_path):
+    """mkstemp creates its file 0o600; the report is 0o666 less the umask,
+    as a plain open would make it."""
+    out = tmp_path / "r.json"
+    previous = os.umask(umask)
+    try:
+        assert run(["--out", str(out), "verify", "--ids", "I1"]) == 0
+        want = _plain_open_mode(tmp_path / "plain")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == want == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("mode", [0o604, 0o640, 0o755, 0o600])
+def test_an_existing_report_keeps_its_mode(mode, tmp_path):
+    out = tmp_path / "r.json"
+    out.write_text("an older report\n")
+    out.chmod(mode)
+    previous = os.umask(0o022)
+    try:
+        write_atomic(str(out), "{}\n")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    assert out.read_text() == "{}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
 
 def test_fault_while_validating_ids_exits_3(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Matrix positivity certificates, factorization identities, exponent checks."""
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -614,11 +615,14 @@ _EDGE_BODIES = (ALPHA / (N - 7), (N - 5) * A + ALPHA, N * B - ALPHA**2,
 def test_at_n_matches_the_qq_horner(monkeypatch):
     """Every body the certificates and the scan tabulate (the five certified
     polynomials, the six entries of A, A11 among both, and the interval
-    ends 1/(n-2), 1/(n-4) and (n+4)/(n-4)), and bodies that hit a pole or
-    leave Q[alpha], give at n = 5..100 what the QQ Horner gave and what the
-    replaced at_n (a polynomial in QALPHA) gave: the same polynomial and
-    text, or the same error and message.  The integer coefficients come
-    with no leading zero and the denominator is the denominator's value."""
+    ends 1/(n-2), 1/(n-4) and (n+4)/(n-4): all 4,992 n-tables of the 1,536
+    at_n calls of run_params(100) plus run_scan_pd(5, 100, 1000)), and
+    bodies that hit a pole or leave Q[alpha], give at n = 5..100 what the
+    QQ Horner gave and what the replaced at_n (a polynomial in QALPHA)
+    gave: the same polynomial and text, or the same error and message.
+    The integer coefficients come with no leading zero and the denominator
+    is the denominator's value; the pair is the one the replaced integer
+    at_n gave through the homogeneous _horner(cs, n, 1)."""
     bodies = _tabled_bodies(monkeypatch)
     assert len(bodies) == 13
     for x in (*bodies, *_EDGE_BODIES):
@@ -626,11 +630,12 @@ def test_at_n_matches_the_qq_horner(monkeypatch):
             try:
                 want = _ref_at_n(x, n)
             except (PoleError, ValueError) as exc:
-                for route in (at_n, old.at_n):
+                for route in (at_n, old.at_n, replaced.at_n):
                     with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                         route(x, n)
                 continue
             coeffs, d = at_n(x, n)
+            assert (coeffs, d) == replaced.at_n(x, n), (str(x), n)
             assert not coeffs or coeffs[0], (str(x), n)
             assert all(type(c) is int for c in (*coeffs, d))
             assert d == _horner({(): paramcheck._n_tables(x)[0]}, n)[()]
@@ -708,8 +713,18 @@ def test_descartes_matches_the_replaced_transform_on_the_480_certificates():
 
 
 def test_est1_grids_match_the_fraction_code():
+    """The integer-numerator decisions give the record of the QQ code and,
+    byte for byte, of the replaced Fraction comparisons."""
     for n in range(5, 61):
-        assert est1_grid_check(n) == old.est1_grid_check(n), n
+        got = est1_grid_check(n)
+        assert got == old.est1_grid_check(n), n
+        assert json.dumps(got) == json.dumps(replaced.est1_grid_check(n)), n
+
+
+@pytest.mark.parametrize("n", [4, 3, 0, -2])
+def test_est1_grid_rejects_n_below_5(n):
+    with pytest.raises(ValueError, match="need n >= 5"):
+        est1_grid_check(n)
 
 
 @settings(max_examples=200, deadline=None)

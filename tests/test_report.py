@@ -9,13 +9,19 @@ guarded by ``tests/data/certificates_report.json``.
 
 The report's notes are read from the sections of the same run; the tests
 below flip one evidence field at a time in copies of real sections.
+
+``report.render_json`` writes the text in one pass; it is held to
+``json.dumps(sort_keys=True, indent=2)``, the replaced renderer, on generated
+trees, on its errors and on a real report.
 """
 
 import abc
 import copy
 import json
+import math
 import sys
 from dataclasses import dataclass
+from enum import IntEnum
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -34,7 +40,7 @@ from bhverify.jetoracle import FactorTable, check_all_identities, sharp_constant
 from bhverify.paramcheck import exponent_grid_check
 from bhverify.radial import ScanCell, default_grids, scan_shooting
 from bhverify.registry import verify_all
-from bhverify.report import build_report, jsonable
+from bhverify.report import build_report, jsonable, render_json
 
 
 def _ref_verification_report_to_dict(self) -> dict:
@@ -368,3 +374,103 @@ def test_notes_do_no_traced_work(sections, monkeypatch):
                     monkeypatch.setattr(mod, key, forbidden)
     assert tensor.canonical_form is forbidden
     assert build_report({}, sections, {})["notes"] == want
+
+
+# -- differential tests: the one-pass renderer against json.dumps ----------------------
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+def _rendered(f, value):
+    """f's text for value, or the type and message of the error it raised."""
+    try:
+        return f(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_odd_chars = st.sampled_from(["\x00", "\x1f", "\x7f", "\n", "\t", '"', "\\", "/", "\u2028",
+                              "\ud800", "\xe9", "\u20ac", "\U0001f600"])
+_strings = st.one_of(st.text(max_size=4), st.text(_odd_chars, max_size=4))
+_render_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10**400, 10**400),
+    _strings, st.builds(_Text, _strings), st.sampled_from(_Level),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]),
+    st.builds(np.float64, st.floats()))
+# one kind of key per dict, so that its keys sort: str and its subclass, or
+# numbers (bool, int, IntEnum, float), which json.dumps writes as strings
+_keys = st.one_of(st.text(max_size=3), _strings, st.builds(_Text, st.text(max_size=2)))
+_number_keys = st.one_of(st.integers(-5, 5), st.sampled_from(_Level), st.booleans(),
+                         st.floats(allow_nan=False))
+
+
+def _render_containers(kids):
+    return st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_keys, kids, max_size=4),
+        st.dictionaries(_number_keys, kids, max_size=4),
+        st.dictionaries(st.text(max_size=2), kids, max_size=3).map(_Table))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.recursive(_render_leaves, _render_containers, max_leaves=30))
+def test_render_json_is_json_dumps_byte_for_byte(tree):
+    """Dicts, lists, tuples and empty containers; non-ASCII, control and
+    lone-surrogate strings; big ints, bool and None; floats with nan, +-inf
+    and -0.0; int, bool, float and IntEnum keys; IntEnum, str and float
+    subclasses: the text of json.dumps(sort_keys=True, indent=2) plus a
+    newline."""
+    assert _rendered(render_json, tree) == _rendered(replaced.render_json, tree)
+
+
+def _holding_itself(kind):
+    if kind == "list":
+        x = [1]
+        x.append(x)
+    elif kind == "dict":
+        x = {"a": 1}
+        x["self"] = x
+    else:                                   # a cycle through a list and a dict subclass
+        x = {"a": [0]}
+        x["a"].append(_Table(back=x))
+    return {"top": [x]}
+
+
+@pytest.mark.parametrize("value", [
+    {"a": [1, {2}]}, {"k": b"x"}, [np.int64(3)], {"k": {"j": np.int64(-1)}},
+    {"b": math.nan, "z": [frozenset()]}, {1: "a", "b": 2}, {"k": {(1, 2): "a"}},
+    {None: 1, "a": 2}, [10**5000], _Table(x={1}),
+    _holding_itself("list"), _holding_itself("dict"), _holding_itself("cycle")])
+def test_render_json_raises_as_json_dumps(value):
+    """A set, bytes and np.int64 are TypeErrors; so are keys that do not
+    sort or have no JSON form; an int past the digit limit and a container
+    that holds itself are ValueErrors: each the error json.dumps raises,
+    message included."""
+    got = _rendered(render_json, value)
+    assert got == _rendered(replaced.render_json, value)
+    assert isinstance(got, tuple)
+
+
+def test_an_exact_type_report_never_enters_the_generator_encoder(sections, monkeypatch):
+    """A report of exact dicts, lists, str, int, bool, None and finite floats
+    is written without json.encoder._make_iterencode, the pure-Python
+    encoder json.dumps runs under indent; a NaN takes json.dumps once."""
+    calls = []
+    make = json.encoder._make_iterencode
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counted)
+    report = build_report({"command": "all"}, sections, {k: True for k in sections})
+    text = render_json(report)
+    assert calls == []
+    assert text == replaced.render_json(report) and len(calls) == 1
+    report["sections"]["pd_scan"]["min_lambda"] = math.nan
+    calls.clear()
+    assert render_json(report) == replaced.render_json(report)
+    assert len(calls) == 2
