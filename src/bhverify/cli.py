@@ -224,7 +224,8 @@ def run_radial(configs, grid_size: int = 10, rmax: float = 50.0,
     ``default_grids(grid_size)`` cells, all configs' cells integrated in one
     ``scan_shooting`` batch.  It passes when no config has a survivor or a
     per-cell error.  With ``dump_dir``, each config's middle cell is shot
-    again and its checkpoints written there as CSV."""
+    again as a one-cell batch and its path, which ends at the radius the
+    report judged, written there as CSV."""
     from .radial import default_grids, dump_trajectory_csv, scan_shooting, shoot
     u0s, v0s = default_grids(grid_size)
     summaries = []

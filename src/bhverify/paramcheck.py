@@ -463,6 +463,8 @@ EXPONENT_GRID_ALPHAS = 20       # interior alphas per n
 def est1_coefficient(n: int, a: Fraction) -> Fraction:
     """Cubic coefficient (a/n)(1+2a)(2-(n-4)a) of the Bernstein estimate, at
     a = p/q one integer fraction p(q+2p)(2q-(n-4)p) / (n q^3)."""
+    if n < 5:
+        raise ValueError("need n >= 5")
     a = Fraction(a)
     p, q = a.numerator, a.denominator
     return Fraction(p * (q + 2 * p) * (2 * q - (n - 4) * p), n * q**3)
@@ -544,6 +546,8 @@ def linear_reduction_certificate(n: int) -> dict:
     n = 5 the printed middle bound fails even though the exponent itself is
     negative on the whole range.
     """
+    if n < 5:
+        raise ValueError("need n >= 5")
     l1 = Fraction(-8 * (n * n - 2 * n - 16))
     le = (Fraction((n - 4) * (n * n - 2 * n - 16)) * Fraction(n + 4, n - 4)
           - (n - 4) * (n + 2) * (n + 4) + 8 * (n + 4))

@@ -21,19 +21,20 @@ A scan classifies the cells of all its (n, alpha) configs in one batch:
 pair (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.6), with the
 constants and step-size controller of scipy's RK45, each cell with its own
 step size, n and alpha, and locates the events as ``solve_ivp`` does, by
-Brent's method in the step order of scipy's ``brentq``, stepped on Python
-floats, on the one state component the event reads from the dense
-interpolant; the roots are scipy's to the bit.  The batch holds its arrays
-component-major, (4, cells), with the cells sorted by alpha, so u^alpha is
-one power with a scalar exponent per run of equal alpha; the cells do not
-mix, and each cell's floats are those of a batch of its config alone.  The
-batch needs no scipy.  ``shoot`` integrates one trajectory with scipy's
-``solve_ivp`` and keeps its checkpoints: it inspects a single cell (the CSV
-dump), is the reference the batch is tested against, and is the only code
-here that loads scipy, on its first call.  The dump writes the second-order estimate monitor Z = v/u + (2/(n-4)) p^2/u^2 at
-each checkpoint; the estimate's hypotheses are global (complete manifold,
-entire solution), so a positive Z on a local trajectory is not a refutation.
-Both integrate with fixed tolerances RTOL and ATOL.
+Brent's method in the step order of scipy's ``brentq`` (the same root of
+the same function, to the bit), stepped on Python floats, on the one state
+component the event reads from the dense interpolant.  The batch holds its
+arrays component-major, (4, cells), with the cells sorted by alpha, so
+u^alpha is one power with a scalar exponent per run of equal alpha; the
+cells do not mix, and each cell's floats are those of a batch of its
+config alone.  ``shoot`` is a batch of one cell that keeps its path, so it
+inspects the very trajectory a scan judged (the CSV dump).  Nothing the
+lab runs loads scipy.
+
+The dump writes the second-order estimate monitor Z = v/u + (2/(n-4))
+p^2/u^2 at each checkpoint; the estimate's hypotheses are global (complete
+manifold, entire solution), so a positive Z on a local trajectory is not a
+refutation.  The batch integrates with fixed tolerances RTOL and ATOL.
 """
 
 from __future__ import annotations
@@ -169,58 +170,32 @@ def _underflow_message(r) -> str:
 
 
 def solve_ivp(*args, **kwargs):
-    """scipy's ``solve_ivp``, imported on the first call: only ``shoot``
-    needs scipy, so a scan never loads it."""
+    """scipy's ``solve_ivp``, imported on the first call.  No code here
+    calls it: it keeps its name only for perfbench's tracer, which wraps it."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def shoot(n: int, alpha: float, u0: float, v0: float,
-          rmax: float = 50.0) -> ShootingResult:
-    """Integrate one radial trajectory with solve_ivp and classify its
-    termination.
+def shoot(n: int, alpha: float, u0: float, v0: float, rmax: float = 50.0) -> ShootingResult:
+    """One radial trajectory as a one-cell ``shoot_batch``: the scan's verdict
+    and termination radius to the bit, and the path kept as the start and
+    the state after each accepted step, the last at the termination radius.
 
-    v0 <= 0 is the subharmonicity hypothesis at the center.  The trajectory
-    is kept as the checkpoint arrays of the integrator.  A step-size
-    underflow raises ValueError.
+    v0 <= 0 is the subharmonicity hypothesis at the center.  A step-size
+    underflow or a failed event location raises ValueError.
     """
     _check_cell(n, alpha, u0, v0)
-
-    def rhs(r, y):
-        u, p, v, q = y
-        ua = max(u, 0.0) ** alpha
-        return [p, v - (n - 1) * p / r, q, ua - (n - 1) * q / r]
-
-    def ev_positivity(r, y):
-        return y[0]
-    ev_positivity.terminal = True
-    ev_positivity.direction = -1
-
-    def ev_subharmonicity(r, y):
-        return y[2]
-    ev_subharmonicity.terminal = True
-    ev_subharmonicity.direction = 1
-
     start = series_start(n, alpha, u0, v0)
-    y0 = [start.u, start.p, start.v, start.q]
-
+    path = [(start.r, (start.u, start.p, start.v, start.q))]
     verdict = _start_verdict(start)
-    if verdict:     # no integration needed
-        return ShootingResult(n, alpha, u0, v0, rmax, verdict, start.r,
-                              np.array([start.r]), np.array(y0)[:, None])
-
-    sol = solve_ivp(rhs, (start.r, rmax), y0, rtol=RTOL, atol=ATOL,
-                    events=[ev_positivity, ev_subharmonicity], dense_output=False)
-
-    if sol.status == -1:
-        raise ValueError(_underflow_message(sol.t[-1]))
-    if sol.status == 0:
-        verdict, r_end = "reached-max-radius", float(sol.t[-1])
-    elif len(sol.t_events[0]):
-        verdict, r_end = "positivity-violated", float(sol.t_events[0][0])
-    else:
-        verdict, r_end = "subharmonicity-violated", float(sol.t_events[1][0])
-    return ShootingResult(n, alpha, u0, v0, rmax, verdict, r_end, sol.t, sol.y)
+    if verdict is None:     # the start is not a verdict: integrate
+        run = shoot_batch(n, alpha, [path[0][1]], rmax, path)
+        if run.errors:
+            raise ValueError(run.errors[0])
+        verdict = run.verdicts[0]
+    r, y = zip(*path)
+    return ShootingResult(n, alpha, u0, v0, rmax, verdict, r[-1],
+                          np.array(r), np.array(y).T)
 
 
 # -- batched integration -------------------------------------------------------------
@@ -362,6 +337,14 @@ def _first_event(K, r_old, r_new, y_old, crossed):
                for e in range(len(VERDICTS)) if crossed[e])
 
 
+def _dense_state(K, r_old, r_new, y_old, r) -> list:
+    """The state at r on RK45's dense interpolant of one accepted step, as
+    solve_ivp's dense output evaluates it; K holds the step's stages."""
+    h = float(r_new) - float(r_old)
+    x = np.cumprod(np.full(P.shape[1], (r - r_old) / h))     # x, x^2, x^3, x^4
+    return (h * K.T.dot(P).dot(x) + y_old).tolist()
+
+
 class BatchRun(NamedTuple):
     """Per-cell outcome of ``shoot_batch``, in the order of its start states."""
     verdicts: list             # a verdict, or None for a cell in errors
@@ -372,26 +355,34 @@ class BatchRun(NamedTuple):
     passes: int = 0            # RK45 passes over the live cells
 
 
-def shoot_batch(n, alpha, starts, rmax: float = 50.0) -> BatchRun:
-    """Integrate many trajectories at once and classify each as ``shoot``.
+def shoot_batch(n, alpha, starts, rmax: float = 50.0, path: list | None = None) -> BatchRun:
+    """Integrate many trajectories at once and classify each.
 
     ``starts`` holds one series-start state (u, p, v, q) at r = DEFAULT_R0
-    per row, each finite with u >= 0 and v <= 0, and rmax > DEFAULT_R0.
-    ``n`` and ``alpha`` are given per row, or once for every row.  The
-    cells are sorted by alpha once, stably, so each u^alpha is one power on
-    a run; ``live`` maps the live cells to their rows, and the outcomes come
-    in the order of ``starts``.  The live cells are stepped together,
-    component-major (states (4, cells), stages (stages + 1, 4, cells)),
-    with the Dormand-Prince tableau and scipy's RK45 controller, each with
-    its own step size, and drop out when done.  After each accepted step
-    the events are found from sign changes with solve_ivp's direction rules
-    and refined on the dense interpolant; the earliest root decides the
-    verdict.  A step below 10 ulp(r) fails, as in ``shoot``, and the cell
-    goes into ``errors`` as a step-size underflow at its last radius; so
-    does a crossing whose event location fails, with ``_brentq``'s message.
+    per row, each finite with u >= 0 and v <= 0; rmax must be finite and
+    exceed DEFAULT_R0.  ``n`` and ``alpha`` are given per row, or once for
+    every row.  The cells are sorted by alpha once, stably, so each u^alpha
+    is one power on a run; ``live`` maps the live cells to their rows, and
+    the outcomes come in the order of ``starts``.  The live cells are
+    stepped together, component-major (states (4, cells), stages
+    (stages + 1, 4, cells)), with the Dormand-Prince tableau and scipy's
+    RK45 controller, each with its own step size, and drop out when done.
+    After each accepted step the events are found from sign changes with
+    solve_ivp's direction rules and refined on the dense interpolant; the
+    earliest root decides the verdict.  A step below 10 ulp(r) fails, as in
+    solve_ivp, and the cell goes into ``errors`` as a step-size underflow at
+    its last radius; so does a crossing whose event location fails, with
+    ``_brentq``'s message.  Given ``path``, the batch must hold one cell,
+    and (r, state) is appended to it after each accepted step; an event's
+    step ends instead at the root, with the interpolant's state there, as
+    solve_ivp records it.
     """
     y = np.array(starts, dtype=float).reshape(-1, 4)
     cells = len(y)
+    if not (math.isfinite(rmax) and rmax > DEFAULT_R0):
+        raise ValueError(f"rmax must be finite and exceed r0 = {DEFAULT_R0}, got {rmax}")
+    if path is not None and cells != 1:
+        raise ValueError(f"a path follows one cell, not {cells}")
     nm1 = np.broadcast_to(np.asarray(n, dtype=float), (cells,)) - 1.0
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (cells,))
     live = np.argsort(alpha, kind="stable")        # cell -> row of starts
@@ -448,7 +439,12 @@ def shoot_batch(n, alpha, starts, rmax: float = 50.0) -> BatchRun:
                     errors[int(live[k])] = str(exc)
                 else:
                     verdicts[live[k]], radii[live[k]] = VERDICTS[e], root
+                    if path is not None:
+                        path.append((root, _dense_state(K[:, :, k], r[k], r_new[k],
+                                                        y[:, k], root)))
                 done[k] = True
+            if path is not None and accepted[0] and not done[0]:
+                path.append((float(r_new[0]), y_new[:, 0].tolist()))
             for k in np.nonzero(accepted & (r_new == rmax) & ~done)[0]:
                 verdicts[live[k]], radii[live[k]] = "reached-max-radius", rmax
                 done[k] = True
@@ -509,8 +505,6 @@ def scan_shooting(configs, u0_grid, v0_grid,
     """
     if any(v > 0 for v in v0_grid):
         raise ValueError("scan grids must keep v0 <= 0")
-    if not (math.isfinite(rmax) and rmax > DEFAULT_R0):
-        raise ValueError(f"rmax must be finite and exceed r0 = {DEFAULT_R0}, got {rmax}")
     tables = []     # per config: a ScanCell, an error, or a row of the batch
     rows, ns, alphas = [], [], []
     for n, alpha in configs:

@@ -17,9 +17,12 @@ TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 # subs_param is the reference route for specializing a parameter (the tests
 # substitute b and alpha with it, and the benchmark's tracer wraps it), and
 # sample_jet draws one jet from its seed (the benchmark's tracer wraps it, and
-# the tests replay failing jets with it)
+# the tests replay failing jets with it), and radial's solve_ivp wrapper is
+# called by no code at all: the benchmark's tracer wraps it by name, which is
+# the only reason it stays (ROADMAP items 1 and 6)
 UNREFERENCED_ALLOWED = ["coeffs.py:ParamScalar.subs_param", "jetoracle.py:sample_jet",
-                        "registry.py:perturb_identity", "registry.py:printed_variant"]
+                        "radial.py:solve_ivp", "registry.py:perturb_identity",
+                        "registry.py:printed_variant"]
 
 
 def _unused_imports(source: str) -> list[str]:

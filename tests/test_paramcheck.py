@@ -4,7 +4,7 @@ import json
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -725,6 +725,17 @@ def test_est1_grids_match_the_fraction_code():
 def test_est1_grid_rejects_n_below_5(n):
     with pytest.raises(ValueError, match="need n >= 5"):
         est1_grid_check(n)
+
+
+@pytest.mark.parametrize("check", [linear_reduction_certificate,
+                                   partial(est1_coefficient, a=Fraction(1, 2))],
+                         ids=["linear_reduction_certificate", "est1_coefficient"])
+@pytest.mark.parametrize("n", [4, 3, 0, -2])
+def test_exponent_records_reject_n_below_5(check, n):
+    """Without the domain check the grids also make, n = 4 and n = 0 would
+    divide by zero and n = 3 would get a certificate."""
+    with pytest.raises(ValueError, match="need n >= 5"):
+        check(n)
 
 
 @settings(max_examples=200, deadline=None)

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
+import scipy_shoot
 from bhverify import radial
 from bhverify.cli import run_radial
 from bhverify.radial import (ATOL, DEFAULT_R0, ERROR_ESTIMATOR_ORDER, ERROR_EXPONENT,
@@ -60,6 +62,20 @@ class TestVerdicts:
             shoot(6, 1.0, 1.0, -1.0)
         with pytest.raises(ValueError):
             shoot(6, 2.0, -1.0, -1.0)
+
+    @pytest.mark.parametrize("rmax", [math.inf, math.nan, radial.DEFAULT_R0, -1.0])
+    def test_rmax_outside_the_forward_range_rejected(self, rmax):
+        """The batch checks rmax, so a shot that integrates raises as a scan
+        does; a start already past a threshold needs no rmax."""
+        with pytest.raises(ValueError, match="rmax must be finite"):
+            shoot(6, 2.0, 1.0, -1.0, rmax=rmax)
+        assert shoot(6, 2.0, 1.0, 0.0, rmax=rmax).termination_radius == radial.DEFAULT_R0
+
+    def test_a_path_follows_one_cell(self):
+        start = series_start(6, 2.0, 1.0, -1.0)
+        with pytest.raises(ValueError, match="a path follows one cell, not 2"):
+            radial.shoot_batch(6, 2.0, [(start.u, start.p, start.v, start.q)] * 2,
+                               path=[])
 
     def test_non_finite_alpha_is_rejected(self):
         """A NaN alpha once sent shoot into an endless loop and gave a scan
@@ -188,9 +204,9 @@ def _ref_shoot_checkpoints(n, alpha, u0, v0, rmax=50.0, rtol=1e-10, atol=1e-10):
     if start.v > 0:
         return [start], "subharmonicity-violated", start.r
 
-    sol = radial.solve_ivp(rhs, (start.r, rmax), y0, rtol=rtol, atol=atol,
-                           events=[ev_positivity, ev_subharmonicity, ev_blowup],
-                           dense_output=False)
+    sol = solve_ivp(rhs, (start.r, rmax), y0, rtol=rtol, atol=atol,
+                    events=[ev_positivity, ev_subharmonicity, ev_blowup],
+                    dense_output=False)
 
     if sol.status == 1:
         if len(sol.t_events[0]):
@@ -227,15 +243,26 @@ def _ref_dump_trajectory_csv(n, checkpoints, path):
     (6, 2.0, 1.0, -1.0, 0.5),       # stops at rmax before any event
 ])
 def test_arrays_equal_per_state_reference(n, alpha, u0, v0, rmax, tmp_path):
-    """The verdict, the termination radius and the CSV dump from the
-    checkpoint arrays equal, bit for bit, those of the previous
-    per-RadialState code."""
-    _assert_shoot_equals_reference([shoot(n, alpha, u0, v0, rmax)], tmp_path)
+    """The verdict, the termination radius and the CSV dump from the scipy
+    shooter's checkpoint arrays equal, bit for bit, those of the previous
+    per-RadialState code; shoot has the scipy shooter's verdict and
+    checkpoint count, and its radius to 1e-9 relative."""
+    want = scipy_shoot.shoot(n, alpha, u0, v0, rmax)
+    _assert_shoot_equals_reference([want], tmp_path)
+    _assert_shoot_near_scipy(shoot(n, alpha, u0, v0, rmax), want)
+
+
+def _assert_shoot_near_scipy(got, want):
+    """shoot's result has the scipy shooter's verdict and checkpoint count,
+    and its termination radius to 1e-9 relative."""
+    assert (got.verdict, got.r.shape, got.y.shape) \
+        == (want.verdict, want.r.shape, want.y.shape)
+    assert got.termination_radius == pytest.approx(want.termination_radius, rel=1e-9)
 
 
 def _assert_shoot_equals_reference(shots, tmp_path):
-    """Each shoot result has the reference's verdict, termination radius and
-    CSV bytes, and the reference's blow-up event never decides."""
+    """Each scipy shooter's result has the reference's verdict, termination
+    radius and CSV bytes, and the reference's blow-up event never decides."""
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     for s in shots:
         checkpoints, verdict, r_end = _ref_shoot_checkpoints(
@@ -247,7 +274,7 @@ def _assert_shoot_equals_reference(shots, tmp_path):
         assert got.read_bytes() == want.read_bytes()
 
 
-# -- differential test: the batched scan against per-cell shoot --------------------
+# -- differential test: the batched scan and shoot against the scipy shooter -------
 
 ACCEPTANCE_CONFIGS = [(5, 2.0), (6, 2.0), (6, 3.0), (8, 2.0)]
 
@@ -260,30 +287,49 @@ def _perfbench_cells(seed):
             [rng.uniform(-10.0, 0.0) for _ in range(10)])
 
 
+def _shoot_or_error(shoot, *cell):
+    """shoot's result for a cell, or the text of its ValueError."""
+    try:
+        return shoot(*cell)
+    except ValueError as exc:
+        return str(exc)
+
+
 def _assert_scan_equals_shoot(n, alpha, u0s, v0s, rmax=50.0):
-    """Each cell of the scan has shoot's verdict, its termination radius to
-    1e-9 relative, or shoot's error; returns the summary and shoot's results."""
+    """Each cell of the scan has the scipy shooter's verdict, its termination
+    radius to 1e-9 relative, or its error; shoot gives each cell the scan's
+    verdict and radius bit for bit, or the scan's error, and is near the
+    scipy shooter.  Returns the summary and the scipy shooter's results."""
     [(summary, results)] = scan_shooting([(n, alpha)], u0s, v0s, rmax)
-    want, want_errors = [], []
-    for u0 in u0s:
-        for v0 in v0s:
-            try:
-                want.append(shoot(n, alpha, float(u0), float(v0), rmax))
-            except ValueError as exc:
-                want_errors.append((repr(float(u0)), repr(float(v0)), str(exc)))
-    assert [(repr(e["u0"]), repr(e["v0"]), e["error"]) for e in summary.errors] \
-        == want_errors
+    cells = [(float(u0), float(v0)) for u0 in u0s for v0 in v0s]
+    want = [_shoot_or_error(scipy_shoot.shoot, n, alpha, *cell, rmax) for cell in cells]
+    got = [_shoot_or_error(shoot, n, alpha, *cell, rmax) for cell in cells]
+
+    def errors(shots):
+        return [(repr(u0), repr(v0), s) for (u0, v0), s in zip(cells, shots)
+                if isinstance(s, str)]
+    assert errors(want) == errors(got) \
+        == [(repr(e["u0"]), repr(e["v0"]), e["error"]) for e in summary.errors]
+    want = [w for w in want if not isinstance(w, str)]
+    got = [g for g in got if not isinstance(g, str)]
     assert [(c.u0, c.v0, c.verdict) for c in results] \
         == [(w.u0, w.v0, w.verdict) for w in want]
-    for c, w in zip(results, want):
+    for c, w, g in zip(results, want, got):
         assert c.termination_radius == pytest.approx(w.termination_radius, rel=1e-9), c
+        assert (g.u0, g.v0, g.verdict, float(g.termination_radius).hex()) \
+            == (c.u0, c.v0, c.verdict, float(c.termination_radius).hex())
+        assert g.r[-1] == g.termination_radius
+        if g.verdict in VERDICTS and len(g.r) > 1:  # the path ends on the event's root
+            component = EVENT_COMPONENTS[VERDICTS.index(g.verdict)]
+            assert abs(g.y[component, -1]) <= 1e-12 * np.abs(g.y[:, -1]).max(), g
+        _assert_shoot_near_scipy(g, w)
     return summary, want
 
 
 @pytest.mark.parametrize("n, alpha", ACCEPTANCE_CONFIGS)
 def test_batch_equals_shoot_on_acceptance_grid(n, alpha, tmp_path):
-    """Includes the v0 = 0 column, whose cells need no integration; shoot
-    also equals the reference that had a blow-up event."""
+    """Includes the v0 = 0 column, whose cells need no integration; the
+    scipy shooter also equals the reference that had a blow-up event."""
     u0s, v0s = default_grids(10)
     summary, shots = _assert_scan_equals_shoot(n, alpha, u0s, v0s)
     assert summary.cells == 100 and summary.survivors == 0
@@ -326,7 +372,8 @@ def test_batch_equals_shoot_to_a_small_rmax():
 
 def test_bad_cells_stay_out_of_the_batch(monkeypatch):
     """NaN, infinite or non-positive u0 and non-finite v0 are per-cell
-    errors, and only finite start states reach the integrator."""
+    errors, and only finite start states reach the integrator: the scan's
+    batch and shoot's one-cell batches alike."""
     seen = []
 
     def checked(n, alpha, starts, *args):
@@ -338,15 +385,16 @@ def test_bad_cells_stay_out_of_the_batch(monkeypatch):
     v0s = [-math.inf, math.nan, -3.0, 0.0]
     summary, _ = _assert_scan_equals_shoot(6, 2.0, u0s, v0s)
     assert len(summary.errors) == 4 * 4 + 2 * 2 and summary.cells == 24
-    (starts,) = seen
-    assert len(starts) == 2 and np.isfinite(starts).all()
+    assert [len(starts) for starts in seen] == [2, 1, 1]
+    assert all(np.isfinite(starts).all() for starts in seen)
 
 
 def test_an_overflowing_power_of_u0_is_a_named_error():
     """u0**alpha overflows a float at u0 = 1e200, alpha = 2: shoot raises a
     ValueError that names u0, and the scan reports it as that cell's error."""
-    with pytest.raises(ValueError, match=r"u0\*\*alpha overflows at u0 = 1e\+200"):
-        shoot(6, 2.0, 1e200, -1.0)
+    for shooter in (shoot, scipy_shoot.shoot):
+        with pytest.raises(ValueError, match=r"u0\*\*alpha overflows at u0 = 1e\+200"):
+            shooter(6, 2.0, 1e200, -1.0)
     summary, shots = _assert_scan_equals_shoot(6, 2.0, [1e200, 1.0], [-1.0])
     assert [e["u0"] for e in summary.errors] == [1e200]
     assert summary.cells == 2 and len(shots) == 1
@@ -361,15 +409,14 @@ def test_batch_counts_equal_solve_ivp(monkeypatch):
         sol = solve_ivp(*args, **kwargs)
         calls.append((len(sol.t) - 1, sol.nfev))
         return sol
-    solve_ivp = radial.solve_ivp
-    monkeypatch.setattr(radial, "solve_ivp", counted)
+    monkeypatch.setattr(scipy_shoot, "solve_ivp", counted)
     u0s, v0s = _perfbench_cells(7)
     n, alpha = 6, 2.0
     starts = [series_start(n, alpha, u0, v0) for u0 in u0s for v0 in v0s]
     run = radial.shoot_batch(n, alpha, [(s.u, s.p, s.v, s.q) for s in starts])
     for u0 in u0s:
         for v0 in v0s:
-            shoot(n, alpha, u0, v0)
+            scipy_shoot.shoot(n, alpha, u0, v0)
     assert list(zip(run.steps.tolist(), run.nfev.tolist())) == calls
 
 
@@ -377,16 +424,15 @@ def test_step_underflow_is_a_per_cell_error_at_the_last_radius(monkeypatch):
     """A right side that overflows rejects every step until the step falls
     below 10 ulp(r): solve_ivp fails there, and the batch records the cell
     as a step-size underflow at the last radius, after solve_ivp's steps and
-    evaluations.  shoot raises the same message, and the scan reports it as
-    that cell's error."""
+    evaluations.  shoot and the scipy shooter raise the same message, and the
+    scan reports it as that cell's error."""
     start = (1e200, -1.0, -1.0, 0.0)
 
     def rhs(r, y):
         u, p, v, q = y
         return [p, v - 5 * p / r, q, max(u, 0.0) ** 2.0 - 5 * q / r]
     with np.errstate(all="ignore"):
-        sol = radial.solve_ivp(rhs, (radial.DEFAULT_R0, 50.0), start,
-                               rtol=1e-10, atol=1e-10)
+        sol = solve_ivp(rhs, (radial.DEFAULT_R0, 50.0), start, rtol=1e-10, atol=1e-10)
     run = radial.shoot_batch(6, 2.0, [start])
     assert sol.status == -1
     message = f"step size underflow at r = {float(sol.t[-1])!r}"
@@ -395,8 +441,9 @@ def test_step_underflow_is_a_per_cell_error_at_the_last_radius(monkeypatch):
 
     # no valid (u0, v0) reaches this start: u0 must be near 1e154 for u^2
     # to overflow, and then v(r0) <= 0 needs u(r0) < 0; inject it instead
-    monkeypatch.setattr(radial, "series_start",
-                        lambda *_: RadialState(radial.DEFAULT_R0, *start))
+    for module in (radial, scipy_shoot):
+        monkeypatch.setattr(module, "series_start",
+                            lambda *_: RadialState(radial.DEFAULT_R0, *start))
     with np.errstate(all="ignore"):
         summary, _ = _assert_scan_equals_shoot(6, 2.0, [1.0], [-1.0])
     assert summary.errors == [{"u0": 1.0, "v0": -1.0, "error": message}]
@@ -813,12 +860,18 @@ def test_run_radial_makes_one_batch_and_one_grid_call(monkeypatch):
 
 def test_dump_reshoots_the_middle_cell(tmp_path):
     """run_radial writes, per config, the checkpoints of shoot on the
-    len(results) // 2-th cell without an error, early returns included."""
+    len(results) // 2-th cell without an error, early returns included; the
+    CSV's last radius is the one the scan judged, to the bit."""
     u0s, v0s = default_grids(10)
     run_radial(ACCEPTANCE_CONFIGS, 10, 50.0, str(tmp_path))
-    for n, alpha in ACCEPTANCE_CONFIGS:
+    scans = scan_shooting(ACCEPTANCE_CONFIGS, u0s, v0s)
+    for (n, alpha), (_, results) in zip(ACCEPTANCE_CONFIGS, scans):
         cells = [(float(u0), float(v0)) for u0 in u0s for v0 in v0s]
         u0, v0 = cells[len(cells) // 2]
+        mid = results[len(results) // 2]
+        assert (mid.u0, mid.v0) == (u0, v0)
         dump_trajectory_csv(shoot(n, alpha, u0, v0), str(tmp_path / "want.csv"))
         got = tmp_path / f"trajectory_n{n}_a{alpha}.csv"
         assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        last_r = got.read_text().splitlines()[-1].split(",")[0]
+        assert last_r == repr(mid.termination_radius)

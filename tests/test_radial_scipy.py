@@ -1,7 +1,7 @@
 """The radial batch carries its own Dormand-Prince tableau and Brent solver
 so that a scan never loads scipy.  These tests hold them to the scipy code
 they replace (scipy.integrate.RK45 and scipy.optimize.brentq), and guard that
-a scan stays free of scipy."""
+the radial lab, its trajectory dump included, stays free of scipy."""
 
 import os
 import subprocess
@@ -33,6 +33,23 @@ def test_tableau_equals_scipy_rk45():
         assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
     assert radial.N_STAGES == RK45.n_stages
     assert radial.ERROR_ESTIMATOR_ORDER == RK45.error_estimator_order
+
+
+def test_dense_state_equals_scipy_rk45_dense_output():
+    """The state shoot records at an event's root is that of RK45's dense
+    output on the step, bit for bit, at points across each step."""
+    def rhs(r, y):      # n = 6, alpha = 2
+        u, p, v, q = y
+        return [p, v - 5 * p / r, q, max(u, 0.0) ** 2.0 - 5 * q / r]
+    solver = RK45(rhs, radial.DEFAULT_R0, [1.0, -1e-6, -1.0, 1e-6], 50.0,
+                  rtol=radial.RTOL, atol=radial.ATOL)
+    for _ in range(20):
+        solver.step()
+        dense = solver.dense_output()
+        for x in (0.0, 0.1, 1 / 3, 0.9, 1.0):
+            r = solver.t_old + x * (solver.t - solver.t_old)
+            assert radial._dense_state(solver.K, solver.t_old, solver.t, solver.y_old, r) \
+                == dense(r).tolist()
 
 
 def test_brentq_equals_scipy_on_the_acceptance_event_brackets(monkeypatch):
@@ -117,19 +134,22 @@ def test_event_non_convergence_is_a_per_cell_error(monkeypatch):
     assert not ok and sections[0]["errors"]
 
 
-def test_a_scan_loads_no_scipy():
-    """Importing the oracles' modules and running a scan load no scipy
-    module; shoot, the single-trajectory reference, loads it."""
+def test_a_scan_loads_no_scipy(tmp_path):
+    """Importing the oracles' modules, running a scan, shooting one cell and
+    running the radial section with its trajectory dump load no scipy
+    module."""
     code = (
         "import sys\n"
         "import bhverify.cli, bhverify.jetoracle, bhverify.radial as radial\n"
         "[(summary, _)] = radial.scan_shooting([(6, 2.0)], *radial.default_grids(4))\n"
         "assert summary.cells == 16, summary\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "radial.shoot(6, 2.0, 1.0, -1.0)\n"
-        "print('scipy.integrate' in sys.modules)\n")
+        "assert radial.shoot(6, 2.0, 1.0, -1.0).verdict in radial.VERDICTS\n"
+        "sections, ok = bhverify.cli.run_radial([(6, 2.0)], 4, 50.0, sys.argv[1])\n"
+        "assert ok and len(sections) == 1, sections\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True"]
+    assert proc.stdout.splitlines() == ["[]"]
+    assert [p.name for p in tmp_path.iterdir()] == ["trajectory_n6_a2.0.csv"]
