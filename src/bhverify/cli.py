@@ -10,6 +10,9 @@ numeric check) is reported on stderr as ``engine error: <ClassName>:
 <message>``, any other exception as ``internal error: <ClassName>:
 <message> (at <file>:<line> in <function>)``.  Reports are written
 atomically (JSON is byte-deterministic for a fixed seed and configuration).
+The section runners return the engine's result records and read their
+verdicts from the records' fields; ``report.build_report`` alone turns them
+into JSON data, and a value strict JSON cannot hold (a NaN) is a fault.
 
 A flat key=value config file may supply defaults (path via --config or the
 BHVERIFY_CONFIG environment variable); command-line flags take precedence.
@@ -29,7 +32,7 @@ import sys
 
 from . import paramcheck, registry
 from .errors import EngineError, NoCombinationError, SingularSystemError
-from .report import build_report, jsonable, render_json, render_markdown, write_atomic
+from .report import build_report, render_json, render_markdown, write_atomic
 
 CONFIG_ENV_VAR = "BHVERIFY_CONFIG"
 # every key run() reads from a config file
@@ -148,9 +151,7 @@ def _parse_square_grid(spec: str) -> int:
 
 def run_verify(ids=None):
     reports = registry.verify_all(ids)
-    records = jsonable(reports)
-    ok = bool(reports) and all(r.status == "verified-zero" for r in reports)
-    return records, ok
+    return reports, bool(reports) and all(r.status == "verified-zero" for r in reports)
 
 
 def run_combination():
@@ -165,7 +166,7 @@ def run_combination():
     return {
         "basis": [b.id for b in basis],
         "target": target.id,
-        "weights": jsonable(weights),
+        "weights": weights,
         "matches_catalog": matches,
     }, matches
 
@@ -176,20 +177,18 @@ def run_params(n_max: int = 100):
     the exponent grid and the linear-reduction rows always cover
     EXPONENT_GRID_N, n = 5..24."""
     formulas = paramcheck.check_minor_formulas()
-    certs = []
-    for n in range(5, n_max + 1):
-        certs.extend(jsonable(paramcheck.all_certificates(n)))
-    all_positive = all(c["verdict"] == "positive" for c in certs)
+    certs = [c for n in range(5, n_max + 1) for c in paramcheck.all_certificates(n)]
+    all_positive = all(c.verdict == "positive" for c in certs)
     est1 = [paramcheck.est1_grid_check(n) for n in paramcheck.EXPONENT_GRID_N if n <= n_max]
     exponents = paramcheck.exponent_grid_check()
     linear = [paramcheck.linear_reduction_certificate(n) for n in paramcheck.EXPONENT_GRID_N]
     section = {
-        "minor_formulas": jsonable(formulas),
+        "minor_formulas": formulas,
         "certificates": certs,
         "all_certificates_positive": all_positive,
         "est1_grids": est1,
         "exponents": {k: v for k, v in exponents.items() if k != "records"},
-        "exponent_records": jsonable(exponents["records"]),
+        "exponent_records": exponents["records"],
         "linear_reduction": linear,
     }
     # mandatory: the engine-certified mathematics; the printed-display
@@ -205,7 +204,7 @@ def run_params(n_max: int = 100):
 
 def run_scan_pd(n_lo: int = 5, n_hi: int = 100, grid: int = 1000):
     rep = paramcheck.numeric_pd_scan(range(n_lo, n_hi + 1), grid=grid)
-    return jsonable(rep), rep.all_positive
+    return rep, rep.all_positive
 
 
 def run_oracle(seed: int = 0, samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9):
@@ -215,7 +214,7 @@ def run_oracle(seed: int = 0, samples: int = 1000, dims=(5, 6, 8), tol: float = 
     # the search certifies n/(n-1) exactly and records a probe ratio below it
     # as the minimum; both floats are correctly rounded n/(n-1) otherwise
     ok = all(r.passed for r in reports) and all(s.minimum == s.analytic for s in sharp)
-    return jsonable({"identities": reports, "sharp_constant": sharp}), ok
+    return {"identities": reports, "sharp_constant": sharp}, ok
 
 
 def run_radial(configs, grid_size: int = 10, rmax: float = 50.0,
@@ -228,18 +227,15 @@ def run_radial(configs, grid_size: int = 10, rmax: float = 50.0,
     report judged, written there as CSV."""
     from .radial import default_grids, dump_trajectory_csv, scan_shooting, shoot
     u0s, v0s = default_grids(grid_size)
-    summaries = []
-    ok = True
     scans = scan_shooting(configs, u0s, v0s, rmax)
-    for (n, alpha), (summary, results) in zip(configs, scans):
-        summaries.append(jsonable(summary))
-        ok = ok and summary.survival_fraction == 0.0 and not summary.errors
-        if dump_dir:
+    summaries = [summary for summary, _ in scans]
+    ok = all(s.survival_fraction == 0.0 and not s.errors for s in summaries)
+    if dump_dir:
+        for (n, alpha), (_, results) in zip(configs, scans):
             # the scan keeps no trajectories: shoot the middle cell again
             mid = results[len(results) // 2]
-            dump_trajectory_csv(
-                shoot(n, alpha, mid.u0, mid.v0, rmax),
-                os.path.join(dump_dir, f"trajectory_n{n}_a{alpha}.csv"))
+            dump_trajectory_csv(shoot(n, alpha, mid.u0, mid.v0, rmax),
+                                os.path.join(dump_dir, f"trajectory_n{n}_a{alpha}.csv"))
     return summaries, ok
 
 

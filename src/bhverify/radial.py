@@ -555,9 +555,13 @@ def _summarize(n, alpha, rmax, cells, rows, run: BatchRun):
 
 
 def dump_trajectory_csv(result: ShootingResult, path: str):
-    """Checkpoint dump: r, u, p, v, q, Z per line."""
+    """Checkpoint dump: r, u, p, v, q, Z per line.  Z is nan where u <= 0,
+    and on the last row of a positivity-violated path, the root of u, where
+    u is only the root's rounding noise."""
+    rows = list(zip(result.r.tolist(), *result.y.tolist()))
+    root = len(rows) - 1 if result.verdict == "positivity-violated" else None
     with open(path, "w") as fh:
         fh.write("r,u,p,v,q,Z\n")
-        for r, u, p, v, q in zip(result.r.tolist(), *result.y.tolist()):
-            z = monitor_z(result.n, u, p, v) if u > 0 else math.nan
+        for i, (r, u, p, v, q) in enumerate(rows):
+            z = monitor_z(result.n, u, p, v) if u > 0 and i != root else math.nan
             fh.write(f"{r!r},{u!r},{p!r},{v!r},{q!r},{z!r}\n")

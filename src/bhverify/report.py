@@ -1,13 +1,13 @@
 """Report assembly and rendering (deterministic JSON, readable markdown).
 
 The JSON schema is versioned and frozen: fixed inputs render to identical
-bytes, so verification runs can be diffed.  ``render_json`` writes the text
-of ``json.dumps(report, sort_keys=True, indent=2)`` byte for byte, in one
-recursive pass over the report's exact types; it hands ``json.dumps`` only
-what it does not write itself.  Markdown is presentation only.
-``jsonable`` is the one route from the engine's result records to JSON
-data: the records carry their report shape in their fields, and no record
-serializes itself.
+bytes, so verification runs can be diffed.  ``build_report`` is the one
+boundary between the engine and JSON: the section runners hand it result
+records, and it converts them once with ``jsonable``; no other module knows
+the JSON shape, and no record serializes itself.  ``render_json`` writes
+that data, byte for byte as ``json.dumps(report, sort_keys=True, indent=2)``,
+in one recursive pass, and refuses what strict JSON cannot hold.  Markdown
+is presentation only.
 
 The ``notes`` are read from the sections of the same run (``findings``):
 each names the report field it came from, and a section that did not run or
@@ -20,7 +20,6 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import is_dataclass
 from fractions import Fraction
 
 from . import __version__, registry
@@ -29,27 +28,21 @@ from .coeffs import ParamScalar
 SCHEMA_VERSION = 2
 
 
-# the exact types jsonable returns unchanged; a subclass (np.float64, an
-# IntEnum) takes the isinstance chain
 _PLAIN = frozenset({str, int, float, bool, type(None)})
-# the exact types that the isinstance chain sent to its dataclass branch
-_RECORDS: set[type] = set()
+
+
+def _no_json_form(x) -> TypeError:
+    return TypeError(f"no JSON form for {type(x).__name__}: {x!r}")
 
 
 def jsonable(x):
-    """JSON data of a result record: a dataclass becomes the dict of its
-    fields, a tuple or list a list and a dict a dict, recursively; exact
-    numbers (``Fraction``, ``ParamScalar``) become their ``str``; ``str``,
-    ``int``, ``float``, ``bool`` and ``None`` pass unchanged.  Any other type
-    raises ``TypeError``.
-
-    The exact type of x is tried first: ``Fraction``'s metaclass is
-    ``ABCMeta``, so each ``isinstance`` against it runs a Python-level check.
-    A subclass of a builtin container or number (a NamedTuple, a dict
-    subclass, ``np.float64``) takes the ``isinstance`` chain, and a dataclass
-    type is dispatched by exact type once the chain has sent it to its
-    dataclass branch.
-    """
+    """JSON data of a result record, by the exact type of each node: a
+    dataclass instance becomes the dict of its fields, a tuple or list a list
+    and a dict a dict, recursively; exact numbers (``Fraction``,
+    ``ParamScalar``) become their ``str``; ``str``, ``int``, ``float``,
+    ``bool`` and ``None`` pass unchanged.  Any other type, a subclass of
+    these (``np.float64``, a NamedTuple, an IntEnum) included, raises
+    ``TypeError``."""
     t = type(x)
     if t in _PLAIN:
         return x
@@ -59,21 +52,9 @@ def jsonable(x):
         return [jsonable(v) for v in x]
     if t is dict:
         return {k: jsonable(v) for k, v in x.items()}
-    if t in _RECORDS:
+    if hasattr(t, "__dataclass_fields__"):
         return {k: jsonable(v) for k, v in vars(x).items()}
-    if isinstance(x, (str, int, float)):
-        return x
-    if isinstance(x, (Fraction, ParamScalar)):
-        return str(x)
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: jsonable(v) for k, v in x.items()}
-    if is_dataclass(x):
-        if not isinstance(x, type):     # an instance, not a dataclass itself
-            _RECORDS.add(t)
-        return jsonable(vars(x))
-    raise TypeError(f"no JSON form for {type(x).__name__}: {x!r}")
+    raise _no_json_form(x)
 
 
 def findings(sections: dict) -> list[dict]:
@@ -122,7 +103,9 @@ def findings(sections: dict) -> list[dict]:
 
 
 def build_report(config: dict, sections: dict, statuses: dict[str, bool]) -> dict:
-    """Assemble the versioned report document."""
+    """Assemble the versioned report document: the sections' records become
+    JSON data here, once, and the notes are read from that data."""
+    sections = jsonable(sections)
     return {
         "schema_version": SCHEMA_VERSION,
         "engine_version": __version__,
@@ -138,31 +121,20 @@ def render_json(report: dict) -> str:
     """The report as text: ``json.dumps(report, sort_keys=True, indent=2)``
     and a final newline, byte for byte, in one recursive pass.
 
-    ``dict``, ``list``, ``tuple``, ``str``, ``int``, ``bool``, ``None`` and
-    finite ``float`` (the exact types, not subclasses) are written directly:
-    pieces are appended to one list and joined once, and a string goes
-    through the stdlib's C ``encode_basestring_ascii``.  Any other node (a
-    non-finite float, a subclass, a dict with a key that is not a ``str``, a
-    type with no JSON form) is handed to ``json.dumps`` and re-indented to
-    its depth, which is exact since encoded JSON holds no raw newline.  So
-    every error is the one ``json.dumps`` raises; a container that holds
-    itself recurses until the tree is handed to ``json.dumps`` whole.
+    The report must be JSON data of exact types, as ``jsonable`` gives it:
+    ``dict`` with ``str`` keys, ``list``, ``str``, ``int``, ``bool``, ``None``
+    and ``float``.  Pieces are appended to one list and joined once, and a
+    string goes through the stdlib's C ``encode_basestring_ascii``.  A report
+    is strict JSON, so a non-finite float raises ``ValueError``; any other
+    key or value raises ``TypeError``.
     """
     out: list[str] = []
-    try:
-        _render(report, "\n", out)
-    except RecursionError:
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    _render(report, "\n", out)
     out.append("\n")
     return "".join(out)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-
-
-def _dumps(x, nl: str) -> str:
-    """json.dumps of x, its lines indented to the depth whose newline is nl."""
-    return json.dumps(x, sort_keys=True, indent=2).replace("\n", nl)
 
 
 def _render(x, nl: str, out: list[str]):
@@ -176,26 +148,22 @@ def _render(x, nl: str, out: list[str]):
             return
         inner = nl + "  "
         sep, nxt = "{" + inner, "," + inner
-        start = len(out)
-        try:
-            for k, v in sorted(x.items()):     # as json.dumps sorts
-                t = type(v)
-                if t is str:
-                    out.append(f"{sep}{_encode_str(k)}: {_encode_str(v)}")
-                elif t is bool:
-                    out.append(f"{sep}{_encode_str(k)}: {'true' if v else 'false'}")
-                elif t is int:
-                    out.append(f"{sep}{_encode_str(k)}: {v}")
-                else:
-                    out.append(f"{sep}{_encode_str(k)}: ")
-                    _render(v, inner, out)
-                sep = nxt
-        except TypeError:   # a key that is not a str, or a value with no JSON form:
-            del out[start:]     # json.dumps writes the dict or raises its own error
-            out.append(_dumps(x, nl))
-            return
+        for k, v in sorted(x.items()):     # as json.dumps sorts
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}: {k!r}")
+            t = type(v)
+            if t is str:
+                out.append(f"{sep}{_encode_str(k)}: {_encode_str(v)}")
+            elif t is bool:
+                out.append(f"{sep}{_encode_str(k)}: {'true' if v else 'false'}")
+            elif t is int:
+                out.append(f"{sep}{_encode_str(k)}: {v}")
+            else:
+                out.append(f"{sep}{_encode_str(k)}: ")
+                _render(v, inner, out)
+            sep = nxt
         out.append(nl + "}")
-    elif t is list or t is tuple:
+    elif t is list:
         if not x:
             out.append("[]")
             return
@@ -220,10 +188,12 @@ def _render(x, nl: str, out: list[str]):
         out.append("true" if x else "false")
     elif x is None:
         out.append("null")
-    elif t is float and math.isfinite(x):
+    elif t is float:
+        if not math.isfinite(x):
+            raise ValueError(f"{x!r} has no strict JSON form")
         out.append(repr(x))
     else:
-        out.append(_dumps(x, nl))
+        raise _no_json_form(x)
 
 
 def render_markdown(report: dict) -> str:

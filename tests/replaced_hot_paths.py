@@ -3,13 +3,14 @@ coefficient equality, estimate grid and report rendering, kept as the tests'
 reference.
 
 ``bhverify.report.jsonable`` now dispatches on the exact type of a value
-before its ``isinstance`` chain, ``paramcheck.numeric_pd_scan`` evaluates a
+alone and refuses subclasses, ``paramcheck.numeric_pd_scan`` evaluates a
 block of n at once, ``paramcheck.exponent_check`` decides its verdicts on
 integer cross-products, ``ParamScalar.__eq__`` compares two constants by
 their ground values, ``paramcheck.est1_grid_check`` decides on integer
 numerators, ``paramcheck.at_n`` evaluates its n-tables by a plain Horner
-loop and ``report.render_json`` writes its text in one recursive pass.  Up to
-that change they were the functions below, unchanged; the helpers they share
+loop and ``report.render_json`` writes the exact types ``jsonable`` returns
+in one recursive pass and refuses a non-finite float.  Up to that change
+they were the functions below, unchanged; the helpers they share
 with the package (``PDReport``, ``ExponentCheck``, ``_eigmin_sym3``,
 ``est1_coefficient``, ``_horner``, ``_n_tables``, the cached matrix and
 certificates) are imported from it.

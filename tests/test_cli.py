@@ -1,6 +1,7 @@
 """CLI contract: exit codes, deterministic reports, config precedence."""
 
 import json
+import math
 import os
 import stat
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from bhverify import cli, jetoracle, paramcheck, registry
 from bhverify.cli import load_config, run
 from bhverify.errors import EngineInconsistencyError, NoCombinationError
+from bhverify.radial import ScanSummary
 from bhverify.report import render_json, render_markdown, write_atomic
 
 # a path below a regular file, which no process can create or write
@@ -378,6 +380,22 @@ def test_fault_while_rendering_exits_3(fmt, monkeypatch, tmp_path, capsys):
     assert err.startswith("internal error: TypeError: Object of type set is not JSON "
                           "serializable (at test_cli.py:")
     assert err.endswith(" in broken)\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_nan_in_a_section_exits_3(monkeypatch, tmp_path, capsys):
+    """No report holds NaN or Infinity: a section record holding a NaN is a
+    fault found while the report is rendered, so exit 3, one stderr line and
+    no report, on stdout or in --out."""
+    summary = ScanSummary(6, 2.0, 50.0, 1, 0, math.nan, {}, [])
+    monkeypatch.setattr(cli, "run_radial", lambda *args: ([summary], True))
+    out = tmp_path / "r.json"
+    for argv in (["--out", str(out), "radial"], ["radial"]):
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "internal error: ValueError: nan has no strict JSON form (at report.py:")
+        assert captured.err.count("\n") == 1 and captured.out == ""
     assert not out.exists()
 
 

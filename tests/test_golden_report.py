@@ -21,7 +21,7 @@ from functools import cache
 import pytest
 
 from bhverify.cli import run, run_combination, run_params, run_scan_pd, run_verify
-from bhverify.report import build_report, render_json
+from bhverify.report import build_report, jsonable, render_json
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA / "verify_report.json"
@@ -34,17 +34,18 @@ ORACLE_ARGV = ["oracle", "--seed", "3", "--samples", "50", "--dims", "5,6,8"]
 @cache
 def _sections() -> dict:
     records, _ = run_verify()
+    records = jsonable(records)
     for r in records:
         del r["millis"]
     combination, _ = run_combination()
-    return {"identities": records, "combination": combination}
+    return {"identities": records, "combination": jsonable(combination)}
 
 
 @cache
 def _certificates_sections() -> dict:
     params, _ = run_params(12)
     pd_scan, _ = run_scan_pd(5, 12, 50)
-    return {"params": params, "pd_scan": pd_scan}
+    return jsonable({"params": params, "pd_scan": pd_scan})
 
 
 def _notes_document() -> str:

@@ -119,6 +119,31 @@ def test_module_has_no_unused_import(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _names(source: str) -> set[str]:
+    """Every name the source reads, binds or imports: bare names, attribute
+    names and the imported names of an import (before any ``as``)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names
+
+
+def test_scan_names_imports_attributes_and_bare_names():
+    assert _names("from .report import jsonable as j\n") == {"jsonable"}
+    assert {"report", "jsonable", "x"} <= _names("y = report.jsonable(x)\n")
+
+
+def test_only_the_report_module_names_jsonable():
+    """``report.build_report`` is the one JSON boundary: no other package
+    module names ``jsonable``, so the section runners hand it records."""
+    assert [p.name for p in MODULES if "jsonable" in _names(p.read_text())] == ["report.py"]
+
+
 def test_every_definition_is_referenced_in_the_package():
     sources = {p.name: p.read_text() for p in MODULES}
     assert _unreferenced_definitions(sources) == UNREFERENCED_ALLOWED

@@ -193,8 +193,9 @@ class TestIdentityChecks:
             return out
 
         monkeypatch.setattr(jetoracle, "eval_terms_batch", planted)
-        section, ok = run_oracle(samples=20, dims=(5,))
+        records, ok = run_oracle(samples=20, dims=(5,))
         assert not ok
+        section = jsonable(records)
         i1, *rest = section["identities"]
         assert i1["id"] == "I1" and not i1["passed"]
         assert math.isfinite(i1["max_rel_residual"]) and i1["max_rel_residual"] <= 1e-9
@@ -285,9 +286,9 @@ class TestSharpCertificate:
     def test_probe_below_the_bound_fails_the_section(self, monkeypatch):
         monkeypatch.setattr(jetoracle, "_probe_min_ratio", lambda n, seed: 1.0)
         assert sharp_constant_search(5).minimum == 1.0
-        section, ok = run_oracle(samples=2, dims=(5,))
+        records, ok = run_oracle(samples=2, dims=(5,))
         assert not ok
-        assert all(s["minimum"] == 1.0 for s in section["sharp_constant"])
+        assert all(s["minimum"] == 1.0 for s in jsonable(records)["sharp_constant"])
 
     def test_n_below_two_rejected(self):
         with pytest.raises(ValueError):

@@ -226,11 +226,14 @@ def _ref_shoot_checkpoints(n, alpha, u0, v0, rmax=50.0, rtol=1e-10, atol=1e-10):
     return checkpoints, verdict, r_end
 
 
-def _ref_dump_trajectory_csv(n, checkpoints, path):
+def _ref_dump_trajectory_csv(n, checkpoints, verdict, path):
+    """The per-RadialState dump, which since writes Z as nan on the root row
+    of a positivity-violated path too."""
+    root = checkpoints[-1] if verdict == "positivity-violated" else None
     with open(path, "w") as fh:
         fh.write("r,u,p,v,q,Z\n")
         for s in checkpoints:
-            z = monitor_z(n, s.u, s.p, s.v) if s.u > 0 else math.nan
+            z = monitor_z(n, s.u, s.p, s.v) if s.u > 0 and s is not root else math.nan
             fh.write(f"{s.r!r},{s.u!r},{s.p!r},{s.v!r},{s.q!r},{z!r}\n")
 
 
@@ -270,7 +273,7 @@ def _assert_shoot_equals_reference(shots, tmp_path):
         assert verdict != "blow-up"
         assert (s.verdict, s.termination_radius) == (verdict, r_end)
         dump_trajectory_csv(s, str(got))
-        _ref_dump_trajectory_csv(s.n, checkpoints, str(want))
+        _ref_dump_trajectory_csv(s.n, checkpoints, verdict, str(want))
         assert got.read_bytes() == want.read_bytes()
 
 
@@ -875,3 +878,18 @@ def test_dump_reshoots_the_middle_cell(tmp_path):
         assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
         last_r = got.read_text().splitlines()[-1].split(",")[0]
         assert last_r == repr(mid.termination_radius)
+
+
+def test_dump_writes_no_z_on_the_root_row(tmp_path):
+    """The cell that `bhverify radial --dump-trajectories` dumps by default
+    (n = 6, alpha = 2, the middle of the 10x10 grid) ends where u falls
+    through 0, and there u (about 1.9e-16) is only the root's rounding noise:
+    its Z is nan, not about 1e32.  Every earlier row has u > 0 and the Z of
+    its state."""
+    run_radial([(6, 2.0)], 10, 50.0, str(tmp_path))
+    text = (tmp_path / "trajectory_n6_a2.0.csv").read_text()
+    *earlier, last = [[float(x) for x in line.split(",")] for line in text.splitlines()[1:]]
+    assert 0 < last[1] < 1e-15 and math.isnan(last[5])
+    assert earlier
+    for r, u, p, v, q, z in earlier:
+        assert u > 0 and z == monitor_z(6, u, p, v)

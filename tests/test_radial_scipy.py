@@ -17,6 +17,7 @@ from scipy.optimize import brentq
 from bhverify import radial
 from bhverify.cli import run_radial
 from bhverify.radial import default_grids, scan_shooting
+from bhverify.report import jsonable
 
 ROOT = Path(__file__).resolve().parents[1]
 ACCEPTANCE_CONFIGS = [(5, 2.0), (6, 2.0), (6, 3.0), (8, 2.0)]
@@ -131,7 +132,7 @@ def test_event_non_convergence_is_a_per_cell_error(monkeypatch):
             "event location did not converge after 1 iterations at r = ")
         float(error["error"].rpartition(" ")[2])    # the last radius, as a float
     sections, ok = run_radial([(6, 2.0)], grid_size=2)
-    assert not ok and sections[0]["errors"]
+    assert not ok and jsonable(sections)[0]["errors"]
 
 
 def test_a_scan_loads_no_scipy(tmp_path):
