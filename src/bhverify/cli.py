@@ -3,16 +3,17 @@
 Subcommands: verify, params, scan-pd, oracle, radial, all.  Exit code 0
 means every mandatory check passed, 1 means a mathematical check failed
 (nonzero residual, sign flip, survival > 0), 2 means a usage or
-configuration error (an unwritable --out or --dump-trajectories path
-included), found before any section runs, and 3 means a fault inside a
-section.  An EngineError (such as an exact certificate contradicted by a
-numeric check) is reported on stderr as ``engine error: <ClassName>:
-<message>``, any other exception as ``internal error: <ClassName>:
-<message> (at <file>:<line> in <function>)``.  Reports are written
-atomically (JSON is byte-deterministic for a fixed seed and configuration).
-The section runners return the engine's result records and read their
-verdicts from the records' fields; ``report.build_report`` alone turns them
-into JSON data, and a value strict JSON cannot hold (a NaN) is a fault.
+configuration error (an empty or unwritable --out or --dump-trajectories
+path included), found before any section runs, and 3 means a fault inside
+a section or its report.  An EngineError (such as an exact certificate
+contradicted by a numeric check) is reported on stderr as ``engine error:
+<ClassName>: <message>``, any other exception as ``internal error:
+<ClassName>: <message> (at <file>:<line> in <function>)``.  Reports are
+written atomically (JSON is byte-deterministic for a fixed seed and
+configuration).  The section runners return the engine's result records and
+read their verdicts from the records' fields; ``report.build_report`` alone
+turns them into report data, and a value strict JSON cannot hold (a NaN) is
+a fault in either format.
 
 A flat key=value config file may supply defaults (path via --config or the
 BHVERIFY_CONFIG environment variable); command-line flags take precedence.
@@ -88,10 +89,10 @@ def _require(ok: bool, flag: str, message: str):
 
 
 def _out_path_error(path: str) -> str | None:
-    """Why no report can be written to path, or None: its directory must
-    exist, be a directory and be writable, and path must not be a directory."""
+    """Why no report can be written to path, or None: path must not be empty
+    or a directory, and its directory must exist, be one and be writable."""
     parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.exists(parent):
+    if not path or not os.path.exists(parent):
         return os.strerror(errno.ENOENT)
     if not os.path.isdir(parent):
         return os.strerror(errno.ENOTDIR)
@@ -341,7 +342,7 @@ def _command(args, config: dict):
                  f"must be a finite value above the series start r0 = {DEFAULT_R0}, "
                  f"got {rmax}")
         dump_dir = args.dump_trajectories
-        if dump_dir:
+        if dump_dir is not None:
             try:
                 os.makedirs(dump_dir, exist_ok=True)
             except OSError as exc:
@@ -390,8 +391,7 @@ def run(argv) -> int:
         out_path = _pick(args.out, config, "out", str, None)
         # before the command's own arguments, so a bad path creates no
         # --dump-trajectories directory
-        reason = _out_path_error(out_path) if out_path else None
-        if reason:
+        if out_path is not None and (reason := _out_path_error(out_path)):
             raise ValueError(f"--out cannot write {out_path}: {reason}")
         settings, job = _command(args, config)
     except (OSError, ValueError) as exc:
@@ -402,18 +402,14 @@ def run(argv) -> int:
 
     sections: dict = {}
     statuses: dict[str, bool] = {}
-    try:
+    try:    # a fault inside a section or in its report data, not a usage error
         job(sections, statuses)
-    except Exception as exc:    # a fault inside a section, not a usage error
-        return _fault(exc)
-
-    echo = {"command": args.command, "format": fmt, **settings}
-    try:
-        report = build_report(echo, sections, statuses)
+        report = build_report({"command": args.command, "format": fmt, **settings},
+                              sections, statuses)
         text = render_json(report) if fmt == "json" else render_markdown(report)
-    except Exception as exc:    # a fault while rendering: a value with no text form
+    except Exception as exc:
         return _fault(exc)
-    if out_path:
+    if out_path is not None:
         try:
             write_atomic(out_path, text)
         except OSError as exc:

@@ -1,13 +1,14 @@
 """Report assembly and rendering (deterministic JSON, readable markdown).
 
 The JSON schema is versioned and frozen: fixed inputs render to identical
-bytes, so verification runs can be diffed.  ``build_report`` is the one
-boundary between the engine and JSON: the section runners hand it result
-records, and it converts them once with ``jsonable``; no other module knows
-the JSON shape, and no record serializes itself.  ``render_json`` writes
-that data, byte for byte as ``json.dumps(report, sort_keys=True, indent=2)``,
-in one recursive pass, and refuses what strict JSON cannot hold.  Markdown
-is presentation only.
+bytes, so verification runs can be diffed.  ``build_report`` is the one gate
+between the engine and a report: it converts the section records and the
+echoed config once with ``jsonable``, which refuses what strict JSON cannot
+hold, so both formats fail alike.  No other module knows the JSON shape, and
+no record serializes itself but a failing oracle jet's replay record
+(``jetoracle.JetSample.to_json``).  ``render_json`` writes what the gate
+returns, byte for byte as ``json.dumps(report, sort_keys=True, indent=2)``,
+in one pass.  Markdown is presentation only.
 
 The ``notes`` are read from the sections of the same run (``findings``):
 each names the report field it came from, and a section that did not run or
@@ -28,7 +29,7 @@ from .coeffs import ParamScalar
 SCHEMA_VERSION = 2
 
 
-_PLAIN = frozenset({str, int, float, bool, type(None)})
+_PLAIN = frozenset({str, int, bool, type(None)})
 
 
 def _no_json_form(x) -> TypeError:
@@ -39,21 +40,27 @@ def jsonable(x):
     """JSON data of a result record, by the exact type of each node: a
     dataclass instance becomes the dict of its fields, a tuple or list a list
     and a dict a dict, recursively; exact numbers (``Fraction``,
-    ``ParamScalar``) become their ``str``; ``str``, ``int``, ``float``,
-    ``bool`` and ``None`` pass unchanged.  Any other type, a subclass of
-    these (``np.float64``, a NamedTuple, an IntEnum) included, raises
+    ``ParamScalar``) become their ``str``; ``str``, ``int``, finite ``float``,
+    ``bool`` and ``None`` pass unchanged.  A report is strict JSON: a NaN or
+    an infinity raises ``ValueError``, and a key other than ``str`` or any
+    other type, a subclass of these (``np.float64``, an IntEnum) included,
     ``TypeError``."""
     t = type(x)
-    if t in _PLAIN:
+    if t in _PLAIN or t is float and math.isfinite(x):
         return x
     if t is Fraction or t is ParamScalar:
         return str(x)
     if t is list or t is tuple:
         return [jsonable(v) for v in x]
     if t is dict:
+        for k in x:
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}: {k!r}")
         return {k: jsonable(v) for k, v in x.items()}
     if hasattr(t, "__dataclass_fields__"):
         return {k: jsonable(v) for k, v in vars(x).items()}
+    if t is float:
+        raise ValueError(f"{x!r} has no strict JSON form")
     raise _no_json_form(x)
 
 
@@ -103,13 +110,13 @@ def findings(sections: dict) -> list[dict]:
 
 
 def build_report(config: dict, sections: dict, statuses: dict[str, bool]) -> dict:
-    """Assemble the versioned report document: the sections' records become
-    JSON data here, once, and the notes are read from that data."""
+    """Assemble the versioned report document: the config and the sections'
+    records pass the gate of ``jsonable`` here, once; the notes read that data."""
     sections = jsonable(sections)
     return {
         "schema_version": SCHEMA_VERSION,
         "engine_version": __version__,
-        "config": config,
+        "config": jsonable(config),
         "sections": sections,
         "section_status": {k: ("pass" if v else "fail") for k, v in statuses.items()},
         "notes": findings(sections),
@@ -121,12 +128,11 @@ def render_json(report: dict) -> str:
     """The report as text: ``json.dumps(report, sort_keys=True, indent=2)``
     and a final newline, byte for byte, in one recursive pass.
 
-    The report must be JSON data of exact types, as ``jsonable`` gives it:
+    It writes what ``build_report`` returns, which its gate has checked:
     ``dict`` with ``str`` keys, ``list``, ``str``, ``int``, ``bool``, ``None``
-    and ``float``.  Pieces are appended to one list and joined once, and a
-    string goes through the stdlib's C ``encode_basestring_ascii``.  A report
-    is strict JSON, so a non-finite float raises ``ValueError``; any other
-    key or value raises ``TypeError``.
+    and finite ``float``.  Pieces are appended to one list and joined once,
+    and a string goes through the stdlib's C ``encode_basestring_ascii``.  A
+    value of any other type raises ``TypeError``.
     """
     out: list[str] = []
     _render(report, "\n", out)
@@ -149,8 +155,6 @@ def _render(x, nl: str, out: list[str]):
         inner = nl + "  "
         sep, nxt = "{" + inner, "," + inner
         for k, v in sorted(x.items()):     # as json.dumps sorts
-            if type(k) is not str:
-                raise TypeError(f"keys must be str, not {type(k).__name__}: {k!r}")
             t = type(v)
             if t is str:
                 out.append(f"{sep}{_encode_str(k)}: {_encode_str(v)}")
@@ -182,16 +186,12 @@ def _render(x, nl: str, out: list[str]):
         out.append(nl + "]")
     elif t is str:
         out.append(_encode_str(x))
-    elif t is int:
+    elif t is int or t is float:
         out.append(repr(x))
     elif t is bool:
         out.append("true" if x else "false")
     elif x is None:
         out.append("null")
-    elif t is float:
-        if not math.isfinite(x):
-            raise ValueError(f"{x!r} has no strict JSON form")
-        out.append(repr(x))
     else:
         raise _no_json_form(x)
 

@@ -252,6 +252,7 @@ def test_radial_grid_rejected(spec, reason, capsys):
     (["verify", "--ids", "I1, I1"], "--ids"),
     (["oracle", "--samples", "2", "--dims", "5,5"], "--dims"),
     (["oracle", "--samples", "2", "--dims", "6,5,6"], "--dims"),
+    (["radial", "--grid", "1x1", "--dump-trajectories", ""], "--dump-trajectories"),
 ])
 def test_out_of_range_params_and_scan_pd_rejected(argv, flag, capsys):
     assert run(argv) == 2
@@ -264,6 +265,7 @@ def test_out_of_range_params_and_scan_pd_rejected(argv, flag, capsys):
     (os.path.join(os.path.dirname(__file__), "no-such-dir", "r.json"),
      "No such file or directory"),
     (os.path.dirname(__file__), "Is a directory"),
+    ("", "No such file or directory"),
 ])
 def test_bad_out_path_rejected_before_any_section_runs(out, reason, monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
@@ -310,6 +312,7 @@ def test_ids_are_stripped(tmp_path):
     ("format = xml", "--format"),
     ("n = 6.5", "config key n"),
     ("dims = 5,5", "--dims"),
+    ("out =", "--out"),
 ])
 def test_out_of_range_config_values_rejected(tmp_path, line, flag, capsys):
     cfg = tmp_path / "bh.cfg"
@@ -317,7 +320,8 @@ def test_out_of_range_config_values_rejected(tmp_path, line, flag, capsys):
     command = {"n_max": "params", "n_range": "scan-pd", "grid": "scan-pd",
                "radial_grid": "radial", "n": "radial", "rmax": "radial",
                "samples": "oracle", "dims": "oracle", "alpha": "radial",
-               "tol": "oracle", "seed": "oracle", "format": "params"}[line.split(" ")[0]]
+               "tol": "oracle", "seed": "oracle", "format": "params",
+               "out": "params"}[line.split(" ")[0]]
     assert run(["--config", str(cfg), command]) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag} ")
 
@@ -385,12 +389,14 @@ def test_fault_while_rendering_exits_3(fmt, monkeypatch, tmp_path, capsys):
 
 def test_a_nan_in_a_section_exits_3(monkeypatch, tmp_path, capsys):
     """No report holds NaN or Infinity: a section record holding a NaN is a
-    fault found while the report is rendered, so exit 3, one stderr line and
-    no report, on stdout or in --out."""
+    fault found while the report is built, so exit 3, one stderr line and no
+    report, in either format, on stdout or in --out."""
     summary = ScanSummary(6, 2.0, 50.0, 1, 0, math.nan, {}, [])
     monkeypatch.setattr(cli, "run_radial", lambda *args: ([summary], True))
     out = tmp_path / "r.json"
-    for argv in (["--out", str(out), "radial"], ["radial"]):
+    for argv in (["--out", str(out), "radial"], ["radial"],
+                 ["--format", "markdown", "--out", str(out), "radial"],
+                 ["--format", "markdown", "radial"]):
         assert run(argv) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith(

@@ -11,9 +11,10 @@ guarded by ``tests/data/certificates_report.json``.
 ``jsonable`` dispatches on exact types, and ``render_json`` writes exactly
 the types ``jsonable`` returns, in one pass: both are held to the replaced
 code (an ``isinstance`` chain and ``json.dumps(sort_keys=True, indent=2)``)
-on generated trees of those types and on a real report.  Any other type, a
-subclass of a builtin included, is refused, and so is a non-finite float,
-since a report is strict JSON.
+on generated trees of those types and on a real report.  ``jsonable`` is
+the gate of ``build_report``: it refuses any other type, a subclass of a
+builtin included, a key other than ``str`` and, since a report is strict
+JSON, a non-finite float.
 
 The report's notes are read from the sections of the same run; the tests
 below flip one evidence field at a time in copies of real sections.
@@ -124,9 +125,15 @@ def test_sharp_constant_results_match_replaced_to_dict():
 
 
 def test_scan_summary_matches_replaced_to_dict():
+    """Per-cell errors exercise the errors list too.  A NaN start is one, and
+    its record keeps the NaN, which no report can hold; u0 = 1e200, where
+    u0**alpha overflows, is a finite one."""
     u0s, v0s = default_grids(3)
-    # a NaN start is a per-cell error, so the errors list is exercised too
     [(summary, _)] = scan_shooting([(6, 2.0)], [*u0s, float("nan")], v0s, 30.0)
+    assert summary.errors
+    with pytest.raises(ValueError, match="^nan has no strict JSON form$"):
+        jsonable(summary)
+    [(summary, _)] = scan_shooting([(6, 2.0)], [*u0s, 1e200], v0s, 30.0)
     assert summary.errors
     _assert_matches_reference([summary], _ref_scan_summary_to_dict)
 
@@ -222,6 +229,31 @@ _REFUSED = [np.float64(0.5), _Pair(1, 2), _Level.LOW, _Text("s"), np.int64(3),
 def test_other_types_raise(value):
     with pytest.raises(TypeError, match=f"^no JSON form for {type(value).__name__}: "):
         jsonable({"x": [value]})
+
+
+@pytest.mark.parametrize("key", [1, None, 1.5, True, _Text("k")], ids=repr)
+def test_jsonable_refuses_keys_other_than_str(key):
+    with pytest.raises(TypeError, match=f"^keys must be str, not {type(key).__name__}: "):
+        jsonable({"x": [{key: 1}]})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+def test_jsonable_refuses_non_finite_floats(value):
+    """A report is strict JSON: NaN and Infinity, which json.dumps writes by
+    default, are ValueErrors at the gate, whatever the format."""
+    with pytest.raises(ValueError, match=f"^{value!r} has no strict JSON form$"):
+        jsonable({"a": [1, {"b": value}]})
+
+
+@pytest.mark.parametrize("part", ["config", "sections"])
+def test_build_report_gates_the_config_and_the_sections(part):
+    parts = {"config": {"command": "radial"}, "sections": {"radial": []}}
+    parts[part]["rmax"] = [math.nan]
+    with pytest.raises(ValueError, match="^nan has no strict JSON form$"):
+        build_report(parts["config"], parts["sections"], {"radial": True})
+    parts[part]["rmax"] = {2: 1.0}
+    with pytest.raises(TypeError, match="^keys must be str, not int: 2$"):
+        build_report(parts["config"], parts["sections"], {"radial": True})
 
 
 def test_records_take_the_exact_type_route(monkeypatch):
@@ -386,21 +418,6 @@ def test_render_json_refuses_other_types(value):
     record included: render_json writes JSON data, it converts nothing."""
     with pytest.raises(TypeError, match=f"^no JSON form for {type(value).__name__}: "):
         render_json({"x": [value]})
-
-
-@pytest.mark.parametrize("key", [1, None, 1.5, True, _Text("k")], ids=repr)
-def test_render_json_refuses_keys_other_than_str(key):
-    with pytest.raises(TypeError, match=f"^keys must be str, not {type(key).__name__}: "):
-        render_json({key: 1})
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
-def test_render_json_refuses_non_finite_floats(value):
-    """A report is strict JSON: NaN and Infinity, which json.dumps writes by
-    default, are ValueErrors; jsonable passes the float through."""
-    assert jsonable([value])[0] is value
-    with pytest.raises(ValueError, match=f"^{value!r} has no strict JSON form$"):
-        render_json({"a": [1, {"b": value}]})
 
 
 def test_a_real_report_renders_without_the_json_module(sections, monkeypatch):
