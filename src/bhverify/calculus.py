@@ -20,19 +20,28 @@ In ON_SHELL mode the fourth-order equation is used through its differentiated
 form: the gradient of Bilap is replaced by alpha * (Bilap/u) * Du.
 
 substitute_defs expands the composite symbols Etf, Fvec and Gscal into jet
-variables before anything is differentiated or compared.
+variables before anything is differentiated or compared.  Each composite
+monomial is expanded once per process and tensor weight b: its raw
+expansion is kept, and an expression's expansion is the concatenation of
+its monomials' (``substitution_terms``).  grad and divergence take the raw
+terms of a right side too, so a residual LHS - RHS is collected once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from types import MappingProxyType
 
 from .coeffs import ALPHA, ParamScalar, frac, N
 from .errors import (CompositeDerivativeError, OrderOverflowError,
                      UnsupportedCurvatureError, ValenceError)
-from .tensor import (TExpr, TensorMonomial, expr, mono,
-                     substitute_factors, to_labeled)
+from .tensor import TExpr, TensorMonomial, expand_factors, expr, mono, to_labeled
+
+
+# the composite symbols, which substitute_defs expands and nothing differentiates
+COMPOSITES = frozenset(("Etf", "Fvec", "Gscal"))
 
 
 class SubstitutionMode(Enum):
@@ -96,7 +105,7 @@ def _leibniz(m: TensorMonomial, c: ParamScalar, d: str, kept: list,
             raise OrderOverflowError(f"derivative of {sym} exceeds the supported jet order")
         elif sym == "Ric":
             raise UnsupportedCurvatureError("the Ricci tensor carries no differentiation rule")
-        elif sym in ("Etf", "Fvec", "Gscal"):
+        elif sym in COMPOSITES:
             raise CompositeDerivativeError(
                 f"expand the composite symbol {sym} before differentiating")
         else:
@@ -105,19 +114,23 @@ def _leibniz(m: TensorMonomial, c: ParamScalar, d: str, kept: list,
     return out
 
 
-def grad(e: TExpr, mode: SubstitutionMode = SubstitutionMode.FREE) -> TExpr:
-    """Leibniz-expanded covariant gradient of a scalar expression."""
+def grad(e: TExpr, mode: SubstitutionMode = SubstitutionMode.FREE,
+         rest=()) -> TExpr:
+    """Leibniz-expanded covariant gradient of a scalar expression, collected
+    together with the raw (coeff, monomial) terms ``rest``."""
     if e.valence != 0:
         raise ValenceError("grad acts on scalar expressions")
     raw = []
     for m, c in e.terms.items():
         raw.extend(_leibniz(m, c, "d", ["d"], mode))
+    raw.extend(rest)
     return TExpr.from_terms(1, raw)
 
 
 def divergence(field: WeightedVectorField,
-               mode: SubstitutionMode = SubstitutionMode.FREE) -> TExpr:
-    """u^{-w} div(u^w V), fully expanded and canonicalized.
+               mode: SubstitutionMode = SubstitutionMode.FREE, rest=()) -> TExpr:
+    """u^{-w} div(u^w V), fully expanded and canonicalized, collected
+    together with the raw (coeff, monomial) terms ``rest``.
 
     The weight contributes w * <Du/u, V>; the divergence of V expands by
     Leibniz with the contracted commutation corrections.
@@ -129,6 +142,7 @@ def divergence(field: WeightedVectorField,
             u, facs, frees = to_labeled(m)
             raw.append((c * field.weight,
                         mono(u - 1, *facs, ("Du", frees[0]))))
+    raw.extend(rest)
     return TExpr.from_terms(0, raw)
 
 
@@ -166,10 +180,36 @@ def _gscal_form(b: ParamScalar) -> TExpr:
                    mono(-3, ("Du", "k"), ("Du", "k"), ("Du", "l"), ("Du", "l"))))
 
 
+@lru_cache(maxsize=None)
+def _definitions(b: ParamScalar) -> MappingProxyType:
+    """The composite symbols' jet-variable forms at tensor weight b."""
+    return MappingProxyType({"Etf": _tracefree_tensor_form(b), "Fvec": _fvec_form(b),
+                             "Gscal": _gscal_form(b)})
+
+
+@lru_cache(maxsize=None)
+def _expansion(m: TensorMonomial, b: ParamScalar) -> tuple:
+    """The raw expansion of a composite monomial at tensor weight b, in
+    expand_factors' order.  Kept for the process: the engine expands the
+    composite monomials of the catalog, at b = B and b = bstar() alone."""
+    return tuple(expand_factors(m, _definitions(b)))
+
+
+def substitution_terms(e: TExpr, b: ParamScalar) -> list:
+    """The raw (coeff, monomial) terms of e with the composite symbols
+    expanded at tensor weight b, not yet collected: the last term of e
+    first, a monomial without composites as it stands."""
+    raw = []
+    for m, c in reversed(e.terms.items()):
+        if not COMPOSITES.isdisjoint(m.symbols):
+            raw.extend([(c * rc, rm) for rc, rm in _expansion(m, b)])
+        else:
+            raw.append((c, m))
+    return raw
+
+
 def substitute_defs(e: TExpr, b: ParamScalar) -> TExpr:
     """Replace the composite symbols Etf, Fvec and Gscal by their definitions
     in jet variables, with tensor weight ``b`` (the formal parameter B, or
     ``bstar()`` for the specialized tensors)."""
-    return substitute_factors(e, {"Etf": _tracefree_tensor_form(b),
-                                  "Fvec": _fvec_form(b),
-                                  "Gscal": _gscal_form(b)})
+    return TExpr.from_terms(e.valence, substitution_terms(e, b))

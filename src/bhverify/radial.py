@@ -501,8 +501,15 @@ def scan_shooting(configs, u0_grid, v0_grid,
     Per-cell failures are collected, not fatal: a cell with invalid
     parameters or start values never enters the batch.  Cells whose series
     start is already past a threshold need no integration.  An empty grid
-    gives empty tables.
+    gives empty tables.  A grid value that is not finite, or a v0 > 0,
+    raises ValueError before any cell runs: a per-cell error keeps its
+    values, and a report holds finite numbers only.
     """
+    u0_grid = [float(u0) for u0 in u0_grid]
+    v0_grid = [float(v0) for v0 in v0_grid]
+    bad = next((x for x in u0_grid + v0_grid if not math.isfinite(x)), None)
+    if bad is not None:
+        raise ValueError(f"scan grids must hold finite u0 and v0, got {bad}")
     if any(v > 0 for v in v0_grid):
         raise ValueError("scan grids must keep v0 <= 0")
     tables = []     # per config: a ScanCell, an error, or a row of the batch
@@ -511,7 +518,6 @@ def scan_shooting(configs, u0_grid, v0_grid,
         cells = []
         for u0 in u0_grid:
             for v0 in v0_grid:
-                u0, v0 = float(u0), float(v0)
                 try:
                     _check_cell(n, alpha, u0, v0)
                     start = series_start(n, alpha, u0, v0)

@@ -5,8 +5,10 @@ composite symbols Etf/Fvec/Gscal where the derivation uses them), the weight
 of the surrounding u-power, the claimed right-hand side, and a substitution
 mode.  Verification expands the bracket back to jet variables, applies the
 weighted divergence (or gradient), expands the right side the same way, and
-reduces the difference to canonical form: the identity holds iff the
-difference is the empty expression.
+reduces the difference to canonical form in one collection of both sides'
+raw terms: the identity holds iff the difference is the empty expression.
+Each composite monomial is expanded once per process (``calculus``), so the
+right sides and the oracle reuse what verification expanded.
 
 An exact row reduction over the coefficient field (sympy's DomainMatrix)
 recovers the combination weights that assemble the master identity from the
@@ -22,7 +24,7 @@ from functools import lru_cache
 from sympy.polys.matrices import DomainMatrix
 
 from .calculus import (SubstitutionMode, WeightedVectorField, bstar,
-                       divergence, grad, substitute_defs)
+                       divergence, grad, substitute_defs, substitution_terms)
 from .coeffs import ALPHA, A, B, COEFF_FIELD, N, ONE, ZERO, ParamScalar, frac, ps
 from .errors import NoCombinationError, SingularSystemError
 from .tensor import (TExpr, dot, emul, expr, frob, mono,
@@ -447,27 +449,27 @@ def get_identity(identity_id: str) -> Identity:
     raise KeyError(f"unknown identity {identity_id!r}")
 
 
-def expand_lhs(ident: Identity) -> TExpr:
-    """Expand the identity's left side to jet variables, in its mode."""
+def residual(ident: Identity) -> TExpr:
+    """LHS - RHS in jet variables, in one collection: the raw Leibniz terms
+    of the substituted left side, in its mode, with the raw expansion of
+    the negated right side."""
     lhs_jets = substitute_defs(ident.lhs, ident.b)
+    minus_rhs = substitution_terms(-ident.rhs, ident.b)
     if ident.kind == "wdiv":
-        return divergence(WeightedVectorField(ident.weight, lhs_jets), ident.mode)
+        return divergence(WeightedVectorField(ident.weight, lhs_jets), ident.mode,
+                          rest=minus_rhs)
     if ident.kind == "grad":
-        return grad(lhs_jets, ident.mode)
+        return grad(lhs_jets, ident.mode, rest=minus_rhs)
     raise ValueError(f"unknown identity kind {ident.kind!r}")
-
-
-def expand_rhs(ident: Identity) -> TExpr:
-    return substitute_defs(ident.rhs, ident.b)
 
 
 def verify_identity(ident: Identity) -> VerificationReport:
     """Reduce LHS - RHS to canonical form and report the residual."""
     t0 = time.perf_counter()
-    residual = expand_lhs(ident) - expand_rhs(ident)
+    diff = residual(ident)
     millis = round((time.perf_counter() - t0) * 1000.0, 3)
-    terms = [f"({c}) {m.render()}" for m, c in residual.sorted_terms()]
-    status = "verified-zero" if residual.is_zero else "residual"
+    terms = [f"({c}) {m.render()}" for m, c in diff.sorted_terms()]
+    status = "verified-zero" if diff.is_zero else "residual"
     return VerificationReport(ident.id, ident.anchor, ident.mode.value, status,
                               len(terms), terms, millis)
 
@@ -522,11 +524,12 @@ def solve_combination(target: Identity, basis: list[Identity]) -> list[ParamScal
     weights = [ParamScalar(row[-1].numer, row[-1].denom)
                for row in reduced.to_list()[:len(basis)]]
 
-    # Certify the induced right side against the target's.
-    combo_rhs = TExpr(target.rhs.valence)
-    for w, b in zip(weights, basis):
-        combo_rhs = combo_rhs + b.rhs.scale(w)
-    diff = substitute_defs(combo_rhs - target.rhs, target.b)
+    # Certify the induced right side against the target's, the weighted
+    # basis right sides and the target's collected once
+    raw = [(w * c, m) for w, b in zip(weights, basis) for m, c in b.rhs.terms.items()]
+    raw.extend((-c, m) for m, c in target.rhs.terms.items())
+    diff = substitute_defs(TExpr.from_terms(target.rhs.valence, raw, canonical=True),
+                           target.b)
     if not diff.is_zero:
         raise NoCombinationError(
             "weights solve the bracket system but the induced right side "

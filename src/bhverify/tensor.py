@@ -31,6 +31,12 @@ Edits of factors (differentiation, substitution and the structural
 rewrites) run on the labeled view (``to_labeled``, then ``mono``): a label
 used twice is a contraction, and a label repeated inside one factor is a
 self-trace.
+
+Substitution works one monomial at a time: ``expand_factors`` returns a
+monomial's raw expansion, which ``calculus`` keeps per monomial, so each
+composite monomial is expanded once per process.  ``TExpr.from_terms`` is
+the one collection: it takes raw terms from any number of sources, so a
+residual LHS - RHS is collected once, not per side.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .coeffs import ONE, ParamScalar, N, cofactors, ps
 from .errors import MalformedMonomialError, UnsupportedCurvatureError, ValenceError
@@ -362,8 +368,12 @@ class TExpr:
         raise AttributeError("TExpr is immutable")
 
     @classmethod
-    def from_terms(cls, valence: int, raw: Iterable[tuple[ParamScalar, TensorMonomial]]) -> "TExpr":
+    def from_terms(cls, valence: int, raw: Iterable[tuple[ParamScalar, TensorMonomial]],
+                   *, canonical: bool = False) -> "TExpr":
         """Sum of coeff * m over raw, collected on canonical monomials.
+
+        With ``canonical`` the monomials are canonical already (the terms of
+        TExprs, as in a linear combination of them) and are not looked up.
 
         Each monomial's running sum is kept as a raw (num, den) pair of ring
         elements: equal denominators add numerators; den and d that differ
@@ -377,16 +387,17 @@ class TExpr:
         for coeff, m in raw:
             if coeff.is_zero:
                 continue
-            mult, canon = canonical_form(m)
-            if canon is None:
-                continue
-            if canon.valence != valence:
-                raise ValenceError(
-                    f"monomial valence {canon.valence} != expression valence {valence}")
             num, den = coeff.num, coeff.den
-            if mult is not ONE:
-                num, den = num * mult.num, den * mult.den
-            prev = acc.get(canon)
+            if not canonical:
+                mult, m = canonical_form(m)
+                if m is None:
+                    continue
+                if mult is not ONE:
+                    num, den = num * mult.num, den * mult.den
+            if m.valence != valence:
+                raise ValenceError(
+                    f"monomial valence {m.valence} != expression valence {valence}")
+            prev = acc.get(m)
             if prev is not None:
                 p_num, p_den = prev
                 if p_den == den:
@@ -400,9 +411,9 @@ class TExpr:
                         p_cof, cof = cofactors(p_den, den)
                     num, den = p_num * cof + num * p_cof, p_den * cof
                 if not num:
-                    del acc[canon]
+                    del acc[m]
                     continue
-            acc[canon] = (num, den)
+            acc[m] = (num, den)
         return cls(valence, {m: ParamScalar(num, den) for m, (num, den) in acc.items()})
 
     # -- linear structure ----------------------------------------------------
@@ -431,10 +442,10 @@ class TExpr:
         return TExpr(self.valence, acc)
 
     def __sub__(self, other: "TExpr") -> "TExpr":
-        return self + other.scale(-1)
+        return self + -other
 
     def __neg__(self) -> "TExpr":
-        return self.scale(-1)
+        return TExpr(self.valence, {m: -c for m, c in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, TExpr) and self.valence == other.valence
@@ -564,10 +575,15 @@ def replace_factor(m: TensorMonomial, idx: int, replacement: TExpr):
     return out
 
 
-def substitute_factors(e: TExpr, table: dict[str, TExpr]) -> TExpr:
-    """Replace every occurrence of the factor kinds in ``table`` by the given
-    expressions (whose free slots stand for the factor's slots)."""
-    pending = [(c, m) for m, c in e.terms.items()]
+def expand_factors(m: TensorMonomial, table: Mapping[str, TExpr]) -> list:
+    """Raw (coeff, monomial) terms of m with every factor kind in ``table``
+    replaced by the given expression (whose free slots stand for the
+    factor's slots), not yet canonicalized.
+
+    Depth first: the first such factor is replaced, and the replacements
+    are expanded in turn, the last one first.
+    """
+    pending = [(ONE, m)]
     done = []
     while pending:
         c, m = pending.pop()
@@ -577,4 +593,4 @@ def substitute_factors(e: TExpr, table: dict[str, TExpr]) -> TExpr:
             continue
         for rc, rm in replace_factor(m, idx, table[m.symbols[idx]]):
             pending.append((c * rc, rm))
-    return TExpr.from_terms(e.valence, done)
+    return done

@@ -1,6 +1,6 @@
 """The replaced record conversion, eigenvalue scan, exponent check,
-coefficient equality, estimate grid and report rendering, kept as the tests'
-reference.
+coefficient equality, estimate grid, report rendering, composite substitution
+and identity residual, kept as the tests' reference.
 
 ``bhverify.report.jsonable`` now dispatches on the exact type of a value
 alone and refuses subclasses, ``paramcheck.numeric_pd_scan`` evaluates a
@@ -9,11 +9,16 @@ integer cross-products, ``ParamScalar.__eq__`` compares two constants by
 their ground values, ``paramcheck.est1_grid_check`` decides on integer
 numerators, ``paramcheck.at_n`` evaluates its n-tables by a plain Horner
 loop and ``report.render_json`` writes the exact types ``jsonable`` returns
-in one recursive pass and refuses a non-finite float.  Up to that change
-they were the functions below, unchanged; the helpers they share
-with the package (``PDReport``, ``ExponentCheck``, ``_eigmin_sym3``,
-``est1_coefficient``, ``_horner``, ``_n_tables``, the cached matrix and
-certificates) are imported from it.
+in one recursive pass and refuses a non-finite float.
+``calculus.substitute_defs`` expands each composite monomial once per
+process and ``registry.verify_identity`` collects LHS - RHS in one pass;
+they substituted a whole expression per call (``substitute_factors``, with
+the definitions rebuilt for each call) and subtracted two collected sides.
+Up to that change they were the functions below, unchanged; the helpers
+they share with the package (``PDReport``, ``ExponentCheck``,
+``_eigmin_sym3``, ``est1_coefficient``, ``_horner``, ``_n_tables``, the
+cached matrix and certificates, the definition forms, ``replace_factor``,
+``divergence`` and ``grad``) are imported from it.
 """
 
 import json
@@ -23,11 +28,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from bhverify.calculus import (WeightedVectorField, _fvec_form, _gscal_form,
+                               _tracefree_tensor_form, divergence, grad)
 from bhverify.coeffs import ParamScalar
 from bhverify.errors import EngineInconsistencyError, PoleError
 from bhverify.paramcheck import (EST1_GRID_POINTS, ExponentCheck, PDReport, _eigmin_sym3,
                                  _horner, _n_tables, build_matrix_A, est1_coefficient,
                                  sylvester_certificates)
+from bhverify.tensor import TExpr, replace_factor
 
 
 def jsonable(x):
@@ -154,3 +162,57 @@ def at_n(x: ParamScalar, n: int) -> tuple[list[int], int]:
                 raise ValueError(f"{x} is not univariate in alpha")
             by_degree[k] = v
     return [by_degree.get(k, 0) for k in range(max(by_degree, default=-1), -1, -1)], d
+
+
+def substitute_factors(e: TExpr, table: dict[str, TExpr]) -> TExpr:
+    """Replace every occurrence of the factor kinds in ``table`` by the given
+    expressions (whose free slots stand for the factor's slots)."""
+    pending = [(c, m) for m, c in e.terms.items()]
+    done = []
+    while pending:
+        c, m = pending.pop()
+        idx = next((i for i, s in enumerate(m.symbols) if s in table), None)
+        if idx is None:
+            done.append((c, m))
+            continue
+        for rc, rm in replace_factor(m, idx, table[m.symbols[idx]]):
+            pending.append((c * rc, rm))
+    return TExpr.from_terms(e.valence, done)
+
+
+def substitute_defs(e: TExpr, b: ParamScalar) -> TExpr:
+    """Replace the composite symbols Etf, Fvec and Gscal by their definitions
+    in jet variables, with tensor weight ``b`` (the formal parameter B, or
+    ``bstar()`` for the specialized tensors)."""
+    return substitute_factors(e, {"Etf": _tracefree_tensor_form(b),
+                                  "Fvec": _fvec_form(b),
+                                  "Gscal": _gscal_form(b)})
+
+
+def expand_lhs(ident) -> TExpr:
+    """Expand the identity's left side to jet variables, in its mode."""
+    lhs_jets = substitute_defs(ident.lhs, ident.b)
+    if ident.kind == "wdiv":
+        return divergence(WeightedVectorField(ident.weight, lhs_jets), ident.mode)
+    if ident.kind == "grad":
+        return grad(lhs_jets, ident.mode)
+    raise ValueError(f"unknown identity kind {ident.kind!r}")
+
+
+def expand_rhs(ident) -> TExpr:
+    return substitute_defs(ident.rhs, ident.b)
+
+
+def residual(ident) -> TExpr:
+    """expand_lhs(ident) - expand_rhs(ident), with TExpr subtraction as it
+    was: the right side scaled by -1, then added."""
+    return expand_lhs(ident) + expand_rhs(ident).scale(-1)
+
+
+def certificate_difference(target, basis, weights) -> TExpr:
+    """The symbol-space difference solve_combination substitutes: the
+    weighted basis right sides summed one by one, minus the target's."""
+    combo_rhs = TExpr(target.rhs.valence)
+    for w, b in zip(weights, basis):
+        combo_rhs = combo_rhs + b.rhs.scale(w)
+    return combo_rhs + target.rhs.scale(-1)

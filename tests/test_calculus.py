@@ -12,8 +12,8 @@ from bhverify.coeffs import ALPHA, A, B, N, ONE, ParamScalar, frac, ps
 from bhverify.errors import (CompositeDerivativeError, OrderOverflowError,
                              UnsupportedCurvatureError, ValenceError)
 from bhverify.registry import build_z
-from bhverify.tensor import (TensorMonomial, TExpr, expr, mono,
-                             substitute_factors, tensor_vec, to_labeled, upow)
+from bhverify.tensor import (TensorMonomial, TExpr, expand_factors, expr, mono,
+                             tensor_vec, to_labeled, upow)
 
 FREE = SubstitutionMode.FREE
 ON_SHELL = SubstitutionMode.ON_SHELL
@@ -35,7 +35,8 @@ def forward_defs(e: TExpr, b: ParamScalar = B) -> TExpr:
             (mono(0, ("Bilap",)), mono(0, ("Gscal",)))):
         sym = expr(1, comp)
         table[jet.symbols[0]] = sym - (substitute_defs(sym, b) - expr(1, jet))
-    return substitute_factors(e, table)
+    return TExpr.from_terms(e.valence, [(c * rc, rm) for m, c in e.terms.items()
+                                        for rc, rm in expand_factors(m, table)])
 
 
 def test_grad_gradsq():

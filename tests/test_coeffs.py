@@ -21,7 +21,7 @@ from sympy.polys.rings import PolyElement
 import qq_coeffs as ref
 import replaced_hot_paths as replaced
 from qq_paramcheck import QALPHA
-from bhverify import cli, coeffs, paramcheck, registry, tensor
+from bhverify import calculus, cli, coeffs, paramcheck, registry, tensor
 from bhverify.coeffs import (_RING, ALPHA, A, B, N, ONE, VAR_NAMES, ParamScalar, ZERO,
                              _dense_in_n, _divide_root, _from_dense, _linear_roots, _primitive,
                              cofactors, frac, ps)
@@ -852,7 +852,7 @@ def _clear_caches():
     """Cold kernels, no denominator's roots known, and identities built
     anew, as in a fresh process."""
     for cached in (*_kernels().values(), _linear_roots, registry.all_identities,
-                   registry._coeff_catalog):
+                   registry._coeff_catalog, calculus._definitions, calculus._expansion):
         cached.cache_clear()
     coeffs._known_roots.clear()
 
@@ -863,8 +863,10 @@ def test_verify_cofactors_match_the_multivariate_ring(monkeypatch):
 
     from_terms adds numerators over equal denominators, meets denominators
     that differ only by an integer factor with integer cofactors, and takes
-    a gcd otherwise: all 187 pairs it hands to cofactors differ in Q[n]
-    beyond a constant factor, the 187 gcds the QQ representation took."""
+    a gcd otherwise: all 224 pairs it hands to cofactors differ in Q[n]
+    beyond a constant factor.  (There were 187 while each side of a
+    residual was collected on its own and the two sides subtracted as
+    normalized coefficients.)"""
     calls = []
 
     def recorded(f, g):
@@ -874,7 +876,7 @@ def test_verify_cofactors_match_the_multivariate_ring(monkeypatch):
     _clear_caches()
     monkeypatch.setattr(tensor, "cofactors", recorded)
     assert cli.run_verify()[1] and cli.run_combination()[1]
-    assert len(calls) == 187
+    assert len(calls) == 224
     assert all(_as_q(f).monic() != _as_q(g).monic() for f, g in calls)
     for f, g in calls:
         assert _cofactor_triple(f, g) == _qq_cofactors(f, g), (f, g)
@@ -906,8 +908,9 @@ def test_verify_leaves_every_cached_coefficient_unchanged(monkeypatch):
 def test_verify_reuses_coefficient_arithmetic(monkeypatch):
     """From cold caches, run_verify normalizes at most 600 times (3,832
     before the kernels were memoized), and run_verify plus run_combination,
-    the identities benchmark workload, make exactly 1,095 canonical_form
-    calls, the benchmark's reference count."""
+    the identities benchmark workload, make exactly 765 canonical_form
+    calls: 1,095, the benchmark's reference count, before each composite
+    monomial was expanded once and each residual collected once."""
     normalize, canonical_form = ParamScalar._normalize, tensor.canonical_form
     counts = {"normalize": 0, "canonical_form": 0}
 
@@ -931,7 +934,7 @@ def test_verify_reuses_coefficient_arithmetic(monkeypatch):
     assert counts["normalize"] <= 600
     _, ok = cli.run_combination()
     assert ok
-    assert counts["canonical_form"] == 1095
+    assert counts["canonical_form"] == 765
 
 
 # -- equal values hash equal ------------------------------------------------------

@@ -135,6 +135,18 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_shooting([(6, 2.0)], [1.0], [0.5])
 
+    @pytest.mark.parametrize("u0s, v0s", [
+        ([1.0, math.nan], [-1.0]), ([math.inf, 1.0], [-1.0]),
+        ([1.0], [-math.inf, -1.0]), ([1.0], [-1.0, math.nan]), ([-math.inf], [math.inf])])
+    def test_non_finite_grid_value_rejected_before_any_cell(self, u0s, v0s, monkeypatch):
+        """A per-cell error would keep the value, which no report can hold."""
+        def forbidden(*args):
+            raise AssertionError("no cell may run")
+        monkeypatch.setattr(radial, "series_start", forbidden)
+        monkeypatch.setattr(radial, "shoot_batch", forbidden)
+        with pytest.raises(ValueError, match="^scan grids must hold finite u0 and v0, got "):
+            scan_shooting([(6, 2.0), (5, 3.0)], u0s, v0s)
+
     @pytest.mark.parametrize("rmax", [math.inf, math.nan, radial.DEFAULT_R0, -1.0])
     def test_rmax_outside_the_forward_range_rejected(self, rmax):
         with pytest.raises(ValueError, match="rmax must be finite"):
@@ -374,9 +386,9 @@ def test_batch_equals_shoot_to_a_small_rmax():
 
 
 def test_bad_cells_stay_out_of_the_batch(monkeypatch):
-    """NaN, infinite or non-positive u0 and non-finite v0 are per-cell
-    errors, and only finite start states reach the integrator: the scan's
-    batch and shoot's one-cell batches alike."""
+    """Non-positive u0 and a u0 whose power overflows are per-cell errors,
+    and only finite start states reach the integrator: the scan's batch and
+    shoot's one-cell batches alike."""
     seen = []
 
     def checked(n, alpha, starts, *args):
@@ -384,10 +396,10 @@ def test_bad_cells_stay_out_of_the_batch(monkeypatch):
         return batch(n, alpha, starts, *args)
     batch = radial.shoot_batch
     monkeypatch.setattr(radial, "shoot_batch", checked)
-    u0s = [math.nan, math.inf, -1.0, 0.0, 0.5, 2.0]
-    v0s = [-math.inf, math.nan, -3.0, 0.0]
+    u0s = [1e200, -1.0, 0.0, 0.5, 2.0]
+    v0s = [-3.0, 0.0]
     summary, _ = _assert_scan_equals_shoot(6, 2.0, u0s, v0s)
-    assert len(summary.errors) == 4 * 4 + 2 * 2 and summary.cells == 24
+    assert len(summary.errors) == 3 * 2 and summary.cells == 10
     assert [len(starts) for starts in seen] == [2, 1, 1]
     assert all(np.isfinite(starts).all() for starts in seen)
 

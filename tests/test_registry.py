@@ -4,16 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bhverify.calculus import bstar, substitute_defs
+import replaced_hot_paths as replaced
+from bhverify import calculus, cli, registry
+from bhverify.calculus import COMPOSITES, bstar, substitute_defs
 from bhverify.coeffs import ALPHA, B, N, ParamScalar, frac, ps
 from bhverify.errors import NoCombinationError, SingularSystemError
 from bhverify.registry import (ERRATA, Identity, all_identities, build_named,
                                get_identity, list_registry,
-                               perturb_identity, printed_variant,
+                               perturb_identity, printed_variant, residual,
                                solve_combination, verify_all, verify_identity)
+from bhverify.jetoracle import check_all_identities
 from bhverify.report import jsonable
-from bhverify.tensor import TExpr, expr, frob, mono
+from bhverify.tensor import TExpr, dot, emul, expr, frob, mono, upow
 
 
 class TestCatalog:
@@ -264,3 +269,143 @@ def test_identity_suite_runtime_budget():
     t0 = time.perf_counter()
     verify_all()
     assert time.perf_counter() - t0 < 30.0
+
+
+# -- substitution and residuals against the code they replaced ---------------------
+
+
+IDS = [f"I{k}" for k in range(1, 16)]
+
+
+def _assert_same_terms(got: TExpr, want: TExpr):
+    """Equal expressions whose terms come in the same order: the flat
+    oracle sums the terms in that order, which fixes its float bits."""
+    assert got.valence == want.valence
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+def _variants(ident: Identity) -> list[Identity]:
+    """The identity, each of its one-coefficient perturbations, and its
+    printed variant if it has one."""
+    out = [ident] + [perturb_identity(ident, k) for k in range(len(ident.rhs.terms))]
+    if ident.id in ERRATA:
+        out.append(printed_variant(ident.id))
+    return out
+
+
+@pytest.mark.parametrize("iid", IDS)
+def test_substitution_and_residual_match_replaced_code(iid):
+    """On every catalog identity and its mutants: both sides substituted at
+    the identity's b and at the formal B give the replaced code's terms in
+    its order, and the residual has the replaced code's terms, so the
+    report's terms and status are the same."""
+    for ident in _variants(get_identity(iid)):
+        for e in (ident.lhs, ident.rhs):
+            for b in (ident.b, B):
+                _assert_same_terms(substitute_defs(e, b), replaced.substitute_defs(e, b))
+        want = replaced.residual(ident)
+        assert residual(ident).sorted_terms() == want.sorted_terms()
+        report = verify_identity(ident)
+        assert report.residual_terms == [f"({c}) {m.render()}" for m, c in want.sorted_terms()]
+        assert report.status == ("verified-zero" if want.is_zero else "residual")
+
+
+def _certificate(target: Identity, basis: list[Identity], monkeypatch):
+    """solve_combination's outcome and the expression it substitutes."""
+    seen = []
+
+    def recorded(e, b):
+        seen.append(e)
+        return substitute_defs(e, b)
+    monkeypatch.setattr(registry, "substitute_defs", recorded)
+    try:
+        outcome = solve_combination(target, basis)
+    except NoCombinationError as exc:
+        outcome = str(exc)
+    [diff] = seen
+    return outcome, diff
+
+
+@pytest.mark.parametrize("k", [None, 0, 4, 9])
+def test_certificate_matches_replaced_code(k, monkeypatch):
+    """The master identity's certificate, and those of right sides with one
+    coefficient shifted (which fail it): the symbol-space difference, its
+    substitution and the outcome are the replaced code's."""
+    basis = [get_identity(f"I{j}") for j in range(6, 12)]
+    target = get_identity("I12")
+    weights = solve_combination(target, basis)
+    if k is not None:
+        target = perturb_identity(target, k)
+    outcome, diff = _certificate(target, basis, monkeypatch)
+    want = replaced.certificate_difference(target, basis, weights)
+    assert diff.sorted_terms() == want.sorted_terms()
+    assert diff.is_zero == (k is None)
+    jets = replaced.substitute_defs(want, target.b)
+    _assert_same_terms(substitute_defs(want, target.b), jets)
+    assert outcome == (weights if k is None else
+                       "weights solve the bracket system but the induced right side "
+                       f"differs: {jets.render()[:200]}")
+    combo = want + target.rhs
+    for b in (target.b, B):
+        _assert_same_terms(substitute_defs(combo, b), replaced.substitute_defs(combo, b))
+
+
+def _symbol_monomials():
+    """Monomials of the catalog's left and right sides, by valence."""
+    pool = {0: set(), 1: set()}
+    for ident in all_identities():
+        for e in (ident.lhs, ident.rhs):
+            pool[e.valence].update(e.terms)
+    return {v: sorted(ms, key=lambda m: m.key()) for v, ms in pool.items()}
+
+
+_COEFFS = (ps(1), ps(-2), frac(3, 5), N, B / (N + 4), ALPHA - B, (N - 2) / N * B)
+
+
+@st.composite
+def _composite_exprs(draw):
+    """Scalar or vector sums of catalog monomials, of products of two
+    catalog vectors or of a catalog scalar with a catalog vector, each
+    shifted by a power of u and scaled by a parameter coefficient."""
+    pool = _symbol_monomials()
+    pick = st.sampled_from
+    valence = draw(st.integers(0, 1))
+    out = TExpr(valence)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.integers(0, 1))
+        if kind == 0:
+            term = expr(1, draw(pick(pool[valence])))
+        elif valence == 0:
+            term = dot(expr(1, draw(pick(pool[1]))), expr(1, draw(pick(pool[1]))))
+        else:
+            term = emul(expr(1, draw(pick(pool[0]))), expr(1, draw(pick(pool[1]))))
+        out = out + upow(term, draw(st.integers(-1, 1))).scale(draw(pick(_COEFFS)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_composite_exprs(), st.sampled_from([B, None]))
+def test_substitute_defs_matches_replaced_code(e, b):
+    b = bstar() if b is None else b
+    _assert_same_terms(substitute_defs(e, b), replaced.substitute_defs(e, b))
+
+
+def test_each_composite_monomial_expanded_once():
+    """From cold caches, verify and combination build the definitions of
+    the composites once, at b = bstar() (the replaced code rebuilt them for
+    each of its 31 substitutions), and expand 31 distinct composite
+    monomials over 65 lookups; the oracle's 14 left-side expansions that
+    follow are all found expanded."""
+    for cache in (registry.all_identities, registry._coeff_catalog,
+                  calculus._definitions, calculus._expansion):
+        cache.cache_clear()
+    assert cli.run_verify()[1] and cli.run_combination()[1]
+    assert calculus._definitions.cache_info().misses == 1
+    verify = calculus._expansion.cache_info()
+    assert (verify.misses, verify.hits + verify.misses) == (31, 65)
+    check_all_identities(samples=2, dims=(5,))
+    oracle = calculus._expansion.cache_info()
+    assert (oracle.misses, oracle.hits - verify.hits) == (31, 14)
+    composite_lhs = sum(not COMPOSITES.isdisjoint(m.symbols)
+                        for ident in all_identities() for m in ident.lhs.terms)
+    assert composite_lhs == 14

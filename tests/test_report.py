@@ -43,7 +43,7 @@ from bhverify.cli import (run, run_combination, run_oracle, run_params, run_scan
 from bhverify.coeffs import ALPHA, N
 from bhverify.jetoracle import FactorTable, check_all_identities, sharp_constant_search
 from bhverify.paramcheck import exponent_grid_check
-from bhverify.radial import ScanCell, default_grids, scan_shooting
+from bhverify.radial import ScanCell, ScanSummary, default_grids, scan_shooting
 from bhverify.registry import verify_all
 from bhverify.report import build_report, jsonable, render_json
 
@@ -125,14 +125,16 @@ def test_sharp_constant_results_match_replaced_to_dict():
 
 
 def test_scan_summary_matches_replaced_to_dict():
-    """Per-cell errors exercise the errors list too.  A NaN start is one, and
-    its record keeps the NaN, which no report can hold; u0 = 1e200, where
-    u0**alpha overflows, is a finite one."""
-    u0s, v0s = default_grids(3)
-    [(summary, _)] = scan_shooting([(6, 2.0)], [*u0s, float("nan")], v0s, 30.0)
-    assert summary.errors
+    """Per-cell errors exercise the errors list too.  A summary whose error
+    record keeps a NaN start cannot be reported (the scan refuses such a
+    grid up front); u0 = 1e200, where u0**alpha overflows, is a finite
+    per-cell error."""
+    nan_error = {"u0": math.nan, "v0": -10.0,
+                 "error": "need finite u0 and v0, got u0 = nan, v0 = -10.0"}
+    summary = ScanSummary(6, 2.0, 30.0, 1, 0, 0.0, {}, [nan_error])
     with pytest.raises(ValueError, match="^nan has no strict JSON form$"):
         jsonable(summary)
+    u0s, v0s = default_grids(3)
     [(summary, _)] = scan_shooting([(6, 2.0)], [*u0s, 1e200], v0s, 30.0)
     assert summary.errors
     _assert_matches_reference([summary], _ref_scan_summary_to_dict)

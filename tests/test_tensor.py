@@ -11,12 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bhverify import cli, registry, tensor
+from bhverify import calculus, cli, registry, tensor
 from bhverify.coeffs import ALPHA, A, B, N, ONE, ZERO, ParamScalar, frac, ps
 from bhverify.errors import (MalformedMonomialError, UnsupportedCurvatureError,
                              ValenceError)
 from bhverify.tensor import (FACTORS, TensorMonomial, TExpr, canonical_form, dot, emul,
-                             expr, frob, mono, replace_factor, substitute_factors,
+                             expand_factors, expr, frob, mono, replace_factor,
                              tensor_vec, to_labeled, upow)
 
 
@@ -127,11 +127,22 @@ def test_products_and_contractions():
         emul(t, v)
 
 
-def test_substitute_factors_roundtrip_simple():
-    table_fwd = {"Lap": expr(1, mono(0, ("Gscal",)))}
-    table_bwd = {"Gscal": expr(1, mono(0, ("Lap",)))}
-    e = expr(ps(3), mono(-1, ("Lap",), ("Du", "k"), ("Du", "k")))
-    assert substitute_factors(substitute_factors(e, table_fwd), table_bwd) == e
+def test_expand_factors_roundtrip_simple():
+    m = mono(-1, ("Lap",), ("Du", "k"), ("Du", "k"))
+    [(c, fwd)] = expand_factors(m, {"Lap": expr(1, mono(0, ("Gscal",)))})
+    [(c2, back)] = expand_factors(fwd, {"Gscal": expr(1, mono(0, ("Lap",)))})
+    assert "Lap" not in fwd.symbols and c == c2 == ONE
+    assert canonicalize(back) == canonicalize(m)
+
+
+def test_expand_factors_is_depth_first():
+    """The first replaced factor's last replacement is expanded first, and
+    each term's coefficient is the product along its path."""
+    table = {"Lap": expr(2, mono(0, ("Gscal",))) + expr(3, mono(0, ("Bilap",)))}
+    got = expand_factors(mono(0, ("Lap",), ("Lap",)), table)
+    assert [(c, m.symbols) for c, m in got] == [
+        (ps(9), ("Bilap", "Bilap")), (ps(6), ("Bilap", "Gscal")),
+        (ps(6), ("Gscal", "Bilap")), (ps(4), ("Gscal", "Gscal"))]
 
 
 def test_replacement_valence_must_equal_factor_arity():
@@ -472,6 +483,8 @@ def verify_monomials():
 
     registry.all_identities.cache_clear()
     registry._coeff_catalog.cache_clear()
+    calculus._definitions.cache_clear()
+    calculus._expansion.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "_canonical_cached", recorded)
         assert cli.run_verify()[1] and cli.run_combination()[1]
