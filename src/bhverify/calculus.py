@@ -20,11 +20,16 @@ In ON_SHELL mode the fourth-order equation is used through its differentiated
 form: the gradient of Bilap is replaced by alpha * (Bilap/u) * Du.
 
 substitute_defs expands the composite symbols Etf, Fvec and Gscal into jet
-variables before anything is differentiated or compared.  Each composite
-monomial is expanded once per process and tensor weight b: its raw
-expansion is kept, and an expression's expansion is the concatenation of
-its monomials' (``substitution_terms``).  grad and divergence take the raw
-terms of a right side too, so a residual LHS - RHS is collected once.
+variables before anything is differentiated or compared.
+
+Expanded once per process, collected once per residual: the definitions
+are built once per tensor weight b, and each composite monomial's raw
+expansion is kept per (monomial, b).  ``substitution_terms`` concatenates
+them, the last term of an expression first, which is the order the terms
+of ``substitute_defs`` come in and the order the flat oracle sums them.
+grad and divergence collect a residual's negated right side (``rest``,
+raw terms from ``substitution_terms``) with their own terms, so LHS - RHS
+is one ``TExpr.from_terms`` call.
 """
 
 from __future__ import annotations
@@ -114,10 +119,13 @@ def _leibniz(m: TensorMonomial, c: ParamScalar, d: str, kept: list,
     return out
 
 
-def grad(e: TExpr, mode: SubstitutionMode = SubstitutionMode.FREE,
+def grad(e: TExpr, mode: SubstitutionMode = SubstitutionMode.FREE, *,
          rest=()) -> TExpr:
-    """Leibniz-expanded covariant gradient of a scalar expression, collected
-    together with the raw (coeff, monomial) terms ``rest``."""
+    """Leibniz-expanded covariant gradient of a scalar expression.
+
+    ``rest``: raw (coeff, monomial) terms collected with the gradient's
+    own, the negated right side of a residual.
+    """
     if e.valence != 0:
         raise ValenceError("grad acts on scalar expressions")
     raw = []
@@ -128,12 +136,12 @@ def grad(e: TExpr, mode: SubstitutionMode = SubstitutionMode.FREE,
 
 
 def divergence(field: WeightedVectorField,
-               mode: SubstitutionMode = SubstitutionMode.FREE, rest=()) -> TExpr:
-    """u^{-w} div(u^w V), fully expanded and canonicalized, collected
-    together with the raw (coeff, monomial) terms ``rest``.
+               mode: SubstitutionMode = SubstitutionMode.FREE, *, rest=()) -> TExpr:
+    """u^{-w} div(u^w V), fully expanded and canonicalized.
 
     The weight contributes w * <Du/u, V>; the divergence of V expands by
-    Leibniz with the contracted commutation corrections.
+    Leibniz with the contracted commutation corrections.  ``rest`` as for
+    grad.
     """
     raw = []
     for m, c in field.vector.terms.items():

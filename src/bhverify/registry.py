@@ -7,8 +7,6 @@ mode.  Verification expands the bracket back to jet variables, applies the
 weighted divergence (or gradient), expands the right side the same way, and
 reduces the difference to canonical form in one collection of both sides'
 raw terms: the identity holds iff the difference is the empty expression.
-Each composite monomial is expanded once per process (``calculus``), so the
-right sides and the oracle reuse what verification expanded.
 
 An exact row reduction over the coefficient field (sympy's DomainMatrix)
 recovers the combination weights that assemble the master identity from the
@@ -524,12 +522,11 @@ def solve_combination(target: Identity, basis: list[Identity]) -> list[ParamScal
     weights = [ParamScalar(row[-1].numer, row[-1].denom)
                for row in reduced.to_list()[:len(basis)]]
 
-    # Certify the induced right side against the target's, the weighted
-    # basis right sides and the target's collected once
-    raw = [(w * c, m) for w, b in zip(weights, basis) for m, c in b.rhs.terms.items()]
-    raw.extend((-c, m) for m, c in target.rhs.terms.items())
-    diff = substitute_defs(TExpr.from_terms(target.rhs.valence, raw, canonical=True),
-                           target.b)
+    # Certify the induced right side against the target's.
+    combo_rhs = TExpr(target.rhs.valence)
+    for w, b in zip(weights, basis):
+        combo_rhs = combo_rhs + b.rhs.scale(w)
+    diff = substitute_defs(combo_rhs - target.rhs, target.b)
     if not diff.is_zero:
         raise NoCombinationError(
             "weights solve the bracket system but the induced right side "

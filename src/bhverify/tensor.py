@@ -32,11 +32,9 @@ rewrites) run on the labeled view (``to_labeled``, then ``mono``): a label
 used twice is a contraction, and a label repeated inside one factor is a
 self-trace.
 
-Substitution works one monomial at a time: ``expand_factors`` returns a
-monomial's raw expansion, which ``calculus`` keeps per monomial, so each
-composite monomial is expanded once per process.  ``TExpr.from_terms`` is
-the one collection: it takes raw terms from any number of sources, so a
-residual LHS - RHS is collected once, not per side.
+Substitution works one monomial at a time (``expand_factors``, raw terms
+not yet collected); ``TExpr.from_terms`` is the one collection of raw
+terms into canonical monomials.
 """
 
 from __future__ import annotations
@@ -368,12 +366,8 @@ class TExpr:
         raise AttributeError("TExpr is immutable")
 
     @classmethod
-    def from_terms(cls, valence: int, raw: Iterable[tuple[ParamScalar, TensorMonomial]],
-                   *, canonical: bool = False) -> "TExpr":
+    def from_terms(cls, valence: int, raw: Iterable[tuple[ParamScalar, TensorMonomial]]) -> "TExpr":
         """Sum of coeff * m over raw, collected on canonical monomials.
-
-        With ``canonical`` the monomials are canonical already (the terms of
-        TExprs, as in a linear combination of them) and are not looked up.
 
         Each monomial's running sum is kept as a raw (num, den) pair of ring
         elements: equal denominators add numerators; den and d that differ
@@ -387,17 +381,16 @@ class TExpr:
         for coeff, m in raw:
             if coeff.is_zero:
                 continue
-            num, den = coeff.num, coeff.den
-            if not canonical:
-                mult, m = canonical_form(m)
-                if m is None:
-                    continue
-                if mult is not ONE:
-                    num, den = num * mult.num, den * mult.den
-            if m.valence != valence:
+            mult, canon = canonical_form(m)
+            if canon is None:
+                continue
+            if canon.valence != valence:
                 raise ValenceError(
-                    f"monomial valence {m.valence} != expression valence {valence}")
-            prev = acc.get(m)
+                    f"monomial valence {canon.valence} != expression valence {valence}")
+            num, den = coeff.num, coeff.den
+            if mult is not ONE:
+                num, den = num * mult.num, den * mult.den
+            prev = acc.get(canon)
             if prev is not None:
                 p_num, p_den = prev
                 if p_den == den:
@@ -411,9 +404,9 @@ class TExpr:
                         p_cof, cof = cofactors(p_den, den)
                     num, den = p_num * cof + num * p_cof, p_den * cof
                 if not num:
-                    del acc[m]
+                    del acc[canon]
                     continue
-            acc[m] = (num, den)
+            acc[canon] = (num, den)
         return cls(valence, {m: ParamScalar(num, den) for m, (num, den) in acc.items()})
 
     # -- linear structure ----------------------------------------------------

@@ -863,7 +863,7 @@ def test_verify_cofactors_match_the_multivariate_ring(monkeypatch):
 
     from_terms adds numerators over equal denominators, meets denominators
     that differ only by an integer factor with integer cofactors, and takes
-    a gcd otherwise: all 224 pairs it hands to cofactors differ in Q[n]
+    a gcd otherwise: all 214 pairs it hands to cofactors differ in Q[n]
     beyond a constant factor.  (There were 187 while each side of a
     residual was collected on its own and the two sides subtracted as
     normalized coefficients.)"""
@@ -876,7 +876,7 @@ def test_verify_cofactors_match_the_multivariate_ring(monkeypatch):
     _clear_caches()
     monkeypatch.setattr(tensor, "cofactors", recorded)
     assert cli.run_verify()[1] and cli.run_combination()[1]
-    assert len(calls) == 224
+    assert len(calls) == 214
     assert all(_as_q(f).monic() != _as_q(g).monic() for f, g in calls)
     for f, g in calls:
         assert _cofactor_triple(f, g) == _qq_cofactors(f, g), (f, g)

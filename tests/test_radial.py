@@ -385,6 +385,16 @@ def test_batch_equals_shoot_to_a_small_rmax():
                                       "subharmonicity-violated": 4}
 
 
+@pytest.mark.parametrize("u0, v0", [(math.nan, -1.0), (math.inf, -1.0), (1.0, -math.inf),
+                                    (1.0, math.nan), (math.nan, math.nan)])
+def test_shoot_refuses_non_finite_start_values(u0, v0):
+    """shoot refuses a NaN or infinite u0 or v0 (v0 <= 0 where it is
+    ordered) with the scipy shooter's error."""
+    got = _shoot_or_error(shoot, 6, 2.0, u0, v0)
+    assert got.startswith("need finite u0 and v0")
+    assert got == _shoot_or_error(scipy_shoot.shoot, 6, 2.0, u0, v0)
+
+
 def test_bad_cells_stay_out_of_the_batch(monkeypatch):
     """Non-positive u0 and a u0 whose power overflows are per-cell errors,
     and only finite start states reach the integrator: the scan's batch and
