@@ -30,6 +30,7 @@ import math
 import os
 import re
 import sys
+from functools import partial
 
 from . import paramcheck, registry
 from .errors import EngineError, NoCombinationError, SingularSystemError
@@ -124,16 +125,16 @@ def _parse_dims(spec: str) -> tuple[int, ...]:
     return dims
 
 
-def _parse_ids(spec: str, known: list[str]) -> list[str]:
-    """'I1,I12': comma-separated registered identity ids, each listed once."""
+def _parse_ids(spec: str) -> list[str]:
+    """'I1,I12': comma-separated registered identity ids, each listed once,
+    by the rules of ``registry.select_identities``."""
     ids = [i.strip() for i in spec.split(",")]
     _require(all(ids), "--ids", f"expects comma-separated identity ids, e.g. I1,I12, "
              f"got {spec!r}")
-    unknown = [i for i in ids if i not in known]
-    _require(not unknown, "--ids",
-             f"unknown identity {', '.join(unknown)}; known: {', '.join(known)}")
-    _require(len(set(ids)) == len(ids), "--ids",
-             f"lists an identity more than once, got {spec!r}")
+    try:
+        registry.select_identities(ids)
+    except ValueError as exc:
+        raise ValueError(f"--ids {exc}") from None
     return ids
 
 
@@ -176,7 +177,9 @@ def run_params(n_max: int = 100):
     """The params section.  n_max bounds the sign certificates (five per n
     in 5..n_max) and the Bernstein estimate grids (n in 5..min(n_max, 24));
     the exponent grid and the linear-reduction rows always cover
-    EXPONENT_GRID_N, n = 5..24."""
+    EXPONENT_GRID_N, n = 5..24.  An n_max below 5 raises ValueError."""
+    if n_max < 5:
+        raise ValueError(f"the params section needs n_max >= 5, got {n_max}")
     formulas = paramcheck.check_minor_formulas()
     certs = [c for n in range(5, n_max + 1) for c in paramcheck.all_certificates(n)]
     all_positive = all(c.verdict == "positive" for c in certs)
@@ -225,7 +228,11 @@ def run_radial(configs, grid_size: int = 10, rmax: float = 50.0,
     ``scan_shooting`` batch.  It passes when no config has a survivor or a
     per-cell error.  With ``dump_dir``, each config's middle cell is shot
     again as a one-cell batch and its path, which ends at the radius the
-    report judged, written there as CSV."""
+    report judged, written there as CSV.  No config, or a grid_size below
+    1, would scan no cell and raises ValueError."""
+    if not configs or grid_size < 1:
+        raise ValueError(f"the radial section needs a config and grid_size >= 1, "
+                         f"got {len(configs)} config(s) and grid_size {grid_size}")
     from .radial import default_grids, dump_trajectory_csv, scan_shooting, shoot
     u0s, v0s = default_grids(grid_size)
     scans = scan_shooting(configs, u0s, v0s, rmax)
@@ -286,36 +293,25 @@ def _build_parser() -> argparse.ArgumentParser:
 def _command(args, config: dict):
     """Validate the command's arguments before any section runs.
 
-    Returns the settings the report echoes and the job that runs the
-    command's sections into ``(sections, statuses)``.  An invalid argument
-    raises ValueError, and an uncreatable --dump-trajectories directory
-    too, so a usage error costs no work.
+    Returns the settings the report echoes and the command's sections in
+    report order, each name with the runner that returns its ``(section,
+    ok)``.  An invalid argument raises ValueError, and an uncreatable
+    --dump-trajectories directory too, so a usage error costs no work.
     """
     if args.command == "verify":
-        ids = None
-        if args.ids is not None:
-            ids = _parse_ids(args.ids, [i.id for i in registry.all_identities()])
-
-        def job(sections, statuses):
-            sections["identities"], statuses["identities"] = run_verify(ids)
-            sections["registry"] = registry.list_registry()
-        return {"ids": ids}, job
+        ids = None if args.ids is None else _parse_ids(args.ids)
+        return {"ids": ids}, {"identities": partial(run_verify, ids)}
     if args.command == "params":
         n_max = _pick(args.n_max, config, "n_max", int, 100)
         _require(n_max >= 5, "--n-max", f"must be at least 5, got {n_max}")
-
-        def job(sections, statuses):
-            sections["params"], statuses["params"] = run_params(n_max)
-        return {"n_max": n_max}, job
+        return {"n_max": n_max}, {"params": partial(run_params, n_max)}
     if args.command == "scan-pd":
         spec = _pick(args.n, config, "n_range", str, "5..100")
         lo, hi = _parse_n_range(spec)
         grid = _pick(args.grid, config, "grid", int, 1000)
         _require(grid >= 1, "--grid", f"must be at least 1, got {grid}")
-
-        def job(sections, statuses):
-            sections["pd_scan"], statuses["pd_scan"] = run_scan_pd(lo, hi, grid)
-        return {"n_range": [lo, hi], "grid": grid}, job
+        return ({"n_range": [lo, hi], "grid": grid},
+                {"pd_scan": partial(run_scan_pd, lo, hi, grid)})
     if args.command == "oracle":
         seed = _pick(args.seed, config, "seed", int, 0)
         _require(seed >= 0, "--seed", f"must be at least 0, got {seed}")
@@ -325,10 +321,8 @@ def _command(args, config: dict):
         tol = _pick(args.tol, config, "tol", float, 1e-9)
         _require(math.isfinite(tol) and tol > 0, "--tol",
                  f"must be a finite value above 0, got {tol}")
-
-        def job(sections, statuses):
-            sections["oracle"], statuses["oracle"] = run_oracle(seed, samples, dims, tol)
-        return {"seed": seed, "samples": samples, "dims": list(dims), "tol": tol}, job
+        return ({"seed": seed, "samples": samples, "dims": list(dims), "tol": tol},
+                {"oracle": partial(run_oracle, seed, samples, dims, tol)})
     if args.command == "radial":
         from .radial import DEFAULT_R0
         n = _pick(args.n, config, "n", int, 6)
@@ -348,21 +342,16 @@ def _command(args, config: dict):
             except OSError as exc:
                 raise ValueError(f"--dump-trajectories cannot create {dump_dir}: "
                                  f"{exc.strerror}") from None
-
-        def job(sections, statuses):
-            sections["radial"], statuses["radial"] = run_radial(
-                [(n, alpha)], size, rmax, dump_dir)
-        return {"n": n, "alpha": alpha, "grid": f"{size}x{size}", "rmax": rmax}, job
-
-    def job(sections, statuses):    # all
-        sections["identities"], statuses["identities"] = run_verify()
-        sections["combination"], statuses["combination"] = run_combination()
-        sections["params"], statuses["params"] = run_params()
-        sections["pd_scan"], statuses["pd_scan"] = run_scan_pd()
-        sections["oracle"], statuses["oracle"] = run_oracle()
-        sections["radial"], statuses["radial"] = run_radial(
-            [(5, 2.0), (6, 2.0), (6, 3.0), (8, 2.0)])
-    return {"profile": "acceptance-defaults"}, job
+        return ({"n": n, "alpha": alpha, "grid": f"{size}x{size}", "rmax": rmax},
+                {"radial": partial(run_radial, [(n, alpha)], size, rmax, dump_dir)})
+    return {"profile": "acceptance-defaults"}, {    # all
+        "identities": run_verify,
+        "combination": run_combination,
+        "params": run_params,
+        "pd_scan": run_scan_pd,
+        "oracle": run_oracle,
+        "radial": partial(run_radial, [(5, 2.0), (6, 2.0), (6, 3.0), (8, 2.0)]),
+    }
 
 
 def _fault(exc: Exception) -> int:
@@ -393,17 +382,17 @@ def run(argv) -> int:
         # --dump-trajectories directory
         if out_path is not None and (reason := _out_path_error(out_path)):
             raise ValueError(f"--out cannot write {out_path}: {reason}")
-        settings, job = _command(args, config)
+        settings, runners = _command(args, config)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:    # a fault while validating: the registry behind --ids
         return _fault(exc)
 
-    sections: dict = {}
-    statuses: dict[str, bool] = {}
+    sections, statuses = {}, {}
     try:    # a fault inside a section or in its report data, not a usage error
-        job(sections, statuses)
+        for name, runner in runners.items():
+            sections[name], statuses[name] = runner()
         report = build_report({"command": args.command, "format": fmt, **settings},
                               sections, statuses)
         text = render_json(report) if fmt == "json" else render_markdown(report)

@@ -27,7 +27,7 @@ Jets are drawn a batch at a time, once per dimension, in one call on the
 generator of (seed, n): a row is a fixed-length slice of that stream, so it
 does not depend on the batch size, and the third derivative draws only its
 distinct entries.  The on-shell batch shares the free batch's draw and
-replaces only w4.  A jet that fails is serialized from its row of that
+replaces only w4.  A jet that fails is recorded from its row of that
 batch with its (seed, n, row), never drawn again.  Each distinct monomial
 is evaluated once per batch, or once per dimension when it reads neither
 Bilap nor Gscal (the only factors that see w4), and each coefficient is
@@ -45,7 +45,6 @@ report flags that discrepancy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,24 +70,18 @@ _LETTERS = "abcdefghijklmnopqrstuvwxy"
 @dataclass
 class JetSample:
     """One flat-space jet: scalar u, gradient, symmetric Hessian, totally
-    symmetric third derivative, and a scalar standing for Bilap.  It is row
-    ``row`` of ``jet_batch(seed, n, row + 1)``."""
+    symmetric third derivative, and a scalar standing for Bilap, as plain
+    floats and nested lists of them.  It is row ``row`` of
+    ``jet_batch(seed, n, row + 1)``."""
     n: int
     mode: str           # "free" | "onshell"
     seed: int
     row: int
     u: float
-    g1: np.ndarray
-    g2: np.ndarray
-    g3: np.ndarray
+    g1: list[float]
+    g2: list[list[float]]
+    g3: list[list[list[float]]]
     w4: float
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n, "mode": self.mode, "seed": self.seed, "row": self.row,
-            "u": self.u, "g1": self.g1.tolist(), "g2": self.g2.tolist(),
-            "g3": self.g3.tolist(), "w4": self.w4,
-        }, sort_keys=True)
 
 
 @lru_cache(maxsize=None)
@@ -146,8 +139,9 @@ def onshell_batch(batch: dict, alpha: Fraction | float) -> dict:
 
 def _jet_row(batch: dict, k: int, seed: int, mode: str) -> JetSample:
     """Row k of a batch, drawn from ``seed``, as one jet."""
-    return JetSample(batch["n"], mode, seed, k, float(batch["u"][k]), batch["g1"][k],
-                     batch["g2"][k], batch["g3"][k], float(batch["w4"][k]))
+    return JetSample(batch["n"], mode, seed, k, float(batch["u"][k]),
+                     batch["g1"][k].tolist(), batch["g2"][k].tolist(),
+                     batch["g3"][k].tolist(), float(batch["w4"][k]))
 
 
 def sample_jet(seed: int, n: int, mode: str = "free",
@@ -391,7 +385,7 @@ class OracleIdentityReport:
     tol: float
     max_rel_residual: float
     passed: bool
-    failing_jets: list[str]
+    failing_jets: list[JetSample]
 
 
 def _params_for(n: int, alpha: Fraction, a: Fraction) -> dict:
@@ -432,10 +426,14 @@ def check_all_identities(samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9,
     The exact work (the flat terms, one object per distinct coefficient,
     the parameters of every n) is done before the first draw, so the
     dimension loop compares no coefficients.  A jet violating the tolerance
-    is serialized from its row of the batch in hand, with ``seed``, ``n``
-    and ``row``: it is row ``row`` of ``jet_batch(seed, n, row + 1)``, and
-    nothing is drawn twice.
+    is recorded from its row of the batch in hand, with ``seed``, ``n`` and
+    ``row``: it is row ``row`` of ``jet_batch(seed, n, row + 1)``, and
+    nothing is drawn twice.  No dimension, or fewer than one sample, would
+    check nothing and raises ValueError.
     """
+    if not dims or samples < 1:
+        raise ValueError(f"the oracle needs a dimension and samples >= 1, "
+                         f"got dims {list(dims)} and samples {samples}")
     idents = all_identities()
     checks = []
     # one object per distinct coefficient, so the per-n memo, keyed by
@@ -448,7 +446,7 @@ def check_all_identities(samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9,
         mode = "onshell" if ident.mode is SubstitutionMode.ON_SHELL else "free"
         checks.append((mode, lhs_terms, rhs_terms, out_valence))
     worst = [0.0] * len(checks)
-    failing: list[list[str]] = [[] for _ in checks]
+    failing: list[list[JetSample]] = [[] for _ in checks]
     params_at = {n: _params_for(n, ORACLE_ALPHA, ORACLE_A) for n in dims}
     for n in dims:
         params = params_at[n]
@@ -481,7 +479,7 @@ def check_all_identities(samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9,
                 worst[i] = max(worst[i], top)
                 # a NaN or infinite residual fails its row
                 for k in np.nonzero(~(rel <= tol))[0][:3].tolist():
-                    failing[i].append(_jet_row(batch, k, seed, mode).to_json())
+                    failing[i].append(_jet_row(batch, k, seed, mode))
             del batch, arrays
         del free, coeffs, values
     return [OracleIdentityReport(ident.id, list(dims), samples, str(ORACLE_ALPHA),

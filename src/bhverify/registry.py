@@ -178,6 +178,7 @@ class Identity:
 class VerificationReport:
     id: str
     anchor: str
+    kind: str                      # "wdiv" | "grad"
     mode: str
     status: str                    # "verified-zero" | "residual"
     residual_count: int
@@ -468,23 +469,33 @@ def verify_identity(ident: Identity) -> VerificationReport:
     millis = round((time.perf_counter() - t0) * 1000.0, 3)
     terms = [f"({c}) {m.render()}" for m, c in diff.sorted_terms()]
     status = "verified-zero" if diff.is_zero else "residual"
-    return VerificationReport(ident.id, ident.anchor, ident.mode.value, status,
-                              len(terms), terms, millis)
+    return VerificationReport(ident.id, ident.anchor, ident.kind, ident.mode.value,
+                              status, len(terms), terms, millis)
+
+
+def select_identities(ids: list[str] | None = None) -> tuple[Identity, ...]:
+    """The registered identities named by ``ids``, in registry order; None
+    names every one.  An empty list, an unknown id or an id listed more
+    than once raises ValueError naming it."""
+    idents = all_identities()
+    if ids is None:
+        return idents
+    if not ids:
+        raise ValueError("ids is empty: None selects every identity")
+    known = [i.id for i in idents]
+    unknown = [i for i in ids if i not in known]
+    if unknown:
+        raise ValueError(f"unknown identity {', '.join(unknown)}; known: {', '.join(known)}")
+    repeated = [i for k, i in enumerate(ids) if i in ids[:k]]
+    if repeated:
+        raise ValueError(f"identity {', '.join(dict.fromkeys(repeated))} "
+                         f"is listed more than once")
+    return tuple(i for i in idents if i.id in ids)
 
 
 def verify_all(ids: list[str] | None = None) -> list[VerificationReport]:
-    reports = []
-    for ident in all_identities():
-        if ids and ident.id not in ids:
-            continue
-        reports.append(verify_identity(ident))
-    return reports
-
-
-def list_registry() -> list[dict]:
-    """Stable-ordered census of the registered identities."""
-    return [{"id": i.id, "anchor": i.anchor, "mode": i.mode.value, "kind": i.kind}
-            for i in all_identities()]
+    """Verify the identities ``select_identities(ids)`` names."""
+    return [verify_identity(ident) for ident in select_identities(ids)]
 
 
 # -- combination solver --------------------------------------------------------

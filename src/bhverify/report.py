@@ -5,14 +5,15 @@ bytes, so verification runs can be diffed.  ``build_report`` is the one gate
 between the engine and a report: it converts the section records and the
 echoed config once with ``jsonable``, which refuses what strict JSON cannot
 hold, so both formats fail alike.  No other module knows the JSON shape, and
-no record serializes itself but a failing oracle jet's replay record
-(``jetoracle.JetSample.to_json``).  ``render_json`` writes what the gate
+no record serializes itself.  ``render_json`` writes what the gate
 returns, byte for byte as ``json.dumps(report, sort_keys=True, indent=2)``,
 in one pass.  Markdown is presentation only.
 
 The ``notes`` are read from the sections of the same run (``findings``):
 each names the report field it came from, and a section that did not run or
-does not show the finding gives no note (schema 2).
+does not show the finding gives no note (schema 2).  Schema 3 states each
+identity's ``kind``, ``mode`` and ``anchor`` once, in its verification
+record, and holds a failing oracle jet as a nested record.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from . import __version__, registry
 from .coeffs import ParamScalar
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 _PLAIN = frozenset({str, int, bool, type(None)})

@@ -3,14 +3,16 @@
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from bhverify import cli, jetoracle, paramcheck, registry
+from bhverify import cli, jetoracle, paramcheck, radial, registry
 from bhverify.cli import load_config, run
 from bhverify.errors import EngineInconsistencyError, NoCombinationError
 from bhverify.radial import ScanSummary
@@ -40,7 +42,10 @@ def test_verify_subset_passes(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["overall_status"] == "pass"
     assert [r["id"] for r in doc["sections"]["identities"]] == ["I1", "I3", "I15"]
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
+    # id, anchor, kind and mode are stated once, in the identity records
+    assert list(doc["sections"]) == ["identities"]
+    assert [r["kind"] for r in doc["sections"]["identities"]] == ["wdiv"] * 3
     # each identity runs in its registered mode; nothing overrides it
     assert list(doc["config"]) == ["command", "format", "ids"]
 
@@ -284,6 +289,13 @@ def test_unknown_identity_id_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_identity_id_is_named(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(["--out", str(out), "verify", "--ids", "I2,I1,I2"]) == 2
+    assert capsys.readouterr().err == "error: --ids identity I2 is listed more than once\n"
+    assert not out.exists()
+
+
 def test_ids_are_stripped(tmp_path):
     out = tmp_path / "r.json"
     assert run(["--out", str(out), "verify", "--ids", " I1, I3 "]) == 0
@@ -497,3 +509,54 @@ def test_the_exact_sections_load_neither_numpy_random_nor_scipy():
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]"]
+
+
+# each subcommand with small arguments
+SMALL_ARGV = {
+    "verify": ["verify", "--ids", "I3"],
+    "params": ["params", "--n-max", "5"],
+    "scan-pd": ["scan-pd", "--n", "5..5", "--grid", "2"],
+    "oracle": ["oracle", "--samples", "2", "--dims", "5"],
+    "radial": ["radial", "--grid", "1x1"],
+    "all": ["all"],
+}
+
+
+@pytest.mark.parametrize("command", SMALL_ARGV)
+def test_every_section_has_a_status(command, tmp_path, monkeypatch):
+    """A report holds a status for each of its sections and for nothing
+    else.  ``all`` runs its acceptance sections here on small arguments."""
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    assert set(commands) == set(SMALL_ARGV)
+    if command == "all":
+        small = {"run_params": (5,), "run_scan_pd": (5, 5, 2), "run_oracle": (0, 2, (5,))}
+        for name, args in small.items():
+            monkeypatch.setattr(cli, name, partial(getattr(cli, name), *args))
+        run_radial = cli.run_radial
+        monkeypatch.setattr(cli, "run_radial", lambda configs: run_radial(configs[:1], 1))
+    out = tmp_path / "r.json"
+    assert run(["--out", str(out), *SMALL_ARGV[command]]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["sections"] and doc["sections"].keys() == doc["section_status"].keys()
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work began before the arguments were checked")
+
+
+@pytest.mark.parametrize("runner, args, message", [
+    ("run_radial", ([(6, 2.0)], 0), "the radial section needs a config and grid_size >= 1, "
+                                    "got 1 config(s) and grid_size 0"),
+    ("run_radial", ([],), "the radial section needs a config and grid_size >= 1, "
+                          "got 0 config(s) and grid_size 10"),
+    ("run_params", (4,), "the params section needs n_max >= 5, got 4"),
+])
+def test_a_section_of_no_checks_is_refused_before_any_work(runner, args, message,
+                                                           monkeypatch):
+    """These passed with no cell scanned or no certificate issued."""
+    for module, name in ((radial, "default_grids"), (radial, "scan_shooting"),
+                         (paramcheck, "check_minor_formulas"),
+                         (paramcheck, "all_certificates")):
+        monkeypatch.setattr(module, name, _must_not_run)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        getattr(cli, runner)(*args)

@@ -144,6 +144,27 @@ def test_only_the_report_module_names_jsonable():
     assert [p.name for p in MODULES if "jsonable" in _names(p.read_text())] == ["report.py"]
 
 
+def test_only_the_report_module_imports_json():
+    """Records reach a report as data through ``build_report``: no other
+    package module imports ``json``, so none serializes a record itself."""
+    importers = []
+    for p in MODULES:
+        for node in ast.walk(ast.parse(p.read_text())):
+            if (isinstance(node, ast.Import) and any(a.name == "json" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "json"):
+                importers.append(p.name)
+    assert importers == ["report.py"]
+
+
+def test_no_class_serializes_itself():
+    methods = [f"{p.name}:{node.name}" for p in MODULES
+               for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.ClassDef)
+               and any(isinstance(m, ast.FunctionDef) and m.name == "to_json"
+                       for m in node.body)]
+    assert methods == []
+
+
 def test_every_definition_is_referenced_in_the_package():
     sources = {p.name: p.read_text() for p in MODULES}
     assert _unreferenced_definitions(sources) == UNREFERENCED_ALLOWED

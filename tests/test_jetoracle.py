@@ -11,7 +11,7 @@ import pytest
 
 from bhverify import jetoracle
 from bhverify.calculus import SubstitutionMode, bstar, substitute_defs
-from bhverify.cli import run_oracle
+from bhverify.cli import run, run_oracle
 from bhverify.coeffs import ALPHA as _ALPHA_PS
 from bhverify.coeffs import ParamScalar
 from bhverify.errors import CompositeDerivativeError, OrderOverflowError
@@ -25,7 +25,7 @@ from bhverify.jetoracle import (_LETTERS, ORACLE_ALPHA, JetSample,
                                 sharp_constant_certificate,
                                 sharp_constant_search)
 from bhverify.registry import all_identities, get_identity, perturb_identity
-from bhverify.report import jsonable
+from bhverify.report import jsonable, render_json
 from bhverify.tensor import FACTORS, expr, frob, mono, to_labeled
 
 
@@ -64,16 +64,22 @@ def check_one(monkeypatch, ident, **kwargs):
 PARAMS5 = _params_for(5, Fraction(2), Fraction(1))
 
 
+def jet_bytes(jet) -> str:
+    """The rendered report bytes of a jet record: bit-exact, so -0.0 and
+    0.0 differ."""
+    return render_json(jsonable(jet))
+
+
 class TestSampling:
     def test_seed_determinism(self):
-        a, b = sample_jet(42, 6), sample_jet(42, 6)
-        assert a.u == b.u and (a.g3 == b.g3).all() and a.w4 == b.w4
+        assert jet_bytes(sample_jet(42, 6)) == jet_bytes(sample_jet(42, 6))
 
     def test_symmetries_exact(self):
         j = sample_jet(3, 7)
-        assert np.abs(j.g2 - j.g2.T).max() == 0.0
+        g2, g3 = np.asarray(j.g2), np.asarray(j.g3)
+        assert np.abs(g2 - g2.T).max() == 0.0
         for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
-            assert np.abs(j.g3 - j.g3.transpose(perm)).max() == 0.0
+            assert np.abs(g3 - g3.transpose(perm)).max() == 0.0
 
     def test_u_floor(self):
         assert all(sample_jet(s, 5).u >= 1e-3 for s in range(50))
@@ -82,12 +88,18 @@ class TestSampling:
         j = sample_jet(9, 5, "onshell", alpha=Fraction(2))
         assert j.w4 == j.u**2
 
-    def test_replay_json_is_the_batch_row_bit_exact(self):
-        d = json.loads(sample_jet(17, 5).to_json())
+    def test_a_jet_record_is_the_batch_row_bit_exact(self):
+        """A jet holds plain floats and nested lists, which the report gate
+        takes as they are, and renders as its batch row does."""
+        jet = sample_jet(17, 5)
         b = jet_batch(17, 5, 1)
-        assert d["u"] == b["u"][0] and d["w4"] == b["w4"][0]
-        for key in ("g1", "g2", "g3"):
-            assert np.array_equal(np.array(d[key]), b[key][0]), key
+        assert type(jet.u) is type(jet.w4) is float
+        assert type(jet.g3) is type(jet.g3[0]) is type(jet.g3[0][0]) is list
+        assert type(jet.g3[0][0][0]) is float
+        assert jet_bytes(jet) == render_json({
+            "n": 5, "mode": "free", "seed": 17, "row": 0, "u": b["u"][0].item(),
+            "g1": b["g1"][0].tolist(), "g2": b["g2"][0].tolist(), "g3": b["g3"][0].tolist(),
+            "w4": b["w4"][0].item()})
 
 
 class TestEvaluation:
@@ -200,9 +212,29 @@ class TestIdentityChecks:
         i1, *rest = section["identities"]
         assert i1["id"] == "I1" and not i1["passed"]
         assert math.isfinite(i1["max_rel_residual"]) and i1["max_rel_residual"] <= 1e-9
-        assert [json.loads(j)["row"] for j in i1["failing_jets"]] == [3]
+        assert [j["row"] for j in i1["failing_jets"]] == [3]
         assert all(r["passed"] and not r["failing_jets"] for r in rest)
         json.dumps(section, allow_nan=False)
+
+    @pytest.mark.parametrize("samples, dims, message", [
+        (10, (), "got dims [] and samples 10"),
+        (0, (5,), "got dims [5] and samples 0"),
+        (-1, (5, 6), "got dims [5, 6] and samples -1"),
+    ])
+    def test_an_empty_check_is_refused_before_any_work(self, samples, dims, message,
+                                                       monkeypatch):
+        """No dimension passed all 15 identities with ``dims: []``, and no
+        sample leaked numpy's zero-size reduction error; both are refused
+        before a jet is drawn, through the section runner too."""
+        def must_not_run(*args):
+            raise AssertionError("a jet was drawn")
+        monkeypatch.setattr(jetoracle, "jet_batch", must_not_run)
+        message = "the oracle needs a dimension and samples >= 1, " + message
+        for call in (lambda: check_all_identities(samples, dims),
+                     lambda: run_oracle(0, samples, dims)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
 
     def test_report_determinism(self, monkeypatch):
         a = check_one(monkeypatch, get_identity("I7"), samples=30, dims=(5,), seed=9)
@@ -324,7 +356,8 @@ def _ref_jets(seed, n, samples, mode="free", alpha=None):
                 g3[i, j, k] = value
         if mode == "onshell":
             w4 = u ** float(alpha)
-        jets.append(JetSample(n, mode, seed, row, u, g1, (m + m.T) / 2.0, g3, w4))
+        jets.append(JetSample(n, mode, seed, row, u, g1.tolist(), ((m + m.T) / 2.0).tolist(),
+                              g3.tolist(), w4))
     return jets
 
 
@@ -338,13 +371,13 @@ def _ref_jet_batch(seed: int, n: int, samples: int) -> dict:
     return _ref_stack_jets(_ref_jets(seed, n, samples))
 
 
-def _replay(record: str) -> str:
-    """A failing-jet record drawn again from its (seed, n, row)."""
-    d = json.loads(record)
-    batch = jet_batch(d["seed"], d["n"], d["row"] + 1)
-    if d["mode"] == "onshell":
+def _replay(record: dict) -> str:
+    """The rendered bytes of a failing-jet record's row, drawn again from
+    its (seed, n, row): row ``row`` of ``jet_batch(seed, n, row + 1)``."""
+    batch = jet_batch(record["seed"], record["n"], record["row"] + 1)
+    if record["mode"] == "onshell":
         batch = onshell_batch(batch, ORACLE_ALPHA)
-    return _jet_row(batch, d["row"], d["seed"], d["mode"]).to_json()
+    return jet_bytes(_jet_row(batch, record["row"], record["seed"], record["mode"]))
 
 
 def _ref_eval_monomial_batch(m, arrays: dict) -> np.ndarray:
@@ -435,7 +468,7 @@ def _ref_numeric_check_identity(ident, samples=1000, dims=(5, 6, 8), tol=1e-9,
             rel = num / (1.0 + np.linalg.norm(lhs, axis=1) + np.linalg.norm(rhs, axis=1))
         worst = max(worst, float(np.max(rel)))
         for k in np.nonzero(rel > tol)[0][:3]:
-            failing.append(jets[int(k)].to_json())
+            failing.append(jets[int(k)])
     return OracleIdentityReport(ident.id, list(dims), samples, str(alpha), str(a),
                                 tol, worst, worst <= tol, failing)
 
@@ -518,6 +551,16 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _free_and_onshell_mutants():
+    """I3 (free) and I12 (on shell), each with one right-side coefficient
+    shifted by 1/1000: the I12 one carries A13."""
+    i12 = get_identity("I12")
+    idx = next(i for i, (m, _) in enumerate(i12.rhs.sorted_terms())
+               if "Etf" in m.symbols and m.symbols.count("Du") == 4)
+    return (perturb_identity(get_identity("I3"), 0, Fraction(1, 1000)),
+            perturb_identity(i12, idx, Fraction(1, 1000)))
+
+
 class TestAgainstReplacedCode:
     @pytest.mark.parametrize("alpha", [Fraction(2), Fraction(7, 3)])
     @pytest.mark.parametrize("n", [5, 6, 8])
@@ -535,9 +578,8 @@ class TestAgainstReplacedCode:
             assert batch[key].flags.c_contiguous, key
         one = sample_jet(11, n, mode, alpha)
         want = _ref_sample_jet(11, n, mode, alpha)
-        assert one.to_json() == want.to_json()
-        assert one.g3.flags.c_contiguous
-        assert _jet_row(batch, 3, 11, mode).to_json() == jets[3].to_json()
+        assert jet_bytes(one) == jet_bytes(want)
+        assert jet_bytes(_jet_row(batch, 3, 11, mode)) == jet_bytes(jets[3])
 
     @pytest.mark.parametrize("alpha", [Fraction(2), Fraction(7, 3)])
     @pytest.mark.parametrize("n", [5, 6, 8])
@@ -569,24 +611,24 @@ class TestAgainstReplacedCode:
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_check_all_identities_equals_reference(self, seed):
-        got = jsonable(check_all_identities(samples=40, dims=(5, 6, 8), seed=seed))
-        want = [jsonable(_ref_numeric_check_identity(i, samples=40, dims=(5, 6, 8), seed=seed))
-                for i in all_identities()]
+        got = jet_bytes(check_all_identities(samples=40, dims=(5, 6, 8), seed=seed))
+        want = jet_bytes([_ref_numeric_check_identity(i, samples=40, dims=(5, 6, 8), seed=seed)
+                          for i in all_identities()])
         assert got == want
 
     def test_back_to_back_runs_each_equal_reference(self):
         """Two seeds in one process: no array or coefficient of the first
         run is served to the second."""
         for seed in (3, 4):
-            got = jsonable(check_all_identities(samples=20, dims=(5, 6), seed=seed))
-            want = [jsonable(_ref_numeric_check_identity(i, samples=20, dims=(5, 6),
-                                                         seed=seed))
-                    for i in all_identities()]
+            got = jet_bytes(check_all_identities(samples=20, dims=(5, 6), seed=seed))
+            want = jet_bytes([_ref_numeric_check_identity(i, samples=20, dims=(5, 6),
+                                                          seed=seed)
+                              for i in all_identities()])
             assert got == want, seed
 
     def test_failing_jet_replay_equals_reference(self, monkeypatch):
         """Mutated identities among the registered ones, one free (I3) and
-        one on-shell (I12): their failing jets serialize exactly as the
+        one on-shell (I12): their failing jets render exactly as the
         reference's rows, each replays from its (seed, n, row), and every
         other record is unchanged."""
         i12 = get_identity("I12")
@@ -603,21 +645,32 @@ class TestAgainstReplacedCode:
         monkeypatch.setattr(jetoracle, "all_identities", lambda: tuple(idents))
         got = {r.id: jsonable(r) for r in check_all_identities(samples=40, dims=(5, 6),
                                                                seed=4)}
-        assert got == want
+        assert render_json(got) == render_json(want)
         for mutant in mutants.values():
             for record in got[mutant.id]["failing_jets"]:
-                assert _replay(record) == record
+                assert _replay(record) == render_json(record)
+
+    def test_a_report_holds_failing_jets_as_records(self, tmp_path, monkeypatch):
+        """The oracle report of perturbed free (I3) and on-shell (I12)
+        identities: each failing jet is a JSON object, not a string, and
+        renders as row ``row`` of ``jet_batch(seed, n, row + 1)``."""
+        monkeypatch.setattr(jetoracle, "all_identities", _free_and_onshell_mutants)
+        out = tmp_path / "r.json"
+        assert run(["--out", str(out), "oracle", "--seed", "4", "--samples", "40",
+                    "--dims", "5,6"]) == 1
+        reports = json.loads(out.read_text())["sections"]["oracle"]["identities"]
+        records = [j for r in reports for j in r["failing_jets"]]
+        assert len(records) == 12
+        assert [j["mode"] for j in records] == ["free"] * 6 + ["onshell"] * 6
+        for record in records:
+            assert type(record) is dict and record["seed"] == 4
+            assert render_json(record) == _replay(record)
 
     def test_failing_jets_are_drawn_once(self, monkeypatch):
         """Perturbed free (I3) and on-shell (I12) identities: one draw per n,
         and each failing record, with the run's seed, is row ``row`` of
         ``jet_batch(seed, n, row + 1)``."""
-        i12 = get_identity("I12")
-        idx = next(i for i, (m, _) in enumerate(i12.rhs.sorted_terms())
-                   if "Etf" in m.symbols and m.symbols.count("Du") == 4)
-        mutants = (perturb_identity(get_identity("I3"), 0, Fraction(1, 1000)),
-                   perturb_identity(i12, idx, Fraction(1, 1000)))
-        monkeypatch.setattr(jetoracle, "all_identities", lambda: mutants)
+        monkeypatch.setattr(jetoracle, "all_identities", _free_and_onshell_mutants)
         draws = []
 
         def counted(seed, n, *rest):
@@ -629,10 +682,9 @@ class TestAgainstReplacedCode:
         monkeypatch.undo()
         for rep, mode in zip(reports, ("free", "onshell")):
             assert not rep.passed and len(rep.failing_jets) == 6, rep.id
-            for record in rep.failing_jets:
-                d = json.loads(record)
-                assert d["mode"] == mode and d["seed"] == 4 and 0 <= d["row"] < 40
-                assert record == _replay(record)
+            for jet in rep.failing_jets:
+                assert jet.mode == mode and jet.seed == 4 and 0 <= jet.row < 40
+                assert jet_bytes(jet) == _replay(jsonable(jet))
 
     def test_each_monomial_evaluated_once_per_batch(self, monkeypatch):
         """At the acceptance dimensions: one draw per n, 306 monomial
@@ -702,9 +754,9 @@ class TestAgainstReplacedCode:
             assert np.array_equal(got[key], want[key]), key
             assert got[key].flags.c_contiguous, key
         for k in sorted({0, samples // 2, samples - 1}):
-            assert _jet_row(jet_batch(29, n, k + 1), k, 29, "free").to_json() \
-                == _jet_row(want, k, 29, "free").to_json()
-        assert sample_jet(29, n).to_json() == _jet_row(want, 0, 29, "free").to_json()
+            assert jet_bytes(_jet_row(jet_batch(29, n, k + 1), k, 29, "free")) \
+                == jet_bytes(_jet_row(want, k, 29, "free"))
+        assert jet_bytes(sample_jet(29, n)) == jet_bytes(_jet_row(want, 0, 29, "free"))
 
     def test_jet_batch_holds_one_third_derivative_block_beside_its_outputs(self):
         """The peak of a batch at n = 8 stays within its outputs plus the

@@ -13,9 +13,9 @@ from bhverify.calculus import COMPOSITES, bstar, substitute_defs
 from bhverify.coeffs import ALPHA, B, N, ParamScalar, frac, ps
 from bhverify.errors import NoCombinationError, SingularSystemError
 from bhverify.registry import (ERRATA, Identity, all_identities, build_named,
-                               get_identity, list_registry,
-                               perturb_identity, printed_variant, residual,
-                               solve_combination, verify_all, verify_identity)
+                               get_identity, perturb_identity, printed_variant, residual,
+                               select_identities, solve_combination, verify_all,
+                               verify_identity)
 from bhverify.jetoracle import check_all_identities
 from bhverify.report import jsonable
 from bhverify.tensor import TExpr, dot, emul, expr, frob, mono, upow
@@ -103,22 +103,61 @@ class TestVerification:
 
 
 class TestRegistryListing:
+    """Each identity's id, anchor, kind and mode are stated once in a
+    report, by its verification record."""
+
     def test_census(self):
-        listing = list_registry()
-        assert len(listing) == 15
-        assert [e["id"] for e in listing] == [f"I{k}" for k in range(1, 16)]
+        assert [i.id for i in all_identities()] == [f"I{k}" for k in range(1, 16)]
 
     def test_anchors_nonempty_and_ids_unique(self):
-        listing = list_registry()
-        assert all(e["anchor"] for e in listing)
-        assert len({e["id"] for e in listing}) == len(listing)
+        idents = all_identities()
+        assert all(i.anchor for i in idents)
+        assert len({i.id for i in idents}) == len(idents)
 
     def test_modes_as_registered(self):
-        modes = {e["id"]: e["mode"] for e in list_registry()}
+        modes = {r.id: r.mode for r in verify_all()}
         assert modes["I5"] == "onshell"
         assert modes["I10"] == "onshell"
         assert modes["I12"] == "onshell"
         assert all(modes[f"I{k}"] == "free" for k in (1, 2, 3, 4, 6, 7, 8, 9, 11, 13, 14, 15))
+
+    def test_records_state_the_registered_fields(self):
+        for ident, r in zip(all_identities(), verify_all(), strict=True):
+            assert (r.id, r.anchor, r.kind, r.mode) \
+                == (ident.id, ident.anchor, ident.kind, ident.mode.value)
+        assert [i.id for i in all_identities() if i.kind == "grad"] == ["I5"]
+        assert all(i.kind == "wdiv" for i in all_identities() if i.id != "I5")
+
+
+class TestSelection:
+    """``verify_all`` and ``--ids`` take their ids by one rule: None names
+    every identity, and an empty list, an unknown id or a repeated id is
+    refused by name before anything is verified."""
+
+    def test_none_selects_every_identity(self):
+        assert select_identities() == select_identities(None) == all_identities()
+
+    def test_a_subset_keeps_the_registry_order(self):
+        assert [i.id for i in select_identities(["I12", "I3"])] == ["I3", "I12"]
+        assert [r.id for r in verify_all(["I12", "I3"])] == ["I3", "I12"]
+
+    @pytest.mark.parametrize("ids, message", [
+        ([], "ids is empty: None selects every identity"),
+        (["I99"], "unknown identity I99; known: " + ", ".join(f"I{k}" for k in range(1, 16))),
+        (["I1", "I99", "I0"], "unknown identity I99, I0; known: "),
+        (["I1", "I1"], "identity I1 is listed more than once"),
+        (["I2", "I3", "I2", "I3", "I2"], "identity I2, I3 is listed more than once"),
+    ])
+    def test_a_bad_selection_is_refused_before_any_work(self, ids, message, monkeypatch):
+        def must_not_run(ident):
+            raise AssertionError(f"{ident.id} was verified")
+        monkeypatch.setattr(registry, "verify_identity", must_not_run)
+        with pytest.raises(ValueError) as exc:
+            verify_all(ids)
+        assert str(exc.value).startswith(message)
+        with pytest.raises(ValueError) as via_cli:
+            cli.run_verify(ids)
+        assert str(via_cli.value) == str(exc.value)
 
 
 class TestCombination:

@@ -52,6 +52,7 @@ def _ref_verification_report_to_dict(self) -> dict:
     return {
         "id": self.id,
         "anchor": self.anchor,
+        "kind": self.kind,
         "mode": self.mode,
         "status": self.status,
         "residual_count": self.residual_count,
