@@ -429,11 +429,16 @@ def check_all_identities(samples: int = 1000, dims=(5, 6, 8), tol: float = 1e-9,
     is recorded from its row of the batch in hand, with ``seed``, ``n`` and
     ``row``: it is row ``row`` of ``jet_batch(seed, n, row + 1)``, and
     nothing is drawn twice.  No dimension, or fewer than one sample, would
-    check nothing and raises ValueError.
+    check nothing and raises ValueError, and so do the dimensions ``--dims``
+    refuses: one below 5, or one listed twice.
     """
     if not dims or samples < 1:
         raise ValueError(f"the oracle needs a dimension and samples >= 1, "
                          f"got dims {list(dims)} and samples {samples}")
+    for k, n in enumerate(dims):
+        if n < 5 or n in dims[:k]:
+            raise ValueError(f"the oracle needs distinct dimensions of at least 5, "
+                             f"got {n} in dims {list(dims)}")
     idents = all_identities()
     checks = []
     # one object per distinct coefficient, so the per-n memo, keyed by

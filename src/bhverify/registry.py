@@ -414,12 +414,13 @@ ERRATA: dict[str, tuple] = {
 
 def _replace_coefficient(ident: Identity, m, coeff: ParamScalar, suffix: str,
                          note: str) -> Identity:
-    """Copy of the identity with the right-side coefficient of m replaced."""
+    """Copy of the identity with the right-side coefficient of m replaced;
+    a zero coefficient drops m."""
     terms = dict(ident.rhs.terms)
     terms[m] = coeff
+    rhs = TExpr.from_terms(ident.rhs.valence, [(c, k) for k, c in terms.items()])
     return Identity(ident.id + suffix, f"{ident.anchor} ({note})", ident.kind,
-                    ident.weight, ident.lhs, TExpr(ident.rhs.valence, terms),
-                    ident.mode, ident.b)
+                    ident.weight, ident.lhs, rhs, ident.mode, ident.b)
 
 
 def printed_variant(identity_id: str) -> Identity:

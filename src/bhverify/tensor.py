@@ -34,7 +34,8 @@ self-trace.
 
 Substitution works one monomial at a time (``expand_factors``, raw terms
 not yet collected); ``TExpr.from_terms`` is the one collection of raw
-terms into canonical monomials.
+terms into canonical monomials, ``+`` and ``expr`` included; it keeps a
+coefficient that meets no other term and takes no multiplier as given.
 """
 
 from __future__ import annotations
@@ -373,9 +374,10 @@ class TExpr:
         elements: equal denominators add numerators; den and d that differ
         only by a constant factor, d/den = l/k for their leading coefficients
         k and l, meet over den * l / gcd(k, l) with integer cofactors; others
-        meet over den * d / gcd(den, d).  Each sum is normalized once, at the end.  A
-        monomial whose running sum cancels is dropped and re-enters at the
-        end of the key order if it comes back.
+        meet over den * d / gcd(den, d).  Each sum is normalized once, at the end;
+        a coefficient that meets no other term and takes no multiplier is
+        kept as given.  A monomial whose running sum cancels is dropped and
+        re-enters at the end of the key order if it comes back.
         """
         acc: dict[TensorMonomial, tuple] = {}
         for coeff, m in raw:
@@ -392,7 +394,7 @@ class TExpr:
                 num, den = num * mult.num, den * mult.den
             prev = acc.get(canon)
             if prev is not None:
-                p_num, p_den = prev
+                p_num, p_den, _ = prev
                 if p_den == den:
                     num = p_num + num
                 else:
@@ -406,8 +408,9 @@ class TExpr:
                 if not num:
                     del acc[canon]
                     continue
-            acc[canon] = (num, den)
-        return cls(valence, {m: ParamScalar(num, den) for m, (num, den) in acc.items()})
+            acc[canon] = (num, den, coeff if prev is None and mult is ONE else None)
+        return cls(valence, {m: ParamScalar(num, den) if c is None else c
+                             for m, (num, den, c) in acc.items()})
 
     # -- linear structure ----------------------------------------------------
 
@@ -424,15 +427,8 @@ class TExpr:
     def __add__(self, other: "TExpr") -> "TExpr":
         if self.valence != other.valence:
             raise ValenceError(f"valence mismatch: {self.valence} vs {other.valence}")
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            tot = acc.get(m, None)
-            tot = c if tot is None else tot + c
-            if tot.is_zero:
-                acc.pop(m, None)
-            else:
-                acc[m] = tot
-        return TExpr(self.valence, acc)
+        return TExpr.from_terms(self.valence, [(c, m) for e in (self, other)
+                                               for m, c in e.terms.items()])
 
     def __sub__(self, other: "TExpr") -> "TExpr":
         return self + -other
@@ -461,11 +457,7 @@ class TExpr:
 
 def expr(coeff, m: TensorMonomial) -> TExpr:
     """Single-term expression."""
-    c = coeff if isinstance(coeff, ParamScalar) else ps(coeff)
-    mult, canon = canonical_form(m)
-    if canon is None or c.is_zero:
-        return TExpr(m.valence)
-    return TExpr(canon.valence, {canon: c * mult})
+    return TExpr.from_terms(m.valence, [(ps(coeff), m)])
 
 
 def emul(e1: TExpr, e2: TExpr) -> TExpr:

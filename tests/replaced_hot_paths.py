@@ -1,6 +1,6 @@
 """The replaced record conversion, eigenvalue scan, exponent check,
-coefficient equality, estimate grid, report rendering, composite substitution
-and identity residual, kept as the tests' reference.
+coefficient equality, estimate grid, report rendering, composite substitution,
+identity residual and expression sum, kept as the tests' reference.
 
 ``bhverify.report.jsonable`` now dispatches on the exact type of a value
 alone and refuses subclasses, ``paramcheck.numeric_pd_scan`` evaluates a
@@ -19,6 +19,10 @@ they share with the package (``PDReport``, ``ExponentCheck``,
 ``_eigmin_sym3``, ``est1_coefficient``, ``_horner``, ``_n_tables``, the
 cached matrix and certificates, the definition forms, ``replace_factor``,
 ``divergence`` and ``grad``) are imported from it.
+``TExpr.__add__`` and ``tensor.expr`` now collect through
+``TExpr.from_terms``; they summed per monomial with ``ParamScalar``
+arithmetic and canonicalized one term themselves (``texpr_add``, ``expr``),
+and ``residual`` and ``certificate_difference`` sum with that ``texpr_add``.
 """
 
 import json
@@ -30,12 +34,12 @@ import numpy as np
 
 from bhverify.calculus import (WeightedVectorField, _fvec_form, _gscal_form,
                                _tracefree_tensor_form, divergence, grad)
-from bhverify.coeffs import ParamScalar
-from bhverify.errors import EngineInconsistencyError, PoleError
+from bhverify.coeffs import ParamScalar, ps
+from bhverify.errors import EngineInconsistencyError, PoleError, ValenceError
 from bhverify.paramcheck import (EST1_GRID_POINTS, ExponentCheck, PDReport, _eigmin_sym3,
                                  _horner, _n_tables, build_matrix_A, est1_coefficient,
                                  sylvester_certificates)
-from bhverify.tensor import TExpr, replace_factor
+from bhverify.tensor import TExpr, canonical_form, replace_factor
 
 
 def jsonable(x):
@@ -164,6 +168,31 @@ def at_n(x: ParamScalar, n: int) -> tuple[list[int], int]:
     return [by_degree.get(k, 0) for k in range(max(by_degree, default=-1), -1, -1)], d
 
 
+def texpr_add(self: TExpr, other: TExpr) -> TExpr:
+    """TExpr.__add__: each coefficient of other added to self's as a
+    ParamScalar, a key that sums to zero dropped."""
+    if self.valence != other.valence:
+        raise ValenceError(f"valence mismatch: {self.valence} vs {other.valence}")
+    acc = dict(self.terms)
+    for m, c in other.terms.items():
+        tot = acc.get(m, None)
+        tot = c if tot is None else tot + c
+        if tot.is_zero:
+            acc.pop(m, None)
+        else:
+            acc[m] = tot
+    return TExpr(self.valence, acc)
+
+
+def expr(coeff, m) -> TExpr:
+    """Single-term expression."""
+    c = coeff if isinstance(coeff, ParamScalar) else ps(coeff)
+    mult, canon = canonical_form(m)
+    if canon is None or c.is_zero:
+        return TExpr(m.valence)
+    return TExpr(canon.valence, {canon: c * mult})
+
+
 def substitute_factors(e: TExpr, table: dict[str, TExpr]) -> TExpr:
     """Replace every occurrence of the factor kinds in ``table`` by the given
     expressions (whose free slots stand for the factor's slots)."""
@@ -206,7 +235,7 @@ def expand_rhs(ident) -> TExpr:
 def residual(ident) -> TExpr:
     """expand_lhs(ident) - expand_rhs(ident), with TExpr subtraction as it
     was: the right side scaled by -1, then added."""
-    return expand_lhs(ident) + expand_rhs(ident).scale(-1)
+    return texpr_add(expand_lhs(ident), expand_rhs(ident).scale(-1))
 
 
 def certificate_difference(target, basis, weights) -> TExpr:
@@ -214,5 +243,5 @@ def certificate_difference(target, basis, weights) -> TExpr:
     weighted basis right sides summed one by one, minus the target's."""
     combo_rhs = TExpr(target.rhs.valence)
     for w, b in zip(weights, basis):
-        combo_rhs = combo_rhs + b.rhs.scale(w)
-    return combo_rhs + target.rhs.scale(-1)
+        combo_rhs = texpr_add(combo_rhs, b.rhs.scale(w))
+    return texpr_add(combo_rhs, target.rhs.scale(-1))

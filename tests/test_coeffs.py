@@ -863,10 +863,11 @@ def test_verify_cofactors_match_the_multivariate_ring(monkeypatch):
 
     from_terms adds numerators over equal denominators, meets denominators
     that differ only by an integer factor with integer cofactors, and takes
-    a gcd otherwise: all 214 pairs it hands to cofactors differ in Q[n]
+    a gcd otherwise: all 218 pairs it hands to cofactors differ in Q[n]
     beyond a constant factor.  (There were 187 while each side of a
     residual was collected on its own and the two sides subtracted as
-    normalized coefficients.)"""
+    normalized coefficients, and 214 while ``+`` summed the catalog's
+    coefficients as normalized ParamScalars.)"""
     calls = []
 
     def recorded(f, g):
@@ -876,15 +877,16 @@ def test_verify_cofactors_match_the_multivariate_ring(monkeypatch):
     _clear_caches()
     monkeypatch.setattr(tensor, "cofactors", recorded)
     assert cli.run_verify()[1] and cli.run_combination()[1]
-    assert len(calls) == 214
+    assert len(calls) == 218
     assert all(_as_q(f).monic() != _as_q(g).monic() for f, g in calls)
     for f, g in calls:
         assert _cofactor_triple(f, g) == _qq_cofactors(f, g), (f, g)
 
 
 def test_verify_leaves_every_cached_coefficient_unchanged(monkeypatch):
-    """Every coefficient a kernel hands out during run_verify keeps the num
-    and den it had when it was returned, until the run is over."""
+    """Every coefficient a kernel hands out during run_verify, all 495 of
+    them, keeps the num and den it had when it was returned, until the run
+    is over."""
     seen = {}
 
     def snapshot(kernel):
@@ -899,7 +901,7 @@ def test_verify_leaves_every_cached_coefficient_unchanged(monkeypatch):
     for name, kernel in _kernels().items():
         monkeypatch.setattr(coeffs, name, snapshot(kernel))
     records, ok = cli.run_verify()
-    assert ok and len(seen) > 500
+    assert ok and len(seen) == 495
     changed = [str(x) for x, num, den in seen.values()
                if dict(x.num) != num or dict(x.den) != den]
     assert not changed
@@ -908,9 +910,11 @@ def test_verify_leaves_every_cached_coefficient_unchanged(monkeypatch):
 def test_verify_reuses_coefficient_arithmetic(monkeypatch):
     """From cold caches, run_verify normalizes at most 600 times (3,832
     before the kernels were memoized), and run_verify plus run_combination,
-    the identities benchmark workload, make exactly 765 canonical_form
+    the identities benchmark workload, make exactly 1,199 canonical_form
     calls: 1,095, the benchmark's reference count, before each composite
-    monomial was expanded once and each residual collected once."""
+    monomial was expanded once and each residual collected once, then 765
+    until ``+`` and ``expr`` collected through from_terms, which hands it
+    every term of both summands."""
     normalize, canonical_form = ParamScalar._normalize, tensor.canonical_form
     counts = {"normalize": 0, "canonical_form": 0}
 
@@ -934,7 +938,7 @@ def test_verify_reuses_coefficient_arithmetic(monkeypatch):
     assert counts["normalize"] <= 600
     _, ok = cli.run_combination()
     assert ok
-    assert counts["canonical_form"] == 765
+    assert counts["canonical_form"] == 1199
 
 
 # -- equal values hash equal ------------------------------------------------------

@@ -168,3 +168,46 @@ def test_no_class_serializes_itself():
 def test_every_definition_is_referenced_in_the_package():
     sources = {p.name: p.read_text() for p in MODULES}
     assert _unreferenced_definitions(sources) == UNREFERENCED_ALLOWED
+
+
+# the constructions that map a collected expression's coefficients or keys
+# one to one, so its keys stay canonical and distinct and its coefficients
+# nonzero; every other expression is summed by TExpr.from_terms
+TEXPR_BUILDERS = ["TExpr.__neg__", "TExpr.from_terms", "TExpr.scale", "upow"]
+
+
+def _texpr_builders(source: str) -> list[str]:
+    """Qualified names of the functions that build a ``TExpr`` from a terms
+    argument: ``TExpr(valence, terms)``, or ``cls(...)`` in a method of
+    ``TExpr``."""
+    found = []
+
+    def visit(node, scope, in_texpr):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and (
+                node.func.id == "TExpr" or in_texpr and node.func.id == "cls") \
+                and (len(node.args) > 1 or any(k.arg == "terms" for k in node.keywords)):
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name],
+                      in_texpr or isinstance(child, ast.ClassDef) and child.name == "TExpr")
+            else:
+                visit(child, scope, in_texpr)
+
+    visit(ast.parse(source), [], False)
+    return sorted(set(found))
+
+
+def test_scan_finds_each_texpr_builder():
+    source = ("class TExpr:\n    @classmethod\n    def f(cls, t):\n        return cls(0, t)\n\n"
+              "    def g(self):\n        return TExpr(self.valence)\n\n\n"
+              "def h(e):\n    return TExpr(e.valence, terms={})\n\n\n"
+              "def k(cls):\n    return cls(0, {})\n")
+    assert _texpr_builders(source) == ["TExpr.f", "h"]
+
+
+def test_only_from_terms_sums_expression_coefficients():
+    """``+``, ``expr`` and a replaced coefficient are collected by
+    ``TExpr.from_terms``: no other package code hands TExpr a terms map."""
+    found = sorted(name for p in MODULES for name in _texpr_builders(p.read_text()))
+    assert found == TEXPR_BUILDERS

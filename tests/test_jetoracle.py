@@ -236,6 +236,24 @@ class TestIdentityChecks:
                 call()
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("dims, message", [
+        ((3,), "the oracle needs distinct dimensions of at least 5, got 3 in dims [3]"),
+        ((5, 5), "the oracle needs distinct dimensions of at least 5, got 5 in dims [5, 5]"),
+    ])
+    def test_a_dimension_the_cli_refuses_is_refused_before_any_work(self, dims, message,
+                                                                    monkeypatch):
+        """n = 3 passed all 15 identities outside the theorem's n >= 5, and
+        dims (5, 5) checked n = 5 twice; both are refused before a jet is
+        drawn, as ``--dims`` refuses them, through the section runner too."""
+        def must_not_run(*args):
+            raise AssertionError("a jet was drawn")
+        monkeypatch.setattr(jetoracle, "jet_batch", must_not_run)
+        for call in (lambda: check_all_identities(2, dims),
+                     lambda: run_oracle(0, 2, dims)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+
     def test_report_determinism(self, monkeypatch):
         a = check_one(monkeypatch, get_identity("I7"), samples=30, dims=(5,), seed=9)
         b = check_one(monkeypatch, get_identity("I7"), samples=30, dims=(5,), seed=9)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import replaced_hot_paths as replaced
 from bhverify import calculus, cli, registry, tensor
 from bhverify.coeffs import ALPHA, A, B, N, ONE, ZERO, ParamScalar, frac, ps
 from bhverify.errors import (MalformedMonomialError, UnsupportedCurvatureError,
@@ -492,14 +493,17 @@ def verify_monomials():
 
 
 def test_search_matches_exhaustive_on_the_verify_monomials(verify_monomials):
-    assert len(verify_monomials) == 276
+    """276 of the 301 are the raw monomials the identities are built from
+    and expanded into; the other 25 are canonical keys that ``+`` hands
+    back to canonical_form."""
+    assert len(verify_monomials) == 301
     for m in verify_monomials:
         assert _outcome(canonical_form, m) == _outcome(_ref_canonical_form, m), m.key()
 
 
 def test_search_prunes_the_verify_monomials(verify_monomials, monkeypatch):
-    """The 276 monomials of the identities benchmark reach at most 1,460
-    complete relabelings; the exhaustive search tried 10,939, 720 each for
+    """The 301 monomials of the identities benchmark reach 1,513
+    complete relabelings; the exhaustive search tries 11,100, 720 each for
     the eleven with six Du factors."""
     leaves = []
     leaf_key = tensor._leaf_key
@@ -513,8 +517,8 @@ def test_search_prunes_the_verify_monomials(verify_monomials, monkeypatch):
     for m in verify_monomials:
         tensor._canonical_cached.__wrapped__(m)
         tried.append(_relabelings(tensor._structural_rewrites(m)[1].symbols))
-    assert sum(tried) == 10_939 and tried.count(720) == 11
-    assert len(leaves) <= 1460
+    assert sum(tried) == 11_100 and tried.count(720) == 11
+    assert len(leaves) == 1513
 
 
 # -- TExpr.from_terms against the per-term ParamScalar sum it replaced ------------
@@ -627,3 +631,128 @@ def test_oracle_reports_unchanged_under_replaced_from_terms(monkeypatch):
     finally:
         registry.all_identities.cache_clear()
     assert got == want
+
+
+# -- one collection route: + and expr against the code they replaced ------------
+
+# vector and 2-tensor monomials as _SCALAR_MONOS: several share a canonical
+# form, one picks up a metric self-trace (multiplier n), one is a vanishing
+# Etf trace; no Ricci factor, which a contraction with g would self-trace
+_VECTOR_MONOS = (
+    mono(0, ("Du", "x"), free=("x",)),
+    mono(0, ("g", "x", "i"), ("Du", "i"), free=("x",)),
+    mono(0, ("g", "k", "k"), ("Du", "x"), free=("x",)),
+    mono(0, ("DLap", "x"), free=("x",)),
+    mono(0, ("D3u", "x", "i", "i"), free=("x",)),
+    mono(-1, ("D2u", "x", "i"), ("Du", "i"), free=("x",)),
+    mono(-1, ("Du", "i"), ("D2u", "i", "x"), free=("x",)),
+    mono(0, ("Etf", "i", "i"), ("Du", "x"), free=("x",)),
+    mono(1, ("Etf", "x", "i"), ("Du", "i"), free=("x",)),
+)
+_TENSOR_MONOS = (
+    mono(0, ("D2u", "x", "y"), free=("x", "y")),
+    mono(0, ("D2u", "y", "x"), free=("x", "y")),
+    mono(0, ("g", "x", "i"), ("D2u", "i", "y"), free=("x", "y")),
+    mono(0, ("g", "k", "k"), ("D2u", "x", "y"), free=("x", "y")),
+    mono(-1, ("Du", "x"), ("Du", "y"), free=("x", "y")),
+    mono(-1, ("Du", "y"), ("Du", "x"), free=("x", "y")),
+    mono(0, ("Lap",), ("g", "x", "y"), free=("x", "y")),
+    mono(0, ("Etf", "x", "y"), free=("x", "y")),
+    mono(0, ("Etf", "i", "i"), ("g", "x", "y"), free=("x", "y")),
+)
+_MONOS = {0: _SCALAR_MONOS, 1: _VECTOR_MONOS, 2: _TENSOR_MONOS}
+_coeffs_or_zero = st.one_of(st.just(ZERO), _term_coeffs)
+
+
+@st.composite
+def _summands(draw):
+    """Two collected expressions of one valence, 0, 1 or 2, on shared
+    monomials; the second's raw terms hold the negation of some of the
+    first's coefficients, so that they cancel exactly."""
+    valence = draw(st.sampled_from(sorted(_MONOS)))
+    terms = st.lists(st.tuples(_coeffs_or_zero, st.sampled_from(_MONOS[valence])),
+                     max_size=6)
+    e1 = TExpr.from_terms(valence, draw(terms))
+    raw = draw(terms)
+    if e1.terms:
+        for m in draw(st.lists(st.sampled_from(list(e1.terms)), max_size=3, unique=True)):
+            raw.insert(draw(st.integers(0, len(raw))), (-e1.terms[m], m))
+    return e1, TExpr.from_terms(valence, raw)
+
+
+def _listing(e: TExpr):
+    return e.valence, [(m.key(), str(c)) for m, c in e.terms.items()]
+
+
+_V = _VECTOR_MONOS
+
+
+@settings(max_examples=300, deadline=None)
+@given(_summands(), st.lists(st.tuples(st.one_of(st.integers(-2, 2), _coeffs_or_zero),
+                                       st.sampled_from(_SCALAR_MONOS + _V + _TENSOR_MONOS)),
+                             max_size=4))
+# every term cancels: Du(x) against g(x,i) Du(i), DLap(x) against D3u(x,i,i)
+@example((TExpr.from_terms(1, [(ONE, _V[0]), (N, _V[3])]),
+          TExpr.from_terms(1, [(-ONE, _V[1]), (-N, _V[4])])),
+         [(0, _V[0]), (ALPHA, _V[2]), (N, _V[7])])
+# a shared key whose sum stays, one that cancels, and a new key after them
+@example((TExpr.from_terms(1, [(ONE / (N - 1), _V[0]), (ALPHA, _V[5]), (ONE, _V[3])]),
+          TExpr.from_terms(1, [(-ALPHA, _V[6]), (N / (N + 4), _V[2]), (A, _V[8])])),
+         [(frac(1, 2), _V[6])])
+def test_add_and_expr_match_replaced_code(summands, singles):
+    """``+``, ``-`` and ``expr`` give the replaced code's keys in its order
+    and its coefficients, to the printed string."""
+    e1, e2 = summands
+    assert _listing(e1 + e2) == _listing(replaced.texpr_add(e1, e2))
+    assert _listing(e1 - e2) == _listing(replaced.texpr_add(e1, -e2))
+    for c, m in singles:
+        assert _listing(expr(c, m)) == _listing(replaced.expr(c, m))
+
+
+def _assert_collected(e: TExpr):
+    """The TExpr invariant: every key is canonical and of the expression's
+    valence, and no coefficient is zero (the zero expression is the empty
+    map)."""
+    for m, c in e.terms.items():
+        assert canonical_form(m) == (ONE, m), m.render()
+        assert m.valence == e.valence, m.render()
+        assert not c.is_zero, m.render()
+
+
+_VEC = expr(1, _V[0]) + expr(ALPHA, _V[3])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_summands(), _coeffs_or_zero, st.integers(-2, 2))
+def test_expression_operations_keep_the_invariant(summands, c, k):
+    e1, e2 = summands
+    if e1.valence == 0:
+        products = [emul(e1, e2)]
+    elif e1.valence == 1:
+        products = [dot(e1, e2), emul(e1, e2)]
+    else:
+        products = [frob(e1, e2), tensor_vec(e1, _VEC)]
+    for e in (e1 + e2, e1 - e2, e1.scale(c), upow(e1, k), *products):
+        _assert_collected(e)
+    for m in _MONOS[e1.valence]:
+        _assert_collected(expr(c, m))
+
+
+def test_catalog_expressions_keep_the_invariant():
+    """Both sides of every identity, their substitutions at the identity's
+    b and at the formal B, every one-coefficient perturbation and the
+    printed variants.  ``perturb_identity(I1, 4)`` shifts the -1 of
+    u^-2 Lap Lap to 0, which drops that key."""
+    i1 = registry.get_identity("I1")
+    m, c = i1.rhs.sorted_terms()[4]
+    assert m.render() == "u^-2 Lap Lap" and c == -1
+    assert m not in registry.perturb_identity(i1, 4).rhs.terms
+    for ident in registry.all_identities():
+        for e in (ident.lhs, ident.rhs):
+            _assert_collected(e)
+            for b in (ident.b, B):
+                _assert_collected(calculus.substitute_defs(e, b))
+        for k in range(len(ident.rhs.terms)):
+            _assert_collected(registry.perturb_identity(ident, k).rhs)
+    for iid in registry.ERRATA:
+        _assert_collected(registry.printed_variant(iid).rhs)
