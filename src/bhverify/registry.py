@@ -436,10 +436,19 @@ def printed_variant(identity_id: str) -> Identity:
 def perturb_identity(ident: Identity, term_index: int, delta=1) -> Identity:
     """Copy of the identity with one right-side coefficient shifted by delta.
 
-    Used for mutation testing: any such perturbation must produce a residual.
+    Used for mutation testing: any such perturbation must produce a residual,
+    so an index outside ``0 .. len - 1`` of the sorted right side and a zero
+    delta are refused.
     """
-    m, c = ident.rhs.sorted_terms()[term_index % len(ident.rhs.terms)]
-    return _replace_coefficient(ident, m, c + ps(delta), "*", "perturbed")
+    terms = ident.rhs.sorted_terms()
+    if not 0 <= term_index < len(terms):
+        raise ValueError(f"term index {term_index} outside 0..{len(terms) - 1} "
+                         f"for {ident.id}")
+    delta = ps(delta)
+    if delta.is_zero:
+        raise ValueError(f"delta {delta} leaves {ident.id} unperturbed")
+    m, c = terms[term_index]
+    return _replace_coefficient(ident, m, c + delta, "*", "perturbed")
 
 
 def get_identity(identity_id: str) -> Identity:

@@ -22,10 +22,18 @@ explicit serialization (the sorted contraction pairs, then the free slots)
 over all relabelings allowed by factor multiplicities and slot symmetries.
 A branch-and-bound search finds it: placing the factors one position at a
 time bounds a prefix of the sorted pairs from below, and a partial
-relabeling whose bound already exceeds the best key is dropped.  The least
-key is unique, so the result is the exhaustive search's, fully
-deterministic; the eleven six-Du monomials of the identities reach 48 to 70
-of their 720 relabelings, most of them ties.
+relabeling whose bound already exceeds the best key is dropped.  At a step
+that places a one-slot factor, factors whose partners are interchangeable
+unplaced one-slot factors of one kind (twins: a Du-Du pair against another)
+are branched on once, because swapping two twins with their partners is an
+automorphism.  The least key is unique, so the result is the exhaustive
+search's, fully deterministic.
+
+Neither the rewrites nor the search read the u-power, so their result is
+kept once per contraction graph (symbols, pairs, free) and a monomial that
+differs from a solved one only in its u-power takes it at its own power.  A
+canonical graph, once found, is kept as its own result with multiplier 1,
+so a canonical key handed back runs no search.
 
 Edits of factors (differentiation, substitution and the structural
 rewrites) run on the labeled view (``to_labeled``, then ``mono``): a label
@@ -87,7 +95,9 @@ class TensorMonomial:
 
     def __init__(self, u_power: int, symbols: Sequence[str],
                  pairs: Iterable[tuple[int, int]], free: Sequence[int]):
-        object.__setattr__(self, "u_power", int(u_power))
+        if type(u_power) is not int:
+            raise MalformedMonomialError(f"u-power {u_power!r} is not an int")
+        object.__setattr__(self, "u_power", u_power)
         object.__setattr__(self, "symbols", tuple(symbols))
         object.__setattr__(self, "pairs",
                            tuple(sorted(tuple(sorted(p)) for p in pairs)))
@@ -123,15 +133,17 @@ class TensorMonomial:
                     raise MalformedMonomialError(f"slot {s} out of range")
                 if s in seen:
                     raise MalformedMonomialError(f"slot {s} used twice")
-                seen[s] = True
+                seen[s] = "paired"
             if p[0] == p[1]:
                 raise MalformedMonomialError("slot paired with itself")
         for s in self.free:
             if not (0 <= s < total):
                 raise MalformedMonomialError(f"free slot {s} out of range")
             if s in seen:
-                raise MalformedMonomialError(f"slot {s} both free and paired")
-            seen[s] = True
+                raise MalformedMonomialError(f"slot {s} both free and paired"
+                                             if seen[s] == "paired" else
+                                             f"free slot {s} listed twice")
+            seen[s] = "free"
         if len(seen) != total:
             raise MalformedMonomialError("dangling slot: not paired and not declared free")
         if len(self.free) > 3:
@@ -192,6 +204,9 @@ def mono(u: int, *factors, free: Sequence[str] = ()) -> TensorMonomial:
         for lab in labels:
             slots_by_label.setdefault(lab, []).append(slot)
             slot += 1
+    repeated = next((lab for k, lab in enumerate(free) if lab in free[:k]), None)
+    if repeated is not None:
+        raise MalformedMonomialError(f"free label {repeated!r} listed twice")
     pairs, free_slots = [], {}
     for lab, ss in slots_by_label.items():
         if len(ss) == 2:
@@ -254,15 +269,30 @@ def _structural_rewrites(m: TensorMonomial):
     return mult, mono(u, *facs, free=free)
 
 
+# contraction graph (symbols, pairs, free) -> (multiplier, canonical graph,
+# or None if the monomial vanishes), whatever the u-power
+_GRAPHS: dict[tuple, tuple] = {}
+
+
 @lru_cache(maxsize=None)
 def _canonical_cached(m: TensorMonomial):
     m.validate()
+    graph = m.symbols, m.pairs, m.free
+    found = _GRAPHS.get(graph)
+    if found is None:
+        found = _GRAPHS[graph] = _canonical_graph(m)
+        if found[1] is not None:
+            _GRAPHS.setdefault(found[1], (ONE, found[1]))
+    mult, canon = found
+    return mult, None if canon is None else TensorMonomial(m.u_power, *canon)
+
+
+def _canonical_graph(m: TensorMonomial):
     mult, m = _structural_rewrites(m)
     if m is None:
         return mult, None
     symbols = tuple(sorted(m.symbols, key=_ORDER.__getitem__))
-    pairs, free = _least_relabeling(m, symbols)
-    return mult, TensorMonomial(m.u_power, symbols, pairs, free)
+    return mult, (symbols, *_least_relabeling(m, symbols))
 
 
 def _least_relabeling(m: TensorMonomial, symbols: tuple[str, ...]):
@@ -277,11 +307,18 @@ def _least_relabeling(m: TensorMonomial, symbols: tuple[str, ...]):
     unplaced partner will get a slot of at least ``frontier``, so taking it
     as ``frontier`` bounds that prefix from below; a branch whose bound
     already exceeds the best key's prefix cannot improve on it.
+
+    At a step of arity 1, two unused factors b1, b2 whose partners t1, t2
+    are unused arity-1 factors of one symbol are twins: the swap
+    (b1 b2)(t1 t2) is an automorphism that fixes every placed slot, so the
+    leaves under b2 are the images of those under b1, with the same keys.
+    Only the first factor of each such partner symbol is branched on.
     """
     old_offs = m.offsets()
     partner = [None] * m.slot_count
     for a, b in m.pairs:
         partner[a], partner[b] = b, a
+    single = {old_offs[i]: s for i, s in enumerate(m.symbols) if FACTORS[s].arity == 1}
     # per step: first new slot, frontier after it, candidate factor offsets, symmetries
     steps = []
     start = 0
@@ -316,9 +353,17 @@ def _least_relabeling(m: TensorMonomial, symbols: tuple[str, ...]):
                 best = key
             return
         start, frontier, bases, perms = steps[depth]
+        twins = set() if frontier - start == 1 else None
         for base in bases:
             if base in used:
                 continue
+            if twins is not None:
+                t = partner[base]
+                kind = single.get(t)
+                if kind is not None and t not in used:
+                    if kind in twins:
+                        continue
+                    twins.add(kind)
             used.add(base)
             for sigma in perms:
                 for j, sj in enumerate(sigma):

@@ -23,12 +23,19 @@ cached matrix and certificates, the definition forms, ``replace_factor``,
 ``TExpr.from_terms``; they summed per monomial with ``ParamScalar``
 arithmetic and canonicalized one term themselves (``texpr_add``, ``expr``),
 and ``residual`` and ``certificate_difference`` sum with that ``texpr_add``.
+``tensor.canonical_form`` now keeps one result per contraction graph, enters
+each canonical graph as its own fixed point and branches once on twin
+one-slot factors; ``_canonical_cached`` and ``_least_relabeling`` below are
+the per-monomial memo and the search without twins that it replaced
+(``_structural_rewrites``, ``_leaf_key``, ``_ORDER`` and ``FACTORS`` are
+the package's).
 """
 
 import json
 import math
 from dataclasses import is_dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,7 +46,8 @@ from bhverify.errors import EngineInconsistencyError, PoleError, ValenceError
 from bhverify.paramcheck import (EST1_GRID_POINTS, ExponentCheck, PDReport, _eigmin_sym3,
                                  _horner, _n_tables, build_matrix_A, est1_coefficient,
                                  sylvester_certificates)
-from bhverify.tensor import TExpr, canonical_form, replace_factor
+from bhverify.tensor import (_ORDER, FACTORS, TensorMonomial, TExpr, _leaf_key,
+                             _structural_rewrites, canonical_form, replace_factor)
 
 
 def jsonable(x):
@@ -245,3 +253,86 @@ def certificate_difference(target, basis, weights) -> TExpr:
     for w, b in zip(weights, basis):
         combo_rhs = texpr_add(combo_rhs, b.rhs.scale(w))
     return texpr_add(combo_rhs, target.rhs.scale(-1))
+
+
+@lru_cache(maxsize=None)
+def _canonical_cached(m: TensorMonomial):
+    m.validate()
+    mult, m = _structural_rewrites(m)
+    if m is None:
+        return mult, None
+    symbols = tuple(sorted(m.symbols, key=_ORDER.__getitem__))
+    pairs, free = _least_relabeling(m, symbols)
+    return mult, TensorMonomial(m.u_power, symbols, pairs, free)
+
+
+def _least_relabeling(m: TensorMonomial, symbols: tuple[str, ...]):
+    """The least (pairs, free) key over the relabelings that list m's
+    factors as ``symbols``, by branch and bound.
+
+    Depth first over the positions of ``symbols`` that carry slots, each
+    step places one unused factor of that symbol under one of its slot
+    symmetries.  The new slots below ``frontier`` are then placed, and the
+    pairs with a placed endpoint are exactly the first pairs of the final
+    sorted key, in the order of their placed (smaller) endpoint.  An
+    unplaced partner will get a slot of at least ``frontier``, so taking it
+    as ``frontier`` bounds that prefix from below; a branch whose bound
+    already exceeds the best key's prefix cannot improve on it.
+    """
+    old_offs = m.offsets()
+    partner = [None] * m.slot_count
+    for a, b in m.pairs:
+        partner[a], partner[b] = b, a
+    # per step: first new slot, frontier after it, candidate factor offsets, symmetries
+    steps = []
+    start = 0
+    for sym in symbols:
+        info = FACTORS[sym]
+        if info.arity:
+            bases = [old_offs[i] for i, s in enumerate(m.symbols) if s == sym]
+            steps.append((start, start + info.arity, bases, info.sym))
+        start += info.arity
+    new_of = [None] * m.slot_count  # old slot -> new slot
+    old_of = [None] * m.slot_count  # new slot -> old slot
+    used = set()
+    best = None
+
+    def bound(frontier):
+        out = []
+        for x in range(frontier):
+            t = partner[old_of[x]]
+            if t is not None:
+                y = new_of[t]
+                if y is None:
+                    out.append((x, frontier))
+                elif y > x:
+                    out.append((x, y))
+        return tuple(out)
+
+    def search(depth):
+        nonlocal best
+        if depth == len(steps):
+            key = _leaf_key(m, new_of)
+            if best is None or key < best:
+                best = key
+            return
+        start, frontier, bases, perms = steps[depth]
+        for base in bases:
+            if base in used:
+                continue
+            used.add(base)
+            for sigma in perms:
+                for j, sj in enumerate(sigma):
+                    new_of[base + sj] = start + j
+                    old_of[start + j] = base + sj
+                if best is not None:
+                    prefix = bound(frontier)
+                    if prefix > best[0][:len(prefix)]:
+                        continue
+                search(depth + 1)
+            for j in range(frontier - start):
+                new_of[base + j] = None
+            used.discard(base)
+
+    search(0)
+    return best

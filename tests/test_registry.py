@@ -86,6 +86,21 @@ class TestVerification:
         assert rep.residual_count == 1
         assert "u^-4" in rep.residual_terms[0]
 
+    @pytest.mark.parametrize("index, delta, message", [
+        (4, 1, "term index 4 outside 0..3 for I3"),
+        (5, 1, "term index 5 outside 0..3 for I3"),
+        (-1, 1, "term index -1 outside 0..3 for I3"),
+        (0, 0, "delta 0 leaves I3 unperturbed"),
+        (3, Fraction(0), "delta 0 leaves I3 unperturbed"),
+    ])
+    def test_perturbation_refuses_what_it_would_fake(self, index, delta, message):
+        """An index past the sorted right side would wrap onto another term
+        and a zero delta would return an identity that still verifies."""
+        ident = get_identity("I3")
+        assert len(ident.rhs.terms) == 4
+        with pytest.raises(ValueError, match=message):
+            perturb_identity(ident, index, delta)
+
     def test_printed_variants_fail_with_recorded_residuals(self):
         """The two display errata are reproducible: the printed right sides
         leave exactly the residuals the errata describe."""

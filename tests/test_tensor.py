@@ -94,6 +94,32 @@ def test_dangling_slots_rejected():
         mono(0, ("Du", "i"), ("Du", "i"), ("Du", "j"))  # j not declared free
 
 
+@pytest.mark.parametrize("u_power", [-1.7, 0.5, 2.0, True, False, "1", None])
+def test_a_u_power_that_is_not_an_int_is_refused(u_power):
+    """int() would read -1.7 as u^-1, 0.5 as u^0 and True as u^1."""
+    with pytest.raises(MalformedMonomialError, match=f"u-power {u_power!r} is not an int"):
+        TensorMonomial(u_power, ("Du", "Du"), [(0, 1)], [])
+    with pytest.raises(MalformedMonomialError, match="is not an int"):
+        mono(u_power, ("Du", "i"), ("Du", "i"))
+
+
+def test_upow_refuses_a_fractional_power():
+    e = expr(1, mono(-1, ("Du", "i"), ("Du", "i")))
+    with pytest.raises(MalformedMonomialError, match="u-power -0.5 is not an int"):
+        upow(e, 0.5)
+
+
+def test_a_repeated_free_label_or_slot_is_named():
+    with pytest.raises(MalformedMonomialError, match="free label 'x' listed twice"):
+        mono(0, ("Du", "x"), free=("x", "x"))
+    with pytest.raises(MalformedMonomialError, match="free label 'y' listed twice"):
+        mono(0, ("D2u", "x", "y"), ("Du", "z"), free=("x", "y", "z", "y"))
+    with pytest.raises(MalformedMonomialError, match="free slot 0 listed twice"):
+        TensorMonomial(0, ("Du",), [], [0, 0]).validate()
+    with pytest.raises(MalformedMonomialError, match="slot 0 both free and paired"):
+        TensorMonomial(0, ("Du", "Du"), [(0, 1)], [0]).validate()
+
+
 def test_combine_axioms():
     e = expr(1, mono(0, ("Du", "k"), ("Du", "k")))
     z = e + e.scale(-1)
@@ -456,8 +482,22 @@ def test_structural_rewrites_match_replaced_code(m):
 # -- the branch-and-bound search against the exhaustive one it replaced ----------
 
 
+def _clear_memos():
+    tensor._canonical_cached.cache_clear()
+    tensor._GRAPHS.clear()
+
+
+def _cold_canonical_form(m):
+    """canonical_form(m) from empty memos, so that m's own graph is searched."""
+    _clear_memos()
+    return canonical_form(m)
+
+
+_DU_HEAVY = ("Du",) * 12 + tuple(FACTORS) + ("D3u", "g")
+
+
 @settings(max_examples=600, deadline=None)
-@given(_raw_monomials(kinds=("Du",) * 12 + tuple(FACTORS) + ("D3u", "g"), max_size=7))
+@given(_raw_monomials(kinds=_DU_HEAVY, max_size=7))
 # six Du factors, 720 orders, among two Hessians and a D3u
 @example(mono(-3, ("D2u", "i", "j"), ("Du", "k"), ("Du", "i"), ("Du", "l"), ("Du", "j"),
               ("D2u", "k", "l"), ("Du", "m"), ("Du", "m")))
@@ -465,16 +505,21 @@ def test_structural_rewrites_match_replaced_code(m):
               ("Du", "y"), free=("y", "x")))
 @example(mono(0, ("Du", "a"), ("Du", "b"), ("Du", "c"), ("Du", "a"), ("Du", "c"),
               ("Du", "b"), ("g", "x", "y"), free=("y", "x")))
+# twins among Du-DLap pairs, one Du partner free, one Du paired with a D2u
+@example(mono(0, ("Du", "a"), ("DLap", "b"), ("Du", "b"), ("DLap", "a"), ("Du", "c"),
+              ("D2u", "c", "d"), ("Du", "d"), ("Du", "x"), free=("x",)))
 def test_search_matches_exhaustive(m):
-    """Branch and bound finds the exhaustive search's least key: the same
-    multiplier and canonical monomial, or the same exception."""
-    assert _outcome(canonical_form, m) == _outcome(_ref_canonical_form, m), m.key()
+    """Branch and bound with twin pruning, run cold, finds the exhaustive
+    search's least key: the same multiplier and canonical monomial, or the
+    same exception."""
+    assert _outcome(_cold_canonical_form, m) == _outcome(_ref_canonical_form, m), m.key()
 
 
 @pytest.fixture(scope="module")
 def verify_monomials():
-    """Every distinct monomial that run_verify plus run_combination
-    canonicalize, from cold identity caches, in order of first use."""
+    """Every distinct monomial that run_verify plus run_combination, then a
+    small run_oracle, canonicalize, each from cold identity caches, in order
+    of first use.  The oracle's 141 are among the 301 of the other two."""
     seen = {}
     cached = tensor._canonical_cached
 
@@ -482,43 +527,130 @@ def verify_monomials():
         seen.setdefault(m, None)
         return cached(m)
 
-    registry.all_identities.cache_clear()
-    registry._coeff_catalog.cache_clear()
-    calculus._definitions.cache_clear()
-    calculus._expansion.cache_clear()
+    def cold_identities():
+        registry.all_identities.cache_clear()
+        registry._coeff_catalog.cache_clear()
+        calculus._definitions.cache_clear()
+        calculus._expansion.cache_clear()
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "_canonical_cached", recorded)
+        cold_identities()
         assert cli.run_verify()[1] and cli.run_combination()[1]
+        verify = len(seen)
+        cold_identities()
+        assert cli.run_oracle(0, 2, (5,))[1]
+        assert len(seen) == verify
     return list(seen)
 
 
 def test_search_matches_exhaustive_on_the_verify_monomials(verify_monomials):
     """276 of the 301 are the raw monomials the identities are built from
     and expanded into; the other 25 are canonical keys that ``+`` hands
-    back to canonical_form."""
+    back to canonical_form.  Each is searched cold."""
     assert len(verify_monomials) == 301
     for m in verify_monomials:
-        assert _outcome(canonical_form, m) == _outcome(_ref_canonical_form, m), m.key()
+        assert _outcome(_cold_canonical_form, m) == _outcome(_ref_canonical_form, m), m.key()
 
 
 def test_search_prunes_the_verify_monomials(verify_monomials, monkeypatch):
-    """The 301 monomials of the identities benchmark reach 1,513
-    complete relabelings; the exhaustive search tries 11,100, 720 each for
-    the eleven with six Du factors."""
-    leaves = []
-    leaf_key = tensor._leaf_key
+    """From empty memos, the 301 monomials of the identities benchmark take
+    178 searches, which reach 315 complete relabelings; the other 123 are
+    u-power shifts of a solved graph or canonical graphs already found.
+    The exhaustive search tries 11,100 relabelings, 720 each for the eleven
+    with six Du factors."""
+    searches, leaves = [], []
+    least_relabeling, leaf_key = tensor._least_relabeling, tensor._leaf_key
+
+    def searched(m, symbols):
+        searches.append(m)
+        return least_relabeling(m, symbols)
 
     def counted(m, new_of):
         leaves.append(m)
         return leaf_key(m, new_of)
 
+    monkeypatch.setattr(tensor, "_least_relabeling", searched)
     monkeypatch.setattr(tensor, "_leaf_key", counted)
     tried = []
+    _clear_memos()
     for m in verify_monomials:
-        tensor._canonical_cached.__wrapped__(m)
+        tensor._canonical_cached(m)
         tried.append(_relabelings(tensor._structural_rewrites(m)[1].symbols))
     assert sum(tried) == 11_100 and tried.count(720) == 11
-    assert len(leaves) == 1513
+    assert len(searches) == 178
+    assert len(leaves) == 315
+
+
+# -- the graph memo and the twin rule against the code they replaced -------------
+
+_SHIFTS = (0, -3, -2, -1, 1, 2, 3)
+
+
+def _shifted(m, k):
+    return TensorMonomial(m.u_power + k, m.symbols, m.pairs, m.free)
+
+
+def _shifted_outcome(outcome, k):
+    """The outcome of a monomial shifted by u^k, from the unshifted one's."""
+    mult, key = outcome
+    if isinstance(mult, type) or key is None:
+        return outcome
+    return mult, (key[0] + k,) + key[1:]
+
+
+def _assert_matches_replaced_code(ms):
+    """canonical_form through the memos gives the replaced per-monomial
+    search's multiplier and key, or its exception, for each monomial in
+    turn, then its shifts by u^-3 to u^3 and its canonical monomial."""
+    for m in ms:
+        for k in _SHIFTS:
+            mk = _shifted(m, k)
+            want = _outcome(replaced._canonical_cached, mk)
+            assert _outcome(canonical_form, mk) == want, mk.key()
+        if not isinstance(want[0], type) and want[1] is not None:
+            canon = TensorMonomial(*want[1])
+            assert canonical_form(canon) == (ONE, canon), canon.key()
+
+
+def test_memos_match_replaced_code_on_the_workload_monomials(verify_monomials):
+    _clear_memos()
+    _assert_matches_replaced_code(verify_monomials)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_raw_monomials(), _raw_monomials(kinds=_DU_HEAVY, max_size=7)),
+                min_size=1, max_size=4))
+def test_memos_match_replaced_code(ms):
+    """Several monomials through one memo, so that later ones may meet an
+    earlier one's graph, shifted graph or canonical graph."""
+    _clear_memos()
+    _assert_matches_replaced_code(ms)
+
+
+def _assert_fixed_point_and_shifts(m):
+    """Each from empty memos: m's canonical monomial canonicalizes to itself
+    with multiplier 1, and m shifted by u^k gives the same multiplier and
+    the canonical monomial shifted by u^k, or the same exception."""
+    outcome = _outcome(_cold_canonical_form, m)
+    for k in _SHIFTS[1:]:
+        got = _outcome(_cold_canonical_form, _shifted(m, k))
+        assert got == _shifted_outcome(outcome, k), (m.key(), k)
+    if not isinstance(outcome[0], type) and outcome[1] is not None:
+        canon = TensorMonomial(*outcome[1])
+        assert _cold_canonical_form(canon) == (ONE, canon), canon.key()
+
+
+def test_search_is_idempotent_and_blind_to_the_u_power_on_the_workload_monomials(
+        verify_monomials):
+    for m in verify_monomials:
+        _assert_fixed_point_and_shifts(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_raw_monomials(), _raw_monomials(kinds=_DU_HEAVY, max_size=7)))
+def test_search_is_idempotent_and_blind_to_the_u_power(m):
+    _assert_fixed_point_and_shifts(m)
 
 
 # -- TExpr.from_terms against the per-term ParamScalar sum it replaced ------------
